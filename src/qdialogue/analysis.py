@@ -23,6 +23,7 @@ from .attacks import (
     DisturbPauli4,
     DisturbPauliZ,
     EntangleMeasure,
+    NoAttack,
     _InterceptResend,
 )
 from .protocol import DETECTED, MM, DialogueResult, Message
@@ -197,8 +198,12 @@ def _pong_branches(strategy, bob_code, alice_code):
     elif isinstance(strategy, DisturbPauli4):
         for code in ALL_CODES:
             yield 0.25, apply_pauli(honest, "t", code), "t"
-    else:
+    elif type(strategy) in (AttackStrategy, NoAttack):
         yield 1.0, honest, "t"
+    else:
+        # Falling back to the honest channel would give any new strategy
+        # oracle rate 0 without a word.
+        raise TypeError(f"no exact branches known for strategy class {type(strategy).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -133,12 +133,12 @@ def alice_encode(state: StateVector, code: BitPair, traveling: str = "t") -> Sta
 
 def decode_counterpart(outcome: BitPair, own_code: BitPair) -> BitPair:
     """Read the other party's pair out of a Bell outcome: componentwise XOR."""
-    return BitPair(*outcome) ^ BitPair(*own_code)
+    return BitPair(outcome[0] ^ own_code[0], outcome[1] ^ own_code[1])
 
 
 def cm_check(outcome: BitPair, bob_code: BitPair, alice_revealed: BitPair) -> bool:
     """Bob's control-run consistency test against Alice's revealed pair."""
-    return BitPair(*outcome) == BitPair(*alice_revealed) ^ BitPair(*bob_code)
+    return outcome[0] == alice_revealed[0] ^ bob_code[0] and outcome[1] == alice_revealed[1] ^ bob_code[1]
 
 
 @dataclass

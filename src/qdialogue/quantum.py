@@ -15,13 +15,21 @@ measurement statistics):
 * the first name in ``StateVector.registers`` is the most significant
   bit of the amplitude index
 
-States are immutable in interface: every operation returns a new
-``StateVector``. Normalization is asserted (tolerance 1e-9), never
+States are immutable: no operation writes into its input, and each
+returns a new ``StateVector`` or, when nothing changes, its input.
+``bell_state`` hands out shared states with read-only amplitudes.
+Normalization is asserted on every state built (tolerance 1e-9), never
 silently repaired.
+
+The primitives move amplitudes with index tables cached per register
+count and axis rather than by transposing tensors. Every amplitude and
+probability goes through the same floating-point operations as the
+textbook kron/transpose formulation, so results agree with it bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -100,6 +108,15 @@ def pauli_compose(second: BitPair, first: BitPair) -> PauliProduct:
     return PauliProduct(second ^ first, _COMPOSE_PHASE[(second, first)])
 
 
+_COMPLEX = np.dtype(complex)
+
+# Register tuples that already passed the length and duplicate checks;
+# the protocol builds states over a handful of them. The amplitude
+# count and the norm are still checked on every state.
+_CHECKED_REGISTERS: set[tuple[str, ...]] = set()
+_MAX_CHECKED_REGISTERS = 1024
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Pure joint state of up to five named qubit registers.
@@ -112,14 +129,19 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        regs = tuple(self.registers)
-        object.__setattr__(self, "registers", regs)
-        if not 1 <= len(regs) <= MAX_REGISTERS:
-            raise ValueError(f"need 1..{MAX_REGISTERS} registers, got {len(regs)}")
-        if len(set(regs)) != len(regs):
-            raise ValueError(f"duplicate register names in {regs}")
+        regs = self.registers
+        if type(regs) is not tuple:
+            regs = tuple(regs)
+            object.__setattr__(self, "registers", regs)
+        if regs not in _CHECKED_REGISTERS:
+            if not 1 <= len(regs) <= MAX_REGISTERS:
+                raise ValueError(f"need 1..{MAX_REGISTERS} registers, got {len(regs)}")
+            if len(set(regs)) != len(regs):
+                raise ValueError(f"duplicate register names in {regs}")
+            if len(_CHECKED_REGISTERS) < _MAX_CHECKED_REGISTERS:
+                _CHECKED_REGISTERS.add(regs)
         amps = self.amps
-        if not (isinstance(amps, np.ndarray) and amps.dtype == complex and amps.ndim == 1):
+        if not (type(amps) is np.ndarray and amps.dtype is _COMPLEX and amps.ndim == 1):
             amps = np.asarray(amps, dtype=complex).reshape(-1)
             object.__setattr__(self, "amps", amps)
         if amps.size != 1 << len(regs):
@@ -165,33 +187,74 @@ def bell_state(code: BitPair, regs: tuple[str, str] = ("h", "t")) -> StateVector
     """Entangled pair |Psi_code> = (1 x C_code) applied to the base pair.
 
     The base pair is (|up,down> + |down,up>)/sqrt(2); the coded Pauli
-    acts on the second (travel-side) register.
+    acts on the second (travel-side) register. The state returned is
+    shared: one object per (code, regs), with read-only amplitudes.
     """
-    return StateVector(tuple(regs), _BELL_AMPS[BitPair(*code)])
+    regs = tuple(regs)
+    try:
+        return _shared_bell_state(code, regs)
+    except TypeError:  # an unhashable code such as a list
+        return _shared_bell_state(BitPair(*code), regs)
+
+
+@functools.lru_cache(maxsize=256)
+def _shared_bell_state(code: BitPair, regs: tuple[str, ...]) -> StateVector:
+    return StateVector(regs, _BELL_AMPS[BitPair(*code)])
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """Make a cached table read-only: every later call shares it."""
+    array.setflags(write=False)
+    return array
+
+
+def _bit(index: int, n: int, ax: int) -> int:
+    """The bit register ``ax`` of n reads in basis index ``index``."""
+    return (index >> (n - 1 - ax)) & 1
+
+
+@functools.cache
+def _pauli_table(n: int, ax: int, code: BitPair) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """Gather order and phases of one coded Pauli on axis ``ax`` of n registers.
+
+    Every row of a Pauli matrix has one nonzero entry, so output
+    amplitude i is ``amps[perm[i]] * phase[i]``, read off PAULI_MATRICES.
+    None stands for the identity; a None phase for all-ones phases.
+    """
+    matrix = PAULI_MATRICES.get(code)
+    if matrix is None:
+        raise ValueError(f"unknown Pauli code {code!r}")
+    if code == IDENTITY:
+        return None
+    perm, phase = [], []
+    for i in range(1 << n):
+        row = _bit(i, n, ax)
+        col = row if matrix[row, row] else 1 - row
+        perm.append(i ^ ((row ^ col) << (n - 1 - ax)))
+        phase.append(matrix[row, col])
+    if all(p == 1 for p in phase):
+        return _frozen(np.array(perm)), None
+    return _frozen(np.array(perm)), _frozen(np.array(phase))
 
 
 def apply_pauli(state: StateVector, reg: str, code: BitPair) -> StateVector:
     """Apply the coded single-qubit Pauli to one register.
 
-    The four codes are unrolled (each Pauli has one entry per row); the
-    matrices in PAULI_MATRICES are the definition this must agree with.
+    One gather and at most one multiply by a cached phase vector; the
+    identity returns the input state itself.
     """
-    code = BitPair(*code)
     ax = state.axis(reg)
-    if code == IDENTITY:
+    try:
+        table = _pauli_table(len(state.registers), ax, code)
+    except TypeError:  # an unhashable code such as a list
+        table = _pauli_table(len(state.registers), ax, BitPair(*code))
+    if table is None:
         return state
-    a = state.amps.reshape(1 << ax, 2, -1)
-    out = np.empty_like(a)
-    if code.a == 0:  # bit flip
-        out[:, 0, :] = a[:, 1, :]
-        out[:, 1, :] = a[:, 0, :]
-    elif code.b == 1:  # phase flip
-        out[:, 0, :] = a[:, 0, :]
-        np.negative(a[:, 1, :], out=out[:, 1, :])
-    else:  # bit-and-phase flip
-        np.multiply(a[:, 1, :], -1j, out=out[:, 0, :])
-        np.multiply(a[:, 0, :], 1j, out=out[:, 1, :])
-    return StateVector(state.registers, out.reshape(-1))
+    perm, phase = table
+    out = state.amps[perm]
+    if phase is not None:
+        out *= phase
+    return StateVector(state.registers, out)
 
 
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:
@@ -199,22 +262,24 @@ def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     overlap = set(a.registers) & set(b.registers)
     if overlap:
         raise ValueError(f"register names shared between systems: {sorted(overlap)}")
-    return StateVector(a.registers + b.registers, np.kron(a.amps, b.amps))
+    return StateVector(a.registers + b.registers, (a.amps[:, None] * b.amps).ravel())
+
+
+_KET0 = _frozen(np.array([1.0, 0.0], dtype=complex))
 
 
 def attach_ancilla(state: StateVector, reg: str) -> StateVector:
     """Tensor-extend with a fresh register in its fiducial (index-0) state."""
     if reg in state.registers:
         raise ValueError(f"register {reg!r} already present")
-    one = np.array([1.0, 0.0], dtype=complex)
-    return StateVector(state.registers + (reg,), np.kron(state.amps, one))
+    return StateVector(state.registers + (reg,), (state.amps[:, None] * _KET0).ravel())
 
 
 # Bell basis vectors in (regA, regB) order, stacked as rows in code order.
-_BELL_BASIS = np.stack([_BELL_AMPS[code] for code in ALL_CODES])
-_BELL_BASIS.setflags(write=False)
-_BELL_BASIS_CONJ = _BELL_BASIS.conj()
-_BELL_BASIS_CONJ.setflags(write=False)
+_BELL_BASIS = _frozen(np.stack([_BELL_AMPS[code] for code in ALL_CODES]))
+_BELL_BASIS_CONJ = _frozen(_BELL_BASIS.conj())
+# Each basis vector as a column: a collapse is one outer-product multiply.
+_BELL_COLUMNS = tuple(_BELL_BASIS[k][:, None] for k in range(4))
 
 
 def _sample_index(probs, rng: np.random.Generator) -> int:
@@ -239,23 +304,46 @@ def _front_perm(n: int, front: tuple[int, ...]) -> tuple[int, ...]:
     return front + tuple(i for i in range(n) if i not in front)
 
 
-def _bell_overlaps(state: StateVector, reg_a: str, reg_b: str) -> tuple[np.ndarray, tuple[int, int]]:
-    """<Psi_xy| applied to (reg_a, reg_b): a (4, rest) coefficient array."""
+@functools.cache
+def _bell_tables(n: int, ax_a: int, ax_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orders that move the measured pair to the front and back again.
+
+    ``amps[gather]`` lists the amplitudes with registers (ax_a, ax_b)
+    leading; ``flat[scatter]`` undoes that.
+    """
+    front = _front_perm(n, (ax_a, ax_b))
+    back = tuple(front.index(i) for i in range(n))
+    index = np.arange(1 << n).reshape((2,) * n)
+    return _frozen(index.transpose(front).ravel()), _frozen(index.transpose(back).ravel())
+
+
+def _bell_overlaps(state: StateVector, reg_a: str, reg_b: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """<Psi_xy| applied to (reg_a, reg_b): a (4, rest) coefficient array.
+
+    Also returns the scatter order a collapsed vector needs to get back
+    to register order, None when the pair already leads.
+    """
     ax_a, ax_b = state.axis(reg_a), state.axis(reg_b)
     if ax_a == ax_b:
         raise ValueError("Bell measurement needs two distinct registers")
-    n = state.n_registers
-    t = state.amps.reshape((2,) * n)
-    if (ax_a, ax_b) != (0, 1):
-        t = t.transpose(_front_perm(n, (ax_a, ax_b)))
-    return _BELL_BASIS_CONJ @ t.reshape(4, -1), (ax_a, ax_b)
+    if ax_a == 0 and ax_b == 1:
+        return _BELL_BASIS_CONJ @ state.amps.reshape(4, -1), None
+    gather, scatter = _bell_tables(len(state.registers), ax_a, ax_b)
+    return _BELL_BASIS_CONJ @ state.amps[gather].reshape(4, -1), scatter
+
+
+def _bell_probs(overlaps: np.ndarray) -> list[float]:
+    """Squared overlaps summed over the rest of the system, per outcome."""
+    if overlaps.shape[1] == 1:
+        # The same two squares and one add per outcome as the array route.
+        return [z.real * z.real + z.imag * z.imag for z in overlaps.ravel().tolist()]
+    return (overlaps.real**2 + overlaps.imag**2).sum(axis=1).tolist()
 
 
 def bell_outcome_probs(state: StateVector, reg_a: str, reg_b: str) -> dict[BitPair, float]:
     """Probability of each Bell outcome on a register pair, no collapse."""
     overlaps, _ = _bell_overlaps(state, reg_a, reg_b)
-    probs = (overlaps.real**2 + overlaps.imag**2).sum(axis=1)
-    return dict(zip(ALL_CODES, probs.tolist()))
+    return dict(zip(ALL_CODES, _bell_probs(overlaps)))
 
 
 def bell_measure(
@@ -267,10 +355,10 @@ def bell_measure(
     state; correlations with any remaining registers survive the
     collapse.
     """
-    overlaps, axes = _bell_overlaps(state, reg_a, reg_b)
-    probs = (overlaps.real**2 + overlaps.imag**2).sum(axis=1)
-    k = _sample_index(probs.tolist(), rng)
-    return ALL_CODES[k], _collapse_bell(state, axes, overlaps, k, float(probs[k]))
+    overlaps, scatter = _bell_overlaps(state, reg_a, reg_b)
+    probs = _bell_probs(overlaps)
+    k = _sample_index(probs, rng)
+    return ALL_CODES[k], _collapse_bell(state, scatter, overlaps, k, probs[k])
 
 
 def project_bell(
@@ -281,31 +369,26 @@ def project_bell(
     The collapsed state is None when the outcome has (numerically) zero
     probability. Used by branch-enumerating analyses.
     """
-    overlaps, axes = _bell_overlaps(state, reg_a, reg_b)
+    overlaps, scatter = _bell_overlaps(state, reg_a, reg_b)
     k = ALL_CODES.index(BitPair(*code))
     prob = float(np.vdot(overlaps[k], overlaps[k]).real)
     if prob < PROB_FLOOR:
         return 0.0, None
-    return prob, _collapse_bell(state, axes, overlaps, k, prob)
+    return prob, _collapse_bell(state, scatter, overlaps, k, prob)
 
 
 def _collapse_bell(
     state: StateVector,
-    axes: tuple[int, int],
+    scatter: np.ndarray | None,
     overlaps: np.ndarray,
     k: int,
     prob: float,
 ) -> StateVector:
-    n = state.n_registers
     rest = overlaps[k] / math.sqrt(prob)
-    collapsed = np.outer(_BELL_BASIS[k], rest).reshape((2,) * n)
-    if axes != (0, 1):
-        perm = _front_perm(n, axes)
-        inverse = [0] * n
-        for i, p in enumerate(perm):
-            inverse[p] = i
-        collapsed = collapsed.transpose(inverse)
-    return StateVector(state.registers, np.ascontiguousarray(collapsed).reshape(-1))
+    flat = (_BELL_COLUMNS[k] * rest).ravel()
+    if scatter is not None:
+        flat = flat[scatter]
+    return StateVector(state.registers, flat)
 
 
 def z_outcome_probs(state: StateVector, reg: str) -> tuple[float, float]:
@@ -327,20 +410,43 @@ def measure_z(
     return bit, collapsed
 
 
+@functools.cache
+def _z_index(n: int, ax: int, bit: int) -> np.ndarray:
+    """Basis indices where register ``ax`` of n reads ``bit``, ascending."""
+    return _frozen(np.array([i for i in range(1 << n) if _bit(i, n, ax) == bit]))
+
+
 def project_z(
     state: StateVector, reg: str, bit: int, prob: float | None = None
 ) -> tuple[float, StateVector | None]:
     """Probability and collapsed state for one forced up/down outcome."""
     ax = state.axis(reg)
-    t = state.amps.reshape(1 << ax, 2, -1)
+    if bit not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+    kept = _z_index(len(state.registers), ax, bit)
+    amps = state.amps[kept]
     if prob is None:
-        sl = t[:, bit, :]
-        prob = float((sl.real**2 + sl.imag**2).sum())
+        prob = float((amps.real**2 + amps.imag**2).sum())
     if prob < PROB_FLOOR:
         return 0.0, None
-    kept = np.zeros_like(t)
-    np.divide(t[:, bit, :], math.sqrt(prob), out=kept[:, bit, :])
-    return prob, StateVector(state.registers, kept.reshape(-1))
+    out = np.zeros_like(state.amps)
+    out[kept] = amps / math.sqrt(prob)
+    return prob, StateVector(state.registers, out)
+
+
+@functools.cache
+def _probe_tables(n: int, ax_t: int, ax_e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source indices of the probe map and where the ancilla reads 1.
+
+    Output amplitude i is alpha * amps[i] where the ancilla reads 0, and
+    beta * amps[j] where it reads 1, j being i with the target flipped
+    and the ancilla reset. Returns (src, excited as 0/1, excited indices).
+    """
+    flip = (1 << (n - 1 - ax_t)) | (1 << (n - 1 - ax_e))
+    excited = [_bit(i, n, ax_e) for i in range(1 << n)]
+    src = [i ^ flip if e else i for i, e in enumerate(excited)]
+    excited_idx = [i for i, e in enumerate(excited) if e]
+    return _frozen(np.array(src)), _frozen(np.array(excited)), _frozen(np.array(excited_idx))
 
 
 def entangling_probe(
@@ -359,18 +465,12 @@ def entangling_probe(
     ax_t, ax_e = state.axis(target), state.axis(ancilla)
     if ax_t == ax_e:
         raise ValueError("target and ancilla must be distinct registers")
-    t = np.moveaxis(state.tensor(), (ax_t, ax_e), (0, 1)).reshape(2, 2, -1)
-    excited = float(np.vdot(t[:, 1, :], t[:, 1, :]).real)
-    if excited > NORM_TOL:
+    src, excited, excited_idx = _probe_tables(len(state.registers), ax_t, ax_e)
+    leaked = state.amps[excited_idx]
+    if float(np.vdot(leaked, leaked).real) > NORM_TOL:
         raise ValueError("ancilla not in its fiducial state; probe undefined")
-    out = np.zeros_like(t)
-    out[0, 0] = alpha * t[0, 0]
-    out[1, 1] = beta * t[0, 0]
-    out[1, 0] = alpha * t[1, 0]
-    out[0, 1] = beta * t[1, 0]
-    out = out.reshape((2, 2) + (2,) * (state.n_registers - 2))
-    out = np.moveaxis(out, (0, 1), (ax_t, ax_e))
-    return StateVector(state.registers, out.reshape(-1))
+    coefficient = np.array((alpha, beta), dtype=complex)[excited]
+    return StateVector(state.registers, state.amps[src] * coefficient)
 
 
 @dataclass(frozen=True)

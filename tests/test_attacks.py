@@ -8,6 +8,7 @@ import pytest
 
 from qdialogue.analysis import TrialReport, per_cm_detection_oracle
 from qdialogue.attacks import (
+    AttackStrategy,
     EntangleMeasure,
     InterceptResendBlind,
     InterceptResendLiteral,
@@ -84,6 +85,20 @@ class TestOracle:
     def test_probe_rate_is_its_weight(self, beta2):
         got = per_cm_detection_oracle(EntangleMeasure(beta2))
         assert got == pytest.approx(beta2, abs=1e-12)
+
+    def test_pass_through_classes_are_the_honest_channel(self):
+        assert per_cm_detection_oracle(AttackStrategy()) == 0.0
+        assert per_cm_detection_oracle(NoAttack()) == 0.0
+
+    def test_unknown_strategy_class_raises(self):
+        class Teleport(AttackStrategy):
+            name = "teleport"
+
+            def on_pong(self, channel, session, rng):
+                channel.state = apply_pauli(channel.state, channel.traveling, BitPair(0, 1))
+
+        with pytest.raises(TypeError, match="Teleport"):
+            per_cm_detection_oracle(Teleport())
 
 
 class TestPingTaps:

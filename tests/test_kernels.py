@@ -1,0 +1,247 @@
+"""The index-table kernels of ``quantum`` against dense definitions.
+
+Every expected value here is built the slow, obvious way: full
+2**n x 2**n operators assembled with ``np.kron`` from PAULI_MATRICES and
+the Bell basis vectors, applied by matrix-vector products. The kernels
+must agree on every register count the state vector allows, every axis
+(every ordered axis pair for the Bell measurement) and every code.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from qdialogue.quantum import (
+    ALL_CODES,
+    MAX_REGISTERS,
+    PAULI_MATRICES,
+    BitPair,
+    StateVector,
+    apply_pauli,
+    attach_ancilla,
+    bell_measure,
+    bell_outcome_probs,
+    bell_state,
+    entangling_probe,
+    measure_z,
+    project_bell,
+    project_z,
+    tensor_product,
+    z_outcome_probs,
+)
+
+TOL = 1e-12
+NAMES = "abcde"
+SIZES = range(1, MAX_REGISTERS + 1)
+
+
+def random_state(rng: np.random.Generator, n: int) -> StateVector:
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return StateVector(tuple(NAMES[:n]), amps / np.linalg.norm(amps))
+
+
+def embed(ops: dict[int, np.ndarray], n: int) -> np.ndarray:
+    """kron of the given 2x2 factors at their axes, identity elsewhere."""
+    full = np.eye(1)
+    for ax in range(n):
+        full = np.kron(full, ops.get(ax, np.eye(2)))
+    return full
+
+
+def unit(i: int, k: int) -> np.ndarray:
+    """The 2x2 matrix |i><k|."""
+    m = np.zeros((2, 2))
+    m[i, k] = 1.0
+    return m
+
+
+def embed_pair(op: np.ndarray, n: int, ax_a: int, ax_b: int) -> np.ndarray:
+    """A 4x4 operator on (ax_a, ax_b), ax_a the high bit, as a 2**n operator."""
+    full = np.zeros((1 << n, 1 << n), dtype=complex)
+    for (i, j), (k, l) in itertools.product(itertools.product((0, 1), repeat=2), repeat=2):
+        full += op[2 * i + j, 2 * k + l] * embed({ax_a: unit(i, k), ax_b: unit(j, l)}, n)
+    return full
+
+
+def bell_projector(code: BitPair) -> np.ndarray:
+    vec = np.kron(np.eye(2), PAULI_MATRICES[code]) @ np.array([0, 1, 1, 0]) / math.sqrt(2.0)
+    return np.outer(vec, vec.conj())
+
+
+# The probe on (target, ancilla) with the ancilla in |0>: |0,0> goes to
+# alpha|0,0> + beta|1,1> and |1,0> to alpha|1,0> + beta|0,1>. Columns of
+# an excited ancilla are never reached and stay zero.
+def probe_operator(alpha: float, beta: float) -> np.ndarray:
+    op = np.zeros((4, 4))
+    op[0b00, 0b00] = op[0b10, 0b10] = alpha
+    op[0b11, 0b00] = op[0b01, 0b10] = beta
+    return op
+
+
+def pairs(n: int):
+    return itertools.permutations(range(n), 2)
+
+
+@pytest.fixture
+def rng():
+    return np.random.default_rng(20040610)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_apply_pauli_matches_dense(rng, n):
+    state = random_state(rng, n)
+    for ax, code in itertools.product(range(n), ALL_CODES):
+        expected = embed({ax: PAULI_MATRICES[code]}, n) @ state.amps
+        got = apply_pauli(state, NAMES[ax], code)
+        assert got.registers == state.registers
+        np.testing.assert_allclose(got.amps, expected, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("n", SIZES[1:])
+def test_bell_probs_and_collapse_match_dense(rng, n):
+    state = random_state(rng, n)
+    for ax_a, ax_b in pairs(n):
+        regs = NAMES[ax_a], NAMES[ax_b]
+        probs = bell_outcome_probs(state, *regs)
+        for code in ALL_CODES:
+            projected = embed_pair(bell_projector(code), n, ax_a, ax_b) @ state.amps
+            expected = np.vdot(projected, projected).real
+            assert probs[code] == pytest.approx(expected, abs=TOL)
+            prob, collapsed = project_bell(state, *regs, code)
+            assert prob == pytest.approx(expected, abs=TOL)
+            np.testing.assert_allclose(collapsed.amps, projected / math.sqrt(expected), rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_z_probs_and_collapse_match_dense(rng, n):
+    state = random_state(rng, n)
+    for ax in range(n):
+        probs = z_outcome_probs(state, NAMES[ax])
+        for bit in (0, 1):
+            projected = embed({ax: unit(bit, bit)}, n) @ state.amps
+            expected = np.vdot(projected, projected).real
+            assert probs[bit] == pytest.approx(expected, abs=TOL)
+            prob, collapsed = project_z(state, NAMES[ax], bit)
+            assert prob == pytest.approx(expected, abs=TOL)
+            np.testing.assert_allclose(collapsed.amps, projected / math.sqrt(expected), rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("n", SIZES[1:])
+def test_entangling_probe_matches_dense(rng, n):
+    alpha, beta = math.sqrt(0.7), math.sqrt(0.3)
+    for ax_t, ax_e in pairs(n):
+        # A random state with the ancilla projected onto its fiducial state.
+        fiducial = embed({ax_e: unit(0, 0)}, n) @ random_state(rng, n).amps
+        state = StateVector(tuple(NAMES[:n]), fiducial / np.linalg.norm(fiducial))
+        expected = embed_pair(probe_operator(alpha, beta), n, ax_t, ax_e) @ state.amps
+        got = entangling_probe(state, NAMES[ax_t], NAMES[ax_e], alpha, beta)
+        np.testing.assert_allclose(got.amps, expected, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("n", SIZES[:-1])
+def test_tensor_product_and_ancilla_match_kron(rng, n):
+    state = random_state(rng, n)
+    for m in range(1, MAX_REGISTERS - n + 1):
+        other = random_state(rng, m)
+        other = StateVector(tuple("vwxyz"[:m]), other.amps)
+        joined = tensor_product(state, other)
+        assert joined.registers == state.registers + other.registers
+        np.testing.assert_allclose(joined.amps, np.kron(state.amps, other.amps), rtol=0, atol=TOL)
+    extended = attach_ancilla(state, "z")
+    assert extended.registers == state.registers + ("z",)
+    np.testing.assert_allclose(extended.amps, np.kron(state.amps, [1, 0]), rtol=0, atol=TOL)
+
+
+def transpose_bell(state: StateVector, ax_a: int, ax_b: int, k: int):
+    """Bell probabilities and collapse the textbook way: move the pair to
+    the front, project, move it back."""
+    n = len(state.registers)
+    perm = (ax_a, ax_b) + tuple(i for i in range(n) if i not in (ax_a, ax_b))
+    basis = np.stack([bell_state(code).amps for code in ALL_CODES])
+    overlaps = basis.conj() @ state.amps.reshape((2,) * n).transpose(perm).reshape(4, -1)
+    probs = (overlaps.real**2 + overlaps.imag**2).sum(axis=1)
+    rest = overlaps[k] / math.sqrt(probs[k])
+    collapsed = np.outer(basis[k], rest).reshape((2,) * n).transpose(np.argsort(perm))
+    return probs.tolist(), collapsed.ravel()
+
+
+@pytest.mark.parametrize("n", SIZES[1:])
+def test_bell_measurement_is_bit_identical_to_transpose_route(rng, n):
+    # The pinned document digests rely on equality, not closeness.
+    state = random_state(rng, n)
+    for seed, (ax_a, ax_b) in enumerate(pairs(n)):
+        probs = bell_outcome_probs(state, NAMES[ax_a], NAMES[ax_b])
+        outcome, collapsed = bell_measure(state, NAMES[ax_a], NAMES[ax_b], np.random.default_rng(seed))
+        expected_probs, expected = transpose_bell(state, ax_a, ax_b, ALL_CODES.index(outcome))
+        assert list(probs.values()) == expected_probs
+        np.testing.assert_array_equal(collapsed.amps, expected)
+
+
+def after_one_draw(seed: int) -> dict:
+    twin = np.random.default_rng(seed)
+    twin.random()
+    return twin.bit_generator.state
+
+
+@pytest.mark.parametrize("n", SIZES[1:])
+def test_measurements_draw_exactly_one_uniform(rng, n):
+    state = random_state(rng, n)
+    for seed, (ax_a, ax_b) in enumerate(pairs(n)):
+        draws = np.random.default_rng(seed)
+        bell_measure(state, NAMES[ax_a], NAMES[ax_b], draws)
+        assert draws.bit_generator.state == after_one_draw(seed)
+    for ax in range(n):
+        draws = np.random.default_rng(ax)
+        measure_z(state, NAMES[ax], draws)
+        assert draws.bit_generator.state == after_one_draw(ax)
+
+
+# -- shared states stay immutable ---------------------------------------------
+
+
+def test_bell_states_are_shared_and_read_only():
+    for code in ALL_CODES:
+        state = bell_state(code)
+        assert bell_state(tuple(code)) is state
+        assert bell_state(list(code), regs=["h", "t"]) is state
+        with pytest.raises(ValueError, match="read-only"):
+            state.amps[0] = 1.0
+    assert bell_state(BitPair(0, 0), regs=("H", "T")) is not bell_state(BitPair(0, 0))
+
+
+def primitive_calls(n: int):
+    """Each state-taking primitive as a call on an n-register input."""
+    a, b, last = NAMES[0], NAMES[1], NAMES[n - 1]
+    calls = [
+        lambda s: apply_pauli(s, last, BitPair(1, 0)),
+        lambda s: bell_outcome_probs(s, b, a),
+        lambda s: bell_measure(s, last, a, np.random.default_rng(0)),
+        lambda s: project_bell(s, a, last, BitPair(0, 1)),
+        lambda s: z_outcome_probs(s, b),
+        lambda s: measure_z(s, last, np.random.default_rng(1)),
+        lambda s: project_z(s, a, 1),
+    ]
+    if n < MAX_REGISTERS:
+        other = StateVector(("q",), [0.6, 0.8j])
+        calls += [
+            lambda s: tensor_product(s, other),
+            lambda s: tensor_product(other, s),
+            lambda s: attach_ancilla(s, "z"),
+        ]
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_no_primitive_writes_into_its_input(rng, n):
+    state = random_state(rng, n)
+    snapshot = state.amps.copy()
+    for call in primitive_calls(n):
+        call(state)
+        np.testing.assert_array_equal(state.amps, snapshot)
+    # The probe needs an ancilla in its fiducial state: the last register.
+    fiducial = attach_ancilla(random_state(rng, n - 1), "z")
+    snapshot = fiducial.amps.copy()
+    entangling_probe(fiducial, "a", "z", 0.8, 0.6)
+    np.testing.assert_array_equal(fiducial.amps, snapshot)
