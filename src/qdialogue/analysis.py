@@ -4,9 +4,10 @@ Three layers:
 
 * exact formulas: the cumulative detection curves, their stopped-process
   resummation, and the probe-entropy bound;
-* an exhaustive per-control-run detection oracle that enumerates all 16
-  code pairs and every measurement/choice branch of a strategy with
-  exact Born weights (no sampling, no protocol machinery);
+* an exhaustive oracle that replays a strategy's own tap handlers over
+  all 16 code pairs and every measurement/choice branch with exact Born
+  or coin weights (no sampling), giving the per-control-run detection
+  rate and Eve's exact guess accuracies;
 * estimators over ``TrialReport`` batches with binomial standard errors,
   plus the leakage table comparing Eve's guess accuracy with the pure
   -guess baseline and the entropy bound.
@@ -14,31 +15,13 @@ Three layers:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .attacks import (
-    AttackStrategy,
-    DisturbMeasure,
-    DisturbPauli4,
-    DisturbPauliZ,
-    EntangleMeasure,
-    NoAttack,
-    _InterceptResend,
-)
-from .protocol import DETECTED, MM, DialogueResult, Message
-from .quantum import (
-    ALL_CODES,
-    BitPair,
-    apply_pauli,
-    attach_ancilla,
-    bell_outcome_probs,
-    bell_state,
-    entangling_probe,
-    project_bell,
-    project_z,
-    tensor_product,
-)
+from .attacks import AttackStrategy, EntangleMeasure
+from .protocol import DETECTED, MM, DialogueResult, Message, round_trip
+from .quantum import ALL_CODES, BitPair, bell_outcome_probs
 
 PURE_GUESS_ACCURACY = 0.25
 
@@ -145,65 +128,104 @@ def per_cm_detection_oracle(strategy: AttackStrategy) -> float:
     """Exact probability a control run exposes the strategy.
 
     Brute force: average over all 16 (Alice code, Bob code) combinations
-    and, within each, enumerate every random branch the strategy can
-    take (coin flips and measurement outcomes) with its exact Born
-    weight. The check fails when Bob's Bell outcome differs from the
-    XOR of the two codes. Independent of the dialogue engine and of any
-    random stream.
+    and, within each, every random branch the strategy's tap handlers
+    can take, with its exact weight. The check fails when Bob's Bell
+    outcome differs from the XOR of the two codes. Shares the tap
+    handlers with the sampler but draws from no random stream.
     """
-    total = 0.0
+    return _run_law(strategy)[0]
+
+
+def guess_accuracy_oracle(strategy: AttackStrategy) -> tuple[float, float]:
+    """Eve's exact per-pair guess accuracy on message runs, (Alice, Bob).
+
+    Every branch and Bell outcome is scored with the strategy's
+    ``readout``; where that pins nothing, the pure guess scores 1/4.
+    """
+    return _run_law(strategy)[1:]
+
+
+# One walk per strategy object (strategies hash by identity): an
+# experiment asks for detection and accuracies of the object it built,
+# and every experiment or sweep point builds its own.
+@functools.lru_cache(maxsize=16)
+def _run_law(strategy: AttackStrategy) -> tuple[float, float, float]:
+    """(per-control-run detection, Alice accuracy, Bob accuracy)."""
+    failed = mass = alice_hits = bob_hits = 0.0
     for bob_code in ALL_CODES:
         for alice_code in ALL_CODES:
             expected = alice_code ^ bob_code
-            for weight, state, traveling in _pong_branches(strategy, bob_code, alice_code):
-                probs = bell_outcome_probs(state, "h", traveling)
-                total += weight * (1.0 - probs[expected])
-    rate = total / 16.0
-    return 0.0 if rate < 1e-12 else rate
+            for weight, log, probs in run_branches(strategy, bob_code, alice_code):
+                failed += weight * (1.0 - probs[expected])
+                for outcome, prob in probs.items():
+                    guesses = strategy.readout(log, outcome)
+                    if guesses is None:
+                        alice_hit = bob_hit = PURE_GUESS_ACCURACY
+                    else:
+                        alice_hit = guesses[0] == alice_code
+                        bob_hit = guesses[1] == bob_code
+                    mass += weight * prob
+                    alice_hits += weight * prob * alice_hit
+                    bob_hits += weight * prob * bob_hit
+    rate = failed / 16.0
+    # Dividing by the summed mass rather than 16 keeps a sure readout
+    # at exactly 1 and a pure guess at exactly 1/4.
+    return 0.0 if rate < 1e-12 else rate, alice_hits / mass, bob_hits / mass
 
 
-def _pong_branches(strategy, bob_code, alice_code):
-    """Post-pong joint states with exact weights, per strategy physics."""
-    if isinstance(strategy, _InterceptResend):
-        # Alice unknowingly encodes on the substituted half T.
-        state = tensor_product(bell_state(bob_code), bell_state(BitPair(0, 0), regs=("H", "T")))
-        state = apply_pauli(state, "T", alice_code)
-        for learned in ALL_CODES:
-            prob, collapsed = project_bell(state, "H", "T", learned)
-            if prob == 0.0:
-                continue
-            if strategy.retransform:
-                collapsed = apply_pauli(collapsed, "t", learned)
-            yield prob, collapsed, "t"
-        return
+def run_branches(strategy: AttackStrategy, bob_code: BitPair, alice_code: BitPair):
+    """Every choice path of one run under ``strategy``, with its exact weight.
 
-    honest = apply_pauli(bell_state(bob_code), "t", alice_code)
+    Replays the protocol's ``round_trip`` once per path, with a branch
+    walker in place of Eve's random stream. Yields (weight, Eve's run
+    log, Bob's Bell outcome probabilities).
+    """
+    pending: list[tuple[int, ...]] = [()]
+    while pending:
+        walker = _BranchWalker(pending.pop())
+        session = strategy.new_session()
+        strategy.begin_run(session, 0)
+        channel = round_trip(bob_code, alice_code, strategy, session, walker)
+        pending.extend(walker.unvisited)
+        yield walker.weight, session.current, bell_outcome_probs(channel.state, "h", channel.traveling)
 
-    if isinstance(strategy, EntangleMeasure):
-        state = attach_ancilla(bell_state(bob_code), "e")
-        state = entangling_probe(state, "t", "e", strategy.alpha, strategy.beta)
-        state = apply_pauli(state, "t", alice_code)
-        for bit in (0, 1):
-            prob, collapsed = project_z(state, "e", bit)
-            if prob > 0.0:
-                yield prob, collapsed, "t"
-    elif isinstance(strategy, DisturbMeasure):
-        for bit in (0, 1):
-            prob, collapsed = project_z(honest, "t", bit)
-            if prob > 0.0:
-                yield prob, collapsed, "t"
-    elif isinstance(strategy, DisturbPauliZ):
-        yield 0.5, honest, "t"
-        yield 0.5, apply_pauli(honest, "t", BitPair(1, 1)), "t"
-    elif isinstance(strategy, DisturbPauli4):
-        for code in ALL_CODES:
-            yield 0.25, apply_pauli(honest, "t", code), "t"
-    elif type(strategy) in (AttackStrategy, NoAttack):
-        yield 1.0, honest, "t"
-    else:
-        # Falling back to the honest channel would give any new strategy
-        # oracle rate 0 without a word.
-        raise TypeError(f"no exact branches known for strategy class {type(strategy).__name__}")
+
+class _BranchWalker:
+    """Stands in for Eve's random stream along one path of choices.
+
+    ``quantum.choose`` asks it to ``pick`` an index. It follows the forced
+    prefix, then takes the first possible branch and notes each other
+    one as a prefix still to visit, so repeated replays visit every path
+    once. Anything else asked of it raises: a draw the walk cannot see
+    would make the oracle's numbers wrong.
+    """
+
+    def __init__(self, forced: tuple[int, ...]) -> None:
+        self.forced = forced
+        self.taken: list[int] = []
+        self.weight = 1.0
+        self.unvisited: list[tuple[int, ...]] = []
+
+    def pick(self, probs: list[float]) -> int:
+        # Weights are taken as given; a sampled draw would rescale them.
+        total = sum(probs)
+        if abs(total - 1.0) > 1e-6:
+            raise ValueError(f"branch probabilities must sum to 1, got {total!r}")
+        depth = len(self.taken)
+        if depth < len(self.forced):
+            k = self.forced[depth]
+        else:
+            possible = [i for i, p in enumerate(probs) if p > 0.0]
+            k = possible[0]
+            self.unvisited.extend((*self.taken, i) for i in possible[1:])
+        self.taken.append(k)
+        self.weight *= probs[k]
+        return k
+
+    def __getattr__(self, name: str):
+        raise TypeError(
+            f"tap handlers must draw through choose, measure_z or bell_measure, not rng.{name}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +348,19 @@ class EstimateWithCI:
         p = hits / n
         return cls(estimate=p, stderr=math.sqrt(p * (1.0 - p) / n), n_samples=n)
 
-    def within_3sigma(self, reference: float) -> bool:
+    @property
+    def tolerance(self) -> float:
+        """Half-width of the 3-sigma region ``within_3sigma`` accepts."""
         tol = 3.0 * self.stderr
         if self.estimate in (0.0, 1.0):
             # Boundary tallies have zero plug-in stderr; the rule of
             # three gives the right-sized region for an all-or-nothing
             # count of n samples.
             tol = max(tol, 3.0 / self.n_samples)
-        return abs(self.estimate - reference) <= max(tol, 1e-9)
+        return max(tol, 1e-9)
+
+    def within_3sigma(self, reference: float) -> bool:
+        return abs(self.estimate - reference) <= self.tolerance
 
 
 def empirical_detection(reports: list[TrialReport], mode: str = "per_cm") -> EstimateWithCI:

@@ -22,6 +22,10 @@ Implemented strategies:
   on it in time).
 * ``EntangleMeasure`` -- couples an ancilla to the travel qubit on the
   ping leg with weight beta2 and measures it on the pong leg.
+
+Each strategy's physics is written once, in its tap handlers. They draw
+randomness only through ``choose``, ``measure_z`` and ``bell_measure``,
+so ``analysis`` can replay them over every branch with exact weights.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .quantum import (
     attach_ancilla,
     bell_measure,
     bell_state,
+    choose,
     entangling_probe,
     measure_z,
     tensor_product,
@@ -120,27 +125,31 @@ class AttackStrategy:
     def hear(self, session: EveSession, announcements: list[tuple]) -> None:
         session.record.heard.extend(announcements)
 
+    def readout(self, log: EveRunLog | None, outcome: BitPair) -> tuple[BitPair, BitPair] | None:
+        """Both parties' pairs as far as this run's log pins them, else None.
+
+        A learned Alice code pins both guesses: the broadcast outcome is
+        the XOR of the two codes.
+        """
+        if log is not None and log.learned_alice is not None:
+            return log.learned_alice, outcome ^ log.learned_alice
+        return None
+
     def guess(
         self, session: EveSession, outcome: BitPair, rng: np.random.Generator
     ) -> tuple[BitPair, BitPair]:
         """Infer both parties' pairs after a message-mode broadcast.
 
-        A learned Alice code pins both guesses (the broadcast outcome is
-        the XOR of the two codes); otherwise a pure guess is all there
-        is.
+        The readout when there is one; otherwise a uniform pure guess.
         """
         log = session.current
-        if log is not None and log.learned_alice is not None:
-            alice_guess = log.learned_alice
-            bob_guess = outcome ^ alice_guess
-        else:
+        guesses = self.readout(log, outcome)
+        if guesses is None:
             bits = rng.integers(0, 2, size=4)
-            alice_guess = BitPair(int(bits[0]), int(bits[1]))
-            bob_guess = BitPair(int(bits[2]), int(bits[3]))
+            guesses = BitPair(int(bits[0]), int(bits[1])), BitPair(int(bits[2]), int(bits[3]))
         if log is not None:
-            log.alice_guess = alice_guess
-            log.bob_guess = bob_guess
-        return alice_guess, bob_guess
+            log.alice_guess, log.bob_guess = guesses
+        return guesses
 
     def end_run(self, session: EveSession) -> None:
         if session.current is not None:
@@ -165,7 +174,7 @@ class DisturbPauliZ(AttackStrategy):
     name = "disturb-pauli-z"
 
     def on_pong(self, channel, session, rng):
-        code = BitPair(1, 1) if rng.random() < 0.5 else BitPair(0, 0)
+        code = (BitPair(1, 1), BitPair(0, 0))[choose((0.5, 0.5), rng)]
         channel.state = apply_pauli(channel.state, channel.traveling, code)
         session.current.disturb_code = code
 
@@ -174,7 +183,7 @@ class DisturbPauli4(AttackStrategy):
     name = "disturb-pauli-4"
 
     def on_pong(self, channel, session, rng):
-        code = ALL_CODES[int(rng.integers(4))]
+        code = ALL_CODES[choose((0.25,) * 4, rng)]
         channel.state = apply_pauli(channel.state, channel.traveling, code)
         session.current.disturb_code = code
 
@@ -234,24 +243,12 @@ class EntangleMeasure(AttackStrategy):
         session.current.ancilla_outcome = bit
 
 
-STRATEGY_NAMES = (
-    "none",
-    "disturb-measure",
-    "disturb-pauli-z",
-    "disturb-pauli-4",
-    "intercept-resend-literal",
-    "intercept-resend-blind",
-    "entangle-measure",
-)
-
-_BY_NAME = {
-    "none": NoAttack,
-    "disturb-measure": DisturbMeasure,
-    "disturb-pauli-z": DisturbPauliZ,
-    "disturb-pauli-4": DisturbPauli4,
-    "intercept-resend-literal": InterceptResendLiteral,
-    "intercept-resend-blind": InterceptResendBlind,
+STRATEGIES = {
+    cls.name: cls
+    for cls in (NoAttack, DisturbMeasure, DisturbPauliZ, DisturbPauli4,
+                InterceptResendLiteral, InterceptResendBlind, EntangleMeasure)
 }
+STRATEGY_NAMES = tuple(STRATEGIES)
 
 
 def strategy_from_name(name: str, beta2: float | None = None) -> AttackStrategy:
@@ -260,12 +257,13 @@ def strategy_from_name(name: str, beta2: float | None = None) -> AttackStrategy:
     beta2 is required for entangle-measure and rejected for everything
     else.
     """
-    if name == "entangle-measure":
+    cls = STRATEGIES.get(name)
+    if cls is None:
+        raise ValueError(f"unknown attack strategy {name!r}; known: {STRATEGY_NAMES}")
+    if cls is EntangleMeasure:
         if beta2 is None:
             raise ValueError("entangle-measure requires beta2")
         return EntangleMeasure(beta2)
-    if name not in _BY_NAME:
-        raise ValueError(f"unknown attack strategy {name!r}; known: {STRATEGY_NAMES}")
     if beta2 is not None:
         raise ValueError(f"beta2 only applies to entangle-measure, not {name!r}")
-    return _BY_NAME[name]()
+    return cls()

@@ -33,6 +33,7 @@ from .analysis import (
     merge_ancilla_tables,
     mutual_information_bits,
     claimed_per_cm,
+    guess_accuracy_oracle,
     per_cm_detection_oracle,
 )
 from .attacks import STRATEGY_NAMES, AttackStrategy, strategy_from_name
@@ -58,27 +59,6 @@ SCHEMA_SWEEP = "qdialogue-sweep/1"
 OUT_DIR_ENV = "QDIALOGUE_OUT_DIR"
 
 SWEEPABLE = ("c", "n_pairs", "beta2")
-
-# Expected per-pair guess accuracy by strategy (exact; the intercept
-# strategies read Alice's code deterministically off their own pair).
-_EXPECTED_ALICE_ACCURACY = {
-    "none": 0.25,
-    "disturb-measure": 0.25,
-    "disturb-pauli-z": 0.25,
-    "disturb-pauli-4": 0.25,
-    "intercept-resend-literal": 1.0,
-    "intercept-resend-blind": 1.0,
-    "entangle-measure": 0.25,
-}
-_EXPECTED_BOB_ACCURACY = {
-    "none": 0.25,
-    "disturb-measure": 0.25,
-    "disturb-pauli-z": 0.25,
-    "disturb-pauli-4": 0.25,
-    "intercept-resend-literal": 1.0,
-    "intercept-resend-blind": 0.25,
-    "entangle-measure": 0.25,
-}
 
 # Slack added to the entropy bound before flagging the plug-in mutual
 # information: its positive bias is O(df / (2 n ln 2)), far below this
@@ -108,35 +88,26 @@ class ExperimentConfig:
     verbose: bool = False
 
     def validate(self) -> None:
-        if self.attack not in STRATEGY_NAMES:
-            raise ConfigError(
-                f"unknown attack {self.attack!r}; choose from {', '.join(STRATEGY_NAMES)}"
-            )
-        if self.attack == "entangle-measure":
-            if self.beta2 is None:
-                raise ConfigError("attack entangle-measure requires --beta2")
-            if not 0.0 <= self.beta2 <= 0.5:
-                raise ConfigError(f"beta2 must lie in [0, 0.5], got {self.beta2}")
-        elif self.beta2 is not None:
-            raise ConfigError(f"--beta2 only applies to entangle-measure, not {self.attack!r}")
-        if not 0.0 < self.c < 1.0:
-            raise ConfigError(f"c must lie strictly between 0 and 1, got {self.c}")
-        if self.n_pairs < 1:
-            raise ConfigError("n-pairs must be >= 1")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.master_seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        """Check every field; the protocol and strategy ranges by building them."""
+        if self.attack == "entangle-measure" and self.beta2 is None:
+            raise ConfigError("attack entangle-measure requires --beta2")
         if self.detection_policy not in DETECTION_POLICIES:
             raise ConfigError(
                 f"detection-policy must be one of {', '.join(DETECTION_POLICIES)}"
             )
-        if self.max_restarts < 0:
-            raise ConfigError("max-restarts must be >= 0")
+        if self.trials < 1:
+            raise ConfigError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        try:
+            self.strategy()
+            self.protocol_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def strategy(self) -> AttackStrategy:
         return strategy_from_name(self.attack, self.beta2)
@@ -190,7 +161,6 @@ def _collect_reports(config: ExperimentConfig, point_key: tuple[int, ...] = ()) 
 
 
 def _comparison(name: str, est: EstimateWithCI, reference: float, source: str) -> dict:
-    tol = 3.0 * est.stderr
     return {
         "name": name,
         "empirical": est.estimate,
@@ -198,7 +168,7 @@ def _comparison(name: str, est: EstimateWithCI, reference: float, source: str) -
         "n_samples": est.n_samples,
         "reference": reference,
         "source": source,
-        "tolerance": tol,
+        "tolerance": est.tolerance,
         "within": bool(est.within_3sigma(reference)),
     }
 
@@ -269,21 +239,12 @@ def run_experiment(config: ExperimentConfig, point_key: tuple[int, ...] = ()) ->
     if guesses:
         alice_acc = EstimateWithCI.from_counts(sum(r.eve_alice_hits for r in reports), guesses)
         bob_acc = EstimateWithCI.from_counts(sum(r.eve_bob_hits for r in reports), guesses)
+        alice_ref, bob_ref = guess_accuracy_oracle(strategy)
         comparisons.append(
-            _comparison(
-                "eve_alice_guess_accuracy",
-                alice_acc,
-                _EXPECTED_ALICE_ACCURACY[config.attack],
-                "strategy readout analysis",
-            )
+            _comparison("eve_alice_guess_accuracy", alice_acc, alice_ref, "strategy readout analysis")
         )
         comparisons.append(
-            _comparison(
-                "eve_bob_guess_accuracy",
-                bob_acc,
-                _EXPECTED_BOB_ACCURACY[config.attack],
-                "strategy readout analysis",
-            )
+            _comparison("eve_bob_guess_accuracy", bob_acc, bob_ref, "strategy readout analysis")
         )
     if config.beta2 is not None:
         mi = mutual_information_bits(merge_ancilla_tables(reports))
@@ -586,20 +547,11 @@ def formulas_text() -> str:
     print("per-control-run detection: enumeration oracle vs published claim", file=out)
     print(f"  {'strategy':<26} {'oracle':>8} {'claim':>8}  note", file=out)
     for name in STRATEGY_NAMES:
-        if name == "entangle-measure":
-            for beta2 in (0.1, 0.25, 0.5):
-                strat = strategy_from_name(name, beta2)
-                oracle = per_cm_detection_oracle(strat)
-                claim = claimed_per_cm(strat)
-                note = "" if abs(oracle - claim) < 1e-12 else "DISAGREES with claim"
-                print(
-                    f"  {name + f'({beta2})':<26} {oracle:>8.4f} {claim:>8.4f}  {note}",
-                    file=out,
-                )
-            continue
-        strat = strategy_from_name(name)
-        oracle = per_cm_detection_oracle(strat)
-        claim = claimed_per_cm(strat)
-        note = "" if abs(oracle - claim) < 1e-12 else "DISAGREES with claim"
-        print(f"  {name:<26} {oracle:>8.4f} {claim:>8.4f}  {note}", file=out)
+        for beta2 in (0.1, 0.25, 0.5) if name == "entangle-measure" else (None,):
+            strat = strategy_from_name(name, beta2)
+            label = name if beta2 is None else f"{name}({beta2})"
+            oracle = per_cm_detection_oracle(strat)
+            claim = claimed_per_cm(strat)
+            note = "" if abs(oracle - claim) < 1e-12 else "DISAGREES with claim"
+            print(f"  {label:<26} {oracle:>8.4f} {claim:>8.4f}  {note}", file=out)
     return out.getvalue()

@@ -149,6 +149,22 @@ class Channel:
     traveling: str
 
 
+def round_trip(
+    bob_code: BitPair, alice_code: BitPair, attack: "AttackStrategy | None", session, rng
+) -> Channel:
+    """One run's quantum leg: Bob's pair out, Alice's code on, back to Bob.
+
+    The attack's taps act on the ping and pong legs, drawing from ``rng``.
+    """
+    channel = Channel(state=bob_prepare(bob_code), traveling="t")
+    if attack is not None:
+        attack.on_ping(channel, session, rng)
+    channel.state = alice_encode(channel.state, alice_code, channel.traveling)
+    if attack is not None:
+        attack.on_pong(channel, session, rng)
+    return channel
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """One protocol run as it appears in the transcript.
@@ -260,22 +276,14 @@ def run_dialogue(
         if attack is not None:
             attack.begin_run(session, run_index)
 
+        # Alice decides the mode before she encodes but announces it only
+        # after Bob's measurement, so the taps never see it. Control runs
+        # encode a throwaway random pair, so a revealed pair never carries
+        # message content.
         bob_code = bob_msg.pairs[cursor]
-        channel = Channel(state=bob_prepare(bob_code), traveling="t")
-        events = ["ping"]
-        if attack is not None:
-            attack.on_ping(channel, session, eve_rng)
-
-        # Alice decides the mode now but announces it only after Bob's
-        # measurement. Control runs encode a throwaway random pair, so a
-        # revealed pair never carries message content.
         is_cm = proto_rng.random() < config.c
         alice_code = _random_pair(proto_rng) if is_cm else alice_msg.pairs[cursor]
-        channel.state = alice_encode(channel.state, alice_code, channel.traveling)
-        events.append("pong")
-        if attack is not None:
-            attack.on_pong(channel, session, eve_rng)
-
+        channel = round_trip(bob_code, alice_code, attack, session, eve_rng)
         outcome, _ = bell_measure(channel.state, "h", channel.traveling, proto_rng)
 
         mode = CM if is_cm else MM
@@ -307,7 +315,7 @@ def run_dialogue(
                 alice_code=alice_code,
                 outcome=outcome,
                 cm_pass=cm_pass,
-                channel_events=tuple(events),
+                channel_events=("ping", "pong"),
                 announcements=tuple(announcements),
             )
         )

@@ -282,12 +282,20 @@ _BELL_BASIS_CONJ = _frozen(_BELL_BASIS.conj())
 _BELL_COLUMNS = tuple(_BELL_BASIS[k][:, None] for k in range(4))
 
 
-def _sample_index(probs, rng: np.random.Generator) -> int:
-    """Draw an index with the given probabilities; zeros are never drawn."""
+def choose(probs, rng) -> int:
+    """Draw an index with the given probabilities (summing to 1); zeros are never drawn.
+
+    The one place a tap handler's randomness is drawn. A numpy Generator
+    is consumed as one ``rng.random()``; anything else is asked to
+    ``rng.pick(cleaned_probs)``, which lets an analysis walk every
+    branch instead of sampling one.
+    """
     cleaned = [p if p >= PROB_FLOOR else 0.0 for p in probs]
     total = sum(cleaned)
     if total <= 0.0:
         raise ValueError("no outcome has positive probability")
+    if not isinstance(rng, np.random.Generator):
+        return rng.pick(cleaned)
     u = rng.random() * total
     acc = 0.0
     last = -1
@@ -357,7 +365,7 @@ def bell_measure(
     """
     overlaps, scatter = _bell_overlaps(state, reg_a, reg_b)
     probs = _bell_probs(overlaps)
-    k = _sample_index(probs, rng)
+    k = choose(probs, rng)
     return ALL_CODES[k], _collapse_bell(state, scatter, overlaps, k, probs[k])
 
 
@@ -367,7 +375,7 @@ def project_bell(
     """Probability and collapsed state for one forced Bell outcome.
 
     The collapsed state is None when the outcome has (numerically) zero
-    probability. Used by branch-enumerating analyses.
+    probability. The forced-outcome counterpart of ``bell_measure``.
     """
     overlaps, scatter = _bell_overlaps(state, reg_a, reg_b)
     k = ALL_CODES.index(BitPair(*code))
@@ -404,7 +412,7 @@ def measure_z(
 ) -> tuple[int, StateVector]:
     """Born-rule single-register measurement in the up/down basis."""
     probs = z_outcome_probs(state, reg)
-    bit = _sample_index(probs, rng)
+    bit = choose(probs, rng)
     prob, collapsed = project_z(state, reg, bit, prob=probs[bit])
     assert collapsed is not None
     return bit, collapsed

@@ -6,7 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from qdialogue.analysis import TrialReport, per_cm_detection_oracle
+from qdialogue.analysis import (
+    TrialReport,
+    guess_accuracy_oracle,
+    per_cm_detection_oracle,
+    run_branches,
+)
 from qdialogue.attacks import (
     AttackStrategy,
     EntangleMeasure,
@@ -30,6 +35,7 @@ from qdialogue.quantum import (
     apply_pauli,
     bell_outcome_probs,
     bell_state,
+    choose,
     project_z,
     reduced_density,
 )
@@ -49,6 +55,25 @@ HAND_RATES = {
     "intercept-resend-blind": 0.75,
     "intercept-resend-literal": 0.0,
 }
+
+# Hand-derived per-pair guess accuracies on message runs, (Alice, Bob).
+# Interception reads Alice's code off Eve's own pair; Bob's pair is the
+# broadcast XOR that code, right only when the forwarded qubit carried
+# Alice's code (literal) or when Alice drew (0,0) (blind). Every other
+# strategy holds no readout and guesses uniformly.
+HAND_ACCURACIES = {
+    "none": (0.25, 0.25),
+    "disturb-measure": (0.25, 0.25),
+    "disturb-pauli-z": (0.25, 0.25),
+    "disturb-pauli-4": (0.25, 0.25),
+    "intercept-resend-literal": (1.0, 1.0),
+    "intercept-resend-blind": (1.0, 0.25),
+    "entangle-measure": (0.25, 0.25),
+}
+
+
+def registered_strategies():
+    return [strategy_from_name(n, 0.25 if n == "entangle-measure" else None) for n in STRATEGY_NAMES]
 
 
 class TestRegistry:
@@ -90,15 +115,50 @@ class TestOracle:
         assert per_cm_detection_oracle(AttackStrategy()) == 0.0
         assert per_cm_detection_oracle(NoAttack()) == 0.0
 
-    def test_unknown_strategy_class_raises(self):
-        class Teleport(AttackStrategy):
-            name = "teleport"
+    def test_unregistered_subclass_is_replayed(self):
+        class FlipOnPong(AttackStrategy):
+            name = "flip-on-pong"
 
             def on_pong(self, channel, session, rng):
                 channel.state = apply_pauli(channel.state, channel.traveling, BitPair(0, 1))
 
-        with pytest.raises(TypeError, match="Teleport"):
-            per_cm_detection_oracle(Teleport())
+        assert "flip-on-pong" not in STRATEGY_NAMES
+        assert per_cm_detection_oracle(FlipOnPong()) == pytest.approx(1.0, abs=1e-12)
+        assert guess_accuracy_oracle(FlipOnPong()) == pytest.approx((0.25, 0.25), abs=1e-12)
+
+    def test_draw_outside_choose_raises(self):
+        class RawCoin(AttackStrategy):
+            name = "raw-coin"
+
+            def on_pong(self, channel, session, rng):
+                if rng.random() < 0.5:
+                    channel.state = apply_pauli(channel.state, channel.traveling, BitPair(1, 1))
+
+        with pytest.raises(TypeError, match="choose"):
+            per_cm_detection_oracle(RawCoin())
+
+    def test_unnormalized_branch_weights_raise(self):
+        class LoadedCoin(AttackStrategy):
+            name = "loaded-coin"
+
+            def on_pong(self, channel, session, rng):
+                code = (BitPair(1, 1), BitPair(0, 0))[choose((1.0, 3.0), rng)]
+                channel.state = apply_pauli(channel.state, channel.traveling, code)
+
+        with pytest.raises(ValueError, match="sum to 1"):
+            per_cm_detection_oracle(LoadedCoin())
+
+    @pytest.mark.parametrize("strategy", registered_strategies(), ids=STRATEGY_NAMES)
+    def test_branch_weights_sum_to_one(self, strategy):
+        for bob in ALL_CODES:
+            for alice in ALL_CODES:
+                total = sum(weight for weight, _, _ in run_branches(strategy, bob, alice))
+                assert total == pytest.approx(1.0, abs=1e-12), (bob, alice)
+
+    @pytest.mark.parametrize("strategy", registered_strategies(), ids=STRATEGY_NAMES)
+    def test_derived_accuracies_match_hand_table(self, strategy):
+        expected = HAND_ACCURACIES[strategy.name]
+        assert guess_accuracy_oracle(strategy) == pytest.approx(expected, abs=1e-12)
 
 
 class TestPingTaps:

@@ -4,8 +4,9 @@ The state-vector kernels must reproduce the documents byte for byte: a
 rewrite that shifts a single Bell outcome or one oracle bit changes a
 digest here. A change that alters the random stream on purpose, such as
 a strategy refactor that draws its branches differently, regenerates
-these digests with ``document_digest`` and says so in CHANGES.md. So does
-a numpy release that moves a kernel's last bit.
+these digests and says so in CHANGES.md. So does a numpy release that
+moves a kernel's last bit. To regenerate, run
+``PYTHONPATH=src python tests/test_golden.py`` and paste the printed dict.
 """
 
 import hashlib
@@ -16,19 +17,19 @@ from qdialogue.attacks import STRATEGY_NAMES
 from qdialogue.harness import ExperimentConfig, run_experiment, to_json
 
 GOLDEN = {
-    ("none", "terminal"): "5780e8188aa8a687dee02f3b25349c6a4f083848e642396cb30c82b9ee835e8d",
+    ("none", "terminal"): "a7aa68d4f8241f94b95bf213b3b3c6a972a4983cd183fe5f716e8fac3a29b909",
     ("disturb-measure", "terminal"): "684ed0c540116ac56a8eae509fbae8ffe49123b7f6b266eca173c646ccf6f1ae",
     ("disturb-pauli-z", "terminal"): "90e0864e0fd471ebd0afc8f24ca10245e6675374b950f7530bb051a4b8837eb5",
-    ("disturb-pauli-4", "terminal"): "b2c8c871cab82ec4e3b4613e145f2599b55d813690413fd01ae8114cd4546a0c",
-    ("intercept-resend-literal", "terminal"): "554f9f17278b8bee71bfe6190ce6d1eb6706fab268b8c917ec2ee0e6918ed19f",
-    ("intercept-resend-blind", "terminal"): "45cbe7fdffd73b01aed1fe60559f511d954268d060ff15f5433703d49a8b2a6d",
+    ("disturb-pauli-4", "terminal"): "059ea6f1af191746cfe153df644910c111137837875694e943b2029fb8fbe364",
+    ("intercept-resend-literal", "terminal"): "53bf78b29708f8fa48f5766be15e2e407fc7202fadcfbcb034036cf325035429",
+    ("intercept-resend-blind", "terminal"): "2dd15d29653f3468382464264daebbd4f6930779eadc5acaf23561fb20268532",
     ("entangle-measure", "terminal"): "71dc58e5a572e0dd3117dfa2f3e9135c1b9a5160d9ff2e9b0a51e35983bfe77b",
-    ("none", "reinitialize"): "4ade279fbc1b8cc74d140166152d019c46a42cef4ae986354b1865b38d4279d8",
+    ("none", "reinitialize"): "95daadb0e51eac21f0afc662184c12588298fedce983f0b19888d323d874c737",
     ("disturb-measure", "reinitialize"): "5f20b7b29ec7e2774cdeae898c8d9b0c1734c3db30a3079cc096b0670243feba",
     ("disturb-pauli-z", "reinitialize"): "1f1b6e3229f84e66f0ea1577088b8844fce984b4f13401f2a01e617cba6730fc",
-    ("disturb-pauli-4", "reinitialize"): "ecbf48a59bdb0b9cf99f9b503286b1af5546bbd4ad800cf094daaa0fa6f213c2",
-    ("intercept-resend-literal", "reinitialize"): "e3690dedd5c14b279fd10a8df43c1d5111b5c182ab4839e050d2fb86170486a4",
-    ("intercept-resend-blind", "reinitialize"): "4907f66db28581a3e7507fc60279befaefda5132103b287fdb5e881545117fab",
+    ("disturb-pauli-4", "reinitialize"): "0a90ebd8bffd8ae39cca9dbbe9a458117b0e758f139e3b1ff041d7b4b69265ad",
+    ("intercept-resend-literal", "reinitialize"): "c6e2d4477a603d30b36a5698941ec1db510ce52a860008a5fad05e3d3052a5ce",
+    ("intercept-resend-blind", "reinitialize"): "6e0e208c0e6863c9bd9126a7278aecbb70161adaaee0130d24cda445e6ef7afe",
     ("entangle-measure", "reinitialize"): "0cf454e4ace3e639ffe18bd7592fb7ef9e8398b2ae5df81401266bd99dffdd15",
 }
 
@@ -55,3 +56,10 @@ def test_every_strategy_is_pinned():
 @pytest.mark.parametrize("attack, policy", sorted(GOLDEN))
 def test_document_digest(attack, policy):
     assert document_digest(attack, policy) == GOLDEN[attack, policy]
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for attack, policy in GOLDEN:
+        print(f'    ("{attack}", "{policy}"): "{document_digest(attack, policy)}",')
+    print("}")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qdialogue.quantum as quantum
+from qdialogue.attacks import STRATEGY_NAMES
 from qdialogue.cli import load_config_file, main
 from qdialogue.harness import (
     CSV_COLUMNS,
@@ -77,9 +78,11 @@ class TestDeterminism:
         assert run_trial(cfg, 5) == run_trial(cfg, 5)
         assert run_trial(cfg, 5) != run_trial(cfg, 6)
 
-    def test_serial_equals_parallel_bytes(self):
-        serial = to_json(run_experiment(ExperimentConfig(**self.BASE, workers=1)))
-        parallel = to_json(run_experiment(ExperimentConfig(**self.BASE, workers=3)))
+    @pytest.mark.parametrize("attack", STRATEGY_NAMES)
+    def test_serial_equals_parallel_bytes(self, attack):
+        base = dict(self.BASE, attack=attack, beta2=0.25 if attack == "entangle-measure" else None)
+        serial = to_json(run_experiment(ExperimentConfig(**base, workers=1)))
+        parallel = to_json(run_experiment(ExperimentConfig(**base, workers=3)))
         assert serial == parallel
 
     def test_rerun_identical(self):
@@ -115,6 +118,19 @@ class TestResultsDocument:
         assert comps["per_cm_detection"]["empirical"] == 0.0
         assert doc["analytic"]["per_cm_oracle"] == 0.0
         assert doc["all_within_tolerance"]
+
+    def test_reported_tolerance_is_the_one_applied(self):
+        # Never detected and read exactly: every Monte Carlo row sits on
+        # a boundary, where the verdict widens to the rule of three.
+        doc = run_experiment(
+            ExperimentConfig(attack="intercept-resend-literal", trials=40, n_pairs=4, master_seed=4)
+        )
+        rows = [c for c in doc["comparisons"] if c["empirical"] in (0.0, 1.0)]
+        assert {c["name"] for c in rows} >= {"per_cm_detection", "eve_alice_guess_accuracy"}
+        for comp in rows:
+            assert comp["stderr"] == 0.0
+            assert comp["tolerance"] == max(3.0 / comp["n_samples"], 1e-9)
+            assert comp["within"]
 
     def test_oracle_vs_claim_discrepancy_is_reported(self):
         doc = run_experiment(
