@@ -19,7 +19,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .attacks import AttackStrategy, EntangleMeasure
+from .attacks import AttackStrategy, EntangleMeasure, check_beta2
 from .protocol import DETECTED, MM, DialogueResult, Message, round_trip
 from .quantum import ALL_CODES, BitPair, bell_outcome_probs
 
@@ -37,9 +37,7 @@ def detection_after_runs(c: float, d: float, runs: int) -> float:
     with probability d, so the per-run hazard is c*d and the cumulative
     curve is 1 - (1 - c d)^runs.
     """
-    _check_c(c)
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"per-control-run rate d must lie in [0, 1], got {d}")
+    _check_ranges(c, d)
     if runs < 0:
         raise ValueError("runs must be >= 0")
     return 1.0 - (1.0 - c * d) ** runs
@@ -47,7 +45,7 @@ def detection_after_runs(c: float, d: float, runs: int) -> float:
 
 def detection_after_runs_partial_sum(c: float, d: float, runs: int) -> float:
     """Same curve as ``detection_after_runs`` via the explicit geometric sum."""
-    _check_c(c)
+    _check_ranges(c)
     return c * d * sum((1.0 - c * d) ** n for n in range(runs))
 
 
@@ -58,12 +56,9 @@ def detection_vs_message_length(c: float, d: float, n_half: int) -> float:
     1 - (1 - c d)^(N/(1-c)). Strictly increasing in N and in c for
     d > 0, with limit 1.
     """
-    _check_c(c)
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"per-control-run rate d must lie in [0, 1], got {d}")
-    if n_half < 1:
-        raise ValueError("n_half must be >= 1")
+    _check_ranges(c, d, n_half)
     return 1.0 - (1.0 - c * d) ** (n_half / (1.0 - c))
+
 
 def dialogue_detection_exact(c: float, d: float, n_half: int) -> float:
     """Per-dialogue detection probability at the simulated integer run counts.
@@ -76,11 +71,7 @@ def dialogue_detection_exact(c: float, d: float, n_half: int) -> float:
     quantity with the run-count fluctuations replaced by their mean; the
     two agree in the long-message limit.
     """
-    _check_c(c)
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"per-control-run rate d must lie in [0, 1], got {d}")
-    if n_half < 1:
-        raise ValueError("n_half must be >= 1")
+    _check_ranges(c, d, n_half)
     return 1.0 - ((1.0 - c) / (1.0 - c + c * d)) ** n_half
 
 
@@ -90,8 +81,7 @@ def eve_entropy_bits(beta2: float) -> float:
     -(1-b) log2(1-b) - b log2(b) with 0 log 0 = 0, for b = beta2 in
     [0, 0.5].
     """
-    if not 0.0 <= beta2 <= 0.5:
-        raise ValueError(f"beta2 must lie in [0, 0.5], got {beta2}")
+    check_beta2(beta2)
     total = 0.0
     for p in (beta2, 1.0 - beta2):
         if p > 0.0:
@@ -99,9 +89,14 @@ def eve_entropy_bits(beta2: float) -> float:
     return total
 
 
-def _check_c(c: float) -> None:
+def _check_ranges(c: float, d: float | None = None, n_half: int | None = None) -> None:
+    """The closed forms' shared range checks; an argument left None is not checked."""
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must lie strictly between 0 and 1, got {c}")
+    if d is not None and not 0.0 <= d <= 1.0:
+        raise ValueError(f"per-control-run rate d must lie in [0, 1], got {d}")
+    if n_half is not None and n_half < 1:
+        raise ValueError("n_half must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +112,14 @@ CLAIMED_PER_CM = {
 }
 
 
-def claimed_per_cm(strategy: AttackStrategy) -> float:
-    """The per-control-run detection rate the protocol's published analysis claims."""
+def claimed_per_cm(strategy: AttackStrategy) -> float | None:
+    """The per-control-run detection rate the protocol's published analysis claims.
+
+    None for a strategy the published analysis does not treat.
+    """
     if isinstance(strategy, EntangleMeasure):
         return strategy.beta2
-    return CLAIMED_PER_CM[strategy.name]
+    return CLAIMED_PER_CM.get(strategy.name)
 
 
 def per_cm_detection_oracle(strategy: AttackStrategy) -> float:

@@ -220,12 +220,17 @@ class InterceptResendBlind(_InterceptResend):
     retransform = False
 
 
+def check_beta2(beta2: float) -> None:
+    """The probe weight's range, shared by the strategy and its entropy bound."""
+    if not 0.0 <= beta2 <= 0.5:
+        raise ValueError(f"beta2 must lie in [0, 0.5], got {beta2}")
+
+
 class EntangleMeasure(AttackStrategy):
     name = "entangle-measure"
 
     def __init__(self, beta2: float):
-        if not 0.0 <= beta2 <= 0.5:
-            raise ValueError(f"beta2 must lie in [0, 0.5], got {beta2}")
+        check_beta2(beta2)
         self.beta2 = float(beta2)
         self.alpha = math.sqrt(1.0 - self.beta2)
         self.beta = math.sqrt(self.beta2)

@@ -36,7 +36,7 @@ from .analysis import (
     guess_accuracy_oracle,
     per_cm_detection_oracle,
 )
-from .attacks import STRATEGY_NAMES, AttackStrategy, strategy_from_name
+from .attacks import STRATEGIES, AttackStrategy, strategy_from_name
 from .protocol import (
     DETECTION_POLICIES,
     ProtocolConfig,
@@ -546,12 +546,16 @@ def formulas_text() -> str:
     print(file=out)
     print("per-control-run detection: enumeration oracle vs published claim", file=out)
     print(f"  {'strategy':<26} {'oracle':>8} {'claim':>8}  note", file=out)
-    for name in STRATEGY_NAMES:
+    for name in STRATEGIES:
         for beta2 in (0.1, 0.25, 0.5) if name == "entangle-measure" else (None,):
             strat = strategy_from_name(name, beta2)
             label = name if beta2 is None else f"{name}({beta2})"
             oracle = per_cm_detection_oracle(strat)
             claim = claimed_per_cm(strat)
-            note = "" if abs(oracle - claim) < 1e-12 else "DISAGREES with claim"
-            print(f"  {label:<26} {oracle:>8.4f} {claim:>8.4f}  {note}", file=out)
+            if claim is None:
+                shown, note = "n/a", ""
+            else:
+                shown = f"{claim:.4f}"
+                note = "" if abs(oracle - claim) < 1e-12 else "DISAGREES with claim"
+            print(f"  {label:<26} {oracle:>8.4f} {shown:>8}  {note}", file=out)
     return out.getvalue()

@@ -15,9 +15,11 @@ measurement statistics):
 * the first name in ``StateVector.registers`` is the most significant
   bit of the amplitude index
 
-States are immutable: no operation writes into its input, and each
+States are immutable values. Their amplitudes are always read-only: a
+state freezes the arrays the primitives allocate for it and copies,
+once, a writeable array handed in by a caller, so a later write to that
+array cannot change the state. No operation writes into its input; each
 returns a new ``StateVector`` or, when nothing changes, its input.
-``bell_state`` hands out shared states with read-only amplitudes.
 Normalization is asserted on every state built (tolerance 1e-9), never
 silently repaired.
 
@@ -25,13 +27,22 @@ The primitives move amplitudes with index tables cached per register
 count and axis rather than by transposing tensors. Every amplitude and
 probability goes through the same floating-point operations as the
 textbook kron/transpose formulation, so results agree with it bit for bit.
+
+The deterministic kernels (Pauli, tensor product, ancilla, probe, and
+the Bell and up/down laws with their collapses) are memoized by content:
+the key is every input bit, a state's register names and amplitude
+bytes included, so a result is computed once per distinct input and
+then shared. A dialogue revisits a few dozen states thousands of times.
+Random draws are never cached: ``bell_measure`` and ``measure_z`` call
+``choose`` once per call, hit or miss.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -110,6 +121,13 @@ def pauli_compose(second: BitPair, first: BitPair) -> PauliProduct:
 
 _COMPLEX = np.dtype(complex)
 
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """Make an array read-only: every later holder shares it."""
+    array.setflags(write=False)
+    return array
+
+
 # Register tuples that already passed the length and duplicate checks;
 # the protocol builds states over a handful of them. The amplitude
 # count and the norm are still checked on every state.
@@ -122,11 +140,14 @@ class StateVector:
     """Pure joint state of up to five named qubit registers.
 
     ``amps`` holds 2**n complex amplitudes indexed by the computational
-    basis, with registers[0] as the most significant bit.
+    basis, with registers[0] as the most significant bit; it is always
+    read-only. ``key`` is (registers, amplitude bytes), the state's
+    identity for the kernel memo.
     """
 
     registers: tuple[str, ...]
     amps: np.ndarray
+    key: tuple[tuple[str, ...], bytes] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         regs = self.registers
@@ -141,8 +162,14 @@ class StateVector:
             if len(_CHECKED_REGISTERS) < _MAX_CHECKED_REGISTERS:
                 _CHECKED_REGISTERS.add(regs)
         amps = self.amps
-        if not (type(amps) is np.ndarray and amps.dtype is _COMPLEX and amps.ndim == 1):
-            amps = np.asarray(amps, dtype=complex).reshape(-1)
+        if not (
+            type(amps) is np.ndarray
+            and amps.dtype is _COMPLEX
+            and amps.ndim == 1
+            and not amps.flags.writeable
+        ):
+            # A private copy: the caller may still write to its array.
+            amps = _frozen(np.array(amps, dtype=complex).reshape(-1))
             object.__setattr__(self, "amps", amps)
         if amps.size != 1 << len(regs):
             raise ValueError(f"expected {1 << len(regs)} amplitudes, got {amps.size}")
@@ -151,6 +178,7 @@ class StateVector:
         # norm is non-finite.
         if not (abs(norm_sq - 1.0) <= NORM_TOL):
             raise ValueError(f"state not normalized (or not finite): |psi|^2 = {norm_sq!r}")
+        object.__setattr__(self, "key", (regs, amps.tobytes()))
 
     @property
     def n_registers(self) -> int:
@@ -167,6 +195,59 @@ class StateVector:
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis of length 2 per register."""
         return self.amps.reshape((2,) * self.n_registers)
+
+
+# Entries per memoized kernel. A whole eight-point probe sweep reaches
+# about 600 distinct kernel inputs in all; a table that fills up is
+# emptied and refilled, so memory stays bounded whatever the inputs.
+MEMO_ENTRIES = 2048
+_MEMO_TABLES: list[dict] = []
+_AS_IS = frozenset({str, int, BitPair})
+_float_bits = struct.Struct("<d").pack
+
+
+def _arg_key(arg):
+    """Memo key of an argument other than a state: floats by bit pattern."""
+    if isinstance(arg, (float, np.floating)):
+        return type(arg), _float_bits(arg)
+    return arg
+
+
+def _memoized(kernel):
+    """Serve repeated calls of a pure kernel from a bounded per-process table.
+
+    The key holds every input bit: a state stands for its ``key``, a
+    float for its type and bit pattern (so 0.0 and -0.0 never share an
+    entry), anything else for itself. A call with an unhashable argument,
+    such as a list code, or with keyword arguments runs the kernel
+    directly. Results are shared between callers, so a kernel must
+    return only immutable values: states, tuples, read-only arrays. The
+    kernel itself stays reachable as ``__wrapped__``.
+    """
+    table: dict = {}
+    _MEMO_TABLES.append(table)
+
+    @functools.wraps(kernel)
+    def memoized(*args, **kwargs):
+        if kwargs:
+            return kernel(*args, **kwargs)
+        key = tuple([
+            a.key if type(a) is StateVector else a if type(a) in _AS_IS else _arg_key(a)
+            for a in args
+        ])
+        try:
+            return table[key]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable argument
+            return kernel(*args)
+        result = kernel(*args)
+        if len(table) >= MEMO_ENTRIES:
+            table.clear()
+        table[key] = result
+        return result
+
+    return memoized
 
 
 def _bell_amplitudes() -> dict[BitPair, np.ndarray]:
@@ -202,12 +283,6 @@ def _shared_bell_state(code: BitPair, regs: tuple[str, ...]) -> StateVector:
     return StateVector(regs, _BELL_AMPS[BitPair(*code)])
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """Make a cached table read-only: every later call shares it."""
-    array.setflags(write=False)
-    return array
-
-
 def _bit(index: int, n: int, ax: int) -> int:
     """The bit register ``ax`` of n reads in basis index ``index``."""
     return (index >> (n - 1 - ax)) & 1
@@ -237,6 +312,7 @@ def _pauli_table(n: int, ax: int, code: BitPair) -> tuple[np.ndarray, np.ndarray
     return _frozen(np.array(perm)), _frozen(np.array(phase))
 
 
+@_memoized
 def apply_pauli(state: StateVector, reg: str, code: BitPair) -> StateVector:
     """Apply the coded single-qubit Pauli to one register.
 
@@ -254,25 +330,27 @@ def apply_pauli(state: StateVector, reg: str, code: BitPair) -> StateVector:
     out = state.amps[perm]
     if phase is not None:
         out *= phase
-    return StateVector(state.registers, out)
+    return StateVector(state.registers, _frozen(out))
 
 
+@_memoized
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     """Join two disjoint systems; a's registers become the high bits."""
     overlap = set(a.registers) & set(b.registers)
     if overlap:
         raise ValueError(f"register names shared between systems: {sorted(overlap)}")
-    return StateVector(a.registers + b.registers, (a.amps[:, None] * b.amps).ravel())
+    return StateVector(a.registers + b.registers, _frozen((a.amps[:, None] * b.amps).ravel()))
 
 
 _KET0 = _frozen(np.array([1.0, 0.0], dtype=complex))
 
 
+@_memoized
 def attach_ancilla(state: StateVector, reg: str) -> StateVector:
     """Tensor-extend with a fresh register in its fiducial (index-0) state."""
     if reg in state.registers:
         raise ValueError(f"register {reg!r} already present")
-    return StateVector(state.registers + (reg,), (state.amps[:, None] * _KET0).ravel())
+    return StateVector(state.registers + (reg,), _frozen((state.amps[:, None] * _KET0).ravel()))
 
 
 # Bell basis vectors in (regA, regB) order, stacked as rows in code order.
@@ -325,33 +403,37 @@ def _bell_tables(n: int, ax_a: int, ax_b: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(index.transpose(front).ravel()), _frozen(index.transpose(back).ravel())
 
 
-def _bell_overlaps(state: StateVector, reg_a: str, reg_b: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """<Psi_xy| applied to (reg_a, reg_b): a (4, rest) coefficient array.
+@_memoized
+def _bell_law(
+    state: StateVector, reg_a: str, reg_b: str
+) -> tuple[tuple[float, ...], np.ndarray, np.ndarray | None]:
+    """Outcome probabilities of a Bell measurement on (reg_a, reg_b), in code order.
 
-    Also returns the scatter order a collapsed vector needs to get back
-    to register order, None when the pair already leads.
+    Also returns the overlaps <Psi_xy| applied to the pair, a read-only
+    (4, rest) coefficient array, and the scatter order a collapsed
+    vector needs to get back to register order, None when the pair
+    already leads.
     """
     ax_a, ax_b = state.axis(reg_a), state.axis(reg_b)
     if ax_a == ax_b:
         raise ValueError("Bell measurement needs two distinct registers")
     if ax_a == 0 and ax_b == 1:
-        return _BELL_BASIS_CONJ @ state.amps.reshape(4, -1), None
-    gather, scatter = _bell_tables(len(state.registers), ax_a, ax_b)
-    return _BELL_BASIS_CONJ @ state.amps[gather].reshape(4, -1), scatter
-
-
-def _bell_probs(overlaps: np.ndarray) -> list[float]:
-    """Squared overlaps summed over the rest of the system, per outcome."""
+        overlaps, scatter = _BELL_BASIS_CONJ @ state.amps.reshape(4, -1), None
+    else:
+        gather, scatter = _bell_tables(len(state.registers), ax_a, ax_b)
+        overlaps = _BELL_BASIS_CONJ @ state.amps[gather].reshape(4, -1)
+    # Squared overlaps summed over the rest of the system, per outcome.
     if overlaps.shape[1] == 1:
         # The same two squares and one add per outcome as the array route.
-        return [z.real * z.real + z.imag * z.imag for z in overlaps.ravel().tolist()]
-    return (overlaps.real**2 + overlaps.imag**2).sum(axis=1).tolist()
+        probs = tuple([z.real * z.real + z.imag * z.imag for z in overlaps.ravel().tolist()])
+    else:
+        probs = tuple((overlaps.real**2 + overlaps.imag**2).sum(axis=1).tolist())
+    return probs, _frozen(overlaps), scatter
 
 
 def bell_outcome_probs(state: StateVector, reg_a: str, reg_b: str) -> dict[BitPair, float]:
     """Probability of each Bell outcome on a register pair, no collapse."""
-    overlaps, _ = _bell_overlaps(state, reg_a, reg_b)
-    return dict(zip(ALL_CODES, _bell_probs(overlaps)))
+    return dict(zip(ALL_CODES, _bell_law(state, reg_a, reg_b)[0]))
 
 
 def bell_measure(
@@ -363,10 +445,8 @@ def bell_measure(
     state; correlations with any remaining registers survive the
     collapse.
     """
-    overlaps, scatter = _bell_overlaps(state, reg_a, reg_b)
-    probs = _bell_probs(overlaps)
-    k = choose(probs, rng)
-    return ALL_CODES[k], _collapse_bell(state, scatter, overlaps, k, probs[k])
+    k = choose(_bell_law(state, reg_a, reg_b)[0], rng)
+    return ALL_CODES[k], _bell_post_state(state, reg_a, reg_b, k)
 
 
 def project_bell(
@@ -377,12 +457,19 @@ def project_bell(
     The collapsed state is None when the outcome has (numerically) zero
     probability. The forced-outcome counterpart of ``bell_measure``.
     """
-    overlaps, scatter = _bell_overlaps(state, reg_a, reg_b)
+    _, overlaps, scatter = _bell_law(state, reg_a, reg_b)
     k = ALL_CODES.index(BitPair(*code))
     prob = float(np.vdot(overlaps[k], overlaps[k]).real)
     if prob < PROB_FLOOR:
         return 0.0, None
     return prob, _collapse_bell(state, scatter, overlaps, k, prob)
+
+
+@_memoized
+def _bell_post_state(state: StateVector, reg_a: str, reg_b: str, k: int) -> StateVector:
+    """The state after Bell outcome ``ALL_CODES[k]``, renormalized by its law probability."""
+    probs, overlaps, scatter = _bell_law(state, reg_a, reg_b)
+    return _collapse_bell(state, scatter, overlaps, k, probs[k])
 
 
 def _collapse_bell(
@@ -396,9 +483,10 @@ def _collapse_bell(
     flat = (_BELL_COLUMNS[k] * rest).ravel()
     if scatter is not None:
         flat = flat[scatter]
-    return StateVector(state.registers, flat)
+    return StateVector(state.registers, _frozen(flat))
 
 
+@_memoized
 def z_outcome_probs(state: StateVector, reg: str) -> tuple[float, float]:
     """(P[index 0], P[index 1]) for a computational-basis measurement."""
     ax = state.axis(reg)
@@ -411,11 +499,16 @@ def measure_z(
     state: StateVector, reg: str, rng: np.random.Generator
 ) -> tuple[int, StateVector]:
     """Born-rule single-register measurement in the up/down basis."""
-    probs = z_outcome_probs(state, reg)
-    bit = choose(probs, rng)
-    prob, collapsed = project_z(state, reg, bit, prob=probs[bit])
+    bit = choose(z_outcome_probs(state, reg), rng)
+    return bit, _z_post_state(state, reg, bit)
+
+
+@_memoized
+def _z_post_state(state: StateVector, reg: str, bit: int) -> StateVector:
+    """The state after reading ``bit`` on ``reg``, renormalized by its law probability."""
+    _, collapsed = project_z(state, reg, bit, prob=z_outcome_probs(state, reg)[bit])
     assert collapsed is not None
-    return bit, collapsed
+    return collapsed
 
 
 @functools.cache
@@ -439,7 +532,7 @@ def project_z(
         return 0.0, None
     out = np.zeros_like(state.amps)
     out[kept] = amps / math.sqrt(prob)
-    return prob, StateVector(state.registers, out)
+    return prob, StateVector(state.registers, _frozen(out))
 
 
 @functools.cache
@@ -457,6 +550,7 @@ def _probe_tables(n: int, ax_t: int, ax_e: int) -> tuple[np.ndarray, np.ndarray,
     return _frozen(np.array(src)), _frozen(np.array(excited)), _frozen(np.array(excited_idx))
 
 
+@_memoized
 def entangling_probe(
     state: StateVector, target: str, ancilla: str, alpha: float, beta: float
 ) -> StateVector:
@@ -478,7 +572,7 @@ def entangling_probe(
     if float(np.vdot(leaked, leaked).real) > NORM_TOL:
         raise ValueError("ancilla not in its fiducial state; probe undefined")
     coefficient = np.array((alpha, beta), dtype=complex)[excited]
-    return StateVector(state.registers, state.amps[src] * coefficient)
+    return StateVector(state.registers, _frozen(state.amps[src] * coefficient))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import qdialogue.quantum as quantum
-from qdialogue.attacks import STRATEGY_NAMES
+from qdialogue import attacks
+from qdialogue.attacks import STRATEGY_NAMES, AttackStrategy
 from qdialogue.cli import load_config_file, main
 from qdialogue.harness import (
     CSV_COLUMNS,
@@ -208,6 +209,21 @@ class TestFormulasText:
         assert "entropy bound" in text
         assert "DISAGREES with claim" in text  # the documented discrepancies
         assert "intercept-resend-blind" in text
+
+    def test_strategy_without_published_claim(self, monkeypatch):
+        class FlipOnPong(AttackStrategy):
+            name = "flip-on-pong"
+
+            def on_pong(self, channel, session, rng):
+                channel.state = quantum.apply_pauli(channel.state, channel.traveling, BitPair(0, 1))
+
+        monkeypatch.setitem(attacks.STRATEGIES, FlipOnPong.name, FlipOnPong)
+        doc = run_experiment(ExperimentConfig(attack="flip-on-pong", trials=20, n_pairs=2, master_seed=6))
+        assert doc["analytic"]["per_cm_oracle"] == 1.0
+        assert doc["analytic"]["per_cm_claimed"] is None
+        assert '"per_cm_claimed": null' in to_json(doc)
+        [row] = [line for line in formulas_text().splitlines() if "flip-on-pong" in line]
+        assert row.split() == ["flip-on-pong", "1.0000", "n/a"]
 
 
 class TestCli:

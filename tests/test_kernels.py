@@ -5,6 +5,9 @@ Every expected value here is built the slow, obvious way: full
 the Bell basis vectors, applied by matrix-vector products. The kernels
 must agree on every register count the state vector allows, every axis
 (every ordered axis pair for the Bell measurement) and every code.
+
+The memoized kernels are also checked against their own uncached
+bodies (``__wrapped__``), bit for bit.
 """
 
 import itertools
@@ -13,10 +16,15 @@ import math
 import numpy as np
 import pytest
 
+from qdialogue import quantum
+from qdialogue.attacks import STRATEGY_NAMES
+from qdialogue.harness import ExperimentConfig, run_experiment, to_json
 from qdialogue.quantum import (
     ALL_CODES,
     MAX_REGISTERS,
+    MEMO_ENTRIES,
     PAULI_MATRICES,
+    PROB_FLOOR,
     BitPair,
     StateVector,
     apply_pauli,
@@ -185,17 +193,24 @@ def after_one_draw(seed: int) -> dict:
     return twin.bit_generator.state
 
 
+def clear_memo() -> None:
+    for table in quantum._MEMO_TABLES:
+        table.clear()
+
+
 @pytest.mark.parametrize("n", SIZES[1:])
 def test_measurements_draw_exactly_one_uniform(rng, n):
     state = random_state(rng, n)
-    for seed, (ax_a, ax_b) in enumerate(pairs(n)):
-        draws = np.random.default_rng(seed)
-        bell_measure(state, NAMES[ax_a], NAMES[ax_b], draws)
-        assert draws.bit_generator.state == after_one_draw(seed)
-    for ax in range(n):
-        draws = np.random.default_rng(ax)
-        measure_z(state, NAMES[ax], draws)
-        assert draws.bit_generator.state == after_one_draw(ax)
+    clear_memo()
+    for _ in ("miss", "hit"):
+        for seed, (ax_a, ax_b) in enumerate(pairs(n)):
+            draws = np.random.default_rng(seed)
+            bell_measure(state, NAMES[ax_a], NAMES[ax_b], draws)
+            assert draws.bit_generator.state == after_one_draw(seed)
+        for ax in range(n):
+            draws = np.random.default_rng(ax)
+            measure_z(state, NAMES[ax], draws)
+            assert draws.bit_generator.state == after_one_draw(ax)
 
 
 # -- shared states stay immutable ---------------------------------------------
@@ -233,15 +248,164 @@ def primitive_calls(n: int):
     return calls
 
 
+def arrays_in(result) -> list[np.ndarray]:
+    """Every array a primitive's result holds, a state's amplitudes included."""
+    if isinstance(result, StateVector):
+        return [result.amps]
+    if isinstance(result, np.ndarray):
+        return [result]
+    if isinstance(result, tuple):
+        return [array for item in result for array in arrays_in(item)]
+    return []
+
+
 @pytest.mark.parametrize("n", [2, 4, 5])
 def test_no_primitive_writes_into_its_input(rng, n):
     state = random_state(rng, n)
     snapshot = state.amps.copy()
     for call in primitive_calls(n):
-        call(state)
+        assert not any(out.flags.writeable for out in arrays_in(call(state)))
         np.testing.assert_array_equal(state.amps, snapshot)
     # The probe needs an ancilla in its fiducial state: the last register.
     fiducial = attach_ancilla(random_state(rng, n - 1), "z")
     snapshot = fiducial.amps.copy()
-    entangling_probe(fiducial, "a", "z", 0.8, 0.6)
+    assert not entangling_probe(fiducial, "a", "z", 0.8, 0.6).amps.flags.writeable
     np.testing.assert_array_equal(fiducial.amps, snapshot)
+
+
+def test_state_keeps_its_own_copy_of_a_caller_array():
+    for given in (np.array([0.6, 0.8j]), np.array([[0.6], [0.8j]])):
+        state = StateVector(("q",), given)
+        given[...] = 0.0
+        np.testing.assert_array_equal(state.amps, [0.6, 0.8j])
+        with pytest.raises(ValueError, match="read-only"):
+            state.amps[0] = 1.0
+
+
+# -- the kernel memo ----------------------------------------------------------
+
+
+def sparse_state(rng: np.random.Generator, n: int) -> StateVector:
+    """A random state on a random nonempty subset of the basis."""
+    amps = random_state(rng, n).amps * (rng.random(1 << n) < 0.4)
+    amps[rng.integers(1 << n)] = 1.0
+    return StateVector(tuple(NAMES[:n]), amps / np.linalg.norm(amps))
+
+
+def fiducial_state(rng: np.random.Generator, n: int, ax_e: int) -> StateVector:
+    amps = embed({ax_e: unit(0, 0)}, n) @ random_state(rng, n).amps
+    return StateVector(tuple(NAMES[:n]), amps / np.linalg.norm(amps))
+
+
+def memo_calls(rng: np.random.Generator):
+    """(kernel, args) for every memoized kernel over 1-5 registers, dense and
+    sparse states, every axis, ordered pair, code, outcome and bit."""
+    calls = []
+    for n in SIZES:
+        for state in (random_state(rng, n), sparse_state(rng, n)):
+            calls += [(apply_pauli, (state, NAMES[ax], code))
+                      for ax, code in itertools.product(range(n), ALL_CODES)]
+            calls += [(quantum.z_outcome_probs, (state, NAMES[ax])) for ax in range(n)]
+            calls += [(quantum._z_post_state, (state, NAMES[ax], bit))
+                      for ax in range(n) for bit in (0, 1)
+                      if z_outcome_probs(state, NAMES[ax])[bit] >= PROB_FLOOR]
+            for ax_a, ax_b in pairs(n):
+                regs = NAMES[ax_a], NAMES[ax_b]
+                probs = quantum._bell_law(state, *regs)[0]
+                calls.append((quantum._bell_law, (state, *regs)))
+                calls += [(quantum._bell_post_state, (state, *regs, k))
+                          for k in range(4) if probs[k] >= PROB_FLOOR]
+            if n < MAX_REGISTERS:
+                calls.append((attach_ancilla, (state, "z")))
+                m = MAX_REGISTERS - n
+                other = StateVector(tuple("vwxyz"[:m]), random_state(rng, m).amps)
+                calls += [(tensor_product, (state, other)), (tensor_product, (other, state))]
+        for ax_t, ax_e in pairs(n):
+            state = fiducial_state(rng, n, ax_e)
+            calls += [(entangling_probe, (state, NAMES[ax_t], NAMES[ax_e], alpha, beta))
+                      for alpha, beta in ((0.8, 0.6), (1.0, 0.0), (1.0, -0.0), (0.0, 1.0))]
+    return calls
+
+
+def content(result):
+    """Every bit of a kernel result: states by key, arrays by bytes and shape."""
+    if isinstance(result, StateVector):
+        return result.key
+    if isinstance(result, np.ndarray):
+        return result.shape, result.tobytes()
+    if isinstance(result, tuple):
+        return tuple(content(item) for item in result)
+    return result
+
+
+def test_memo_results_are_bit_identical_to_the_uncached_kernels(rng):
+    calls = memo_calls(rng)
+    assert len(calls) < MEMO_ENTRIES  # no table refills part-way through
+    clear_memo()
+    first = [kernel(*args) for kernel, args in calls]
+    for (kernel, args), got in zip(calls, first):
+        assert kernel(*args) is got
+        assert content(got) == content(kernel.__wrapped__(*args)), kernel.__name__
+
+
+def test_memoized_results_are_read_only(rng):
+    for kernel, args in memo_calls(rng):
+        assert not any(out.flags.writeable for out in arrays_in(kernel(*args))), kernel.__name__
+
+
+def test_register_names_and_zero_signs_are_part_of_the_key():
+    amps = np.array([0.6, 0.0, 0.0, 0.8])
+    ab, xy = StateVector(("a", "b"), amps), StateVector(("x", "y"), amps)
+    assert apply_pauli(ab, "a", BitPair(0, 1)).registers == ("a", "b")
+    assert apply_pauli(xy, "x", BitPair(0, 1)).registers == ("x", "y")
+    assert bell_measure(xy, "x", "y", np.random.default_rng(0))[1].registers == ("x", "y")
+    fiducial = attach_ancilla(StateVector(("t",), [0.6, 0.8]), "e")
+    plus = entangling_probe(fiducial, "t", "e", 1.0, 0.0)
+    minus = entangling_probe(fiducial, "t", "e", 1.0, -0.0)
+    # A shared entry would hand one of them the other's signed zeros.
+    assert plus.key != minus.key
+    assert minus.key == entangling_probe.__wrapped__(fiducial, "t", "e", 1.0, -0.0).key
+
+
+def test_unhashable_arguments_bypass_the_memo():
+    state = bell_state(BitPair(0, 0))
+    assert apply_pauli(state, "t", [1, 1]).key == apply_pauli(state, "t", BitPair(1, 1)).key
+
+
+def test_tables_stay_within_their_bound():
+    draws = np.random.default_rng(7)
+    clear_memo()
+    for _ in range(MEMO_ENTRIES + 10):
+        state = random_state(draws, 2)
+        apply_pauli(state, "a", BitPair(1, 0))
+        bell_outcome_probs(state, "a", "b")
+        bell_measure(state, "b", "a", draws)
+        measure_z(state, "a", draws)
+        tensor_product(state, StateVector(("q",), [0.6, 0.8j]))
+        entangling_probe(attach_ancilla(state, "e"), "a", "e", 0.8, 0.6)
+    assert all(0 < len(table) <= MEMO_ENTRIES for table in quantum._MEMO_TABLES)
+
+
+def small_config(attack: str) -> ExperimentConfig:
+    return ExperimentConfig(
+        attack=attack,
+        beta2=0.25 if attack == "entangle-measure" else None,
+        c=0.5,
+        n_pairs=4,
+        trials=20,
+        master_seed=2004,
+        detection_policy="reinitialize",
+        max_restarts=2,
+    )
+
+
+def test_documents_do_not_depend_on_what_the_memo_holds():
+    configs = [small_config(attack) for attack in STRATEGY_NAMES]
+    for config in configs:
+        run_experiment(config)
+    warm = [to_json(run_experiment(config)) for config in configs]
+    cold = []
+    for config in configs:
+        clear_memo()
+        cold.append(to_json(run_experiment(config)))
+    assert warm == cold
