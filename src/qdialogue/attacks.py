@@ -140,13 +140,17 @@ class AttackStrategy:
     ) -> tuple[BitPair, BitPair]:
         """Infer both parties' pairs after a message-mode broadcast.
 
-        The readout when there is one; otherwise a uniform pure guess.
+        The readout when there is one; otherwise a uniform pure guess
+        from one ``rng.random()``: cell ``k = int(u * 16.0)`` of the 16
+        code pairs, Alice's code ``ALL_CODES[k >> 2]`` and Bob's
+        ``ALL_CODES[k & 3]``. Scaling by a power of two is exact, so every
+        cell is equally likely.
         """
         log = session.current
         guesses = self.readout(log, outcome)
         if guesses is None:
-            bits = rng.integers(0, 2, size=4)
-            guesses = BitPair(int(bits[0]), int(bits[1])), BitPair(int(bits[2]), int(bits[3]))
+            k = int(rng.random() * 16.0)
+            guesses = ALL_CODES[k >> 2], ALL_CODES[k & 3]
         if log is not None:
             log.alice_guess, log.bob_guess = guesses
         return guesses

@@ -8,7 +8,12 @@ verdict.
 Determinism contract: the per-trial random stream is derived from
 (master_seed, point_key..., trial_index) through a seed sequence, so
 the same configuration produces byte-identical documents no matter how
-many workers execute the trials or in what order they finish.
+many workers execute the trials or in what order they finish. The
+trial stream first gives Alice's message, then Bob's, then the
+protocol's draws in run order; the adversary draws from one child
+spawned off it. Message pairs, control-run pairs and pure guesses are
+cut from uniforms scaled by a power of two (4 or 16), which is exact,
+so every cell is equally likely.
 """
 
 from __future__ import annotations

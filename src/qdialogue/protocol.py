@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .quantum import BitPair, StateVector, apply_pauli, bell_measure, bell_state
+from .quantum import ALL_CODES, BitPair, StateVector, apply_pauli, bell_measure, bell_state
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attacks import AttackStrategy, EveRecord
@@ -80,15 +80,21 @@ def frame_message(raw_bits: Sequence[int] | Iterable[int]) -> Message:
 
 
 def random_message(n_pairs: int, rng: np.random.Generator) -> Message:
+    """A uniformly random message of ``n_pairs`` pairs from one ``rng.random(n_pairs)``.
+
+    Uniform ``u`` gives pair ``ALL_CODES[int(u * 4.0)]``. Scaling by a
+    power of two is exact, so each pair is exactly uniform on numpy's
+    grid of 2**53 doubles.
+    """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    bits = rng.integers(0, 2, size=2 * n_pairs)
-    return frame_message(bits.tolist())
+    cells = (rng.random(n_pairs) * 4.0).astype(np.intp).tolist()
+    return Message(tuple(ALL_CODES[k] for k in cells))
 
 
 def _random_pair(rng: np.random.Generator) -> BitPair:
-    a, b = rng.integers(0, 2, size=2)
-    return BitPair(int(a), int(b))
+    """A uniform pair from one ``rng.random()``, cut as in ``random_message``."""
+    return ALL_CODES[int(rng.random() * 4.0)]
 
 
 @dataclass(frozen=True)
@@ -245,8 +251,10 @@ def run_dialogue(
     """Execute runs until the dialogue completes, detects Eve, or gives up.
 
     Both messages must have half-length equal to ``config.n_pairs``. The
-    supplied random stream is split into independent protocol and
-    adversary streams, so an attack that draws no randomness leaves the
+    protocol's draws (mode, control-run pair, Bob's Bell outcome) come
+    from ``rng`` itself, in run order. The attack draws from one child
+    spawned off ``rng`` (``rng.spawn(1)``), which leaves ``rng``'s own
+    stream alone, so an attack that draws no randomness leaves the
     protocol's sampling byte-identical to the attack-free case.
     """
     if len(alice_msg) != len(bob_msg):
@@ -259,7 +267,7 @@ def run_dialogue(
         )
     if rng is None:
         rng = np.random.default_rng()
-    proto_rng, eve_rng = rng.spawn(2)
+    (eve_rng,) = rng.spawn(1)
 
     session = attack.new_session() if attack is not None else None
     runs: list[RunRecord] = []
@@ -281,10 +289,10 @@ def run_dialogue(
         # encode a throwaway random pair, so a revealed pair never carries
         # message content.
         bob_code = bob_msg.pairs[cursor]
-        is_cm = proto_rng.random() < config.c
-        alice_code = _random_pair(proto_rng) if is_cm else alice_msg.pairs[cursor]
+        is_cm = rng.random() < config.c
+        alice_code = _random_pair(rng) if is_cm else alice_msg.pairs[cursor]
         channel = round_trip(bob_code, alice_code, attack, session, eve_rng)
-        outcome, _ = bell_measure(channel.state, "h", channel.traveling, proto_rng)
+        outcome, _ = bell_measure(channel.state, "h", channel.traveling, rng)
 
         mode = CM if is_cm else MM
         announcements: list[tuple] = [("mode", mode)]

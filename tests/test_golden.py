@@ -6,7 +6,9 @@ digest here. A change that alters the random stream on purpose, such as
 a strategy refactor that draws its branches differently, regenerates
 these digests and says so in CHANGES.md. So does a numpy release that
 moves a kernel's last bit. To regenerate, run
-``PYTHONPATH=src python tests/test_golden.py`` and paste the printed dict.
+``PYTHONPATH=src python tests/test_golden.py`` and paste the printed dict;
+the lines after it name each digest that differs from the pinned one
+(old -> new), for the CHANGES.md entry.
 """
 
 import hashlib
@@ -15,22 +17,23 @@ import pytest
 
 from qdialogue.attacks import STRATEGY_NAMES
 from qdialogue.harness import ExperimentConfig, run_experiment, to_json
+from qdialogue.protocol import DETECTION_POLICIES
 
 GOLDEN = {
-    ("none", "terminal"): "a7aa68d4f8241f94b95bf213b3b3c6a972a4983cd183fe5f716e8fac3a29b909",
-    ("disturb-measure", "terminal"): "684ed0c540116ac56a8eae509fbae8ffe49123b7f6b266eca173c646ccf6f1ae",
-    ("disturb-pauli-z", "terminal"): "90e0864e0fd471ebd0afc8f24ca10245e6675374b950f7530bb051a4b8837eb5",
-    ("disturb-pauli-4", "terminal"): "059ea6f1af191746cfe153df644910c111137837875694e943b2029fb8fbe364",
-    ("intercept-resend-literal", "terminal"): "53bf78b29708f8fa48f5766be15e2e407fc7202fadcfbcb034036cf325035429",
-    ("intercept-resend-blind", "terminal"): "2dd15d29653f3468382464264daebbd4f6930779eadc5acaf23561fb20268532",
-    ("entangle-measure", "terminal"): "71dc58e5a572e0dd3117dfa2f3e9135c1b9a5160d9ff2e9b0a51e35983bfe77b",
-    ("none", "reinitialize"): "95daadb0e51eac21f0afc662184c12588298fedce983f0b19888d323d874c737",
-    ("disturb-measure", "reinitialize"): "5f20b7b29ec7e2774cdeae898c8d9b0c1734c3db30a3079cc096b0670243feba",
-    ("disturb-pauli-z", "reinitialize"): "1f1b6e3229f84e66f0ea1577088b8844fce984b4f13401f2a01e617cba6730fc",
-    ("disturb-pauli-4", "reinitialize"): "0a90ebd8bffd8ae39cca9dbbe9a458117b0e758f139e3b1ff041d7b4b69265ad",
-    ("intercept-resend-literal", "reinitialize"): "c6e2d4477a603d30b36a5698941ec1db510ce52a860008a5fad05e3d3052a5ce",
-    ("intercept-resend-blind", "reinitialize"): "6e0e208c0e6863c9bd9126a7278aecbb70161adaaee0130d24cda445e6ef7afe",
-    ("entangle-measure", "reinitialize"): "0cf454e4ace3e639ffe18bd7592fb7ef9e8398b2ae5df81401266bd99dffdd15",
+    ("none", "terminal"): "da8e7d208c26ea15c8ff5ec23cabebeeee47ecad2e9d95dae6f57c8885b28bcf",
+    ("disturb-measure", "terminal"): "040b8b3b4b9168861c3cade12a0d5693e38a8a8e8f7090ddb0e144eaab41aa5d",
+    ("disturb-pauli-z", "terminal"): "071c1bd6a46493c5d52262ad8eeef755ff1e94793382b4a378f99d340367806d",
+    ("disturb-pauli-4", "terminal"): "9631dcb4be8620c150adcc113f7e48936266e7cc0c66953d1818815fd58a0b21",
+    ("intercept-resend-literal", "terminal"): "7f3f76d2932b0067a3d10bb3f1a73b2975e94dd5156a53f58cc133eec03c977a",
+    ("intercept-resend-blind", "terminal"): "65d9ecd1d4b2757595fb396757d7b71c5b1a9be59db217fe2f7e60397aa68569",
+    ("entangle-measure", "terminal"): "591ec64e499a68578b95f9a6fe9b426ae86594f1fbbbaeb5b12f7986f57642ed",
+    ("none", "reinitialize"): "75b3665ae6133d4f34fdbd875d4a8bde399089badc4b5f5443ad107e20e5921d",
+    ("disturb-measure", "reinitialize"): "eb39dfc2718f93047146ba4d80f7d31bca56e77596d51933d8418d37917a4470",
+    ("disturb-pauli-z", "reinitialize"): "4ebc9543c949f17f7a5e068428e0f5914500c5fd16431600af507a3c0ed165c3",
+    ("disturb-pauli-4", "reinitialize"): "e2c4efd5da2106874cce02c7b9f1567e0f623fe30e00c712d8c07eaf20522a85",
+    ("intercept-resend-literal", "reinitialize"): "9e55d883e70181e88177cd60497501212efcb6dd6a2192e911676221203caf76",
+    ("intercept-resend-blind", "reinitialize"): "792e6b89ea9ef2f1dc486f97a7199fc5888e7da68c134b10d06acc02c032d78f",
+    ("entangle-measure", "reinitialize"): "1464193e062121cfe6b66f6512366eef5c1938877be5c67fa5c4874b8a02f11d",
 }
 
 
@@ -58,8 +61,37 @@ def test_document_digest(attack, policy):
     assert document_digest(attack, policy) == GOLDEN[attack, policy]
 
 
+def digest_changes(fresh: dict) -> list[str]:
+    """One line per (attack, policy) whose fresh digest is not the pinned one."""
+    return [
+        f"{'/'.join(key)}: {GOLDEN.get(key, '(not pinned)')} -> {fresh.get(key, '(not computed)')}"
+        for key in {**GOLDEN, **fresh}
+        if GOLDEN.get(key) != fresh.get(key)
+    ]
+
+
+def test_digest_changes_name_each_difference():
+    fresh = {**GOLDEN, ("none", "terminal"): "0" * 64, ("new", "terminal"): "1" * 64}
+    del fresh["entangle-measure", "reinitialize"]
+    assert digest_changes(dict(GOLDEN)) == []
+    assert digest_changes(fresh) == [
+        f"none/terminal: {GOLDEN['none', 'terminal']} -> {'0' * 64}",
+        f"entangle-measure/reinitialize: {GOLDEN['entangle-measure', 'reinitialize']} -> (not computed)",
+        f"new/terminal: (not pinned) -> {'1' * 64}",
+    ]
+
+
 if __name__ == "__main__":
+    fresh = {
+        (attack, policy): document_digest(attack, policy)
+        for policy in DETECTION_POLICIES
+        for attack in STRATEGY_NAMES
+    }
     print("GOLDEN = {")
-    for attack, policy in GOLDEN:
-        print(f'    ("{attack}", "{policy}"): "{document_digest(attack, policy)}",')
+    for (attack, policy), digest in fresh.items():
+        print(f'    ("{attack}", "{policy}"): "{digest}",')
     print("}")
+    changes = digest_changes(fresh)
+    print(f"# {len(changes)} of {len(fresh)} digests differ from the pinned ones")
+    for line in changes:
+        print(f"# {line}")

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdialogue.attacks import InterceptResendBlind, NoAttack
+from qdialogue.analysis import per_cm_detection_oracle
+from qdialogue.attacks import AttackStrategy, NoAttack
 from qdialogue.protocol import (
     ABORTED,
     CM,
@@ -28,6 +29,7 @@ from qdialogue.protocol import (
 from qdialogue.quantum import (
     ALL_CODES,
     BitPair,
+    apply_pauli,
     bell_outcome_probs,
     bell_state,
     same_state,
@@ -125,6 +127,20 @@ class TestProtocolConfig:
             ProtocolConfig(c=0.5, n_pairs=4, detection_policy="stop")
 
 
+class FlipOnPong(AttackStrategy):
+    """Bit-flips the returning qubit, so every control run fails (oracle rate 1)."""
+
+    name = "flip-on-pong"
+
+    def on_pong(self, channel, session, rng):
+        channel.state = apply_pauli(channel.state, channel.traveling, BitPair(0, 1))
+
+
+def pairs_for_a_control_run(c):
+    """Half-length at which a pass ends before its first control run w.p. (1 - c)**N <= 2**-40."""
+    return math.ceil(40 / -math.log2(1.0 - c))
+
+
 def run_clean(n_pairs=8, c=0.5, seed=0, attack=None, **kwargs):
     rng = np.random.default_rng(seed)
     alice = random_message(n_pairs, rng)
@@ -170,13 +186,13 @@ class TestAttackFreeDialogue:
                 cursor += 1
 
     def test_wire_indistinguishability(self):
-        _, _, result = run_clean(n_pairs=8, c=0.5, seed=6)
+        _, _, result = run_clean(n_pairs=pairs_for_a_control_run(0.5), c=0.5, seed=6)
         modes = set()
         for run in result.transcript.runs:
             assert run.channel_events == ("ping", "pong")
             assert run.announcements[0] == ("mode", run.mode)
             modes.add(run.mode)
-        assert modes == {MM, CM}  # seed chosen so both occur
+        assert modes == {MM, CM}  # completed, and a control run came first w.p. 1 - 2**-40
 
     def test_mm_announces_outcome_cm_reveals_code(self):
         _, _, result = run_clean(n_pairs=8, c=0.5, seed=7)
@@ -233,9 +249,20 @@ class TestAttackFreeDialogue:
 
 
 class TestDetectionPolicies:
+    # The path tests hold at any seed: FlipOnPong fails every control
+    # run, and each pass is long enough to reach one (see
+    # pairs_for_a_control_run).
+
+    def test_flip_on_pong_fails_every_control_run(self):
+        assert per_cm_detection_oracle(FlipOnPong()) == 1.0
+
     def test_terminal_stops_at_first_failure(self):
         _, _, result = run_clean(
-            n_pairs=8, c=0.5, seed=11, attack=InterceptResendBlind(), detection_policy="terminal"
+            n_pairs=pairs_for_a_control_run(0.5),
+            c=0.5,
+            seed=11,
+            attack=FlipOnPong(),
+            detection_policy="terminal",
         )
         t = result.transcript
         assert t.final_status == DETECTED
@@ -245,10 +272,10 @@ class TestDetectionPolicies:
 
     def test_reinitialize_restarts_then_aborts(self):
         _, _, result = run_clean(
-            n_pairs=8,
+            n_pairs=pairs_for_a_control_run(0.5),
             c=0.5,
             seed=11,
-            attack=InterceptResendBlind(),
+            attack=FlipOnPong(),
             detection_policy="reinitialize",
             max_restarts=3,
         )
@@ -260,10 +287,10 @@ class TestDetectionPolicies:
 
     def test_reinitialize_resets_final_pass_counters(self):
         _, _, result = run_clean(
-            n_pairs=4,
+            n_pairs=pairs_for_a_control_run(0.3),
             c=0.3,
             seed=13,
-            attack=InterceptResendBlind(),
+            attack=FlipOnPong(),
             detection_policy="reinitialize",
             max_restarts=2,
         )
