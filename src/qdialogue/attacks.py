@@ -106,9 +106,6 @@ class AttackStrategy:
 
     name = "none"
 
-    def describe(self) -> dict:
-        return {"name": self.name}
-
     def new_session(self) -> EveSession:
         return EveSession(record=EveRecord(strategy=self.name))
 
@@ -238,9 +235,6 @@ class EntangleMeasure(AttackStrategy):
         self.beta2 = float(beta2)
         self.alpha = math.sqrt(1.0 - self.beta2)
         self.beta = math.sqrt(self.beta2)
-
-    def describe(self) -> dict:
-        return {"name": self.name, "beta2": self.beta2}
 
     def on_ping(self, channel, session, rng):
         state = attach_ancilla(channel.state, "e")

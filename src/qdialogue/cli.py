@@ -22,6 +22,8 @@ import sys
 from dataclasses import fields
 
 from .harness import (
+    FORMATS,
+    SWEEPABLE,
     ConfigError,
     ExperimentConfig,
     formulas_text,
@@ -30,6 +32,7 @@ from .harness import (
     sweep,
     write_document,
 )
+from .protocol import DETECTION_POLICIES
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 _INT_KEYS = {"n_pairs", "trials", "master_seed", "max_restarts", "workers"}
@@ -89,12 +92,12 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--detection-policy",
         dest="detection_policy",
-        choices=("terminal", "reinitialize"),
+        choices=DETECTION_POLICIES,
         help="what a failed control check does",
     )
     parser.add_argument("--max-restarts", type=int, dest="max_restarts")
     parser.add_argument("--out", help="output path; '-' or omitted writes to stdout")
-    parser.add_argument("--format", choices=("json", "csv"), help="output format")
+    parser.add_argument("--format", choices=FORMATS, help="output format")
     parser.add_argument("--workers", type=int, help="parallel trial workers")
     parser.add_argument("--verbose", action="store_const", const=True, help="embed per-trial reports")
 
@@ -124,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="experiments across one parameter")
     _add_experiment_flags(sweep_p)
-    sweep_p.add_argument("--vary", required=True, choices=("c", "n_pairs", "beta2"))
+    sweep_p.add_argument("--vary", required=True, choices=SWEEPABLE)
     sweep_p.add_argument(
         "--values", required=True, help="comma-separated values for the varied parameter"
     )
@@ -155,8 +158,6 @@ def main(argv: list[str] | None = None) -> int:
             doc = run_experiment(config)
         else:
             raw = [v for v in args.values.split(",") if v.strip()]
-            if not raw:
-                raise ConfigError("sweep needs at least one value")
             caster = int if args.vary == "n_pairs" else float
             try:
                 values = [caster(v.strip()) for v in raw]

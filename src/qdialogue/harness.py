@@ -64,6 +64,7 @@ SCHEMA_SWEEP = "qdialogue-sweep/1"
 OUT_DIR_ENV = "QDIALOGUE_OUT_DIR"
 
 SWEEPABLE = ("c", "n_pairs", "beta2")
+FORMATS = ("json", "csv")
 
 # Slack added to the entropy bound before flagging the plug-in mutual
 # information: its positive bias is O(df / (2 n ln 2)), far below this
@@ -104,8 +105,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.master_seed < 0:
             raise ConfigError("seed must be a non-negative integer")
-        if self.format not in ("json", "csv"):
-            raise ConfigError(f"format must be json or csv, got {self.format!r}")
+        if self.format not in FORMATS:
+            raise ConfigError(f"format must be one of {', '.join(FORMATS)}, got {self.format!r}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         try:

@@ -23,18 +23,15 @@ returns a new ``StateVector`` or, when nothing changes, its input.
 Normalization is asserted on every state built (tolerance 1e-9), never
 silently repaired.
 
-The primitives move amplitudes with index tables cached per register
-count and axis rather than by transposing tensors. Every amplitude and
-probability goes through the same floating-point operations as the
-textbook kron/transpose formulation, so results agree with it bit for bit.
-
 The deterministic kernels (Pauli, tensor product, ancilla, probe, and
 the Bell and up/down laws with their collapses) are memoized by content:
 the key is every input bit, a state's register names and amplitude
 bytes included, so a result is computed once per distinct input and
-then shared. A dialogue revisits a few dozen states thousands of times.
-Random draws are never cached: ``bell_measure`` and ``measure_z`` call
-``choose`` once per call, hit or miss.
+then shared. The memo is the only speed-up: a dialogue revisits a few
+dozen states thousands of times, so a kernel body runs only a few
+hundred times per experiment and is written the plain reshape/transpose
+way. Random draws are never cached: ``bell_measure`` and ``measure_z``
+call ``choose`` once per call, hit or miss.
 """
 
 from __future__ import annotations
@@ -128,13 +125,6 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-# Register tuples that already passed the length and duplicate checks;
-# the protocol builds states over a handful of them. The amplitude
-# count and the norm are still checked on every state.
-_CHECKED_REGISTERS: set[tuple[str, ...]] = set()
-_MAX_CHECKED_REGISTERS = 1024
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Pure joint state of up to five named qubit registers.
@@ -154,13 +144,10 @@ class StateVector:
         if type(regs) is not tuple:
             regs = tuple(regs)
             object.__setattr__(self, "registers", regs)
-        if regs not in _CHECKED_REGISTERS:
-            if not 1 <= len(regs) <= MAX_REGISTERS:
-                raise ValueError(f"need 1..{MAX_REGISTERS} registers, got {len(regs)}")
-            if len(set(regs)) != len(regs):
-                raise ValueError(f"duplicate register names in {regs}")
-            if len(_CHECKED_REGISTERS) < _MAX_CHECKED_REGISTERS:
-                _CHECKED_REGISTERS.add(regs)
+        if not 1 <= len(regs) <= MAX_REGISTERS:
+            raise ValueError(f"need 1..{MAX_REGISTERS} registers, got {len(regs)}")
+        if len(set(regs)) != len(regs):
+            raise ValueError(f"duplicate register names in {regs}")
         amps = self.amps
         if not (
             type(amps) is np.ndarray
@@ -283,54 +270,32 @@ def _shared_bell_state(code: BitPair, regs: tuple[str, ...]) -> StateVector:
     return StateVector(regs, _BELL_AMPS[BitPair(*code)])
 
 
-def _bit(index: int, n: int, ax: int) -> int:
-    """The bit register ``ax`` of n reads in basis index ``index``."""
-    return (index >> (n - 1 - ax)) & 1
-
-
-@functools.cache
-def _pauli_table(n: int, ax: int, code: BitPair) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """Gather order and phases of one coded Pauli on axis ``ax`` of n registers.
-
-    Every row of a Pauli matrix has one nonzero entry, so output
-    amplitude i is ``amps[perm[i]] * phase[i]``, read off PAULI_MATRICES.
-    None stands for the identity; a None phase for all-ones phases.
-    """
-    matrix = PAULI_MATRICES.get(code)
-    if matrix is None:
-        raise ValueError(f"unknown Pauli code {code!r}")
-    if code == IDENTITY:
-        return None
-    perm, phase = [], []
-    for i in range(1 << n):
-        row = _bit(i, n, ax)
-        col = row if matrix[row, row] else 1 - row
-        perm.append(i ^ ((row ^ col) << (n - 1 - ax)))
-        phase.append(matrix[row, col])
-    if all(p == 1 for p in phase):
-        return _frozen(np.array(perm)), None
-    return _frozen(np.array(perm)), _frozen(np.array(phase))
-
-
 @_memoized
 def apply_pauli(state: StateVector, reg: str, code: BitPair) -> StateVector:
     """Apply the coded single-qubit Pauli to one register.
 
-    One gather and at most one multiply by a cached phase vector; the
-    identity returns the input state itself.
+    The four codes are unrolled (each Pauli has one entry per row); the
+    matrices in PAULI_MATRICES are the definition this must agree with.
+    The identity returns the input state itself.
     """
     ax = state.axis(reg)
-    try:
-        table = _pauli_table(len(state.registers), ax, code)
-    except TypeError:  # an unhashable code such as a list
-        table = _pauli_table(len(state.registers), ax, BitPair(*code))
-    if table is None:
+    code = tuple(code)
+    if code not in PAULI_MATRICES:
+        raise ValueError(f"unknown Pauli code {code!r}")
+    if code == IDENTITY:
         return state
-    perm, phase = table
-    out = state.amps[perm]
-    if phase is not None:
-        out *= phase
-    return StateVector(state.registers, _frozen(out))
+    amps = state.amps.reshape(1 << ax, 2, -1)
+    out = np.empty_like(amps)
+    if code[0] == 0:  # bit flip
+        out[:, 0] = amps[:, 1]
+        out[:, 1] = amps[:, 0]
+    elif code[1] == 1:  # phase flip
+        out[:, 0] = amps[:, 0]
+        np.negative(amps[:, 1], out=out[:, 1])
+    else:  # bit-and-phase flip
+        np.multiply(amps[:, 1], -1j, out=out[:, 0])
+        np.multiply(amps[:, 0], 1j, out=out[:, 1])
+    return StateVector(state.registers, _frozen(out.reshape(-1)))
 
 
 @_memoized
@@ -356,8 +321,6 @@ def attach_ancilla(state: StateVector, reg: str) -> StateVector:
 # Bell basis vectors in (regA, regB) order, stacked as rows in code order.
 _BELL_BASIS = _frozen(np.stack([_BELL_AMPS[code] for code in ALL_CODES]))
 _BELL_BASIS_CONJ = _frozen(_BELL_BASIS.conj())
-# Each basis vector as a column: a collapse is one outer-product multiply.
-_BELL_COLUMNS = tuple(_BELL_BASIS[k][:, None] for k in range(4))
 
 
 def choose(probs, rng) -> int:
@@ -390,45 +353,21 @@ def _front_perm(n: int, front: tuple[int, ...]) -> tuple[int, ...]:
     return front + tuple(i for i in range(n) if i not in front)
 
 
-@functools.cache
-def _bell_tables(n: int, ax_a: int, ax_b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orders that move the measured pair to the front and back again.
-
-    ``amps[gather]`` lists the amplitudes with registers (ax_a, ax_b)
-    leading; ``flat[scatter]`` undoes that.
-    """
-    front = _front_perm(n, (ax_a, ax_b))
-    back = tuple(front.index(i) for i in range(n))
-    index = np.arange(1 << n).reshape((2,) * n)
-    return _frozen(index.transpose(front).ravel()), _frozen(index.transpose(back).ravel())
-
-
 @_memoized
-def _bell_law(
-    state: StateVector, reg_a: str, reg_b: str
-) -> tuple[tuple[float, ...], np.ndarray, np.ndarray | None]:
+def _bell_law(state: StateVector, reg_a: str, reg_b: str) -> tuple[tuple[float, ...], np.ndarray]:
     """Outcome probabilities of a Bell measurement on (reg_a, reg_b), in code order.
 
     Also returns the overlaps <Psi_xy| applied to the pair, a read-only
-    (4, rest) coefficient array, and the scatter order a collapsed
-    vector needs to get back to register order, None when the pair
-    already leads.
+    (4, rest) coefficient array.
     """
     ax_a, ax_b = state.axis(reg_a), state.axis(reg_b)
     if ax_a == ax_b:
         raise ValueError("Bell measurement needs two distinct registers")
-    if ax_a == 0 and ax_b == 1:
-        overlaps, scatter = _BELL_BASIS_CONJ @ state.amps.reshape(4, -1), None
-    else:
-        gather, scatter = _bell_tables(len(state.registers), ax_a, ax_b)
-        overlaps = _BELL_BASIS_CONJ @ state.amps[gather].reshape(4, -1)
+    front = _front_perm(len(state.registers), (ax_a, ax_b))
+    overlaps = _BELL_BASIS_CONJ @ state.tensor().transpose(front).reshape(4, -1)
     # Squared overlaps summed over the rest of the system, per outcome.
-    if overlaps.shape[1] == 1:
-        # The same two squares and one add per outcome as the array route.
-        probs = tuple([z.real * z.real + z.imag * z.imag for z in overlaps.ravel().tolist()])
-    else:
-        probs = tuple((overlaps.real**2 + overlaps.imag**2).sum(axis=1).tolist())
-    return probs, _frozen(overlaps), scatter
+    probs = tuple((overlaps.real**2 + overlaps.imag**2).sum(axis=1).tolist())
+    return probs, _frozen(overlaps)
 
 
 def bell_outcome_probs(state: StateVector, reg_a: str, reg_b: str) -> dict[BitPair, float]:
@@ -457,33 +396,30 @@ def project_bell(
     The collapsed state is None when the outcome has (numerically) zero
     probability. The forced-outcome counterpart of ``bell_measure``.
     """
-    _, overlaps, scatter = _bell_law(state, reg_a, reg_b)
+    _, overlaps = _bell_law(state, reg_a, reg_b)
     k = ALL_CODES.index(BitPair(*code))
     prob = float(np.vdot(overlaps[k], overlaps[k]).real)
     if prob < PROB_FLOOR:
         return 0.0, None
-    return prob, _collapse_bell(state, scatter, overlaps, k, prob)
+    return prob, _collapse_bell(state, reg_a, reg_b, overlaps, k, prob)
 
 
 @_memoized
 def _bell_post_state(state: StateVector, reg_a: str, reg_b: str, k: int) -> StateVector:
     """The state after Bell outcome ``ALL_CODES[k]``, renormalized by its law probability."""
-    probs, overlaps, scatter = _bell_law(state, reg_a, reg_b)
-    return _collapse_bell(state, scatter, overlaps, k, probs[k])
+    probs, overlaps = _bell_law(state, reg_a, reg_b)
+    return _collapse_bell(state, reg_a, reg_b, overlaps, k, probs[k])
 
 
 def _collapse_bell(
-    state: StateVector,
-    scatter: np.ndarray | None,
-    overlaps: np.ndarray,
-    k: int,
-    prob: float,
+    state: StateVector, reg_a: str, reg_b: str, overlaps: np.ndarray, k: int, prob: float
 ) -> StateVector:
+    """Bell vector k on the pair times its renormalized overlap, back in register order."""
+    n = len(state.registers)
+    front = _front_perm(n, (state.axis(reg_a), state.axis(reg_b)))
     rest = overlaps[k] / math.sqrt(prob)
-    flat = (_BELL_COLUMNS[k] * rest).ravel()
-    if scatter is not None:
-        flat = flat[scatter]
-    return StateVector(state.registers, _frozen(flat))
+    collapsed = np.outer(_BELL_BASIS[k], rest).reshape((2,) * n).transpose(np.argsort(front))
+    return StateVector(state.registers, _frozen(collapsed.ravel()))
 
 
 @_memoized
@@ -511,12 +447,6 @@ def _z_post_state(state: StateVector, reg: str, bit: int) -> StateVector:
     return collapsed
 
 
-@functools.cache
-def _z_index(n: int, ax: int, bit: int) -> np.ndarray:
-    """Basis indices where register ``ax`` of n reads ``bit``, ascending."""
-    return _frozen(np.array([i for i in range(1 << n) if _bit(i, n, ax) == bit]))
-
-
 def project_z(
     state: StateVector, reg: str, bit: int, prob: float | None = None
 ) -> tuple[float, StateVector | None]:
@@ -524,30 +454,15 @@ def project_z(
     ax = state.axis(reg)
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    kept = _z_index(len(state.registers), ax, bit)
-    amps = state.amps[kept]
+    t = state.amps.reshape(1 << ax, 2, -1)
+    kept = t[:, bit]
     if prob is None:
-        prob = float((amps.real**2 + amps.imag**2).sum())
+        prob = float((kept.real**2 + kept.imag**2).sum())
     if prob < PROB_FLOOR:
         return 0.0, None
-    out = np.zeros_like(state.amps)
-    out[kept] = amps / math.sqrt(prob)
-    return prob, StateVector(state.registers, _frozen(out))
-
-
-@functools.cache
-def _probe_tables(n: int, ax_t: int, ax_e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Source indices of the probe map and where the ancilla reads 1.
-
-    Output amplitude i is alpha * amps[i] where the ancilla reads 0, and
-    beta * amps[j] where it reads 1, j being i with the target flipped
-    and the ancilla reset. Returns (src, excited as 0/1, excited indices).
-    """
-    flip = (1 << (n - 1 - ax_t)) | (1 << (n - 1 - ax_e))
-    excited = [_bit(i, n, ax_e) for i in range(1 << n)]
-    src = [i ^ flip if e else i for i, e in enumerate(excited)]
-    excited_idx = [i for i, e in enumerate(excited) if e]
-    return _frozen(np.array(src)), _frozen(np.array(excited)), _frozen(np.array(excited_idx))
+    out = np.zeros_like(t)
+    np.divide(kept, math.sqrt(prob), out=out[:, bit])
+    return prob, StateVector(state.registers, _frozen(out.reshape(-1)))
 
 
 @_memoized
@@ -567,12 +482,17 @@ def entangling_probe(
     ax_t, ax_e = state.axis(target), state.axis(ancilla)
     if ax_t == ax_e:
         raise ValueError("target and ancilla must be distinct registers")
-    src, excited, excited_idx = _probe_tables(len(state.registers), ax_t, ax_e)
-    leaked = state.amps[excited_idx]
-    if float(np.vdot(leaked, leaked).real) > NORM_TOL:
+    t = np.moveaxis(state.tensor(), (ax_t, ax_e), (0, 1)).reshape(2, 2, -1)
+    if float(np.vdot(t[:, 1], t[:, 1]).real) > NORM_TOL:
         raise ValueError("ancilla not in its fiducial state; probe undefined")
-    coefficient = np.array((alpha, beta), dtype=complex)[excited]
-    return StateVector(state.registers, _frozen(state.amps[src] * coefficient))
+    # Blocks indexed (target, ancilla); only ancilla-0 inputs carry weight.
+    out = np.empty_like(t)
+    out[0, 0] = alpha * t[0, 0]
+    out[1, 1] = beta * t[0, 0]
+    out[1, 0] = alpha * t[1, 0]
+    out[0, 1] = beta * t[1, 0]
+    out = np.moveaxis(out.reshape((2,) * len(state.registers)), (0, 1), (ax_t, ax_e))
+    return StateVector(state.registers, _frozen(out.ravel()))
 
 
 @dataclass(frozen=True)

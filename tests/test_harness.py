@@ -311,6 +311,10 @@ class TestCli:
             ["sweep", "--vary", "c", "--values", "0.1,zebra", "--trials", "5", "--n-pairs", "2"]
         ) == 2
 
+    def test_empty_sweep_values_exit_2(self, capsys):
+        assert main(["sweep", "--vary", "c", "--values", ","]) == 2
+        assert "sweep needs at least one value" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_file_values_and_flag_overrides(self, tmp_path):

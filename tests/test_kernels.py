@@ -1,4 +1,4 @@
-"""The index-table kernels of ``quantum`` against dense definitions.
+"""The memoized reshape/transpose kernels of ``quantum`` against dense definitions.
 
 Every expected value here is built the slow, obvious way: full
 2**n x 2**n operators assembled with ``np.kron`` from PAULI_MATRICES and
@@ -12,6 +12,7 @@ bodies (``__wrapped__``), bit for bit.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ import pytest
 from qdialogue import quantum
 from qdialogue.attacks import STRATEGY_NAMES
 from qdialogue.harness import ExperimentConfig, run_experiment, to_json
+from qdialogue.protocol import DETECTION_POLICIES
 from qdialogue.quantum import (
     ALL_CODES,
     MAX_REGISTERS,
@@ -397,6 +399,29 @@ def small_config(attack: str) -> ExperimentConfig:
         detection_policy="reinitialize",
         max_restarts=2,
     )
+
+
+# Distinct kernel inputs one experiment reaches, oracle walk included:
+# measured at most 128 for any strategy and policy below, at 40 and at
+# 400 trials. The memo is the only speed-up of the quantum layer, so the
+# kernel bodies must keep running a bounded number of times per call.
+MEMO_TRAFFIC_BOUND = 256
+
+
+@pytest.mark.parametrize("policy", DETECTION_POLICIES)
+@pytest.mark.parametrize("attack", STRATEGY_NAMES)
+def test_an_experiment_reaches_few_distinct_kernel_inputs(attack, policy):
+    config = replace(small_config(attack), trials=400, detection_policy=policy)
+    clear_memo()
+    run_experiment(config)
+    assert sum(len(table) for table in quantum._MEMO_TABLES) <= MEMO_TRAFFIC_BOUND
+
+
+def test_unknown_pauli_codes_are_rejected():
+    state = bell_state(BitPair(0, 0))
+    for code in ((2, 0), (1, 0, 1), [0, 2]):
+        with pytest.raises(ValueError, match="unknown Pauli code"):
+            apply_pauli(state, "t", code)
 
 
 def test_documents_do_not_depend_on_what_the_memo_holds():
