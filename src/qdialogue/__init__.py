@@ -47,13 +47,12 @@ from .attacks import (
 )
 from .analysis import (
     EstimateWithCI,
+    Tally,
     TrialReport,
     detection_after_runs,
     detection_vs_message_length,
     dialogue_detection_exact,
-    empirical_detection,
     eve_entropy_bits,
-    leakage_report,
     mutual_information_bits,
     per_cm_detection_oracle,
 )

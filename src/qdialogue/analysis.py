@@ -8,19 +8,21 @@ Three layers:
   all 16 code pairs and every measurement/choice branch with exact Born
   or coin weights (no sampling), giving the per-control-run detection
   rate and Eve's exact guess accuracies;
-* estimators over ``TrialReport`` batches with binomial standard errors,
-  plus the leakage table comparing Eve's guess accuracy with the pure
-  -guess baseline and the entropy bound.
+* the reduction: each dialogue's ``TrialReport`` folds into one
+  additive ``Tally`` of integer totals, which every estimate reads,
+  with binomial standard errors.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .attacks import AttackStrategy, EntangleMeasure, check_beta2
-from .protocol import DETECTED, MM, DialogueResult, Message, round_trip
+from .protocol import COMPLETED, DETECTED, MM, DialogueResult, Message, round_trip
 from .quantum import ALL_CODES, BitPair, bell_outcome_probs
 
 PURE_GUESS_ACCURACY = 0.25
@@ -331,6 +333,60 @@ class TrialReport:
         )
 
 
+class Tally(NamedTuple):
+    """Integer totals over a batch of trials, the one reduction estimates read.
+
+    Adding two tallies pools their batches. Integer sums do not depend
+    on order, so the totals are the same at any worker count. Message
+    bits and bit errors count completed dialogues only; the ancilla
+    table sums the trials' 2x4 readout-against-Alice's-pair tables.
+    A named tuple rather than a frozen dataclass: one is built and one
+    added per trial, and tuples are several times cheaper to build.
+    """
+
+    trials: int = 0
+    detected: int = 0
+    completed: int = 0
+    runs: int = 0
+    cm_runs: int = 0
+    cm_failures: int = 0
+    restarts: int = 0
+    message_bits: int = 0
+    bit_errors: int = 0
+    eve_guesses: int = 0
+    eve_alice_hits: int = 0
+    eve_bob_hits: int = 0
+    ancilla_table: tuple[tuple[int, ...], ...] = ((0, 0, 0, 0), (0, 0, 0, 0))
+
+    @classmethod
+    def from_report(cls, report: TrialReport) -> "Tally":
+        """One trial's totals."""
+        completed = report.status == COMPLETED
+        return cls(
+            trials=1,
+            detected=int(report.status == DETECTED),
+            completed=int(completed),
+            runs=report.runs_all_passes,
+            cm_runs=report.cm_runs,
+            cm_failures=report.cm_failures,
+            restarts=report.restart_count,
+            message_bits=report.message_bits if completed else 0,
+            bit_errors=report.alice_bit_errors + report.bob_bit_errors if completed else 0,
+            eve_guesses=report.eve_guesses,
+            eve_alice_hits=report.eve_alice_hits,
+            eve_bob_hits=report.eve_bob_hits,
+            ancilla_table=report.ancilla_table,
+        )
+
+    def __add__(self, other: "Tally") -> "Tally":
+        if not isinstance(other, Tally):
+            return NotImplemented
+        *mine, (mine0, mine1) = self
+        *theirs, (theirs0, theirs1) = other
+        table = (tuple(map(operator.add, mine0, theirs0)), tuple(map(operator.add, mine1, theirs1)))
+        return Tally(*map(operator.add, mine, theirs), table)
+
+
 @dataclass(frozen=True)
 class EstimateWithCI:
     """A binomial point estimate with its standard error."""
@@ -361,25 +417,6 @@ class EstimateWithCI:
         return abs(self.estimate - reference) <= self.tolerance
 
 
-def empirical_detection(reports: list[TrialReport], mode: str = "per_cm") -> EstimateWithCI:
-    """Detection estimate over a batch of trials.
-
-    per_cm: fraction of attacked control runs that failed the check.
-    per_dialogue: fraction of dialogues that ended in detected status.
-    """
-    if not reports:
-        raise ValueError("need at least one trial report")
-    if mode == "per_cm":
-        cm_runs = sum(r.cm_runs for r in reports)
-        if cm_runs == 0:
-            raise ValueError("no control runs in these trials")
-        return EstimateWithCI.from_counts(sum(r.cm_failures for r in reports), cm_runs)
-    if mode == "per_dialogue":
-        detected = sum(r.status == DETECTED for r in reports)
-        return EstimateWithCI.from_counts(detected, len(reports))
-    raise ValueError(f"mode must be 'per_cm' or 'per_dialogue', got {mode!r}")
-
-
 def mutual_information_bits(table) -> float:
     """Plug-in mutual information of a contingency table, in bits."""
     rows = [list(row) for row in table]
@@ -396,84 +433,3 @@ def mutual_information_bits(table) -> float:
             p = n / total
             mi += p * math.log2(p * total * total / (row_sums[i] * col_sums[j]))
     return max(mi, 0.0)
-
-
-def merge_ancilla_tables(reports: list[TrialReport]):
-    table = [[0, 0, 0, 0], [0, 0, 0, 0]]
-    for r in reports:
-        for i in range(2):
-            for j in range(4):
-                table[i][j] += r.ancilla_table[i][j]
-    return table
-
-
-@dataclass(frozen=True)
-class LeakageRow:
-    """One strategy's guess accuracy against the pure-guess baseline."""
-
-    strategy: str
-    beta2: float | None
-    alice_accuracy: EstimateWithCI
-    bob_accuracy: EstimateWithCI
-    baseline: float
-    entropy_bound_bits: float | None
-    mutual_information: float | None
-    exceeds_baseline: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "beta2": self.beta2,
-            "alice_accuracy": self.alice_accuracy.estimate,
-            "alice_stderr": self.alice_accuracy.stderr,
-            "bob_accuracy": self.bob_accuracy.estimate,
-            "bob_stderr": self.bob_accuracy.stderr,
-            "n_guesses": self.alice_accuracy.n_samples,
-            "baseline": self.baseline,
-            "entropy_bound_bits": self.entropy_bound_bits,
-            "mutual_information": self.mutual_information,
-            "exceeds_baseline": self.exceeds_baseline,
-        }
-
-
-def leakage_report(reports: list[TrialReport]) -> list[LeakageRow]:
-    """Per-strategy guess-accuracy table over message runs.
-
-    Accuracy is per bit pair. A strategy is flagged as exceeding the
-    baseline when either party's accuracy sits more than three standard
-    errors above a pure guess. Probe strategies additionally carry the
-    entropy bound and the plug-in mutual information between ancilla
-    readout and Alice's pair.
-    """
-    if not any(r.eve_guesses for r in reports):
-        raise ValueError("no guess entries in these trials")
-    groups: dict[tuple[str, float | None], list[TrialReport]] = {}
-    for r in reports:
-        groups.setdefault((r.strategy, r.beta2), []).append(r)
-
-    rows = []
-    for (strategy, beta2), batch in sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0.0)):
-        guesses = sum(r.eve_guesses for r in batch)
-        if guesses == 0:
-            continue
-        alice_acc = EstimateWithCI.from_counts(sum(r.eve_alice_hits for r in batch), guesses)
-        bob_acc = EstimateWithCI.from_counts(sum(r.eve_bob_hits for r in batch), guesses)
-        entropy_bound = eve_entropy_bits(beta2) if beta2 is not None else None
-        mi = mutual_information_bits(merge_ancilla_tables(batch)) if beta2 is not None else None
-        exceeds = (
-            alice_acc.estimate - PURE_GUESS_ACCURACY > 3.0 * alice_acc.stderr
-            or bob_acc.estimate - PURE_GUESS_ACCURACY > 3.0 * bob_acc.stderr
-        )
-        rows.append(
-            LeakageRow(
-                strategy=strategy,
-                beta2=beta2,
-                alice_accuracy=alice_acc,
-                bob_accuracy=bob_acc,
-                baseline=PURE_GUESS_ACCURACY,
-                entropy_bound_bits=entropy_bound,
-                mutual_information=mi,
-                exceeds_baseline=exceeds,
-            )
-        )
-    return rows

@@ -110,9 +110,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             values[key] = flag_value
-    config = ExperimentConfig(**values)
-    config.validate()
-    return config
+    # run_experiment validates each config it runs, a sweep's points included.
+    return ExperimentConfig(**values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,10 +156,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             doc = run_experiment(config)
         else:
-            raw = [v for v in args.values.split(",") if v.strip()]
-            caster = int if args.vary == "n_pairs" else float
+            cast = SWEEPABLE[args.vary]
             try:
-                values = [caster(v.strip()) for v in raw]
+                values = [cast(v.strip()) for v in args.values.split(",") if v.strip()]
             except ValueError as exc:
                 raise ConfigError(f"bad sweep value in {args.values!r}") from exc
             doc = sweep(config, args.vary, values)

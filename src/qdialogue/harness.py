@@ -1,9 +1,11 @@
 """Reproducible experiment driver.
 
-Runs batches of independent dialogues under a named attack, reduces
-them to tallies, and emits a results document that pairs every
-empirical rate with its analytic or oracle counterpart and a tolerance
-verdict.
+Runs batches of independent dialogues under a named attack, folds
+each dialogue's report into one additive ``Tally`` as it finishes, and
+emits a results document that pairs every empirical rate with its
+analytic or oracle counterpart and a tolerance verdict. Per-trial
+reports are kept only for ``verbose`` documents, so memory does not
+grow with the trial count otherwise.
 
 Determinism contract: the per-trial random stream is derived from
 (master_seed, point_key..., trial_index) through a seed sequence, so
@@ -24,18 +26,18 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
 from . import analysis
 from .analysis import (
     EstimateWithCI,
+    Tally,
     TrialReport,
     detection_vs_message_length,
     dialogue_detection_exact,
-    empirical_detection,
     eve_entropy_bits,
-    merge_ancilla_tables,
     mutual_information_bits,
     claimed_per_cm,
     guess_accuracy_oracle,
@@ -63,7 +65,8 @@ SCHEMA_RESULTS = "qdialogue-results/1"
 SCHEMA_SWEEP = "qdialogue-sweep/1"
 OUT_DIR_ENV = "QDIALOGUE_OUT_DIR"
 
-SWEEPABLE = ("c", "n_pairs", "beta2")
+# The parameters a sweep can vary, each with the type its values take.
+SWEEPABLE = {"c": float, "n_pairs": int, "beta2": float}
 FORMATS = ("json", "csv")
 
 # Slack added to the entropy bound before flagging the plug-in mutual
@@ -155,15 +158,27 @@ def _run_trial_star(args) -> TrialReport:
     return run_trial(*args)
 
 
-def _collect_reports(config: ExperimentConfig, point_key: tuple[int, ...] = ()) -> list[TrialReport]:
-    jobs = [(config, i, point_key) for i in range(config.trials)]
+def _trial_reports(config: ExperimentConfig, point_key: tuple[int, ...]):
+    """Every trial's report in trial order, each made as it is asked for."""
+    jobs = zip(repeat(config), range(config.trials), repeat(point_key))
     if config.workers == 1:
-        return [run_trial(*job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        chunk = max(1, config.trials // (config.workers * 8))
-        reports = list(pool.map(_run_trial_star, jobs, chunksize=chunk))
-    reports.sort(key=lambda r: r.trial_index)
-    return reports
+        yield from map(_run_trial_star, jobs)
+    else:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            chunk = max(1, config.trials // (config.workers * 8))
+            yield from pool.map(_run_trial_star, jobs, chunksize=chunk)
+
+
+def _fold_trials(
+    config: ExperimentConfig, point_key: tuple[int, ...] = ()
+) -> tuple[Tally, list[TrialReport]]:
+    """Fold each trial's report into a ``Tally`` as it arrives; keep reports only if verbose."""
+    tally, kept = Tally(), []
+    for report in _trial_reports(config, point_key):
+        tally += Tally.from_report(report)
+        if config.verbose:
+            kept.append(report)
+    return tally, kept
 
 
 def _comparison(name: str, est: EstimateWithCI, reference: float, source: str) -> dict:
@@ -183,19 +198,7 @@ def run_experiment(config: ExperimentConfig, point_key: tuple[int, ...] = ()) ->
     """Execute the configured trials and assemble the results document."""
     config.validate()
     strategy = config.strategy()
-    reports = _collect_reports(config, point_key)
-
-    trials = len(reports)
-    detected = sum(r.status == "detected" for r in reports)
-    completed = sum(r.status == "completed" for r in reports)
-    aborted = trials - detected - completed
-    runs_total = sum(r.runs_all_passes for r in reports)
-    cm_runs = sum(r.cm_runs for r in reports)
-    cm_failures = sum(r.cm_failures for r in reports)
-    message_bits = sum(r.message_bits for r in reports if r.status == "completed")
-    bit_errors = sum(
-        r.alice_bit_errors + r.bob_bit_errors for r in reports if r.status == "completed"
-    )
+    tally, reports = _fold_trials(config, point_key)
 
     d_oracle = per_cm_detection_oracle(strategy)
     d_claimed = claimed_per_cm(strategy)
@@ -210,41 +213,40 @@ def run_experiment(config: ExperimentConfig, point_key: tuple[int, ...] = ()) ->
     }
 
     comparisons = []
-    if cm_runs:
+    if tally.cm_runs:
         comparisons.append(
             _comparison(
                 "per_cm_detection",
-                empirical_detection(reports, "per_cm"),
+                EstimateWithCI.from_counts(tally.cm_failures, tally.cm_runs),
                 d_oracle,
                 "exhaustive branch oracle",
             )
         )
-    per_dialogue = empirical_detection(reports, "per_dialogue")
     if config.detection_policy == "terminal":
         comparisons.append(
             _comparison(
                 "per_dialogue_detection",
-                per_dialogue,
+                EstimateWithCI.from_counts(tally.detected, tally.trials),
                 analytic["per_dialogue_exact"],
                 "per-run hazard resummed over the simulated run counts",
             )
         )
-    run_detections = sum(1 for r in reports if r.first_detection_run is not None)
-    if config.detection_policy == "terminal" and runs_total:
+    # A terminal dialogue ends at its first failed check, so it holds at
+    # most one detecting run, and only if it was detected.
+    if config.detection_policy == "terminal" and tally.runs:
         comparisons.append(
             _comparison(
                 "per_run_detection",
-                EstimateWithCI.from_counts(run_detections, runs_total),
+                EstimateWithCI.from_counts(tally.detected, tally.runs),
                 analytic["per_run_hazard"],
                 "c times oracle rate",
             )
         )
 
-    guesses = sum(r.eve_guesses for r in reports)
     mi = None
-    if guesses:
-        alice_acc = EstimateWithCI.from_counts(sum(r.eve_alice_hits for r in reports), guesses)
-        bob_acc = EstimateWithCI.from_counts(sum(r.eve_bob_hits for r in reports), guesses)
+    if tally.eve_guesses:
+        alice_acc = EstimateWithCI.from_counts(tally.eve_alice_hits, tally.eve_guesses)
+        bob_acc = EstimateWithCI.from_counts(tally.eve_bob_hits, tally.eve_guesses)
         alice_ref, bob_ref = guess_accuracy_oracle(strategy)
         comparisons.append(
             _comparison("eve_alice_guess_accuracy", alice_acc, alice_ref, "strategy readout analysis")
@@ -253,28 +255,28 @@ def run_experiment(config: ExperimentConfig, point_key: tuple[int, ...] = ()) ->
             _comparison("eve_bob_guess_accuracy", bob_acc, bob_ref, "strategy readout analysis")
         )
     if config.beta2 is not None:
-        mi = mutual_information_bits(merge_ancilla_tables(reports))
+        mi = mutual_information_bits(tally.ancilla_table)
         bound = analytic["entropy_bound_bits"]
         comparisons.append(
             {
                 "name": "eve_mutual_information_bits",
                 "empirical": mi,
                 "stderr": 0.0,
-                "n_samples": guesses,
+                "n_samples": tally.eve_guesses,
                 "reference": bound,
                 "source": "ancilla entropy bound (upper limit)",
                 "tolerance": MI_BIAS_ALLOWANCE,
                 "within": bool(mi <= bound + MI_BIAS_ALLOWANCE),
             }
         )
-    if config.attack == "none" and completed:
-        fidelity = 1.0 - bit_errors / (2 * message_bits)
+    if config.attack == "none" and tally.completed:
+        fidelity = 1.0 - tally.bit_errors / (2 * tally.message_bits)
         comparisons.append(
             {
                 "name": "message_fidelity",
                 "empirical": fidelity,
                 "stderr": 0.0,
-                "n_samples": 2 * message_bits,
+                "n_samples": 2 * tally.message_bits,
                 "reference": 1.0,
                 "source": "deterministic decode identity",
                 "tolerance": 0.0,
@@ -286,18 +288,18 @@ def run_experiment(config: ExperimentConfig, point_key: tuple[int, ...] = ()) ->
         "schema": SCHEMA_RESULTS,
         "config": config.echo(),
         "totals": {
-            "trials": trials,
-            "detected": detected,
-            "completed": completed,
-            "aborted": aborted,
-            "runs": runs_total,
-            "cm_runs": cm_runs,
-            "cm_failures": cm_failures,
-            "mm_runs": runs_total - cm_runs,
-            "restarts": sum(r.restart_count for r in reports),
-            "message_bits_completed": message_bits,
-            "bit_errors_completed": bit_errors,
-            "eve_guesses": guesses,
+            "trials": tally.trials,
+            "detected": tally.detected,
+            "completed": tally.completed,
+            "aborted": tally.trials - tally.detected - tally.completed,
+            "runs": tally.runs,
+            "cm_runs": tally.cm_runs,
+            "cm_failures": tally.cm_failures,
+            "mm_runs": tally.runs - tally.cm_runs,
+            "restarts": tally.restarts,
+            "message_bits_completed": tally.message_bits,
+            "bit_errors_completed": tally.bit_errors,
+            "eve_guesses": tally.eve_guesses,
         },
         "analytic": analytic,
         "comparisons": comparisons,
@@ -312,19 +314,14 @@ def run_experiment(config: ExperimentConfig, point_key: tuple[int, ...] = ()) ->
 def sweep(config: ExperimentConfig, vary: str, values: list) -> dict:
     """One experiment per value of a single parameter, plus a curve table."""
     if vary not in SWEEPABLE:
-        raise ConfigError(f"can only sweep over {SWEEPABLE}, got {vary!r}")
+        raise ConfigError(f"can only sweep over {', '.join(SWEEPABLE)}, got {vary!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
 
     points = []
     curve = []
     for idx, value in enumerate(values):
-        if vary == "n_pairs":
-            point_cfg = replace(config, n_pairs=int(value))
-        elif vary == "c":
-            point_cfg = replace(config, c=float(value))
-        else:
-            point_cfg = replace(config, beta2=float(value))
+        point_cfg = replace(config, **{vary: SWEEPABLE[vary](value)})
         doc = run_experiment(point_cfg, point_key=(idx,))
         points.append(doc)
         row = {
@@ -512,10 +509,8 @@ def selftest() -> tuple[bool, list[str]]:
 
     # Attack-free fidelity, small batch.
     cfg = ExperimentConfig(attack="none", c=0.5, n_pairs=8, trials=200, master_seed=7)
-    reports = _collect_reports(cfg)
-    clean = all(r.status == "completed" for r in reports)
-    clean &= sum(r.cm_failures for r in reports) == 0
-    clean &= sum(r.alice_bit_errors + r.bob_bit_errors for r in reports) == 0
+    tally, _ = _fold_trials(cfg)
+    clean = tally.completed == tally.trials and tally.cm_failures == tally.bit_errors == 0
     check("attack-free dialogues decode exactly (200 trials)", clean)
 
     # Oracle table against frozen hand-derived rates.

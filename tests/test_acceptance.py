@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from qdialogue.analysis import (
+    EstimateWithCI,
+    Tally,
     TrialReport,
     detection_after_runs,
     detection_after_runs_partial_sum,
     detection_vs_message_length,
     dialogue_detection_exact,
-    empirical_detection,
     eve_entropy_bits,
-    merge_ancilla_tables,
     mutual_information_bits,
     claimed_per_cm,
     per_cm_detection_oracle,
@@ -51,16 +51,16 @@ def report(number: int, ok: bool, text: str) -> None:
 
 
 def simulate_batch(strategy, trials, n_pairs, c, seed_tag, policy="terminal"):
-    """Seeded dialogues reduced to trial reports."""
+    """Seeded dialogues folded, report by report, into one Tally."""
     config = ProtocolConfig(c=c, n_pairs=n_pairs, detection_policy=policy)
-    reports = []
+    tally = Tally()
     for i in range(trials):
         rng = trial_rng(seed_tag, i)
         alice = random_message(n_pairs, rng)
         bob = random_message(n_pairs, rng)
         result = run_dialogue(config, alice, bob, strategy, rng)
-        reports.append(TrialReport.from_dialogue(i, result, alice, bob, strategy))
-    return reports
+        tally += Tally.from_report(TrialReport.from_dialogue(i, result, alice, bob, strategy))
+    return tally
 
 
 @pytest.fixture(scope="module")
@@ -134,9 +134,9 @@ def test_criterion_04_probe_detection_rate(probe_reports):
     """Per-control-run detection equals the probe weight within 3 sigma."""
     ok = True
     details = []
-    for beta2, reports in sorted(probe_reports.items()):
+    for beta2, tally in sorted(probe_reports.items()):
         t0 = time.perf_counter()
-        est = empirical_detection(reports, "per_cm")
+        est = EstimateWithCI.from_counts(tally.cm_failures, tally.cm_runs)
         within = est.within_3sigma(beta2) and est.n_samples >= 10_000
         elapsed = time.perf_counter() - t0
         ok &= within and elapsed < 120.0
@@ -154,16 +154,16 @@ def test_criterion_05_detection_curve(probe_reports):
     for c in (0.25, 0.5):
         for n_pairs in (8, 32):
             seed_tag = 500 + int(100 * c) + n_pairs
-            reports = simulate_batch(EntangleMeasure(beta2), trials, n_pairs, c, seed_tag)
-            per_dialogue = empirical_detection(reports, "per_dialogue")
+            tally = simulate_batch(EntangleMeasure(beta2), trials, n_pairs, c, seed_tag)
+            per_dialogue = EstimateWithCI.from_counts(tally.detected, tally.trials)
             exact = dialogue_detection_exact(c, beta2, n_pairs)
             curve = detection_vs_message_length(c, beta2, n_pairs)
             ok &= per_dialogue.within_3sigma(exact)
             # differential form of the same curve: each executed run
-            # detects with probability c * beta2
-            runs = sum(r.runs_all_passes for r in reports)
-            detections = sum(r.first_detection_run is not None for r in reports)
-            hazard = detections / runs
+            # detects with probability c * beta2; a terminal dialogue
+            # holds one detecting run if detected, none otherwise
+            runs = tally.runs
+            hazard = tally.detected / runs
             stderr = math.sqrt(c * beta2 * (1 - c * beta2) / runs)
             ok &= abs(hazard - c * beta2) <= 3 * stderr
             details.append(
@@ -234,8 +234,8 @@ def test_criterion_08_attack_variant_oracle_table():
         strategy = strategy_from_name(name)
         oracle = per_cm_detection_oracle(strategy)
         claim = claimed_per_cm(strategy)
-        reports = simulate_batch(strategy, trials, 16, 0.5, seed_tag=800 + sum(name.encode()))
-        est = empirical_detection(reports, "per_cm")
+        tally = simulate_batch(strategy, trials, 16, 0.5, seed_tag=800 + sum(name.encode()))
+        est = EstimateWithCI.from_counts(tally.cm_failures, tally.cm_runs)
         ok &= est.n_samples >= 10_000
         ok &= est.within_3sigma(oracle)
         note = "" if abs(oracle - claim) < 1e-12 else "oracle DISAGREES with published claim"
@@ -266,22 +266,19 @@ def test_criterion_09_leakage(probe_reports):
         ("none", NoAttack(), 900),
         ("entangle-measure(0)", EntangleMeasure(0.0), 901),
     ):
-        reports = simulate_batch(strategy, 700, 16, 0.5, seed_tag=seed_tag)
-        guesses = sum(r.eve_guesses for r in reports)
+        tally = simulate_batch(strategy, 700, 16, 0.5, seed_tag=seed_tag)
+        guesses = tally.eve_guesses
         ok &= guesses >= 10_000
-        for hits in (
-            sum(r.eve_alice_hits for r in reports),
-            sum(r.eve_bob_hits for r in reports),
-        ):
+        for hits in (tally.eve_alice_hits, tally.eve_bob_hits):
             acc = hits / guesses
             stderr = math.sqrt(0.25 * 0.75 / guesses)
             ok &= abs(acc - 0.25) <= 3 * stderr
         details.append(f"{label}: accuracy {acc:.4f} over {guesses} guesses")
         if label.startswith("entangle"):
-            mi = mutual_information_bits(merge_ancilla_tables(reports))
+            mi = mutual_information_bits(tally.ancilla_table)
             ok &= mi == 0.0  # quiet probe reads nothing at all
-    for beta2, reports in sorted(probe_reports.items()):
-        mi = mutual_information_bits(merge_ancilla_tables(reports))
+    for beta2, tally in sorted(probe_reports.items()):
+        mi = mutual_information_bits(tally.ancilla_table)
         bound = eve_entropy_bits(beta2)
         ok &= mi <= bound + 1e-3
         details.append(f"MI(beta2={beta2})={mi:.5f} <= {bound:.5f}")

@@ -1,26 +1,25 @@
-"""Tests for the closed forms, estimators, and leakage table."""
+"""Tests for the closed forms, estimators, and the additive Tally."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from qdialogue.analysis import (
     EstimateWithCI,
+    Tally,
     TrialReport,
     detection_after_runs,
     detection_after_runs_partial_sum,
     detection_vs_message_length,
     dialogue_detection_exact,
-    empirical_detection,
     eve_entropy_bits,
-    leakage_report,
-    merge_ancilla_tables,
     mutual_information_bits,
     claimed_per_cm,
 )
 from qdialogue.attacks import EntangleMeasure, InterceptResendLiteral, NoAttack, strategy_from_name
-from qdialogue.protocol import ProtocolConfig, random_message, run_dialogue
+from qdialogue.protocol import COMPLETED, DETECTED, ProtocolConfig, random_message, run_dialogue
 
 C_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
@@ -179,7 +178,7 @@ class TestEstimateWithCI:
         assert not est.within_3sigma(1.0 - 4.0 / 600)
 
 
-def make_reports(attack, trials, n_pairs=6, c=0.5, seed=0):
+def report_list(attack, trials, n_pairs=6, c=0.5, seed=0):
     config = ProtocolConfig(c=c, n_pairs=n_pairs)
     out = []
     for i in range(trials):
@@ -191,33 +190,86 @@ def make_reports(attack, trials, n_pairs=6, c=0.5, seed=0):
     return out
 
 
-class TestEmpiricalDetection:
+def make_reports(attack, trials, n_pairs=6, c=0.5, seed=0):
+    """The batch's reports folded into one Tally."""
+    return sum(map(Tally.from_report, report_list(attack, trials, n_pairs, c, seed)), Tally())
+
+
+# Every batch the tests below fold: (attack, trials, seed).
+BATCHES = [
+    (NoAttack(), 50, 0),
+    (EntangleMeasure(0.5), 200, 4),
+    (NoAttack(), 300, 2),
+    (InterceptResendLiteral(), 80, 3),
+    (EntangleMeasure(0.25), 250, 5),
+    (EntangleMeasure(0.25), 40, 7),
+]
+
+
+def direct_sums(reports):
+    """The Tally fields summed report by report, with no Tally involved."""
+    done = [r for r in reports if r.status == COMPLETED]
+    return {
+        "trials": len(reports),
+        "detected": sum(r.status == DETECTED for r in reports),
+        "completed": len(done),
+        "runs": sum(r.runs_all_passes for r in reports),
+        "cm_runs": sum(r.cm_runs for r in reports),
+        "cm_failures": sum(r.cm_failures for r in reports),
+        "restarts": sum(r.restart_count for r in reports),
+        "message_bits": sum(r.message_bits for r in done),
+        "bit_errors": sum(r.alice_bit_errors + r.bob_bit_errors for r in done),
+        "eve_guesses": sum(r.eve_guesses for r in reports),
+        "eve_alice_hits": sum(r.eve_alice_hits for r in reports),
+        "eve_bob_hits": sum(r.eve_bob_hits for r in reports),
+        "ancilla_table": tuple(
+            tuple(sum(r.ancilla_table[i][j] for r in reports) for j in range(4)) for i in range(2)
+        ),
+    }
+
+
+class TestTally:
+    @pytest.mark.parametrize("attack, trials, seed", BATCHES)
+    def test_fields_equal_direct_sums(self, attack, trials, seed):
+        reports = report_list(attack, trials, seed=seed)
+        assert make_reports(attack, trials, seed=seed)._asdict() == direct_sums(reports)
+
+    @pytest.mark.parametrize("attack, trials, seed", BATCHES)
+    def test_order_does_not_matter(self, attack, trials, seed):
+        tallies = [Tally.from_report(r) for r in report_list(attack, trials, seed=seed)]
+        in_order = sum(tallies, Tally())
+        for shuffle_seed in range(3):
+            random.Random(shuffle_seed).shuffle(tallies)
+            assert sum(tallies, Tally()) == in_order
+        # Pairwise as well as one by one: addition regroups freely.
+        halves = sum(tallies[::2], Tally()) + sum(tallies[1::2], Tally())
+        assert halves == in_order
+
+    def test_empty_tally_is_the_identity(self):
+        tally = make_reports(EntangleMeasure(0.25), 40, seed=7)
+        assert Tally() + tally == tally + Tally() == tally
+
+    def test_adds_only_tallies(self):
+        with pytest.raises(TypeError):
+            Tally() + 1
+
+
+class TestDetectionEstimates:
     def test_all_pass_is_zero_with_zero_stderr(self):
-        reports = make_reports(NoAttack(), 50)
-        est = empirical_detection(reports, "per_cm")
+        tally = make_reports(NoAttack(), 50)
+        est = EstimateWithCI.from_counts(tally.cm_failures, tally.cm_runs)
         assert est.estimate == 0.0 and est.stderr == 0.0
 
     def test_per_dialogue_counts_status(self):
-        reports = make_reports(EntangleMeasure(0.5), 200, seed=4)
-        est = empirical_detection(reports, "per_dialogue")
+        tally = make_reports(EntangleMeasure(0.5), 200, seed=4)
+        est = EstimateWithCI.from_counts(tally.detected, tally.trials)
         assert est.n_samples == 200
+        reports = report_list(EntangleMeasure(0.5), 200, seed=4)
         assert est.estimate == sum(r.status == "detected" for r in reports) / 200
 
-    def test_empty_reports_rejected(self):
+    def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            empirical_detection([], "per_cm")
-
-    def test_zero_control_runs_rejected(self):
-        reports = make_reports(NoAttack(), 3)
-        stripped = [
-            TrialReport(**{**r.__dict__, "cm_runs": 0, "cm_failures": 0}) for r in reports
-        ]
-        with pytest.raises(ValueError, match="no control runs"):
-            empirical_detection(stripped, "per_cm")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            empirical_detection(make_reports(NoAttack(), 2), "per_hour")
+            EstimateWithCI.from_counts(Tally().detected, Tally().trials)
 
 
 class TestMutualInformation:
@@ -234,44 +286,21 @@ class TestMutualInformation:
         assert mutual_information_bits([[0, 0, 0, 0], [0, 0, 0, 0]]) == 0.0
 
 
-class TestLeakageReport:
-    def test_baseline_row(self):
-        rows = leakage_report(make_reports(NoAttack(), 300, seed=2))
-        assert len(rows) == 1
-        row = rows[0]
-        assert row.strategy == "none"
-        assert not row.exceeds_baseline
-        assert row.entropy_bound_bits is None
-        assert abs(row.alice_accuracy.estimate - 0.25) <= 3 * row.alice_accuracy.stderr
+class TestGuessAccuracy:
+    def test_pure_guess_baseline(self):
+        tally = make_reports(NoAttack(), 300, seed=2)
+        for hits in (tally.eve_alice_hits, tally.eve_bob_hits):
+            acc = EstimateWithCI.from_counts(hits, tally.eve_guesses)
+            assert abs(acc.estimate - 0.25) <= 3 * acc.stderr
 
-    def test_literal_interception_flagged(self):
-        rows = leakage_report(make_reports(InterceptResendLiteral(), 80, seed=3))
-        row = rows[0]
-        assert row.alice_accuracy.estimate == 1.0
-        assert row.bob_accuracy.estimate == 1.0
-        assert row.exceeds_baseline
+    def test_literal_interception_reads_both(self):
+        tally = make_reports(InterceptResendLiteral(), 80, seed=3)
+        assert tally.eve_guesses > 0
+        assert tally.eve_alice_hits == tally.eve_bob_hits == tally.eve_guesses
 
-    def test_probe_rows_have_bound_and_mi(self):
-        reports = make_reports(EntangleMeasure(0.25), 250, seed=5) + make_reports(
-            NoAttack(), 50, seed=6
-        )
-        rows = leakage_report(reports)
-        by_name = {r.strategy: r for r in rows}
-        probe = by_name["entangle-measure"]
-        assert probe.beta2 == 0.25
-        assert probe.entropy_bound_bits == pytest.approx(eve_entropy_bits(0.25), abs=1e-12)
-        assert probe.mutual_information is not None
-        assert probe.mutual_information <= probe.entropy_bound_bits + 1e-3
-        assert not probe.exceeds_baseline
-
-    def test_requires_guesses(self):
-        reports = make_reports(NoAttack(), 3)
-        stripped = [
-            TrialReport(**{**r.__dict__, "eve_guesses": 0, "eve_alice_hits": 0, "eve_bob_hits": 0})
-            for r in reports
-        ]
-        with pytest.raises(ValueError, match="no guess"):
-            leakage_report(stripped)
+    def test_probe_information_within_entropy_bound(self):
+        tally = make_reports(EntangleMeasure(0.25), 250, seed=5)
+        assert mutual_information_bits(tally.ancilla_table) <= eve_entropy_bits(0.25) + 1e-3
 
 
 class TestTrialReport:
@@ -293,9 +322,8 @@ class TestTrialReport:
         assert report.eve_guesses == t.n_mm
 
     def test_ancilla_table_counts_mm_runs(self):
-        reports = make_reports(EntangleMeasure(0.25), 40, seed=7)
-        table = merge_ancilla_tables(reports)
-        assert sum(sum(row) for row in table) == sum(r.eve_guesses for r in reports)
+        tally = make_reports(EntangleMeasure(0.25), 40, seed=7)
+        assert sum(sum(row) for row in tally.ancilla_table) == tally.eve_guesses
 
 
 class TestPublishedClaim:

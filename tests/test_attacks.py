@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qdialogue.analysis import (
+    Tally,
     TrialReport,
     guess_accuracy_oracle,
     per_cm_detection_oracle,
@@ -241,15 +242,16 @@ class TestPongTaps:
 
 
 def collect_reports(attack, trials, n_pairs=8, c=0.5, seed_base=0, policy="terminal"):
-    reports = []
+    """Seeded dialogues folded, report by report, into one Tally."""
+    tally = Tally()
     config = ProtocolConfig(c=c, n_pairs=n_pairs, detection_policy=policy)
     for i in range(trials):
         rng = np.random.default_rng((seed_base, i))
         alice = random_message(n_pairs, rng)
         bob = random_message(n_pairs, rng)
         result = run_dialogue(config, alice, bob, attack, rng)
-        reports.append(TrialReport.from_dialogue(i, result, alice, bob, attack))
-    return reports
+        tally += Tally.from_report(TrialReport.from_dialogue(i, result, alice, bob, attack))
+    return tally
 
 
 class TestEmpiricalDetectionRates:
@@ -267,50 +269,50 @@ class TestEmpiricalDetectionRates:
     def test_per_cm_rate_matches_oracle(self, name, beta2):
         strategy = strategy_from_name(name, beta2)
         expected = per_cm_detection_oracle(strategy)
-        reports = collect_reports(strategy, trials=400, seed_base=sum(name.encode()))
-        failures = sum(r.cm_failures for r in reports)
-        cm_runs = sum(r.cm_runs for r in reports)
+        tally = collect_reports(strategy, trials=400, seed_base=sum(name.encode()))
+        failures = tally.cm_failures
+        cm_runs = tally.cm_runs
         assert cm_runs >= 500
         rate = failures / cm_runs
         stderr = math.sqrt(max(expected * (1 - expected), 0.25 / cm_runs) / cm_runs)
         assert rate == pytest.approx(expected, abs=max(3 * stderr, 1e-9))
 
     def test_no_attack_never_fails_control(self):
-        reports = collect_reports(NoAttack(), trials=300, seed_base=77)
-        assert sum(r.cm_failures for r in reports) == 0
-        assert all(r.status == "completed" for r in reports)
+        tally = collect_reports(NoAttack(), trials=300, seed_base=77)
+        assert tally.cm_failures == 0
+        assert tally.completed == tally.trials == 300
 
 
 class TestGuessing:
     def test_pure_guess_baseline(self):
-        reports = collect_reports(NoAttack(), trials=400, seed_base=5)
-        guesses = sum(r.eve_guesses for r in reports)
+        tally = collect_reports(NoAttack(), trials=400, seed_base=5)
+        guesses = tally.eve_guesses
         assert guesses >= 2000
-        for hits in (sum(r.eve_alice_hits for r in reports), sum(r.eve_bob_hits for r in reports)):
+        for hits in (tally.eve_alice_hits, tally.eve_bob_hits):
             stderr = math.sqrt(0.25 * 0.75 / guesses)
             assert hits / guesses == pytest.approx(0.25, abs=3 * stderr)
 
     def test_literal_interception_reads_everything(self):
-        reports = collect_reports(InterceptResendLiteral(), trials=120, seed_base=6)
-        guesses = sum(r.eve_guesses for r in reports)
+        tally = collect_reports(InterceptResendLiteral(), trials=120, seed_base=6)
+        guesses = tally.eve_guesses
         assert guesses > 0
-        assert sum(r.eve_alice_hits for r in reports) == guesses
-        assert sum(r.eve_bob_hits for r in reports) == guesses
+        assert tally.eve_alice_hits == guesses
+        assert tally.eve_bob_hits == guesses
 
     def test_blind_interception_reads_alice_only(self):
-        reports = collect_reports(InterceptResendBlind(), trials=600, seed_base=8)
-        guesses = sum(r.eve_guesses for r in reports)
+        tally = collect_reports(InterceptResendBlind(), trials=600, seed_base=8)
+        guesses = tally.eve_guesses
         assert guesses >= 300
-        assert sum(r.eve_alice_hits for r in reports) == guesses
-        bob_rate = sum(r.eve_bob_hits for r in reports) / guesses
+        assert tally.eve_alice_hits == guesses
+        bob_rate = tally.eve_bob_hits / guesses
         stderr = math.sqrt(0.25 * 0.75 / guesses)
         assert bob_rate == pytest.approx(0.25, abs=3 * stderr)
 
     def test_quiet_probe_learns_nothing(self):
-        reports = collect_reports(EntangleMeasure(0.0), trials=400, seed_base=9)
-        guesses = sum(r.eve_guesses for r in reports)
+        tally = collect_reports(EntangleMeasure(0.0), trials=400, seed_base=9)
+        guesses = tally.eve_guesses
         stderr = math.sqrt(0.25 * 0.75 / guesses)
-        assert sum(r.eve_alice_hits for r in reports) / guesses == pytest.approx(
+        assert tally.eve_alice_hits / guesses == pytest.approx(
             0.25, abs=3 * stderr
         )
 

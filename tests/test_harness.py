@@ -1,11 +1,15 @@
 """Tests for the experiment driver, serialization, CLI, and self-test."""
 
+import hashlib
 import json
 import os
+import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import qdialogue.harness as harness
 import qdialogue.quantum as quantum
 from qdialogue import attacks
 from qdialogue.attacks import STRATEGY_NAMES, AttackStrategy
@@ -141,6 +145,54 @@ class TestResultsDocument:
         assert doc["analytic"]["per_cm_claimed"] == 0.75
 
 
+class TestBoundedMemory:
+    CONFIG = dict(
+        attack="entangle-measure",
+        beta2=0.25,
+        c=0.5,
+        n_pairs=4,
+        trials=20,
+        master_seed=2004,
+        detection_policy="reinitialize",
+        max_restarts=2,
+    )
+    # sha256 of the verbose document of CONFIG, as serialized before
+    # reports were folded one at a time.
+    VERBOSE_DIGEST = "08e32fe0bbcddc7ee804bd9a670668c931a717886a2baf7586a2f27c7903dc8d"
+
+    def _tracked_run(self, monkeypatch, config):
+        """Run ``config``; for each report made, how many made so far are alive."""
+        refs, alive = [], []
+        raw = harness.run_trial
+
+        def tracked(*args):
+            report = raw(*args)
+            refs.append(weakref.ref(report))
+            alive.append(sum(ref() is not None for ref in refs))
+            return report
+
+        monkeypatch.setattr(harness, "run_trial", tracked)
+        return run_experiment(config), alive
+
+    def test_reports_are_folded_not_kept(self, monkeypatch):
+        config = ExperimentConfig(**self.CONFIG)
+        doc, alive = self._tracked_run(monkeypatch, config)
+        assert len(alive) == config.trials
+        assert max(alive) <= 2
+        assert "trial_reports" not in doc
+
+    def test_verbose_keeps_one_report_per_trial(self, monkeypatch):
+        config = ExperimentConfig(**self.CONFIG, verbose=True)
+        doc, alive = self._tracked_run(monkeypatch, config)
+        assert alive == list(range(1, config.trials + 1))
+        assert doc["trial_reports"] == [asdict(run_trial(config, i)) for i in range(config.trials)]
+        assert hashlib.sha256(to_json(doc).encode()).hexdigest() == self.VERBOSE_DIGEST
+
+    def test_verbose_document_at_two_workers(self):
+        doc = run_experiment(ExperimentConfig(**self.CONFIG, verbose=True, workers=2))
+        assert hashlib.sha256(to_json(doc).encode()).hexdigest() == self.VERBOSE_DIGEST
+
+
 class TestSweep:
     def test_sweep_over_beta2(self):
         cfg = ExperimentConfig(
@@ -169,6 +221,12 @@ class TestSweep:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigError, match="sweep over"):
             sweep(ExperimentConfig(), "trials", [1, 2])
+
+    def test_points_take_the_parameter_type(self):
+        doc = sweep(ExperimentConfig(trials=5, n_pairs=2, master_seed=1), "n_pairs", ["2", 3.0])
+        assert [p["config"]["n_pairs"] for p in doc["points"]] == [2, 3]
+        doc = sweep(ExperimentConfig(trials=5, n_pairs=2, master_seed=1), "c", ["0.25"])
+        assert doc["points"][0]["config"]["c"] == 0.25
 
 
 class TestCsv:
@@ -305,6 +363,27 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["vary"] == "beta2"
         assert len(doc["points"]) == 2
+
+    def test_sweep_over_beta2_needs_no_base_beta2(self, capsys):
+        code = main(
+            ["sweep", "--attack", "entangle-measure", "--vary", "beta2", "--values", "0.1,0.25",
+             "--trials", "10", "--n-pairs", "2", "--seed", "4"]
+        )
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [p["config"]["beta2"] for p in doc["points"]] == [0.1, 0.25]
+
+    def test_run_without_beta2_exit_2(self, capsys):
+        assert main(["run", "--attack", "entangle-measure", "--trials", "5"]) == 2
+        assert "attack entangle-measure requires --beta2" in capsys.readouterr().err
+
+    def test_sweep_values_cast_to_the_parameter_type(self, capsys):
+        code = main(
+            ["sweep", "--vary", "n_pairs", "--values", "2,3", "--trials", "5", "--seed", "1"]
+        )
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["values"] == [2, 3]
 
     def test_bad_sweep_values_exit_2(self):
         assert main(
