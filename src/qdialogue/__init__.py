@@ -3,7 +3,6 @@
 from .quantum import (
     ALL_CODES,
     BitPair,
-    DensityMatrix,
     PauliProduct,
     StateVector,
     apply_pauli,
@@ -14,9 +13,7 @@ from .quantum import (
     entangling_probe,
     measure_z,
     pauli_compose,
-    reduced_density,
     tensor_product,
-    von_neumann_entropy,
 )
 from .protocol import (
     DialogueResult,
@@ -24,11 +21,8 @@ from .protocol import (
     ProtocolConfig,
     RunRecord,
     Transcript,
-    alice_encode,
-    bob_prepare,
     cm_check,
     decode_counterpart,
-    frame_message,
     random_message,
     run_dialogue,
 )

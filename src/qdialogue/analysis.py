@@ -45,12 +45,6 @@ def detection_after_runs(c: float, d: float, runs: int) -> float:
     return 1.0 - (1.0 - c * d) ** runs
 
 
-def detection_after_runs_partial_sum(c: float, d: float, runs: int) -> float:
-    """Same curve as ``detection_after_runs`` via the explicit geometric sum."""
-    _check_ranges(c)
-    return c * d * sum((1.0 - c * d) ** n for n in range(runs))
-
-
 def detection_vs_message_length(c: float, d: float, n_half: int) -> float:
     """Cumulative detection re-expressed in message half-length N.
 
@@ -91,11 +85,11 @@ def eve_entropy_bits(beta2: float) -> float:
     return total
 
 
-def _check_ranges(c: float, d: float | None = None, n_half: int | None = None) -> None:
-    """The closed forms' shared range checks; an argument left None is not checked."""
+def _check_ranges(c: float, d: float, n_half: int | None = None) -> None:
+    """The closed forms' shared range checks; n_half is checked unless None."""
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must lie strictly between 0 and 1, got {c}")
-    if d is not None and not 0.0 <= d <= 1.0:
+    if not 0.0 <= d <= 1.0:
         raise ValueError(f"per-control-run rate d must lie in [0, 1], got {d}")
     if n_half is not None and n_half < 1:
         raise ValueError("n_half must be >= 1")
@@ -271,7 +265,7 @@ class TrialReport:
         result: DialogueResult,
         alice_msg: Message,
         bob_msg: Message,
-        strategy: AttackStrategy | None,
+        strategy: AttackStrategy,
     ) -> "TrialReport":
         transcript = result.transcript
         cm_failures, cm_runs = transcript.cm_tally()
@@ -295,22 +289,17 @@ class TrialReport:
             bob_errors = sum(g != t for g, t in zip(bob_bits, alice_msg.to_bits()))
 
         table = [[0, 0, 0, 0], [0, 0, 0, 0]]
-        eve_alice_hits = eve_bob_hits = eve_guesses = 0
-        if result.eve is not None:
-            eve_alice_hits = result.eve.alice_hits
-            eve_bob_hits = result.eve.bob_hits
-            eve_guesses = result.eve.guess_count
-            for log in result.eve.logs:
-                if log.ancilla_outcome is None:
-                    continue
-                run = transcript.runs[log.run_index]
-                if run.mode == MM:
-                    col = 2 * run.alice_code.a + run.alice_code.b
-                    table[log.ancilla_outcome][col] += 1
+        for log in result.eve.logs:
+            if log.ancilla_outcome is None:
+                continue
+            run = transcript.runs[log.run_index]
+            if run.mode == MM:
+                col = 2 * run.alice_code.a + run.alice_code.b
+                table[log.ancilla_outcome][col] += 1
 
         return cls(
             trial_index=trial_index,
-            strategy=strategy.name if strategy is not None else "none",
+            strategy=strategy.name,
             beta2=getattr(strategy, "beta2", None),
             status=transcript.final_status,
             n_total=transcript.n_total,
@@ -324,9 +313,9 @@ class TrialReport:
             message_bits=2 * len(alice_msg),
             alice_bit_errors=alice_errors,
             bob_bit_errors=bob_errors,
-            eve_alice_hits=eve_alice_hits,
-            eve_bob_hits=eve_bob_hits,
-            eve_guesses=eve_guesses,
+            eve_alice_hits=result.eve.alice_hits,
+            eve_bob_hits=result.eve.bob_hits,
+            eve_guesses=result.eve.guess_count,
             ancilla_table=(tuple(table[0]), tuple(table[1])),
             alice_decoded_bits=alice_bits,
             bob_decoded_bits=bob_bits,

@@ -1,9 +1,10 @@
 """Eavesdropping strategies plugged into the channel tap points.
 
 Every strategy sees the two legs of the travel qubit's round trip
-(ping: Bob to Alice, pong: Alice to Bob) plus every public
-announcement. A strategy may measure, transform, or substitute what is
-in flight; whatever it learns goes into its per-dialogue record.
+(ping: Bob to Alice, pong: Alice to Bob) and, after a message run,
+Bob's broadcast Bell outcome. A strategy may measure, transform, or
+substitute what is in flight; whatever it learns goes into its
+per-dialogue record.
 
 Implemented strategies:
 
@@ -72,7 +73,6 @@ class EveRecord:
 
     strategy: str
     logs: list[EveRunLog] = field(default_factory=list)
-    heard: list[tuple] = field(default_factory=list)
     alice_hits: int = 0
     bob_hits: int = 0
     guess_count: int = 0
@@ -97,7 +97,7 @@ class EveSession:
 
 
 class AttackStrategy:
-    """Base strategy: a pass-through adversary who still hears and guesses.
+    """Base strategy: a pass-through adversary who still guesses.
 
     Subclasses override the tap handlers; the guessing logic is shared,
     since every strategy falls back to a uniform pure guess when it
@@ -118,9 +118,6 @@ class AttackStrategy:
 
     def on_pong(self, channel: "Channel", session: EveSession, rng: np.random.Generator) -> None:
         pass
-
-    def hear(self, session: EveSession, announcements: list[tuple]) -> None:
-        session.record.heard.extend(announcements)
 
     def readout(self, log: EveRunLog | None, outcome: BitPair) -> tuple[BitPair, BitPair] | None:
         """Both parties' pairs as far as this run's log pins them, else None.
@@ -159,7 +156,7 @@ class AttackStrategy:
 
 
 class NoAttack(AttackStrategy):
-    """Explicit no-op strategy (identical to the base class)."""
+    """The honest channel: taps that do nothing (identical to the base class)."""
 
 
 class DisturbMeasure(AttackStrategy):

@@ -159,13 +159,18 @@ def _run_trial_star(args) -> TrialReport:
 
 
 def _trial_reports(config: ExperimentConfig, point_key: tuple[int, ...]):
-    """Every trial's report in trial order, each made as it is asked for."""
+    """Every trial's report in trial order, each made as it is asked for.
+
+    A pool starts all its workers at once, so it gets no more workers
+    than there are trials.
+    """
     jobs = zip(repeat(config), range(config.trials), repeat(point_key))
-    if config.workers == 1:
+    workers = min(config.workers, config.trials)
+    if workers == 1:
         yield from map(_run_trial_star, jobs)
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunk = max(1, config.trials // (config.workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, config.trials // (workers * 8))
             yield from pool.map(_run_trial_star, jobs, chunksize=chunk)
 
 
@@ -312,16 +317,29 @@ def run_experiment(config: ExperimentConfig, point_key: tuple[int, ...] = ()) ->
 
 
 def sweep(config: ExperimentConfig, vary: str, values: list) -> dict:
-    """One experiment per value of a single parameter, plus a curve table."""
+    """One experiment per value of a single parameter, plus a curve table.
+
+    Each value must already be one the parameter's type holds: a value
+    the cast would change (2.7 for ``n_pairs``, a string) is rejected,
+    so the document echoes exactly the values the points ran with.
+    """
     if vary not in SWEEPABLE:
         raise ConfigError(f"can only sweep over {', '.join(SWEEPABLE)}, got {vary!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
+    cast = SWEEPABLE[vary]
+    try:
+        cast_values = [cast(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {vary} value in {values!r}") from exc
+    for value, cast_value in zip(values, cast_values):
+        if cast_value != value:
+            raise ConfigError(f"{vary} takes {cast.__name__} values, got {value!r}")
 
     points = []
     curve = []
-    for idx, value in enumerate(values):
-        point_cfg = replace(config, **{vary: SWEEPABLE[vary](value)})
+    for idx, value in enumerate(cast_values):
+        point_cfg = replace(config, **{vary: value})
         doc = run_experiment(point_cfg, point_key=(idx,))
         points.append(doc)
         row = {
@@ -339,7 +357,7 @@ def sweep(config: ExperimentConfig, vary: str, values: list) -> dict:
     return {
         "schema": SCHEMA_SWEEP,
         "vary": vary,
-        "values": list(values),
+        "values": cast_values,
         "config": config.echo(),
         "curve": curve,
         "points": points,

@@ -12,22 +12,23 @@ exposing any channel tampering.
 
 Mode is sampled by Alice before she encodes but announced only after
 Bob's measurement, so MM and CM runs are indistinguishable on the wire.
-An eavesdropper, when present, is invoked at exactly two tap points:
-between Bob's send and Alice's receipt (ping) and between Alice's send
-and Bob's receipt (pong).
+Every dialogue runs under an attack strategy, invoked at exactly two
+tap points: between Bob's send and Alice's receipt (ping) and between
+Alice's send and Bob's receipt (pong). The honest channel is the
+``NoAttack`` strategy, whose taps do nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .quantum import ALL_CODES, BitPair, StateVector, apply_pauli, bell_measure, bell_state
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .attacks import AttackStrategy, EveRecord
+    from .attacks import AttackStrategy, EveRecord, EveSession
 
 MM = "MM"
 CM = "CM"
@@ -43,10 +44,9 @@ ABORTED = "aborted_max_restarts"
 
 @dataclass(frozen=True)
 class Message:
-    """An even-length bit payload framed as ordered bit pairs."""
+    """A bit payload as ordered bit pairs."""
 
     pairs: tuple[BitPair, ...]
-    padded: bool = False
 
     def __post_init__(self) -> None:
         if not self.pairs:
@@ -56,27 +56,8 @@ class Message:
         return len(self.pairs)
 
     def to_bits(self) -> list[int]:
-        """Recover the original bit sequence, dropping any pad bit."""
-        bits = [b for pair in self.pairs for b in pair]
-        return bits[:-1] if self.padded else bits
-
-
-def frame_message(raw_bits: Sequence[int] | Iterable[int]) -> Message:
-    """Pack a bit sequence into consecutive pairs.
-
-    An odd-length input gets a trailing 0 pad, recorded on the message
-    so ``to_bits`` stays an exact inverse.
-    """
-    bits = [int(b) for b in raw_bits]
-    if not bits:
-        raise ValueError("cannot frame an empty bit sequence")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("message bits must be 0 or 1")
-    padded = len(bits) % 2 == 1
-    if padded:
-        bits.append(0)
-    pairs = tuple(BitPair(bits[i], bits[i + 1]) for i in range(0, len(bits), 2))
-    return Message(pairs, padded=padded)
+        """The payload's bit sequence, two bits per pair."""
+        return [b for pair in self.pairs for b in pair]
 
 
 def random_message(n_pairs: int, rng: np.random.Generator) -> Message:
@@ -127,16 +108,6 @@ class ProtocolConfig:
             )
 
 
-def bob_prepare(code: BitPair) -> StateVector:
-    """Bob's per-run state: the base pair with his code applied to the travel qubit."""
-    return bell_state(code)
-
-
-def alice_encode(state: StateVector, code: BitPair, traveling: str = "t") -> StateVector:
-    """Alice's encoding on the qubit she received (whatever register that is)."""
-    return apply_pauli(state, traveling, code)
-
-
 def decode_counterpart(outcome: BitPair, own_code: BitPair) -> BitPair:
     """Read the other party's pair out of a Bell outcome: componentwise XOR."""
     return BitPair(outcome[0] ^ own_code[0], outcome[1] ^ own_code[1])
@@ -156,18 +127,18 @@ class Channel:
 
 
 def round_trip(
-    bob_code: BitPair, alice_code: BitPair, attack: "AttackStrategy | None", session, rng
+    bob_code: BitPair, alice_code: BitPair, attack: "AttackStrategy", session: "EveSession", rng
 ) -> Channel:
     """One run's quantum leg: Bob's pair out, Alice's code on, back to Bob.
 
-    The attack's taps act on the ping and pong legs, drawing from ``rng``.
+    Bob applies his code to the travel qubit of the base pair; Alice
+    applies hers to whatever qubit arrives. The attack's taps act on the
+    ping and pong legs, drawing from ``rng``.
     """
-    channel = Channel(state=bob_prepare(bob_code), traveling="t")
-    if attack is not None:
-        attack.on_ping(channel, session, rng)
-    channel.state = alice_encode(channel.state, alice_code, channel.traveling)
-    if attack is not None:
-        attack.on_pong(channel, session, rng)
+    channel = Channel(state=bell_state(bob_code), traveling="t")
+    attack.on_ping(channel, session, rng)
+    channel.state = apply_pauli(channel.state, channel.traveling, alice_code)
+    attack.on_pong(channel, session, rng)
     return channel
 
 
@@ -175,9 +146,8 @@ def round_trip(
 class RunRecord:
     """One protocol run as it appears in the transcript.
 
-    ``channel_events`` is the hidden quantum-channel log; everything a
-    third party can see is in ``announcements``. The mode appears only
-    there, never in the channel log.
+    Everything a third party can see is in ``announcements``, the mode
+    included.
     """
 
     index: int
@@ -187,7 +157,6 @@ class RunRecord:
     alice_code: BitPair
     outcome: BitPair
     cm_pass: bool | None
-    channel_events: tuple[str, ...]
     announcements: tuple[tuple, ...]
 
     def to_dict(self) -> dict:
@@ -199,7 +168,6 @@ class RunRecord:
             "alice_code": list(self.alice_code),
             "outcome": list(self.outcome),
             "cm_pass": self.cm_pass,
-            "channel_events": list(self.channel_events),
             "announcements": [list(a) for a in self.announcements],
         }
 
@@ -238,15 +206,15 @@ class DialogueResult:
     transcript: Transcript
     alice_decoded: Message | None
     bob_decoded: Message | None
-    eve: "EveRecord | None"
+    eve: "EveRecord"
 
 
 def run_dialogue(
     config: ProtocolConfig,
     alice_msg: Message,
     bob_msg: Message,
-    attack: "AttackStrategy | None" = None,
-    rng: np.random.Generator | None = None,
+    attack: "AttackStrategy",
+    rng: np.random.Generator,
 ) -> DialogueResult:
     """Execute runs until the dialogue completes, detects Eve, or gives up.
 
@@ -254,8 +222,9 @@ def run_dialogue(
     protocol's draws (mode, control-run pair, Bob's Bell outcome) come
     from ``rng`` itself, in run order. The attack draws from one child
     spawned off ``rng`` (``rng.spawn(1)``), which leaves ``rng``'s own
-    stream alone, so an attack that draws no randomness leaves the
-    protocol's sampling byte-identical to the attack-free case.
+    stream alone. So every attack meets the same protocol uniforms, and
+    one whose taps leave Bob's Bell law unchanged leaves the transcript
+    byte-identical to the honest channel's (``NoAttack``).
     """
     if len(alice_msg) != len(bob_msg):
         raise ValueError(
@@ -265,11 +234,9 @@ def run_dialogue(
         raise ValueError(
             f"config.n_pairs = {config.n_pairs} but messages have {len(alice_msg)} pairs"
         )
-    if rng is None:
-        rng = np.random.default_rng()
     (eve_rng,) = rng.spawn(1)
 
-    session = attack.new_session() if attack is not None else None
+    session = attack.new_session()
     runs: list[RunRecord] = []
     alice_decoded: list[BitPair] = []
     bob_decoded: list[BitPair] = []
@@ -280,9 +247,7 @@ def run_dialogue(
     status: str | None = None
 
     while status is None:
-        run_index = len(runs)
-        if attack is not None:
-            attack.begin_run(session, run_index)
+        attack.begin_run(session, len(runs))
 
         # Alice decides the mode before she encodes but announces it only
         # after Bob's measurement, so the taps never see it. Control runs
@@ -307,12 +272,10 @@ def run_dialogue(
             bob_decoded.append(decode_counterpart(outcome, bob_code))
             alice_decoded.append(decode_counterpart(outcome, alice_code))
 
-        if attack is not None:
-            attack.hear(session, announcements)
-            if not is_cm:
-                attack.guess(session, outcome, eve_rng)
-                session.score(alice_truth=alice_code, bob_truth=bob_code)
-            attack.end_run(session)
+        if not is_cm:
+            attack.guess(session, outcome, eve_rng)
+            session.score(alice_truth=alice_code, bob_truth=bob_code)
+        attack.end_run(session)
 
         runs.append(
             RunRecord(
@@ -323,7 +286,6 @@ def run_dialogue(
                 alice_code=alice_code,
                 outcome=outcome,
                 cm_pass=cm_pass,
-                channel_events=("ping", "pong"),
                 announcements=tuple(announcements),
             )
         )
@@ -356,7 +318,7 @@ def run_dialogue(
     )
     return DialogueResult(
         transcript=transcript,
-        alice_decoded=Message(tuple(alice_decoded), padded=bob_msg.padded) if alice_decoded else None,
-        bob_decoded=Message(tuple(bob_decoded), padded=alice_msg.padded) if bob_decoded else None,
-        eve=session.record if session is not None else None,
+        alice_decoded=Message(tuple(alice_decoded)) if alice_decoded else None,
+        bob_decoded=Message(tuple(bob_decoded)) if bob_decoded else None,
+        eve=session.record,
     )

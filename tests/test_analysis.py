@@ -11,7 +11,6 @@ from qdialogue.analysis import (
     Tally,
     TrialReport,
     detection_after_runs,
-    detection_after_runs_partial_sum,
     detection_vs_message_length,
     dialogue_detection_exact,
     eve_entropy_bits,
@@ -20,6 +19,7 @@ from qdialogue.analysis import (
 )
 from qdialogue.attacks import EntangleMeasure, InterceptResendLiteral, NoAttack, strategy_from_name
 from qdialogue.protocol import COMPLETED, DETECTED, ProtocolConfig, random_message, run_dialogue
+from reference import detection_after_runs_partial_sum
 
 C_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 

@@ -99,7 +99,6 @@ class TestScalarCells:
         rng = ScriptedRng([u for u, _ in EDGES])
         msg = random_message(len(EDGES), rng)
         assert msg.pairs == tuple(ALL_CODES[cell] for _, cell in EDGES)
-        assert not msg.padded
         assert rng.calls == [len(EDGES)]
 
     def test_message_cut_equals_scalar_cut(self):
@@ -145,7 +144,7 @@ class TestScalarCells:
 
 
 class TestDialogueStreams:
-    @pytest.mark.parametrize("attack", [None, NoAttack()])
+    @pytest.mark.parametrize("attack", [NoAttack(), InterceptResendLiteral()])
     def test_one_spawn_per_dialogue(self, attack):
         rng = counting_rng(5)
         msgs = [random_message(6, rng) for _ in range(2)]

@@ -101,6 +101,35 @@ class TestDeterminism:
         assert a == b
 
 
+class TestWorkerCount:
+    BASE = dict(attack="intercept-resend-blind", c=0.5, n_pairs=4, master_seed=8)
+
+    @pytest.mark.parametrize("trials, sizes", [(3, [3]), (1, [])])
+    def test_no_more_workers_than_trials(self, monkeypatch, trials, sizes):
+        started = []
+
+        class SerialPool:
+            """Stands in for ``ProcessPoolExecutor``: notes its size, maps in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        pooled = to_json(run_experiment(ExperimentConfig(**self.BASE, trials=trials, workers=8)))
+        serial = to_json(run_experiment(ExperimentConfig(**self.BASE, trials=trials, workers=1)))
+        assert started == sizes
+        assert pooled == serial
+
+
 class TestResultsDocument:
     def test_schema_and_pairing(self):
         doc = run_experiment(ExperimentConfig(attack="none", trials=40, n_pairs=4, master_seed=1))
@@ -223,10 +252,19 @@ class TestSweep:
             sweep(ExperimentConfig(), "trials", [1, 2])
 
     def test_points_take_the_parameter_type(self):
-        doc = sweep(ExperimentConfig(trials=5, n_pairs=2, master_seed=1), "n_pairs", ["2", 3.0])
+        doc = sweep(ExperimentConfig(trials=5, n_pairs=2, master_seed=1), "n_pairs", [2, 3.0])
         assert [p["config"]["n_pairs"] for p in doc["points"]] == [2, 3]
-        doc = sweep(ExperimentConfig(trials=5, n_pairs=2, master_seed=1), "c", ["0.25"])
+        assert doc["values"] == [row["value"] for row in doc["curve"]] == [2, 3]
+        assert type(doc["values"][1]) is int
+        doc = sweep(ExperimentConfig(trials=5, n_pairs=2, master_seed=1), "c", [0.25])
         assert doc["points"][0]["config"]["c"] == 0.25
+
+    @pytest.mark.parametrize(
+        "vary, value", [("n_pairs", 2.7), ("n_pairs", "2"), ("c", "0.25"), ("c", None)]
+    )
+    def test_value_the_cast_would_change_rejected(self, vary, value):
+        with pytest.raises(ConfigError, match=vary):
+            sweep(ExperimentConfig(trials=3, n_pairs=2), vary, [value])
 
 
 class TestCsv:

@@ -36,11 +36,11 @@ from qdialogue.quantum import (
     bell_state,
     entangling_probe,
     measure_z,
-    project_bell,
     project_z,
     tensor_product,
     z_outcome_probs,
 )
+from reference import project_bell
 
 TOL = 1e-12
 NAMES = "abcde"

