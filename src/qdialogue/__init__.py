@@ -21,8 +21,6 @@ from .protocol import (
     ProtocolConfig,
     RunRecord,
     Transcript,
-    cm_check,
-    decode_counterpart,
     random_message,
     run_dialogue,
 )
@@ -32,7 +30,7 @@ from .attacks import (
     DisturbPauli4,
     DisturbPauliZ,
     EntangleMeasure,
-    EveRecord,
+    EveSession,
     InterceptResendBlind,
     InterceptResendLiteral,
     NoAttack,

@@ -178,7 +178,7 @@ def run_branches(strategy: AttackStrategy, bob_code: BitPair, alice_code: BitPai
     while pending:
         walker = _BranchWalker(pending.pop())
         session = strategy.new_session()
-        strategy.begin_run(session, 0)
+        strategy.begin_run(session)
         channel = round_trip(bob_code, alice_code, strategy, session, walker)
         pending.extend(walker.unvisited)
         yield walker.weight, session.current, bell_outcome_probs(channel.state, "h", channel.traveling)
@@ -267,14 +267,23 @@ class TrialReport:
         bob_msg: Message,
         strategy: AttackStrategy,
     ) -> "TrialReport":
+        # One pass over the runs and Eve's logs, which are kept in run
+        # order: control counts, the first failed check, and the ancilla
+        # readout against Alice's pair on message runs.
         transcript = result.transcript
-        cm_failures, cm_runs = transcript.cm_tally()
-
+        cm_failures = cm_runs = 0
         first_detection = None
-        for i, run in enumerate(transcript.runs):
-            if run.cm_pass is False:
-                first_detection = i + 1
-                break
+        table = [[0, 0, 0, 0], [0, 0, 0, 0]]
+        for i, (run, log) in enumerate(zip(transcript.runs, result.eve.logs), start=1):
+            if run.mode == MM:
+                if log.ancilla_outcome is not None:
+                    table[log.ancilla_outcome][2 * run.alice_code.a + run.alice_code.b] += 1
+            else:
+                cm_runs += 1
+                if not run.cm_pass:
+                    cm_failures += 1
+                    if first_detection is None:
+                        first_detection = i
 
         alice_errors = bob_errors = 0
         alice_bits: tuple[int, ...] = ()
@@ -287,15 +296,6 @@ class TrialReport:
         if result.bob_decoded is not None:
             bob_bits = tuple(result.bob_decoded.to_bits())
             bob_errors = sum(g != t for g, t in zip(bob_bits, alice_msg.to_bits()))
-
-        table = [[0, 0, 0, 0], [0, 0, 0, 0]]
-        for log in result.eve.logs:
-            if log.ancilla_outcome is None:
-                continue
-            run = transcript.runs[log.run_index]
-            if run.mode == MM:
-                col = 2 * run.alice_code.a + run.alice_code.b
-                table[log.ancilla_outcome][col] += 1
 
         return cls(
             trial_index=trial_index,

@@ -3,8 +3,10 @@
 Every strategy sees the two legs of the travel qubit's round trip
 (ping: Bob to Alice, pong: Alice to Bob) and, after a message run,
 Bob's broadcast Bell outcome. A strategy may measure, transform, or
-substitute what is in flight; whatever it learns goes into its
-per-dialogue record.
+substitute what is in flight. Its session is its per-dialogue record:
+``begin_run`` opens one log per run, and the taps record what Eve does
+and learns, and keep any scratch the run needs, on
+``session.current``.
 
 Implemented strategies:
 
@@ -56,44 +58,37 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class EveRunLog:
-    """What Eve did and inferred during a single run."""
+    """What Eve did and inferred during a single run, and her scratch for it."""
 
-    run_index: int
     learned_alice: BitPair | None = None
     ancilla_outcome: int | None = None
     disturb_code: BitPair | None = None
     measured_bit: int | None = None
     alice_guess: BitPair | None = None
     bob_guess: BitPair | None = None
+    stored_reg: str | None = None
 
 
 @dataclass
-class EveRecord:
-    """Per-dialogue record of strategy events, guesses, and hit counts."""
+class EveSession:
+    """Eve's per-dialogue record: one log per run, in run order, and her hit counts."""
 
-    strategy: str
     logs: list[EveRunLog] = field(default_factory=list)
     alice_hits: int = 0
     bob_hits: int = 0
     guess_count: int = 0
 
-
-@dataclass
-class EveSession:
-    """Mutable per-dialogue adversary state: the record plus scratch."""
-
-    record: EveRecord
-    current: EveRunLog | None = None
-    stored_reg: str | None = None
+    @property
+    def current(self) -> EveRunLog:
+        """The log of the run in progress."""
+        return self.logs[-1]
 
     def score(self, alice_truth: BitPair, bob_truth: BitPair) -> None:
         """Tally the current run's guesses against the true message pairs."""
         log = self.current
-        if log is None or log.alice_guess is None:
-            return
-        self.record.guess_count += 1
-        self.record.alice_hits += log.alice_guess == alice_truth
-        self.record.bob_hits += log.bob_guess == bob_truth
+        self.guess_count += 1
+        self.alice_hits += log.alice_guess == alice_truth
+        self.bob_hits += log.bob_guess == bob_truth
 
 
 class AttackStrategy:
@@ -107,11 +102,10 @@ class AttackStrategy:
     name = "none"
 
     def new_session(self) -> EveSession:
-        return EveSession(record=EveRecord(strategy=self.name))
+        return EveSession()
 
-    def begin_run(self, session: EveSession, run_index: int) -> None:
-        session.current = EveRunLog(run_index=run_index)
-        session.stored_reg = None
+    def begin_run(self, session: EveSession) -> None:
+        session.logs.append(EveRunLog())
 
     def on_ping(self, channel: "Channel", session: EveSession, rng: np.random.Generator) -> None:
         pass
@@ -119,13 +113,13 @@ class AttackStrategy:
     def on_pong(self, channel: "Channel", session: EveSession, rng: np.random.Generator) -> None:
         pass
 
-    def readout(self, log: EveRunLog | None, outcome: BitPair) -> tuple[BitPair, BitPair] | None:
+    def readout(self, log: EveRunLog, outcome: BitPair) -> tuple[BitPair, BitPair] | None:
         """Both parties' pairs as far as this run's log pins them, else None.
 
         A learned Alice code pins both guesses: the broadcast outcome is
         the XOR of the two codes.
         """
-        if log is not None and log.learned_alice is not None:
+        if log.learned_alice is not None:
             return log.learned_alice, outcome ^ log.learned_alice
         return None
 
@@ -145,14 +139,8 @@ class AttackStrategy:
         if guesses is None:
             k = int(rng.random() * 16.0)
             guesses = ALL_CODES[k >> 2], ALL_CODES[k & 3]
-        if log is not None:
-            log.alice_guess, log.bob_guess = guesses
+        log.alice_guess, log.bob_guess = guesses
         return guesses
-
-    def end_run(self, session: EveSession) -> None:
-        if session.current is not None:
-            session.record.logs.append(session.current)
-        session.current = None
 
 
 class NoAttack(AttackStrategy):
@@ -194,23 +182,23 @@ class _InterceptResend(AttackStrategy):
     def on_ping(self, channel, session, rng):
         # Keep the genuine travel qubit, put one half of a fresh
         # maximally entangled pair (H home, T travel) on the wire.
-        session.stored_reg = channel.traveling
+        session.current.stored_reg = channel.traveling
         channel.state = tensor_product(channel.state, bell_state(BitPair(0, 0), regs=("H", "T")))
         channel.traveling = "T"
 
     def on_pong(self, channel, session, rng):
+        log = session.current
         learned, collapsed = bell_measure(channel.state, "H", "T", rng)
-        session.current.learned_alice = learned
+        log.learned_alice = learned
         state = collapsed
         if self.retransform:
-            state = apply_pauli(state, session.stored_reg, learned)
+            state = apply_pauli(state, log.stored_reg, learned)
         channel.state = state
-        channel.traveling = session.stored_reg
+        channel.traveling = log.stored_reg
 
 
 class InterceptResendLiteral(_InterceptResend):
     name = "intercept-resend-literal"
-    retransform = True
 
 
 class InterceptResendBlind(_InterceptResend):

@@ -44,12 +44,7 @@ from .analysis import (
     per_cm_detection_oracle,
 )
 from .attacks import STRATEGIES, AttackStrategy, strategy_from_name
-from .protocol import (
-    DETECTION_POLICIES,
-    ProtocolConfig,
-    random_message,
-    run_dialogue,
-)
+from .protocol import ProtocolConfig, random_message, run_dialogue
 from .quantum import (
     ALL_CODES,
     PAULI_MATRICES,
@@ -100,10 +95,6 @@ class ExperimentConfig:
         """Check every field; the protocol and strategy ranges by building them."""
         if self.attack == "entangle-measure" and self.beta2 is None:
             raise ConfigError("attack entangle-measure requires --beta2")
-        if self.detection_policy not in DETECTION_POLICIES:
-            raise ConfigError(
-                f"detection-policy must be one of {', '.join(DETECTION_POLICIES)}"
-            )
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.master_seed < 0:

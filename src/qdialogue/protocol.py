@@ -16,6 +16,10 @@ Every dialogue runs under an attack strategy, invoked at exactly two
 tap points: between Bob's send and Alice's receipt (ping) and between
 Alice's send and Bob's receipt (pong). The honest channel is the
 ``NoAttack`` strategy, whose taps do nothing.
+
+Each run leaves one public record, a ``RunRecord`` whose announcements
+are derived from its mode, Alice's code and Bob's outcome, and one
+private log in Eve's session, in the same order as the transcript.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 from .quantum import ALL_CODES, BitPair, StateVector, apply_pauli, bell_measure, bell_state
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .attacks import AttackStrategy, EveRecord, EveSession
+    from .attacks import AttackStrategy, EveSession
 
 MM = "MM"
 CM = "CM"
@@ -108,16 +112,6 @@ class ProtocolConfig:
             )
 
 
-def decode_counterpart(outcome: BitPair, own_code: BitPair) -> BitPair:
-    """Read the other party's pair out of a Bell outcome: componentwise XOR."""
-    return BitPair(outcome[0] ^ own_code[0], outcome[1] ^ own_code[1])
-
-
-def cm_check(outcome: BitPair, bob_code: BitPair, alice_revealed: BitPair) -> bool:
-    """Bob's control-run consistency test against Alice's revealed pair."""
-    return outcome[0] == alice_revealed[0] ^ bob_code[0] and outcome[1] == alice_revealed[1] ^ bob_code[1]
-
-
 @dataclass
 class Channel:
     """What is in flight: the joint state and the register currently traveling."""
@@ -147,7 +141,8 @@ class RunRecord:
     """One protocol run as it appears in the transcript.
 
     Everything a third party can see is in ``announcements``, the mode
-    included.
+    included; they are derived from the run's mode, Alice's code and
+    Bob's outcome.
     """
 
     index: int
@@ -157,7 +152,13 @@ class RunRecord:
     alice_code: BitPair
     outcome: BitPair
     cm_pass: bool | None
-    announcements: tuple[tuple, ...]
+
+    @property
+    def announcements(self) -> tuple[tuple, ...]:
+        """The mode, then Alice's revealed pair (CM) or Bob's broadcast outcome (MM)."""
+        if self.mode == CM:
+            return ("mode", CM), ("cm_reveal", *self.alice_code)
+        return ("mode", MM), ("bell_broadcast", *self.outcome)
 
     def to_dict(self) -> dict:
         return {
@@ -193,20 +194,15 @@ class Transcript:
             "final_status": self.final_status,
         }
 
-    def cm_tally(self) -> tuple[int, int]:
-        """(failed, total) control runs across every pass."""
-        cm = [r for r in self.runs if r.mode == CM]
-        return sum(1 for r in cm if r.cm_pass is False), len(cm)
-
 
 @dataclass
 class DialogueResult:
-    """Outcome of one dialogue: transcript, both decoded payloads, Eve's record."""
+    """Outcome of one dialogue: transcript, both decoded payloads, Eve's session."""
 
     transcript: Transcript
     alice_decoded: Message | None
     bob_decoded: Message | None
-    eve: "EveRecord"
+    eve: "EveSession"
 
 
 def run_dialogue(
@@ -247,7 +243,7 @@ def run_dialogue(
     status: str | None = None
 
     while status is None:
-        attack.begin_run(session, len(runs))
+        attack.begin_run(session)
 
         # Alice decides the mode before she encodes but announces it only
         # after Bob's measurement, so the taps never see it. Control runs
@@ -259,34 +255,29 @@ def run_dialogue(
         channel = round_trip(bob_code, alice_code, attack, session, eve_rng)
         outcome, _ = bell_measure(channel.state, "h", channel.traveling, rng)
 
-        mode = CM if is_cm else MM
-        announcements: list[tuple] = [("mode", mode)]
+        # Each party reads the other's pair as the outcome XOR its own
+        # code; Bob's control check is the same identity on Alice's
+        # revealed pair.
         cm_pass: bool | None = None
         if is_cm:
             pass_cm += 1
-            announcements.append(("cm_reveal", alice_code.a, alice_code.b))
-            cm_pass = cm_check(outcome, bob_code, alice_code)
+            cm_pass = outcome == alice_code ^ bob_code
         else:
             pass_mm += 1
-            announcements.append(("bell_broadcast", outcome.a, outcome.b))
-            bob_decoded.append(decode_counterpart(outcome, bob_code))
-            alice_decoded.append(decode_counterpart(outcome, alice_code))
-
-        if not is_cm:
+            bob_decoded.append(outcome ^ bob_code)
+            alice_decoded.append(outcome ^ alice_code)
             attack.guess(session, outcome, eve_rng)
             session.score(alice_truth=alice_code, bob_truth=bob_code)
-        attack.end_run(session)
 
         runs.append(
             RunRecord(
                 index=cursor,
                 pass_index=pass_index,
-                mode=mode,
+                mode=CM if is_cm else MM,
                 bob_code=bob_code,
                 alice_code=alice_code,
                 outcome=outcome,
                 cm_pass=cm_pass,
-                announcements=tuple(announcements),
             )
         )
 
@@ -320,5 +311,5 @@ def run_dialogue(
         transcript=transcript,
         alice_decoded=Message(tuple(alice_decoded)) if alice_decoded else None,
         bob_decoded=Message(tuple(bob_decoded)) if bob_decoded else None,
-        eve=session.record,
+        eve=session,
     )

@@ -422,27 +422,10 @@ def measure_z(
 @_memoized
 def _z_post_state(state: StateVector, reg: str, bit: int) -> StateVector:
     """The state after reading ``bit`` on ``reg``, renormalized by its law probability."""
-    _, collapsed = project_z(state, reg, bit, prob=z_outcome_probs(state, reg)[bit])
-    assert collapsed is not None
-    return collapsed
-
-
-def project_z(
-    state: StateVector, reg: str, bit: int, prob: float | None = None
-) -> tuple[float, StateVector | None]:
-    """Probability and collapsed state for one forced up/down outcome."""
-    ax = state.axis(reg)
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    t = state.amps.reshape(1 << ax, 2, -1)
-    kept = t[:, bit]
-    if prob is None:
-        prob = float((kept.real**2 + kept.imag**2).sum())
-    if prob < PROB_FLOOR:
-        return 0.0, None
+    t = state.amps.reshape(1 << state.axis(reg), 2, -1)
     out = np.zeros_like(t)
-    np.divide(kept, math.sqrt(prob), out=out[:, bit])
-    return prob, StateVector(state.registers, _frozen(out.reshape(-1)))
+    np.divide(t[:, bit], math.sqrt(z_outcome_probs(state, reg)[bit]), out=out[:, bit])
+    return StateVector(state.registers, _frozen(out.reshape(-1)))
 
 
 @_memoized

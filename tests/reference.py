@@ -2,7 +2,8 @@
 
 No ``qdialogue`` command needs these: partial traces and entropies of
 simulated states, equality up to a global phase, the forced-outcome Bell
-projection, and the cumulative detection curve as an explicit sum.
+and up/down projections, and the cumulative detection curve as an
+explicit sum.
 """
 
 from __future__ import annotations
@@ -35,6 +36,19 @@ def project_bell(
     if prob < PROB_FLOOR:
         return 0.0, None
     return prob, quantum._bell_post_state(state, reg_a, reg_b, ALL_CODES.index(BitPair(*code)))
+
+
+def project_z(state: StateVector, reg: str, bit: int) -> tuple[float, StateVector | None]:
+    """Probability and collapsed state for one forced up/down outcome.
+
+    The collapsed state is None when the outcome has (numerically) zero
+    probability. The forced-outcome counterpart of ``measure_z``, built
+    from the same law and collapse kernels.
+    """
+    prob = quantum.z_outcome_probs(state, reg)[bit]
+    if prob < PROB_FLOOR:
+        return 0.0, None
+    return prob, quantum._z_post_state(state, reg, bit)
 
 
 def same_state(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:

@@ -115,7 +115,7 @@ def test_criterion_03_attack_free_dialogues():
         bob = random_message(n_pairs, rng)
         result = run_dialogue(config, alice, bob, strategy, rng)
         incomplete += result.transcript.final_status != "completed"
-        failures += result.transcript.cm_tally()[0]
+        failures += sum(run.cm_pass is False for run in result.transcript.runs)
         errors += sum(a != b for a, b in zip(result.alice_decoded.to_bits(), bob.to_bits()))
         errors += sum(a != b for a, b in zip(result.bob_decoded.to_bits(), alice.to_bits()))
     elapsed = time.perf_counter() - t0

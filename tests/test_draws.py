@@ -117,7 +117,7 @@ class TestScalarCells:
     def test_pure_guess_cell(self, u, k):
         strategy = NoAttack()
         session = strategy.new_session()
-        strategy.begin_run(session, 0)
+        strategy.begin_run(session)
         rng = ScriptedRng([u])
         guesses = strategy.guess(session, BitPair(0, 0), rng)
         assert guesses == (ALL_CODES[k >> 2], ALL_CODES[k & 3])
@@ -129,14 +129,14 @@ class TestScalarCells:
         for k in range(16):
             strategy = NoAttack()
             session = strategy.new_session()
-            strategy.begin_run(session, 0)
+            strategy.begin_run(session)
             cells.add(strategy.guess(session, BitPair(0, 0), ScriptedRng([k / 16])))
         assert cells == {(a, b) for a in ALL_CODES for b in ALL_CODES}
 
     def test_readout_guess_draws_nothing(self):
         strategy = InterceptResendLiteral()
         session = strategy.new_session()
-        strategy.begin_run(session, 0)
+        strategy.begin_run(session)
         session.current.learned_alice = BitPair(1, 0)
         rng = ScriptedRng([])
         assert strategy.guess(session, BitPair(1, 1), rng) == (BitPair(1, 0), BitPair(0, 1))

@@ -56,7 +56,7 @@ class TestConfigValidation:
             ExperimentConfig(trials=0).validate()
 
     def test_policy_name(self):
-        with pytest.raises(ConfigError, match="detection-policy"):
+        with pytest.raises(ConfigError, match="detection_policy must be one of"):
             ExperimentConfig(detection_policy="halt").validate()
 
     def test_seed_non_negative(self):
@@ -468,6 +468,13 @@ class TestConfigFile:
         cfg.write_text("trials = many\n")
         with pytest.raises(ConfigError, match="bad value"):
             load_config_file(str(cfg))
+
+    def test_bad_detection_policy_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("detection_policy = sometimes\n")
+        assert main(["run", "--config", str(cfg), "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "detection_policy must be one of ('terminal', 'reinitialize'), got 'sometimes'" in err
 
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -36,11 +36,10 @@ from qdialogue.quantum import (
     bell_state,
     entangling_probe,
     measure_z,
-    project_z,
     tensor_product,
     z_outcome_probs,
 )
-from reference import project_bell
+from reference import project_bell, project_z
 
 TOL = 1e-12
 NAMES = "abcde"

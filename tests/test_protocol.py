@@ -18,8 +18,6 @@ from qdialogue.protocol import (
     MM,
     Message,
     ProtocolConfig,
-    cm_check,
-    decode_counterpart,
     random_message,
     run_dialogue,
 )
@@ -46,29 +44,33 @@ class TestMessage:
 
 
 class TestDecodeAndCheck:
+    # A party decodes the other's pair as ``outcome ^ own_code``; Bob's
+    # control check is ``outcome == alice_code ^ bob_code``.
+
     def test_decode_example(self):
-        assert decode_counterpart(BitPair(1, 0), BitPair(1, 1)) == BitPair(0, 1)
+        assert BitPair(1, 0) ^ BitPair(1, 1) == BitPair(0, 1)
 
     def test_identity_code(self):
-        assert decode_counterpart(BitPair(1, 0), BitPair(0, 0)) == BitPair(1, 0)
+        assert BitPair(1, 0) ^ BitPair(0, 0) == BitPair(1, 0)
 
     def test_xor_involution(self):
         for outcome in ALL_CODES:
             for own in ALL_CODES:
-                other = decode_counterpart(outcome, own)
-                assert decode_counterpart(other, own) == outcome
+                other = outcome ^ own
+                assert other ^ own == outcome
 
     def test_cm_check_consistent_triple(self):
-        assert cm_check(BitPair(1, 0), BitPair(1, 1), BitPair(0, 1))
+        assert BitPair(1, 0) == BitPair(0, 1) ^ BitPair(1, 1)
 
     def test_cm_check_mismatch(self):
-        assert not cm_check(BitPair(1, 0), BitPair(1, 1), BitPair(1, 1))
+        assert BitPair(1, 0) != BitPair(1, 1) ^ BitPair(1, 1)
 
     def test_cm_check_exhaustive(self):
         for bob in ALL_CODES:
             for alice in ALL_CODES:
                 for outcome in ALL_CODES:
-                    assert cm_check(outcome, bob, alice) == (outcome == (alice ^ bob))
+                    componentwise = outcome.a == alice.a ^ bob.a and outcome.b == alice.b ^ bob.b
+                    assert (outcome == alice ^ bob) is componentwise
 
 
 class TestEncoders:
@@ -156,8 +158,7 @@ class TestAttackFreeDialogue:
     def test_no_cm_failures(self):
         for seed in range(20):
             _, _, result = run_clean(n_pairs=8, seed=seed)
-            failed, _ = result.transcript.cm_tally()
-            assert failed == 0
+            assert not any(run.cm_pass is False for run in result.transcript.runs)
 
     def test_message_cursor_advances_only_on_mm(self):
         _, _, result = run_clean(n_pairs=8, c=0.6, seed=5)
@@ -181,9 +182,11 @@ class TestAttackFreeDialogue:
             kinds = [a[0] for a in run.announcements]
             if run.mode == MM:
                 assert kinds == ["mode", "bell_broadcast"]
+                assert run.announcements[1][1:] == tuple(run.outcome)
                 assert run.cm_pass is None
             else:
                 assert kinds == ["mode", "cm_reveal"]
+                assert run.announcements[1][1:] == tuple(run.alice_code)
                 assert run.cm_pass is True
 
     def test_decodes_follow_from_public_data_and_own_codes(self):
@@ -195,8 +198,8 @@ class TestAttackFreeDialogue:
             if run.mode != MM:
                 continue
             (_, x, y) = run.announcements[1]
-            bob_view.append(decode_counterpart(BitPair(x, y), bob.pairs[mm_i]))
-            alice_view.append(decode_counterpart(BitPair(x, y), alice.pairs[mm_i]))
+            bob_view.append(BitPair(x, y) ^ bob.pairs[mm_i])
+            alice_view.append(BitPair(x, y) ^ alice.pairs[mm_i])
             mm_i += 1
         assert tuple(bob_view) == result.bob_decoded.pairs
         assert tuple(alice_view) == result.alice_decoded.pairs

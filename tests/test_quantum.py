@@ -25,11 +25,17 @@ from qdialogue.quantum import (
     entangling_probe,
     measure_z,
     pauli_compose,
-    project_z,
     tensor_product,
     z_outcome_probs,
 )
-from reference import DensityMatrix, project_bell, reduced_density, same_state, von_neumann_entropy
+from reference import (
+    DensityMatrix,
+    project_bell,
+    project_z,
+    reduced_density,
+    same_state,
+    von_neumann_entropy,
+)
 
 RT2 = 1.0 / math.sqrt(2.0)
 
