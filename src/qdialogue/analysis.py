@@ -231,7 +231,7 @@ class TrialReport:
     """Per-dialogue outcome reduced to aggregatable tallies.
 
     Control-run tallies span every pass (restarts included); the n_*
-    counters echo the transcript's final-pass counts. The ancilla table
+    counters and both decodes cover the final pass. The ancilla table
     is the 2x4 contingency of probe readout against Alice's true pair
     over message runs, all zeros for strategies without an ancilla.
     """
@@ -268,14 +268,26 @@ class TrialReport:
         strategy: AttackStrategy,
     ) -> "TrialReport":
         # One pass over the runs and Eve's logs, which are kept in run
-        # order: control counts, the first failed check, and the ancilla
-        # readout against Alice's pair on message runs.
+        # order: control counts, the first failed check and the ancilla
+        # readout against Alice's pair on message runs, over every pass;
+        # run counts and both decodes (outcome XOR own code) over the
+        # final pass, the suffix left after the last restart.
         transcript = result.transcript
         cm_failures = cm_runs = 0
         first_detection = None
         table = [[0, 0, 0, 0], [0, 0, 0, 0]]
+        pass_index = n_total = n_mm = 0
+        alice_bits, bob_bits = [], []
         for i, (run, log) in enumerate(zip(transcript.runs, result.eve.logs), start=1):
+            if run.pass_index != pass_index:
+                pass_index = run.pass_index
+                n_total = n_mm = 0
+                alice_bits, bob_bits = [], []
+            n_total += 1
             if run.mode == MM:
+                n_mm += 1
+                alice_bits += run.outcome ^ run.alice_code
+                bob_bits += run.outcome ^ run.bob_code
                 if log.ancilla_outcome is not None:
                     table[log.ancilla_outcome][2 * run.alice_code.a + run.alice_code.b] += 1
             else:
@@ -285,40 +297,28 @@ class TrialReport:
                     if first_detection is None:
                         first_detection = i
 
-        alice_errors = bob_errors = 0
-        alice_bits: tuple[int, ...] = ()
-        bob_bits: tuple[int, ...] = ()
-        if result.alice_decoded is not None:
-            alice_bits = tuple(result.alice_decoded.to_bits())
-            alice_errors = sum(
-                g != t for g, t in zip(alice_bits, bob_msg.to_bits())
-            )
-        if result.bob_decoded is not None:
-            bob_bits = tuple(result.bob_decoded.to_bits())
-            bob_errors = sum(g != t for g, t in zip(bob_bits, alice_msg.to_bits()))
-
         return cls(
             trial_index=trial_index,
             strategy=strategy.name,
             beta2=getattr(strategy, "beta2", None),
             status=transcript.final_status,
-            n_total=transcript.n_total,
-            n_mm=transcript.n_mm,
-            n_cm=transcript.n_cm,
+            n_total=n_total,
+            n_mm=n_mm,
+            n_cm=n_total - n_mm,
             runs_all_passes=len(transcript.runs),
             cm_failures=cm_failures,
             cm_runs=cm_runs,
-            restart_count=transcript.restart_count,
+            restart_count=pass_index,
             first_detection_run=first_detection,
             message_bits=2 * len(alice_msg),
-            alice_bit_errors=alice_errors,
-            bob_bit_errors=bob_errors,
+            alice_bit_errors=sum(g != t for g, t in zip(alice_bits, bob_msg.to_bits())),
+            bob_bit_errors=sum(g != t for g, t in zip(bob_bits, alice_msg.to_bits())),
             eve_alice_hits=result.eve.alice_hits,
             eve_bob_hits=result.eve.bob_hits,
             eve_guesses=result.eve.guess_count,
             ancilla_table=(tuple(table[0]), tuple(table[1])),
-            alice_decoded_bits=alice_bits,
-            bob_decoded_bits=bob_bits,
+            alice_decoded_bits=tuple(alice_bits),
+            bob_decoded_bits=tuple(bob_bits),
         )
 
 

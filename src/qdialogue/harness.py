@@ -1,11 +1,13 @@
 """Reproducible experiment driver.
 
 Runs batches of independent dialogues under a named attack, folds
-each dialogue's report into one additive ``Tally`` as it finishes, and
-emits a results document that pairs every empirical rate with its
-analytic or oracle counterpart and a tolerance verdict. Per-trial
-reports are kept only for ``verbose`` documents, so memory does not
-grow with the trial count otherwise.
+each dialogue's report into an additive ``Tally`` as it finishes, in
+the process that ran it, and emits a results document that pairs every
+empirical rate with its analytic or oracle counterpart and a tolerance
+verdict. A pool worker folds a contiguous chunk of trials and sends
+back one ``Tally`` per chunk. Per-trial reports are kept only for
+``verbose`` documents, so memory does not grow with the trial count
+otherwise.
 
 Determinism contract: the per-trial random stream is derived from
 (master_seed, point_key..., trial_index) through a seed sequence, so
@@ -145,36 +147,42 @@ def run_trial(config: ExperimentConfig, trial_index: int, point_key: tuple[int, 
     return TrialReport.from_dialogue(trial_index, result, alice_msg, bob_msg, strategy)
 
 
-def _run_trial_star(args) -> TrialReport:
-    return run_trial(*args)
+# A batch of trials folded: its Tally, and its reports in trial order if verbose.
+FoldedTrials = tuple[Tally, list[TrialReport]]
 
 
-def _trial_reports(config: ExperimentConfig, point_key: tuple[int, ...]):
-    """Every trial's report in trial order, each made as it is asked for.
+def _fold_trials(config: ExperimentConfig, trials: range, point_key: tuple[int, ...]) -> FoldedTrials:
+    """Run ``trials`` in order, folding each report into a ``Tally`` as it finishes.
 
-    A pool starts all its workers at once, so it gets no more workers
-    than there are trials.
+    A pool worker folds one contiguous chunk, so one ``Tally`` per
+    chunk crosses back, not one report per trial.
     """
-    jobs = zip(repeat(config), range(config.trials), repeat(point_key))
-    workers = min(config.workers, config.trials)
-    if workers == 1:
-        yield from map(_run_trial_star, jobs)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, config.trials // (workers * 8))
-            yield from pool.map(_run_trial_star, jobs, chunksize=chunk)
-
-
-def _fold_trials(
-    config: ExperimentConfig, point_key: tuple[int, ...] = ()
-) -> tuple[Tally, list[TrialReport]]:
-    """Fold each trial's report into a ``Tally`` as it arrives; keep reports only if verbose."""
     tally, kept = Tally(), []
-    for report in _trial_reports(config, point_key):
+    for trial_index in trials:
+        report = run_trial(config, trial_index, point_key)
         tally += Tally.from_report(report)
         if config.verbose:
             kept.append(report)
     return tally, kept
+
+
+def _run_trials(config: ExperimentConfig, point_key: tuple[int, ...] = ()) -> FoldedTrials:
+    """Every trial folded as ``_fold_trials`` does, kept reports in trial order.
+
+    The pool maps ``_fold_trials`` over contiguous chunks in trial order
+    and adds their tallies; integer sums do not depend on order. A pool
+    starts all its workers at once, so it gets no more workers than
+    there are trials.
+    """
+    trials = range(config.trials)
+    workers = min(config.workers, config.trials)
+    if workers == 1:
+        return _fold_trials(config, trials, point_key)
+    step = max(1, config.trials // (workers * 8))
+    chunks = [trials[i : i + step] for i in range(0, config.trials, step)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(_fold_trials, repeat(config), chunks, repeat(point_key)))
+    return sum((tally for tally, _ in parts), Tally()), [r for _, kept in parts for r in kept]
 
 
 def _comparison(name: str, est: EstimateWithCI, reference: float, source: str) -> dict:
@@ -194,7 +202,7 @@ def run_experiment(config: ExperimentConfig, point_key: tuple[int, ...] = ()) ->
     """Execute the configured trials and assemble the results document."""
     config.validate()
     strategy = config.strategy()
-    tally, reports = _fold_trials(config, point_key)
+    tally, reports = _run_trials(config, point_key)
 
     d_oracle = per_cm_detection_oracle(strategy)
     d_claimed = claimed_per_cm(strategy)
@@ -327,10 +335,13 @@ def sweep(config: ExperimentConfig, vary: str, values: list) -> dict:
         if cast_value != value:
             raise ConfigError(f"{vary} takes {cast.__name__} values, got {value!r}")
 
+    point_cfgs = [replace(config, **{vary: value}) for value in cast_values]
+    for point_cfg in point_cfgs:  # every point is checked before any runs
+        point_cfg.validate()
+
     points = []
     curve = []
-    for idx, value in enumerate(cast_values):
-        point_cfg = replace(config, **{vary: value})
+    for idx, (value, point_cfg) in enumerate(zip(cast_values, point_cfgs)):
         doc = run_experiment(point_cfg, point_key=(idx,))
         points.append(doc)
         row = {
@@ -518,7 +529,7 @@ def selftest() -> tuple[bool, list[str]]:
 
     # Attack-free fidelity, small batch.
     cfg = ExperimentConfig(attack="none", c=0.5, n_pairs=8, trials=200, master_seed=7)
-    tally, _ = _fold_trials(cfg)
+    tally, _ = _run_trials(cfg)
     clean = tally.completed == tally.trials and tally.cm_failures == tally.bit_errors == 0
     check("attack-free dialogues decode exactly (200 trials)", clean)
 

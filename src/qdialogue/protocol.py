@@ -17,9 +17,12 @@ tap points: between Bob's send and Alice's receipt (ping) and between
 Alice's send and Bob's receipt (pong). The honest channel is the
 ``NoAttack`` strategy, whose taps do nothing.
 
-Each run leaves one public record, a ``RunRecord`` whose announcements
-are derived from its mode, Alice's code and Bob's outcome, and one
-private log in Eve's session, in the same order as the transcript.
+Each run leaves one public record, a ``RunRecord``, and one private log
+in Eve's session, in the same order as the transcript. Everything else
+about a dialogue is derived from its runs: the announcements and Bob's
+control check, each side's decode (the outcome XOR its own code on the
+final pass's message runs), the restart count (the last run's pass
+index) and the final-pass counters.
 """
 
 from __future__ import annotations
@@ -141,8 +144,8 @@ class RunRecord:
     """One protocol run as it appears in the transcript.
 
     Everything a third party can see is in ``announcements``, the mode
-    included; they are derived from the run's mode, Alice's code and
-    Bob's outcome.
+    included. The announcements and Bob's control check are derived from
+    the run's mode, both codes and Bob's outcome.
     """
 
     index: int
@@ -151,7 +154,13 @@ class RunRecord:
     bob_code: BitPair
     alice_code: BitPair
     outcome: BitPair
-    cm_pass: bool | None
+
+    @property
+    def cm_pass(self) -> bool | None:
+        """Bob's control check, ``outcome == alice_code ^ bob_code``; None on a message run."""
+        if self.mode == CM:
+            return self.outcome == self.alice_code ^ self.bob_code
+        return None
 
     @property
     def announcements(self) -> tuple[tuple, ...]:
@@ -175,14 +184,36 @@ class RunRecord:
 
 @dataclass
 class Transcript:
-    """Ordered run log plus counters for the final (post-restart) pass."""
+    """Ordered run log and how the dialogue ended.
+
+    Every counter is derived from the runs: a restart starts a new pass,
+    so the restart count is the last run's ``pass_index``, and the final
+    pass is the suffix of runs carrying that index.
+    """
 
     runs: list[RunRecord]
-    n_total: int
-    n_mm: int
-    n_cm: int
-    restart_count: int
     final_status: str
+
+    @property
+    def restart_count(self) -> int:
+        return self.runs[-1].pass_index
+
+    @property
+    def final_pass(self) -> list[RunRecord]:
+        last = self.restart_count
+        return [run for run in self.runs if run.pass_index == last]
+
+    @property
+    def n_total(self) -> int:
+        return len(self.final_pass)
+
+    @property
+    def n_mm(self) -> int:
+        return sum(run.mode == MM for run in self.final_pass)
+
+    @property
+    def n_cm(self) -> int:
+        return self.n_total - self.n_mm
 
     def to_dict(self) -> dict:
         return {
@@ -197,11 +228,9 @@ class Transcript:
 
 @dataclass
 class DialogueResult:
-    """Outcome of one dialogue: transcript, both decoded payloads, Eve's session."""
+    """Outcome of one dialogue: the public transcript and Eve's session."""
 
     transcript: Transcript
-    alice_decoded: Message | None
-    bob_decoded: Message | None
     eve: "EveSession"
 
 
@@ -234,12 +263,8 @@ def run_dialogue(
 
     session = attack.new_session()
     runs: list[RunRecord] = []
-    alice_decoded: list[BitPair] = []
-    bob_decoded: list[BitPair] = []
     cursor = 0
     pass_index = 0
-    pass_mm = pass_cm = 0
-    restart_count = 0
     status: str | None = None
 
     while status is None:
@@ -254,62 +279,25 @@ def run_dialogue(
         alice_code = _random_pair(rng) if is_cm else alice_msg.pairs[cursor]
         channel = round_trip(bob_code, alice_code, attack, session, eve_rng)
         outcome, _ = bell_measure(channel.state, "h", channel.traveling, rng)
+        mode = CM if is_cm else MM
+        runs.append(RunRecord(cursor, pass_index, mode, bob_code, alice_code, outcome))
 
-        # Each party reads the other's pair as the outcome XOR its own
-        # code; Bob's control check is the same identity on Alice's
-        # revealed pair.
-        cm_pass: bool | None = None
-        if is_cm:
-            pass_cm += 1
-            cm_pass = outcome == alice_code ^ bob_code
-        else:
-            pass_mm += 1
-            bob_decoded.append(outcome ^ bob_code)
-            alice_decoded.append(outcome ^ alice_code)
+        # Each party decodes a message run as the outcome XOR its own
+        # code, read off the runs afterwards. A control run fails Bob's
+        # check when the outcome is not the XOR of the two codes.
+        if not is_cm:
             attack.guess(session, outcome, eve_rng)
             session.score(alice_truth=alice_code, bob_truth=bob_code)
-
-        runs.append(
-            RunRecord(
-                index=cursor,
-                pass_index=pass_index,
-                mode=CM if is_cm else MM,
-                bob_code=bob_code,
-                alice_code=alice_code,
-                outcome=outcome,
-                cm_pass=cm_pass,
-            )
-        )
-
-        if is_cm:
-            if not cm_pass:
-                if config.detection_policy == TERMINAL:
-                    status = DETECTED
-                elif restart_count >= config.max_restarts:
-                    status = ABORTED
-                else:
-                    restart_count += 1
-                    pass_index += 1
-                    cursor = 0
-                    pass_mm = pass_cm = 0
-                    alice_decoded.clear()
-                    bob_decoded.clear()
-        else:
             cursor += 1
             if cursor == config.n_pairs:
                 status = COMPLETED
+        elif outcome != alice_code ^ bob_code:
+            if config.detection_policy == TERMINAL:
+                status = DETECTED
+            elif pass_index == config.max_restarts:
+                status = ABORTED
+            else:
+                pass_index += 1
+                cursor = 0
 
-    transcript = Transcript(
-        runs=runs,
-        n_total=pass_mm + pass_cm,
-        n_mm=pass_mm,
-        n_cm=pass_cm,
-        restart_count=restart_count,
-        final_status=status,
-    )
-    return DialogueResult(
-        transcript=transcript,
-        alice_decoded=Message(tuple(alice_decoded)) if alice_decoded else None,
-        bob_decoded=Message(tuple(bob_decoded)) if bob_decoded else None,
-        eve=session,
-    )
+    return DialogueResult(Transcript(runs, status), session)

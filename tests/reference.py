@@ -2,8 +2,8 @@
 
 No ``qdialogue`` command needs these: partial traces and entropies of
 simulated states, equality up to a global phase, the forced-outcome Bell
-and up/down projections, and the cumulative detection curve as an
-explicit sum.
+and up/down projections, the cumulative detection curve as an explicit
+sum, and each side's decode read straight off a transcript.
 """
 
 from __future__ import annotations
@@ -21,6 +21,18 @@ def detection_after_runs_partial_sum(c: float, d: float, runs: int) -> float:
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must lie strictly between 0 and 1, got {c}")
     return c * d * sum((1.0 - c * d) ** n for n in range(runs))
+
+
+def decoded_pairs(transcript) -> tuple[tuple[BitPair, ...], tuple[BitPair, ...]]:
+    """(Alice's, Bob's) decoded pairs: outcome XOR own code on the final pass's message runs.
+
+    Alice's decode reads Bob's message and Bob's reads Alice's. The final
+    pass is every run with the largest pass index.
+    """
+    last = max(run.pass_index for run in transcript.runs)
+    final = [run for run in transcript.runs if run.pass_index == last and run.mode == "MM"]
+    alice_view = tuple(run.outcome ^ run.alice_code for run in final)
+    return alice_view, tuple(run.outcome ^ run.bob_code for run in final)
 
 
 def project_bell(

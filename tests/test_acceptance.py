@@ -26,7 +26,7 @@ from qdialogue.analysis import (
 )
 from qdialogue.attacks import EntangleMeasure, NoAttack, strategy_from_name
 from qdialogue.harness import ExperimentConfig, run_experiment, to_csv, to_json, trial_rng
-from qdialogue.protocol import ProtocolConfig, random_message, run_dialogue
+from qdialogue.protocol import Message, ProtocolConfig, random_message, run_dialogue
 from qdialogue.quantum import (
     ALL_CODES,
     PAULI_MATRICES,
@@ -38,7 +38,12 @@ from qdialogue.quantum import (
     entangling_probe,
     pauli_compose,
 )
-from reference import detection_after_runs_partial_sum, reduced_density, von_neumann_entropy
+from reference import (
+    decoded_pairs,
+    detection_after_runs_partial_sum,
+    reduced_density,
+    von_neumann_entropy,
+)
 
 C_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
@@ -116,8 +121,9 @@ def test_criterion_03_attack_free_dialogues():
         result = run_dialogue(config, alice, bob, strategy, rng)
         incomplete += result.transcript.final_status != "completed"
         failures += sum(run.cm_pass is False for run in result.transcript.runs)
-        errors += sum(a != b for a, b in zip(result.alice_decoded.to_bits(), bob.to_bits()))
-        errors += sum(a != b for a, b in zip(result.bob_decoded.to_bits(), alice.to_bits()))
+        alice_view, bob_view = decoded_pairs(result.transcript)
+        errors += sum(a != b for a, b in zip(Message(alice_view).to_bits(), bob.to_bits()))
+        errors += sum(a != b for a, b in zip(Message(bob_view).to_bits(), alice.to_bits()))
     elapsed = time.perf_counter() - t0
     ok = incomplete == 0 and failures == 0 and errors == 0 and elapsed < 60.0
     report(

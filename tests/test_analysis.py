@@ -19,7 +19,7 @@ from qdialogue.analysis import (
 )
 from qdialogue.attacks import EntangleMeasure, InterceptResendLiteral, NoAttack, strategy_from_name
 from qdialogue.protocol import COMPLETED, DETECTED, ProtocolConfig, random_message, run_dialogue
-from reference import detection_after_runs_partial_sum
+from reference import decoded_pairs, detection_after_runs_partial_sum
 
 C_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
@@ -320,6 +320,27 @@ class TestTrialReport:
         assert report.bob_bit_errors == 0
         assert report.message_bits == 10
         assert report.eve_guesses == t.n_mm
+
+    def test_final_pass_fields_after_restarts(self):
+        # The one-pass reduction against the transcript's own derived
+        # counters and the reference decode, on dialogues that restart.
+        config = ProtocolConfig(c=0.5, n_pairs=4, detection_policy="reinitialize", max_restarts=3)
+        restarted_then_completed = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            alice = random_message(4, rng)
+            bob = random_message(4, rng)
+            attack = EntangleMeasure(0.5)
+            result = run_dialogue(config, alice, bob, attack, rng)
+            report = TrialReport.from_dialogue(seed, result, alice, bob, attack)
+            t = result.transcript
+            assert (report.n_total, report.n_mm, report.n_cm) == (t.n_total, t.n_mm, t.n_cm)
+            assert report.restart_count == t.restart_count
+            alice_view, bob_view = decoded_pairs(t)
+            assert report.alice_decoded_bits == tuple(b for pair in alice_view for b in pair)
+            assert report.bob_decoded_bits == tuple(b for pair in bob_view for b in pair)
+            restarted_then_completed += t.restart_count > 0 and t.final_status == COMPLETED
+        assert restarted_then_completed > 0
 
     def test_ancilla_table_counts_mm_runs(self):
         tally = make_reports(EntangleMeasure(0.25), 40, seed=7)

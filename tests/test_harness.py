@@ -3,8 +3,9 @@
 import hashlib
 import json
 import os
+import pickle
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import qdialogue.harness as harness
 import qdialogue.quantum as quantum
 from qdialogue import attacks
+from qdialogue.analysis import Tally, TrialReport
 from qdialogue.attacks import STRATEGY_NAMES, AttackStrategy
 from qdialogue.cli import load_config_file, main
 from qdialogue.harness import (
@@ -28,6 +30,19 @@ from qdialogue.harness import (
     trial_rng,
 )
 from qdialogue.quantum import BitPair
+
+
+def counted_trials(monkeypatch) -> list:
+    """Route ``harness.run_trial`` through a wrapper; returns the list of trial indices it ran."""
+    calls = []
+    raw = harness.run_trial
+
+    def counted(config, trial_index, point_key=()):
+        calls.append(trial_index)
+        return raw(config, trial_index, point_key)
+
+    monkeypatch.setattr(harness, "run_trial", counted)
+    return calls
 
 
 class TestConfigValidation:
@@ -120,14 +135,71 @@ class TestWorkerCount:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
         pooled = to_json(run_experiment(ExperimentConfig(**self.BASE, trials=trials, workers=8)))
         serial = to_json(run_experiment(ExperimentConfig(**self.BASE, trials=trials, workers=1)))
         assert started == sizes
         assert pooled == serial
+
+
+class TestPoolTraffic:
+    """What the pool's mapped function hands back, seen through an in-process stand-in."""
+
+    BASE = dict(attack="entangle-measure", beta2=0.25, c=0.5, n_pairs=4, master_seed=9)
+
+    def _pooled(self, monkeypatch, config):
+        calls = []
+
+        class RecordingPool:
+            """Stands in for ``ProcessPoolExecutor``: maps in-process, records each call."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                for args in zip(*iterables):
+                    result = fn(*args)
+                    calls.append((args, result))
+                    yield result
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        return run_experiment(config), calls
+
+    @pytest.mark.parametrize("trials, workers", [(50, 3), (7, 2), (2, 2)])
+    def test_chunks_cover_every_trial_once_in_order(self, monkeypatch, trials, workers):
+        config = ExperimentConfig(**self.BASE, trials=trials, workers=workers)
+        _, calls = self._pooled(monkeypatch, config)
+        chunks = [args[1] for args, _ in calls]
+        assert all(type(chunk) is range and chunk.step == 1 for chunk in chunks)
+        assert [i for chunk in chunks for i in chunk] == list(range(trials))
+        assert all(args[0] == config and args[2] == () for args, _ in calls)
+
+    def test_one_tally_and_no_report_crosses(self, monkeypatch):
+        config = ExperimentConfig(**self.BASE, trials=50, workers=3)
+        doc, calls = self._pooled(monkeypatch, config)
+        for _, (tally, reports) in calls:
+            assert type(tally) is Tally and reports == []
+            assert b"TrialReport" not in pickle.dumps((tally, reports))
+        assert sum((tally for _, (tally, _) in calls), Tally()).trials == config.trials
+        assert to_json(doc) == to_json(run_experiment(replace(config, workers=1)))
+
+    def test_verbose_reports_cross_with_their_chunk(self, monkeypatch):
+        config = ExperimentConfig(**self.BASE, trials=50, workers=3, verbose=True)
+        doc, calls = self._pooled(monkeypatch, config)
+        for (_, chunk, _), (tally, reports) in calls:
+            assert [r.trial_index for r in reports] == list(chunk)
+            assert all(type(r) is TrialReport for r in reports)
+            assert tally.trials == len(chunk)
+        assert to_json(doc) == to_json(run_experiment(replace(config, workers=1)))
 
 
 class TestResultsDocument:
@@ -258,6 +330,16 @@ class TestSweep:
         assert type(doc["values"][1]) is int
         doc = sweep(ExperimentConfig(trials=5, n_pairs=2, master_seed=1), "c", [0.25])
         assert doc["points"][0]["config"]["c"] == 0.25
+
+    @pytest.mark.parametrize("vary, values", [("beta2", [0.1, 0.2, 0.7]), ("c", [0.5, 1.5])])
+    def test_every_point_checked_before_any_runs(self, monkeypatch, vary, values):
+        calls = counted_trials(monkeypatch)
+        cfg = ExperimentConfig(
+            attack="entangle-measure", beta2=0.1, c=0.5, n_pairs=2, trials=20, master_seed=1
+        )
+        with pytest.raises(ConfigError):
+            sweep(cfg, vary, values)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "vary, value", [("n_pairs", 2.7), ("n_pairs", "2"), ("c", "0.25"), ("c", None)]
@@ -427,6 +509,17 @@ class TestCli:
         assert main(
             ["sweep", "--vary", "c", "--values", "0.1,zebra", "--trials", "5", "--n-pairs", "2"]
         ) == 2
+
+    def test_sweep_with_a_bad_last_value_runs_nothing_and_exits_2(self, monkeypatch, tmp_path):
+        calls = counted_trials(monkeypatch)
+        out = tmp_path / "sweep.json"
+        code = main(
+            ["sweep", "--attack", "entangle-measure", "--vary", "beta2", "--values", "0.1,0.7",
+             "--trials", "20", "--n-pairs", "2", "--seed", "4", "--out", str(out)]
+        )
+        assert code == 2
+        assert calls == []
+        assert not out.exists()
 
     def test_empty_sweep_values_exit_2(self, capsys):
         assert main(["sweep", "--vary", "c", "--values", ","]) == 2

@@ -1,5 +1,6 @@
 """Tests for messages and the dialogue state machine."""
 
+import hashlib
 import json
 import math
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdialogue.analysis import per_cm_detection_oracle
-from qdialogue.attacks import AttackStrategy, NoAttack
+from qdialogue.analysis import TrialReport, per_cm_detection_oracle
+from qdialogue.attacks import STRATEGY_NAMES, AttackStrategy, NoAttack, strategy_from_name
 from qdialogue.protocol import (
     ABORTED,
     CM,
@@ -28,7 +29,7 @@ from qdialogue.quantum import (
     bell_outcome_probs,
     bell_state,
 )
-from reference import same_state
+from reference import decoded_pairs, same_state
 
 
 class TestMessage:
@@ -139,15 +140,14 @@ class TestAttackFreeDialogue:
     def test_exact_exchange(self, c, seed):
         alice, bob, result = run_clean(n_pairs=12, c=c, seed=seed, attack=NoAttack())
         assert result.transcript.final_status == COMPLETED
-        assert result.alice_decoded.pairs == bob.pairs
-        assert result.bob_decoded.pairs == alice.pairs
+        assert decoded_pairs(result.transcript) == (bob.pairs, alice.pairs)
 
     def test_capacity(self):
         alice, bob, result = run_clean(n_pairs=16, seed=3)
         t = result.transcript
         assert t.n_mm == 16
-        assert len(result.alice_decoded.to_bits()) == 32
-        assert len(result.bob_decoded.to_bits()) == 32
+        alice_view, bob_view = decoded_pairs(t)
+        assert len(alice_view) == len(bob_view) == 16  # 32 bits a side
 
     def test_counters_consistent(self):
         _, _, result = run_clean(n_pairs=10, seed=4)
@@ -201,8 +201,10 @@ class TestAttackFreeDialogue:
             bob_view.append(BitPair(x, y) ^ bob.pairs[mm_i])
             alice_view.append(BitPair(x, y) ^ alice.pairs[mm_i])
             mm_i += 1
-        assert tuple(bob_view) == result.bob_decoded.pairs
-        assert tuple(alice_view) == result.alice_decoded.pairs
+        # The package decodes in the trial reduction.
+        report = TrialReport.from_dialogue(0, result, alice, bob, NoAttack())
+        assert Message(tuple(bob_view)).to_bits() == list(report.bob_decoded_bits)
+        assert Message(tuple(alice_view)).to_bits() == list(report.alice_decoded_bits)
 
     def test_mode_ratio_matches_c(self):
         c = 0.5
@@ -311,3 +313,53 @@ class TestDetectionPolicies:
         _, _, result = run_clean(n_pairs=8, seed=14)
         assert result.transcript.final_status == COMPLETED
         assert result.transcript.n_mm == 8
+
+
+# sha256 of ``json.dumps(Transcript.to_dict())`` for one dialogue per
+# strategy under reinitialize with max_restarts=2 (c=0.5, N=8, beta2=0.25
+# for entangle-measure). At seed 0 every detectable strategy restarts
+# twice and aborts; at seed 2 several restart and then complete, so the
+# final-pass counters cover a strict suffix of the runs.
+TRANSCRIPT_DIGESTS = {
+    (0, "none"): "62dc7c876742ced7727293b6949c80ab65acac538f7452ba04f6c06f8a66411e",
+    (0, "disturb-measure"): "bec5425aeaac339d96999c9ef58e44b19664da2a054494ea5d7dfe3665e63f93",
+    (0, "disturb-pauli-z"): "4f3c349fe87c33274a23d67f36799762f2406e12d5485ad8d26f52f082337833",
+    (0, "disturb-pauli-4"): "23f53604983130732fe1f4a84011620952de65954f8a744b04f7e6076b8d861c",
+    (0, "intercept-resend-literal"): "62dc7c876742ced7727293b6949c80ab65acac538f7452ba04f6c06f8a66411e",
+    (0, "intercept-resend-blind"): "c6d664274432d4fda622a192ad4d96d935439933b298118e83b3d3936eaf91ce",
+    (0, "entangle-measure"): "cd13ede87f3104e95d6854476241b1e2c5ce4e6e3e1cda237506bbc2c531e6e6",
+    (0, "flip-on-pong"): "ecc5de42615e1517bb4481d11eaa994fc8e9996df529fc09761f19d0892167d2",
+    (2, "none"): "c28188617d1a53dfc7155ef2a66de7d6b7d0eb846e4636f9d0424f049754dd52",
+    (2, "disturb-measure"): "633aa558c92baf5c33c89fbae76002a9b6d89cbeeb70ae2abdb9ed265d20a75d",
+    (2, "disturb-pauli-z"): "9610cd3749f91043ed70961aab04cd1ab62861756018a2b093f2d9ec7edb19a1",
+    (2, "disturb-pauli-4"): "c7122cb562ee59ba1ac293bfb657ed36b4c29dcc464582979140e0912c8819ac",
+    (2, "intercept-resend-literal"): "c28188617d1a53dfc7155ef2a66de7d6b7d0eb846e4636f9d0424f049754dd52",
+    (2, "intercept-resend-blind"): "90a29c014e98cac919e8f2a432a5b7611858106db913df79c61e45778855dfc9",
+    (2, "entangle-measure"): "5553d843d8800123fb4accd41ecee4c7d4be5bb08c20e8b657c918fa1ced6f1d",
+    (2, "flip-on-pong"): "028a1699d9a4ee6d14910f5ebea0da88fa1ad0b58963d87c7f309671650fc5b5",
+}
+
+
+class TestTranscriptSerialization:
+    @pytest.mark.parametrize("seed, name", sorted(TRANSCRIPT_DIGESTS))
+    def test_to_dict_digest(self, seed, name):
+        if name == "flip-on-pong":
+            attack = FlipOnPong()
+        else:
+            attack = strategy_from_name(name, 0.25 if name == "entangle-measure" else None)
+        _, _, result = run_clean(
+            n_pairs=8, c=0.5, seed=seed, attack=attack,
+            detection_policy="reinitialize", max_restarts=2,
+        )
+        text = json.dumps(result.transcript.to_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == TRANSCRIPT_DIGESTS[seed, name]
+
+    def test_digests_cover_every_strategy_and_restarts(self):
+        assert {name for _, name in TRANSCRIPT_DIGESTS} == {*STRATEGY_NAMES, "flip-on-pong"}
+        _, _, result = run_clean(
+            n_pairs=8, c=0.5, seed=2, attack=FlipOnPong(),
+            detection_policy="reinitialize", max_restarts=2,
+        )
+        t = result.transcript
+        assert t.final_status == COMPLETED and t.restart_count == 2
+        assert t.n_total < len(t.runs)
