@@ -62,8 +62,6 @@ class EveRunLog:
 
     learned_alice: BitPair | None = None
     ancilla_outcome: int | None = None
-    disturb_code: BitPair | None = None
-    measured_bit: int | None = None
     alice_guess: BitPair | None = None
     bob_guess: BitPair | None = None
     stored_reg: str | None = None
@@ -151,27 +149,23 @@ class DisturbMeasure(AttackStrategy):
     name = "disturb-measure"
 
     def on_pong(self, channel, session, rng):
-        bit, collapsed = measure_z(channel.state, channel.traveling, rng)
-        channel.state = collapsed
-        session.current.measured_bit = bit
+        _, channel.state = measure_z(channel.state, channel.traveling, rng)
 
 
 class DisturbPauliZ(AttackStrategy):
+    """Applies one of ``codes``, each equally likely, to the pong leg."""
+
     name = "disturb-pauli-z"
+    codes = (BitPair(1, 1), BitPair(0, 0))
 
     def on_pong(self, channel, session, rng):
-        code = (BitPair(1, 1), BitPair(0, 0))[choose((0.5, 0.5), rng)]
+        code = self.codes[choose((1 / len(self.codes),) * len(self.codes), rng)]
         channel.state = apply_pauli(channel.state, channel.traveling, code)
-        session.current.disturb_code = code
 
 
-class DisturbPauli4(AttackStrategy):
+class DisturbPauli4(DisturbPauliZ):
     name = "disturb-pauli-4"
-
-    def on_pong(self, channel, session, rng):
-        code = ALL_CODES[choose((0.25,) * 4, rng)]
-        channel.state = apply_pauli(channel.state, channel.traveling, code)
-        session.current.disturb_code = code
+    codes = ALL_CODES
 
 
 class _InterceptResend(AttackStrategy):

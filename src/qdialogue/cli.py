@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 
 from .harness import (
+    FIELD_TYPES,
     FORMATS,
     SWEEPABLE,
     ConfigError,
@@ -33,11 +33,6 @@ from .harness import (
     write_document,
 )
 from .protocol import DETECTION_POLICIES
-
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
-_INT_KEYS = {"n_pairs", "trials", "master_seed", "max_restarts", "workers"}
-_FLOAT_KEYS = {"c", "beta2"}
-_BOOL_KEYS = {"verbose"}
 
 
 def load_config_file(path: str) -> dict:
@@ -56,7 +51,7 @@ def load_config_file(path: str) -> dict:
                 value = value.strip()
                 if key == "seed":
                     key = "master_seed"
-                if key not in _CONFIG_KEYS:
+                if key not in FIELD_TYPES:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = _coerce(key, value, f"{path}:{lineno}")
     except OSError as exc:
@@ -65,18 +60,15 @@ def load_config_file(path: str) -> dict:
 
 
 def _coerce(key: str, value: str, where: str):
+    kind = FIELD_TYPES[key]
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             if value.lower() in ("1", "true", "yes"):
                 return True
             if value.lower() in ("0", "false", "no"):
                 return False
             raise ValueError(value)
-        return value
+        return kind(value)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key}: {value!r}") from exc
 
@@ -106,7 +98,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
     if args.config:
         values.update(load_config_file(args.config))
-    for key in _CONFIG_KEYS:
+    for key in FIELD_TYPES:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             values[key] = flag_value
@@ -156,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             doc = run_experiment(config)
         else:
-            cast = SWEEPABLE[args.vary]
+            cast = FIELD_TYPES[args.vary]
             try:
                 values = [cast(v.strip()) for v in args.values.split(",") if v.strip()]
             except ValueError as exc:

@@ -9,6 +9,14 @@ back one ``Tally`` per chunk. Per-trial reports are kept only for
 ``verbose`` documents, so memory does not grow with the trial count
 otherwise.
 
+Every comparison row is built by ``_row`` with the keys ``name`` and
+``ROW_KEYS``, in that order. The binomial rows come from one table of
+(name, hits, samples, reference, source); a row with no samples is
+left out. The CSV form of a row is its ``CSV_CONFIG_KEYS`` config
+values, its name and its ``ROW_KEYS`` values. A config field's type is
+read once, from the ``ExperimentConfig`` annotations, into
+``FIELD_TYPES``.
+
 Determinism contract: the per-trial random stream is derived from
 (master_seed, point_key..., trial_index) through a seed sequence, so
 the same configuration produces byte-identical documents no matter how
@@ -26,6 +34,7 @@ import csv
 import io
 import json
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from itertools import repeat
@@ -46,7 +55,7 @@ from .analysis import (
     per_cm_detection_oracle,
 )
 from .attacks import STRATEGIES, AttackStrategy, strategy_from_name
-from .protocol import ProtocolConfig, random_message, run_dialogue
+from .protocol import TERMINAL, ProtocolConfig, random_message, run_dialogue
 from .quantum import (
     ALL_CODES,
     PAULI_MATRICES,
@@ -62,9 +71,12 @@ SCHEMA_RESULTS = "qdialogue-results/1"
 SCHEMA_SWEEP = "qdialogue-sweep/1"
 OUT_DIR_ENV = "QDIALOGUE_OUT_DIR"
 
-# The parameters a sweep can vary, each with the type its values take.
-SWEEPABLE = {"c": float, "n_pairs": int, "beta2": float}
+# The parameters a sweep can vary; their values take the type in FIELD_TYPES.
+SWEEPABLE = ("c", "n_pairs", "beta2")
 FORMATS = ("json", "csv")
+
+# A comparison row's keys after its name, in document and CSV order.
+ROW_KEYS = ("empirical", "stderr", "n_samples", "reference", "source", "tolerance", "within")
 
 # Slack added to the entropy bound before flagging the plug-in mutual
 # information: its positive bias is O(df / (2 n ln 2)), far below this
@@ -86,7 +98,7 @@ class ExperimentConfig:
     n_pairs: int = 16
     trials: int = 1000
     master_seed: int = 0
-    detection_policy: str = "terminal"
+    detection_policy: str = TERMINAL
     max_restarts: int = 0
     out: str | None = None
     format: str = "json"
@@ -130,6 +142,13 @@ class ExperimentConfig:
         d.pop("format")
         d.pop("workers")
         return d
+
+
+# Each config field's type, ``None`` left out: int, float, str or bool.
+FIELD_TYPES: dict[str, type] = {
+    name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+}
 
 
 def trial_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -185,17 +204,10 @@ def _run_trials(config: ExperimentConfig, point_key: tuple[int, ...] = ()) -> Fo
     return sum((tally for tally, _ in parts), Tally()), [r for _, kept in parts for r in kept]
 
 
-def _comparison(name: str, est: EstimateWithCI, reference: float, source: str) -> dict:
-    return {
-        "name": name,
-        "empirical": est.estimate,
-        "stderr": est.stderr,
-        "n_samples": est.n_samples,
-        "reference": reference,
-        "source": source,
-        "tolerance": est.tolerance,
-        "within": bool(est.within_3sigma(reference)),
-    }
+def _row(name, empirical, stderr, n_samples, reference, source, tolerance, within) -> dict:
+    """One comparison row: its name, then its ``ROW_KEYS`` values in order."""
+    values = (empirical, stderr, n_samples, reference, source, tolerance, bool(within))
+    return {"name": name, **dict(zip(ROW_KEYS, values))}
 
 
 def run_experiment(config: ExperimentConfig, point_key: tuple[int, ...] = ()) -> dict:
@@ -205,88 +217,51 @@ def run_experiment(config: ExperimentConfig, point_key: tuple[int, ...] = ()) ->
     tally, reports = _run_trials(config, point_key)
 
     d_oracle = per_cm_detection_oracle(strategy)
-    d_claimed = claimed_per_cm(strategy)
+    alice_ref, bob_ref = guess_accuracy_oracle(strategy)
 
     analytic = {
         "per_cm_oracle": d_oracle,
-        "per_cm_claimed": d_claimed,
+        "per_cm_claimed": claimed_per_cm(strategy),
         "per_run_hazard": config.c * d_oracle,
         "per_dialogue_exact": dialogue_detection_exact(config.c, d_oracle, config.n_pairs),
         "per_dialogue_curve": detection_vs_message_length(config.c, d_oracle, config.n_pairs),
         "entropy_bound_bits": eve_entropy_bits(config.beta2) if config.beta2 is not None else None,
     }
 
+    # The binomial rows: (name, hits, samples, reference, source). A row
+    # with no samples is left out. Only a terminal dialogue has a
+    # per-dialogue and a per-run rate: it ends at its first failed check,
+    # so it holds at most one detecting run, and only if it was detected.
+    terminal = config.detection_policy == TERMINAL
+    binomial = [
+        ("per_cm_detection", tally.cm_failures, tally.cm_runs, d_oracle, "exhaustive branch oracle"),
+        ("per_dialogue_detection", tally.detected, tally.trials if terminal else 0,
+         analytic["per_dialogue_exact"], "per-run hazard resummed over the simulated run counts"),
+        ("per_run_detection", tally.detected, tally.runs if terminal else 0,
+         analytic["per_run_hazard"], "c times oracle rate"),
+        ("eve_alice_guess_accuracy", tally.eve_alice_hits, tally.eve_guesses, alice_ref,
+         "strategy readout analysis"),
+        ("eve_bob_guess_accuracy", tally.eve_bob_hits, tally.eve_guesses, bob_ref,
+         "strategy readout analysis"),
+    ]
     comparisons = []
-    if tally.cm_runs:
-        comparisons.append(
-            _comparison(
-                "per_cm_detection",
-                EstimateWithCI.from_counts(tally.cm_failures, tally.cm_runs),
-                d_oracle,
-                "exhaustive branch oracle",
-            )
-        )
-    if config.detection_policy == "terminal":
-        comparisons.append(
-            _comparison(
-                "per_dialogue_detection",
-                EstimateWithCI.from_counts(tally.detected, tally.trials),
-                analytic["per_dialogue_exact"],
-                "per-run hazard resummed over the simulated run counts",
-            )
-        )
-    # A terminal dialogue ends at its first failed check, so it holds at
-    # most one detecting run, and only if it was detected.
-    if config.detection_policy == "terminal" and tally.runs:
-        comparisons.append(
-            _comparison(
-                "per_run_detection",
-                EstimateWithCI.from_counts(tally.detected, tally.runs),
-                analytic["per_run_hazard"],
-                "c times oracle rate",
-            )
-        )
+    for name, hits, samples, reference, source in binomial:
+        if samples:
+            est = EstimateWithCI.from_counts(hits, samples)
+            comparisons.append(_row(name, est.estimate, est.stderr, samples, reference, source,
+                                    est.tolerance, est.within_3sigma(reference)))
 
     mi = None
-    if tally.eve_guesses:
-        alice_acc = EstimateWithCI.from_counts(tally.eve_alice_hits, tally.eve_guesses)
-        bob_acc = EstimateWithCI.from_counts(tally.eve_bob_hits, tally.eve_guesses)
-        alice_ref, bob_ref = guess_accuracy_oracle(strategy)
-        comparisons.append(
-            _comparison("eve_alice_guess_accuracy", alice_acc, alice_ref, "strategy readout analysis")
-        )
-        comparisons.append(
-            _comparison("eve_bob_guess_accuracy", bob_acc, bob_ref, "strategy readout analysis")
-        )
     if config.beta2 is not None:
         mi = mutual_information_bits(tally.ancilla_table)
         bound = analytic["entropy_bound_bits"]
-        comparisons.append(
-            {
-                "name": "eve_mutual_information_bits",
-                "empirical": mi,
-                "stderr": 0.0,
-                "n_samples": tally.eve_guesses,
-                "reference": bound,
-                "source": "ancilla entropy bound (upper limit)",
-                "tolerance": MI_BIAS_ALLOWANCE,
-                "within": bool(mi <= bound + MI_BIAS_ALLOWANCE),
-            }
-        )
+        comparisons.append(_row("eve_mutual_information_bits", mi, 0.0, tally.eve_guesses, bound,
+                                "ancilla entropy bound (upper limit)", MI_BIAS_ALLOWANCE,
+                                mi <= bound + MI_BIAS_ALLOWANCE))
     if config.attack == "none" and tally.completed:
         fidelity = 1.0 - tally.bit_errors / (2 * tally.message_bits)
-        comparisons.append(
-            {
-                "name": "message_fidelity",
-                "empirical": fidelity,
-                "stderr": 0.0,
-                "n_samples": 2 * tally.message_bits,
-                "reference": 1.0,
-                "source": "deterministic decode identity",
-                "tolerance": 0.0,
-                "within": bool(fidelity == 1.0),
-            }
-        )
+        comparisons.append(_row("message_fidelity", fidelity, 0.0, 2 * tally.message_bits, 1.0,
+                                "deterministic decode identity", 0.0, fidelity == 1.0))
 
     doc = {
         "schema": SCHEMA_RESULTS,
@@ -326,7 +301,7 @@ def sweep(config: ExperimentConfig, vary: str, values: list) -> dict:
         raise ConfigError(f"can only sweep over {', '.join(SWEEPABLE)}, got {vary!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    cast = SWEEPABLE[vary]
+    cast = FIELD_TYPES[vary]
     try:
         cast_values = [cast(v) for v in values]
     except (TypeError, ValueError) as exc:
@@ -382,51 +357,22 @@ def to_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-CSV_COLUMNS = [
-    "attack",
-    "beta2",
-    "c",
-    "n_pairs",
-    "trials",
-    "master_seed",
-    "comparison",
-    "empirical",
-    "stderr",
-    "n_samples",
-    "reference",
-    "source",
-    "tolerance",
-    "within",
-]
+# The config fields a CSV row repeats, then the comparison's name and
+# its ``ROW_KEYS`` values.
+CSV_CONFIG_KEYS = ["attack", "beta2", "c", "n_pairs", "trials", "master_seed"]
+CSV_COLUMNS = [*CSV_CONFIG_KEYS, "comparison", *ROW_KEYS]
 
 
 def to_csv(doc: dict) -> str:
     """Flatten the comparison rows of a results or sweep document."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
     docs = doc["points"] if doc.get("schema") == SCHEMA_SWEEP else [doc]
     for point in docs:
-        cfg = point["config"]
+        config_values = [point["config"][k] for k in CSV_CONFIG_KEYS]
         for comp in point["comparisons"]:
-            writer.writerow(
-                {
-                    "attack": cfg["attack"],
-                    "beta2": cfg["beta2"],
-                    "c": cfg["c"],
-                    "n_pairs": cfg["n_pairs"],
-                    "trials": cfg["trials"],
-                    "master_seed": cfg["master_seed"],
-                    "comparison": comp["name"],
-                    "empirical": comp["empirical"],
-                    "stderr": comp["stderr"],
-                    "n_samples": comp["n_samples"],
-                    "reference": comp["reference"],
-                    "source": comp["source"],
-                    "tolerance": comp["tolerance"],
-                    "within": comp["within"],
-                }
-            )
+            writer.writerow([*config_values, comp["name"], *(comp[k] for k in ROW_KEYS)])
     return buf.getvalue()
 
 

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .quantum import ALL_CODES, BitPair, StateVector, apply_pauli, bell_measure, bell_state
+from .quantum import ALL_CODES, BitPair, StateVector, apply_pauli, bell_outcome, bell_state
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attacks import AttackStrategy, EveSession
@@ -278,7 +278,7 @@ def run_dialogue(
         is_cm = rng.random() < config.c
         alice_code = _random_pair(rng) if is_cm else alice_msg.pairs[cursor]
         channel = round_trip(bob_code, alice_code, attack, session, eve_rng)
-        outcome, _ = bell_measure(channel.state, "h", channel.traveling, rng)
+        outcome = bell_outcome(channel.state, "h", channel.traveling, rng)
         mode = CM if is_cm else MM
         runs.append(RunRecord(cursor, pass_index, mode, bob_code, alice_code, outcome))
 

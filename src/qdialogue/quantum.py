@@ -29,8 +29,9 @@ bytes included, so a result is computed once per distinct input and
 then shared. The memo is the only speed-up: a dialogue revisits a few
 dozen states thousands of times, so a kernel body runs only a few
 hundred times per experiment and is written the plain reshape/transpose
-way. Random draws are never cached: ``bell_measure`` and ``measure_z``
-call ``choose`` once per call, hit or miss.
+way. Random draws are never cached: ``bell_outcome`` (the Bell draw
+without the collapse), ``bell_measure`` and ``measure_z`` call
+``choose`` once per call, hit or miss.
 """
 
 from __future__ import annotations
@@ -374,17 +375,22 @@ def bell_outcome_probs(state: StateVector, reg_a: str, reg_b: str) -> dict[BitPa
     return dict(zip(ALL_CODES, _bell_law(state, reg_a, reg_b)[0]))
 
 
+def bell_outcome(state: StateVector, reg_a: str, reg_b: str, rng: np.random.Generator) -> BitPair:
+    """``bell_measure``'s outcome from the same single draw, without the collapse."""
+    return ALL_CODES[choose(_bell_law(state, reg_a, reg_b)[0], rng)]
+
+
 def bell_measure(
     state: StateVector, reg_a: str, reg_b: str, rng: np.random.Generator
 ) -> tuple[BitPair, StateVector]:
     """Born-rule Bell measurement on (reg_a, reg_b) with full collapse.
 
-    Returns the outcome code and the renormalized post-measurement joint
-    state; correlations with any remaining registers survive the
-    collapse.
+    Returns the outcome code (``bell_outcome``'s draw) and the
+    renormalized post-measurement joint state; correlations with any
+    remaining registers survive the collapse.
     """
-    k = choose(_bell_law(state, reg_a, reg_b)[0], rng)
-    return ALL_CODES[k], _bell_post_state(state, reg_a, reg_b, k)
+    outcome = bell_outcome(state, reg_a, reg_b, rng)
+    return outcome, _bell_post_state(state, reg_a, reg_b, ALL_CODES.index(outcome))
 
 
 @_memoized

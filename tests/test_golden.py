@@ -3,7 +3,8 @@
 Each (strategy, policy) is pinned twice: the default document, and the
 ``--verbose`` one that adds every trial's report (control counts, first
 detecting run, ancilla table), so a rewrite of the per-dialogue report
-is checked for every strategy.
+is checked for every strategy. ``SERIALIZED_GOLDEN`` pins the other
+serializations: a CSV run, and a sweep as JSON and as CSV.
 
 The state-vector kernels must reproduce the documents byte for byte: a
 rewrite that shifts a single Bell outcome or one oracle bit changes a
@@ -21,7 +22,7 @@ import hashlib
 import pytest
 
 from qdialogue.attacks import STRATEGY_NAMES
-from qdialogue.harness import ExperimentConfig, run_experiment, to_json
+from qdialogue.harness import ExperimentConfig, run_experiment, sweep, to_csv, to_json
 from qdialogue.protocol import DETECTION_POLICIES
 
 GOLDEN = {
@@ -58,6 +59,12 @@ VERBOSE_GOLDEN = {
     ("entangle-measure", "reinitialize"): "08e32fe0bbcddc7ee804bd9a670668c931a717886a2baf7586a2f27c7903dc8d",
 }
 
+SERIALIZED_GOLDEN = {
+    "run-csv": "37e7571d21cb64fdb7f3fa6b6c545f51c1d554eeda16781b13f73f306a4ad65b",
+    "sweep-json": "68592a93e1b20ceeea571ec569fde135ca77351c1183417a2c516f36f6b361aa",
+    "sweep-csv": "e19fa34353f9dd5e08bc4f9599262a714461fd827447b2196e191009943c6a19",
+}
+
 
 def document_digest(attack: str, policy: str, verbose: bool = False) -> str:
     config = ExperimentConfig(
@@ -75,6 +82,27 @@ def document_digest(attack: str, policy: str, verbose: bool = False) -> str:
     return hashlib.sha256(to_json(run_experiment(config)).encode()).hexdigest()
 
 
+def serialized_digests() -> dict[str, str]:
+    """Digests of a CSV run (honest, terminal) and a beta2 sweep (reinitialize)."""
+    run_cfg = ExperimentConfig(attack="none", n_pairs=4, trials=20, master_seed=2004, workers=1)
+    sweep_cfg = ExperimentConfig(
+        attack="entangle-measure",
+        n_pairs=4,
+        trials=20,
+        master_seed=2004,
+        detection_policy="reinitialize",
+        max_restarts=2,
+        workers=1,
+    )
+    sweep_doc = sweep(sweep_cfg, "beta2", [0.1, 0.5])
+    texts = {
+        "run-csv": to_csv(run_experiment(run_cfg)),
+        "sweep-json": to_json(sweep_doc),
+        "sweep-csv": to_csv(sweep_doc),
+    }
+    return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+
+
 def test_every_strategy_is_pinned():
     assert {name for name, _ in GOLDEN} == set(STRATEGY_NAMES)
     assert set(VERBOSE_GOLDEN) == set(GOLDEN)
@@ -88,6 +116,10 @@ def test_document_digest(attack, policy):
 @pytest.mark.parametrize("attack, policy", sorted(VERBOSE_GOLDEN))
 def test_verbose_document_digest(attack, policy):
     assert document_digest(attack, policy, verbose=True) == VERBOSE_GOLDEN[attack, policy]
+
+
+def test_serialized_digests():
+    assert serialized_digests() == SERIALIZED_GOLDEN
 
 
 def digest_changes(fresh: dict, pinned: dict = GOLDEN) -> list[str]:
@@ -125,3 +157,7 @@ if __name__ == "__main__":
         print(f"# {len(changes)} of {len(fresh)} digests differ from the pinned ones")
         for line in changes:
             print(f"# {line}")
+    print("SERIALIZED_GOLDEN = {")
+    for name, digest in serialized_digests().items():
+        print(f'    "{name}": "{digest}",')
+    print("}")

@@ -18,6 +18,8 @@ from qdialogue.attacks import STRATEGY_NAMES, AttackStrategy
 from qdialogue.cli import load_config_file, main
 from qdialogue.harness import (
     CSV_COLUMNS,
+    FIELD_TYPES,
+    ROW_KEYS,
     ConfigError,
     ExperimentConfig,
     formulas_text,
@@ -357,6 +359,16 @@ class TestCsv:
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 1 + len(doc["comparisons"])
 
+    def test_every_row_has_the_row_keys_in_order(self):
+        for policy in ("terminal", "reinitialize"):
+            config = ExperimentConfig(
+                attack="entangle-measure", beta2=0.25, trials=10, n_pairs=3, detection_policy=policy
+            )
+            for comp in run_experiment(config)["comparisons"]:
+                assert list(comp) == ["name", *ROW_KEYS]
+                assert type(comp["within"]) is bool
+        assert CSV_COLUMNS[-len(ROW_KEYS) - 1 :] == ["comparison", *ROW_KEYS]
+
 
 class TestSelfTest:
     def test_passes_on_healthy_build(self):
@@ -549,6 +561,27 @@ class TestConfigFile:
         doc = json.loads(out.read_text())
         assert doc["config"]["trials"] == 5  # flag wins
         assert doc["config"]["beta2"] == 0.25
+
+    def test_each_field_takes_its_declared_type(self, tmp_path):
+        assert FIELD_TYPES == {
+            "attack": str,
+            "beta2": float,
+            "c": float,
+            "n_pairs": int,
+            "trials": int,
+            "master_seed": int,
+            "detection_policy": str,
+            "max_restarts": int,
+            "out": str,
+            "format": str,
+            "workers": int,
+            "verbose": bool,
+        }
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("beta2 = 1\nmax-restarts = 3\nformat = csv\nverbose = yes\n")
+        values = load_config_file(str(cfg))
+        assert values == {"beta2": 1.0, "max_restarts": 3, "format": "csv", "verbose": True}
+        assert [type(v) for v in values.values()] == [float, int, str, bool]
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

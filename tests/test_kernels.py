@@ -32,6 +32,7 @@ from qdialogue.quantum import (
     apply_pauli,
     attach_ancilla,
     bell_measure,
+    bell_outcome,
     bell_outcome_probs,
     bell_state,
     entangling_probe,
@@ -188,6 +189,25 @@ def test_bell_measurement_is_bit_identical_to_transpose_route(rng, n):
         np.testing.assert_array_equal(collapsed.amps, expected)
 
 
+@pytest.mark.parametrize("n", SIZES[1:])
+def test_bell_outcome_is_bell_measure_without_the_collapse(rng, n, monkeypatch):
+    state = random_state(rng, n)
+    expected = [
+        bell_measure(state, NAMES[a], NAMES[b], np.random.default_rng(seed))[0]
+        for seed, (a, b) in enumerate(pairs(n))
+    ]
+
+    def no_collapse(*args):
+        raise AssertionError("bell_outcome computed a collapse")
+
+    monkeypatch.setattr(quantum, "_bell_post_state", no_collapse)
+    got = [
+        bell_outcome(state, NAMES[a], NAMES[b], np.random.default_rng(seed))
+        for seed, (a, b) in enumerate(pairs(n))
+    ]
+    assert got == expected
+
+
 def after_one_draw(seed: int) -> dict:
     twin = np.random.default_rng(seed)
     twin.random()
@@ -207,6 +227,9 @@ def test_measurements_draw_exactly_one_uniform(rng, n):
         for seed, (ax_a, ax_b) in enumerate(pairs(n)):
             draws = np.random.default_rng(seed)
             bell_measure(state, NAMES[ax_a], NAMES[ax_b], draws)
+            assert draws.bit_generator.state == after_one_draw(seed)
+            draws = np.random.default_rng(seed)
+            bell_outcome(state, NAMES[ax_a], NAMES[ax_b], draws)
             assert draws.bit_generator.state == after_one_draw(seed)
         for ax in range(n):
             draws = np.random.default_rng(ax)
