@@ -19,9 +19,10 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
-from .attacks import AttackStrategy, EntangleMeasure, check_beta2
+from .attacks import AttackStrategy, check_beta2
 from .protocol import COMPLETED, DETECTED, MM, DialogueResult, Message, round_trip
 from .quantum import ALL_CODES, BitPair, bell_outcome_probs
 
@@ -97,25 +98,6 @@ def _check_ranges(c: float, d: float, n_half: int | None = None) -> None:
 
 # ---------------------------------------------------------------------------
 # Exhaustive per-control-run detection oracle
-
-CLAIMED_PER_CM = {
-    "none": 0.0,
-    "disturb-measure": 0.75,
-    "disturb-pauli-z": 0.75,
-    "disturb-pauli-4": 0.75,
-    "intercept-resend-literal": 0.75,
-    "intercept-resend-blind": 0.75,
-}
-
-
-def claimed_per_cm(strategy: AttackStrategy) -> float | None:
-    """The per-control-run detection rate the protocol's published analysis claims.
-
-    None for a strategy the published analysis does not treat.
-    """
-    if isinstance(strategy, EntangleMeasure):
-        return strategy.beta2
-    return CLAIMED_PER_CM.get(strategy.name)
 
 
 def per_cm_detection_oracle(strategy: AttackStrategy) -> float:
@@ -311,8 +293,8 @@ class TrialReport:
             restart_count=pass_index,
             first_detection_run=first_detection,
             message_bits=2 * len(alice_msg),
-            alice_bit_errors=sum(g != t for g, t in zip(alice_bits, bob_msg.to_bits())),
-            bob_bit_errors=sum(g != t for g, t in zip(bob_bits, alice_msg.to_bits())),
+            alice_bit_errors=sum(g != t for g, t in zip(alice_bits, chain.from_iterable(bob_msg))),
+            bob_bit_errors=sum(g != t for g, t in zip(bob_bits, chain.from_iterable(alice_msg))),
             eve_alice_hits=result.eve.alice_hits,
             eve_bob_hits=result.eve.bob_hits,
             eve_guesses=result.eve.guess_count,

@@ -4,9 +4,10 @@ Every strategy sees the two legs of the travel qubit's round trip
 (ping: Bob to Alice, pong: Alice to Bob) and, after a message run,
 Bob's broadcast Bell outcome. A strategy may measure, transform, or
 substitute what is in flight. Its session is its per-dialogue record:
-``begin_run`` opens one log per run, and the taps record what Eve does
-and learns, and keep any scratch the run needs, on
-``session.current``.
+``begin_run`` opens one log per run, and the taps record what Eve learns
+on ``session.current``. Each class carries ``claim``, the
+per-control-run detection rate the published analysis gives it (None
+where that analysis does not treat it).
 
 Implemented strategies:
 
@@ -58,13 +59,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class EveRunLog:
-    """What Eve did and inferred during a single run, and her scratch for it."""
+    """What Eve did and inferred during a single run."""
 
     learned_alice: BitPair | None = None
     ancilla_outcome: int | None = None
     alice_guess: BitPair | None = None
     bob_guess: BitPair | None = None
-    stored_reg: str | None = None
 
 
 @dataclass
@@ -98,6 +98,7 @@ class AttackStrategy:
     """
 
     name = "none"
+    claim: float | None = None
 
     def new_session(self) -> EveSession:
         return EveSession()
@@ -142,11 +143,14 @@ class AttackStrategy:
 
 
 class NoAttack(AttackStrategy):
-    """The honest channel: taps that do nothing (identical to the base class)."""
+    """The honest channel: taps that do nothing (the base class's)."""
+
+    claim = 0.0
 
 
 class DisturbMeasure(AttackStrategy):
     name = "disturb-measure"
+    claim = 0.75
 
     def on_pong(self, channel, session, rng):
         _, channel.state = measure_z(channel.state, channel.traveling, rng)
@@ -156,6 +160,7 @@ class DisturbPauliZ(AttackStrategy):
     """Applies one of ``codes``, each equally likely, to the pong leg."""
 
     name = "disturb-pauli-z"
+    claim = 0.75
     codes = (BitPair(1, 1), BitPair(0, 0))
 
     def on_pong(self, channel, session, rng):
@@ -171,24 +176,21 @@ class DisturbPauli4(DisturbPauliZ):
 class _InterceptResend(AttackStrategy):
     """Shared interception mechanics; subclasses decide the forwarding."""
 
+    claim = 0.75
     retransform = True
 
     def on_ping(self, channel, session, rng):
-        # Keep the genuine travel qubit, put one half of a fresh
+        # Keep the genuine travel qubit "t", put one half of a fresh
         # maximally entangled pair (H home, T travel) on the wire.
-        session.current.stored_reg = channel.traveling
-        channel.state = tensor_product(channel.state, bell_state(BitPair(0, 0), regs=("H", "T")))
+        channel.state = tensor_product(channel.state, bell_state(BitPair(0, 0), ("H", "T")))
         channel.traveling = "T"
 
     def on_pong(self, channel, session, rng):
-        log = session.current
-        learned, collapsed = bell_measure(channel.state, "H", "T", rng)
-        log.learned_alice = learned
-        state = collapsed
+        learned, channel.state = bell_measure(channel.state, "H", "T", rng)
+        session.current.learned_alice = learned
         if self.retransform:
-            state = apply_pauli(state, log.stored_reg, learned)
-        channel.state = state
-        channel.traveling = log.stored_reg
+            channel.state = apply_pauli(channel.state, "t", learned)
+        channel.traveling = "t"
 
 
 class InterceptResendLiteral(_InterceptResend):
@@ -211,7 +213,7 @@ class EntangleMeasure(AttackStrategy):
 
     def __init__(self, beta2: float):
         check_beta2(beta2)
-        self.beta2 = float(beta2)
+        self.beta2 = self.claim = float(beta2)
         self.alpha = math.sqrt(1.0 - self.beta2)
         self.beta = math.sqrt(self.beta2)
 

@@ -50,7 +50,6 @@ from .analysis import (
     dialogue_detection_exact,
     eve_entropy_bits,
     mutual_information_bits,
-    claimed_per_cm,
     guess_accuracy_oracle,
     per_cm_detection_oracle,
 )
@@ -221,7 +220,7 @@ def run_experiment(config: ExperimentConfig, point_key: tuple[int, ...] = ()) ->
 
     analytic = {
         "per_cm_oracle": d_oracle,
-        "per_cm_claimed": claimed_per_cm(strategy),
+        "per_cm_claimed": strategy.claim,
         "per_run_hazard": config.c * d_oracle,
         "per_dialogue_exact": dialogue_detection_exact(config.c, d_oracle, config.n_pairs),
         "per_dialogue_curve": detection_vs_message_length(config.c, d_oracle, config.n_pairs),
@@ -518,7 +517,7 @@ def formulas_text() -> str:
             strat = strategy_from_name(name, beta2)
             label = name if beta2 is None else f"{name}({beta2})"
             oracle = per_cm_detection_oracle(strat)
-            claim = claimed_per_cm(strat)
+            claim = strat.claim
             if claim is None:
                 shown, note = "n/a", ""
             else:

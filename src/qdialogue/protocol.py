@@ -8,7 +8,8 @@ the run was message mode (MM) or control mode (CM). MM runs consume one
 message pair per side and end with Bob broadcasting his Bell outcome so
 both parties can decode. CM runs consume nothing: Alice reveals the
 (non-message) pair she encoded and Bob checks it against his outcome,
-exposing any channel tampering.
+exposing any channel tampering. A message is a tuple of ``BitPair``s,
+one per message run, in order.
 
 Mode is sampled by Alice before she encodes but announced only after
 Bob's measurement, so MM and CM runs are indistinguishable on the wire.
@@ -49,22 +50,7 @@ DETECTED = "detected"
 ABORTED = "aborted_max_restarts"
 
 
-@dataclass(frozen=True)
-class Message:
-    """A bit payload as ordered bit pairs."""
-
-    pairs: tuple[BitPair, ...]
-
-    def __post_init__(self) -> None:
-        if not self.pairs:
-            raise ValueError("a message needs at least one bit pair")
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def to_bits(self) -> list[int]:
-        """The payload's bit sequence, two bits per pair."""
-        return [b for pair in self.pairs for b in pair]
+Message = tuple[BitPair, ...]
 
 
 def random_message(n_pairs: int, rng: np.random.Generator) -> Message:
@@ -77,7 +63,7 @@ def random_message(n_pairs: int, rng: np.random.Generator) -> Message:
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     cells = (rng.random(n_pairs) * 4.0).astype(np.intp).tolist()
-    return Message(tuple(ALL_CODES[k] for k in cells))
+    return tuple(ALL_CODES[k] for k in cells)
 
 
 def _random_pair(rng: np.random.Generator) -> BitPair:
@@ -274,24 +260,25 @@ def run_dialogue(
         # after Bob's measurement, so the taps never see it. Control runs
         # encode a throwaway random pair, so a revealed pair never carries
         # message content.
-        bob_code = bob_msg.pairs[cursor]
+        bob_code = bob_msg[cursor]
         is_cm = rng.random() < config.c
-        alice_code = _random_pair(rng) if is_cm else alice_msg.pairs[cursor]
+        alice_code = _random_pair(rng) if is_cm else alice_msg[cursor]
         channel = round_trip(bob_code, alice_code, attack, session, eve_rng)
         outcome = bell_outcome(channel.state, "h", channel.traveling, rng)
         mode = CM if is_cm else MM
-        runs.append(RunRecord(cursor, pass_index, mode, bob_code, alice_code, outcome))
+        run = RunRecord(cursor, pass_index, mode, bob_code, alice_code, outcome)
+        runs.append(run)
 
         # Each party decodes a message run as the outcome XOR its own
-        # code, read off the runs afterwards. A control run fails Bob's
-        # check when the outcome is not the XOR of the two codes.
+        # code, read off the runs afterwards. A control run that fails
+        # Bob's check (``cm_pass``) stops or restarts the dialogue.
         if not is_cm:
             attack.guess(session, outcome, eve_rng)
             session.score(alice_truth=alice_code, bob_truth=bob_code)
             cursor += 1
             if cursor == config.n_pairs:
                 status = COMPLETED
-        elif outcome != alice_code ^ bob_code:
+        elif not run.cm_pass:
             if config.detection_policy == TERMINAL:
                 status = DETECTED
             elif pass_index == config.max_restarts:

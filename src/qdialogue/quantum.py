@@ -22,16 +22,18 @@ returns a new ``StateVector`` or, when nothing changes, its input.
 Normalization is asserted on every state built (tolerance 1e-9), never
 silently repaired.
 
-The deterministic kernels (Pauli, tensor product, ancilla, probe, and
-the Bell and up/down laws with their collapses) are memoized by content:
-the key is every input bit, a state's register names and amplitude
-bytes included, so a result is computed once per distinct input and
-then shared. The memo is the only speed-up: a dialogue revisits a few
-dozen states thousands of times, so a kernel body runs only a few
-hundred times per experiment and is written the plain reshape/transpose
-way. Random draws are never cached: ``bell_outcome`` (the Bell draw
-without the collapse), ``bell_measure`` and ``measure_z`` call
-``choose`` once per call, hit or miss.
+Kernels take the forms the engine passes: ``BitPair`` codes, tuple
+register names and positional arguments. The deterministic ones (Pauli,
+tensor product, ancilla, probe, and the Bell and up/down laws with their
+collapses) are memoized by content: the key is every input bit, a
+state's register names and amplitude bytes included, so a result is
+computed once per distinct input and then shared. The memo is the only
+speed-up: a dialogue revisits a few dozen states thousands of times, so
+a kernel body runs only a few hundred times per experiment and is
+written the plain reshape/transpose way. Random draws are never
+cached: ``bell_outcome`` (the Bell draw without the collapse),
+``bell_measure`` and ``measure_z`` call ``choose`` once per call, hit or
+miss.
 """
 
 from __future__ import annotations
@@ -111,8 +113,6 @@ def pauli_compose(second: BitPair, first: BitPair) -> PauliProduct:
     Returns the code (componentwise XOR) and the phase such that
     C_second C_first = phase * C_code.
     """
-    second = BitPair(*second)
-    first = BitPair(*first)
     return PauliProduct(second ^ first, _COMPOSE_PHASE[(second, first)])
 
 
@@ -205,9 +205,9 @@ def _memoized(kernel):
 
     The key holds every input bit: a state stands for its ``key``, a
     float for its type and bit pattern (so 0.0 and -0.0 never share an
-    entry), anything else for itself. A call with an unhashable argument,
-    such as a list code, or with keyword arguments runs the kernel
-    directly. Results are shared between callers, so a kernel must
+    entry), anything else for itself. Kernels take positional arguments
+    only, and an unhashable one, such as a list code, raises
+    ``TypeError``. Results are shared between callers, so a kernel must
     return only immutable values: states, tuples, read-only arrays. The
     kernel itself stays reachable as ``__wrapped__``.
     """
@@ -215,9 +215,7 @@ def _memoized(kernel):
     _MEMO_TABLES.append(table)
 
     @functools.wraps(kernel)
-    def memoized(*args, **kwargs):
-        if kwargs:
-            return kernel(*args, **kwargs)
+    def memoized(*args):
         key = tuple([
             a.key if type(a) is StateVector else a if type(a) in _AS_IS else _arg_key(a)
             for a in args
@@ -226,8 +224,6 @@ def _memoized(kernel):
             return table[key]
         except KeyError:
             pass
-        except TypeError:  # an unhashable argument
-            return kernel(*args)
         result = kernel(*args)
         if len(table) >= MEMO_ENTRIES:
             table.clear()
@@ -251,23 +247,15 @@ def _bell_amplitudes() -> dict[BitPair, np.ndarray]:
 _BELL_AMPS = _bell_amplitudes()
 
 
+@functools.lru_cache(maxsize=256)
 def bell_state(code: BitPair, regs: tuple[str, str] = ("h", "t")) -> StateVector:
     """Entangled pair |Psi_code> = (1 x C_code) applied to the base pair.
 
     The base pair is (|up,down> + |down,up>)/sqrt(2); the coded Pauli
     acts on the second (travel-side) register. The state returned is
-    shared: one object per (code, regs), with read-only amplitudes.
+    shared: one cached object per distinct call, with read-only amplitudes.
     """
-    regs = tuple(regs)
-    try:
-        return _shared_bell_state(code, regs)
-    except TypeError:  # an unhashable code such as a list
-        return _shared_bell_state(BitPair(*code), regs)
-
-
-@functools.lru_cache(maxsize=256)
-def _shared_bell_state(code: BitPair, regs: tuple[str, ...]) -> StateVector:
-    return StateVector(regs, _BELL_AMPS[BitPair(*code)])
+    return StateVector(regs, _BELL_AMPS[code])
 
 
 @_memoized
@@ -279,7 +267,6 @@ def apply_pauli(state: StateVector, reg: str, code: BitPair) -> StateVector:
     The identity returns the input state itself.
     """
     ax = state.axis(reg)
-    code = tuple(code)
     if code not in PAULI_MATRICES:
         raise ValueError(f"unknown Pauli code {code!r}")
     if code == IDENTITY:

@@ -21,12 +21,11 @@ from qdialogue.analysis import (
     dialogue_detection_exact,
     eve_entropy_bits,
     mutual_information_bits,
-    claimed_per_cm,
     per_cm_detection_oracle,
 )
 from qdialogue.attacks import EntangleMeasure, NoAttack, strategy_from_name
 from qdialogue.harness import ExperimentConfig, run_experiment, to_csv, to_json, trial_rng
-from qdialogue.protocol import Message, ProtocolConfig, random_message, run_dialogue
+from qdialogue.protocol import ProtocolConfig, random_message, run_dialogue
 from qdialogue.quantum import (
     ALL_CODES,
     PAULI_MATRICES,
@@ -122,8 +121,8 @@ def test_criterion_03_attack_free_dialogues():
         incomplete += result.transcript.final_status != "completed"
         failures += sum(run.cm_pass is False for run in result.transcript.runs)
         alice_view, bob_view = decoded_pairs(result.transcript)
-        errors += sum(a != b for a, b in zip(Message(alice_view).to_bits(), bob.to_bits()))
-        errors += sum(a != b for a, b in zip(Message(bob_view).to_bits(), alice.to_bits()))
+        errors += sum(a != b for p, q in zip(alice_view, bob) for a, b in zip(p, q))
+        errors += sum(a != b for p, q in zip(bob_view, alice) for a, b in zip(p, q))
     elapsed = time.perf_counter() - t0
     ok = incomplete == 0 and failures == 0 and errors == 0 and elapsed < 60.0
     report(
@@ -237,7 +236,7 @@ def test_criterion_08_attack_variant_oracle_table():
     for name, trials in plan:
         strategy = strategy_from_name(name)
         oracle = per_cm_detection_oracle(strategy)
-        claim = claimed_per_cm(strategy)
+        claim = strategy.claim
         tally = simulate_batch(strategy, trials, 16, 0.5, seed_tag=800 + sum(name.encode()))
         est = EstimateWithCI.from_counts(tally.cm_failures, tally.cm_runs)
         ok &= est.n_samples >= 10_000

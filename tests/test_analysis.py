@@ -15,10 +15,18 @@ from qdialogue.analysis import (
     dialogue_detection_exact,
     eve_entropy_bits,
     mutual_information_bits,
-    claimed_per_cm,
+    run_branches,
 )
-from qdialogue.attacks import EntangleMeasure, InterceptResendLiteral, NoAttack, strategy_from_name
+from qdialogue.attacks import (
+    STRATEGY_NAMES,
+    AttackStrategy,
+    EntangleMeasure,
+    InterceptResendLiteral,
+    NoAttack,
+    strategy_from_name,
+)
 from qdialogue.protocol import COMPLETED, DETECTED, ProtocolConfig, random_message, run_dialogue
+from qdialogue.quantum import ALL_CODES
 from reference import decoded_pairs, detection_after_runs_partial_sum
 
 C_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
@@ -285,6 +293,26 @@ class TestMutualInformation:
     def test_empty_table(self):
         assert mutual_information_bits([[0, 0, 0, 0], [0, 0, 0, 0]]) == 0.0
 
+    @pytest.mark.parametrize("beta2", [0.0, 0.05, 0.1, 0.25, 0.5])
+    def test_probe_readout_carries_no_information_exactly(self, beta2):
+        # The exact joint law of the ancilla bit and Alice's pair: every
+        # branch of every one of the 16 code pairs, each pair weighted 1/16.
+        joint = [[0.0] * 4, [0.0] * 4]
+        for bob_code in ALL_CODES:
+            for k, alice_code in enumerate(ALL_CODES):
+                for weight, log, _ in run_branches(EntangleMeasure(beta2), bob_code, alice_code):
+                    joint[log.ancilla_outcome][k] += weight / 16.0
+        p_ancilla = [sum(row) for row in joint]
+        p_alice = [sum(column) for column in zip(*joint)]
+        assert sum(p_ancilla) == pytest.approx(1.0, abs=1e-12)
+        info = sum(
+            p * math.log2(p / (p_ancilla[x] * p_alice[k]))
+            for x, row in enumerate(joint)
+            for k, p in enumerate(row)
+            if p > 0.0
+        )
+        assert abs(info) <= 1e-12
+
 
 class TestGuessAccuracy:
     def test_pure_guess_baseline(self):
@@ -348,8 +376,27 @@ class TestTrialReport:
 
 
 class TestPublishedClaim:
+    # Every registered strategy's published per-control-run rate, by
+    # hand: 3/4 for each disturbance and interception, and the probe's
+    # weight beta2 for the probe.
+    CLAIMS = [
+        ("none", None, 0.0),
+        ("disturb-measure", None, 0.75),
+        ("disturb-pauli-z", None, 0.75),
+        ("disturb-pauli-4", None, 0.75),
+        ("intercept-resend-literal", None, 0.75),
+        ("intercept-resend-blind", None, 0.75),
+        ("entangle-measure", 0.0, 0.0),
+        ("entangle-measure", 0.3, 0.3),
+        ("entangle-measure", 0.5, 0.5),
+    ]
+
     def test_claimed_rates(self):
-        assert claimed_per_cm(strategy_from_name("disturb-measure")) == 0.75
-        assert claimed_per_cm(strategy_from_name("intercept-resend-literal")) == 0.75
-        assert claimed_per_cm(EntangleMeasure(0.3)) == 0.3
-        assert claimed_per_cm(NoAttack()) == 0.0
+        assert {name for name, _, _ in self.CLAIMS} == set(STRATEGY_NAMES)
+        for name, beta2, claim in self.CLAIMS:
+            assert strategy_from_name(name, beta2).claim == claim, name
+
+        class Unpublished(AttackStrategy):
+            name = "unpublished"
+
+        assert Unpublished().claim is None

@@ -98,19 +98,19 @@ class TestScalarCells:
     def test_message_cells_from_one_vector_draw(self):
         rng = ScriptedRng([u for u, _ in EDGES])
         msg = random_message(len(EDGES), rng)
-        assert msg.pairs == tuple(ALL_CODES[cell] for _, cell in EDGES)
+        assert msg == tuple(ALL_CODES[cell] for _, cell in EDGES)
         assert rng.calls == [len(EDGES)]
 
     def test_message_cut_equals_scalar_cut(self):
         # The vectorized cut of a message against the scalar one of a pair.
         us = [u for u, _ in EDGES] + np.random.default_rng(0).random(1000).tolist()
         msg = random_message(len(us), ScriptedRng(us))
-        assert msg.pairs == tuple(_random_pair(ScriptedRng([u])) for u in us)
+        assert msg == tuple(_random_pair(ScriptedRng([u])) for u in us)
 
     def test_two_messages_draw_in_order(self):
         rng = ScriptedRng([0.0, 0.5, 0.75, 0.25])
-        assert random_message(2, rng).pairs == (ALL_CODES[0], ALL_CODES[2])
-        assert random_message(2, rng).pairs == (ALL_CODES[3], ALL_CODES[1])
+        assert random_message(2, rng) == (ALL_CODES[0], ALL_CODES[2])
+        assert random_message(2, rng) == (ALL_CODES[3], ALL_CODES[1])
         assert rng.calls == [2, 2]
 
     @pytest.mark.parametrize("u, k", GUESS_CELLS)

@@ -3,11 +3,10 @@
 import hashlib
 import json
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qdialogue.analysis import TrialReport, per_cm_detection_oracle
 from qdialogue.attacks import STRATEGY_NAMES, AttackStrategy, NoAttack, strategy_from_name
@@ -17,7 +16,6 @@ from qdialogue.protocol import (
     COMPLETED,
     DETECTED,
     MM,
-    Message,
     ProtocolConfig,
     random_message,
     run_dialogue,
@@ -30,18 +28,6 @@ from qdialogue.quantum import (
     bell_state,
 )
 from reference import decoded_pairs, same_state
-
-
-class TestMessage:
-    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=32))
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip(self, pairs):
-        bits = [b for pair in pairs for b in pair]
-        assert Message(tuple(BitPair(*p) for p in pairs)).to_bits() == bits
-
-    def test_message_requires_a_pair(self):
-        with pytest.raises(ValueError):
-            Message(())
 
 
 class TestDecodeAndCheck:
@@ -140,7 +126,7 @@ class TestAttackFreeDialogue:
     def test_exact_exchange(self, c, seed):
         alice, bob, result = run_clean(n_pairs=12, c=c, seed=seed, attack=NoAttack())
         assert result.transcript.final_status == COMPLETED
-        assert decoded_pairs(result.transcript) == (bob.pairs, alice.pairs)
+        assert decoded_pairs(result.transcript) == (bob, alice)
 
     def test_capacity(self):
         alice, bob, result = run_clean(n_pairs=16, seed=3)
@@ -198,13 +184,13 @@ class TestAttackFreeDialogue:
             if run.mode != MM:
                 continue
             (_, x, y) = run.announcements[1]
-            bob_view.append(BitPair(x, y) ^ bob.pairs[mm_i])
-            alice_view.append(BitPair(x, y) ^ alice.pairs[mm_i])
+            bob_view.append(BitPair(x, y) ^ bob[mm_i])
+            alice_view.append(BitPair(x, y) ^ alice[mm_i])
             mm_i += 1
         # The package decodes in the trial reduction.
         report = TrialReport.from_dialogue(0, result, alice, bob, NoAttack())
-        assert Message(tuple(bob_view)).to_bits() == list(report.bob_decoded_bits)
-        assert Message(tuple(alice_view)).to_bits() == list(report.alice_decoded_bits)
+        assert tuple(chain.from_iterable(bob_view)) == report.bob_decoded_bits
+        assert tuple(chain.from_iterable(alice_view)) == report.alice_decoded_bits
 
     def test_mode_ratio_matches_c(self):
         c = 0.5
@@ -230,8 +216,10 @@ class TestAttackFreeDialogue:
     def test_config_length_mismatch_rejected(self):
         rng = np.random.default_rng(0)
         config = ProtocolConfig(c=0.5, n_pairs=8)
-        with pytest.raises(ValueError, match="n_pairs"):
-            run_dialogue(config, random_message(4, rng), random_message(4, rng), NoAttack(), rng)
+        # Short messages, and empty ones: a message needs n_pairs >= 1 pairs.
+        for alice, bob in [(random_message(4, rng), random_message(4, rng)), ((), ())]:
+            with pytest.raises(ValueError, match="n_pairs"):
+                run_dialogue(config, alice, bob, NoAttack(), rng)
 
 
 class TestDetectionPolicies:
