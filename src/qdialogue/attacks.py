@@ -97,7 +97,7 @@ class AttackStrategy:
     holds no readout of Alice's code.
     """
 
-    name = "none"
+    name: str
     claim: float | None = None
 
     def new_session(self) -> EveSession:
@@ -145,6 +145,7 @@ class AttackStrategy:
 class NoAttack(AttackStrategy):
     """The honest channel: taps that do nothing (the base class's)."""
 
+    name = "none"
     claim = 0.0
 
 
@@ -227,11 +228,17 @@ class EntangleMeasure(AttackStrategy):
         session.current.ancilla_outcome = bit
 
 
-STRATEGIES = {
-    cls.name: cls
-    for cls in (NoAttack, DisturbMeasure, DisturbPauliZ, DisturbPauli4,
-                InterceptResendLiteral, InterceptResendBlind, EntangleMeasure)
-}
+def _registry(*classes: type[AttackStrategy]) -> dict[str, type[AttackStrategy]]:
+    """Strategies by name; each class sets its own ``name``, and no two share one."""
+    names = [vars(cls).get("name") for cls in classes]
+    for i, (cls, name) in enumerate(zip(classes, names)):
+        if name is None or name in names[:i]:
+            raise TypeError(f"strategy {cls.__name__} needs a name of its own, not {name!r}")
+    return dict(zip(names, classes))
+
+
+STRATEGIES = _registry(NoAttack, DisturbMeasure, DisturbPauliZ, DisturbPauli4,
+                       InterceptResendLiteral, InterceptResendBlind, EntangleMeasure)
 STRATEGY_NAMES = tuple(STRATEGIES)
 
 

@@ -4,10 +4,10 @@ Runs batches of independent dialogues under a named attack, folds
 each dialogue's report into an additive ``Tally`` as it finishes, in
 the process that ran it, and emits a results document that pairs every
 empirical rate with its analytic or oracle counterpart and a tolerance
-verdict. A pool worker folds a contiguous chunk of trials and sends
-back one ``Tally`` per chunk. Per-trial reports are kept only for
-``verbose`` documents, so memory does not grow with the trial count
-otherwise.
+verdict. A ``run`` or ``sweep`` starts at most one pool; a worker folds
+a contiguous chunk of trials and sends back one ``Tally`` per chunk.
+Per-trial reports are kept only for ``verbose`` documents, so memory
+does not grow with the trial count otherwise.
 
 Every comparison row is built by ``_row`` with the keys ``name`` and
 ``ROW_KEYS``, in that order. The binomial rows come from one table of
@@ -36,8 +36,9 @@ import json
 import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
-from itertools import repeat
+from itertools import chain, islice
 
 import numpy as np
 
@@ -184,23 +185,26 @@ def _fold_trials(config: ExperimentConfig, trials: range, point_key: tuple[int, 
     return tally, kept
 
 
-def _run_trials(config: ExperimentConfig, point_key: tuple[int, ...] = ()) -> FoldedTrials:
-    """Every trial folded as ``_fold_trials`` does, kept reports in trial order.
+def _run_trials(points: list[tuple[ExperimentConfig, tuple[int, ...]]]) -> typing.Iterator[FoldedTrials]:
+    """Each point's trials folded as ``_fold_trials`` does, yielded in point order.
 
-    The pool maps ``_fold_trials`` over contiguous chunks in trial order
-    and adds their tallies; integer sums do not depend on order. A pool
-    starts all its workers at once, so it gets no more workers than
-    there are trials.
+    Every chunk of every point goes into one ``map`` on one pool of
+    ``min(workers, trials)`` workers (a pool starts them all at once; no
+    pool for one), so the workers run on into the next point's chunks
+    while the caller reduces this one. Integer sums do not depend on order.
     """
-    trials = range(config.trials)
-    workers = min(config.workers, config.trials)
-    if workers == 1:
-        return _fold_trials(config, trials, point_key)
-    step = max(1, config.trials // (workers * 8))
-    chunks = [trials[i : i + step] for i in range(0, config.trials, step)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_fold_trials, repeat(config), chunks, repeat(point_key)))
-    return sum((tally for tally, _ in parts), Tally()), [r for _, kept in parts for r in kept]
+    chunked = []  # per point, one (config, chunk, point_key) job per chunk
+    for config, point_key in points:
+        workers = min(config.workers, config.trials)
+        step = config.trials if workers == 1 else max(1, config.trials // (workers * 8))
+        trials = range(config.trials)
+        chunked.append([(config, trials[i : i + step], point_key) for i in trials[::step]])
+    pool_size = max(min(config.workers, config.trials) for config, _ in points)
+    with ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else nullcontext() as pool:
+        results = (pool.map if pool else map)(_fold_trials, *zip(*chain.from_iterable(chunked)))
+        for jobs in chunked:
+            parts = list(islice(results, len(jobs)))
+            yield sum((tally for tally, _ in parts), Tally()), [r for _, kept in parts for r in kept]
 
 
 def _row(name, empirical, stderr, n_samples, reference, source, tolerance, within) -> dict:
@@ -209,11 +213,14 @@ def _row(name, empirical, stderr, n_samples, reference, source, tolerance, withi
     return {"name": name, **dict(zip(ROW_KEYS, values))}
 
 
-def run_experiment(config: ExperimentConfig, point_key: tuple[int, ...] = ()) -> dict:
-    """Execute the configured trials and assemble the results document."""
+def run_experiment(config: ExperimentConfig, point_key: tuple[int, ...] = (),
+                   folded: FoldedTrials | None = None) -> dict:
+    """Assemble the results document of the configured trials, run here unless ``folded``."""
     config.validate()
     strategy = config.strategy()
-    tally, reports = _run_trials(config, point_key)
+    if folded is None:
+        (folded,) = _run_trials([(config, point_key)])
+    tally, reports = folded
 
     d_oracle = per_cm_detection_oracle(strategy)
     alice_ref, bob_ref = guess_accuracy_oracle(strategy)
@@ -290,7 +297,7 @@ def run_experiment(config: ExperimentConfig, point_key: tuple[int, ...] = ()) ->
 
 
 def sweep(config: ExperimentConfig, vary: str, values: list) -> dict:
-    """One experiment per value of a single parameter, plus a curve table.
+    """One experiment per value of one parameter, all on one pool, plus a curve table.
 
     Each value must already be one the parameter's type holds: a value
     the cast would change (2.7 for ``n_pairs``, a string) is rejected,
@@ -315,8 +322,9 @@ def sweep(config: ExperimentConfig, vary: str, values: list) -> dict:
 
     points = []
     curve = []
-    for idx, (value, point_cfg) in enumerate(zip(cast_values, point_cfgs)):
-        doc = run_experiment(point_cfg, point_key=(idx,))
+    folded = _run_trials([(point_cfg, (idx,)) for idx, point_cfg in enumerate(point_cfgs)])
+    for trials, value, point_cfg in zip(folded, cast_values, point_cfgs):
+        doc = run_experiment(point_cfg, folded=trials)
         points.append(doc)
         row = {
             "value": value,
@@ -474,7 +482,7 @@ def selftest() -> tuple[bool, list[str]]:
 
     # Attack-free fidelity, small batch.
     cfg = ExperimentConfig(attack="none", c=0.5, n_pairs=8, trials=200, master_seed=7)
-    tally, _ = _run_trials(cfg)
+    ((tally, _),) = _run_trials([(cfg, ())])
     clean = tally.completed == tally.trials and tally.cm_failures == tally.bit_errors == 0
     check("attack-free dialogues decode exactly (200 trials)", clean)
 

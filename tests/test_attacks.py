@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qdialogue import attacks
 from qdialogue.analysis import (
     Tally,
     TrialReport,
@@ -15,6 +16,7 @@ from qdialogue.analysis import (
 )
 from qdialogue.attacks import (
     AttackStrategy,
+    DisturbPauli4,
     EntangleMeasure,
     InterceptResendBlind,
     InterceptResendLiteral,
@@ -92,6 +94,29 @@ class TestRegistry:
     def test_beta2_rejected_elsewhere(self):
         with pytest.raises(ValueError, match="only applies"):
             strategy_from_name("none", 0.1)
+
+    def test_a_nameless_strategy_is_not_registered(self):
+        class Forgot(AttackStrategy):
+            pass
+
+        assert not hasattr(Forgot, "name")
+        with pytest.raises(TypeError, match="Forgot needs a name of its own, not None"):
+            attacks._registry(NoAttack, Forgot)
+
+    def test_an_inherited_name_is_not_its_own(self):
+        class Pauli4Again(DisturbPauli4):
+            claim = 0.5
+
+        with pytest.raises(TypeError, match="Pauli4Again needs a name of its own, not None"):
+            attacks._registry(DisturbPauli4, Pauli4Again)
+
+    def test_a_repeated_name_is_not_registered(self):
+        class Impostor(AttackStrategy):
+            name = "none"
+
+        with pytest.raises(TypeError, match="Impostor needs a name of its own, not 'none'"):
+            attacks._registry(NoAttack, Impostor)
+        assert attacks.STRATEGIES["none"] is NoAttack
 
     @pytest.mark.parametrize("beta2", [-0.1, 0.6, 1.0])
     def test_probe_weight_range(self, beta2):

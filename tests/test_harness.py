@@ -204,6 +204,68 @@ class TestPoolTraffic:
         assert to_json(doc) == to_json(run_experiment(replace(config, workers=1)))
 
 
+class TestOnePoolPerCommand:
+    """A sweep maps every point's chunks on one pool, in one ``map``."""
+
+    BASE = dict(attack="entangle-measure", c=0.5, n_pairs=4, trials=2, master_seed=10)
+    VALUES = [0.1, 0.25, 0.5]
+
+    def _sweep(self, monkeypatch, workers):
+        pools = []
+
+        class CountingPool:
+            """Stands in for ``ProcessPoolExecutor``: notes its size and each map's jobs."""
+
+            def __init__(self, max_workers):
+                self.size, self.maps = max_workers, []
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                jobs = list(zip(*iterables))
+                self.maps.append(jobs)
+                return (fn(*job) for job in jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        config = ExperimentConfig(**self.BASE, workers=workers)
+        return to_json(sweep(config, "beta2", self.VALUES)), pools
+
+    def test_a_sweep_maps_every_point_on_one_pool(self, monkeypatch):
+        doc, pools = self._sweep(monkeypatch, workers=3)
+        [pool] = pools
+        assert pool.size == 2
+        [jobs] = pool.maps
+        keys = [point_key for _, _, point_key in jobs]
+        assert keys == sorted(keys) and set(keys) == {(0,), (1,), (2,)}
+        for idx, value in enumerate(self.VALUES):
+            point_jobs = [(config, chunk) for config, chunk, key in jobs if key == (idx,)]
+            assert all(config.beta2 == value for config, _ in point_jobs)
+            assert [i for _, chunk in point_jobs for i in chunk] == [0, 1]
+        assert doc == self._sweep(monkeypatch, workers=1)[0]
+
+    def test_one_worker_starts_no_pool(self, monkeypatch):
+        _, pools = self._sweep(monkeypatch, workers=1)
+        assert pools == []
+
+    def test_verbose_sweep_on_a_process_pool_matches_one_worker(self, tmp_path):
+        written = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"sweep-{workers}.json"
+            code = main(
+                ["sweep", "--attack", "entangle-measure", "--vary", "beta2", "--values", "0.1,0.5",
+                 "--n-pairs", "4", "--trials", "30", "--seed", "3", "--verbose",
+                 "--workers", workers, "--out", str(out)]
+            )
+            assert code == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+
 class TestResultsDocument:
     def test_schema_and_pairing(self):
         doc = run_experiment(ExperimentConfig(attack="none", trials=40, n_pairs=4, master_seed=1))
