@@ -4,10 +4,11 @@ Three layers:
 
 * exact formulas: the cumulative detection curves, their stopped-process
   resummation, and the probe-entropy bound;
-* an exhaustive oracle that replays a strategy's own tap handlers over
-  all 16 code pairs and every measurement/choice branch with exact Born
-  or coin weights (no sampling), giving the per-control-run detection
-  rate and Eve's exact guess accuracies;
+* an exhaustive oracle that sums a strategy's run tables
+  (``protocol.run_table``: its own tap handlers replayed over every
+  measurement/choice branch with exact Born or coin weights, no
+  sampling) over all 16 code pairs, giving the per-control-run
+  detection rate and Eve's exact guess accuracies;
 * the reduction: each dialogue's ``TrialReport`` folds into one
   additive ``Tally`` of integer totals, which every estimate reads,
   with binomial standard errors.
@@ -23,8 +24,8 @@ from itertools import chain
 from typing import NamedTuple
 
 from .attacks import AttackStrategy, check_beta2
-from .protocol import COMPLETED, DETECTED, MM, DialogueResult, Message, round_trip
-from .quantum import ALL_CODES, BitPair, bell_outcome_probs
+from .protocol import COMPLETED, DETECTED, MM, DialogueResult, Message, run_table
+from .quantum import ALL_CODES, BitPair
 
 PURE_GUESS_ACCURACY = 0.25
 
@@ -106,8 +107,8 @@ def per_cm_detection_oracle(strategy: AttackStrategy) -> float:
     Brute force: average over all 16 (Alice code, Bob code) combinations
     and, within each, every random branch the strategy's tap handlers
     can take, with its exact weight. The check fails when Bob's Bell
-    outcome differs from the XOR of the two codes. Shares the tap
-    handlers with the sampler but draws from no random stream.
+    outcome differs from the XOR of the two codes. Reads the run tables
+    the sampler draws from, and draws from no random stream.
     """
     return _run_law(strategy)[0]
 
@@ -121,9 +122,10 @@ def guess_accuracy_oracle(strategy: AttackStrategy) -> tuple[float, float]:
     return _run_law(strategy)[1:]
 
 
-# One walk per strategy object (strategies hash by identity): an
+# One fold per strategy object (strategies hash by identity): an
 # experiment asks for detection and accuracies of the object it built,
-# and every experiment or sweep point builds its own.
+# and every experiment or sweep point builds its own. The run tables
+# underneath are shared by strategy value.
 @functools.lru_cache(maxsize=16)
 def _run_law(strategy: AttackStrategy) -> tuple[float, float, float]:
     """(per-control-run detection, Alice accuracy, Bob accuracy)."""
@@ -152,56 +154,12 @@ def _run_law(strategy: AttackStrategy) -> tuple[float, float, float]:
 def run_branches(strategy: AttackStrategy, bob_code: BitPair, alice_code: BitPair):
     """Every choice path of one run under ``strategy``, with its exact weight.
 
-    Replays the protocol's ``round_trip`` once per path, with a branch
-    walker in place of Eve's random stream. Yields (weight, Eve's run
-    log, Bob's Bell outcome probabilities).
+    The leaves of the run table the sampler also draws from, in the
+    walk's visit order. Yields (weight, Eve's run log, Bob's Bell
+    outcome probabilities).
     """
-    pending: list[tuple[int, ...]] = [()]
-    while pending:
-        walker = _BranchWalker(pending.pop())
-        session = strategy.new_session()
-        strategy.begin_run(session)
-        channel = round_trip(bob_code, alice_code, strategy, session, walker)
-        pending.extend(walker.unvisited)
-        yield walker.weight, session.current, bell_outcome_probs(channel.state, "h", channel.traveling)
-
-
-class _BranchWalker:
-    """Stands in for Eve's random stream along one path of choices.
-
-    ``quantum.choose`` asks it to ``pick`` an index. It follows the forced
-    prefix, then takes the first possible branch and notes each other
-    one as a prefix still to visit, so repeated replays visit every path
-    once. Anything else asked of it raises: a draw the walk cannot see
-    would make the oracle's numbers wrong.
-    """
-
-    def __init__(self, forced: tuple[int, ...]) -> None:
-        self.forced = forced
-        self.taken: list[int] = []
-        self.weight = 1.0
-        self.unvisited: list[tuple[int, ...]] = []
-
-    def pick(self, probs: list[float]) -> int:
-        # Weights are taken as given; a sampled draw would rescale them.
-        total = sum(probs)
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"branch probabilities must sum to 1, got {total!r}")
-        depth = len(self.taken)
-        if depth < len(self.forced):
-            k = self.forced[depth]
-        else:
-            possible = [i for i, p in enumerate(probs) if p > 0.0]
-            k = possible[0]
-            self.unvisited.extend((*self.taken, i) for i in possible[1:])
-        self.taken.append(k)
-        self.weight *= probs[k]
-        return k
-
-    def __getattr__(self, name: str):
-        raise TypeError(
-            f"tap handlers must draw through choose, measure_z or bell_measure, not rng.{name}"
-        )
+    for leaf in run_table(strategy, bob_code, alice_code).leaves:
+        yield leaf.weight, leaf.log, dict(zip(ALL_CODES, leaf.bell_probs))
 
 
 # ---------------------------------------------------------------------------

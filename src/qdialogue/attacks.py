@@ -27,9 +27,15 @@ Implemented strategies:
 * ``EntangleMeasure`` -- couples an ancilla to the travel qubit on the
   ping leg with weight beta2 and measures it on the pong leg.
 
-Each strategy's physics is written once, in its tap handlers. They draw
-randomness only through ``choose``, ``measure_z`` and ``bell_measure``,
-so ``analysis`` can replay them over every branch with exact weights.
+Each strategy's physics is written once, in its tap handlers. The run
+table (``protocol.run_table``) replays them over every branch with
+exact weights, once per process and strategy value, and both the
+sampler and the oracle read it. That relies on a contract:
+
+* a tap draws randomness only through ``choose``, ``measure_z`` and
+  ``bell_measure``, with probabilities that sum to 1;
+* a tap reads only the channel, its own picks and its strategy's
+  (hashable) instance attributes, and writes only ``session.current``.
 """
 
 from __future__ import annotations

@@ -24,19 +24,35 @@ about a dialogue is derived from its runs: the announcements and Bob's
 control check, each side's decode (the outcome XOR its own code on the
 final pass's message runs), the restart count (the last run's pass
 index) and the final-pass counters.
+
+A run's quantum leg is fixed once the strategy, both codes and Eve's
+picks are. So it is played out once per choice path, not once per run:
+``run_table`` walks ``round_trip`` over every path of one code pair and
+keeps the choice tree and its leaves. The sampler draws each run from
+that tree and the exact oracle sums its leaves, so both read one table.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .quantum import ALL_CODES, BitPair, StateVector, apply_pauli, bell_outcome, bell_state
+from .quantum import (
+    ALL_CODES,
+    BitPair,
+    StateVector,
+    _arg_key,
+    _bell_law,
+    apply_pauli,
+    bell_state,
+    choose,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .attacks import AttackStrategy, EveSession
+    from .attacks import AttackStrategy, EveRunLog, EveSession
 
 MM = "MM"
 CM = "CM"
@@ -123,6 +139,139 @@ def round_trip(
     channel.state = apply_pauli(channel.state, channel.traveling, alice_code)
     attack.on_pong(channel, session, rng)
     return channel
+
+
+class _BranchWalker:
+    """Stands in for Eve's random stream along one path of choices.
+
+    ``quantum.choose`` asks it to ``pick`` an index. It follows the forced
+    prefix, then takes the first possible branch and notes each other
+    one as a prefix still to visit, so repeated replays visit every path
+    once. It keeps the probabilities of each pick it made. Anything else
+    asked of it raises: a draw the walk cannot see would make the run
+    table, and so the sampler and the oracle, wrong.
+    """
+
+    def __init__(self, forced: tuple[int, ...]) -> None:
+        self.forced = forced
+        self.taken: list[int] = []
+        self.picks: list[tuple[float, ...]] = []
+        self.weight = 1.0
+        self.unvisited: list[tuple[int, ...]] = []
+
+    def pick(self, probs: list[float]) -> int:
+        # Weights are taken as given; a sampled draw would rescale them.
+        total = sum(probs)
+        if abs(total - 1.0) > 1e-6:
+            raise ValueError(f"branch probabilities must sum to 1, got {total!r}")
+        depth = len(self.taken)
+        if depth < len(self.forced):
+            k = self.forced[depth]
+        else:
+            possible = [i for i, p in enumerate(probs) if p > 0.0]
+            k = possible[0]
+            self.unvisited.extend((*self.taken, i) for i in possible[1:])
+        self.taken.append(k)
+        self.picks.append(tuple(probs))
+        self.weight *= probs[k]
+        return k
+
+    def __getattr__(self, name: str):
+        raise TypeError(
+            f"tap handlers must draw through choose, measure_z or bell_measure, not rng.{name}"
+        )
+
+
+class Leaf(NamedTuple):
+    """The end of one choice path of a run.
+
+    ``weight`` is the product of the path's pick probabilities, ``log``
+    Eve's run log as the taps left it, ``fields`` the log fields the taps
+    wrote and ``bell_probs`` Bob's Bell outcome law, in code order.
+    """
+
+    weight: float
+    log: "EveRunLog"
+    fields: dict
+    bell_probs: tuple[float, ...]
+
+
+class Branch(NamedTuple):
+    """One of Eve's picks: its probabilities and a child per index (None where impossible)."""
+
+    probs: tuple[float, ...]
+    children: tuple
+
+
+class RunTable(NamedTuple):
+    """One code pair's run law under a strategy: the choice tree and its leaves in walk order."""
+
+    tree: Branch | Leaf
+    leaves: tuple[Leaf, ...]
+
+
+def _build_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitPair) -> RunTable:
+    """Replay ``round_trip`` once per choice path, with a branch walker for Eve's stream."""
+    picks: dict[tuple[int, ...], tuple[float, ...]] = {}  # path prefix -> its pick's probabilities
+    ends: dict[tuple[int, ...], Leaf] = {}  # full path -> its leaf, in walk order
+    pending: list[tuple[int, ...]] = [()]
+    while pending:
+        walker = _BranchWalker(pending.pop())
+        session = strategy.new_session()
+        strategy.begin_run(session)
+        fresh = dict(vars(session.current))
+        channel = round_trip(bob_code, alice_code, strategy, session, walker)
+        pending.extend(walker.unvisited)
+        log = session.current
+        written = {k: v for k, v in vars(log).items() if k not in fresh or fresh[k] is not v}
+        path = tuple(walker.taken)
+        ends[path] = Leaf(walker.weight, log, written, _bell_law(channel.state, "h", channel.traveling)[0])
+        for depth, probs in enumerate(walker.picks):
+            picks[path[:depth]] = probs
+
+    def node(path: tuple[int, ...]) -> Branch | Leaf:
+        if path in ends:
+            return ends[path]
+        probs = picks[path]
+        return Branch(probs, tuple(node((*path, i)) if p > 0.0 else None for i, p in enumerate(probs)))
+
+    return RunTable(node(()), tuple(ends.values()))
+
+
+# Strategy values whose 16 run tables are kept, least recently used
+# first out. A sweep builds one value per point.
+TABLE_STRATEGIES = 32
+_TABLES: OrderedDict[tuple, dict[tuple[BitPair, BitPair], RunTable]] = OrderedDict()
+
+
+def _strategy_key(strategy: "AttackStrategy") -> tuple:
+    """A strategy's value: its class, then its instance attributes, floats by bit pattern."""
+    return type(strategy), tuple(sorted((k, _arg_key(v)) for k, v in vars(strategy).items()))
+
+
+def run_tables(strategy: "AttackStrategy") -> dict[tuple[BitPair, BitPair], RunTable]:
+    """The strategy's run table of every (Bob code, Alice code) pair, built on first use.
+
+    Tables are kept per process for the last ``TABLE_STRATEGIES``
+    strategy values, so equal strategies share them. This relies on the
+    contract in ``attacks``: a tap reads only the channel, its own picks
+    and its strategy's attributes, and writes only ``session.current``.
+    """
+    key = _strategy_key(strategy)
+    tables = _TABLES.get(key)
+    if tables is None:
+        tables = {(b, a): _build_table(strategy, b, a) for b in ALL_CODES for a in ALL_CODES}
+        if len(_TABLES) >= TABLE_STRATEGIES:
+            _TABLES.popitem(last=False)
+        _TABLES[key] = tables
+    else:
+        _TABLES.move_to_end(key)
+    return tables
+
+
+def run_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitPair) -> RunTable:
+    """One code pair's run table under ``strategy``."""
+    return run_tables(strategy)[bob_code, alice_code]
 
 
 @dataclass(frozen=True)
@@ -236,6 +385,11 @@ def run_dialogue(
     stream alone. So every attack meets the same protocol uniforms, and
     one whose taps leave Bob's Bell law unchanged leaves the transcript
     byte-identical to the honest channel's (``NoAttack``).
+
+    Each run is drawn from its code pair's run table: Eve's picks walk
+    the choice tree with ``choose``, as her taps would draw them, and
+    Bob's outcome is one ``choose`` over the leaf's Bell law. These are
+    the draws ``round_trip`` and ``bell_outcome`` would make, in order.
     """
     if len(alice_msg) != len(bob_msg):
         raise ValueError(
@@ -246,6 +400,7 @@ def run_dialogue(
             f"config.n_pairs = {config.n_pairs} but messages have {len(alice_msg)} pairs"
         )
     (eve_rng,) = rng.spawn(1)
+    tables = run_tables(attack)
 
     session = attack.new_session()
     runs: list[RunRecord] = []
@@ -263,8 +418,12 @@ def run_dialogue(
         bob_code = bob_msg[cursor]
         is_cm = rng.random() < config.c
         alice_code = _random_pair(rng) if is_cm else alice_msg[cursor]
-        channel = round_trip(bob_code, alice_code, attack, session, eve_rng)
-        outcome = bell_outcome(channel.state, "h", channel.traveling, rng)
+        node = tables[bob_code, alice_code].tree
+        while type(node) is Branch:
+            node = node.children[choose(node.probs, eve_rng)]
+        if node.fields:
+            vars(session.current).update(node.fields)
+        outcome = ALL_CODES[choose(node.bell_probs, rng)]
         mode = CM if is_cm else MM
         run = RunRecord(cursor, pass_index, mode, bob_code, alice_code, outcome)
         runs.append(run)

@@ -27,11 +27,13 @@ register names and positional arguments. The deterministic ones (Pauli,
 tensor product, ancilla, probe, and the Bell and up/down laws with their
 collapses) are memoized by content: the key is every input bit, a
 state's register names and amplitude bytes included, so a result is
-computed once per distinct input and then shared. The memo is the only
-speed-up: a dialogue revisits a few dozen states thousands of times, so
-a kernel body runs only a few hundred times per experiment and is
-written the plain reshape/transpose way. Random draws are never
-cached: ``bell_outcome`` (the Bell draw without the collapse),
+computed once per distinct input and then shared. The engine's speed-up
+is ``protocol.run_table``, which plays each run's quantum leg once per
+choice path so that sampled runs call no kernel; the memo is what makes
+building those tables cheap: the 16 code pairs of a strategy revisit a
+few dozen states, so a kernel body runs only a few hundred times per
+experiment and is written the plain reshape/transpose way. Random draws
+are never cached: ``bell_outcome`` (the Bell draw without the collapse),
 ``bell_measure`` and ``measure_z`` call ``choose`` once per call, hit or
 miss.
 """

@@ -3,7 +3,9 @@
 No ``qdialogue`` command needs these: partial traces and entropies of
 simulated states, equality up to a global phase, the forced-outcome Bell
 and up/down projections, the cumulative detection curve as an explicit
-sum, and each side's decode read straight off a transcript.
+sum, each side's decode read straight off a transcript, and the two
+engines the run tables replaced: a dialogue that replays the quantum leg
+on every run, and the oracle's own branch walk.
 """
 
 from __future__ import annotations
@@ -13,6 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from qdialogue import quantum
+from qdialogue.analysis import PURE_GUESS_ACCURACY
+from qdialogue.protocol import (
+    ABORTED,
+    CM,
+    COMPLETED,
+    DETECTED,
+    MM,
+    TERMINAL,
+    DialogueResult,
+    RunRecord,
+    Transcript,
+    _BranchWalker,
+    _random_pair,
+    round_trip,
+)
 from qdialogue.quantum import ALL_CODES, NORM_TOL, PROB_FLOOR, BitPair, StateVector
 
 
@@ -111,3 +128,75 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     lams = np.clip(lams, 0.0, None)
     lams = lams[lams > 0.0]
     return max(float(-(lams * np.log2(lams)).sum()), 0.0)
+
+
+def reference_dialogue(config, alice_msg, bob_msg, attack, rng) -> DialogueResult:
+    """``protocol.run_dialogue`` with the quantum leg replayed on every run.
+
+    Each run calls ``round_trip`` with Eve's real generator and draws
+    Bob's outcome with ``bell_outcome`` on the state it leaves. The
+    state machine and the order of every draw are ``run_dialogue``'s.
+    """
+    (eve_rng,) = rng.spawn(1)
+    session = attack.new_session()
+    runs = []
+    cursor = pass_index = 0
+    status = None
+    while status is None:
+        attack.begin_run(session)
+        bob_code = bob_msg[cursor]
+        is_cm = rng.random() < config.c
+        alice_code = _random_pair(rng) if is_cm else alice_msg[cursor]
+        channel = round_trip(bob_code, alice_code, attack, session, eve_rng)
+        outcome = quantum.bell_outcome(channel.state, "h", channel.traveling, rng)
+        run = RunRecord(cursor, pass_index, CM if is_cm else MM, bob_code, alice_code, outcome)
+        runs.append(run)
+        if not is_cm:
+            attack.guess(session, outcome, eve_rng)
+            session.score(alice_truth=alice_code, bob_truth=bob_code)
+            cursor += 1
+            if cursor == config.n_pairs:
+                status = COMPLETED
+        elif not run.cm_pass:
+            if config.detection_policy == TERMINAL:
+                status = DETECTED
+            elif pass_index == config.max_restarts:
+                status = ABORTED
+            else:
+                pass_index += 1
+                cursor = 0
+    return DialogueResult(Transcript(runs, status), session)
+
+
+def reference_run_law(strategy) -> tuple[float, float, float]:
+    """(per-control-run detection, Alice accuracy, Bob accuracy) from a fresh branch walk.
+
+    Replays ``round_trip`` once per choice path of each of the 16 code
+    pairs, with no run table, and folds the paths in the oracle's order.
+    """
+    failed = mass = alice_hits = bob_hits = 0.0
+    for bob_code in ALL_CODES:
+        for alice_code in ALL_CODES:
+            expected = alice_code ^ bob_code
+            pending = [()]
+            while pending:
+                walker = _BranchWalker(pending.pop())
+                session = strategy.new_session()
+                strategy.begin_run(session)
+                channel = round_trip(bob_code, alice_code, strategy, session, walker)
+                pending.extend(walker.unvisited)
+                weight, log = walker.weight, session.current
+                probs = quantum.bell_outcome_probs(channel.state, "h", channel.traveling)
+                failed += weight * (1.0 - probs[expected])
+                for outcome, prob in probs.items():
+                    guesses = strategy.readout(log, outcome)
+                    if guesses is None:
+                        alice_hit = bob_hit = PURE_GUESS_ACCURACY
+                    else:
+                        alice_hit = guesses[0] == alice_code
+                        bob_hit = guesses[1] == bob_code
+                    mass += weight * prob
+                    alice_hits += weight * prob * alice_hit
+                    bob_hits += weight * prob * bob_hit
+    rate = failed / 16.0
+    return 0.0 if rate < 1e-12 else rate, alice_hits / mass, bob_hits / mass

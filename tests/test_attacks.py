@@ -39,7 +39,7 @@ from qdialogue.quantum import (
     bell_state,
     choose,
 )
-from reference import project_z, reduced_density
+from reference import project_z, reduced_density, reference_run_law
 
 # Hand-derived per-control-run detection rates. Measuring the travel
 # qubit of a coded pair flips both outcome bits half the time; the
@@ -71,6 +71,12 @@ HAND_ACCURACIES = {
     "intercept-resend-blind": (1.0, 0.25),
     "entangle-measure": (0.25, 0.25),
 }
+
+
+def run_short_dialogue(strategy):
+    rng = np.random.default_rng(0)
+    msgs = [random_message(2, rng) for _ in range(2)]
+    return run_dialogue(ProtocolConfig(c=0.5, n_pairs=2), *msgs, strategy, rng)
 
 
 def registered_strategies():
@@ -160,6 +166,8 @@ class TestOracle:
 
         with pytest.raises(TypeError, match="choose"):
             per_cm_detection_oracle(RawCoin())
+        with pytest.raises(TypeError, match="choose"):
+            run_short_dialogue(RawCoin())
 
     def test_unnormalized_branch_weights_raise(self):
         class LoadedCoin(AttackStrategy):
@@ -171,6 +179,17 @@ class TestOracle:
 
         with pytest.raises(ValueError, match="sum to 1"):
             per_cm_detection_oracle(LoadedCoin())
+        with pytest.raises(ValueError, match="sum to 1"):
+            run_short_dialogue(LoadedCoin())
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_oracle_equals_a_fresh_branch_walk(self, name):
+        # To the last bit, for every beta2 on the probe's 0.05 grid.
+        grid = [k / 20 for k in range(11)] if name == "entangle-measure" else [None]
+        for beta2 in grid:
+            expected = reference_run_law(strategy_from_name(name, beta2))
+            assert per_cm_detection_oracle(strategy_from_name(name, beta2)) == expected[0], beta2
+            assert guess_accuracy_oracle(strategy_from_name(name, beta2)) == expected[1:], beta2
 
     @pytest.mark.parametrize("strategy", registered_strategies(), ids=STRATEGY_NAMES)
     def test_branch_weights_sum_to_one(self, strategy):

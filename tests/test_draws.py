@@ -45,7 +45,7 @@ GUESS_CELLS = [
 class ScriptedRng:
     """Answers ``random()`` and ``random(n)`` from a script and logs each call.
 
-    Anything else asked of it raises, as ``analysis._BranchWalker`` does,
+    Anything else asked of it raises, as ``protocol._BranchWalker`` does,
     so a draw of another kind cannot pass unseen.
     """
 

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qdialogue import quantum
+from qdialogue import protocol, quantum
 from qdialogue.attacks import STRATEGY_NAMES
 from qdialogue.harness import ExperimentConfig, run_experiment, to_json
 from qdialogue.protocol import DETECTION_POLICIES
@@ -417,18 +417,24 @@ def small_config(attack: str) -> ExperimentConfig:
     )
 
 
-# Distinct kernel inputs one experiment reaches, oracle walk included:
-# measured at most 128 for any strategy and policy below, at 40 and at
-# 400 trials. The memo is the only speed-up of the quantum layer, so the
-# kernel bodies must keep running a bounded number of times per call.
+# Distinct kernel inputs one experiment reaches from cold caches, run
+# tables included: measured at most 94 for any strategy and policy
+# below, at 40 and at 400 trials. The memo is what keeps a table build
+# cheap, so the kernel bodies must keep running a bounded number of
+# times per call.
 MEMO_TRAFFIC_BOUND = 256
+
+
+def clear_memo_and_tables() -> None:
+    clear_memo()
+    protocol._TABLES.clear()
 
 
 @pytest.mark.parametrize("policy", DETECTION_POLICIES)
 @pytest.mark.parametrize("attack", STRATEGY_NAMES)
 def test_an_experiment_reaches_few_distinct_kernel_inputs(attack, policy):
     config = replace(small_config(attack), trials=400, detection_policy=policy)
-    clear_memo()
+    clear_memo_and_tables()
     run_experiment(config)
     assert sum(len(table) for table in quantum._MEMO_TABLES) <= MEMO_TRAFFIC_BOUND
 
@@ -447,6 +453,6 @@ def test_documents_do_not_depend_on_what_the_memo_holds():
     warm = [to_json(run_experiment(config)) for config in configs]
     cold = []
     for config in configs:
-        clear_memo()
+        clear_memo_and_tables()
         cold.append(to_json(run_experiment(config)))
     assert warm == cold

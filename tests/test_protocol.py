@@ -3,22 +3,37 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from collections import OrderedDict
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qdialogue import protocol
 from qdialogue.analysis import TrialReport, per_cm_detection_oracle
-from qdialogue.attacks import STRATEGY_NAMES, AttackStrategy, NoAttack, strategy_from_name
+from qdialogue.attacks import (
+    STRATEGY_NAMES,
+    AttackStrategy,
+    EntangleMeasure,
+    NoAttack,
+    strategy_from_name,
+)
 from qdialogue.protocol import (
     ABORTED,
     CM,
     COMPLETED,
     DETECTED,
+    DETECTION_POLICIES,
     MM,
     ProtocolConfig,
     random_message,
     run_dialogue,
+    run_table,
+    run_tables,
 )
 from qdialogue.quantum import (
     ALL_CODES,
@@ -27,7 +42,7 @@ from qdialogue.quantum import (
     bell_outcome_probs,
     bell_state,
 )
-from reference import decoded_pairs, same_state
+from reference import decoded_pairs, reference_dialogue, same_state
 
 
 class TestDecodeAndCheck:
@@ -351,3 +366,82 @@ class TestTranscriptSerialization:
         t = result.transcript
         assert t.final_status == COMPLETED and t.restart_count == 2
         assert t.n_total < len(t.runs)
+
+
+# Every registered strategy, the probe at four weights.
+ENGINE_STRATEGIES = [
+    (name, beta2)
+    for name in STRATEGY_NAMES
+    for beta2 in ((0.0, 0.05, 0.25, 0.5) if name == "entangle-measure" else (None,))
+]
+
+
+class SpawnRecorder(np.random.Generator):
+    """A real generator that keeps the children it spawns."""
+
+    def spawn(self, n_children):
+        self.children = super().spawn(n_children)
+        return self.children
+
+
+class TestRunTables:
+    @pytest.mark.parametrize("policy", DETECTION_POLICIES)
+    @pytest.mark.parametrize("name, beta2", ENGINE_STRATEGIES)
+    def test_sampler_equals_the_per_run_replay(self, name, beta2, policy):
+        # The table sampler against the quantum leg replayed on every run:
+        # same transcript, same Eve logs, and both streams left in the
+        # same state, so every draw was the same.
+        config = ProtocolConfig(c=0.5, n_pairs=4, max_restarts=2, detection_policy=policy)
+        for seed in range(50):
+            seen = []
+            for engine in (run_dialogue, reference_dialogue):
+                rng = SpawnRecorder(np.random.PCG64(np.random.SeedSequence(seed)))
+                msgs = [random_message(config.n_pairs, rng) for _ in range(2)]
+                result = engine(config, *msgs, strategy_from_name(name, beta2), rng)
+                (eve_rng,) = rng.children
+                seen.append((
+                    result.transcript.to_dict(),
+                    result.eve.logs,
+                    rng.bit_generator.state,
+                    eve_rng.bit_generator.state,
+                ))
+            assert seen[0] == seen[1], seed
+
+    def test_equal_strategies_share_one_table(self):
+        a, b = EntangleMeasure(0.25), EntangleMeasure(0.25)
+        assert run_tables(a) is run_tables(b)
+        assert run_table(a, BitPair(0, 1), BitPair(1, 1)) is run_table(b, BitPair(0, 1), BitPair(1, 1))
+
+    def test_signed_zeros_do_not_share(self):
+        assert run_tables(EntangleMeasure(0.0)) is not run_tables(EntangleMeasure(-0.0))
+
+    def test_cache_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_TABLES", OrderedDict())
+        values = [0.5 * k / (protocol.TABLE_STRATEGIES + 3) for k in range(protocol.TABLE_STRATEGIES + 4)]
+        for beta2 in values:
+            run_tables(EntangleMeasure(values[1]))  # kept in use, so never the oldest
+            run_tables(EntangleMeasure(beta2))
+            assert len(protocol._TABLES) <= protocol.TABLE_STRATEGIES
+        assert protocol._strategy_key(EntangleMeasure(values[1])) in protocol._TABLES
+        assert protocol._strategy_key(EntangleMeasure(values[0])) not in protocol._TABLES
+
+    def test_config_and_strategy_build_no_table(self):
+        code = (
+            "from qdialogue import protocol\n"
+            "from qdialogue.harness import ExperimentConfig\n"
+            "config = ExperimentConfig(attack='entangle-measure', beta2=0.25)\n"
+            "config.validate()\n"
+            "config.strategy()\n"
+            "print(len(protocol._TABLES))\n"
+        )
+        src = str(Path(protocol.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "0"
+
+    def test_tree_and_leaves_hold_the_probe_readout(self):
+        table = run_table(EntangleMeasure(0.25), BitPair(1, 0), BitPair(0, 1))
+        assert table.tree.probs == pytest.approx((0.75, 0.25), abs=1e-12)
+        assert table.tree.children == table.leaves
+        assert [leaf.weight for leaf in table.leaves] == list(table.tree.probs)
+        assert [leaf.fields for leaf in table.leaves] == [{"ancilla_outcome": 0}, {"ancilla_outcome": 1}]
