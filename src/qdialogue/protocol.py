@@ -28,8 +28,11 @@ index) and the final-pass counters.
 A run's quantum leg is fixed once the strategy, both codes and Eve's
 picks are. So it is played out once per choice path, not once per run:
 ``run_table`` walks ``round_trip`` over every path of one code pair and
-keeps the choice tree and its leaves. The sampler draws each run from
-that tree and the exact oracle sums its leaves, so both read one table.
+keeps the choice tree and its leaves. Each pick and each leaf's Bell law
+also keeps its ``quantum.cumulative`` thresholds, so the sampler draws a
+run with one ``draw`` per pick from the uniform a live ``choose`` would
+take, and builds nothing it can look up. The exact oracle sums the same
+leaves, so both read one table.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ from .quantum import (
     _bell_law,
     apply_pauli,
     bell_state,
-    choose,
+    cumulative,
+    draw,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -187,20 +191,24 @@ class Leaf(NamedTuple):
 
     ``weight`` is the product of the path's pick probabilities, ``log``
     Eve's run log as the taps left it, ``fields`` the log fields the taps
-    wrote and ``bell_probs`` Bob's Bell outcome law, in code order.
+    wrote, ``bell_probs`` Bob's Bell outcome law, in code order, and
+    ``bell_cum`` its ``cumulative`` thresholds.
     """
 
     weight: float
     log: "EveRunLog"
     fields: dict
     bell_probs: tuple[float, ...]
+    bell_cum: tuple
 
 
 class Branch(NamedTuple):
-    """One of Eve's picks: its probabilities and a child per index (None where impossible)."""
+    """One of Eve's picks: its probabilities, a child per index (None where
+    impossible) and the probabilities' ``cumulative`` thresholds."""
 
     probs: tuple[float, ...]
     children: tuple
+    cum: tuple
 
 
 class RunTable(NamedTuple):
@@ -225,7 +233,8 @@ def _build_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitP
         log = session.current
         written = {k: v for k, v in vars(log).items() if k not in fresh or fresh[k] is not v}
         path = tuple(walker.taken)
-        ends[path] = Leaf(walker.weight, log, written, _bell_law(channel.state, "h", channel.traveling)[0])
+        bell_probs = _bell_law(channel.state, "h", channel.traveling)[0]
+        ends[path] = Leaf(walker.weight, log, written, bell_probs, cumulative(bell_probs))
         for depth, probs in enumerate(walker.picks):
             picks[path[:depth]] = probs
 
@@ -233,7 +242,8 @@ def _build_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitP
         if path in ends:
             return ends[path]
         probs = picks[path]
-        return Branch(probs, tuple(node((*path, i)) if p > 0.0 else None for i, p in enumerate(probs)))
+        children = tuple(node((*path, i)) if p > 0.0 else None for i, p in enumerate(probs))
+        return Branch(probs, children, cumulative(probs))
 
     return RunTable(node(()), tuple(ends.values()))
 
@@ -274,13 +284,13 @@ def run_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitPair
     return run_tables(strategy)[bob_code, alice_code]
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """One protocol run as it appears in the transcript.
 
     Everything a third party can see is in ``announcements``, the mode
     included. The announcements and Bob's control check are derived from
-    the run's mode, both codes and Bob's outcome.
+    the run's mode, both codes and Bob's outcome. The ``index`` field
+    hides ``tuple.index``.
     """
 
     index: int
@@ -387,9 +397,10 @@ def run_dialogue(
     byte-identical to the honest channel's (``NoAttack``).
 
     Each run is drawn from its code pair's run table: Eve's picks walk
-    the choice tree with ``choose``, as her taps would draw them, and
-    Bob's outcome is one ``choose`` over the leaf's Bell law. These are
-    the draws ``round_trip`` and ``bell_outcome`` would make, in order.
+    the choice tree with one ``draw`` per pick over the branch's stored
+    thresholds, as her taps would ``choose``, and Bob's outcome is one
+    ``draw`` over the leaf's Bell law. These are the uniforms
+    ``round_trip`` and ``bell_outcome`` would consume, in order.
     """
     if len(alice_msg) != len(bob_msg):
         raise ValueError(
@@ -420,13 +431,11 @@ def run_dialogue(
         alice_code = _random_pair(rng) if is_cm else alice_msg[cursor]
         node = tables[bob_code, alice_code].tree
         while type(node) is Branch:
-            node = node.children[choose(node.probs, eve_rng)]
+            node = node.children[draw(node.cum, eve_rng)]
         if node.fields:
             vars(session.current).update(node.fields)
-        outcome = ALL_CODES[choose(node.bell_probs, rng)]
-        mode = CM if is_cm else MM
-        run = RunRecord(cursor, pass_index, mode, bob_code, alice_code, outcome)
-        runs.append(run)
+        outcome = ALL_CODES[draw(node.bell_cum, rng)]
+        runs.append(RunRecord(cursor, pass_index, CM if is_cm else MM, bob_code, alice_code, outcome))
 
         # Each party decodes a message run as the outcome XOR its own
         # code, read off the runs afterwards. A control run that fails
@@ -437,7 +446,7 @@ def run_dialogue(
             cursor += 1
             if cursor == config.n_pairs:
                 status = COMPLETED
-        elif not run.cm_pass:
+        elif outcome != alice_code ^ bob_code:
             if config.detection_policy == TERMINAL:
                 status = DETECTED
             elif pass_index == config.max_restarts:

@@ -63,11 +63,16 @@ class BitPair(NamedTuple):
     b: int
 
     def __xor__(self, other: "BitPair") -> "BitPair":
-        return BitPair(self.a ^ other[0], self.b ^ other[1])
+        try:
+            return _XOR[self, other]
+        except (KeyError, TypeError):
+            return BitPair(self.a ^ other[0], self.b ^ other[1])
 
 
 IDENTITY = BitPair(0, 0)
 ALL_CODES = (BitPair(0, 0), BitPair(0, 1), BitPair(1, 0), BitPair(1, 1))
+# Componentwise XOR of every two codes, read by ``BitPair.__xor__``.
+_XOR = {(x, y): BitPair(x.a ^ y.a, x.b ^ y.b) for x in ALL_CODES for y in ALL_CODES}
 
 PAULI_MATRICES = {
     BitPair(0, 0): np.eye(2, dtype=complex),
@@ -312,30 +317,54 @@ _BELL_BASIS = _frozen(np.stack([_BELL_AMPS[code] for code in ALL_CODES]))
 _BELL_BASIS_CONJ = _frozen(_BELL_BASIS.conj())
 
 
-def choose(probs, rng) -> int:
-    """Draw an index with the given probabilities (summing to 1); zeros are never drawn.
+def cumulative(probs) -> tuple[float, tuple[tuple[float, int], ...], int]:
+    """The thresholds ``draw`` reads: ``(total, ((running_sum, index), ...), last_index)``.
 
-    The one place a tap handler's randomness is drawn. A numpy Generator
-    is consumed as one ``rng.random()``; anything else is asked to
-    ``rng.pick(cleaned_probs)``, which lets an analysis walk every
-    branch instead of sampling one.
+    Probabilities below ``PROB_FLOOR`` are cleaned to zero and never
+    kept. ``total`` is the sum of the cleaned law and each running sum
+    adds the kept probabilities left to right. An all-zero law raises.
     """
     cleaned = [p if p >= PROB_FLOOR else 0.0 for p in probs]
     total = sum(cleaned)
     if total <= 0.0:
         raise ValueError("no outcome has positive probability")
-    if not isinstance(rng, np.random.Generator):
-        return rng.pick(cleaned)
-    u = rng.random() * total
     acc = 0.0
-    last = -1
+    sums = []
     for i, p in enumerate(cleaned):
         if p > 0.0:
-            last = i
             acc += p
-            if u < acc:
-                return i
-    return last  # fp boundary: u landed at the very top of the cumulative sum
+            sums.append((acc, i))
+    return total, tuple(sums), sums[-1][1]
+
+
+def draw(cum, rng) -> int:
+    """One index from ``cumulative`` thresholds, consuming exactly one ``rng.random()``.
+
+    ``u = rng.random() * total`` picks the first kept index whose running
+    sum exceeds ``u``, or the last kept one if ``u`` lands at the very top
+    of the cumulative sum (an fp boundary).
+    """
+    total, sums, last = cum
+    u = rng.random() * total
+    for acc, i in sums:
+        if u < acc:
+            return i
+    return last
+
+
+def choose(probs, rng) -> int:
+    """Draw an index with the given probabilities (summing to 1); zeros are never drawn.
+
+    The one place a tap handler's randomness is drawn. A numpy Generator
+    is consumed as one ``rng.random()``, through ``draw(cumulative(probs),
+    rng)``; anything else is asked to ``rng.pick(cleaned_probs)``, which
+    lets an analysis walk every branch instead of sampling one. A law
+    drawn many times can keep its ``cumulative`` and call ``draw``.
+    """
+    cum = cumulative(probs)
+    if isinstance(rng, np.random.Generator):
+        return draw(cum, rng)
+    return rng.pick([p if p >= PROB_FLOOR else 0.0 for p in probs])
 
 
 def _front_perm(n: int, front: tuple[int, ...]) -> tuple[int, ...]:

@@ -3,9 +3,10 @@
 No ``qdialogue`` command needs these: partial traces and entropies of
 simulated states, equality up to a global phase, the forced-outcome Bell
 and up/down projections, the cumulative detection curve as an explicit
-sum, each side's decode read straight off a transcript, and the two
-engines the run tables replaced: a dialogue that replays the quantum leg
-on every run, and the oracle's own branch walk.
+sum, each side's decode read straight off a transcript, the per-draw
+``choose`` loop the stored thresholds replaced, and the two engines the
+run tables replaced: a dialogue that replays the quantum leg on every
+run, and the oracle's own branch walk.
 """
 
 from __future__ import annotations
@@ -38,6 +39,24 @@ def detection_after_runs_partial_sum(c: float, d: float, runs: int) -> float:
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must lie strictly between 0 and 1, got {c}")
     return c * d * sum((1.0 - c * d) ** n for n in range(runs))
+
+
+def per_draw_choose(probs, rng: np.random.Generator) -> int:
+    """``quantum.choose`` on a Generator as one loop: clean, sum, then walk the sums per draw."""
+    cleaned = [p if p >= PROB_FLOOR else 0.0 for p in probs]
+    total = sum(cleaned)
+    if total <= 0.0:
+        raise ValueError("no outcome has positive probability")
+    u = rng.random() * total
+    acc = 0.0
+    last = -1
+    for i, p in enumerate(cleaned):
+        if p > 0.0:
+            last = i
+            acc += p
+            if u < acc:
+                return i
+    return last
 
 
 def decoded_pairs(transcript) -> tuple[tuple[BitPair, ...], tuple[BitPair, ...]]:

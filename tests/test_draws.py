@@ -5,7 +5,9 @@ scalar uniforms scaled by a power of two: pair ``ALL_CODES[int(u * 4.0)]``
 and guess cell ``k = int(u * 16.0)`` (Alice ``ALL_CODES[k >> 2]``, Bob
 ``ALL_CODES[k & 3]``). A scripted stream pins the cells at their edges
 and the number of draws; a counting generator pins how ``run_dialogue``
-splits its stream.
+splits its stream. Eve's picks and Bob's outcome are drawn from
+thresholds a run table keeps (``draw(cumulative(p), rng)``), which must
+give ``choose(p, rng)``'s index from the same single uniform.
 """
 
 import numpy as np
@@ -20,7 +22,20 @@ from qdialogue.protocol import (
     random_message,
     run_dialogue,
 )
-from qdialogue.quantum import ALL_CODES, BitPair
+from qdialogue.quantum import (
+    ALL_CODES,
+    PROB_FLOOR,
+    BitPair,
+    attach_ancilla,
+    bell_outcome_probs,
+    bell_state,
+    choose,
+    cumulative,
+    draw,
+    entangling_probe,
+    z_outcome_probs,
+)
+from reference import per_draw_choose
 
 # Uniforms at the cell edges, with the quarter each falls in.
 EDGES = [
@@ -31,6 +46,19 @@ EDGES = [
     (0.75, 3),
     (1.0 - 2.0**-53, 3),
 ]
+# A probed pair: Born laws whose entries are not round numbers.
+_PROBED = entangling_probe(attach_ancilla(bell_state(BitPair(1, 0)), "e"), "t", "e", 0.6, 0.8)
+LAWS = {
+    "uniform-2": (0.5, 0.5),
+    "uniform-4": (0.25,) * 4,
+    "born-bell": tuple(bell_outcome_probs(_PROBED, "h", "t").values()),
+    "born-z": z_outcome_probs(_PROBED, "e"),
+    "born-below-floor": (0.3, PROB_FLOOR / 2, 0.7 - 1e-16, 1e-17),
+    "floor-first-and-last": (1e-13, 0.375, 0.625, 5e-13),
+    "one-outcome": (1.0,),
+    "one-kept-of-four": (0.0, 1.0 - 1e-13, 1e-13, 0.0),
+    "one-kept-bell": tuple(bell_outcome_probs(bell_state(BitPair(0, 1)), "h", "t").values()),
+}
 # The same uniforms and their cell among the 16 (Alice, Bob) code pairs.
 GUESS_CELLS = [
     (0.0, 0),
@@ -164,3 +192,42 @@ class TestDialogueStreams:
         assert rng.draws - 2 == 2 * len(runs) + n_cm
         assert eve_rng.draws == sum(r.mode == MM for r in runs) == 16
         assert result.eve.guess_count == 16
+
+
+class TestThresholdDraws:
+    @pytest.mark.parametrize("probs", LAWS.values(), ids=LAWS.keys())
+    def test_draw_equals_choose_on_one_stream(self, probs):
+        live, loop, table = (np.random.default_rng(3) for _ in range(3))
+        cum = cumulative(probs)
+        drawn = [draw(cum, table) for _ in range(400)]
+        assert drawn == [choose(probs, live) for _ in range(400)]
+        assert drawn == [per_draw_choose(probs, loop) for _ in range(400)]
+        assert table.bit_generator.state == live.bit_generator.state == loop.bit_generator.state
+        assert all(probs[i] >= PROB_FLOOR for i in drawn)
+
+    @pytest.mark.parametrize("probs", LAWS.values(), ids=LAWS.keys())
+    def test_consumes_exactly_one_uniform(self, probs):
+        # A law with one kept outcome still consumes its uniform.
+        rng, plain = np.random.default_rng(4), np.random.default_rng(4)
+        draw(cumulative(probs), rng)
+        plain.random()
+        assert rng.bit_generator.state == plain.bit_generator.state
+
+    def test_thresholds_are_cleaned_running_sums(self):
+        total, sums, last = cumulative(LAWS["floor-first-and-last"])
+        assert (total, sums, last) == (1.0, ((0.375, 1), (1.0, 2)), 2)
+
+    @pytest.mark.parametrize("probs", LAWS.values(), ids=LAWS.keys())
+    def test_uniform_at_the_top_returns_the_last_kept_index(self, probs):
+        rng = ScriptedRng([1.0])
+        last = max(i for i, p in enumerate(probs) if p >= PROB_FLOOR)
+        assert draw(cumulative(probs), rng) == last
+        assert rng.calls == [None]
+        assert per_draw_choose(probs, ScriptedRng([1.0])) == last
+
+    @pytest.mark.parametrize("probs", [(0.0, 0.0), (PROB_FLOOR / 2, 1e-15, 0.0)])
+    def test_all_zero_law_raises(self, probs):
+        with pytest.raises(ValueError, match="no outcome has positive probability"):
+            cumulative(probs)
+        with pytest.raises(ValueError, match="no outcome has positive probability"):
+            choose(probs, np.random.default_rng(0))

@@ -30,6 +30,7 @@ from qdialogue.protocol import (
     DETECTION_POLICIES,
     MM,
     ProtocolConfig,
+    RunRecord,
     random_message,
     run_dialogue,
     run_table,
@@ -66,6 +67,19 @@ class TestDecodeAndCheck:
 
     def test_cm_check_mismatch(self):
         assert BitPair(1, 0) != BitPair(1, 1) ^ BitPair(1, 1)
+
+    def test_xor_is_componentwise_on_all_sixteen_pairs(self):
+        for x in ALL_CODES:
+            for y in ALL_CODES:
+                got = x ^ y
+                assert got == BitPair(x.a ^ y.a, x.b ^ y.b)
+                assert type(got) is BitPair
+
+    def test_xor_with_a_plain_right_operand(self):
+        for other in [(1, 1), [1, 1], (np.int64(1), 1)]:
+            got = BitPair(1, 0) ^ other
+            assert got == BitPair(0, 1)
+            assert type(got) is BitPair
 
     def test_cm_check_exhaustive(self):
         for bob in ALL_CODES:
@@ -341,6 +355,47 @@ TRANSCRIPT_DIGESTS = {
     (2, "entangle-measure"): "5553d843d8800123fb4accd41ecee4c7d4be5bb08c20e8b657c918fa1ced6f1d",
     (2, "flip-on-pong"): "028a1699d9a4ee6d14910f5ebea0da88fa1ad0b58963d87c7f309671650fc5b5",
 }
+
+
+class TestRunRecord:
+    MM_RUN = RunRecord(0, 0, MM, BitPair(0, 1), BitPair(1, 1), BitPair(1, 0))
+    CM_PASS = RunRecord(1, 0, CM, BitPair(0, 1), BitPair(1, 1), BitPair(1, 0))
+    CM_FAIL = RunRecord(2, 1, CM, BitPair(0, 1), BitPair(1, 1), BitPair(0, 0))
+
+    @pytest.mark.parametrize("field", RunRecord._fields)
+    def test_fields_cannot_be_assigned(self, field):
+        with pytest.raises(AttributeError):
+            setattr(self.CM_PASS, field, 0)
+
+    def test_cm_pass_per_mode_and_check(self):
+        assert self.MM_RUN.cm_pass is None
+        assert self.CM_PASS.cm_pass is True
+        assert self.CM_FAIL.cm_pass is False
+
+    def test_to_dict_and_announcements(self):
+        assert self.CM_FAIL.to_dict() == {
+            "index": 2,
+            "pass_index": 1,
+            "mode": CM,
+            "bob_code": [0, 1],
+            "alice_code": [1, 1],
+            "outcome": [0, 0],
+            "cm_pass": False,
+            "announcements": [["mode", CM], ["cm_reveal", 1, 1]],
+        }
+        assert self.MM_RUN.announcements == (("mode", MM), ("bell_broadcast", 1, 0))
+
+    def test_sampled_check_agrees_with_cm_pass(self):
+        # run_dialogue decides a control run by its own check; the record's
+        # property must tell the same story for every run it kept.
+        _, _, result = run_clean(
+            n_pairs=8, c=0.5, seed=2, attack=FlipOnPong(),
+            detection_policy="reinitialize", max_restarts=2,
+        )
+        runs = result.transcript.runs
+        failed = [i for i, r in enumerate(runs) if r.cm_pass is False]
+        restarts = [i for i in range(1, len(runs)) if runs[i].pass_index != runs[i - 1].pass_index]
+        assert failed and [i + 1 for i in failed] == restarts
 
 
 class TestTranscriptSerialization:
