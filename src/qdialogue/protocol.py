@@ -203,10 +203,9 @@ class Leaf(NamedTuple):
 
 
 class Branch(NamedTuple):
-    """One of Eve's picks: its probabilities, a child per index (None where
-    impossible) and the probabilities' ``cumulative`` thresholds."""
+    """One of Eve's picks: a child per index (None where impossible) and
+    the ``cumulative`` thresholds of the pick's probabilities."""
 
-    probs: tuple[float, ...]
     children: tuple
     cum: tuple
 
@@ -243,7 +242,7 @@ def _build_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitP
             return ends[path]
         probs = picks[path]
         children = tuple(node((*path, i)) if p > 0.0 else None for i, p in enumerate(probs))
-        return Branch(probs, children, cumulative(probs))
+        return Branch(children, cumulative(probs))
 
     return RunTable(node(()), tuple(ends.values()))
 
@@ -284,6 +283,11 @@ def run_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitPair
     return run_tables(strategy)[bob_code, alice_code]
 
 
+def _cm_check(bob_code: BitPair, alice_code: BitPair, outcome: BitPair) -> bool:
+    """Bob's control check: his outcome is Alice's revealed pair XOR his own code."""
+    return outcome == alice_code ^ bob_code
+
+
 class RunRecord(NamedTuple):
     """One protocol run as it appears in the transcript.
 
@@ -302,9 +306,9 @@ class RunRecord(NamedTuple):
 
     @property
     def cm_pass(self) -> bool | None:
-        """Bob's control check, ``outcome == alice_code ^ bob_code``; None on a message run."""
+        """Bob's control check (``_cm_check``); None on a message run."""
         if self.mode == CM:
-            return self.outcome == self.alice_code ^ self.bob_code
+            return _cm_check(self.bob_code, self.alice_code, self.outcome)
         return None
 
     @property
@@ -439,14 +443,14 @@ def run_dialogue(
 
         # Each party decodes a message run as the outcome XOR its own
         # code, read off the runs afterwards. A control run that fails
-        # Bob's check (``cm_pass``) stops or restarts the dialogue.
+        # Bob's check (``_cm_check``) stops or restarts the dialogue.
         if not is_cm:
             attack.guess(session, outcome, eve_rng)
             session.score(alice_truth=alice_code, bob_truth=bob_code)
             cursor += 1
             if cursor == config.n_pairs:
                 status = COMPLETED
-        elif outcome != alice_code ^ bob_code:
+        elif not _cm_check(bob_code, alice_code, outcome):
             if config.detection_policy == TERMINAL:
                 status = DETECTED
             elif pass_index == config.max_restarts:

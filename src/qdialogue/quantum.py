@@ -317,17 +317,25 @@ _BELL_BASIS = _frozen(np.stack([_BELL_AMPS[code] for code in ALL_CODES]))
 _BELL_BASIS_CONJ = _frozen(_BELL_BASIS.conj())
 
 
-def cumulative(probs) -> tuple[float, tuple[tuple[float, int], ...], int]:
-    """The thresholds ``draw`` reads: ``(total, ((running_sum, index), ...), last_index)``.
+def _clean(probs) -> tuple[list[float], float]:
+    """``probs`` with each entry below ``PROB_FLOOR`` set to zero, and its sum.
 
-    Probabilities below ``PROB_FLOOR`` are cleaned to zero and never
-    kept. ``total`` is the sum of the cleaned law and each running sum
-    adds the kept probabilities left to right. An all-zero law raises.
+    An all-zero law raises.
     """
     cleaned = [p if p >= PROB_FLOOR else 0.0 for p in probs]
     total = sum(cleaned)
     if total <= 0.0:
         raise ValueError("no outcome has positive probability")
+    return cleaned, total
+
+
+def cumulative(probs) -> tuple[float, tuple[tuple[float, int], ...], int]:
+    """The thresholds ``draw`` reads: ``(total, ((running_sum, index), ...), last_index)``.
+
+    ``total`` is the sum of the ``_clean`` law and each running sum adds
+    its kept probabilities left to right.
+    """
+    cleaned, total = _clean(probs)
     acc = 0.0
     sums = []
     for i, p in enumerate(cleaned):
@@ -361,10 +369,9 @@ def choose(probs, rng) -> int:
     lets an analysis walk every branch instead of sampling one. A law
     drawn many times can keep its ``cumulative`` and call ``draw``.
     """
-    cum = cumulative(probs)
     if isinstance(rng, np.random.Generator):
-        return draw(cum, rng)
-    return rng.pick([p if p >= PROB_FLOOR else 0.0 for p in probs])
+        return draw(cumulative(probs), rng)
+    return rng.pick(_clean(probs)[0])
 
 
 def _front_perm(n: int, front: tuple[int, ...]) -> tuple[int, ...]:

@@ -42,6 +42,7 @@ from qdialogue.quantum import (
     apply_pauli,
     bell_outcome_probs,
     bell_state,
+    cumulative,
 )
 from reference import decoded_pairs, reference_dialogue, same_state
 
@@ -385,17 +386,20 @@ class TestRunRecord:
         }
         assert self.MM_RUN.announcements == (("mode", MM), ("bell_broadcast", 1, 0))
 
-    def test_sampled_check_agrees_with_cm_pass(self):
-        # run_dialogue decides a control run by its own check; the record's
-        # property must tell the same story for every run it kept.
+    def test_each_failed_cm_pass_restarts_or_aborts(self):
+        # Holds at any seed: FlipOnPong fails every control run and each
+        # pass reaches one (pairs_for_a_control_run), so the dialogue aborts.
+        # Every failure but the aborting last run starts the next pass.
         _, _, result = run_clean(
-            n_pairs=8, c=0.5, seed=2, attack=FlipOnPong(),
+            n_pairs=pairs_for_a_control_run(0.5), c=0.5, seed=2, attack=FlipOnPong(),
             detection_policy="reinitialize", max_restarts=2,
         )
-        runs = result.transcript.runs
-        failed = [i for i, r in enumerate(runs) if r.cm_pass is False]
-        restarts = [i for i in range(1, len(runs)) if runs[i].pass_index != runs[i - 1].pass_index]
-        assert failed and [i + 1 for i in failed] == restarts
+        t = result.transcript
+        assert t.final_status == ABORTED
+        failed = [i for i, r in enumerate(t.runs) if r.cm_pass is False]
+        restarts = [i for i in range(1, len(t.runs)) if t.runs[i].pass_index != t.runs[i - 1].pass_index]
+        assert failed[-1] == len(t.runs) - 1
+        assert [i + 1 for i in failed[:-1]] == restarts and len(restarts) == 2
 
 
 class TestTranscriptSerialization:
@@ -496,7 +500,7 @@ class TestRunTables:
 
     def test_tree_and_leaves_hold_the_probe_readout(self):
         table = run_table(EntangleMeasure(0.25), BitPair(1, 0), BitPair(0, 1))
-        assert table.tree.probs == pytest.approx((0.75, 0.25), abs=1e-12)
         assert table.tree.children == table.leaves
-        assert [leaf.weight for leaf in table.leaves] == list(table.tree.probs)
+        assert [leaf.weight for leaf in table.leaves] == pytest.approx([0.75, 0.25], abs=1e-12)
+        assert table.tree.cum == cumulative([leaf.weight for leaf in table.leaves])
         assert [leaf.fields for leaf in table.leaves] == [{"ancilla_outcome": 0}, {"ancilla_outcome": 1}]
