@@ -24,7 +24,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .attacks import AttackStrategy, check_beta2
-from .protocol import COMPLETED, DETECTED, MM, DialogueResult, Message, run_table
+from .protocol import CM, COMPLETED, DETECTED, MM, DialogueResult, Message, run_table
 from .quantum import ALL_CODES, BitPair
 
 PURE_GUESS_ACCURACY = 0.25
@@ -116,8 +116,8 @@ def per_cm_detection_oracle(strategy: AttackStrategy) -> float:
 def guess_accuracy_oracle(strategy: AttackStrategy) -> tuple[float, float]:
     """Eve's exact per-pair guess accuracy on message runs, (Alice, Bob).
 
-    Every branch and Bell outcome is scored with the strategy's
-    ``readout``; where that pins nothing, the pure guess scores 1/4.
+    Every branch and Bell outcome is scored with the stored ``readout``;
+    where that pins nothing, the pure guess scores 1/4.
     """
     return _run_law(strategy)[1:]
 
@@ -132,38 +132,34 @@ def _run_law(strategy: AttackStrategy) -> tuple[float, float, float]:
     failed = mass = alice_hits = bob_hits = 0.0
     for bob_code in ALL_CODES:
         for alice_code in ALL_CODES:
-            expected = alice_code ^ bob_code
-            for weight, log, probs in run_branches(strategy, bob_code, alice_code):
-                failed += weight * (1.0 - probs[expected])
-                for outcome, prob in probs.items():
-                    guesses = strategy.readout(log, outcome)
+            expected = ALL_CODES.index(alice_code ^ bob_code)
+            for leaf in run_table(strategy, bob_code, alice_code).leaves:
+                failed += leaf.weight * (1.0 - leaf.bell_probs[expected])
+                for prob, guesses in zip(leaf.bell_probs, leaf.readouts):
                     if guesses is None:
                         alice_hit = bob_hit = PURE_GUESS_ACCURACY
                     else:
                         alice_hit = guesses[0] == alice_code
                         bob_hit = guesses[1] == bob_code
-                    mass += weight * prob
-                    alice_hits += weight * prob * alice_hit
-                    bob_hits += weight * prob * bob_hit
+                    mass += leaf.weight * prob
+                    alice_hits += leaf.weight * prob * alice_hit
+                    bob_hits += leaf.weight * prob * bob_hit
     rate = failed / 16.0
     # Dividing by the summed mass rather than 16 keeps a sure readout
     # at exactly 1 and a pure guess at exactly 1/4.
     return 0.0 if rate < 1e-12 else rate, alice_hits / mass, bob_hits / mass
 
 
-def run_branches(strategy: AttackStrategy, bob_code: BitPair, alice_code: BitPair):
-    """Every choice path of one run under ``strategy``, with its exact weight.
-
-    The leaves of the run table the sampler also draws from, in the
-    walk's visit order. Yields (weight, Eve's run log, Bob's Bell
-    outcome probabilities).
-    """
-    for leaf in run_table(strategy, bob_code, alice_code).leaves:
-        yield leaf.weight, leaf.log, dict(zip(ALL_CODES, leaf.bell_probs))
-
-
 # ---------------------------------------------------------------------------
 # Trial reduction and estimators
+
+
+_BITS_APART = {(x, y): (x.a != y.a) + (x.b != y.b) for x in ALL_CODES for y in ALL_CODES}
+
+
+def _bit_errors(decoded: list[BitPair], sent: Message) -> int:
+    """Bits in which decoded pairs differ from the sent message's, per pair (``_BITS_APART``)."""
+    return sum(_BITS_APART[d, t] for d, t in zip(decoded, sent) if d != t)
 
 
 @dataclass
@@ -207,58 +203,50 @@ class TrialReport:
         bob_msg: Message,
         strategy: AttackStrategy,
     ) -> "TrialReport":
-        # One pass over the runs and Eve's logs, which are kept in run
-        # order: control counts, the first failed check and the ancilla
-        # readout against Alice's pair on message runs, over every pass;
-        # run counts and both decodes (outcome XOR own code) over the
-        # final pass, the suffix left after the last restart.
+        # Control counts and the ancilla readout against Alice's pair on
+        # message runs span every pass; run counts and both decodes (outcome
+        # XOR own code) cover the final pass, the runs after the last restart.
+        # A control check fails exactly where a pass stops short of its end:
+        # at the last run of every pass but the final one, and of the final
+        # one unless the dialogue completed.
         transcript = result.transcript
-        cm_failures = cm_runs = 0
-        first_detection = None
+        runs = transcript.runs
+        _, passes, modes, bob_codes, alice_codes, outcomes = zip(*runs)
+        restarts = passes[-1]
+        stopped = transcript.final_status != COMPLETED
+        start = passes.index(restarts)  # the final pass's first run
+        # Pass 0's last run, 1-based, is the 0-based index of pass 1's first.
+        first_detection = passes.index(1) if restarts else len(runs) if stopped else None
         table = [[0, 0, 0, 0], [0, 0, 0, 0]]
-        pass_index = n_total = n_mm = 0
-        alice_bits, bob_bits = [], []
-        for i, (run, log) in enumerate(zip(transcript.runs, result.eve.logs), start=1):
-            if run.pass_index != pass_index:
-                pass_index = run.pass_index
-                n_total = n_mm = 0
-                alice_bits, bob_bits = [], []
-            n_total += 1
-            if run.mode == MM:
-                n_mm += 1
-                alice_bits += run.outcome ^ run.alice_code
-                bob_bits += run.outcome ^ run.bob_code
-                if log.ancilla_outcome is not None:
-                    table[log.ancilla_outcome][2 * run.alice_code.a + run.alice_code.b] += 1
-            else:
-                cm_runs += 1
-                if not run.cm_pass:
-                    cm_failures += 1
-                    if first_detection is None:
-                        first_detection = i
+        for mode, code, log in zip(modes, alice_codes, result.eve.logs):
+            if log.ancilla_outcome is not None and mode == MM:
+                table[log.ancilla_outcome][2 * code.a + code.b] += 1
+        final_mm = [k for k in range(start, len(runs)) if modes[k] == MM]
+        alice_pairs = [outcomes[k] ^ alice_codes[k] for k in final_mm]
+        bob_pairs = [outcomes[k] ^ bob_codes[k] for k in final_mm]
 
         return cls(
             trial_index=trial_index,
             strategy=strategy.name,
             beta2=getattr(strategy, "beta2", None),
             status=transcript.final_status,
-            n_total=n_total,
-            n_mm=n_mm,
-            n_cm=n_total - n_mm,
-            runs_all_passes=len(transcript.runs),
-            cm_failures=cm_failures,
-            cm_runs=cm_runs,
-            restart_count=pass_index,
+            n_total=len(runs) - start,
+            n_mm=len(final_mm),
+            n_cm=len(runs) - start - len(final_mm),
+            runs_all_passes=len(runs),
+            cm_failures=restarts + stopped,
+            cm_runs=modes.count(CM),
+            restart_count=restarts,
             first_detection_run=first_detection,
             message_bits=2 * len(alice_msg),
-            alice_bit_errors=sum(g != t for g, t in zip(alice_bits, chain.from_iterable(bob_msg))),
-            bob_bit_errors=sum(g != t for g, t in zip(bob_bits, chain.from_iterable(alice_msg))),
+            alice_bit_errors=_bit_errors(alice_pairs, bob_msg),
+            bob_bit_errors=_bit_errors(bob_pairs, alice_msg),
             eve_alice_hits=result.eve.alice_hits,
             eve_bob_hits=result.eve.bob_hits,
             eve_guesses=result.eve.guess_count,
             ancilla_table=(tuple(table[0]), tuple(table[1])),
-            alice_decoded_bits=tuple(alice_bits),
-            bob_decoded_bits=tuple(bob_bits),
+            alice_decoded_bits=tuple(chain.from_iterable(alice_pairs)),
+            bob_decoded_bits=tuple(chain.from_iterable(bob_pairs)),
         )
 
 

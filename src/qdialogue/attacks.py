@@ -4,8 +4,8 @@ Every strategy sees the two legs of the travel qubit's round trip
 (ping: Bob to Alice, pong: Alice to Bob) and, after a message run,
 Bob's broadcast Bell outcome. A strategy may measure, transform, or
 substitute what is in flight. Its session is its per-dialogue record:
-``begin_run`` opens one log per run, and the taps record what Eve learns
-on ``session.current``. Each class carries ``claim``, the
+one log per run (``begin_run`` opens it), on which the taps record what
+Eve learns (``session.current``). Each class carries ``claim``, the
 per-control-run detection rate the published analysis gives it (None
 where that analysis does not treat it).
 
@@ -95,6 +95,16 @@ class EveSession:
         self.bob_hits += log.bob_guess == bob_truth
 
 
+def pure_guess(u: float) -> tuple[BitPair, BitPair]:
+    """Eve's guess of (Alice's pair, Bob's pair) from one uniform: cell ``k = int(u * 16.0)``.
+
+    Alice's code is ``ALL_CODES[k >> 2]`` and Bob's ``ALL_CODES[k & 3]``. Scaling by
+    a power of two is exact, so each of the 16 cells is equally likely.
+    """
+    k = int(u * 16.0)
+    return ALL_CODES[k >> 2], ALL_CODES[k & 3]
+
+
 class AttackStrategy:
     """Base strategy: a pass-through adversary who still guesses.
 
@@ -133,17 +143,11 @@ class AttackStrategy:
     ) -> tuple[BitPair, BitPair]:
         """Infer both parties' pairs after a message-mode broadcast.
 
-        The readout when there is one; otherwise a uniform pure guess
-        from one ``rng.random()``: cell ``k = int(u * 16.0)`` of the 16
-        code pairs, Alice's code ``ALL_CODES[k >> 2]`` and Bob's
-        ``ALL_CODES[k & 3]``. Scaling by a power of two is exact, so every
-        cell is equally likely.
+        The readout when there is one, else ``pure_guess`` of one
+        ``rng.random()``, as ``run_dialogue`` does from stored readouts.
         """
         log = session.current
-        guesses = self.readout(log, outcome)
-        if guesses is None:
-            k = int(rng.random() * 16.0)
-            guesses = ALL_CODES[k >> 2], ALL_CODES[k & 3]
+        guesses = self.readout(log, outcome) or pure_guess(rng.random())
         log.alice_guess, log.bob_guess = guesses
         return guesses
 

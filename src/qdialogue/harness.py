@@ -25,7 +25,10 @@ trial stream first gives Alice's message, then Bob's, then the
 protocol's draws in run order; the adversary draws from one child
 spawned off it. Message pairs, control-run pairs and pure guesses are
 cut from uniforms scaled by a power of two (4 or 16), which is exact,
-so every cell is equally likely.
+so every cell is equally likely. A dialogue draws each stream's
+uniforms in blocks, reads them in run order and rewinds the stream by
+the unused tail, so both streams end where one draw per uniform would
+leave them; that needs the PCG64 bit generator ``trial_rng`` gives.
 """
 
 from __future__ import annotations

@@ -29,10 +29,10 @@ A run's quantum leg is fixed once the strategy, both codes and Eve's
 picks are. So it is played out once per choice path, not once per run:
 ``run_table`` walks ``round_trip`` over every path of one code pair and
 keeps the choice tree and its leaves. Each pick and each leaf's Bell law
-also keeps its ``quantum.cumulative`` thresholds, so the sampler draws a
-run with one ``draw`` per pick from the uniform a live ``choose`` would
-take, and builds nothing it can look up. The exact oracle sums the same
-leaves, so both read one table.
+also keeps its ``quantum.cumulative`` thresholds, and each leaf Eve's
+``readout`` of every outcome, so the sampler cuts each pick from the
+uniform a live ``choose`` would take and looks up the rest. The exact
+oracle sums the same leaves, so both read one table.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from .attacks import EveRunLog, pure_guess
 from .quantum import (
     ALL_CODES,
     BitPair,
@@ -52,11 +53,11 @@ from .quantum import (
     apply_pauli,
     bell_state,
     cumulative,
-    draw,
+    cut,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .attacks import AttackStrategy, EveRunLog, EveSession
+    from .attacks import AttackStrategy, EveSession
 
 MM = "MM"
 CM = "CM"
@@ -86,9 +87,9 @@ def random_message(n_pairs: int, rng: np.random.Generator) -> Message:
     return tuple(ALL_CODES[k] for k in cells)
 
 
-def _random_pair(rng: np.random.Generator) -> BitPair:
-    """A uniform pair from one ``rng.random()``, cut as in ``random_message``."""
-    return ALL_CODES[int(rng.random() * 4.0)]
+def _random_pair(u: float) -> BitPair:
+    """The pair one uniform ``u`` cuts to, as in ``random_message``."""
+    return ALL_CODES[int(u * 4.0)]
 
 
 @dataclass(frozen=True)
@@ -191,8 +192,9 @@ class Leaf(NamedTuple):
 
     ``weight`` is the product of the path's pick probabilities, ``log``
     Eve's run log as the taps left it, ``fields`` the log fields the taps
-    wrote, ``bell_probs`` Bob's Bell outcome law, in code order, and
-    ``bell_cum`` its ``cumulative`` thresholds.
+    wrote, ``bell_probs`` Bob's Bell outcome law, in code order,
+    ``bell_cum`` its ``cumulative`` thresholds and ``readouts`` the
+    strategy's ``readout(log, outcome)`` for each outcome, in code order.
     """
 
     weight: float
@@ -200,6 +202,7 @@ class Leaf(NamedTuple):
     fields: dict
     bell_probs: tuple[float, ...]
     bell_cum: tuple
+    readouts: tuple
 
 
 class Branch(NamedTuple):
@@ -233,7 +236,8 @@ def _build_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitP
         written = {k: v for k, v in vars(log).items() if k not in fresh or fresh[k] is not v}
         path = tuple(walker.taken)
         bell_probs = _bell_law(channel.state, "h", channel.traveling)[0]
-        ends[path] = Leaf(walker.weight, log, written, bell_probs, cumulative(bell_probs))
+        readouts = tuple(strategy.readout(log, outcome) for outcome in ALL_CODES)
+        ends[path] = Leaf(walker.weight, log, written, bell_probs, cumulative(bell_probs), readouts)
         for depth, probs in enumerate(walker.picks):
             picks[path[:depth]] = probs
 
@@ -383,6 +387,11 @@ class DialogueResult:
     eve: "EveSession"
 
 
+def _refill(block: list[float], used: int, stream: np.random.Generator) -> list[float]:
+    """``block``'s unused uniforms, then twice as many fresh ones from ``stream`` as it held."""
+    return block[used:] + stream.random(2 * len(block)).tolist()
+
+
 def run_dialogue(
     config: ProtocolConfig,
     alice_msg: Message,
@@ -394,17 +403,23 @@ def run_dialogue(
 
     Both messages must have half-length equal to ``config.n_pairs``. The
     protocol's draws (mode, control-run pair, Bob's Bell outcome) come
-    from ``rng`` itself, in run order. The attack draws from one child
-    spawned off ``rng`` (``rng.spawn(1)``), which leaves ``rng``'s own
-    stream alone. So every attack meets the same protocol uniforms, and
-    one whose taps leave Bob's Bell law unchanged leaves the transcript
-    byte-identical to the honest channel's (``NoAttack``).
+    from ``rng`` in run order; the attack's from one child spawned off it
+    (``rng.spawn(1)``), which leaves ``rng``'s own stream alone. So an
+    attack whose taps leave Bob's Bell law unchanged leaves the
+    transcript byte-identical to the honest channel's (``NoAttack``).
 
-    Each run is drawn from its code pair's run table: Eve's picks walk
-    the choice tree with one ``draw`` per pick over the branch's stored
-    thresholds, as her taps would ``choose``, and Bob's outcome is one
-    ``draw`` over the leaf's Bell law. These are the uniforms
-    ``round_trip`` and ``bell_outcome`` would consume, in order.
+    Each run is drawn from its code pair's run table: one ``cut`` per
+    pick of Eve's choice tree, as her taps would ``choose``, one for Bob's
+    outcome by the leaf's Bell law and, on a message run, the leaf's
+    stored readout, or ``pure_guess`` of one more of Eve's uniforms where
+    it pins nothing, as ``guess`` would. Each stream's uniforms come in
+    blocks of ``random(n).tolist()``, read by index: the first holds
+    ``n_pairs + 12``, and a refill keeps the unused tail and draws twice
+    as many as the block held. At the end each stream is rewound past
+    the uniforms it did not use (``bit_generator.advance``), so both end
+    where one ``random()`` per uniform would leave them. That needs a
+    PCG64-family bit generator, as ``harness.trial_rng`` gives; any other
+    raises ``TypeError`` before anything is drawn.
     """
     if len(alice_msg) != len(bob_msg):
         raise ValueError(
@@ -414,41 +429,71 @@ def run_dialogue(
         raise ValueError(
             f"config.n_pairs = {config.n_pairs} but messages have {len(alice_msg)} pairs"
         )
+    if not isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        name = type(rng.bit_generator).__name__
+        raise TypeError(f"run_dialogue needs a PCG64-family stream it can rewind, not {name}")
     (eve_rng,) = rng.spawn(1)
     tables = run_tables(attack)
+    c, n_pairs = config.c, config.n_pairs
+    pu = rng.random(n_pairs + 12).tolist()  # the protocol's uniforms
+    eu = eve_rng.random(n_pairs + 12).tolist()  # Eve's uniforms
+    i = j = 0  # the next unused uniform of each
 
     session = attack.new_session()
+    logs = session.logs
     runs: list[RunRecord] = []
-    cursor = 0
-    pass_index = 0
+    cursor = pass_index = alice_hits = bob_hits = guess_count = 0
     status: str | None = None
 
     while status is None:
-        attack.begin_run(session)
+        if i > len(pu) - 2:  # the mode and Bob's outcome
+            pu, i = _refill(pu, i, rng), 0
 
         # Alice decides the mode before she encodes but announces it only
         # after Bob's measurement, so the taps never see it. Control runs
         # encode a throwaway random pair, so a revealed pair never carries
         # message content.
         bob_code = bob_msg[cursor]
-        is_cm = rng.random() < config.c
-        alice_code = _random_pair(rng) if is_cm else alice_msg[cursor]
+        is_cm = pu[i] < c
+        if is_cm:
+            if i > len(pu) - 3:  # and the pair
+                pu, i = _refill(pu, i, rng), 0
+            alice_code = _random_pair(pu[i + 1])
+            i += 2
+        else:
+            alice_code = alice_msg[cursor]
+            i += 1
         node = tables[bob_code, alice_code].tree
         while type(node) is Branch:
-            node = node.children[draw(node.cum, eve_rng)]
+            if j == len(eu):
+                eu, j = _refill(eu, j, eve_rng), 0
+            node = node.children[cut(node.cum, eu[j])]
+            j += 1
+        log = EveRunLog()
+        logs.append(log)
         if node.fields:
-            vars(session.current).update(node.fields)
-        outcome = ALL_CODES[draw(node.bell_cum, rng)]
+            vars(log).update(node.fields)
+        k = cut(node.bell_cum, pu[i])
+        i += 1
+        outcome = ALL_CODES[k]
         runs.append(RunRecord(cursor, pass_index, CM if is_cm else MM, bob_code, alice_code, outcome))
 
         # Each party decodes a message run as the outcome XOR its own
         # code, read off the runs afterwards. A control run that fails
         # Bob's check (``_cm_check``) stops or restarts the dialogue.
         if not is_cm:
-            attack.guess(session, outcome, eve_rng)
-            session.score(alice_truth=alice_code, bob_truth=bob_code)
+            guess = node.readouts[k]
+            if guess is None:
+                if j == len(eu):
+                    eu, j = _refill(eu, j, eve_rng), 0
+                guess = pure_guess(eu[j])
+                j += 1
+            log.alice_guess, log.bob_guess = guess
+            alice_hits += guess[0] == alice_code
+            bob_hits += guess[1] == bob_code
+            guess_count += 1
             cursor += 1
-            if cursor == config.n_pairs:
+            if cursor == n_pairs:
                 status = COMPLETED
         elif not _cm_check(bob_code, alice_code, outcome):
             if config.detection_policy == TERMINAL:
@@ -459,4 +504,7 @@ def run_dialogue(
                 pass_index += 1
                 cursor = 0
 
+    rng.bit_generator.advance(i - len(pu))
+    eve_rng.bit_generator.advance(j - len(eu))
+    session.alice_hits, session.bob_hits, session.guess_count = alice_hits, bob_hits, guess_count
     return DialogueResult(Transcript(runs, status), session)

@@ -330,7 +330,7 @@ def _clean(probs) -> tuple[list[float], float]:
 
 
 def cumulative(probs) -> tuple[float, tuple[tuple[float, int], ...], int]:
-    """The thresholds ``draw`` reads: ``(total, ((running_sum, index), ...), last_index)``.
+    """The thresholds ``cut`` reads: ``(total, ((running_sum, index), ...), last_index)``.
 
     ``total`` is the sum of the ``_clean`` law and each running sum adds
     its kept probabilities left to right.
@@ -345,19 +345,24 @@ def cumulative(probs) -> tuple[float, tuple[tuple[float, int], ...], int]:
     return total, tuple(sums), sums[-1][1]
 
 
-def draw(cum, rng) -> int:
-    """One index from ``cumulative`` thresholds, consuming exactly one ``rng.random()``.
+def cut(cum, u: float) -> int:
+    """The index one uniform ``u`` selects from ``cumulative`` thresholds.
 
-    ``u = rng.random() * total`` picks the first kept index whose running
-    sum exceeds ``u``, or the last kept one if ``u`` lands at the very top
-    of the cumulative sum (an fp boundary).
+    ``u * total`` picks the first kept index whose running sum exceeds
+    it, or the last kept one if it lands at the very top of the
+    cumulative sum (an fp boundary).
     """
     total, sums, last = cum
-    u = rng.random() * total
+    u *= total
     for acc, i in sums:
         if u < acc:
             return i
     return last
+
+
+def draw(cum, rng) -> int:
+    """One index from ``cumulative`` thresholds, consuming exactly one ``rng.random()``."""
+    return cut(cum, rng.random())
 
 
 def choose(probs, rng) -> int:

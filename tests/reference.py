@@ -31,7 +31,15 @@ from qdialogue.protocol import (
     _random_pair,
     round_trip,
 )
+from qdialogue.attacks import STRATEGY_NAMES
 from qdialogue.quantum import ALL_CODES, NORM_TOL, PROB_FLOOR, BitPair, StateVector
+
+# Every registered strategy as (name, beta2), the probe at four weights.
+STRATEGY_VALUES = [
+    (name, beta2)
+    for name in STRATEGY_NAMES
+    for beta2 in ((0.0, 0.05, 0.25, 0.5) if name == "entangle-measure" else (None,))
+]
 
 
 def detection_after_runs_partial_sum(c: float, d: float, runs: int) -> float:
@@ -165,7 +173,7 @@ def reference_dialogue(config, alice_msg, bob_msg, attack, rng) -> DialogueResul
         attack.begin_run(session)
         bob_code = bob_msg[cursor]
         is_cm = rng.random() < config.c
-        alice_code = _random_pair(rng) if is_cm else alice_msg[cursor]
+        alice_code = _random_pair(rng.random()) if is_cm else alice_msg[cursor]
         channel = round_trip(bob_code, alice_code, attack, session, eve_rng)
         outcome = quantum.bell_outcome(channel.state, "h", channel.traveling, rng)
         run = RunRecord(cursor, pass_index, CM if is_cm else MM, bob_code, alice_code, outcome)

@@ -15,7 +15,6 @@ from qdialogue.analysis import (
     dialogue_detection_exact,
     eve_entropy_bits,
     mutual_information_bits,
-    run_branches,
 )
 from qdialogue.attacks import (
     STRATEGY_NAMES,
@@ -25,7 +24,14 @@ from qdialogue.attacks import (
     NoAttack,
     strategy_from_name,
 )
-from qdialogue.protocol import COMPLETED, DETECTED, ProtocolConfig, random_message, run_dialogue
+from qdialogue.protocol import (
+    COMPLETED,
+    DETECTED,
+    ProtocolConfig,
+    random_message,
+    run_dialogue,
+    run_table,
+)
 from qdialogue.quantum import ALL_CODES
 from reference import decoded_pairs, detection_after_runs_partial_sum
 
@@ -300,8 +306,8 @@ class TestMutualInformation:
         joint = [[0.0] * 4, [0.0] * 4]
         for bob_code in ALL_CODES:
             for k, alice_code in enumerate(ALL_CODES):
-                for weight, log, _ in run_branches(EntangleMeasure(beta2), bob_code, alice_code):
-                    joint[log.ancilla_outcome][k] += weight / 16.0
+                for leaf in run_table(EntangleMeasure(beta2), bob_code, alice_code).leaves:
+                    joint[leaf.log.ancilla_outcome][k] += leaf.weight / 16.0
         p_ancilla = [sum(row) for row in joint]
         p_alice = [sum(column) for column in zip(*joint)]
         assert sum(p_ancilla) == pytest.approx(1.0, abs=1e-12)

@@ -12,7 +12,6 @@ from qdialogue.analysis import (
     TrialReport,
     guess_accuracy_oracle,
     per_cm_detection_oracle,
-    run_branches,
 )
 from qdialogue.attacks import (
     AttackStrategy,
@@ -30,6 +29,7 @@ from qdialogue.protocol import (
     ProtocolConfig,
     random_message,
     run_dialogue,
+    run_table,
 )
 from qdialogue.quantum import (
     ALL_CODES,
@@ -195,7 +195,7 @@ class TestOracle:
     def test_branch_weights_sum_to_one(self, strategy):
         for bob in ALL_CODES:
             for alice in ALL_CODES:
-                total = sum(weight for weight, _, _ in run_branches(strategy, bob, alice))
+                total = sum(leaf.weight for leaf in run_table(strategy, bob, alice).leaves)
                 assert total == pytest.approx(1.0, abs=1e-12), (bob, alice)
 
     @pytest.mark.parametrize("strategy", registered_strategies(), ids=STRATEGY_NAMES)

@@ -1,22 +1,27 @@
 """How the dialogue's own randomness is drawn.
 
 Message pairs, control-run pairs and Eve's pure guesses are cut from
-scalar uniforms scaled by a power of two: pair ``ALL_CODES[int(u * 4.0)]``
-and guess cell ``k = int(u * 16.0)`` (Alice ``ALL_CODES[k >> 2]``, Bob
+uniforms scaled by a power of two: pair ``ALL_CODES[int(u * 4.0)]`` and
+guess cell ``k = int(u * 16.0)`` (Alice ``ALL_CODES[k >> 2]``, Bob
 ``ALL_CODES[k & 3]``). A scripted stream pins the cells at their edges
-and the number of draws; a counting generator pins how ``run_dialogue``
-splits its stream. Eve's picks and Bob's outcome are drawn from
-thresholds a run table keeps (``draw(cumulative(p), rng)``), which must
-give ``choose(p, rng)``'s index from the same single uniform.
+and the number of draws; final stream states pin how many uniforms
+``run_dialogue`` uses from each of its two streams. Eve's picks and
+Bob's outcome are cut from thresholds a run table keeps
+(``draw(cumulative(p), rng)``), which must give ``choose(p, rng)``'s
+index from the same single uniform.
 """
 
 import numpy as np
 import pytest
 
-from qdialogue.attacks import InterceptResendLiteral, NoAttack
+from qdialogue.analysis import per_cm_detection_oracle
+from qdialogue.attacks import InterceptResendLiteral, NoAttack, strategy_from_name
 from qdialogue.protocol import (
     CM,
+    DETECTION_POLICIES,
     MM,
+    REINITIALIZE,
+    TERMINAL,
     ProtocolConfig,
     _random_pair,
     random_message,
@@ -35,7 +40,7 @@ from qdialogue.quantum import (
     entangling_probe,
     z_outcome_probs,
 )
-from reference import per_draw_choose
+from reference import STRATEGY_VALUES, per_draw_choose, reference_dialogue
 
 # Uniforms at the cell edges, with the quarter each falls in.
 EDGES = [
@@ -92,36 +97,72 @@ class ScriptedRng:
         raise TypeError(f"unexpected draw rng.{name}")
 
 
-class CountingGenerator(np.random.Generator):
-    """A real generator that counts its ``random`` and ``spawn`` calls; children count too."""
+class BlockRecorder(np.random.Generator):
+    """A real generator that logs the size of each ``random`` and ``spawn`` call.
+
+    The children it spawns are ``BlockRecorder``s too, kept in ``children``.
+    """
 
     def __init__(self, bit_generator):
         super().__init__(bit_generator)
-        self.draws = 0
+        self.sizes = []
         self.spawns = []
         self.children = []
 
-    def random(self, *args, **kwargs):
-        self.draws += 1
-        return super().random(*args, **kwargs)
+    def random(self, size=None, dtype=np.float64, out=None):
+        self.sizes.append(size)
+        return super().random(size, dtype, out)
 
     def spawn(self, n_children):
         self.spawns.append(n_children)
-        children = [CountingGenerator(child.bit_generator) for child in super().spawn(n_children)]
+        children = [BlockRecorder(child.bit_generator) for child in super().spawn(n_children)]
         self.children.extend(children)
         return children
 
 
-def counting_rng(seed):
-    return CountingGenerator(np.random.PCG64(np.random.SeedSequence(seed)))
+def recorder(seed):
+    return BlockRecorder(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+def sample(config, name, beta2, seed, engine=run_dialogue):
+    """One seeded dialogue: its result, and the protocol's and Eve's recorded streams."""
+    rng = recorder(seed)
+    msgs = [random_message(config.n_pairs, rng) for _ in range(2)]
+    result = engine(config, *msgs, strategy_from_name(name, beta2), rng)
+    (eve_rng,) = rng.children
+    return result, rng, eve_rng
+
+
+def assert_equals_replay(config, name, beta2, seed):
+    """The sampler against the per-run replay: transcript, Eve's logs and both final stream states."""
+    seen = []
+    for engine in (run_dialogue, reference_dialogue):
+        result, rng, eve_rng = sample(config, name, beta2, seed, engine)
+        seen.append((
+            result.transcript.to_dict(),
+            result.eve.logs,
+            rng.bit_generator.state,
+            eve_rng.bit_generator.state,
+        ))
+    assert seen[0] == seen[1], seed
+
+
+def rewound_nothing(stream, seed, child=False):
+    """True when ``stream`` ends right after every uniform it drew.
+
+    ``child`` reads the stream spawned off the seed's own.
+    """
+    fresh = np.random.PCG64(np.random.SeedSequence(seed))
+    if child:
+        (fresh,) = fresh.spawn(1)
+    fresh.advance(sum(stream.sizes))
+    return stream.bit_generator.state == fresh.state
 
 
 class TestScalarCells:
     @pytest.mark.parametrize("u, cell", EDGES)
     def test_control_pair_cell(self, u, cell):
-        rng = ScriptedRng([u])
-        assert _random_pair(rng) == ALL_CODES[cell]
-        assert rng.calls == [None]
+        assert _random_pair(u) == ALL_CODES[cell]
 
     def test_message_cells_from_one_vector_draw(self):
         rng = ScriptedRng([u for u, _ in EDGES])
@@ -133,7 +174,7 @@ class TestScalarCells:
         # The vectorized cut of a message against the scalar one of a pair.
         us = [u for u, _ in EDGES] + np.random.default_rng(0).random(1000).tolist()
         msg = random_message(len(us), ScriptedRng(us))
-        assert msg == tuple(_random_pair(ScriptedRng([u])) for u in us)
+        assert msg == tuple(_random_pair(u) for u in us)
 
     def test_two_messages_draw_in_order(self):
         rng = ScriptedRng([0.0, 0.5, 0.75, 0.25])
@@ -174,24 +215,103 @@ class TestScalarCells:
 class TestDialogueStreams:
     @pytest.mark.parametrize("attack", [NoAttack(), InterceptResendLiteral()])
     def test_one_spawn_per_dialogue(self, attack):
-        rng = counting_rng(5)
+        rng = recorder(5)
         msgs = [random_message(6, rng) for _ in range(2)]
         run_dialogue(ProtocolConfig(c=0.5, n_pairs=6), *msgs, attack, rng)
         assert rng.spawns == [1]
 
     def test_one_uniform_per_draw(self):
-        # Per run the protocol draws the mode, a control run's pair and
-        # Bob's Bell outcome; Eve draws one pure guess per message run.
-        rng = counting_rng(8)
+        # Per run the protocol uses the mode, a control run's pair and
+        # Bob's Bell outcome; Eve uses one pure guess per message run.
+        # Uniforms are drawn in blocks and the unused tail rewound, so
+        # each stream must end where a fresh copy advanced by the
+        # uniforms used ends.
+        rng = recorder(8)
         msgs = [random_message(16, rng) for _ in range(2)]
-        assert rng.draws == 2
         result = run_dialogue(ProtocolConfig(c=0.5, n_pairs=16), *msgs, NoAttack(), rng)
         runs = result.transcript.runs
         n_cm = sum(r.mode == CM for r in runs)
+        n_mm = sum(r.mode == MM for r in runs)
+        assert n_mm == result.eve.guess_count == 16
+        fresh = np.random.PCG64(np.random.SeedSequence(8))
+        (fresh_eve,) = fresh.spawn(1)
+        fresh.advance(2 * 16 + 2 * len(runs) + n_cm)  # two messages, then the runs
+        fresh_eve.advance(n_mm)
         (eve_rng,) = rng.children
-        assert rng.draws - 2 == 2 * len(runs) + n_cm
-        assert eve_rng.draws == sum(r.mode == MM for r in runs) == 16
-        assert result.eve.guess_count == 16
+        assert rng.bit_generator.state == fresh.state
+        assert eve_rng.bit_generator.state == fresh_eve.state
+
+
+class TestStreamEdges:
+    # Blocks of uniforms are refilled when used up and their unused tail
+    # is rewound. Each case compares the sampler with the per-run replay,
+    # which draws one uniform per call, under both policies and every
+    # registered strategy.
+
+    @pytest.mark.parametrize("policy", DETECTION_POLICIES)
+    @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
+    def test_refilled_blocks(self, name, beta2, policy):
+        # Long dialogues: nine control runs in ten, up to 400 restarts.
+        config = ProtocolConfig(c=0.9, n_pairs=64, max_restarts=400, detection_policy=policy)
+        detecting = per_cm_detection_oracle(strategy_from_name(name, beta2)) > 0.0
+        for seed in range(2):
+            assert_equals_replay(config, name, beta2, seed)
+            _, rng, eve_rng = sample(config, name, beta2, seed)
+            # The two messages, then the first block and two refills.
+            if not (detecting and policy == TERMINAL):
+                assert len(rng.sizes) >= 5, seed
+            if detecting and policy == REINITIALIZE:
+                assert len(eve_rng.sizes) >= 3, seed
+
+    @pytest.mark.parametrize("policy", DETECTION_POLICIES)
+    @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
+    def test_block_used_exactly(self, name, beta2, policy):
+        # A dialogue whose protocol stream ends at its block's last
+        # uniform, so there is nothing to rewind there.
+        config = ProtocolConfig(c=0.5, n_pairs=3, max_restarts=3, detection_policy=policy)
+        for seed in range(2000):
+            _, rng, _ = sample(config, name, beta2, seed)
+            if rewound_nothing(rng, seed):
+                break
+        else:
+            pytest.fail("no dialogue used its protocol block exactly")
+        assert_equals_replay(config, name, beta2, seed)
+
+    def test_eve_block_used_exactly(self):
+        config = ProtocolConfig(c=0.5, n_pairs=2, max_restarts=3, detection_policy=REINITIALIZE)
+        for seed in range(400):
+            _, _, eve_rng = sample(config, "disturb-pauli-4", None, seed)
+            if rewound_nothing(eve_rng, seed, child=True):
+                break
+        else:
+            pytest.fail("no dialogue used Eve's block exactly")
+        assert_equals_replay(config, "disturb-pauli-4", None, seed)
+
+    @pytest.mark.parametrize("policy", DETECTION_POLICIES)
+    @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
+    def test_failed_check(self, name, beta2, policy):
+        # A dialogue that a failed control run stops or restarts, with
+        # runs after the restart; strategies Bob cannot detect have none.
+        config = ProtocolConfig(c=0.5, n_pairs=8, max_restarts=3, detection_policy=policy)
+        detecting = per_cm_detection_oracle(strategy_from_name(name, beta2)) > 0.0
+        for seed in range(200):
+            result, _, _ = sample(config, name, beta2, seed)
+            failures = sum(run.cm_pass is False for run in result.transcript.runs)
+            if failures and (policy == TERMINAL or result.transcript.restart_count):
+                assert_equals_replay(config, name, beta2, seed)
+                break
+        else:
+            assert not detecting, "no dialogue failed a control check"
+            assert_equals_replay(config, name, beta2, 0)
+
+    def test_generator_without_advance_raises_before_drawing(self):
+        rng = np.random.Generator(np.random.MT19937(3))
+        msgs = [random_message(4, rng) for _ in range(2)]
+        before = rng.bit_generator.state["state"]
+        with pytest.raises(TypeError, match="PCG64"):
+            run_dialogue(ProtocolConfig(c=0.5, n_pairs=4), *msgs, NoAttack(), rng)
+        after = rng.bit_generator.state["state"]
+        assert np.array_equal(after["key"], before["key"]) and after["pos"] == before["pos"]
 
 
 class TestThresholdDraws:

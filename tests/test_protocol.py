@@ -44,7 +44,7 @@ from qdialogue.quantum import (
     bell_state,
     cumulative,
 )
-from reference import decoded_pairs, reference_dialogue, same_state
+from reference import STRATEGY_VALUES, decoded_pairs, reference_dialogue, same_state
 
 
 class TestDecodeAndCheck:
@@ -427,14 +427,6 @@ class TestTranscriptSerialization:
         assert t.n_total < len(t.runs)
 
 
-# Every registered strategy, the probe at four weights.
-ENGINE_STRATEGIES = [
-    (name, beta2)
-    for name in STRATEGY_NAMES
-    for beta2 in ((0.0, 0.05, 0.25, 0.5) if name == "entangle-measure" else (None,))
-]
-
-
 class SpawnRecorder(np.random.Generator):
     """A real generator that keeps the children it spawns."""
 
@@ -445,7 +437,7 @@ class SpawnRecorder(np.random.Generator):
 
 class TestRunTables:
     @pytest.mark.parametrize("policy", DETECTION_POLICIES)
-    @pytest.mark.parametrize("name, beta2", ENGINE_STRATEGIES)
+    @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
     def test_sampler_equals_the_per_run_replay(self, name, beta2, policy):
         # The table sampler against the quantum leg replayed on every run:
         # same transcript, same Eve logs, and both streams left in the
@@ -497,6 +489,13 @@ class TestRunTables:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
         assert out.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
+    def test_stored_readouts_are_the_strategy_readouts(self, name, beta2):
+        strategy = strategy_from_name(name, beta2)
+        for table in run_tables(strategy).values():
+            for leaf in table.leaves:
+                assert leaf.readouts == tuple(strategy.readout(leaf.log, o) for o in ALL_CODES)
 
     def test_tree_and_leaves_hold_the_probe_readout(self):
         table = run_table(EntangleMeasure(0.25), BitPair(1, 0), BitPair(0, 1))
