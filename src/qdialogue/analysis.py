@@ -203,12 +203,11 @@ class TrialReport:
         bob_msg: Message,
         strategy: AttackStrategy,
     ) -> "TrialReport":
-        # Control counts and the ancilla readout against Alice's pair on
-        # message runs span every pass; run counts and both decodes (outcome
-        # XOR own code) cover the final pass, the runs after the last restart.
-        # A control check fails exactly where a pass stops short of its end:
-        # at the last run of every pass but the final one, and of the final
-        # one unless the dialogue completed.
+        # Control counts and the ancilla table span every pass; run counts and
+        # both decodes (outcome XOR own code) cover the final pass. A control
+        # check fails exactly where a pass stops short of its end: at the last
+        # run of every pass but the final one, and of the final one unless the
+        # dialogue completed.
         transcript = result.transcript
         runs = transcript.runs
         _, passes, modes, bob_codes, alice_codes, outcomes = zip(*runs)

@@ -96,10 +96,9 @@ class EveSession:
 
 
 def pure_guess(u: float) -> tuple[BitPair, BitPair]:
-    """Eve's guess of (Alice's pair, Bob's pair) from one uniform: cell ``k = int(u * 16.0)``.
+    """Eve's guess of (Alice's pair, Bob's pair) from one uniform, in 16 equally likely cells.
 
-    Alice's code is ``ALL_CODES[k >> 2]`` and Bob's ``ALL_CODES[k & 3]``. Scaling by
-    a power of two is exact, so each of the 16 cells is equally likely.
+    Cell ``k = int(u * 16.0)`` is Alice's ``ALL_CODES[k >> 2]`` and Bob's ``ALL_CODES[k & 3]``.
     """
     k = int(u * 16.0)
     return ALL_CODES[k >> 2], ALL_CODES[k & 3]

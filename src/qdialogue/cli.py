@@ -18,6 +18,7 @@ directory named by the QDIALOGUE_OUT_DIR environment variable when set.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .harness import (
@@ -106,6 +107,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+@functools.cache  # parsing does not change the parser, so in-process callers share one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdialogue",
