@@ -417,9 +417,10 @@ def run_dialogue(
     ``n_pairs + 12``, and a refill keeps the unused tail and draws twice
     as many as the block held. At the end each stream is rewound past
     the uniforms it did not use (``bit_generator.advance``), so both end
-    where one ``random()`` per uniform would leave them. That needs a
-    PCG64-family bit generator, as ``harness.trial_rng`` gives; any other
-    raises ``TypeError`` before anything is drawn.
+    where one ``random()`` per uniform would leave them, bar a 32-bit half
+    an earlier 32-bit draw left buffered, which ``advance`` drops. That
+    needs a PCG64-family bit generator, as ``harness.trial_rng`` gives;
+    any other raises ``TypeError`` before anything is drawn.
     """
     if len(alice_msg) != len(bob_msg):
         raise ValueError(
