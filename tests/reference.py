@@ -6,7 +6,8 @@ and up/down projections, the cumulative detection curve as an explicit
 sum, each side's decode read straight off a transcript, the per-draw
 ``choose`` loop the stored thresholds replaced, and the two engines the
 run tables replaced: a dialogue that replays the quantum leg on every
-run, and the oracle's own branch walk.
+run, drawing one uniform per call, and the oracle's own branch walk.
+``STRATEGY_VALUES`` lists the strategy values the engine tests run.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from qdialogue import quantum
 from qdialogue.analysis import PURE_GUESS_ACCURACY
+from qdialogue.attacks import STRATEGY_NAMES
 from qdialogue.protocol import (
     ABORTED,
     CM,
@@ -31,7 +33,6 @@ from qdialogue.protocol import (
     _random_pair,
     round_trip,
 )
-from qdialogue.attacks import STRATEGY_NAMES
 from qdialogue.quantum import ALL_CODES, NORM_TOL, PROB_FLOOR, BitPair, StateVector
 
 # Every registered strategy as (name, beta2), the probe at four weights.
