@@ -107,9 +107,8 @@ def pure_guess(u: float) -> tuple[BitPair, BitPair]:
 class AttackStrategy:
     """Base strategy: a pass-through adversary who still guesses.
 
-    Subclasses override the tap handlers; the guessing logic is shared,
-    since every strategy falls back to a uniform pure guess when it
-    holds no readout of Alice's code.
+    Subclasses override the tap handlers; the readout is shared, and a
+    run it pins nothing on gets a uniform ``pure_guess``.
     """
 
     name: str
@@ -136,19 +135,6 @@ class AttackStrategy:
         if log.learned_alice is not None:
             return log.learned_alice, outcome ^ log.learned_alice
         return None
-
-    def guess(
-        self, session: EveSession, outcome: BitPair, rng: np.random.Generator
-    ) -> tuple[BitPair, BitPair]:
-        """Infer both parties' pairs after a message-mode broadcast.
-
-        The readout when there is one, else ``pure_guess`` of one
-        ``rng.random()``, as ``run_dialogue`` does from stored readouts.
-        """
-        log = session.current
-        guesses = self.readout(log, outcome) or pure_guess(rng.random())
-        log.alice_guess, log.bob_guess = guesses
-        return guesses
 
 
 class NoAttack(AttackStrategy):

@@ -17,18 +17,17 @@ values, its name and its ``ROW_KEYS`` values. A config field's type is
 read once, from the ``ExperimentConfig`` annotations, into
 ``FIELD_TYPES``.
 
-Determinism contract: the per-trial random stream is derived from
-(master_seed, point_key..., trial_index) through a seed sequence, so
-the same configuration produces byte-identical documents no matter how
-many workers execute the trials or in what order they finish. The
-trial stream first gives Alice's message, then Bob's, then the
-protocol's draws in run order; the adversary draws from one child
-spawned off it. Message pairs, control-run pairs and pure guesses are
-cut from uniforms scaled by a power of two (4 or 16), which is exact,
-so every cell is equally likely. A dialogue draws each stream's
-uniforms in blocks, reads them in run order and rewinds the stream by
-the unused tail, so both streams end where one draw per uniform would
-leave them; that needs the PCG64 bit generator ``trial_rng`` gives.
+Determinism contract: trial ``t``'s stream is ``default_rng(SeedSequence(
+master_seed, spawn_key=(*point_key, t)))`` and the adversary's is its
+``spawn(1)`` child, so a configuration gives byte-identical documents
+however many workers run its trials, in any order. ``trial_streams``
+derives a chunk's streams in one vectorized pass, and chunks are sized
+from the whole command's trial count. The trial stream gives both
+messages (Alice's half of one ``random(2 * n_pairs)`` first), then the
+protocol's draws in run order. Pairs and pure guesses are cut from
+uniforms scaled by 4 or 16, which is exact, so every cell is equally
+likely. A dialogue draws each stream's uniforms in blocks and rewinds
+the unused tail, so both end where one draw per uniform leaves them.
 """
 
 from __future__ import annotations
@@ -112,8 +111,8 @@ class ExperimentConfig:
         """Check every field; the protocol and strategy ranges by building them."""
         if self.attack == "entangle-measure" and self.beta2 is None:
             raise ConfigError("attack entangle-measure requires --beta2")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if not 1 <= self.trials <= 1 << 32:
+            raise ConfigError("trials must lie in [1, 2**32]: a trial index is one 32-bit word")
         if self.master_seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         if self.format not in FORMATS:
@@ -140,11 +139,7 @@ class ExperimentConfig:
     def echo(self) -> dict:
         # Execution details (output routing, worker count) stay out of
         # the document so identical experiments serialize identically.
-        d = asdict(self)
-        d.pop("out")
-        d.pop("format")
-        d.pop("workers")
-        return d
+        return {k: v for k, v in asdict(self).items() if k not in ("out", "format", "workers")}
 
 
 # Each config field's type, ``None`` left out: int, float, str or bool.
@@ -154,19 +149,70 @@ FIELD_TYPES: dict[str, type] = {
 }
 
 
-def trial_rng(master_seed: int, *key: int) -> np.random.Generator:
-    """The documented per-trial stream derivation."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key)))
+# numpy's SeedSequence hash constants and PCG64's multiplier, for ``trial_streams``.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
+STREAM_BLOCK = 1024  # trials whose streams are derived in one vectorized pass
 
 
-def run_trial(config: ExperimentConfig, trial_index: int, point_key: tuple[int, ...] = ()) -> TrialReport:
-    """One seeded dialogue reduced to its report."""
-    rng = trial_rng(config.master_seed, *point_key, trial_index)
-    alice_msg = random_message(config.n_pairs, rng)
-    bob_msg = random_message(config.n_pairs, rng)
-    strategy = config.strategy()
-    result = run_dialogue(config.protocol_config(), alice_msg, bob_msg, strategy, rng)
-    return TrialReport.from_dialogue(trial_index, result, alice_msg, bob_msg, strategy)
+def _hash_consts(init: int, mult: int, first: int) -> np.ndarray:
+    """Nine hash constants from the ``first``-th on of one sequence, as a ``uint32`` column."""
+    return np.array([init * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(first, first + 9)], np.uint32)[:, None]
+
+
+def _hashmix(value, hc, nxt):
+    """numpy's hash step on ``uint32`` arrays: xor one hash constant, times the next, fold."""
+    value = (value ^ hc) * nxt
+    return value ^ value >> 16
+
+
+def _mix_in(pool, word, hc, nxt):
+    """numpy's ``mix`` of each pool word with ``word`` hashed by the next hash steps."""
+    r = pool * _MIX_L - _hashmix(word, hc, nxt) * _MIX_R
+    return r ^ r >> 16
+
+
+def trial_streams(master_seed: int, point_key: tuple[int, ...], trials: range):
+    """Each trial's (stream, Eve's stream): two Generators reset per trial, valid until the next.
+
+    They equal ``default_rng(SeedSequence(master_seed, spawn_key=(*point_key, t)))``
+    and its ``spawn(1)``. numpy mixes the (seed, point) prefix once; the
+    trial word, then Eve's spawn word 0, are mixed into its pool, and
+    ``generate_state`` and ``pcg64_set_seed`` applied, over ``uint32``
+    arrays of up to ``STREAM_BLOCK`` trials.
+    """
+    if trials.step != 1 or trials.stop > 1 << 32:
+        raise ValueError("trials must be a step-1 range whose indices fit one 32-bit word")
+    n_words = lambda n: (n.bit_length() + 31) // 32 or 1  # noqa: E731
+    # The prefix took four hash steps a word, the seed padded to four words.
+    a = _hash_consts(_INIT_A, _MULT_A, 4 * (max(4, n_words(master_seed)) + sum(map(n_words, point_key))))
+    b = _hash_consts(_INIT_B, _MULT_B, 0)
+    pool = np.random.SeedSequence(master_seed, spawn_key=point_key).pool[:, None]
+    gens = [np.random.Generator(np.random.PCG64(0)) for _ in range(2)]
+    for lo in range(trials.start, trials.stop, STREAM_BLOCK):
+        t = np.arange(lo, min(lo + STREAM_BLOCK, trials.stop), dtype=np.uint32)
+        trial_pool = _mix_in(pool, t, a[:4], a[1:5])
+        pools = np.stack([trial_pool, _mix_in(trial_pool, 0, a[4:8], a[5:9])])[:, [0, 1, 2, 3, 0, 1, 2, 3]]
+        state = _hashmix(pools, b[:8], b[1:]).astype(np.uint64)
+        halves = (state[:, 0::2] | state[:, 1::2] << 32).tolist()  # seed hi, lo; increment hi, lo
+        for pair in zip(*(zip(*stream) for stream in halves)):
+            for gen, (s_hi, s_lo, i_hi, i_lo) in zip(gens, pair):
+                inc = ((i_hi << 64 | i_lo) << 1 | 1) % (1 << 128)
+                pcg = {"state": (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) % (1 << 128), "inc": inc}
+                gen.bit_generator.state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+            yield gens[0], gens[1]
+
+
+def run_trial(config: ExperimentConfig, trial_index: int, point_key: tuple[int, ...] = (), *,
+              strategy: AttackStrategy | None = None, protocol: ProtocolConfig | None = None,
+              streams: tuple | None = None) -> TrialReport:
+    """One seeded dialogue reduced to its report; a chunk passes what it built once as keywords."""
+    strategy, protocol = strategy or config.strategy(), protocol or config.protocol_config()
+    rng, eve_rng = streams or next(trial_streams(config.master_seed, point_key, range(trial_index, trial_index + 1)))
+    n = config.n_pairs
+    messages = random_message(2 * n, rng)  # Alice's half, then Bob's
+    result = run_dialogue(protocol, messages[:n], messages[n:], strategy, rng, eve_rng)
+    return TrialReport.from_dialogue(trial_index, result, messages[:n], messages[n:], strategy)
 
 
 # A batch of trials folded: its Tally, and its reports in trial order if verbose.
@@ -176,12 +222,14 @@ FoldedTrials = tuple[Tally, list[TrialReport]]
 def _fold_trials(config: ExperimentConfig, trials: range, point_key: tuple[int, ...]) -> FoldedTrials:
     """Run ``trials`` in order, folding each report into a ``Tally`` as it finishes.
 
-    A pool worker folds one contiguous chunk, so one ``Tally`` per
-    chunk crosses back, not one report per trial.
+    The strategy, protocol config and streams are built once per chunk.
+    A pool worker folds one contiguous chunk, so one ``Tally`` per chunk
+    crosses back, not one report per trial.
     """
     tally, kept = Tally(), []
-    for trial_index in trials:
-        report = run_trial(config, trial_index, point_key)
+    strategy, protocol = config.strategy(), config.protocol_config()
+    for trial_index, streams in zip(trials, trial_streams(config.master_seed, point_key, trials)):
+        report = run_trial(config, trial_index, point_key, strategy=strategy, protocol=protocol, streams=streams)
         tally += Tally.from_report(report)
         if config.verbose:
             kept.append(report)
@@ -194,15 +242,16 @@ def _run_trials(points: list[tuple[ExperimentConfig, tuple[int, ...]]]) -> typin
     Every chunk of every point goes into one ``map`` on one pool of
     ``min(workers, trials)`` workers (a pool starts them all at once; no
     pool for one), so the workers run on into the next point's chunks
-    while the caller reduces this one. Integer sums do not depend on order.
+    while the caller reduces this one. Each point is cut into chunks of
+    ``total // (workers * 8)`` trials, ``total`` the command's. Integer
+    sums do not depend on order.
     """
-    chunked = []  # per point, one (config, chunk, point_key) job per chunk
-    for config, point_key in points:
-        workers = min(config.workers, config.trials)
-        step = config.trials if workers == 1 else max(1, config.trials // (workers * 8))
-        trials = range(config.trials)
-        chunked.append([(config, trials[i : i + step], point_key) for i in trials[::step]])
+    total = sum(config.trials for config, _ in points)
     pool_size = max(min(config.workers, config.trials) for config, _ in points)
+    step = total if pool_size == 1 else max(1, total // (pool_size * 8))
+    # Per point, one (config, chunk, point_key) job per chunk.
+    chunked = [[(config, range(i, min(i + step, config.trials)), point_key) for i in range(0, config.trials, step)]
+               for config, point_key in points]
     with ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else nullcontext() as pool:
         results = (pool.map if pool else map)(_fold_trials, *zip(*chain.from_iterable(chunked)))
         for jobs in chunked:
@@ -323,23 +372,22 @@ def sweep(config: ExperimentConfig, vary: str, values: list) -> dict:
     for point_cfg in point_cfgs:  # every point is checked before any runs
         point_cfg.validate()
 
-    points = []
-    curve = []
+    points, curve = [], []
     folded = _run_trials([(point_cfg, (idx,)) for idx, point_cfg in enumerate(point_cfgs)])
     for trials, value, point_cfg in zip(folded, cast_values, point_cfgs):
         doc = run_experiment(point_cfg, folded=trials)
         points.append(doc)
-        row = {
+        empirical = {comp["name"]: comp["empirical"] for comp in doc["comparisons"]}
+        curve.append({
             "value": value,
-            "per_dialogue_detection": _find(doc, "per_dialogue_detection"),
-            "per_cm_detection": _find(doc, "per_cm_detection"),
+            "per_dialogue_detection": empirical.get("per_dialogue_detection"),
+            "per_cm_detection": empirical.get("per_cm_detection"),
             "analytic_exact": doc["analytic"]["per_dialogue_exact"],
             "analytic_curve": doc["analytic"]["per_dialogue_curve"],
             "per_cm_oracle": doc["analytic"]["per_cm_oracle"],
             "entropy_bound_bits": doc["analytic"]["entropy_bound_bits"],
             "all_within_tolerance": doc["all_within_tolerance"],
-        }
-        curve.append(row)
+        })
 
     return {
         "schema": SCHEMA_SWEEP,
@@ -350,13 +398,6 @@ def sweep(config: ExperimentConfig, vary: str, values: list) -> dict:
         "points": points,
         "all_within_tolerance": bool(all(p["all_within_tolerance"] for p in points)),
     }
-
-
-def _find(doc: dict, name: str) -> float | None:
-    for comp in doc["comparisons"]:
-        if comp["name"] == name:
-            return comp["empirical"]
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -386,22 +427,16 @@ def to_csv(doc: dict) -> str:
     return buf.getvalue()
 
 
-def resolve_out_path(out: str | None) -> str | None:
-    """Apply the output-directory override to relative paths."""
-    if out is None or out == "-":
-        return None
-    if os.path.isabs(out):
-        return out
-    return os.path.join(os.environ.get(OUT_DIR_ENV, "."), out)
-
-
 def write_document(doc: dict, config: ExperimentConfig) -> str | None:
-    """Serialize per the configured format; returns the path written, if any."""
+    """Serialize per the configured format; returns the path written, if any.
+
+    A relative path lands in the ``OUT_DIR_ENV`` directory when that is set.
+    """
     text = to_csv(doc) if config.format == "csv" else to_json(doc)
-    path = resolve_out_path(config.out)
-    if path is None:
+    if config.out is None or config.out == "-":
         print(text, end="")
         return None
+    path = os.path.join(os.environ.get(OUT_DIR_ENV, "."), config.out)  # an absolute path stays
     try:
         parent = os.path.dirname(path)
         if parent:

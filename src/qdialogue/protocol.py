@@ -37,6 +37,7 @@ oracle sums the same leaves, so both read one table.
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
@@ -257,6 +258,7 @@ TABLE_STRATEGIES = 32
 _TABLES: OrderedDict[tuple, dict[tuple[BitPair, BitPair], RunTable]] = OrderedDict()
 
 
+@functools.lru_cache(maxsize=TABLE_STRATEGIES)  # by identity, as ``analysis._run_law``
 def _strategy_key(strategy: "AttackStrategy") -> tuple:
     """A strategy's value: its class, then its instance attributes, floats by bit pattern."""
     return type(strategy), tuple(sorted((k, _arg_key(v)) for k, v in vars(strategy).items()))
@@ -398,29 +400,30 @@ def run_dialogue(
     bob_msg: Message,
     attack: "AttackStrategy",
     rng: np.random.Generator,
+    eve_rng: np.random.Generator,
 ) -> DialogueResult:
     """Execute runs until the dialogue completes, detects Eve, or gives up.
 
     Both messages must have half-length equal to ``config.n_pairs``. The
     protocol's draws (mode, control-run pair, Bob's Bell outcome) come
-    from ``rng`` in run order; the attack's from one child spawned off it
-    (``rng.spawn(1)``), which leaves ``rng``'s own stream alone. So an
-    attack whose taps leave Bob's Bell law unchanged leaves the
-    transcript byte-identical to the honest channel's (``NoAttack``).
+    from ``rng`` in run order; the attack's from ``eve_rng``, a stream of
+    its own (``harness.trial_streams`` derives both). So an attack whose
+    taps leave Bob's Bell law unchanged leaves the transcript
+    byte-identical to the honest channel's (``NoAttack``).
 
     Each run is drawn from its code pair's run table: one ``cut`` per
     pick of Eve's choice tree, as her taps would ``choose``, one for Bob's
     outcome by the leaf's Bell law and, on a message run, the leaf's
     stored readout, or ``pure_guess`` of one more of Eve's uniforms where
-    it pins nothing, as ``guess`` would. Each stream's uniforms come in
-    blocks of ``random(n).tolist()``, read by index: the first holds
-    ``n_pairs + 12``, and a refill keeps the unused tail and draws twice
-    as many as the block held. At the end each stream is rewound past
+    it pins nothing. Each stream's uniforms come in blocks of
+    ``random(n).tolist()``, read by index: the first holds ``n_pairs +
+    12``, and a refill keeps the unused tail and draws twice as many as
+    the block held. At the end each stream is rewound past
     the uniforms it did not use (``bit_generator.advance``), so both end
     where one ``random()`` per uniform would leave them, bar a 32-bit half
     an earlier 32-bit draw left buffered, which ``advance`` drops. That
-    needs a PCG64-family bit generator, as ``harness.trial_rng`` gives;
-    any other raises ``TypeError`` before anything is drawn.
+    needs PCG64-family bit generators, as ``harness.trial_streams``
+    gives; any other raises ``TypeError`` before anything is drawn.
     """
     if len(alice_msg) != len(bob_msg):
         raise ValueError(
@@ -430,10 +433,8 @@ def run_dialogue(
         raise ValueError(
             f"config.n_pairs = {config.n_pairs} but messages have {len(alice_msg)} pairs"
         )
-    if not isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
-        name = type(rng.bit_generator).__name__
-        raise TypeError(f"run_dialogue needs a PCG64-family stream it can rewind, not {name}")
-    (eve_rng,) = rng.spawn(1)
+    if not all(isinstance(s.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)) for s in (rng, eve_rng)):
+        raise TypeError("run_dialogue needs PCG64-family streams, which it can rewind")
     tables = run_tables(attack)
     c, n_pairs = config.c, config.n_pairs
     pu = rng.random(n_pairs + 12).tolist()  # the protocol's uniforms

@@ -33,9 +33,8 @@ choice path so that sampled runs call no kernel; the memo is what makes
 building those tables cheap: the 16 code pairs of a strategy revisit a
 few dozen states, so a kernel body runs only a few hundred times per
 experiment and is written the plain reshape/transpose way. Random draws
-are never cached: ``bell_outcome`` (the Bell draw without the collapse),
-``bell_measure`` and ``measure_z`` call ``choose`` once per call, hit or
-miss.
+are never cached: ``bell_measure`` and ``measure_z`` call ``choose``
+once per call, hit or miss.
 """
 
 from __future__ import annotations
@@ -174,21 +173,15 @@ class StateVector:
             raise ValueError(f"state not normalized (or not finite): |psi|^2 = {norm_sq!r}")
         object.__setattr__(self, "key", (regs, amps.tobytes()))
 
-    @property
-    def n_registers(self) -> int:
-        return len(self.registers)
-
     def axis(self, reg: str) -> int:
         try:
             return self.registers.index(reg)
         except ValueError:
-            raise ValueError(
-                f"register {reg!r} not in state over {self.registers}"
-            ) from None
+            raise ValueError(f"register {reg!r} not in state over {self.registers}") from None
 
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis of length 2 per register."""
-        return self.amps.reshape((2,) * self.n_registers)
+        return self.amps.reshape((2,) * len(self.registers))
 
 
 # Entries per memoized kernel. A whole eight-point probe sweep reaches
@@ -243,12 +236,7 @@ def _memoized(kernel):
 def _bell_amplitudes() -> dict[BitPair, np.ndarray]:
     base = np.zeros(4, dtype=complex)
     base[0b01] = base[0b10] = 1.0 / math.sqrt(2.0)
-    table = {}
-    for code in ALL_CODES:
-        vec = np.kron(np.eye(2), PAULI_MATRICES[code]) @ base
-        vec.setflags(write=False)
-        table[code] = vec
-    return table
+    return {code: _frozen(np.kron(np.eye(2), PAULI_MATRICES[code]) @ base) for code in ALL_CODES}
 
 
 _BELL_AMPS = _bell_amplitudes()
@@ -360,22 +348,17 @@ def cut(cum, u: float) -> int:
     return last
 
 
-def draw(cum, rng) -> int:
-    """One index from ``cumulative`` thresholds, consuming exactly one ``rng.random()``."""
-    return cut(cum, rng.random())
-
-
 def choose(probs, rng) -> int:
     """Draw an index with the given probabilities (summing to 1); zeros are never drawn.
 
     The one place a tap handler's randomness is drawn. A numpy Generator
-    is consumed as one ``rng.random()``, through ``draw(cumulative(probs),
-    rng)``; anything else is asked to ``rng.pick(cleaned_probs)``, which
-    lets an analysis walk every branch instead of sampling one. A law
-    drawn many times can keep its ``cumulative`` and call ``draw``.
+    is consumed as one ``rng.random()``, cut by ``cumulative(probs)``;
+    anything else is asked to ``rng.pick(cleaned_probs)``, which lets an
+    analysis walk every branch instead of sampling one. A law drawn many
+    times can keep its ``cumulative`` and ``cut`` each uniform.
     """
     if isinstance(rng, np.random.Generator):
-        return draw(cumulative(probs), rng)
+        return cut(cumulative(probs), rng.random())
     return rng.pick(_clean(probs)[0])
 
 
@@ -405,22 +388,17 @@ def bell_outcome_probs(state: StateVector, reg_a: str, reg_b: str) -> dict[BitPa
     return dict(zip(ALL_CODES, _bell_law(state, reg_a, reg_b)[0]))
 
 
-def bell_outcome(state: StateVector, reg_a: str, reg_b: str, rng: np.random.Generator) -> BitPair:
-    """``bell_measure``'s outcome from the same single draw, without the collapse."""
-    return ALL_CODES[choose(_bell_law(state, reg_a, reg_b)[0], rng)]
-
-
 def bell_measure(
     state: StateVector, reg_a: str, reg_b: str, rng: np.random.Generator
 ) -> tuple[BitPair, StateVector]:
     """Born-rule Bell measurement on (reg_a, reg_b) with full collapse.
 
-    Returns the outcome code (``bell_outcome``'s draw) and the
+    Returns the outcome code, one ``choose`` of the Bell law, and the
     renormalized post-measurement joint state; correlations with any
     remaining registers survive the collapse.
     """
-    outcome = bell_outcome(state, reg_a, reg_b, rng)
-    return outcome, _bell_post_state(state, reg_a, reg_b, ALL_CODES.index(outcome))
+    k = choose(_bell_law(state, reg_a, reg_b)[0], rng)
+    return ALL_CODES[k], _bell_post_state(state, reg_a, reg_b, k)
 
 
 @_memoized

@@ -4,10 +4,12 @@ No ``qdialogue`` command needs these: partial traces and entropies of
 simulated states, equality up to a global phase, the forced-outcome Bell
 and up/down projections, the cumulative detection curve as an explicit
 sum, each side's decode read straight off a transcript, the per-draw
-``choose`` loop the stored thresholds replaced, and the two engines the
-run tables replaced: a dialogue that replays the quantum leg on every
-run, drawing one uniform per call, and the oracle's own branch walk.
-``STRATEGY_VALUES`` lists the strategy values the engine tests run.
+``choose`` loop the stored thresholds replaced, numpy's own per-trial
+stream derivation that ``harness.trial_streams`` reproduces, and the two
+engines the run tables replaced: a dialogue that replays the quantum
+leg on every run, drawing one uniform per call (with its Bell draw
+``bell_outcome`` and Eve's live ``guess``), and the oracle's own branch
+walk. ``STRATEGY_VALUES`` lists the strategy values the engine tests run.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from qdialogue import quantum
 from qdialogue.analysis import PURE_GUESS_ACCURACY
-from qdialogue.attacks import STRATEGY_NAMES
+from qdialogue.attacks import STRATEGY_NAMES, pure_guess
 from qdialogue.protocol import (
     ABORTED,
     CM,
@@ -41,6 +43,11 @@ STRATEGY_VALUES = [
     for name in STRATEGY_NAMES
     for beta2 in ((0.0, 0.05, 0.25, 0.5) if name == "entangle-measure" else (None,))
 ]
+
+
+def trial_rng(master_seed: int, *key: int) -> np.random.Generator:
+    """Trial ``key``'s stream as numpy derives it; Eve's is its ``spawn(1)`` child."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key)))
 
 
 def detection_after_runs_partial_sum(c: float, d: float, runs: int) -> float:
@@ -158,14 +165,30 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return max(float(-(lams * np.log2(lams)).sum()), 0.0)
 
 
-def reference_dialogue(config, alice_msg, bob_msg, attack, rng) -> DialogueResult:
+def bell_outcome(state: StateVector, reg_a: str, reg_b: str, rng) -> BitPair:
+    """``quantum.bell_measure``'s outcome from the same single draw, without the collapse."""
+    return ALL_CODES[quantum.choose(quantum.bell_outcome_probs(state, reg_a, reg_b).values(), rng)]
+
+
+def guess(strategy, session, outcome: BitPair, rng) -> tuple[BitPair, BitPair]:
+    """Eve's live guess after a message-mode broadcast, logged on the current run.
+
+    The strategy's readout when there is one, else ``pure_guess`` of one
+    ``rng.random()``, as ``run_dialogue`` does from stored readouts.
+    """
+    log = session.current
+    guesses = strategy.readout(log, outcome) or pure_guess(rng.random())
+    log.alice_guess, log.bob_guess = guesses
+    return guesses
+
+
+def reference_dialogue(config, alice_msg, bob_msg, attack, rng, eve_rng) -> DialogueResult:
     """``protocol.run_dialogue`` with the quantum leg replayed on every run.
 
     Each run calls ``round_trip`` with Eve's real generator and draws
     Bob's outcome with ``bell_outcome`` on the state it leaves. The
     state machine and the order of every draw are ``run_dialogue``'s.
     """
-    (eve_rng,) = rng.spawn(1)
     session = attack.new_session()
     runs = []
     cursor = pass_index = 0
@@ -176,11 +199,11 @@ def reference_dialogue(config, alice_msg, bob_msg, attack, rng) -> DialogueResul
         is_cm = rng.random() < config.c
         alice_code = _random_pair(rng.random()) if is_cm else alice_msg[cursor]
         channel = round_trip(bob_code, alice_code, attack, session, eve_rng)
-        outcome = quantum.bell_outcome(channel.state, "h", channel.traveling, rng)
+        outcome = bell_outcome(channel.state, "h", channel.traveling, rng)
         run = RunRecord(cursor, pass_index, CM if is_cm else MM, bob_code, alice_code, outcome)
         runs.append(run)
         if not is_cm:
-            attack.guess(session, outcome, eve_rng)
+            guess(attack, session, outcome, eve_rng)
             session.score(alice_truth=alice_code, bob_truth=bob_code)
             cursor += 1
             if cursor == config.n_pairs:

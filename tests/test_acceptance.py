@@ -24,7 +24,7 @@ from qdialogue.analysis import (
     per_cm_detection_oracle,
 )
 from qdialogue.attacks import EntangleMeasure, NoAttack, strategy_from_name
-from qdialogue.harness import ExperimentConfig, run_experiment, to_csv, to_json, trial_rng
+from qdialogue.harness import ExperimentConfig, run_experiment, to_csv, to_json
 from qdialogue.protocol import ProtocolConfig, random_message, run_dialogue
 from qdialogue.quantum import (
     ALL_CODES,
@@ -41,6 +41,7 @@ from reference import (
     decoded_pairs,
     detection_after_runs_partial_sum,
     reduced_density,
+    trial_rng,
     von_neumann_entropy,
 )
 
@@ -60,7 +61,7 @@ def simulate_batch(strategy, trials, n_pairs, c, seed_tag, policy="terminal"):
         rng = trial_rng(seed_tag, i)
         alice = random_message(n_pairs, rng)
         bob = random_message(n_pairs, rng)
-        result = run_dialogue(config, alice, bob, strategy, rng)
+        result = run_dialogue(config, alice, bob, strategy, rng, *rng.spawn(1))
         tally += Tally.from_report(TrialReport.from_dialogue(i, result, alice, bob, strategy))
     return tally
 
@@ -117,7 +118,7 @@ def test_criterion_03_attack_free_dialogues():
         config = ProtocolConfig(c=c, n_pairs=n_pairs)
         alice = random_message(n_pairs, rng)
         bob = random_message(n_pairs, rng)
-        result = run_dialogue(config, alice, bob, strategy, rng)
+        result = run_dialogue(config, alice, bob, strategy, rng, *rng.spawn(1))
         incomplete += result.transcript.final_status != "completed"
         failures += sum(run.cm_pass is False for run in result.transcript.runs)
         alice_view, bob_view = decoded_pairs(result.transcript)

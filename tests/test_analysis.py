@@ -199,7 +199,7 @@ def report_list(attack, trials, n_pairs=6, c=0.5, seed=0):
         rng = np.random.default_rng((seed, i))
         alice = random_message(n_pairs, rng)
         bob = random_message(n_pairs, rng)
-        result = run_dialogue(config, alice, bob, attack, rng)
+        result = run_dialogue(config, alice, bob, attack, rng, *rng.spawn(1))
         out.append(TrialReport.from_dialogue(i, result, alice, bob, attack))
     return out
 
@@ -343,7 +343,7 @@ class TestTrialReport:
         config = ProtocolConfig(c=0.5, n_pairs=5)
         alice = random_message(5, rng)
         bob = random_message(5, rng)
-        result = run_dialogue(config, alice, bob, NoAttack(), rng)
+        result = run_dialogue(config, alice, bob, NoAttack(), rng, *rng.spawn(1))
         report = TrialReport.from_dialogue(0, result, alice, bob, NoAttack())
         t = result.transcript
         assert report.status == t.final_status
@@ -365,7 +365,7 @@ class TestTrialReport:
             alice = random_message(4, rng)
             bob = random_message(4, rng)
             attack = EntangleMeasure(0.5)
-            result = run_dialogue(config, alice, bob, attack, rng)
+            result = run_dialogue(config, alice, bob, attack, rng, *rng.spawn(1))
             report = TrialReport.from_dialogue(seed, result, alice, bob, attack)
             t = result.transcript
             assert (report.n_total, report.n_mm, report.n_cm) == (t.n_total, t.n_mm, t.n_cm)

@@ -76,7 +76,7 @@ HAND_ACCURACIES = {
 def run_short_dialogue(strategy):
     rng = np.random.default_rng(0)
     msgs = [random_message(2, rng) for _ in range(2)]
-    return run_dialogue(ProtocolConfig(c=0.5, n_pairs=2), *msgs, strategy, rng)
+    return run_dialogue(ProtocolConfig(c=0.5, n_pairs=2), *msgs, strategy, rng, *rng.spawn(1))
 
 
 def registered_strategies():
@@ -290,7 +290,7 @@ def collect_reports(attack, trials, n_pairs=8, c=0.5, seed_base=0, policy="termi
         rng = np.random.default_rng((seed_base, i))
         alice = random_message(n_pairs, rng)
         bob = random_message(n_pairs, rng)
-        result = run_dialogue(config, alice, bob, attack, rng)
+        result = run_dialogue(config, alice, bob, attack, rng, *rng.spawn(1))
         tally += Tally.from_report(TrialReport.from_dialogue(i, result, alice, bob, attack))
     return tally
 
@@ -362,7 +362,7 @@ class TestGuessing:
         config = ProtocolConfig(c=0.5, n_pairs=6)
         alice = random_message(6, rng)
         bob = random_message(6, rng)
-        result = run_dialogue(config, alice, bob, EntangleMeasure(0.25), rng)
+        result = run_dialogue(config, alice, bob, EntangleMeasure(0.25), rng, *rng.spawn(1))
         record = result.eve
         assert len(record.logs) == len(result.transcript.runs)
         for log, run in zip(record.logs, result.transcript.runs):
@@ -384,7 +384,7 @@ class TestStrategyIsolation:
             rng = np.random.default_rng(2718)
             alice = random_message(16, rng)
             bob = random_message(16, rng)
-            result = run_dialogue(config, alice, bob, attack, rng)
+            result = run_dialogue(config, alice, bob, attack, rng, *rng.spawn(1))
             outs.append(json.dumps(result.transcript.to_dict(), sort_keys=True))
         assert len(result.eve.logs) == len(result.transcript.runs)
         assert all(log.learned_alice is not None for log in result.eve.logs)

@@ -7,7 +7,7 @@ guess cell ``k = int(u * 16.0)`` (Alice ``ALL_CODES[k >> 2]``, Bob
 and the number of draws; final stream states pin how many uniforms
 ``run_dialogue`` uses from each of its two streams. Eve's picks and
 Bob's outcome are cut from thresholds a run table keeps
-(``draw(cumulative(p), rng)``), which must give ``choose(p, rng)``'s
+(``cut(cumulative(p), rng.random())``), which must give ``choose(p, rng)``'s
 index from the same single uniform.
 """
 
@@ -36,11 +36,11 @@ from qdialogue.quantum import (
     bell_state,
     choose,
     cumulative,
-    draw,
+    cut,
     entangling_probe,
     z_outcome_probs,
 )
-from reference import STRATEGY_VALUES, per_draw_choose, reference_dialogue
+from reference import STRATEGY_VALUES, guess, per_draw_choose, reference_dialogue
 
 # Uniforms at the cell edges, with the quarter each falls in.
 EDGES = [
@@ -128,7 +128,7 @@ def sample(config, name, beta2, seed, engine=run_dialogue):
     """One seeded dialogue: its result, and the protocol's and Eve's recorded streams."""
     rng = recorder(seed)
     msgs = [random_message(config.n_pairs, rng) for _ in range(2)]
-    result = engine(config, *msgs, strategy_from_name(name, beta2), rng)
+    result = engine(config, *msgs, strategy_from_name(name, beta2), rng, *rng.spawn(1))
     (eve_rng,) = rng.children
     return result, rng, eve_rng
 
@@ -193,7 +193,7 @@ class TestScalarCells:
         session = strategy.new_session()
         strategy.begin_run(session)
         rng = ScriptedRng([u])
-        guesses = strategy.guess(session, BitPair(0, 0), rng)
+        guesses = guess(strategy, session, BitPair(0, 0), rng)
         assert guesses == (ALL_CODES[k >> 2], ALL_CODES[k & 3])
         assert (session.current.alice_guess, session.current.bob_guess) == guesses
         assert rng.calls == [None]
@@ -204,7 +204,7 @@ class TestScalarCells:
             strategy = NoAttack()
             session = strategy.new_session()
             strategy.begin_run(session)
-            cells.add(strategy.guess(session, BitPair(0, 0), ScriptedRng([k / 16])))
+            cells.add(guess(strategy, session, BitPair(0, 0), ScriptedRng([k / 16])))
         assert cells == {(a, b) for a in ALL_CODES for b in ALL_CODES}
 
     def test_readout_guess_draws_nothing(self):
@@ -213,17 +213,19 @@ class TestScalarCells:
         strategy.begin_run(session)
         session.current.learned_alice = BitPair(1, 0)
         rng = ScriptedRng([])
-        assert strategy.guess(session, BitPair(1, 1), rng) == (BitPair(1, 0), BitPair(0, 1))
+        assert guess(strategy, session, BitPair(1, 1), rng) == (BitPair(1, 0), BitPair(0, 1))
         assert rng.calls == []
 
 
 class TestDialogueStreams:
     @pytest.mark.parametrize("attack", [NoAttack(), InterceptResendLiteral()])
-    def test_one_spawn_per_dialogue(self, attack):
-        rng = recorder(5)
+    def test_dialogue_spawns_no_stream(self, attack):
+        # Eve's stream is handed in, derived with the trial's.
+        rng, eve_rng = recorder(5), recorder(6)
         msgs = [random_message(6, rng) for _ in range(2)]
-        run_dialogue(ProtocolConfig(c=0.5, n_pairs=6), *msgs, attack, rng)
-        assert rng.spawns == [1]
+        run_dialogue(ProtocolConfig(c=0.5, n_pairs=6), *msgs, attack, rng, eve_rng)
+        assert rng.spawns == eve_rng.spawns == []
+        assert rng.sizes[2:] and eve_rng.sizes
 
     def test_one_uniform_per_draw(self):
         # Per run the protocol uses the mode, a control run's pair and
@@ -233,7 +235,7 @@ class TestDialogueStreams:
         # uniforms used ends.
         rng = recorder(8)
         msgs = [random_message(16, rng) for _ in range(2)]
-        result = run_dialogue(ProtocolConfig(c=0.5, n_pairs=16), *msgs, NoAttack(), rng)
+        result = run_dialogue(ProtocolConfig(c=0.5, n_pairs=16), *msgs, NoAttack(), rng, *rng.spawn(1))
         runs = result.transcript.runs
         n_cm = sum(r.mode == CM for r in runs)
         n_mm = sum(r.mode == MM for r in runs)
@@ -312,7 +314,7 @@ class TestStreamEdges:
         msgs = [random_message(4, rng) for _ in range(2)]
         before = rng.bit_generator.state["state"]
         with pytest.raises(TypeError, match="PCG64"):
-            run_dialogue(ProtocolConfig(c=0.5, n_pairs=4), *msgs, NoAttack(), rng)
+            run_dialogue(ProtocolConfig(c=0.5, n_pairs=4), *msgs, NoAttack(), rng, *rng.spawn(1))
         after = rng.bit_generator.state["state"]
         assert np.array_equal(after["key"], before["key"]) and after["pos"] == before["pos"]
 
@@ -322,7 +324,7 @@ class TestThresholdDraws:
     def test_draw_equals_choose_on_one_stream(self, probs):
         live, loop, table = (np.random.default_rng(3) for _ in range(3))
         cum = cumulative(probs)
-        drawn = [draw(cum, table) for _ in range(400)]
+        drawn = [cut(cum, table.random()) for _ in range(400)]
         assert drawn == [choose(probs, live) for _ in range(400)]
         assert drawn == [per_draw_choose(probs, loop) for _ in range(400)]
         assert table.bit_generator.state == live.bit_generator.state == loop.bit_generator.state
@@ -332,7 +334,7 @@ class TestThresholdDraws:
     def test_consumes_exactly_one_uniform(self, probs):
         # A law with one kept outcome still consumes its uniform.
         rng, plain = np.random.default_rng(4), np.random.default_rng(4)
-        draw(cumulative(probs), rng)
+        cut(cumulative(probs), rng.random())
         plain.random()
         assert rng.bit_generator.state == plain.bit_generator.state
 
@@ -344,7 +346,7 @@ class TestThresholdDraws:
     def test_uniform_at_the_top_returns_the_last_kept_index(self, probs):
         rng = ScriptedRng([1.0])
         last = max(i for i, p in enumerate(probs) if p >= PROB_FLOOR)
-        assert draw(cumulative(probs), rng) == last
+        assert cut(cumulative(probs), rng.random()) == last
         assert rng.calls == [None]
         assert per_draw_choose(probs, ScriptedRng([1.0])) == last
 

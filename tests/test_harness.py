@@ -1,14 +1,19 @@
 """Tests for the experiment driver, serialization, CLI, and self-test."""
 
+import functools
 import hashlib
 import json
 import os
 import pickle
 import weakref
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdialogue.harness as harness
 import qdialogue.quantum as quantum
@@ -29,9 +34,10 @@ from qdialogue.harness import (
     sweep,
     to_csv,
     to_json,
-    trial_rng,
+    trial_streams,
 )
 from qdialogue.quantum import BitPair
+from reference import trial_rng
 
 
 def counted_trials(monkeypatch) -> list:
@@ -39,9 +45,9 @@ def counted_trials(monkeypatch) -> list:
     calls = []
     raw = harness.run_trial
 
-    def counted(config, trial_index, point_key=()):
+    def counted(config, trial_index, point_key=(), **chunk):
         calls.append(trial_index)
-        return raw(config, trial_index, point_key)
+        return raw(config, trial_index, point_key, **chunk)
 
     monkeypatch.setattr(harness, "run_trial", counted)
     return calls
@@ -72,6 +78,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="trials"):
             ExperimentConfig(trials=0).validate()
 
+    def test_trial_index_fits_one_word(self):
+        # Above 2**32 trials an index takes two words of the seed sequence.
+        ExperimentConfig(trials=2**32).validate()
+        with pytest.raises(ConfigError, match="trials"):
+            ExperimentConfig(trials=2**32 + 1).validate()
+
     def test_policy_name(self):
         with pytest.raises(ConfigError, match="detection_policy must be one of"):
             ExperimentConfig(detection_policy="halt").validate()
@@ -94,6 +106,35 @@ class TestDeterminism:
         c = trial_rng(7, 4).integers(0, 1 << 30, size=4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**200),
+        st.lists(st.integers(0, 2**32 - 1), max_size=2).map(tuple),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+    )
+    def test_trial_streams_are_the_trial_rng_and_its_child(self, seed, point_key, start, count):
+        trials = range(start, min(start + count, 2**32))
+        for t, (rng, eve_rng) in zip(trials, trial_streams(seed, point_key, trials), strict=True):
+            expected = trial_rng(seed, *point_key, t)
+            assert rng.bit_generator.state == expected.bit_generator.state
+            assert eve_rng.bit_generator.state == expected.spawn(1)[0].bit_generator.state
+
+    def test_trial_streams_across_blocks(self):
+        trials = range(5, 5 + 2 * harness.STREAM_BLOCK + 3)
+        edges = {trials[0], *(trials[0] + k * harness.STREAM_BLOCK + d for k in (1, 2) for d in (-1, 0)),
+                 trials[-1]}
+        for t, (rng, eve_rng) in zip(trials, trial_streams(2**64 + 3, (1,), trials), strict=True):
+            if t in edges:
+                expected = trial_rng(2**64 + 3, 1, t)
+                assert rng.bit_generator.state == expected.bit_generator.state
+                assert eve_rng.bit_generator.state == expected.spawn(1)[0].bit_generator.state
+
+    @pytest.mark.parametrize("trials", [range(2**32, 2**32 + 1), range(0, 4, 2)])
+    def test_trial_streams_reject_a_two_word_index_or_a_stride(self, trials):
+        with pytest.raises(ValueError, match="step-1 range"):
+            next(trial_streams(0, (), trials))
 
     def test_run_trial_reproducible(self):
         cfg = ExperimentConfig(**self.BASE)
@@ -266,6 +307,19 @@ class TestOnePoolPerCommand:
         assert written[0] == written[1]
 
 
+class TestSpawnedWorkers:
+    """Workers started by ``spawn`` inherit no table or stream state from the parent."""
+
+    def test_spawned_pool_writes_the_one_worker_bytes(self, monkeypatch):
+        config = ExperimentConfig(attack="entangle-measure", beta2=0.25, c=0.5, n_pairs=4, trials=40,
+                                  master_seed=12, detection_policy="reinitialize", max_restarts=2)
+        serial = [to_json(run_experiment(config)), to_json(sweep(config, "beta2", [0.1, 0.5]))]
+        spawning = functools.partial(ProcessPoolExecutor, mp_context=get_context("spawn"))
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", spawning)
+        config = replace(config, workers=2)
+        assert [to_json(run_experiment(config)), to_json(sweep(config, "beta2", [0.1, 0.5]))] == serial
+
+
 class TestResultsDocument:
     def test_schema_and_pairing(self):
         doc = run_experiment(ExperimentConfig(attack="none", trials=40, n_pairs=4, master_seed=1))
@@ -330,8 +384,8 @@ class TestBoundedMemory:
         refs, alive = [], []
         raw = harness.run_trial
 
-        def tracked(*args):
-            report = raw(*args)
+        def tracked(*args, **chunk):
+            report = raw(*args, **chunk)
             refs.append(weakref.ref(report))
             alive.append(sum(ref() is not None for ref in refs))
             return report

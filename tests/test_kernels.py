@@ -32,7 +32,6 @@ from qdialogue.quantum import (
     apply_pauli,
     attach_ancilla,
     bell_measure,
-    bell_outcome,
     bell_outcome_probs,
     bell_state,
     entangling_probe,
@@ -40,7 +39,7 @@ from qdialogue.quantum import (
     tensor_product,
     z_outcome_probs,
 )
-from reference import project_bell, project_z
+from reference import bell_outcome, project_bell, project_z
 
 TOL = 1e-12
 NAMES = "abcde"

@@ -147,7 +147,7 @@ def run_clean(n_pairs=8, c=0.5, seed=0, attack=NoAttack(), **kwargs):
     alice = random_message(n_pairs, rng)
     bob = random_message(n_pairs, rng)
     config = ProtocolConfig(c=c, n_pairs=n_pairs, **kwargs)
-    return alice, bob, run_dialogue(config, alice, bob, attack, rng)
+    return alice, bob, run_dialogue(config, alice, bob, attack, rng, *rng.spawn(1))
 
 
 class TestAttackFreeDialogue:
@@ -241,7 +241,7 @@ class TestAttackFreeDialogue:
         rng = np.random.default_rng(0)
         config = ProtocolConfig(c=0.5, n_pairs=4)
         with pytest.raises(ValueError, match="equal half-length"):
-            run_dialogue(config, random_message(4, rng), random_message(5, rng), NoAttack(), rng)
+            run_dialogue(config, random_message(4, rng), random_message(5, rng), NoAttack(), rng, *rng.spawn(1))
 
     def test_config_length_mismatch_rejected(self):
         rng = np.random.default_rng(0)
@@ -249,7 +249,7 @@ class TestAttackFreeDialogue:
         # Short messages, and empty ones: a message needs n_pairs >= 1 pairs.
         for alice, bob in [(random_message(4, rng), random_message(4, rng)), ((), ())]:
             with pytest.raises(ValueError, match="n_pairs"):
-                run_dialogue(config, alice, bob, NoAttack(), rng)
+                run_dialogue(config, alice, bob, NoAttack(), rng, *rng.spawn(1))
 
 
 class TestDetectionPolicies:
@@ -448,7 +448,7 @@ class TestRunTables:
             for engine in (run_dialogue, reference_dialogue):
                 rng = SpawnRecorder(np.random.PCG64(np.random.SeedSequence(seed)))
                 msgs = [random_message(config.n_pairs, rng) for _ in range(2)]
-                result = engine(config, *msgs, strategy_from_name(name, beta2), rng)
+                result = engine(config, *msgs, strategy_from_name(name, beta2), rng, *rng.spawn(1))
                 (eve_rng,) = rng.children
                 seen.append((
                     result.transcript.to_dict(),
