@@ -5,8 +5,8 @@ Three layers:
 * exact formulas: the cumulative detection curves, their stopped-process
   resummation, and the probe-entropy bound;
 * an exhaustive oracle that sums a strategy's run tables
-  (``protocol.run_table``: its own tap handlers replayed over every
-  measurement/choice branch with exact Born or coin weights, no
+  (``protocol.run_table``: its own taps' alternatives expanded over
+  every measurement/choice branch with exact Born or coin weights, no
   sampling) over all 16 code pairs, giving the per-control-run
   detection rate and Eve's exact guess accuracies;
 * the reduction: each dialogue's ``TrialReport`` folds into one
@@ -105,10 +105,10 @@ def per_cm_detection_oracle(strategy: AttackStrategy) -> float:
     """Exact probability a control run exposes the strategy.
 
     Brute force: average over all 16 (Alice code, Bob code) combinations
-    and, within each, every random branch the strategy's tap handlers
-    can take, with its exact weight. The check fails when Bob's Bell
-    outcome differs from the XOR of the two codes. Reads the run tables
-    the sampler draws from, and draws from no random stream.
+    and, within each, every alternative the strategy's taps can take,
+    with its exact weight. The check fails when Bob's Bell outcome
+    differs from the XOR of the two codes. Reads the run tables the
+    sampler draws from, and draws from no random stream.
     """
     return _run_law(strategy)[0]
 

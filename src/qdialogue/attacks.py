@@ -3,11 +3,11 @@
 Every strategy sees the two legs of the travel qubit's round trip
 (ping: Bob to Alice, pong: Alice to Bob) and, after a message run,
 Bob's broadcast Bell outcome. A strategy may measure, transform, or
-substitute what is in flight. Its session is its per-dialogue record:
-one log per run (``begin_run`` opens it), on which the taps record what
-Eve learns (``session.current``). Each class carries ``claim``, the
-per-control-run detection rate the published analysis gives it (None
-where that analysis does not treat it).
+substitute what is in flight. What Eve learns in a run is recorded in
+that run's ``EveRunLog``, one per run in her per-dialogue
+``EveSession``. Each class carries ``claim``, the per-control-run
+detection rate the published analysis gives it (None where that
+analysis does not treat it).
 
 Implemented strategies:
 
@@ -27,40 +27,48 @@ Implemented strategies:
 * ``EntangleMeasure`` -- couples an ancilla to the travel qubit on the
   ping leg with weight beta2 and measures it on the pong leg.
 
-Each strategy's physics is written once, in its tap handlers. The run
-table (``protocol.run_table``) replays them over every branch with
+Each strategy's physics is written once, in its two taps. A tap is a
+pure function of the ``Channel`` in flight (and of its strategy's
+hashable instance attributes): it returns its weighted alternatives,
+each a (probability, channel, log fields) triple, with probabilities
+that sum to 1. One alternative is no pick; a measurement returns one
+alternative per outcome from ``quantum.z_branches`` or
+``bell_branches``, impossible ones included, and a coin one per face.
+The log fields of a run's path become its ``EveRunLog``. The run table
+(``protocol.run_table``) expands both taps over every alternative with
 exact weights, once per process and strategy value, and both the
-sampler and the oracle read it. That relies on a contract:
-
-* a tap draws randomness only through ``choose``, ``measure_z`` and
-  ``bell_measure``, with probabilities that sum to 1;
-* a tap reads only the channel, its own picks and its strategy's
-  (hashable) instance attributes, and writes only ``session.current``.
+sampler and the oracle read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-import numpy as np
+from typing import NamedTuple
 
 from .quantum import (
     ALL_CODES,
     BitPair,
+    StateVector,
     apply_pauli,
     attach_ancilla,
-    bell_measure,
+    bell_branches,
     bell_state,
-    choose,
     entangling_probe,
-    measure_z,
     tensor_product,
+    z_branches,
 )
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .protocol import Channel
+
+class Channel(NamedTuple):
+    """What is in flight: the joint state and the register currently traveling."""
+
+    state: StateVector
+    traveling: str
+
+
+# A tap's weighted alternatives: (probability, channel, log fields).
+Alternatives = tuple[tuple[float, Channel, dict], ...]
 
 
 @dataclass
@@ -107,8 +115,9 @@ def pure_guess(u: float) -> tuple[BitPair, BitPair]:
 class AttackStrategy:
     """Base strategy: a pass-through adversary who still guesses.
 
-    Subclasses override the tap handlers; the readout is shared, and a
-    run it pins nothing on gets a uniform ``pure_guess``.
+    Subclasses override the taps, which here pass the channel on as it
+    is; the readout is shared, and a run it pins nothing on gets a
+    uniform ``pure_guess``.
     """
 
     name: str
@@ -117,14 +126,11 @@ class AttackStrategy:
     def new_session(self) -> EveSession:
         return EveSession()
 
-    def begin_run(self, session: EveSession) -> None:
-        session.logs.append(EveRunLog())
+    def on_ping(self, channel: Channel) -> Alternatives:
+        return ((1.0, channel, {}),)
 
-    def on_ping(self, channel: "Channel", session: EveSession, rng: np.random.Generator) -> None:
-        pass
-
-    def on_pong(self, channel: "Channel", session: EveSession, rng: np.random.Generator) -> None:
-        pass
+    def on_pong(self, channel: Channel) -> Alternatives:
+        return ((1.0, channel, {}),)
 
     def readout(self, log: EveRunLog, outcome: BitPair) -> tuple[BitPair, BitPair] | None:
         """Both parties' pairs as far as this run's log pins them, else None.
@@ -148,8 +154,9 @@ class DisturbMeasure(AttackStrategy):
     name = "disturb-measure"
     claim = 0.75
 
-    def on_pong(self, channel, session, rng):
-        _, channel.state = measure_z(channel.state, channel.traveling, rng)
+    def on_pong(self, channel):
+        branches = z_branches(channel.state, channel.traveling)
+        return tuple((p, channel._replace(state=state), {}) for p, _, state in branches)
 
 
 class DisturbPauliZ(AttackStrategy):
@@ -159,9 +166,10 @@ class DisturbPauliZ(AttackStrategy):
     claim = 0.75
     codes = (BitPair(1, 1), BitPair(0, 0))
 
-    def on_pong(self, channel, session, rng):
-        code = self.codes[choose((1 / len(self.codes),) * len(self.codes), rng)]
-        channel.state = apply_pauli(channel.state, channel.traveling, code)
+    def on_pong(self, channel):
+        p = 1 / len(self.codes)
+        state, reg = channel
+        return tuple((p, Channel(apply_pauli(state, reg, code), reg), {}) for code in self.codes)
 
 
 class DisturbPauli4(DisturbPauliZ):
@@ -175,18 +183,19 @@ class _InterceptResend(AttackStrategy):
     claim = 0.75
     retransform = True
 
-    def on_ping(self, channel, session, rng):
+    def on_ping(self, channel):
         # Keep the genuine travel qubit "t", put one half of a fresh
         # maximally entangled pair (H home, T travel) on the wire.
-        channel.state = tensor_product(channel.state, bell_state(BitPair(0, 0), ("H", "T")))
-        channel.traveling = "T"
+        state = tensor_product(channel.state, bell_state(BitPair(0, 0), ("H", "T")))
+        return ((1.0, Channel(state, "T"), {}),)
 
-    def on_pong(self, channel, session, rng):
-        learned, channel.state = bell_measure(channel.state, "H", "T", rng)
-        session.current.learned_alice = learned
-        if self.retransform:
-            channel.state = apply_pauli(channel.state, "t", learned)
-        channel.traveling = "t"
+    def on_pong(self, channel):
+        alternatives = []
+        for p, learned, state in bell_branches(channel.state, "H", "T"):
+            if state is not None and self.retransform:
+                state = apply_pauli(state, "t", learned)
+            alternatives.append((p, Channel(state, "t"), {"learned_alice": learned}))
+        return tuple(alternatives)
 
 
 class InterceptResendLiteral(_InterceptResend):
@@ -213,14 +222,16 @@ class EntangleMeasure(AttackStrategy):
         self.alpha = math.sqrt(1.0 - self.beta2)
         self.beta = math.sqrt(self.beta2)
 
-    def on_ping(self, channel, session, rng):
+    def on_ping(self, channel):
         state = attach_ancilla(channel.state, "e")
-        channel.state = entangling_probe(state, channel.traveling, "e", self.alpha, self.beta)
+        state = entangling_probe(state, channel.traveling, "e", self.alpha, self.beta)
+        return ((1.0, channel._replace(state=state), {}),)
 
-    def on_pong(self, channel, session, rng):
-        bit, collapsed = measure_z(channel.state, "e", rng)
-        channel.state = collapsed
-        session.current.ancilla_outcome = bit
+    def on_pong(self, channel):
+        return tuple(
+            (p, channel._replace(state=state), {"ancilla_outcome": bit})
+            for p, bit, state in z_branches(channel.state, "e")
+        )
 
 
 def _registry(*classes: type[AttackStrategy]) -> dict[str, type[AttackStrategy]]:

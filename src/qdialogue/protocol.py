@@ -27,30 +27,31 @@ index) and the final-pass counters.
 
 A run's quantum leg is fixed once the strategy, both codes and Eve's
 picks are. So it is played out once per choice path, not once per run:
-``run_table`` walks ``round_trip`` over every path of one code pair and
-keeps the choice tree and its leaves. Each pick and each leaf's Bell law
-also keeps its ``quantum.cumulative`` thresholds, and each leaf Eve's
-``readout`` of every outcome, so the sampler cuts each pick from the
-uniform a live ``choose`` would take and looks up the rest. The exact
+``run_table`` expands the taps' alternatives (``attacks``) over every
+path of one code pair, computing each prefix state once, and keeps the
+choice tree and its leaves. Each pick and each leaf's Bell law also
+keeps its ``quantum.cumulative`` thresholds, and each leaf Eve's
+``readout`` of every outcome, so the sampler cuts each pick from one
+uniform, as ``quantum.choose`` would, and looks up the rest. The exact
 oracle sums the same leaves, so both read one table.
 """
 
 from __future__ import annotations
 
 import functools
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .attacks import EveRunLog, pure_guess
+from .attacks import Channel, EveRunLog, pure_guess
 from .quantum import (
     ALL_CODES,
     BitPair,
-    StateVector,
-    _arg_key,
     _bell_law,
+    _clean,
     apply_pauli,
     bell_state,
     cumulative,
@@ -123,71 +124,6 @@ class ProtocolConfig:
             )
 
 
-@dataclass
-class Channel:
-    """What is in flight: the joint state and the register currently traveling."""
-
-    state: StateVector
-    traveling: str
-
-
-def round_trip(
-    bob_code: BitPair, alice_code: BitPair, attack: "AttackStrategy", session: "EveSession", rng
-) -> Channel:
-    """One run's quantum leg: Bob's pair out, Alice's code on, back to Bob.
-
-    Bob applies his code to the travel qubit of the base pair; Alice
-    applies hers to whatever qubit arrives. The attack's taps act on the
-    ping and pong legs, drawing from ``rng``.
-    """
-    channel = Channel(state=bell_state(bob_code), traveling="t")
-    attack.on_ping(channel, session, rng)
-    channel.state = apply_pauli(channel.state, channel.traveling, alice_code)
-    attack.on_pong(channel, session, rng)
-    return channel
-
-
-class _BranchWalker:
-    """Stands in for Eve's random stream along one path of choices.
-
-    ``quantum.choose`` asks it to ``pick`` an index. It follows the forced
-    prefix, then takes the first possible branch and notes each other
-    one as a prefix still to visit, so repeated replays visit every path
-    once. It keeps the probabilities of each pick it made. Anything else
-    asked of it raises: a draw the walk cannot see would make the run
-    table, and so the sampler and the oracle, wrong.
-    """
-
-    def __init__(self, forced: tuple[int, ...]) -> None:
-        self.forced = forced
-        self.taken: list[int] = []
-        self.picks: list[tuple[float, ...]] = []
-        self.weight = 1.0
-        self.unvisited: list[tuple[int, ...]] = []
-
-    def pick(self, probs: list[float]) -> int:
-        # Weights are taken as given; a sampled draw would rescale them.
-        total = sum(probs)
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"branch probabilities must sum to 1, got {total!r}")
-        depth = len(self.taken)
-        if depth < len(self.forced):
-            k = self.forced[depth]
-        else:
-            possible = [i for i, p in enumerate(probs) if p > 0.0]
-            k = possible[0]
-            self.unvisited.extend((*self.taken, i) for i in possible[1:])
-        self.taken.append(k)
-        self.picks.append(tuple(probs))
-        self.weight *= probs[k]
-        return k
-
-    def __getattr__(self, name: str):
-        raise TypeError(
-            f"tap handlers must draw through choose, measure_z or bell_measure, not rng.{name}"
-        )
-
-
 class Leaf(NamedTuple):
     """The end of one choice path of a run.
 
@@ -221,35 +157,50 @@ class RunTable(NamedTuple):
     leaves: tuple[Leaf, ...]
 
 
+def _expand(alternatives, weight: float, fields: dict, then) -> Branch | Leaf:
+    """The subtree below one tap's alternatives; ``then`` builds each one's own.
+
+    One alternative is no pick. A pick keeps a child per alternative
+    (None where its ``_clean``ed probability is zero) and builds them in
+    walk order: the first possible one, then the rest in reverse.
+    """
+    cleaned, total = _clean([p for p, _, _ in alternatives])
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"branch probabilities must sum to 1, got {total!r}")
+    if len(alternatives) == 1:
+        _, channel, more = alternatives[0]
+        return then(weight, channel, {**fields, **more})
+    children = [None] * len(alternatives)
+    kept = [i for i, p in enumerate(cleaned) if p > 0.0]
+    for i in kept[:1] + kept[:0:-1]:
+        _, channel, more = alternatives[i]
+        children[i] = then(weight * cleaned[i], channel, {**fields, **more})
+    return Branch(tuple(children), cumulative(cleaned))
+
+
 def _build_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitPair) -> RunTable:
-    """Replay ``round_trip`` once per choice path, with a branch walker for Eve's stream."""
-    picks: dict[tuple[int, ...], tuple[float, ...]] = {}  # path prefix -> its pick's probabilities
-    ends: dict[tuple[int, ...], Leaf] = {}  # full path -> its leaf, in walk order
-    pending: list[tuple[int, ...]] = [()]
-    while pending:
-        walker = _BranchWalker(pending.pop())
-        session = strategy.new_session()
-        strategy.begin_run(session)
-        fresh = dict(vars(session.current))
-        channel = round_trip(bob_code, alice_code, strategy, session, walker)
-        pending.extend(walker.unvisited)
-        log = session.current
-        written = {k: v for k, v in vars(log).items() if k not in fresh or fresh[k] is not v}
-        path = tuple(walker.taken)
+    """Expand one run's quantum leg over every choice path, depth first.
+
+    Bob's coded pair goes out, the ping alternatives are expanded, Alice
+    applies her code to whatever qubit arrives, then the pong
+    alternatives are expanded. Each path's leaf keeps the log fields its
+    alternatives wrote.
+    """
+    leaves: list[Leaf] = []
+
+    def pong(weight: float, channel: Channel, fields: dict) -> Branch | Leaf:
+        encoded = channel._replace(state=apply_pauli(channel.state, channel.traveling, alice_code))
+        return _expand(strategy.on_pong(encoded), weight, fields, leaf)
+
+    def leaf(weight: float, channel: Channel, fields: dict) -> Leaf:
+        log = EveRunLog(**fields)
         bell_probs = _bell_law(channel.state, "h", channel.traveling)[0]
         readouts = tuple(strategy.readout(log, outcome) for outcome in ALL_CODES)
-        ends[path] = Leaf(walker.weight, log, written, bell_probs, cumulative(bell_probs), readouts)
-        for depth, probs in enumerate(walker.picks):
-            picks[path[:depth]] = probs
+        leaves.append(Leaf(weight, log, fields, bell_probs, cumulative(bell_probs), readouts))
+        return leaves[-1]
 
-    def node(path: tuple[int, ...]) -> Branch | Leaf:
-        if path in ends:
-            return ends[path]
-        probs = picks[path]
-        children = tuple(node((*path, i)) if p > 0.0 else None for i, p in enumerate(probs))
-        return Branch(children, cumulative(probs))
-
-    return RunTable(node(()), tuple(ends.values()))
+    tree = _expand(strategy.on_ping(Channel(bell_state(bob_code), "t")), 1.0, {}, pong)
+    return RunTable(tree, tuple(leaves))
 
 
 # Strategy values whose 16 run tables are kept, least recently used
@@ -264,13 +215,20 @@ def _strategy_key(strategy: "AttackStrategy") -> tuple:
     return type(strategy), tuple(sorted((k, _arg_key(v)) for k, v in vars(strategy).items()))
 
 
+def _arg_key(arg):
+    """An attribute's key: a float by its type and bit pattern (so 0.0 and -0.0 differ)."""
+    if isinstance(arg, (float, np.floating)):
+        return type(arg), struct.pack("<d", arg)
+    return arg
+
+
 def run_tables(strategy: "AttackStrategy") -> dict[tuple[BitPair, BitPair], RunTable]:
     """The strategy's run table of every (Bob code, Alice code) pair, built on first use.
 
     Tables are kept per process for the last ``TABLE_STRATEGIES``
     strategy values, so equal strategies share them. This relies on the
-    contract in ``attacks``: a tap reads only the channel, its own picks
-    and its strategy's attributes, and writes only ``session.current``.
+    contract in ``attacks``: a tap is a pure function of the channel and
+    its strategy's attributes.
     """
     key = _strategy_key(strategy)
     tables = _TABLES.get(key)
@@ -412,7 +370,7 @@ def run_dialogue(
     byte-identical to the honest channel's (``NoAttack``).
 
     Each run is drawn from its code pair's run table: one ``cut`` per
-    pick of Eve's choice tree, as her taps would ``choose``, one for Bob's
+    pick of Eve's choice tree, as ``quantum.choose`` would, one for Bob's
     outcome by the leaf's Bell law and, on a message run, the leaf's
     stored readout, or ``pure_guess`` of one more of Eve's uniforms where
     it pins nothing. Each stream's uniforms come in blocks of

@@ -23,26 +23,20 @@ Normalization is asserted on every state built (tolerance 1e-9), never
 silently repaired.
 
 Kernels take the forms the engine passes: ``BitPair`` codes, tuple
-register names and positional arguments. The deterministic ones (Pauli,
-tensor product, ancilla, probe, and the Bell and up/down laws with their
-collapses) are memoized by content: the key is every input bit, a
-state's register names and amplitude bytes included, so a result is
-computed once per distinct input and then shared. The engine's speed-up
-is ``protocol.run_table``, which plays each run's quantum leg once per
-choice path so that sampled runs call no kernel; the memo is what makes
-building those tables cheap: the 16 code pairs of a strategy revisit a
-few dozen states, so a kernel body runs only a few hundred times per
-experiment and is written the plain reshape/transpose way. Random draws
-are never cached: ``bell_measure`` and ``measure_z`` call ``choose``
-once per call, hit or miss.
+register names and positional arguments, and are written the plain
+reshape/transpose way. The two measurements come in branch form:
+``bell_branches`` and ``z_branches`` return every outcome, in code
+order, with its cleaned probability and its post-measurement state, so
+a tap hands ``protocol._build_table`` all its alternatives at once and
+each law is computed once per call. ``bell_measure`` and ``measure_z``
+sample those branches with one ``choose`` uniform.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -137,13 +131,11 @@ class StateVector:
 
     ``amps`` holds 2**n complex amplitudes indexed by the computational
     basis, with registers[0] as the most significant bit; it is always
-    read-only. ``key`` is (registers, amplitude bytes), the state's
-    identity for the kernel memo.
+    read-only.
     """
 
     registers: tuple[str, ...]
     amps: np.ndarray
-    key: tuple[tuple[str, ...], bytes] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         regs = self.registers
@@ -171,7 +163,6 @@ class StateVector:
         # norm is non-finite.
         if not (abs(norm_sq - 1.0) <= NORM_TOL):
             raise ValueError(f"state not normalized (or not finite): |psi|^2 = {norm_sq!r}")
-        object.__setattr__(self, "key", (regs, amps.tobytes()))
 
     def axis(self, reg: str) -> int:
         try:
@@ -182,55 +173,6 @@ class StateVector:
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis of length 2 per register."""
         return self.amps.reshape((2,) * len(self.registers))
-
-
-# Entries per memoized kernel. A whole eight-point probe sweep reaches
-# about 600 distinct kernel inputs in all; a table that fills up is
-# emptied and refilled, so memory stays bounded whatever the inputs.
-MEMO_ENTRIES = 2048
-_MEMO_TABLES: list[dict] = []
-_AS_IS = frozenset({str, int, BitPair})
-_float_bits = struct.Struct("<d").pack
-
-
-def _arg_key(arg):
-    """Memo key of an argument other than a state: floats by bit pattern."""
-    if isinstance(arg, (float, np.floating)):
-        return type(arg), _float_bits(arg)
-    return arg
-
-
-def _memoized(kernel):
-    """Serve repeated calls of a pure kernel from a bounded per-process table.
-
-    The key holds every input bit: a state stands for its ``key``, a
-    float for its type and bit pattern (so 0.0 and -0.0 never share an
-    entry), anything else for itself. Kernels take positional arguments
-    only, and an unhashable one, such as a list code, raises
-    ``TypeError``. Results are shared between callers, so a kernel must
-    return only immutable values: states, tuples, read-only arrays. The
-    kernel itself stays reachable as ``__wrapped__``.
-    """
-    table: dict = {}
-    _MEMO_TABLES.append(table)
-
-    @functools.wraps(kernel)
-    def memoized(*args):
-        key = tuple([
-            a.key if type(a) is StateVector else a if type(a) in _AS_IS else _arg_key(a)
-            for a in args
-        ])
-        try:
-            return table[key]
-        except KeyError:
-            pass
-        result = kernel(*args)
-        if len(table) >= MEMO_ENTRIES:
-            table.clear()
-        table[key] = result
-        return result
-
-    return memoized
 
 
 def _bell_amplitudes() -> dict[BitPair, np.ndarray]:
@@ -253,7 +195,6 @@ def bell_state(code: BitPair, regs: tuple[str, str] = ("h", "t")) -> StateVector
     return StateVector(regs, _BELL_AMPS[code])
 
 
-@_memoized
 def apply_pauli(state: StateVector, reg: str, code: BitPair) -> StateVector:
     """Apply the coded single-qubit Pauli to one register.
 
@@ -280,7 +221,6 @@ def apply_pauli(state: StateVector, reg: str, code: BitPair) -> StateVector:
     return StateVector(state.registers, _frozen(out.reshape(-1)))
 
 
-@_memoized
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     """Join two disjoint systems; a's registers become the high bits."""
     overlap = set(a.registers) & set(b.registers)
@@ -292,7 +232,6 @@ def tensor_product(a: StateVector, b: StateVector) -> StateVector:
 _KET0 = _frozen(np.array([1.0, 0.0], dtype=complex))
 
 
-@_memoized
 def attach_ancilla(state: StateVector, reg: str) -> StateVector:
     """Tensor-extend with a fresh register in its fiducial (index-0) state."""
     if reg in state.registers:
@@ -348,30 +287,24 @@ def cut(cum, u: float) -> int:
     return last
 
 
-def choose(probs, rng) -> int:
+def choose(probs, rng: np.random.Generator) -> int:
     """Draw an index with the given probabilities (summing to 1); zeros are never drawn.
 
-    The one place a tap handler's randomness is drawn. A numpy Generator
-    is consumed as one ``rng.random()``, cut by ``cumulative(probs)``;
-    anything else is asked to ``rng.pick(cleaned_probs)``, which lets an
-    analysis walk every branch instead of sampling one. A law drawn many
+    One ``rng.random()``, cut by ``cumulative(probs)``. A law drawn many
     times can keep its ``cumulative`` and ``cut`` each uniform.
     """
-    if isinstance(rng, np.random.Generator):
-        return cut(cumulative(probs), rng.random())
-    return rng.pick(_clean(probs)[0])
+    return cut(cumulative(probs), rng.random())
 
 
 def _front_perm(n: int, front: tuple[int, ...]) -> tuple[int, ...]:
     return front + tuple(i for i in range(n) if i not in front)
 
 
-@_memoized
 def _bell_law(state: StateVector, reg_a: str, reg_b: str) -> tuple[tuple[float, ...], np.ndarray]:
     """Outcome probabilities of a Bell measurement on (reg_a, reg_b), in code order.
 
-    Also returns the overlaps <Psi_xy| applied to the pair, a read-only
-    (4, rest) coefficient array.
+    Also returns the overlaps <Psi_xy| applied to the pair, a (4, rest)
+    coefficient array.
     """
     ax_a, ax_b = state.axis(reg_a), state.axis(reg_b)
     if ax_a == ax_b:
@@ -379,8 +312,7 @@ def _bell_law(state: StateVector, reg_a: str, reg_b: str) -> tuple[tuple[float, 
     front = _front_perm(len(state.registers), (ax_a, ax_b))
     overlaps = _BELL_BASIS_CONJ @ state.tensor().transpose(front).reshape(4, -1)
     # Squared overlaps summed over the rest of the system, per outcome.
-    probs = tuple((overlaps.real**2 + overlaps.imag**2).sum(axis=1).tolist())
-    return probs, _frozen(overlaps)
+    return tuple((overlaps.real**2 + overlaps.imag**2).sum(axis=1).tolist()), overlaps
 
 
 def bell_outcome_probs(state: StateVector, reg_a: str, reg_b: str) -> dict[BitPair, float]:
@@ -388,61 +320,68 @@ def bell_outcome_probs(state: StateVector, reg_a: str, reg_b: str) -> dict[BitPa
     return dict(zip(ALL_CODES, _bell_law(state, reg_a, reg_b)[0]))
 
 
-def bell_measure(
-    state: StateVector, reg_a: str, reg_b: str, rng: np.random.Generator
-) -> tuple[BitPair, StateVector]:
-    """Born-rule Bell measurement on (reg_a, reg_b) with full collapse.
+def bell_branches(
+    state: StateVector, reg_a: str, reg_b: str
+) -> tuple[tuple[float, BitPair, StateVector | None], ...]:
+    """Every Bell outcome on (reg_a, reg_b) with its post-measurement joint state.
 
-    Returns the outcome code, one ``choose`` of the Bell law, and the
-    renormalized post-measurement joint state; correlations with any
-    remaining registers survive the collapse.
-    """
-    k = choose(_bell_law(state, reg_a, reg_b)[0], rng)
-    return ALL_CODES[k], _bell_post_state(state, reg_a, reg_b, k)
-
-
-@_memoized
-def _bell_post_state(state: StateVector, reg_a: str, reg_b: str, k: int) -> StateVector:
-    """The state after Bell outcome ``ALL_CODES[k]``, renormalized by its law probability.
-
-    Bell vector k on the pair times its renormalized overlap, back in
-    register order.
+    One (``_clean``ed probability, code, state) per outcome, in code
+    order; the state is None where the probability is zero. Outcome k's
+    state is Bell vector k on the pair times its overlap,
+    renormalized by the law's probability, back in register order;
+    correlations with any remaining registers survive the collapse.
     """
     probs, overlaps = _bell_law(state, reg_a, reg_b)
     n = len(state.registers)
-    front = _front_perm(n, (state.axis(reg_a), state.axis(reg_b)))
-    rest = overlaps[k] / math.sqrt(probs[k])
-    collapsed = np.outer(_BELL_BASIS[k], rest).reshape((2,) * n).transpose(np.argsort(front))
-    return StateVector(state.registers, _frozen(collapsed.ravel()))
+    back = np.argsort(_front_perm(n, (state.axis(reg_a), state.axis(reg_b))))
+    branches = []
+    for k, p in enumerate(_clean(probs)[0]):
+        collapsed = None
+        if p > 0.0:
+            rest = overlaps[k] / math.sqrt(probs[k])
+            amps = np.outer(_BELL_BASIS[k], rest).reshape((2,) * n).transpose(back).ravel()
+            collapsed = StateVector(state.registers, _frozen(amps))
+        branches.append((p, ALL_CODES[k], collapsed))
+    return tuple(branches)
 
 
-@_memoized
-def z_outcome_probs(state: StateVector, reg: str) -> tuple[float, float]:
-    """(P[index 0], P[index 1]) for a computational-basis measurement."""
-    ax = state.axis(reg)
-    t = state.amps.reshape(1 << ax, 2, -1)
-    probs = (t.real**2 + t.imag**2).sum(axis=(0, 2))
-    return float(probs[0]), float(probs[1])
+def bell_measure(
+    state: StateVector, reg_a: str, reg_b: str, rng: np.random.Generator
+) -> tuple[BitPair, StateVector]:
+    """Born-rule Bell measurement: one ``choose`` over ``bell_branches``."""
+    branches = bell_branches(state, reg_a, reg_b)
+    _, code, collapsed = branches[choose([p for p, _, _ in branches], rng)]
+    return code, collapsed
+
+
+def z_branches(state: StateVector, reg: str) -> tuple[tuple[float, int, StateVector | None], ...]:
+    """Both up/down outcomes on ``reg``, as ``bell_branches`` gives them: bit 0, then bit 1.
+
+    Each state keeps the outcome's half of the amplitudes, renormalized
+    by its probability.
+    """
+    t = state.amps.reshape(1 << state.axis(reg), 2, -1)
+    probs = (t.real**2 + t.imag**2).sum(axis=(0, 2)).tolist()
+    branches = []
+    for bit, p in enumerate(_clean(probs)[0]):
+        collapsed = None
+        if p > 0.0:
+            out = np.zeros_like(t)
+            np.divide(t[:, bit], math.sqrt(probs[bit]), out=out[:, bit])
+            collapsed = StateVector(state.registers, _frozen(out.reshape(-1)))
+        branches.append((p, bit, collapsed))
+    return tuple(branches)
 
 
 def measure_z(
     state: StateVector, reg: str, rng: np.random.Generator
 ) -> tuple[int, StateVector]:
-    """Born-rule single-register measurement in the up/down basis."""
-    bit = choose(z_outcome_probs(state, reg), rng)
-    return bit, _z_post_state(state, reg, bit)
+    """Born-rule up/down measurement of one register: one ``choose`` over ``z_branches``."""
+    branches = z_branches(state, reg)
+    _, bit, collapsed = branches[choose([p for p, _, _ in branches], rng)]
+    return bit, collapsed
 
 
-@_memoized
-def _z_post_state(state: StateVector, reg: str, bit: int) -> StateVector:
-    """The state after reading ``bit`` on ``reg``, renormalized by its law probability."""
-    t = state.amps.reshape(1 << state.axis(reg), 2, -1)
-    out = np.zeros_like(t)
-    np.divide(t[:, bit], math.sqrt(z_outcome_probs(state, reg)[bit]), out=out[:, bit])
-    return StateVector(state.registers, _frozen(out.reshape(-1)))
-
-
-@_memoized
 def entangling_probe(
     state: StateVector, target: str, ancilla: str, alpha: float, beta: float
 ) -> StateVector:

@@ -7,9 +7,10 @@ sum, each side's decode read straight off a transcript, the per-draw
 ``choose`` loop the stored thresholds replaced, numpy's own per-trial
 stream derivation that ``harness.trial_streams`` reproduces, and the two
 engines the run tables replaced: a dialogue that replays the quantum
-leg on every run, drawing one uniform per call (with its Bell draw
-``bell_outcome`` and Eve's live ``guess``), and the oracle's own branch
-walk. ``STRATEGY_VALUES`` lists the strategy values the engine tests run.
+leg on every run, sampling each tap's alternatives with one uniform
+(with its Bell draw ``bell_outcome`` and Eve's live ``guess``), and the
+oracle's own recursion over the alternatives. ``STRATEGY_VALUES`` lists
+the strategy values the engine tests run.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from qdialogue import quantum
 from qdialogue.analysis import PURE_GUESS_ACCURACY
-from qdialogue.attacks import STRATEGY_NAMES, pure_guess
+from qdialogue.attacks import STRATEGY_NAMES, Channel, EveRunLog, pure_guess
 from qdialogue.protocol import (
     ABORTED,
     CM,
@@ -31,11 +32,17 @@ from qdialogue.protocol import (
     DialogueResult,
     RunRecord,
     Transcript,
-    _BranchWalker,
     _random_pair,
-    round_trip,
 )
-from qdialogue.quantum import ALL_CODES, NORM_TOL, PROB_FLOOR, BitPair, StateVector
+from qdialogue.quantum import (
+    ALL_CODES,
+    NORM_TOL,
+    PROB_FLOOR,
+    BitPair,
+    StateVector,
+    apply_pauli,
+    bell_state,
+)
 
 # Every registered strategy as (name, beta2), the probe at four weights.
 STRATEGY_VALUES = [
@@ -90,29 +97,24 @@ def decoded_pairs(transcript) -> tuple[tuple[BitPair, ...], tuple[BitPair, ...]]
 def project_bell(
     state: StateVector, reg_a: str, reg_b: str, code: BitPair
 ) -> tuple[float, StateVector | None]:
-    """Probability and collapsed state for one forced Bell outcome.
+    """Probability and collapsed state for one forced Bell outcome, read off ``bell_branches``.
 
     The collapsed state is None when the outcome has (numerically) zero
-    probability. The forced-outcome counterpart of ``bell_measure``,
-    built from the same law and collapse kernels.
+    probability.
     """
-    prob = quantum.bell_outcome_probs(state, reg_a, reg_b)[BitPair(*code)]
-    if prob < PROB_FLOOR:
-        return 0.0, None
-    return prob, quantum._bell_post_state(state, reg_a, reg_b, ALL_CODES.index(BitPair(*code)))
+    prob, _, collapsed = quantum.bell_branches(state, reg_a, reg_b)[ALL_CODES.index(BitPair(*code))]
+    return prob, collapsed
 
 
 def project_z(state: StateVector, reg: str, bit: int) -> tuple[float, StateVector | None]:
-    """Probability and collapsed state for one forced up/down outcome.
+    """Probability and collapsed state for one forced up/down outcome, read off ``z_branches``."""
+    prob, _, collapsed = quantum.z_branches(state, reg)[bit]
+    return prob, collapsed
 
-    The collapsed state is None when the outcome has (numerically) zero
-    probability. The forced-outcome counterpart of ``measure_z``, built
-    from the same law and collapse kernels.
-    """
-    prob = quantum.z_outcome_probs(state, reg)[bit]
-    if prob < PROB_FLOOR:
-        return 0.0, None
-    return prob, quantum._z_post_state(state, reg, bit)
+
+def z_probs(state: StateVector, reg: str) -> tuple[float, float]:
+    """(P[bit 0], P[bit 1]) of an up/down measurement, as ``z_branches`` cleans them."""
+    return tuple(prob for prob, _, _ in quantum.z_branches(state, reg))
 
 
 def same_state(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:
@@ -182,23 +184,50 @@ def guess(strategy, session, outcome: BitPair, rng) -> tuple[BitPair, BitPair]:
     return guesses
 
 
+def pick(alternatives, rng) -> int:
+    """The index of a tap's alternative that ``run_dialogue`` cuts from the same uniforms.
+
+    One ``choose`` uniform of ``rng`` when there are two or more; a
+    single alternative is no pick and draws nothing.
+    """
+    if len(alternatives) == 1:
+        return 0
+    return quantum.choose([prob for prob, _, _ in alternatives], rng)
+
+
+def encode(channel: Channel, code: BitPair) -> Channel:
+    """Alice's code applied to whatever qubit arrived."""
+    return Channel(apply_pauli(channel.state, channel.traveling, code), channel.traveling)
+
+
 def reference_dialogue(config, alice_msg, bob_msg, attack, rng, eve_rng) -> DialogueResult:
     """``protocol.run_dialogue`` with the quantum leg replayed on every run.
 
-    Each run calls ``round_trip`` with Eve's real generator and draws
-    Bob's outcome with ``bell_outcome`` on the state it leaves. The
-    state machine and the order of every draw are ``run_dialogue``'s.
+    Each run samples the ping tap's alternatives, then the pong tap's,
+    each with ``pick`` on Eve's stream, and draws Bob's outcome with
+    ``bell_outcome`` on the state it leaves. The state machine and the
+    order of every draw are ``run_dialogue``'s. Taps are pure, so each
+    distinct tap input (Bob's code, or the ping's pick and both codes)
+    is played once per dialogue and its alternatives reused.
     """
     session = attack.new_session()
+    played = {}
     runs = []
     cursor = pass_index = 0
     status = None
     while status is None:
-        attack.begin_run(session)
         bob_code = bob_msg[cursor]
         is_cm = rng.random() < config.c
         alice_code = _random_pair(rng.random()) if is_cm else alice_msg[cursor]
-        channel = round_trip(bob_code, alice_code, attack, session, eve_rng)
+        if bob_code not in played:
+            played[bob_code] = attack.on_ping(Channel(bell_state(bob_code), "t"))
+        i = pick(played[bob_code], eve_rng)
+        _, channel, fields = played[bob_code][i]
+        key = bob_code, i, alice_code
+        if key not in played:
+            played[key] = attack.on_pong(encode(channel, alice_code))
+        _, channel, more = played[key][pick(played[key], eve_rng)]
+        session.logs.append(EveRunLog(**{**fields, **more}))
         outcome = bell_outcome(channel.state, "h", channel.traveling, rng)
         run = RunRecord(cursor, pass_index, CM if is_cm else MM, bob_code, alice_code, outcome)
         runs.append(run)
@@ -219,24 +248,49 @@ def reference_dialogue(config, alice_msg, bob_msg, attack, rng, eve_rng) -> Dial
     return DialogueResult(Transcript(runs, status), session)
 
 
-def reference_run_law(strategy) -> tuple[float, float, float]:
-    """(per-control-run detection, Alice accuracy, Bob accuracy) from a fresh branch walk.
+def possible(alternatives, weight: float, fields: dict) -> list:
+    """A tap's possible alternatives as (path weight, channel, path fields), in walk order.
 
-    Replays ``round_trip`` once per choice path of each of the 16 code
-    pairs, with no run table, and folds the paths in the oracle's order.
+    A single alternative is no pick and leaves the weight alone. A pick
+    keeps the alternatives at or above ``PROB_FLOOR``, each weighting the
+    path by its probability: the first of them, then the rest in reverse.
+    """
+    if len(alternatives) == 1:
+        _, channel, more = alternatives[0]
+        return [(weight, channel, {**fields, **more})]
+    kept = [
+        (weight * prob, channel, {**fields, **more})
+        for prob, channel, more in alternatives
+        if prob >= PROB_FLOOR
+    ]
+    return kept[:1] + kept[:0:-1]
+
+
+def run_paths(strategy, bob_code: BitPair, alice_code: BitPair) -> list:
+    """Every choice path of one code pair's run as (weight, channel, fields), in walk order.
+
+    A fresh recursion over the taps' alternatives: the ping tap's, then,
+    below each, the pong tap's on the state Alice encoded.
+    """
+    paths = []
+    start = Channel(bell_state(bob_code), "t")
+    for weight, channel, fields in possible(strategy.on_ping(start), 1.0, {}):
+        paths += possible(strategy.on_pong(encode(channel, alice_code)), weight, fields)
+    return paths
+
+
+def reference_run_law(strategy) -> tuple[float, float, float]:
+    """(per-control-run detection, Alice accuracy, Bob accuracy) from ``run_paths``.
+
+    Recurses over the taps' alternatives of each of the 16 code pairs,
+    with no run table, and folds the paths in the oracle's order.
     """
     failed = mass = alice_hits = bob_hits = 0.0
     for bob_code in ALL_CODES:
         for alice_code in ALL_CODES:
             expected = alice_code ^ bob_code
-            pending = [()]
-            while pending:
-                walker = _BranchWalker(pending.pop())
-                session = strategy.new_session()
-                strategy.begin_run(session)
-                channel = round_trip(bob_code, alice_code, strategy, session, walker)
-                pending.extend(walker.unvisited)
-                weight, log = walker.weight, session.current
+            for weight, channel, fields in run_paths(strategy, bob_code, alice_code):
+                log = EveRunLog(**fields)
                 probs = quantum.bell_outcome_probs(channel.state, "h", channel.traveling)
                 failed += weight * (1.0 - probs[expected])
                 for outcome, prob in probs.items():

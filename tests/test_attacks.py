@@ -37,9 +37,8 @@ from qdialogue.quantum import (
     apply_pauli,
     bell_outcome_probs,
     bell_state,
-    choose,
 )
-from reference import project_z, reduced_density, reference_run_law
+from reference import encode, project_z, reduced_density, reference_run_law
 
 # Hand-derived per-control-run detection rates. Measuring the travel
 # qubit of a coded pair flips both outcome bits half the time; the
@@ -149,14 +148,16 @@ class TestOracle:
         class FlipOnPong(AttackStrategy):
             name = "flip-on-pong"
 
-            def on_pong(self, channel, session, rng):
-                channel.state = apply_pauli(channel.state, channel.traveling, BitPair(0, 1))
+            def on_pong(self, channel):
+                return ((1.0, encode(channel, BitPair(0, 1)), {}),)
 
         assert "flip-on-pong" not in STRATEGY_NAMES
         assert per_cm_detection_oracle(FlipOnPong()) == pytest.approx(1.0, abs=1e-12)
         assert guess_accuracy_oracle(FlipOnPong()) == pytest.approx((0.25, 0.25), abs=1e-12)
 
-    def test_draw_outside_choose_raises(self):
+    def test_a_tap_with_the_old_signature_raises(self):
+        # A tap takes the channel alone and returns its alternatives; one
+        # written to draw from a stream it is handed cannot be built.
         class RawCoin(AttackStrategy):
             name = "raw-coin"
 
@@ -164,18 +165,20 @@ class TestOracle:
                 if rng.random() < 0.5:
                     channel.state = apply_pauli(channel.state, channel.traveling, BitPair(1, 1))
 
-        with pytest.raises(TypeError, match="choose"):
+        with pytest.raises(TypeError, match="on_pong"):
             per_cm_detection_oracle(RawCoin())
-        with pytest.raises(TypeError, match="choose"):
+        with pytest.raises(TypeError, match="on_pong"):
             run_short_dialogue(RawCoin())
 
     def test_unnormalized_branch_weights_raise(self):
         class LoadedCoin(AttackStrategy):
             name = "loaded-coin"
 
-            def on_pong(self, channel, session, rng):
-                code = (BitPair(1, 1), BitPair(0, 0))[choose((1.0, 3.0), rng)]
-                channel.state = apply_pauli(channel.state, channel.traveling, code)
+            def on_pong(self, channel):
+                return tuple(
+                    (weight, encode(channel, code), {})
+                    for weight, code in ((1.0, BitPair(1, 1)), (3.0, BitPair(0, 0)))
+                )
 
         with pytest.raises(ValueError, match="sum to 1"):
             per_cm_detection_oracle(LoadedCoin())
@@ -204,23 +207,38 @@ class TestOracle:
         assert guess_accuracy_oracle(strategy) == pytest.approx(expected, abs=1e-12)
 
 
+def only(alternatives):
+    """The channel and fields of a tap that makes no pick."""
+    [(prob, channel, fields)] = alternatives
+    assert prob == 1.0
+    return channel, fields
+
+
+def plain(alternatives):
+    """Alternatives as comparable values, each state by its amplitude bytes."""
+    return [
+        (prob, channel.traveling, channel.state and channel.state.amps.tobytes(), fields)
+        for prob, channel, fields in alternatives
+    ]
+
+
+def pong_branches(strategy, bob, alice):
+    """The pong tap's alternatives after a ping tap that makes no pick."""
+    channel, _ = only(strategy.on_ping(Channel(bell_state(bob), "t")))
+    return strategy.on_pong(encode(channel, alice))
+
+
 class TestPingTaps:
     def test_probe_with_zero_weight_leaves_pair_alone(self):
-        strategy = EntangleMeasure(0.0)
-        session = strategy.new_session()
-        strategy.begin_run(session)
-        channel = Channel(state=bell_state(BitPair(1, 0)), traveling="t")
-        strategy.on_ping(channel, session, np.random.default_rng(0))
+        channel, fields = only(EntangleMeasure(0.0).on_ping(Channel(bell_state(BitPair(1, 0)), "t")))
+        assert fields == {}
         rho = reduced_density(channel.state, ["h", "t"]).matrix
         pair = bell_state(BitPair(1, 0)).amps
         np.testing.assert_allclose(rho, np.outer(pair, pair.conj()), atol=1e-12)
 
     def test_interception_swaps_the_entanglement(self):
-        strategy = InterceptResendLiteral()
-        session = strategy.new_session()
-        strategy.begin_run(session)
-        channel = Channel(state=bell_state(BitPair(0, 0)), traveling="t")
-        strategy.on_ping(channel, session, np.random.default_rng(0))
+        start = Channel(bell_state(BitPair(0, 0)), "t")
+        channel, _ = only(InterceptResendLiteral().on_ping(start))
         assert channel.traveling == "T"
         # Alice's incoming qubit is maximally entangled with Eve's H ...
         pair = bell_state(BitPair(0, 0)).amps
@@ -230,20 +248,27 @@ class TestPingTaps:
         rho_cross = reduced_density(channel.state, ["h", "T"]).matrix
         np.testing.assert_allclose(rho_cross, np.eye(4) / 4, atol=1e-12)
 
+    @pytest.mark.parametrize("strategy", registered_strategies(), ids=STRATEGY_NAMES)
+    def test_taps_are_pure(self, strategy):
+        # The same channel gives the same alternatives, bit for bit, and
+        # is not written.
+        start = Channel(bell_state(BitPair(1, 1)), "t")
+        arrived, _ = only(strategy.on_ping(start))
+        for tap, channel in ((strategy.on_ping, start), (strategy.on_pong, encode(arrived, BitPair(0, 1)))):
+            snapshot = channel.state.amps.copy()
+            assert plain(tap(channel)) == plain(tap(channel))
+            np.testing.assert_array_equal(channel.state.amps, snapshot)
+
 
 class TestPongTaps:
     @pytest.mark.parametrize("bob", ALL_CODES)
     @pytest.mark.parametrize("alice", ALL_CODES)
     def test_literal_interception_learns_alice_exactly_and_hides(self, bob, alice):
-        strategy = InterceptResendLiteral()
-        session = strategy.new_session()
-        strategy.begin_run(session)
-        channel = Channel(state=bell_state(bob), traveling="t")
-        rng = np.random.default_rng(1)
-        strategy.on_ping(channel, session, rng)
-        channel.state = apply_pauli(channel.state, channel.traveling, alice)
-        strategy.on_pong(channel, session, rng)
-        assert session.current.learned_alice == alice
+        branches = pong_branches(InterceptResendLiteral(), bob, alice)
+        assert [fields for _, _, fields in branches] == [{"learned_alice": code} for code in ALL_CODES]
+        [(prob, channel, fields)] = [branch for branch in branches if branch[0] > 0.0]
+        assert prob == pytest.approx(1.0, abs=1e-12)
+        assert fields == {"learned_alice": alice}
         assert channel.traveling == "t"
         probs = bell_outcome_probs(channel.state, "h", "t")
         assert probs[alice ^ bob] == pytest.approx(1.0, abs=1e-12)
@@ -251,14 +276,7 @@ class TestPongTaps:
     @pytest.mark.parametrize("bob", ALL_CODES)
     @pytest.mark.parametrize("alice", ALL_CODES)
     def test_blind_interception_returns_bobs_own_code(self, bob, alice):
-        strategy = InterceptResendBlind()
-        session = strategy.new_session()
-        strategy.begin_run(session)
-        channel = Channel(state=bell_state(bob), traveling="t")
-        rng = np.random.default_rng(2)
-        strategy.on_ping(channel, session, rng)
-        channel.state = apply_pauli(channel.state, channel.traveling, alice)
-        strategy.on_pong(channel, session, rng)
+        [(_, channel, _)] = [b for b in pong_branches(InterceptResendBlind(), bob, alice) if b[0] > 0.0]
         probs = bell_outcome_probs(channel.state, "h", "t")
         assert probs[bob] == pytest.approx(1.0, abs=1e-12)
 
@@ -267,10 +285,7 @@ class TestPongTaps:
     def test_probe_branches(self, bob, alice):
         # excited readout flips the second outcome bit, quiet readout hides
         strategy = EntangleMeasure(0.25)
-        session = strategy.new_session()
-        strategy.begin_run(session)
-        channel = Channel(state=bell_state(bob), traveling="t")
-        strategy.on_ping(channel, session, np.random.default_rng(3))
+        channel, _ = only(strategy.on_ping(Channel(bell_state(bob), "t")))
         state = apply_pauli(channel.state, "t", alice)
         expected = alice ^ bob
         prob0, quiet = project_z(state, "e", 0)
@@ -280,6 +295,10 @@ class TestPongTaps:
         assert bell_outcome_probs(quiet, "h", "t")[expected] == pytest.approx(1.0, abs=1e-12)
         flipped = expected ^ BitPair(0, 1)
         assert bell_outcome_probs(excited, "h", "t")[flipped] == pytest.approx(1.0, abs=1e-12)
+        assert plain(pong_branches(strategy, bob, alice)) == [
+            (prob0, "t", quiet.amps.tobytes(), {"ancilla_outcome": 0}),
+            (prob1, "t", excited.amps.tobytes(), {"ancilla_outcome": 1}),
+        ]
 
 
 def collect_reports(attack, trials, n_pairs=8, c=0.5, seed_base=0, policy="terminal"):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qdialogue.analysis import per_cm_detection_oracle
-from qdialogue.attacks import InterceptResendLiteral, NoAttack, strategy_from_name
+from qdialogue.attacks import EveRunLog, InterceptResendLiteral, NoAttack, strategy_from_name
 from qdialogue.protocol import (
     CM,
     DETECTION_POLICIES,
@@ -38,9 +38,8 @@ from qdialogue.quantum import (
     cumulative,
     cut,
     entangling_probe,
-    z_outcome_probs,
 )
-from reference import STRATEGY_VALUES, guess, per_draw_choose, reference_dialogue
+from reference import STRATEGY_VALUES, guess, per_draw_choose, reference_dialogue, z_probs
 
 # Uniforms at the cell edges, with the quarter each falls in.
 EDGES = [
@@ -57,7 +56,7 @@ LAWS = {
     "uniform-2": (0.5, 0.5),
     "uniform-4": (0.25,) * 4,
     "born-bell": tuple(bell_outcome_probs(_PROBED, "h", "t").values()),
-    "born-z": z_outcome_probs(_PROBED, "e"),
+    "born-z": z_probs(_PROBED, "e"),
     "born-below-floor": (0.3, PROB_FLOOR / 2, 0.7 - 1e-16, 1e-17),
     "floor-first-and-last": (1e-13, 0.375, 0.625, 5e-13),
     "one-outcome": (1.0,),
@@ -78,8 +77,8 @@ GUESS_CELLS = [
 class ScriptedRng:
     """Answers ``random()`` and ``random(n)`` from a script and logs each call.
 
-    Anything else asked of it raises, as ``protocol._BranchWalker`` does,
-    so a draw of another kind cannot pass unseen.
+    Anything else asked of it raises, so a draw of another kind cannot
+    pass unseen.
     """
 
     def __init__(self, values):
@@ -191,7 +190,7 @@ class TestScalarCells:
     def test_pure_guess_cell(self, u, k):
         strategy = NoAttack()
         session = strategy.new_session()
-        strategy.begin_run(session)
+        session.logs.append(EveRunLog())
         rng = ScriptedRng([u])
         guesses = guess(strategy, session, BitPair(0, 0), rng)
         assert guesses == (ALL_CODES[k >> 2], ALL_CODES[k & 3])
@@ -203,14 +202,14 @@ class TestScalarCells:
         for k in range(16):
             strategy = NoAttack()
             session = strategy.new_session()
-            strategy.begin_run(session)
+            session.logs.append(EveRunLog())
             cells.add(guess(strategy, session, BitPair(0, 0), ScriptedRng([k / 16])))
         assert cells == {(a, b) for a in ALL_CODES for b in ALL_CODES}
 
     def test_readout_guess_draws_nothing(self):
         strategy = InterceptResendLiteral()
         session = strategy.new_session()
-        strategy.begin_run(session)
+        session.logs.append(EveRunLog())
         session.current.learned_alice = BitPair(1, 0)
         rng = ScriptedRng([])
         assert guess(strategy, session, BitPair(1, 1), rng) == (BitPair(1, 0), BitPair(0, 1))

@@ -520,8 +520,9 @@ class TestFormulasText:
         class FlipOnPong(AttackStrategy):
             name = "flip-on-pong"
 
-            def on_pong(self, channel, session, rng):
-                channel.state = quantum.apply_pauli(channel.state, channel.traveling, BitPair(0, 1))
+            def on_pong(self, channel):
+                state = quantum.apply_pauli(channel.state, channel.traveling, BitPair(0, 1))
+                return ((1.0, channel._replace(state=state), {}),)
 
         monkeypatch.setitem(attacks.STRATEGIES, FlipOnPong.name, FlipOnPong)
         doc = run_experiment(ExperimentConfig(attack="flip-on-pong", trials=20, n_pairs=2, master_seed=6))

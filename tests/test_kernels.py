@@ -1,45 +1,45 @@
-"""The memoized reshape/transpose kernels of ``quantum`` against dense definitions.
+"""The reshape/transpose kernels of ``quantum`` against dense definitions.
 
 Every expected value here is built the slow, obvious way: full
 2**n x 2**n operators assembled with ``np.kron`` from PAULI_MATRICES and
 the Bell basis vectors, applied by matrix-vector products. The kernels
 must agree on every register count the state vector allows, every axis
-(every ordered axis pair for the Bell measurement) and every code.
+(every ordered axis pair for the Bell measurement), every code and
+every outcome of the branch forms ``bell_branches`` and ``z_branches``.
 
-The memoized kernels are also checked against their own uncached
-bodies (``__wrapped__``), bit for bit.
+A cold run-table build is also checked to compute each prefix state
+once: within one code pair, no kernel is called twice on one input.
 """
 
 import itertools
 import math
-from dataclasses import replace
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from qdialogue import protocol, quantum
-from qdialogue.attacks import STRATEGY_NAMES
-from qdialogue.harness import ExperimentConfig, run_experiment, to_json
-from qdialogue.protocol import DETECTION_POLICIES
+from qdialogue import attacks, protocol, quantum
+from qdialogue.attacks import strategy_from_name
+from qdialogue.protocol import run_tables
 from qdialogue.quantum import (
     ALL_CODES,
     MAX_REGISTERS,
-    MEMO_ENTRIES,
     PAULI_MATRICES,
     PROB_FLOOR,
     BitPair,
     StateVector,
     apply_pauli,
     attach_ancilla,
+    bell_branches,
     bell_measure,
     bell_outcome_probs,
     bell_state,
     entangling_probe,
     measure_z,
     tensor_product,
-    z_outcome_probs,
+    z_branches,
 )
-from reference import bell_outcome, project_bell, project_z
+from reference import STRATEGY_VALUES, bell_outcome
 
 TOL = 1e-12
 NAMES = "abcde"
@@ -108,33 +108,43 @@ def test_apply_pauli_matches_dense(rng, n):
         np.testing.assert_allclose(got.amps, expected, rtol=0, atol=TOL)
 
 
+def assert_branch_matches(branch, outcome, projected):
+    """One branch against its dense projection: outcome, probability and renormalized state."""
+    prob, got_outcome, collapsed = branch
+    expected = np.vdot(projected, projected).real
+    assert got_outcome == outcome
+    if expected < PROB_FLOOR:
+        assert prob == 0.0 and collapsed is None
+    else:
+        assert prob == pytest.approx(expected, abs=TOL)
+        np.testing.assert_allclose(collapsed.amps, projected / math.sqrt(expected), rtol=0, atol=TOL)
+
+
 @pytest.mark.parametrize("n", SIZES[1:])
-def test_bell_probs_and_collapse_match_dense(rng, n):
-    state = random_state(rng, n)
+def test_bell_branches_match_dense(rng, n):
+    states = random_state(rng, n), sparse_state(rng, n)
     for ax_a, ax_b in pairs(n):
         regs = NAMES[ax_a], NAMES[ax_b]
-        probs = bell_outcome_probs(state, *regs)
-        for code in ALL_CODES:
-            projected = embed_pair(bell_projector(code), n, ax_a, ax_b) @ state.amps
-            expected = np.vdot(projected, projected).real
-            assert probs[code] == pytest.approx(expected, abs=TOL)
-            prob, collapsed = project_bell(state, *regs, code)
-            assert prob == pytest.approx(expected, abs=TOL)
-            np.testing.assert_allclose(collapsed.amps, projected / math.sqrt(expected), rtol=0, atol=TOL)
+        branches = [bell_branches(state, *regs) for state in states]
+        for k, code in enumerate(ALL_CODES):
+            projector = embed_pair(bell_projector(code), n, ax_a, ax_b)
+            for state, of_state in zip(states, branches):
+                assert len(of_state) == 4
+                projected = projector @ state.amps
+                assert_branch_matches(of_state[k], code, projected)
+                prob = bell_outcome_probs(state, *regs)[code]
+                assert prob == pytest.approx(np.vdot(projected, projected).real, abs=TOL)
+                assert of_state[k][0] == (prob if prob >= PROB_FLOOR else 0.0)
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_z_probs_and_collapse_match_dense(rng, n):
-    state = random_state(rng, n)
-    for ax in range(n):
-        probs = z_outcome_probs(state, NAMES[ax])
-        for bit in (0, 1):
-            projected = embed({ax: unit(bit, bit)}, n) @ state.amps
-            expected = np.vdot(projected, projected).real
-            assert probs[bit] == pytest.approx(expected, abs=TOL)
-            prob, collapsed = project_z(state, NAMES[ax], bit)
-            assert prob == pytest.approx(expected, abs=TOL)
-            np.testing.assert_allclose(collapsed.amps, projected / math.sqrt(expected), rtol=0, atol=TOL)
+def test_z_branches_match_dense(rng, n):
+    for state in (random_state(rng, n), sparse_state(rng, n)):
+        for ax in range(n):
+            branches = z_branches(state, NAMES[ax])
+            assert len(branches) == 2
+            for bit, branch in enumerate(branches):
+                assert_branch_matches(branch, bit, embed({ax: unit(bit, bit)}, n) @ state.amps)
 
 
 @pytest.mark.parametrize("n", SIZES[1:])
@@ -186,6 +196,9 @@ def test_bell_measurement_is_bit_identical_to_transpose_route(rng, n):
         expected_probs, expected = transpose_bell(state, ax_a, ax_b, ALL_CODES.index(outcome))
         assert list(probs.values()) == expected_probs
         np.testing.assert_array_equal(collapsed.amps, expected)
+        for k, (prob, _, branch_state) in enumerate(bell_branches(state, NAMES[ax_a], NAMES[ax_b])):
+            assert prob == expected_probs[k]
+            np.testing.assert_array_equal(branch_state.amps, transpose_bell(state, ax_a, ax_b, k)[1])
 
 
 @pytest.mark.parametrize("n", SIZES[1:])
@@ -199,7 +212,7 @@ def test_bell_outcome_is_bell_measure_without_the_collapse(rng, n, monkeypatch):
     def no_collapse(*args):
         raise AssertionError("bell_outcome computed a collapse")
 
-    monkeypatch.setattr(quantum, "_bell_post_state", no_collapse)
+    monkeypatch.setattr(quantum, "bell_branches", no_collapse)
     got = [
         bell_outcome(state, NAMES[a], NAMES[b], np.random.default_rng(seed))
         for seed, (a, b) in enumerate(pairs(n))
@@ -213,27 +226,20 @@ def after_one_draw(seed: int) -> dict:
     return twin.bit_generator.state
 
 
-def clear_memo() -> None:
-    for table in quantum._MEMO_TABLES:
-        table.clear()
-
-
 @pytest.mark.parametrize("n", SIZES[1:])
 def test_measurements_draw_exactly_one_uniform(rng, n):
     state = random_state(rng, n)
-    clear_memo()
-    for _ in ("miss", "hit"):
-        for seed, (ax_a, ax_b) in enumerate(pairs(n)):
-            draws = np.random.default_rng(seed)
-            bell_measure(state, NAMES[ax_a], NAMES[ax_b], draws)
-            assert draws.bit_generator.state == after_one_draw(seed)
-            draws = np.random.default_rng(seed)
-            bell_outcome(state, NAMES[ax_a], NAMES[ax_b], draws)
-            assert draws.bit_generator.state == after_one_draw(seed)
-        for ax in range(n):
-            draws = np.random.default_rng(ax)
-            measure_z(state, NAMES[ax], draws)
-            assert draws.bit_generator.state == after_one_draw(ax)
+    for seed, (ax_a, ax_b) in enumerate(pairs(n)):
+        draws = np.random.default_rng(seed)
+        bell_measure(state, NAMES[ax_a], NAMES[ax_b], draws)
+        assert draws.bit_generator.state == after_one_draw(seed)
+        draws = np.random.default_rng(seed)
+        bell_outcome(state, NAMES[ax_a], NAMES[ax_b], draws)
+        assert draws.bit_generator.state == after_one_draw(seed)
+    for ax in range(n):
+        draws = np.random.default_rng(ax)
+        measure_z(state, NAMES[ax], draws)
+        assert draws.bit_generator.state == after_one_draw(ax)
 
 
 # -- shared states stay immutable ---------------------------------------------
@@ -255,10 +261,9 @@ def primitive_calls(n: int):
         lambda s: apply_pauli(s, last, BitPair(1, 0)),
         lambda s: bell_outcome_probs(s, b, a),
         lambda s: bell_measure(s, last, a, np.random.default_rng(0)),
-        lambda s: project_bell(s, a, last, BitPair(0, 1)),
-        lambda s: z_outcome_probs(s, b),
+        lambda s: bell_branches(s, a, last),
         lambda s: measure_z(s, last, np.random.default_rng(1)),
-        lambda s: project_z(s, a, 1),
+        lambda s: z_branches(s, a),
     ]
     if n < MAX_REGISTERS:
         other = StateVector(("q",), [0.6, 0.8j])
@@ -304,7 +309,7 @@ def test_state_keeps_its_own_copy_of_a_caller_array():
             state.amps[0] = 1.0
 
 
-# -- the kernel memo ----------------------------------------------------------
+# -- every kernel, every input form ------------------------------------------
 
 
 def sparse_state(rng: np.random.Generator, n: int) -> StateVector:
@@ -319,24 +324,16 @@ def fiducial_state(rng: np.random.Generator, n: int, ax_e: int) -> StateVector:
     return StateVector(tuple(NAMES[:n]), amps / np.linalg.norm(amps))
 
 
-def memo_calls(rng: np.random.Generator):
-    """(kernel, args) for every memoized kernel over 1-5 registers, dense and
-    sparse states, every axis, ordered pair, code, outcome and bit."""
+def kernel_calls(rng: np.random.Generator):
+    """(kernel, args) for every state kernel over 1-5 registers, dense and
+    sparse states, every axis, ordered pair and code."""
     calls = []
     for n in SIZES:
         for state in (random_state(rng, n), sparse_state(rng, n)):
             calls += [(apply_pauli, (state, NAMES[ax], code))
                       for ax, code in itertools.product(range(n), ALL_CODES)]
-            calls += [(quantum.z_outcome_probs, (state, NAMES[ax])) for ax in range(n)]
-            calls += [(quantum._z_post_state, (state, NAMES[ax], bit))
-                      for ax in range(n) for bit in (0, 1)
-                      if z_outcome_probs(state, NAMES[ax])[bit] >= PROB_FLOOR]
-            for ax_a, ax_b in pairs(n):
-                regs = NAMES[ax_a], NAMES[ax_b]
-                probs = quantum._bell_law(state, *regs)[0]
-                calls.append((quantum._bell_law, (state, *regs)))
-                calls += [(quantum._bell_post_state, (state, *regs, k))
-                          for k in range(4) if probs[k] >= PROB_FLOOR]
+            calls += [(z_branches, (state, NAMES[ax])) for ax in range(n)]
+            calls += [(bell_branches, (state, NAMES[ax_a], NAMES[ax_b])) for ax_a, ax_b in pairs(n)]
             if n < MAX_REGISTERS:
                 calls.append((attach_ancilla, (state, "z")))
                 m = MAX_REGISTERS - n
@@ -349,93 +346,9 @@ def memo_calls(rng: np.random.Generator):
     return calls
 
 
-def content(result):
-    """Every bit of a kernel result: states by key, arrays by bytes and shape."""
-    if isinstance(result, StateVector):
-        return result.key
-    if isinstance(result, np.ndarray):
-        return result.shape, result.tobytes()
-    if isinstance(result, tuple):
-        return tuple(content(item) for item in result)
-    return result
-
-
-def test_memo_results_are_bit_identical_to_the_uncached_kernels(rng):
-    calls = memo_calls(rng)
-    assert len(calls) < MEMO_ENTRIES  # no table refills part-way through
-    clear_memo()
-    first = [kernel(*args) for kernel, args in calls]
-    for (kernel, args), got in zip(calls, first):
-        assert kernel(*args) is got
-        assert content(got) == content(kernel.__wrapped__(*args)), kernel.__name__
-
-
-def test_memoized_results_are_read_only(rng):
-    for kernel, args in memo_calls(rng):
+def test_kernel_results_are_read_only(rng):
+    for kernel, args in kernel_calls(rng):
         assert not any(out.flags.writeable for out in arrays_in(kernel(*args))), kernel.__name__
-
-
-def test_register_names_and_zero_signs_are_part_of_the_key():
-    amps = np.array([0.6, 0.0, 0.0, 0.8])
-    ab, xy = StateVector(("a", "b"), amps), StateVector(("x", "y"), amps)
-    assert apply_pauli(ab, "a", BitPair(0, 1)).registers == ("a", "b")
-    assert apply_pauli(xy, "x", BitPair(0, 1)).registers == ("x", "y")
-    assert bell_measure(xy, "x", "y", np.random.default_rng(0))[1].registers == ("x", "y")
-    fiducial = attach_ancilla(StateVector(("t",), [0.6, 0.8]), "e")
-    plus = entangling_probe(fiducial, "t", "e", 1.0, 0.0)
-    minus = entangling_probe(fiducial, "t", "e", 1.0, -0.0)
-    # A shared entry would hand one of them the other's signed zeros.
-    assert plus.key != minus.key
-    assert minus.key == entangling_probe.__wrapped__(fiducial, "t", "e", 1.0, -0.0).key
-
-
-def test_tables_stay_within_their_bound():
-    draws = np.random.default_rng(7)
-    clear_memo()
-    for _ in range(MEMO_ENTRIES + 10):
-        state = random_state(draws, 2)
-        apply_pauli(state, "a", BitPair(1, 0))
-        bell_outcome_probs(state, "a", "b")
-        bell_measure(state, "b", "a", draws)
-        measure_z(state, "a", draws)
-        tensor_product(state, StateVector(("q",), [0.6, 0.8j]))
-        entangling_probe(attach_ancilla(state, "e"), "a", "e", 0.8, 0.6)
-    assert all(0 < len(table) <= MEMO_ENTRIES for table in quantum._MEMO_TABLES)
-
-
-def small_config(attack: str) -> ExperimentConfig:
-    return ExperimentConfig(
-        attack=attack,
-        beta2=0.25 if attack == "entangle-measure" else None,
-        c=0.5,
-        n_pairs=4,
-        trials=20,
-        master_seed=2004,
-        detection_policy="reinitialize",
-        max_restarts=2,
-    )
-
-
-# Distinct kernel inputs one experiment reaches from cold caches, run
-# tables included: measured at most 94 for any strategy and policy
-# below, at 40 and at 400 trials. The memo is what keeps a table build
-# cheap, so the kernel bodies must keep running a bounded number of
-# times per call.
-MEMO_TRAFFIC_BOUND = 256
-
-
-def clear_memo_and_tables() -> None:
-    clear_memo()
-    protocol._TABLES.clear()
-
-
-@pytest.mark.parametrize("policy", DETECTION_POLICIES)
-@pytest.mark.parametrize("attack", STRATEGY_NAMES)
-def test_an_experiment_reaches_few_distinct_kernel_inputs(attack, policy):
-    config = replace(small_config(attack), trials=400, detection_policy=policy)
-    clear_memo_and_tables()
-    run_experiment(config)
-    assert sum(len(table) for table in quantum._MEMO_TABLES) <= MEMO_TRAFFIC_BOUND
 
 
 def test_unknown_pauli_codes_are_rejected():
@@ -445,13 +358,44 @@ def test_unknown_pauli_codes_are_rejected():
             apply_pauli(state, "t", code)
 
 
-def test_documents_do_not_depend_on_what_the_memo_holds():
-    configs = [small_config(attack) for attack in STRATEGY_NAMES]
-    for config in configs:
-        run_experiment(config)
-    warm = [to_json(run_experiment(config)) for config in configs]
-    cold = []
-    for config in configs:
-        clear_memo_and_tables()
-        cold.append(to_json(run_experiment(config)))
-    assert warm == cold
+# The kernels a run-table build reaches, by the module that calls them.
+BUILD_KERNELS = {
+    protocol: ("apply_pauli", "bell_state", "_bell_law"),
+    attacks: ("apply_pauli", "attach_ancilla", "bell_branches", "bell_state", "entangling_probe",
+              "tensor_product", "z_branches"),
+}
+
+
+def input_key(args) -> tuple:
+    """A call's inputs, each state by its register names and amplitude bytes."""
+    return tuple((a.registers, a.amps.tobytes()) if isinstance(a, StateVector) else a for a in args)
+
+
+@pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
+def test_a_cold_build_calls_no_kernel_twice_on_one_input(name, beta2, monkeypatch):
+    calls, per_pair = [], []
+    for module, kernels in BUILD_KERNELS.items():
+        for kernel_name in kernels:
+            kernel = getattr(module, kernel_name)
+
+            def counted(*args, kernel=kernel):
+                result = kernel(*args)
+                if result is not args[0]:  # the identity Pauli computes nothing
+                    calls.append((kernel.__name__, input_key(args)))
+                return result
+
+            monkeypatch.setattr(module, kernel_name, counted)
+    build = protocol._build_table
+
+    def counted_build(*args):
+        calls.clear()
+        table = build(*args)
+        per_pair.append(list(calls))
+        return table
+
+    monkeypatch.setattr(protocol, "_build_table", counted_build)
+    monkeypatch.setattr(protocol, "_TABLES", OrderedDict())
+    run_tables(strategy_from_name(name, beta2))
+    assert len(per_pair) == 16
+    for pair_calls in per_pair:
+        assert pair_calls and len(set(pair_calls)) == len(pair_calls)

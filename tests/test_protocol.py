@@ -44,7 +44,7 @@ from qdialogue.quantum import (
     bell_state,
     cumulative,
 )
-from reference import STRATEGY_VALUES, decoded_pairs, reference_dialogue, same_state
+from reference import STRATEGY_VALUES, decoded_pairs, encode, reference_dialogue, same_state
 
 
 class TestDecodeAndCheck:
@@ -133,8 +133,8 @@ class FlipOnPong(AttackStrategy):
 
     name = "flip-on-pong"
 
-    def on_pong(self, channel, session, rng):
-        channel.state = apply_pauli(channel.state, channel.traveling, BitPair(0, 1))
+    def on_pong(self, channel):
+        return ((1.0, encode(channel, BitPair(0, 1)), {}),)
 
 
 def pairs_for_a_control_run(c):

