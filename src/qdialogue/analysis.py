@@ -24,8 +24,8 @@ from itertools import chain
 from typing import NamedTuple
 
 from .attacks import AttackStrategy, check_beta2
-from .protocol import CM, COMPLETED, DETECTED, MM, DialogueResult, Message, run_table
-from .quantum import ALL_CODES, BitPair
+from .protocol import COMPLETED, DETECTED, DialogueResult, Message, run_table
+from .quantum import ALL_CODES
 
 PURE_GUESS_ACCURACY = 0.25
 
@@ -154,12 +154,8 @@ def _run_law(strategy: AttackStrategy) -> tuple[float, float, float]:
 # Trial reduction and estimators
 
 
-_BITS_APART = {(x, y): (x.a != y.a) + (x.b != y.b) for x in ALL_CODES for y in ALL_CODES}
-
-
-def _bit_errors(decoded: list[BitPair], sent: Message) -> int:
-    """Bits in which decoded pairs differ from the sent message's, per pair (``_BITS_APART``)."""
-    return sum(_BITS_APART[d, t] for d, t in zip(decoded, sent) if d != t)
+# Bits set in each code index: two pairs differ in the bits of their indices' XOR.
+_BITS = (0, 1, 1, 2)
 
 
 @dataclass
@@ -203,49 +199,57 @@ class TrialReport:
         bob_msg: Message,
         strategy: AttackStrategy,
     ) -> "TrialReport":
-        # Control counts and the ancilla table span every pass; run counts and
-        # both decodes (outcome XOR own code) cover the final pass. A control
-        # check fails exactly where a pass stops short of its end: at the last
-        # run of every pass but the final one, and of the final one unless the
-        # dialogue completed.
+        # The transcript's rows hold codes as ``ALL_CODES`` indices, so XOR
+        # is ``^``. Control counts and the ancilla table span every pass; run
+        # counts and both decodes (outcome XOR own code) cover the final
+        # pass. Its message runs carry both messages' pairs in order, so
+        # either decode misses the other's pair by the bits of outcome XOR
+        # both codes. A control check fails exactly where a pass stops short
+        # of its end: at the last run of every pass but the final one, and of
+        # the final one unless the dialogue completed.
         transcript = result.transcript
-        runs = transcript.runs
-        _, passes, modes, bob_codes, alice_codes, outcomes = zip(*runs)
-        restarts = passes[-1]
+        rows = transcript.rows
+        mm = [row for row in rows if not row[2]]
+        restarts = rows[-1][1]
         stopped = transcript.final_status != COMPLETED
-        start = passes.index(restarts)  # the final pass's first run
-        # Pass 0's last run, 1-based, is the 0-based index of pass 1's first.
-        first_detection = passes.index(1) if restarts else len(runs) if stopped else None
+        # ``start`` is the final pass's first run. The first detecting run,
+        # 1-based, is pass 0's last: the 0-based index of pass 1's first.
+        start, first_detection, mm_final = 0, len(rows) if stopped else None, mm
+        if restarts:
+            passes = [row[1] for row in rows]
+            start, first_detection = passes.index(restarts), passes.index(1)
+            mm_final = [row for row in mm if row[1] == restarts]
         table = [[0, 0, 0, 0], [0, 0, 0, 0]]
-        for mode, code, log in zip(modes, alice_codes, result.eve.logs):
-            if log.ancilla_outcome is not None and mode == MM:
-                table[log.ancilla_outcome][2 * code.a + code.b] += 1
-        final_mm = [k for k in range(start, len(runs)) if modes[k] == MM]
-        alice_pairs = [outcomes[k] ^ alice_codes[k] for k in final_mm]
-        bob_pairs = [outcomes[k] ^ bob_codes[k] for k in final_mm]
+        for row in mm:
+            ancilla = row[6].ancilla
+            if ancilla is not None:
+                table[ancilla][row[4]] += 1
+        alice_view = [ALL_CODES[k ^ alice] for _, _, _, _, alice, k, _, _ in mm_final]
+        bob_view = [ALL_CODES[k ^ bob] for _, _, _, bob, _, k, _, _ in mm_final]
+        errors = sum([_BITS[k ^ alice ^ bob] for _, _, _, bob, alice, k, _, _ in mm_final])
 
         return cls(
             trial_index=trial_index,
             strategy=strategy.name,
             beta2=getattr(strategy, "beta2", None),
             status=transcript.final_status,
-            n_total=len(runs) - start,
-            n_mm=len(final_mm),
-            n_cm=len(runs) - start - len(final_mm),
-            runs_all_passes=len(runs),
+            n_total=len(rows) - start,
+            n_mm=len(mm_final),
+            n_cm=len(rows) - start - len(mm_final),
+            runs_all_passes=len(rows),
             cm_failures=restarts + stopped,
-            cm_runs=modes.count(CM),
+            cm_runs=len(rows) - len(mm),
             restart_count=restarts,
             first_detection_run=first_detection,
             message_bits=2 * len(alice_msg),
-            alice_bit_errors=_bit_errors(alice_pairs, bob_msg),
-            bob_bit_errors=_bit_errors(bob_pairs, alice_msg),
+            alice_bit_errors=errors,
+            bob_bit_errors=errors,
             eve_alice_hits=result.eve.alice_hits,
             eve_bob_hits=result.eve.bob_hits,
             eve_guesses=result.eve.guess_count,
             ancilla_table=(tuple(table[0]), tuple(table[1])),
-            alice_decoded_bits=tuple(chain.from_iterable(alice_pairs)),
-            bob_decoded_bits=tuple(chain.from_iterable(bob_pairs)),
+            alice_decoded_bits=tuple(chain.from_iterable(alice_view)),
+            bob_decoded_bits=tuple(chain.from_iterable(bob_view)),
         )
 
 

@@ -42,6 +42,7 @@ sampler and the oracle read it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -83,12 +84,28 @@ class EveRunLog:
 
 @dataclass
 class EveSession:
-    """Eve's per-dialogue record: one log per run, in run order, and her hit counts."""
+    """Eve's per-dialogue record: one log per run, in run order, and her hit counts.
 
-    logs: list[EveRunLog] = field(default_factory=list)
+    A dialogue's session holds its rows (``protocol.Transcript``), each
+    ending in the run's leaf and Eve's guess cell ``k`` (None on a
+    control run): Alice's ``ALL_CODES[k >> 2]`` and Bob's
+    ``ALL_CODES[k & 3]``. It builds ``logs`` from them on first read. A
+    session made empty keeps the logs appended to it.
+    """
+
+    rows: list = field(default_factory=list, repr=False)
     alice_hits: int = 0
     bob_hits: int = 0
     guess_count: int = 0
+
+    @functools.cached_property
+    def logs(self) -> list[EveRunLog]:
+        logs = []
+        for *_, leaf, cell in self.rows:
+            logs.append(log := EveRunLog(**leaf.fields))
+            if cell is not None:
+                log.alice_guess, log.bob_guess = ALL_CODES[cell >> 2], ALL_CODES[cell & 3]
+        return logs
 
     @property
     def current(self) -> EveRunLog:
@@ -103,21 +120,12 @@ class EveSession:
         self.bob_hits += log.bob_guess == bob_truth
 
 
-def pure_guess(u: float) -> tuple[BitPair, BitPair]:
-    """Eve's guess of (Alice's pair, Bob's pair) from one uniform, in 16 equally likely cells.
-
-    Cell ``k = int(u * 16.0)`` is Alice's ``ALL_CODES[k >> 2]`` and Bob's ``ALL_CODES[k & 3]``.
-    """
-    k = int(u * 16.0)
-    return ALL_CODES[k >> 2], ALL_CODES[k & 3]
-
-
 class AttackStrategy:
     """Base strategy: a pass-through adversary who still guesses.
 
     Subclasses override the taps, which here pass the channel on as it
     is; the readout is shared, and a run it pins nothing on gets a
-    uniform ``pure_guess``.
+    uniformly random guess cell.
     """
 
     name: str

@@ -18,12 +18,17 @@ tap points: between Bob's send and Alice's receipt (ping) and between
 Alice's send and Bob's receipt (pong). The honest channel is the
 ``NoAttack`` strategy, whose taps do nothing.
 
-Each run leaves one public record, a ``RunRecord``, and one private log
-in Eve's session, in the same order as the transcript. Everything else
-about a dialogue is derived from its runs: the announcements and Bob's
-control check, each side's decode (the outcome XOR its own code on the
-final pass's message runs), the restart count (the last run's pass
-index) and the final-pass counters.
+Each run leaves one row, a plain tuple of integers whose codes are
+``ALL_CODES`` indices (``2a + b``, so ``BitPair`` XOR is ``int ^``), plus
+its leaf of the run table and Eve's guess. The transcript and Eve's
+session share the rows, a column per field, and build a run's public
+record (``RunRecord``) and Eve's private log (``EveRunLog``) only when
+read, in transcript order. Everything else about a dialogue is derived
+from its runs: the announcements and Bob's control check, each side's
+decode (the outcome XOR its own code on the final pass's message runs),
+the restart count (the last run's pass index) and the final-pass
+counters; ``analysis.TrialReport.from_dialogue`` reads them off the
+integer columns.
 
 A run's quantum leg is fixed once the strategy, both codes and Eve's
 picks are. So it is played out once per choice path, not once per run:
@@ -46,7 +51,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .attacks import Channel, EveRunLog, pure_guess
+from .attacks import Channel, EveRunLog
 from .quantum import (
     ALL_CODES,
     BitPair,
@@ -89,9 +94,8 @@ def random_message(n_pairs: int, rng: np.random.Generator) -> Message:
     return tuple(ALL_CODES[k] for k in cells)
 
 
-def _random_pair(u: float) -> BitPair:
-    """The pair one uniform ``u`` cuts to, as in ``random_message``."""
-    return ALL_CODES[int(u * 4.0)]
+# Each pair's index ``2a + b`` in ``ALL_CODES``; XOR of two pairs is ``^`` of their indices.
+_CODE_INDEX = {code: k for k, code in enumerate(ALL_CODES)}
 
 
 @dataclass(frozen=True)
@@ -132,6 +136,10 @@ class Leaf(NamedTuple):
     wrote, ``bell_probs`` Bob's Bell outcome law, in code order,
     ``bell_cum`` its ``cumulative`` thresholds and ``readouts`` the
     strategy's ``readout(log, outcome)`` for each outcome, in code order.
+    The sampler reads the rest: ``sure`` is the one outcome the law
+    keeps (None if it keeps more), ``cells`` each readout as Eve's guess
+    cell (``attacks.EveSession``; None where it pins nothing) and
+    ``ancilla`` the log's ancilla outcome.
     """
 
     weight: float
@@ -140,6 +148,9 @@ class Leaf(NamedTuple):
     bell_probs: tuple[float, ...]
     bell_cum: tuple
     readouts: tuple
+    sure: int | None
+    cells: tuple
+    ancilla: int | None
 
 
 class Branch(NamedTuple):
@@ -195,8 +206,11 @@ def _build_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitP
     def leaf(weight: float, channel: Channel, fields: dict) -> Leaf:
         log = EveRunLog(**fields)
         bell_probs = _bell_law(channel.state, "h", channel.traveling)[0]
+        bell_cum = cumulative(bell_probs)
         readouts = tuple(strategy.readout(log, outcome) for outcome in ALL_CODES)
-        leaves.append(Leaf(weight, log, fields, bell_probs, cumulative(bell_probs), readouts))
+        cells = tuple(None if r is None else 4 * _CODE_INDEX[r[0]] + _CODE_INDEX[r[1]] for r in readouts)
+        sure = bell_cum[2] if len(bell_cum[1]) == 1 else None
+        leaves.append(Leaf(weight, log, fields, bell_probs, bell_cum, readouts, sure, cells, log.ancilla_outcome))
         return leaves[-1]
 
     tree = _expand(strategy.on_ping(Channel(bell_state(bob_code), "t")), 1.0, {}, pong)
@@ -204,9 +218,11 @@ def _build_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitP
 
 
 # Strategy values whose 16 run tables are kept, least recently used
-# first out. A sweep builds one value per point.
+# first out. A sweep builds one value per point. Each value keeps its
+# tables by code pair and their trees indexed ``4 * bob + alice``
+# (``_CODE_INDEX``), the sampler's view.
 TABLE_STRATEGIES = 32
-_TABLES: OrderedDict[tuple, dict[tuple[BitPair, BitPair], RunTable]] = OrderedDict()
+_TABLES: OrderedDict[tuple, tuple[dict[tuple[BitPair, BitPair], RunTable], list]] = OrderedDict()
 
 
 @functools.lru_cache(maxsize=TABLE_STRATEGIES)  # by identity, as ``analysis._run_law``
@@ -222,8 +238,8 @@ def _arg_key(arg):
     return arg
 
 
-def run_tables(strategy: "AttackStrategy") -> dict[tuple[BitPair, BitPair], RunTable]:
-    """The strategy's run table of every (Bob code, Alice code) pair, built on first use.
+def _tables(strategy: "AttackStrategy") -> tuple[dict[tuple[BitPair, BitPair], RunTable], list]:
+    """The strategy's ``_TABLES`` entry: its run tables by code pair, and their trees by index.
 
     Tables are kept per process for the last ``TABLE_STRATEGIES``
     strategy values, so equal strategies share them. This relies on the
@@ -231,15 +247,21 @@ def run_tables(strategy: "AttackStrategy") -> dict[tuple[BitPair, BitPair], RunT
     its strategy's attributes.
     """
     key = _strategy_key(strategy)
-    tables = _TABLES.get(key)
-    if tables is None:
+    entry = _TABLES.get(key)
+    if entry is None:
         tables = {(b, a): _build_table(strategy, b, a) for b in ALL_CODES for a in ALL_CODES}
+        entry = tables, [table.tree for table in tables.values()]
         if len(_TABLES) >= TABLE_STRATEGIES:
             _TABLES.popitem(last=False)
-        _TABLES[key] = tables
+        _TABLES[key] = entry
     else:
         _TABLES.move_to_end(key)
-    return tables
+    return entry
+
+
+def run_tables(strategy: "AttackStrategy") -> dict[tuple[BitPair, BitPair], RunTable]:
+    """The strategy's run table of every (Bob code, Alice code) pair, built on first use (``_tables``)."""
+    return _tables(strategy)[0]
 
 
 def run_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitPair) -> RunTable:
@@ -299,13 +321,24 @@ class RunRecord(NamedTuple):
 class Transcript:
     """Ordered run log and how the dialogue ended.
 
-    Every counter is derived from the runs: a restart starts a new pass,
-    so the restart count is the last run's ``pass_index``, and the final
-    pass is the suffix of runs carrying that index.
+    ``rows`` holds one plain tuple per run: (index, pass_index, is_cm,
+    Bob's code, Alice's code, outcome), codes as ``ALL_CODES`` indices,
+    then whatever else its engine keeps (``run_dialogue``: the run's
+    leaf and Eve's guess cell). ``runs`` builds their ``RunRecord``s on
+    first read. Every counter is derived from the runs: a restart starts
+    a new pass, so the restart count is the last run's ``pass_index``,
+    and the final pass is the suffix of runs carrying that index.
     """
 
-    runs: list[RunRecord]
+    rows: list[tuple]
     final_status: str
+
+    @functools.cached_property
+    def runs(self) -> list[RunRecord]:
+        return [
+            RunRecord(index, pass_index, CM if is_cm else MM, ALL_CODES[bob], ALL_CODES[alice], ALL_CODES[k])
+            for index, pass_index, is_cm, bob, alice, k, *_ in self.rows
+        ]
 
     @property
     def restart_count(self) -> int:
@@ -369,19 +402,24 @@ def run_dialogue(
     taps leave Bob's Bell law unchanged leaves the transcript
     byte-identical to the honest channel's (``NoAttack``).
 
-    Each run is drawn from its code pair's run table: one ``cut`` per
-    pick of Eve's choice tree, as ``quantum.choose`` would, one for Bob's
-    outcome by the leaf's Bell law and, on a message run, the leaf's
-    stored readout, or ``pure_guess`` of one more of Eve's uniforms where
-    it pins nothing. Each stream's uniforms come in blocks of
-    ``random(n).tolist()``, read by index: the first holds ``n_pairs +
-    12``, and a refill keeps the unused tail and draws twice as many as
-    the block held. At the end each stream is rewound past
-    the uniforms it did not use (``bit_generator.advance``), so both end
-    where one ``random()`` per uniform would leave them, bar a 32-bit half
-    an earlier 32-bit draw left buffered, which ``advance`` drops. That
-    needs PCG64-family bit generators, as ``harness.trial_streams``
-    gives; any other raises ``TypeError`` before anything is drawn.
+    Codes are ``ALL_CODES`` indices throughout (``_CODE_INDEX``), so XOR
+    is ``^``. Each run is drawn from its code pair's run table: one
+    ``cut`` per pick of Eve's choice tree, as ``quantum.choose`` would,
+    one for Bob's outcome by the leaf's Bell law (a law with one outcome
+    still takes its uniform) and, on a message run, the leaf's stored
+    guess cell, or the cell ``int(u * 16.0)`` of one more of Eve's
+    uniforms where the readout pins nothing. Each run appends one plain
+    tuple to the rows the transcript and Eve's session share; both
+    build their records from them only when read. Each stream's
+    uniforms come in blocks of ``random(n).tolist()``, read by index:
+    the first holds ``n_pairs + 12``, and a refill keeps the unused tail
+    and draws twice as many as the block held. At the end each stream
+    is rewound past the uniforms it did not use
+    (``bit_generator.advance``), so both end where one ``random()`` per
+    uniform would leave them, bar a 32-bit half an earlier 32-bit draw
+    left buffered, which ``advance`` drops. That needs PCG64-family bit
+    generators, as ``harness.trial_streams`` gives; any other raises
+    ``TypeError`` before anything is drawn.
     """
     if len(alice_msg) != len(bob_msg):
         raise ValueError(
@@ -393,78 +431,84 @@ def run_dialogue(
         )
     if not all(isinstance(s.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)) for s in (rng, eve_rng)):
         raise TypeError("run_dialogue needs PCG64-family streams, which it can rewind")
-    tables = run_tables(attack)
+    roots = _tables(attack)[1]
     c, n_pairs = config.c, config.n_pairs
+    alice_codes = list(map(_CODE_INDEX.__getitem__, alice_msg))
+    bob_codes = list(map(_CODE_INDEX.__getitem__, bob_msg))
     pu = rng.random(n_pairs + 12).tolist()  # the protocol's uniforms
     eu = eve_rng.random(n_pairs + 12).tolist()  # Eve's uniforms
     i = j = 0  # the next unused uniform of each
+    pu_end, eu_end = len(pu), len(eu)
 
     session = attack.new_session()
-    logs = session.logs
-    runs: list[RunRecord] = []
+    rows: list[tuple] = []
     cursor = pass_index = alice_hits = bob_hits = guess_count = 0
     status: str | None = None
 
     while status is None:
-        if i > len(pu) - 2:  # the mode and Bob's outcome
+        if i > pu_end - 2:  # the mode and Bob's outcome
             pu, i = _refill(pu, i, rng), 0
+            pu_end = len(pu)
 
         # Alice decides the mode before she encodes but announces it only
         # after Bob's measurement, so the taps never see it. Control runs
         # encode a throwaway random pair, so a revealed pair never carries
         # message content.
-        bob_code = bob_msg[cursor]
+        bob = bob_codes[cursor]
         is_cm = pu[i] < c
         if is_cm:
-            if i > len(pu) - 3:  # and the pair
+            if i > pu_end - 3:  # and the pair
                 pu, i = _refill(pu, i, rng), 0
-            alice_code = _random_pair(pu[i + 1])
+                pu_end = len(pu)
+            alice = int(pu[i + 1] * 4.0)  # as ``random_message``
             i += 2
         else:
-            alice_code = alice_msg[cursor]
+            alice = alice_codes[cursor]
             i += 1
-        node = tables[bob_code, alice_code].tree
+        node = roots[4 * bob + alice]
         while type(node) is Branch:
-            if j == len(eu):
+            if j == eu_end:
                 eu, j = _refill(eu, j, eve_rng), 0
+                eu_end = len(eu)
             node = node.children[cut(node.cum, eu[j])]
             j += 1
-        log = EveRunLog()
-        logs.append(log)
-        if node.fields:
-            vars(log).update(node.fields)
-        k = cut(node.bell_cum, pu[i])
+        k = node.sure
+        if k is None:
+            k = cut(node.bell_cum, pu[i])
         i += 1
-        outcome = ALL_CODES[k]
-        runs.append(RunRecord(cursor, pass_index, CM if is_cm else MM, bob_code, alice_code, outcome))
 
         # Each party decodes a message run as the outcome XOR its own
-        # code, read off the runs afterwards. A control run that fails
-        # Bob's check (``_cm_check``) stops or restarts the dialogue.
-        if not is_cm:
-            guess = node.readouts[k]
-            if guess is None:
-                if j == len(eu):
+        # code, read off the rows afterwards. A control run whose outcome
+        # is not the XOR of both codes fails Bob's check (``_cm_check``)
+        # and stops or restarts the dialogue.
+        if is_cm:
+            rows.append((cursor, pass_index, True, bob, alice, k, node, None))
+            if k != alice ^ bob:
+                if config.detection_policy == TERMINAL:
+                    status = DETECTED
+                elif pass_index == config.max_restarts:
+                    status = ABORTED
+                else:
+                    pass_index += 1
+                    cursor = 0
+        else:
+            cell = node.cells[k]
+            if cell is None:  # a pure guess: 16 cells, equally likely
+                if j == eu_end:
                     eu, j = _refill(eu, j, eve_rng), 0
-                guess = pure_guess(eu[j])
+                    eu_end = len(eu)
+                cell = int(eu[j] * 16.0)
                 j += 1
-            log.alice_guess, log.bob_guess = guess
-            alice_hits += guess[0] == alice_code
-            bob_hits += guess[1] == bob_code
+            rows.append((cursor, pass_index, False, bob, alice, k, node, cell))
+            alice_hits += cell >> 2 == alice
+            bob_hits += cell & 3 == bob
             guess_count += 1
             cursor += 1
             if cursor == n_pairs:
                 status = COMPLETED
-        elif not _cm_check(bob_code, alice_code, outcome):
-            if config.detection_policy == TERMINAL:
-                status = DETECTED
-            elif pass_index == config.max_restarts:
-                status = ABORTED
-            else:
-                pass_index += 1
-                cursor = 0
 
-    rng.bit_generator.advance(i - len(pu))
-    eve_rng.bit_generator.advance(j - len(eu))
+    rng.bit_generator.advance(i - pu_end)
+    eve_rng.bit_generator.advance(j - eu_end)
+    session.rows = rows
     session.alice_hits, session.bob_hits, session.guess_count = alice_hits, bob_hits, guess_count
-    return DialogueResult(Transcript(runs, status), session)
+    return DialogueResult(Transcript(rows, status), session)

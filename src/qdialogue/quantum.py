@@ -398,14 +398,19 @@ def entangling_probe(
     ax_t, ax_e = state.axis(target), state.axis(ancilla)
     if ax_t == ax_e:
         raise ValueError("target and ancilla must be distinct registers")
-    t = np.moveaxis(state.tensor(), (ax_t, ax_e), (0, 1)).reshape(2, 2, -1)
+    # The amplitudes split at both axes, as ``apply_pauli`` splits at
+    # one; ``order`` views them as blocks indexed (target, ancilla).
+    lo, hi = sorted((ax_t, ax_e))
+    amps = state.amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
+    order = (1, 3, 0, 2, 4) if ax_t < ax_e else (3, 1, 0, 2, 4)
+    t = amps.transpose(order)
     if float(np.vdot(t[:, 1], t[:, 1]).real) > NORM_TOL:
         raise ValueError("ancilla not in its fiducial state; probe undefined")
-    # Blocks indexed (target, ancilla); only ancilla-0 inputs carry weight.
-    out = np.empty_like(t)
-    out[0, 0] = alpha * t[0, 0]
-    out[1, 1] = beta * t[0, 0]
-    out[1, 0] = alpha * t[1, 0]
-    out[0, 1] = beta * t[1, 0]
-    out = np.moveaxis(out.reshape((2,) * len(state.registers)), (0, 1), (ax_t, ax_e))
-    return StateVector(state.registers, _frozen(out.ravel()))
+    # Only ancilla-0 inputs carry weight.
+    out = np.empty_like(amps)
+    blocks = out.transpose(order)
+    blocks[0, 0] = alpha * t[0, 0]
+    blocks[1, 1] = beta * t[0, 0]
+    blocks[1, 0] = alpha * t[1, 0]
+    blocks[0, 1] = beta * t[1, 0]
+    return StateVector(state.registers, _frozen(out.reshape(-1)))

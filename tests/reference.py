@@ -3,25 +3,29 @@
 No ``qdialogue`` command needs these: partial traces and entropies of
 simulated states, equality up to a global phase, the forced-outcome Bell
 and up/down projections, the cumulative detection curve as an explicit
-sum, each side's decode read straight off a transcript, the per-draw
-``choose`` loop the stored thresholds replaced, numpy's own per-trial
-stream derivation that ``harness.trial_streams`` reproduces, and the two
-engines the run tables replaced: a dialogue that replays the quantum
-leg on every run, sampling each tap's alternatives with one uniform
-(with its Bell draw ``bell_outcome`` and Eve's live ``guess``), and the
-oracle's own recursion over the alternatives. ``STRATEGY_VALUES`` lists
-the strategy values the engine tests run.
+sum, each side's decode read straight off a transcript, the scalar cuts
+of a pair and of a pure guess from one uniform, the per-draw ``choose``
+loop the stored thresholds replaced, numpy's own per-trial stream
+derivation that ``harness.trial_streams`` reproduces, and the engines
+the run tables and integer rows replaced: a dialogue that replays the
+quantum leg on every run, sampling each tap's alternatives with one
+uniform (with its Bell draw ``bell_outcome`` and Eve's live ``guess``),
+the oracle's own recursion over the alternatives, and the trial report
+folded ``BitPair`` by ``BitPair`` from the records and logs
+(``reference_report``). ``STRATEGY_VALUES`` lists the strategy values
+the engine tests run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from qdialogue import quantum
-from qdialogue.analysis import PURE_GUESS_ACCURACY
-from qdialogue.attacks import STRATEGY_NAMES, Channel, EveRunLog, pure_guess
+from qdialogue.analysis import PURE_GUESS_ACCURACY, TrialReport
+from qdialogue.attacks import STRATEGY_NAMES, Channel, EveRunLog
 from qdialogue.protocol import (
     ABORTED,
     CM,
@@ -30,9 +34,7 @@ from qdialogue.protocol import (
     MM,
     TERMINAL,
     DialogueResult,
-    RunRecord,
     Transcript,
-    _random_pair,
 )
 from qdialogue.quantum import (
     ALL_CODES,
@@ -55,6 +57,20 @@ STRATEGY_VALUES = [
 def trial_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Trial ``key``'s stream as numpy derives it; Eve's is its ``spawn(1)`` child."""
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key)))
+
+
+def random_pair(u: float) -> BitPair:
+    """The pair one uniform ``u`` cuts to, as ``protocol.random_message`` cuts each."""
+    return ALL_CODES[int(u * 4.0)]
+
+
+def pure_guess(u: float) -> tuple[BitPair, BitPair]:
+    """Eve's guess of (Alice's pair, Bob's pair) from one uniform, in 16 equally likely cells.
+
+    Cell ``k = int(u * 16.0)`` is Alice's ``ALL_CODES[k >> 2]`` and Bob's ``ALL_CODES[k & 3]``.
+    """
+    k = int(u * 16.0)
+    return ALL_CODES[k >> 2], ALL_CODES[k & 3]
 
 
 def detection_after_runs_partial_sum(c: float, d: float, runs: int) -> float:
@@ -212,13 +228,13 @@ def reference_dialogue(config, alice_msg, bob_msg, attack, rng, eve_rng) -> Dial
     """
     session = attack.new_session()
     played = {}
-    runs = []
+    rows = []
     cursor = pass_index = 0
     status = None
     while status is None:
         bob_code = bob_msg[cursor]
         is_cm = rng.random() < config.c
-        alice_code = _random_pair(rng.random()) if is_cm else alice_msg[cursor]
+        alice_code = random_pair(rng.random()) if is_cm else alice_msg[cursor]
         if bob_code not in played:
             played[bob_code] = attack.on_ping(Channel(bell_state(bob_code), "t"))
         i = pick(played[bob_code], eve_rng)
@@ -229,15 +245,14 @@ def reference_dialogue(config, alice_msg, bob_msg, attack, rng, eve_rng) -> Dial
         _, channel, more = played[key][pick(played[key], eve_rng)]
         session.logs.append(EveRunLog(**{**fields, **more}))
         outcome = bell_outcome(channel.state, "h", channel.traveling, rng)
-        run = RunRecord(cursor, pass_index, CM if is_cm else MM, bob_code, alice_code, outcome)
-        runs.append(run)
+        rows.append((cursor, pass_index, is_cm, *map(ALL_CODES.index, (bob_code, alice_code, outcome))))
         if not is_cm:
             guess(attack, session, outcome, eve_rng)
             session.score(alice_truth=alice_code, bob_truth=bob_code)
             cursor += 1
             if cursor == config.n_pairs:
                 status = COMPLETED
-        elif not run.cm_pass:
+        elif outcome != alice_code ^ bob_code:
             if config.detection_policy == TERMINAL:
                 status = DETECTED
             elif pass_index == config.max_restarts:
@@ -245,7 +260,68 @@ def reference_dialogue(config, alice_msg, bob_msg, attack, rng, eve_rng) -> Dial
             else:
                 pass_index += 1
                 cursor = 0
-    return DialogueResult(Transcript(runs, status), session)
+    return DialogueResult(Transcript(rows, status), session)
+
+
+_BITS_APART = {(x, y): (x.a != y.a) + (x.b != y.b) for x in ALL_CODES for y in ALL_CODES}
+
+
+def _bit_errors(decoded: list[BitPair], sent) -> int:
+    """Bits in which decoded pairs differ from the sent message's, per pair (``_BITS_APART``)."""
+    return sum(_BITS_APART[d, t] for d, t in zip(decoded, sent) if d != t)
+
+
+def reference_report(trial_index, result, alice_msg, bob_msg, strategy) -> TrialReport:
+    """``TrialReport.from_dialogue`` from the ``RunRecord``s and ``EveRunLog``s, ``BitPair`` by ``BitPair``.
+
+    Reads ``result.transcript.runs`` and ``result.eve.logs``, so it
+    folds either engine's result, and decodes each side against the
+    messages it was given.
+    """
+    # Control counts and the ancilla table span every pass; run counts and
+    # both decodes (outcome XOR own code) cover the final pass. A control
+    # check fails exactly where a pass stops short of its end: at the last
+    # run of every pass but the final one, and of the final one unless the
+    # dialogue completed.
+    transcript = result.transcript
+    runs = transcript.runs
+    _, passes, modes, bob_codes, alice_codes, outcomes = zip(*runs)
+    restarts = passes[-1]
+    stopped = transcript.final_status != COMPLETED
+    start = passes.index(restarts)  # the final pass's first run
+    # Pass 0's last run, 1-based, is the 0-based index of pass 1's first.
+    first_detection = passes.index(1) if restarts else len(runs) if stopped else None
+    table = [[0, 0, 0, 0], [0, 0, 0, 0]]
+    for mode, code, log in zip(modes, alice_codes, result.eve.logs):
+        if log.ancilla_outcome is not None and mode == MM:
+            table[log.ancilla_outcome][2 * code.a + code.b] += 1
+    final_mm = [k for k in range(start, len(runs)) if modes[k] == MM]
+    alice_pairs = [outcomes[k] ^ alice_codes[k] for k in final_mm]
+    bob_pairs = [outcomes[k] ^ bob_codes[k] for k in final_mm]
+
+    return TrialReport(
+        trial_index=trial_index,
+        strategy=strategy.name,
+        beta2=getattr(strategy, "beta2", None),
+        status=transcript.final_status,
+        n_total=len(runs) - start,
+        n_mm=len(final_mm),
+        n_cm=len(runs) - start - len(final_mm),
+        runs_all_passes=len(runs),
+        cm_failures=restarts + stopped,
+        cm_runs=modes.count(CM),
+        restart_count=restarts,
+        first_detection_run=first_detection,
+        message_bits=2 * len(alice_msg),
+        alice_bit_errors=_bit_errors(alice_pairs, bob_msg),
+        bob_bit_errors=_bit_errors(bob_pairs, alice_msg),
+        eve_alice_hits=result.eve.alice_hits,
+        eve_bob_hits=result.eve.bob_hits,
+        eve_guesses=result.eve.guess_count,
+        ancilla_table=(tuple(table[0]), tuple(table[1])),
+        alice_decoded_bits=tuple(chain.from_iterable(alice_pairs)),
+        bob_decoded_bits=tuple(chain.from_iterable(bob_pairs)),
+    )
 
 
 def possible(alternatives, weight: float, fields: dict) -> list:

@@ -15,6 +15,7 @@ from qdialogue.analysis import (
     dialogue_detection_exact,
     eve_entropy_bits,
     mutual_information_bits,
+    per_cm_detection_oracle,
 )
 from qdialogue.attacks import (
     STRATEGY_NAMES,
@@ -25,15 +26,23 @@ from qdialogue.attacks import (
     strategy_from_name,
 )
 from qdialogue.protocol import (
+    ABORTED,
     COMPLETED,
     DETECTED,
+    DETECTION_POLICIES,
     ProtocolConfig,
     random_message,
     run_dialogue,
     run_table,
 )
 from qdialogue.quantum import ALL_CODES
-from reference import decoded_pairs, detection_after_runs_partial_sum
+from reference import (
+    STRATEGY_VALUES,
+    decoded_pairs,
+    detection_after_runs_partial_sum,
+    reference_dialogue,
+    reference_report,
+)
 
 C_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
@@ -375,6 +384,32 @@ class TestTrialReport:
             assert report.bob_decoded_bits == tuple(b for pair in bob_view for b in pair)
             restarted_then_completed += t.restart_count > 0 and t.final_status == COMPLETED
         assert restarted_then_completed > 0
+
+    @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
+    def test_report_equals_the_reference_report(self, name, beta2):
+        # The reduction of the sampler's integer rows against the BitPair
+        # fold of the per-run replay's records and logs, and of the
+        # sampler's own records read back. Every strategy that a control
+        # run exposes at least a fifth of the time also detects, aborts
+        # and restarts some of these dialogues.
+        strategy = strategy_from_name(name, beta2)
+        statuses, restarted = set(), 0
+        for policy in DETECTION_POLICIES:
+            config = ProtocolConfig(c=0.5, n_pairs=4, max_restarts=2, detection_policy=policy)
+            for seed in range(50):
+                reports = []
+                for engine, reduce in ((run_dialogue, TrialReport.from_dialogue),
+                                       (run_dialogue, reference_report),
+                                       (reference_dialogue, reference_report)):
+                    rng = np.random.default_rng(seed)
+                    alice, bob = random_message(4, rng), random_message(4, rng)
+                    result = engine(config, alice, bob, strategy, rng, *rng.spawn(1))
+                    reports.append(reduce(seed, result, alice, bob, strategy))
+                assert reports[0] == reports[1] == reports[2], (policy, seed)
+                statuses.add(reports[0].status)
+                restarted += reports[0].restart_count > 0
+        if per_cm_detection_oracle(strategy) >= 0.2:
+            assert statuses == {COMPLETED, DETECTED, ABORTED} and restarted
 
     def test_ancilla_table_counts_mm_runs(self):
         tally = make_reports(EntangleMeasure(0.25), 40, seed=7)

@@ -23,7 +23,6 @@ from qdialogue.protocol import (
     REINITIALIZE,
     TERMINAL,
     ProtocolConfig,
-    _random_pair,
     random_message,
     run_dialogue,
 )
@@ -39,7 +38,7 @@ from qdialogue.quantum import (
     cut,
     entangling_probe,
 )
-from reference import STRATEGY_VALUES, guess, per_draw_choose, reference_dialogue, z_probs
+from reference import STRATEGY_VALUES, guess, per_draw_choose, random_pair, reference_dialogue, z_probs
 
 # Uniforms at the cell edges, with the quarter each falls in.
 EDGES = [
@@ -166,7 +165,7 @@ def rewound_nothing(stream, seed, child=False):
 class TestScalarCells:
     @pytest.mark.parametrize("u, cell", EDGES)
     def test_control_pair_cell(self, u, cell):
-        assert _random_pair(u) == ALL_CODES[cell]
+        assert random_pair(u) == ALL_CODES[cell]
 
     def test_message_cells_from_one_vector_draw(self):
         rng = ScriptedRng([u for u, _ in EDGES])
@@ -178,7 +177,7 @@ class TestScalarCells:
         # The vectorized cut of a message against the scalar one of a pair.
         us = [u for u, _ in EDGES] + np.random.default_rng(0).random(1000).tolist()
         msg = random_message(len(us), ScriptedRng(us))
-        assert msg == tuple(_random_pair(u) for u in us)
+        assert msg == tuple(random_pair(u) for u in us)
 
     def test_two_messages_draw_in_order(self):
         rng = ScriptedRng([0.0, 0.5, 0.75, 0.25])

@@ -13,12 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdialogue import protocol
+from qdialogue import attacks, harness, protocol
 from qdialogue.analysis import TrialReport, per_cm_detection_oracle
 from qdialogue.attacks import (
     STRATEGY_NAMES,
     AttackStrategy,
     EntangleMeasure,
+    EveRunLog,
     NoAttack,
     strategy_from_name,
 )
@@ -29,6 +30,7 @@ from qdialogue.protocol import (
     DETECTED,
     DETECTION_POLICIES,
     MM,
+    REINITIALIZE,
     ProtocolConfig,
     RunRecord,
     random_message,
@@ -38,6 +40,7 @@ from qdialogue.protocol import (
 )
 from qdialogue.quantum import (
     ALL_CODES,
+    PROB_FLOOR,
     BitPair,
     apply_pauli,
     bell_outcome_probs,
@@ -496,6 +499,12 @@ class TestRunTables:
         for table in run_tables(strategy).values():
             for leaf in table.leaves:
                 assert leaf.readouts == tuple(strategy.readout(leaf.log, o) for o in ALL_CODES)
+                cells = [None if r is None else 4 * ALL_CODES.index(r[0]) + ALL_CODES.index(r[1])
+                         for r in leaf.readouts]
+                assert list(leaf.cells) == cells
+                kept = [k for k, p in enumerate(leaf.bell_probs) if p >= PROB_FLOOR]
+                assert leaf.sure == (kept[0] if len(kept) == 1 else None)
+                assert leaf.ancilla == leaf.log.ancilla_outcome
 
     def test_tree_and_leaves_hold_the_probe_readout(self):
         table = run_table(EntangleMeasure(0.25), BitPair(1, 0), BitPair(0, 1))
@@ -503,3 +512,50 @@ class TestRunTables:
         assert [leaf.weight for leaf in table.leaves] == pytest.approx([0.75, 0.25], abs=1e-12)
         assert table.tree.cum == cumulative([leaf.weight for leaf in table.leaves])
         assert [leaf.fields for leaf in table.leaves] == [{"ancilla_outcome": 0}, {"ancilla_outcome": 1}]
+
+
+def counting(monkeypatch):
+    """Count every ``RunRecord`` and ``EveRunLog`` the package builds from now on, by class name."""
+    made = {}
+
+    def wrap(cls):
+        def build(*args, **kwargs):
+            made[cls.__name__] = made.get(cls.__name__, 0) + 1
+            return cls(*args, **kwargs)
+        return build
+
+    for module, cls in ((protocol, RunRecord), (protocol, EveRunLog), (attacks, EveRunLog)):
+        monkeypatch.setattr(module, cls.__name__, wrap(cls))
+    return made
+
+
+class TestRecordsOnRead:
+    # A dialogue keeps one row of integers per run; its ``RunRecord``s and
+    # Eve's ``EveRunLog``s are built only when read.
+
+    @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
+    def test_folding_a_chunk_builds_no_per_run_objects(self, monkeypatch, name, beta2):
+        config = harness.ExperimentConfig(attack=name, beta2=beta2, c=0.5, n_pairs=8,
+                                          detection_policy=REINITIALIZE, max_restarts=2)
+        run_tables(config.strategy())  # a table builds each leaf's log once per process
+        made = counting(monkeypatch)
+        tally, _ = harness._fold_trials(config, range(40), ())
+        assert tally.runs > 0
+        assert made == {}
+
+    @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
+    def test_reading_builds_the_records_of_the_replay(self, monkeypatch, name, beta2):
+        config = ProtocolConfig(c=0.5, n_pairs=4, max_restarts=2, detection_policy=REINITIALIZE)
+        strategy = strategy_from_name(name, beta2)
+        results = []
+        for engine in (run_dialogue, reference_dialogue):
+            rng = np.random.default_rng(3)
+            msgs = [random_message(config.n_pairs, rng) for _ in range(2)]
+            results.append(engine(config, *msgs, strategy, rng, *rng.spawn(1)))
+        result, replay = results
+        made = counting(monkeypatch)
+        runs, logs = result.transcript.runs, result.eve.logs
+        n_runs = len(result.transcript.rows)
+        assert made == {"RunRecord": n_runs, "EveRunLog": n_runs}
+        assert result.transcript.runs == runs and result.eve.logs == logs
+        assert runs == replay.transcript.runs and logs == replay.eve.logs
