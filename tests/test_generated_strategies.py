@@ -7,14 +7,15 @@ probe's ancilla, the entangling probe at a random beta and interception,
 read out on the pong leg with ``bell_branches``. A tap applies its
 steps in order, and only its last step may pick, so a strategy picks on
 ping, on pong or on both. For each one the run tables must give what the
-references in ``tests/reference.py`` give without them.
+references in ``tests/reference.py`` give without them, and each table's
+weights must add up to 1 less the mass its picks drop below the floor.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdialogue.analysis import guess_accuracy_oracle, per_cm_detection_oracle
@@ -33,12 +34,13 @@ from qdialogue.quantum import (
     apply_pauli,
     attach_ancilla,
     bell_branches,
+    bell_outcome_probs,
     bell_state,
     entangling_probe,
     tensor_product,
     z_branches,
 )
-from reference import reference_dialogue, reference_run_law, run_paths
+from reference import encode, reference_dialogue, reference_run_law, run_paths
 
 
 def intercept(channel):
@@ -83,6 +85,42 @@ def run_steps(steps, channel):
         [(_, channel, _)] = alternatives  # only the last step picks
         alternatives = STEPS[kind](channel, *args)
     return alternatives
+
+
+def raw_law(steps, channel) -> tuple[float, ...]:
+    """The last step's probabilities before the floor: a coin's weights, or the Born law it reads."""
+    for kind, *args in steps[:-1]:
+        [(_, channel, _)] = STEPS[kind](channel, *args)
+    kind, *args = steps[-1]
+    if kind == "coin":
+        return args[1]
+    if kind == "bell":
+        return tuple(bell_outcome_probs(channel.state, "H", "T").values())
+    amps = channel.state.tensor()
+    axis = channel.state.axis(args[0] or channel.traveling)
+    return tuple(float(np.sum(np.abs(np.take(amps, bit, axis=axis)) ** 2)) for bit in (0, 1))
+
+
+def sub_floor_mass(strategy, bob_code, alice_code) -> float:
+    """The mass one run's picks drop, in the run table's walk.
+
+    Each alternative a pick reads as below ``PROB_FLOOR`` counts at its
+    raw probability from ``raw_law``, times the weight of its path.
+    """
+    dropped = 0.0
+
+    def leg(steps, channel, weight):
+        nonlocal dropped
+        alternatives = run_steps(steps, channel)
+        if len(alternatives) == 1:
+            return [(weight, alternatives[0][1])]
+        law = raw_law(steps, channel)
+        dropped += weight * sum(raw for raw, (p, _, _) in zip(law, alternatives) if p < PROB_FLOOR)
+        return [(weight * p, next_channel) for p, next_channel, _ in alternatives if p >= PROB_FLOOR]
+
+    for weight, channel in leg(strategy.ping, Channel(bell_state(bob_code), "t"), 1.0):
+        leg(strategy.pong, encode(channel, alice_code), weight)
+    return dropped
 
 
 class Composed(AttackStrategy):
@@ -150,12 +188,15 @@ def play(engine, config, strategy, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(composed_steps())
+@example(((("probe", PROB_FLOOR), ("z", "e")), ()))
+@example(((("intercept",), ("probe", 2 * PROB_FLOOR), ("z", None)), (("bell", True),)))
 def test_generated_strategy_keeps_the_tap_contract(steps):
     strategy = Composed(*steps)
     tables = run_tables(strategy)
     assert run_tables(Composed(*steps)) is tables
     for (bob_code, alice_code), table in tables.items():
-        assert sum(leaf.weight for leaf in table.leaves) == pytest.approx(1.0, abs=1e-12)
+        dropped = sub_floor_mass(strategy, bob_code, alice_code)
+        assert sum(leaf.weight for leaf in table.leaves) == pytest.approx(1.0 - dropped, abs=1e-14)
         paths = run_paths(strategy, bob_code, alice_code)
         assert [(leaf.weight, leaf.fields) for leaf in table.leaves] == [(w, f) for w, _, f in paths]
     expected = reference_run_law(strategy)
