@@ -9,22 +9,23 @@ Three layers:
   every measurement/choice branch with exact Born or coin weights, no
   sampling) over all 16 code pairs, giving the per-control-run
   detection rate and Eve's exact guess accuracies;
-* the reduction: each dialogue's ``TrialReport`` folds into one
-  additive ``Tally`` of integer totals, which every estimate reads,
-  with binomial standard errors.
+* the reduction: each dialogue's ``TrialReport``, read off its integer
+  rows, folds field by field into one additive ``Tally`` of integer
+  totals, which every estimate reads, with binomial standard errors.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain
+from operator import add
 from typing import NamedTuple
 
 from .attacks import AttackStrategy, check_beta2
-from .protocol import COMPLETED, DETECTED, DialogueResult, Message, run_table
+from .protocol import COMPLETED, DETECTED, DialogueResult, Message, run_table, value_tables
 from .quantum import ALL_CODES
 
 PURE_GUESS_ACCURACY = 0.25
@@ -156,6 +157,12 @@ def _run_law(strategy: AttackStrategy) -> tuple[float, float, float]:
 
 # Bits set in each code index: two pairs differ in the bits of their indices' XOR.
 _BITS = (0, 1, 1, 2)
+# The ancilla table of a strategy whose leaves carry no ancilla.
+NO_ANCILLA = ((0, 0, 0, 0), (0, 0, 0, 0))
+
+
+def _add_tables(a, b):
+    return tuple(map(add, a[0], b[0])), tuple(map(add, a[1], b[1]))
 
 
 @dataclass
@@ -165,7 +172,9 @@ class TrialReport:
     Control-run tallies span every pass (restarts included); the n_*
     counters and both decodes cover the final pass. The ancilla table
     is the 2x4 contingency of probe readout against Alice's true pair
-    over message runs, all zeros for strategies without an ancilla.
+    over message runs, ``NO_ANCILLA`` for strategies without an ancilla.
+    The decoded bits are built only on request (``from_dialogue``'s
+    ``decode``, which a verbose document sets), else None.
     """
 
     trial_index: int
@@ -187,70 +196,73 @@ class TrialReport:
     eve_bob_hits: int
     eve_guesses: int
     ancilla_table: tuple[tuple[int, int, int, int], tuple[int, int, int, int]]
-    alice_decoded_bits: tuple[int, ...]
-    bob_decoded_bits: tuple[int, ...]
+    alice_decoded_bits: tuple[int, ...] | None = None
+    bob_decoded_bits: tuple[int, ...] | None = None
 
     @classmethod
-    def from_dialogue(
-        cls,
-        trial_index: int,
-        result: DialogueResult,
-        alice_msg: Message,
-        bob_msg: Message,
-        strategy: AttackStrategy,
-    ) -> "TrialReport":
-        # The transcript's rows hold codes as ``ALL_CODES`` indices, so XOR
-        # is ``^``. Control counts and the ancilla table span every pass; run
-        # counts and both decodes (outcome XOR own code) cover the final
-        # pass. Its message runs carry both messages' pairs in order, so
-        # either decode misses the other's pair by the bits of outcome XOR
-        # both codes. A control check fails exactly where a pass stops short
-        # of its end: at the last run of every pass but the final one, and of
-        # the final one unless the dialogue completed.
-        transcript = result.transcript
+    def from_dialogue(cls, trial_index: int, result: DialogueResult, alice_msg: Message, bob_msg: Message,
+                      strategy: AttackStrategy, decode: bool = False) -> "TrialReport":
+        """Read the report off the dialogue's integer rows, keeping no reference to them.
+
+        Codes are ``ALL_CODES`` indices, so XOR is ``^``. Control counts
+        and the ancilla table span every pass; run counts and both
+        decodes (outcome XOR own code) cover the final pass. Its message
+        runs carry both messages' pairs in order, so either decode misses
+        the other's pair by the bits of outcome XOR both codes, and there
+        is one per message pair its cursor passed. Eve guesses once per
+        message run. A control check fails exactly where a pass stops
+        short of its end: at the last run of every pass but the final
+        one, and of the final one unless the dialogue completed. The rows
+        are walked only for the errors of a value that is not ``exact``, a
+        restart, an ``ancilla`` (``protocol.value_tables``) or ``decode``.
+        """
+        transcript, eve = result.transcript, result.eve
         rows = transcript.rows
-        mm = [row for row in rows if not row[2]]
-        restarts = rows[-1][1]
+        cursor, restarts, last_cm = rows[-1][:3]
         stopped = transcript.final_status != COMPLETED
         # ``start`` is the final pass's first run. The first detecting run,
         # 1-based, is pass 0's last: the 0-based index of pass 1's first.
-        start, first_detection, mm_final = 0, len(rows) if stopped else None, mm
+        start, first_detection, final = 0, len(rows) if stopped else None, rows
         if restarts:
             passes = [row[1] for row in rows]
             start, first_detection = passes.index(restarts), passes.index(1)
-            mm_final = [row for row in mm if row[1] == restarts]
-        table = [[0, 0, 0, 0], [0, 0, 0, 0]]
-        for row in mm:
-            ancilla = row[6].ancilla
-            if ancilla is not None:
-                table[ancilla][row[4]] += 1
-        alice_view = [ALL_CODES[k ^ alice] for _, _, _, _, alice, k, _, _ in mm_final]
-        bob_view = [ALL_CODES[k ^ bob] for _, _, _, bob, _, k, _, _ in mm_final]
-        errors = sum([_BITS[k ^ alice ^ bob] for _, _, _, bob, alice, k, _, _ in mm_final])
-
-        return cls(
+            final = rows[start:]
+        n_mm = cursor + (not last_cm)
+        value, errors, table = value_tables(strategy), 0, NO_ANCILLA
+        if not value.exact:
+            errors = sum([_BITS[k ^ alice ^ bob] for _, _, is_cm, bob, alice, k, _, _ in final if not is_cm])
+        if value.ancilla:
+            cells = [[0, 0, 0, 0], [0, 0, 0, 0]]
+            for _, _, is_cm, _, alice, _, leaf, _ in rows:
+                if not is_cm and leaf.ancilla is not None:
+                    cells[leaf.ancilla][alice] += 1
+            table = tuple(cells[0]), tuple(cells[1])
+        report = cls(
             trial_index=trial_index,
             strategy=strategy.name,
             beta2=getattr(strategy, "beta2", None),
             status=transcript.final_status,
             n_total=len(rows) - start,
-            n_mm=len(mm_final),
-            n_cm=len(rows) - start - len(mm_final),
+            n_mm=n_mm,
+            n_cm=len(rows) - start - n_mm,
             runs_all_passes=len(rows),
             cm_failures=restarts + stopped,
-            cm_runs=len(rows) - len(mm),
+            cm_runs=len(rows) - eve.guess_count,
             restart_count=restarts,
             first_detection_run=first_detection,
             message_bits=2 * len(alice_msg),
             alice_bit_errors=errors,
             bob_bit_errors=errors,
-            eve_alice_hits=result.eve.alice_hits,
-            eve_bob_hits=result.eve.bob_hits,
-            eve_guesses=result.eve.guess_count,
-            ancilla_table=(tuple(table[0]), tuple(table[1])),
-            alice_decoded_bits=tuple(chain.from_iterable(alice_view)),
-            bob_decoded_bits=tuple(chain.from_iterable(bob_view)),
+            eve_alice_hits=eve.alice_hits,
+            eve_bob_hits=eve.bob_hits,
+            eve_guesses=eve.guess_count,
+            ancilla_table=table,
         )
+        if decode:  # Alice's view, then Bob's: outcome XOR own code (row[4], then row[3])
+            mm_final = [row for row in final if not row[2]]
+            report.alice_decoded_bits, report.bob_decoded_bits = (
+                tuple(chain.from_iterable(ALL_CODES[row[5] ^ row[own]] for row in mm_final)) for own in (4, 3))
+        return report
 
 
 class Tally(NamedTuple):
@@ -260,8 +272,6 @@ class Tally(NamedTuple):
     on order, so the totals are the same at any worker count. Message
     bits and bit errors count completed dialogues only; the ancilla
     table sums the trials' 2x4 readout-against-Alice's-pair tables.
-    A named tuple rather than a frozen dataclass: one is built and one
-    added per trial, and tuples are several times cheaper to build.
     """
 
     trials: int = 0
@@ -276,35 +286,37 @@ class Tally(NamedTuple):
     eve_guesses: int = 0
     eve_alice_hits: int = 0
     eve_bob_hits: int = 0
-    ancilla_table: tuple[tuple[int, ...], ...] = ((0, 0, 0, 0), (0, 0, 0, 0))
+    ancilla_table: tuple[tuple[int, ...], ...] = NO_ANCILLA
 
     @classmethod
-    def from_report(cls, report: TrialReport) -> "Tally":
-        """One trial's totals."""
-        completed = report.status == COMPLETED
-        return cls(
-            trials=1,
-            detected=int(report.status == DETECTED),
-            completed=int(completed),
-            runs=report.runs_all_passes,
-            cm_runs=report.cm_runs,
-            cm_failures=report.cm_failures,
-            restarts=report.restart_count,
-            message_bits=report.message_bits if completed else 0,
-            bit_errors=report.alice_bit_errors + report.bob_bit_errors if completed else 0,
-            eve_guesses=report.eve_guesses,
-            eve_alice_hits=report.eve_alice_hits,
-            eve_bob_hits=report.eve_bob_hits,
-            ancilla_table=report.ancilla_table,
-        )
+    def fold(cls, reports: Iterable[TrialReport]) -> "Tally":
+        """The totals of ``reports``, added field by field as each arrives; none is kept."""
+        trials = detected = completed = runs = cm_runs = cm_failures = restarts = 0
+        message_bits = bit_errors = eve_guesses = eve_alice_hits = eve_bob_hits = 0
+        table = NO_ANCILLA
+        for report in reports:
+            trials += 1
+            detected += report.status == DETECTED
+            if report.status == COMPLETED:
+                completed += 1
+                message_bits += report.message_bits
+                bit_errors += report.alice_bit_errors + report.bob_bit_errors
+            runs += report.runs_all_passes
+            cm_runs += report.cm_runs
+            cm_failures += report.cm_failures
+            restarts += report.restart_count
+            eve_guesses += report.eve_guesses
+            eve_alice_hits += report.eve_alice_hits
+            eve_bob_hits += report.eve_bob_hits
+            if report.ancilla_table is not NO_ANCILLA:
+                table = _add_tables(table, report.ancilla_table)
+        return cls(trials, detected, completed, runs, cm_runs, cm_failures, restarts, message_bits,
+                   bit_errors, eve_guesses, eve_alice_hits, eve_bob_hits, table)
 
     def __add__(self, other: "Tally") -> "Tally":
         if not isinstance(other, Tally):
             return NotImplemented
-        *mine, (mine0, mine1) = self
-        *theirs, (theirs0, theirs1) = other
-        table = (tuple(map(operator.add, mine0, theirs0)), tuple(map(operator.add, mine1, theirs1)))
-        return Tally(*map(operator.add, mine, theirs), table)
+        return Tally(*map(add, self[:-1], other[:-1]), _add_tables(self[-1], other[-1]))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
 """Reproducible experiment driver.
 
 Runs batches of independent dialogues under a named attack, folds
-each dialogue's report into an additive ``Tally`` as it finishes, in
-the process that ran it, and emits a results document that pairs every
-empirical rate with its analytic or oracle counterpart and a tolerance
-verdict. A ``run`` or ``sweep`` starts at most one pool; a worker folds
-a contiguous chunk of trials and sends back one ``Tally`` per chunk.
-Per-trial reports are kept only for ``verbose`` documents, so memory
-does not grow with the trial count otherwise.
+each dialogue's report field by field into an additive ``Tally`` as it
+finishes, in the process that ran it, and emits a results document that
+pairs every empirical rate with its analytic or oracle counterpart and
+a tolerance verdict. A ``run`` or ``sweep`` starts at most one pool,
+after the parent has built the run tables of every point, which forked
+workers inherit; a worker folds a contiguous chunk of trials and sends
+back one ``Tally`` per chunk. Per-trial reports are kept, with their
+decoded bits, only for ``verbose`` documents, so memory does not grow
+with the trial count otherwise.
 
 Every comparison row is built by ``_row`` with the keys ``name`` and
 ``ROW_KEYS``, in that order. The binomial rows come from one table of
@@ -57,7 +59,7 @@ from .analysis import (
     per_cm_detection_oracle,
 )
 from .attacks import STRATEGIES, AttackStrategy, strategy_from_name
-from .protocol import TERMINAL, ProtocolConfig, random_message, run_dialogue
+from .protocol import TABLE_STRATEGIES, TERMINAL, ProtocolConfig, random_message, run_dialogue, run_tables
 from .quantum import (
     ALL_CODES,
     PAULI_MATRICES,
@@ -206,13 +208,15 @@ def trial_streams(master_seed: int, point_key: tuple[int, ...], trials: range):
 def run_trial(config: ExperimentConfig, trial_index: int, point_key: tuple[int, ...] = (), *,
               strategy: AttackStrategy | None = None, protocol: ProtocolConfig | None = None,
               streams: tuple | None = None) -> TrialReport:
-    """One seeded dialogue reduced to its report; a chunk passes what it built once as keywords."""
+    """One seeded dialogue reduced to its report, decoded only if verbose; a chunk passes what it
+    built once as keywords. Both messages stay code indices from the draw to the report."""
     strategy, protocol = strategy or config.strategy(), protocol or config.protocol_config()
     rng, eve_rng = streams or next(trial_streams(config.master_seed, point_key, range(trial_index, trial_index + 1)))
     n = config.n_pairs
-    messages = random_message(2 * n, rng)  # Alice's half, then Bob's
-    result = run_dialogue(protocol, messages[:n], messages[n:], strategy, rng, eve_rng)
-    return TrialReport.from_dialogue(trial_index, result, messages[:n], messages[n:], strategy)
+    messages = random_message(2 * n, rng)
+    alice, bob = messages[:n], messages[n:]
+    result = run_dialogue(protocol, alice, bob, strategy, rng, eve_rng)
+    return TrialReport.from_dialogue(trial_index, result, alice, bob, strategy, config.verbose)
 
 
 # A batch of trials folded: its Tally, and its reports in trial order if verbose.
@@ -220,20 +224,19 @@ FoldedTrials = tuple[Tally, list[TrialReport]]
 
 
 def _fold_trials(config: ExperimentConfig, trials: range, point_key: tuple[int, ...]) -> FoldedTrials:
-    """Run ``trials`` in order, folding each report into a ``Tally`` as it finishes.
+    """Run ``trials`` in order, folding each report into one ``Tally`` as it finishes (``Tally.fold``).
 
     The strategy, protocol config and streams are built once per chunk.
     A pool worker folds one contiguous chunk, so one ``Tally`` per chunk
     crosses back, not one report per trial.
     """
-    tally, kept = Tally(), []
     strategy, protocol = config.strategy(), config.protocol_config()
-    for trial_index, streams in zip(trials, trial_streams(config.master_seed, point_key, trials)):
-        report = run_trial(config, trial_index, point_key, strategy=strategy, protocol=protocol, streams=streams)
-        tally += Tally.from_report(report)
-        if config.verbose:
-            kept.append(report)
-    return tally, kept
+    reports = (run_trial(config, trial_index, point_key, strategy=strategy, protocol=protocol, streams=streams)
+               for trial_index, streams in zip(trials, trial_streams(config.master_seed, point_key, trials)))
+    if config.verbose:
+        kept = list(reports)
+        return Tally.fold(kept), kept
+    return Tally.fold(reports), []
 
 
 def _run_trials(points: list[tuple[ExperimentConfig, tuple[int, ...]]]) -> typing.Iterator[FoldedTrials]:
@@ -244,7 +247,10 @@ def _run_trials(points: list[tuple[ExperimentConfig, tuple[int, ...]]]) -> typin
     pool for one), so the workers run on into the next point's chunks
     while the caller reduces this one. Each point is cut into chunks of
     ``total // (workers * 8)`` trials, ``total`` the command's. Integer
-    sums do not depend on order.
+    sums do not depend on order. Before a pool starts, the parent builds
+    the run tables of the first ``TABLE_STRATEGIES`` points, so forked
+    workers inherit them and the parent's oracle reuses them; a spawned
+    worker builds its own.
     """
     total = sum(config.trials for config, _ in points)
     pool_size = max(min(config.workers, config.trials) for config, _ in points)
@@ -252,6 +258,9 @@ def _run_trials(points: list[tuple[ExperimentConfig, tuple[int, ...]]]) -> typin
     # Per point, one (config, chunk, point_key) job per chunk.
     chunked = [[(config, range(i, min(i + step, config.trials)), point_key) for i in range(0, config.trials, step)]
                for config, point_key in points]
+    if pool_size > 1:
+        for config, _ in points[:TABLE_STRATEGIES]:
+            run_tables(config.strategy())
     with ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else nullcontext() as pool:
         results = (pool.map if pool else map)(_fold_trials, *zip(*chain.from_iterable(chunked)))
         for jobs in chunked:

@@ -8,8 +8,8 @@ the run was message mode (MM) or control mode (CM). MM runs consume one
 message pair per side and end with Bob broadcasting his Bell outcome so
 both parties can decode. CM runs consume nothing: Alice reveals the
 (non-message) pair she encoded and Bob checks it against his outcome,
-exposing any channel tampering. A message is a tuple of ``BitPair``s,
-one per message run, in order.
+exposing any channel tampering. A message is a list of ``ALL_CODES``
+indices (``2a + b``), one per message run, in order.
 
 Mode is sampled by Alice before she encodes but announced only after
 Bob's measurement, so MM and CM runs are indistinguishable on the wire.
@@ -19,8 +19,10 @@ Alice's send and Bob's receipt (pong). The honest channel is the
 ``NoAttack`` strategy, whose taps do nothing.
 
 Each run leaves one row, a plain tuple of integers whose codes are
-``ALL_CODES`` indices (``2a + b``, so ``BitPair`` XOR is ``int ^``), plus
-its leaf of the run table and Eve's guess. The transcript and Eve's
+``ALL_CODES`` indices (so ``BitPair`` XOR is ``int ^``), plus its leaf
+of the run table and Eve's guess. A trial stays on indices from its
+message draw to its ``analysis.Tally``; ``BitPair``s appear only in the
+records built on read and in the quantum leg. The transcript and Eve's
 session share the rows, a column per field, and build a run's public
 record (``RunRecord``) and Eve's private log (``EveRunLog``) only when
 read, in transcript order. Everything else about a dialogue is derived
@@ -28,7 +30,7 @@ from its runs: the announcements and Bob's control check, each side's
 decode (the outcome XOR its own code on the final pass's message runs),
 the restart count (the last run's pass index) and the final-pass
 counters; ``analysis.TrialReport.from_dialogue`` reads them off the
-integer columns.
+integer rows.
 
 A run's quantum leg is fixed once the strategy, both codes and Eve's
 picks are. So it is played out once per choice path, not once per run:
@@ -78,20 +80,20 @@ DETECTED = "detected"
 ABORTED = "aborted_max_restarts"
 
 
-Message = tuple[BitPair, ...]
+# A message: one ``ALL_CODES`` index per pair, in order.
+Message = list[int]
 
 
 def random_message(n_pairs: int, rng: np.random.Generator) -> Message:
     """A uniformly random message of ``n_pairs`` pairs from one ``rng.random(n_pairs)``.
 
-    Uniform ``u`` gives pair ``ALL_CODES[int(u * 4.0)]``. Scaling by a
+    Uniform ``u`` gives the code index ``int(u * 4.0)``. Scaling by a
     power of two is exact, so each pair is exactly uniform on numpy's
     grid of 2**53 doubles.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    cells = (rng.random(n_pairs) * 4.0).astype(np.intp).tolist()
-    return tuple(ALL_CODES[k] for k in cells)
+    return (rng.random(n_pairs) * 4.0).astype(np.intp).tolist()
 
 
 # Each pair's index ``2a + b`` in ``ALL_CODES``; XOR of two pairs is ``^`` of their indices.
@@ -209,7 +211,7 @@ def _build_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitP
         bell_cum = cumulative(bell_probs)
         readouts = tuple(strategy.readout(log, outcome) for outcome in ALL_CODES)
         cells = tuple(None if r is None else 4 * _CODE_INDEX[r[0]] + _CODE_INDEX[r[1]] for r in readouts)
-        sure = bell_cum[2] if len(bell_cum[1]) == 1 else None
+        sure = bell_cum[2][0] if len(bell_cum[1]) == 1 else None
         leaves.append(Leaf(weight, log, fields, bell_probs, bell_cum, readouts, sure, cells, log.ancilla_outcome))
         return leaves[-1]
 
@@ -217,12 +219,21 @@ def _build_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitP
     return RunTable(tree, tuple(leaves))
 
 
-# Strategy values whose 16 run tables are kept, least recently used
-# first out. A sweep builds one value per point. Each value keeps its
-# tables by code pair and their trees indexed ``4 * bob + alice``
-# (``_CODE_INDEX``), the sampler's view.
+class ValueTables(NamedTuple):
+    """A strategy value's 16 run tables, by code pair and as trees indexed ``4 * bob + alice``
+    (``_CODE_INDEX``), the sampler's view. ``ancilla``: some leaf carries an ancilla outcome.
+    ``exact``: every leaf is sure of its codes' XOR, so every message run decodes exactly."""
+
+    by_pair: dict[tuple[BitPair, BitPair], RunTable]
+    roots: list
+    ancilla: bool
+    exact: bool
+
+
+# Strategy values whose tables are kept, least recently used first out.
+# A sweep builds one value per point.
 TABLE_STRATEGIES = 32
-_TABLES: OrderedDict[tuple, tuple[dict[tuple[BitPair, BitPair], RunTable], list]] = OrderedDict()
+_TABLES: OrderedDict[tuple, ValueTables] = OrderedDict()
 
 
 @functools.lru_cache(maxsize=TABLE_STRATEGIES)  # by identity, as ``analysis._run_law``
@@ -238,8 +249,8 @@ def _arg_key(arg):
     return arg
 
 
-def _tables(strategy: "AttackStrategy") -> tuple[dict[tuple[BitPair, BitPair], RunTable], list]:
-    """The strategy's ``_TABLES`` entry: its run tables by code pair, and their trees by index.
+def value_tables(strategy: "AttackStrategy") -> ValueTables:
+    """The strategy's ``_TABLES`` entry, built on first use.
 
     Tables are kept per process for the last ``TABLE_STRATEGIES``
     strategy values, so equal strategies share them. This relies on the
@@ -250,7 +261,10 @@ def _tables(strategy: "AttackStrategy") -> tuple[dict[tuple[BitPair, BitPair], R
     entry = _TABLES.get(key)
     if entry is None:
         tables = {(b, a): _build_table(strategy, b, a) for b in ALL_CODES for a in ALL_CODES}
-        entry = tables, [table.tree for table in tables.values()]
+        leaves = [(_CODE_INDEX[b ^ a], leaf) for (b, a), table in tables.items() for leaf in table.leaves]
+        entry = ValueTables(tables, [table.tree for table in tables.values()],
+                            any(leaf.ancilla is not None for _, leaf in leaves),
+                            all(leaf.sure == k for k, leaf in leaves))
         if len(_TABLES) >= TABLE_STRATEGIES:
             _TABLES.popitem(last=False)
         _TABLES[key] = entry
@@ -260,8 +274,8 @@ def _tables(strategy: "AttackStrategy") -> tuple[dict[tuple[BitPair, BitPair], R
 
 
 def run_tables(strategy: "AttackStrategy") -> dict[tuple[BitPair, BitPair], RunTable]:
-    """The strategy's run table of every (Bob code, Alice code) pair, built on first use (``_tables``)."""
-    return _tables(strategy)[0]
+    """The strategy's run table of every (Bob code, Alice code) pair, built on first use."""
+    return value_tables(strategy).by_pair
 
 
 def run_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitPair) -> RunTable:
@@ -395,20 +409,21 @@ def run_dialogue(
 ) -> DialogueResult:
     """Execute runs until the dialogue completes, detects Eve, or gives up.
 
-    Both messages must have half-length equal to ``config.n_pairs``. The
+    Both messages, lists of ``ALL_CODES`` indices as ``random_message``
+    draws them, must have half-length equal to ``config.n_pairs``. The
     protocol's draws (mode, control-run pair, Bob's Bell outcome) come
     from ``rng`` in run order; the attack's from ``eve_rng``, a stream of
     its own (``harness.trial_streams`` derives both). So an attack whose
     taps leave Bob's Bell law unchanged leaves the transcript
     byte-identical to the honest channel's (``NoAttack``).
 
-    Codes are ``ALL_CODES`` indices throughout (``_CODE_INDEX``), so XOR
-    is ``^``. Each run is drawn from its code pair's run table: one
-    ``cut`` per pick of Eve's choice tree, as ``quantum.choose`` would,
-    one for Bob's outcome by the leaf's Bell law (a law with one outcome
-    still takes its uniform) and, on a message run, the leaf's stored
-    guess cell, or the cell ``int(u * 16.0)`` of one more of Eve's
-    uniforms where the readout pins nothing. Each run appends one plain
+    Codes are ``ALL_CODES`` indices throughout, so XOR is ``^``. Each
+    run is drawn from its code pair's run table: one ``cut`` per pick of
+    Eve's choice tree, as ``quantum.choose`` would, one for Bob's outcome
+    by the leaf's Bell law (a law with one outcome still takes its
+    uniform) and, on a message run, the leaf's stored guess cell, or the
+    cell ``int(u * 16.0)`` of one more of Eve's uniforms where the
+    readout pins nothing. Each run appends one plain
     tuple to the rows the transcript and Eve's session share; both
     build their records from them only when read. Each stream's
     uniforms come in blocks of ``random(n).tolist()``, read by index:
@@ -431,10 +446,8 @@ def run_dialogue(
         )
     if not all(isinstance(s.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)) for s in (rng, eve_rng)):
         raise TypeError("run_dialogue needs PCG64-family streams, which it can rewind")
-    roots = _tables(attack)[1]
+    roots = value_tables(attack).roots
     c, n_pairs = config.c, config.n_pairs
-    alice_codes = list(map(_CODE_INDEX.__getitem__, alice_msg))
-    bob_codes = list(map(_CODE_INDEX.__getitem__, bob_msg))
     pu = rng.random(n_pairs + 12).tolist()  # the protocol's uniforms
     eu = eve_rng.random(n_pairs + 12).tolist()  # Eve's uniforms
     i = j = 0  # the next unused uniform of each
@@ -454,7 +467,7 @@ def run_dialogue(
         # after Bob's measurement, so the taps never see it. Control runs
         # encode a throwaway random pair, so a revealed pair never carries
         # message content.
-        bob = bob_codes[cursor]
+        bob = bob_msg[cursor]
         is_cm = pu[i] < c
         if is_cm:
             if i > pu_end - 3:  # and the pair
@@ -463,7 +476,7 @@ def run_dialogue(
             alice = int(pu[i + 1] * 4.0)  # as ``random_message``
             i += 2
         else:
-            alice = alice_codes[cursor]
+            alice = alice_msg[cursor]
             i += 1
         node = roots[4 * bob + alice]
         while type(node) is Branch:

@@ -36,7 +36,9 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -256,35 +258,27 @@ def _clean(probs) -> tuple[list[float], float]:
     return cleaned, total
 
 
-def cumulative(probs) -> tuple[float, tuple[tuple[float, int], ...], int]:
-    """The thresholds ``cut`` reads: ``(total, ((running_sum, index), ...), last_index)``.
+def cumulative(probs) -> tuple[float, tuple[float, ...], tuple[int, ...]]:
+    """The thresholds ``cut`` reads: ``(total, running_sums, indices)``.
 
-    ``total`` is the sum of the ``_clean`` law and each running sum adds
-    its kept probabilities left to right.
+    ``total`` is the sum of the ``_clean`` law, each running sum adds its
+    kept probabilities left to right, and ``indices`` holds each sum's
+    outcome, then the last kept one again.
     """
     cleaned, total = _clean(probs)
-    acc = 0.0
-    sums = []
-    for i, p in enumerate(cleaned):
-        if p > 0.0:
-            acc += p
-            sums.append((acc, i))
-    return total, tuple(sums), sums[-1][1]
+    kept = [i for i, p in enumerate(cleaned) if p > 0.0]
+    return total, tuple(accumulate(cleaned[i] for i in kept)), (*kept, kept[-1])
 
 
 def cut(cum, u: float) -> int:
     """The index one uniform ``u`` selects from ``cumulative`` thresholds.
 
     ``u * total`` picks the first kept index whose running sum exceeds
-    it, or the last kept one if it lands at the very top of the
-    cumulative sum (an fp boundary).
+    it (``bisect_right``), or the last kept one if it lands at the very
+    top of the cumulative sum (an fp boundary).
     """
-    total, sums, last = cum
-    u *= total
-    for acc, i in sums:
-        if u < acc:
-            return i
-    return last
+    total, sums, indices = cum
+    return indices[bisect_right(sums, u * total)]
 
 
 def choose(probs, rng: np.random.Generator) -> int:

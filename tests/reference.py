@@ -3,9 +3,10 @@
 No ``qdialogue`` command needs these: partial traces and entropies of
 simulated states, equality up to a global phase, the forced-outcome Bell
 and up/down projections, the cumulative detection curve as an explicit
-sum, each side's decode read straight off a transcript, the scalar cuts
-of a pair and of a pure guess from one uniform, the per-draw ``choose``
-loop the stored thresholds replaced, numpy's own per-trial stream
+sum, each side's decode read straight off a transcript, messages as
+``BitPair``s, the scalar cuts of a pair and of a pure guess from one
+uniform, the per-draw ``choose`` loop the stored thresholds replaced and
+the linear scan ``quantum.cut`` replaced, numpy's own per-trial stream
 derivation that ``harness.trial_streams`` reproduces, and the engines
 the run tables and integer rows replaced: a dialogue that replays the
 quantum leg on every run, sampling each tap's alternatives with one
@@ -59,6 +60,11 @@ def trial_rng(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key)))
 
 
+def pairs(message) -> tuple[BitPair, ...]:
+    """A message of ``ALL_CODES`` indices, as ``protocol.random_message`` draws it, as ``BitPair``s."""
+    return tuple(ALL_CODES[k] for k in message)
+
+
 def random_pair(u: float) -> BitPair:
     """The pair one uniform ``u`` cuts to, as ``protocol.random_message`` cuts each."""
     return ALL_CODES[int(u * 4.0)]
@@ -96,6 +102,16 @@ def per_draw_choose(probs, rng: np.random.Generator) -> int:
             if u < acc:
                 return i
     return last
+
+
+def scan_cut(cum, u: float) -> int:
+    """``quantum.cut`` as the linear scan over the running sums that ``bisect_right`` replaced."""
+    total, sums, indices = cum
+    u *= total
+    for acc, i in zip(sums, indices):
+        if u < acc:
+            return i
+    return indices[-1]
 
 
 def decoded_pairs(transcript) -> tuple[tuple[BitPair, ...], tuple[BitPair, ...]]:
@@ -226,6 +242,7 @@ def reference_dialogue(config, alice_msg, bob_msg, attack, rng, eve_rng) -> Dial
     distinct tap input (Bob's code, or the ping's pick and both codes)
     is played once per dialogue and its alternatives reused.
     """
+    alice_msg, bob_msg = pairs(alice_msg), pairs(bob_msg)
     session = attack.new_session()
     played = {}
     rows = []
@@ -276,7 +293,7 @@ def reference_report(trial_index, result, alice_msg, bob_msg, strategy) -> Trial
 
     Reads ``result.transcript.runs`` and ``result.eve.logs``, so it
     folds either engine's result, and decodes each side against the
-    messages it was given.
+    messages it was given. It always builds the decoded bits.
     """
     # Control counts and the ancilla table span every pass; run counts and
     # both decodes (outcome XOR own code) cover the final pass. A control
@@ -313,8 +330,8 @@ def reference_report(trial_index, result, alice_msg, bob_msg, strategy) -> Trial
         restart_count=restarts,
         first_detection_run=first_detection,
         message_bits=2 * len(alice_msg),
-        alice_bit_errors=_bit_errors(alice_pairs, bob_msg),
-        bob_bit_errors=_bit_errors(bob_pairs, alice_msg),
+        alice_bit_errors=_bit_errors(alice_pairs, pairs(bob_msg)),
+        bob_bit_errors=_bit_errors(bob_pairs, pairs(alice_msg)),
         eve_alice_hits=result.eve.alice_hits,
         eve_bob_hits=result.eve.bob_hits,
         eve_guesses=result.eve.guess_count,

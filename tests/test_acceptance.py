@@ -40,6 +40,7 @@ from qdialogue.quantum import (
 from reference import (
     decoded_pairs,
     detection_after_runs_partial_sum,
+    pairs,
     reduced_density,
     trial_rng,
     von_neumann_entropy,
@@ -56,14 +57,15 @@ def report(number: int, ok: bool, text: str) -> None:
 def simulate_batch(strategy, trials, n_pairs, c, seed_tag, policy="terminal"):
     """Seeded dialogues folded, report by report, into one Tally."""
     config = ProtocolConfig(c=c, n_pairs=n_pairs, detection_policy=policy)
-    tally = Tally()
-    for i in range(trials):
+
+    def report(i):
         rng = trial_rng(seed_tag, i)
         alice = random_message(n_pairs, rng)
         bob = random_message(n_pairs, rng)
         result = run_dialogue(config, alice, bob, strategy, rng, *rng.spawn(1))
-        tally += Tally.from_report(TrialReport.from_dialogue(i, result, alice, bob, strategy))
-    return tally
+        return TrialReport.from_dialogue(i, result, alice, bob, strategy)
+
+    return Tally.fold(map(report, range(trials)))
 
 
 @pytest.fixture(scope="module")
@@ -122,8 +124,8 @@ def test_criterion_03_attack_free_dialogues():
         incomplete += result.transcript.final_status != "completed"
         failures += sum(run.cm_pass is False for run in result.transcript.runs)
         alice_view, bob_view = decoded_pairs(result.transcript)
-        errors += sum(a != b for p, q in zip(alice_view, bob) for a, b in zip(p, q))
-        errors += sum(a != b for p, q in zip(bob_view, alice) for a, b in zip(p, q))
+        errors += sum(a != b for p, q in zip(alice_view, pairs(bob)) for a, b in zip(p, q))
+        errors += sum(a != b for p, q in zip(bob_view, pairs(alice)) for a, b in zip(p, q))
     elapsed = time.perf_counter() - t0
     ok = incomplete == 0 and failures == 0 and errors == 0 and elapsed < 60.0
     report(

@@ -2,6 +2,7 @@
 
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -215,7 +216,7 @@ def report_list(attack, trials, n_pairs=6, c=0.5, seed=0):
 
 def make_reports(attack, trials, n_pairs=6, c=0.5, seed=0):
     """The batch's reports folded into one Tally."""
-    return sum(map(Tally.from_report, report_list(attack, trials, n_pairs, c, seed)), Tally())
+    return Tally.fold(report_list(attack, trials, n_pairs, c, seed))
 
 
 # Every batch the tests below fold: (attack, trials, seed).
@@ -259,7 +260,7 @@ class TestTally:
 
     @pytest.mark.parametrize("attack, trials, seed", BATCHES)
     def test_order_does_not_matter(self, attack, trials, seed):
-        tallies = [Tally.from_report(r) for r in report_list(attack, trials, seed=seed)]
+        tallies = [Tally.fold([r]) for r in report_list(attack, trials, seed=seed)]
         in_order = sum(tallies, Tally())
         for shuffle_seed in range(3):
             random.Random(shuffle_seed).shuffle(tallies)
@@ -375,7 +376,7 @@ class TestTrialReport:
             bob = random_message(4, rng)
             attack = EntangleMeasure(0.5)
             result = run_dialogue(config, alice, bob, attack, rng, *rng.spawn(1))
-            report = TrialReport.from_dialogue(seed, result, alice, bob, attack)
+            report = TrialReport.from_dialogue(seed, result, alice, bob, attack, decode=True)
             t = result.transcript
             assert (report.n_total, report.n_mm, report.n_cm) == (t.n_total, t.n_mm, t.n_cm)
             assert report.restart_count == t.restart_count
@@ -398,7 +399,7 @@ class TestTrialReport:
             config = ProtocolConfig(c=0.5, n_pairs=4, max_restarts=2, detection_policy=policy)
             for seed in range(50):
                 reports = []
-                for engine, reduce in ((run_dialogue, TrialReport.from_dialogue),
+                for engine, reduce in ((run_dialogue, partial(TrialReport.from_dialogue, decode=True)),
                                        (run_dialogue, reference_report),
                                        (reference_dialogue, reference_report)):
                     rng = np.random.default_rng(seed)

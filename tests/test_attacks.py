@@ -303,15 +303,16 @@ class TestPongTaps:
 
 def collect_reports(attack, trials, n_pairs=8, c=0.5, seed_base=0, policy="terminal"):
     """Seeded dialogues folded, report by report, into one Tally."""
-    tally = Tally()
     config = ProtocolConfig(c=c, n_pairs=n_pairs, detection_policy=policy)
-    for i in range(trials):
+
+    def report(i):
         rng = np.random.default_rng((seed_base, i))
         alice = random_message(n_pairs, rng)
         bob = random_message(n_pairs, rng)
         result = run_dialogue(config, alice, bob, attack, rng, *rng.spawn(1))
-        tally += Tally.from_report(TrialReport.from_dialogue(i, result, alice, bob, attack))
-    return tally
+        return TrialReport.from_dialogue(i, result, alice, bob, attack)
+
+    return Tally.fold(map(report, range(trials)))
 
 
 class TestEmpiricalDetectionRates:

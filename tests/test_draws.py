@@ -1,30 +1,33 @@
 """How the dialogue's own randomness is drawn.
 
 Message pairs, control-run pairs and Eve's pure guesses are cut from
-uniforms scaled by a power of two: pair ``ALL_CODES[int(u * 4.0)]`` and
-guess cell ``k = int(u * 16.0)`` (Alice ``ALL_CODES[k >> 2]``, Bob
+uniforms scaled by a power of two: pair ``ALL_CODES[int(u * 4.0)]`` (a
+message keeps the index ``int(u * 4.0)`` itself) and guess cell ``k = int(u * 16.0)`` (Alice ``ALL_CODES[k >> 2]``, Bob
 ``ALL_CODES[k & 3]``). A scripted stream pins the cells at their edges
 and the number of draws; final stream states pin how many uniforms
 ``run_dialogue`` uses from each of its two streams. Eve's picks and
 Bob's outcome are cut from thresholds a run table keeps
 (``cut(cumulative(p), rng.random())``), which must give ``choose(p, rng)``'s
-index from the same single uniform.
+index from the same single uniform, and the linear scan's index at and
+beside every threshold a run table stores.
 """
 
 import numpy as np
 import pytest
 
 from qdialogue.analysis import per_cm_detection_oracle
-from qdialogue.attacks import EveRunLog, InterceptResendLiteral, NoAttack, strategy_from_name
+from qdialogue.attacks import STRATEGY_NAMES, EveRunLog, InterceptResendLiteral, NoAttack, strategy_from_name
 from qdialogue.protocol import (
     CM,
     DETECTION_POLICIES,
     MM,
     REINITIALIZE,
     TERMINAL,
+    Branch,
     ProtocolConfig,
     random_message,
     run_dialogue,
+    run_tables,
 )
 from qdialogue.quantum import (
     ALL_CODES,
@@ -38,7 +41,16 @@ from qdialogue.quantum import (
     cut,
     entangling_probe,
 )
-from reference import STRATEGY_VALUES, guess, per_draw_choose, random_pair, reference_dialogue, z_probs
+from reference import (
+    STRATEGY_VALUES,
+    guess,
+    pairs,
+    per_draw_choose,
+    random_pair,
+    reference_dialogue,
+    scan_cut,
+    z_probs,
+)
 
 # Uniforms at the cell edges, with the quarter each falls in.
 EDGES = [
@@ -48,6 +60,10 @@ EDGES = [
     (0.5, 2),
     (0.75, 3),
     (1.0 - 2.0**-53, 3),
+]
+# Every non-probe strategy value, and the probe at beta2 0, 0.05, ..., 0.5.
+TABLE_VALUES = [(name, None) for name in STRATEGY_NAMES if name != "entangle-measure"] + [
+    ("entangle-measure", k / 20) for k in range(11)
 ]
 # A probed pair: Born laws whose entries are not round numbers.
 _PROBED = entangling_probe(attach_ancilla(bell_state(BitPair(1, 0)), "e"), "t", "e", 0.6, 0.8)
@@ -168,21 +184,25 @@ class TestScalarCells:
         assert random_pair(u) == ALL_CODES[cell]
 
     def test_message_cells_from_one_vector_draw(self):
+        # A message is its cells: code indices, each the index of the pair
+        # the scalar cut gives.
         rng = ScriptedRng([u for u, _ in EDGES])
         msg = random_message(len(EDGES), rng)
-        assert msg == tuple(ALL_CODES[cell] for _, cell in EDGES)
+        assert msg == [cell for _, cell in EDGES]
+        assert msg == [ALL_CODES.index(random_pair(u)) for u, _ in EDGES]
+        assert all(type(k) is int for k in msg)
         assert rng.calls == [len(EDGES)]
 
     def test_message_cut_equals_scalar_cut(self):
         # The vectorized cut of a message against the scalar one of a pair.
         us = [u for u, _ in EDGES] + np.random.default_rng(0).random(1000).tolist()
         msg = random_message(len(us), ScriptedRng(us))
-        assert msg == tuple(random_pair(u) for u in us)
+        assert pairs(msg) == tuple(random_pair(u) for u in us)
 
     def test_two_messages_draw_in_order(self):
         rng = ScriptedRng([0.0, 0.5, 0.75, 0.25])
-        assert random_message(2, rng) == (ALL_CODES[0], ALL_CODES[2])
-        assert random_message(2, rng) == (ALL_CODES[3], ALL_CODES[1])
+        assert random_message(2, rng) == [0, 2]
+        assert random_message(2, rng) == [3, 1]
         assert rng.calls == [2, 2]
 
     @pytest.mark.parametrize("u, k", GUESS_CELLS)
@@ -337,8 +357,8 @@ class TestThresholdDraws:
         assert rng.bit_generator.state == plain.bit_generator.state
 
     def test_thresholds_are_cleaned_running_sums(self):
-        total, sums, last = cumulative(LAWS["floor-first-and-last"])
-        assert (total, sums, last) == (1.0, ((0.375, 1), (1.0, 2)), 2)
+        # Each running sum's outcome, then the last kept one again.
+        assert cumulative(LAWS["floor-first-and-last"]) == (1.0, (0.375, 1.0), (1, 2, 2))
 
     @pytest.mark.parametrize("probs", LAWS.values(), ids=LAWS.keys())
     def test_uniform_at_the_top_returns_the_last_kept_index(self, probs):
@@ -347,6 +367,37 @@ class TestThresholdDraws:
         assert cut(cumulative(probs), rng.random()) == last
         assert rng.calls == [None]
         assert per_draw_choose(probs, ScriptedRng([1.0])) == last
+
+    @pytest.mark.parametrize("name, beta2", TABLE_VALUES)
+    def test_bisected_cut_equals_the_linear_scan_at_every_stored_threshold(self, name, beta2):
+        # At each running sum of every pick and Bell law a run table
+        # stores: the uniform whose ``u * total`` lands exactly on the sum
+        # (where one exists), one ulp either side of it, 0 and the largest
+        # double below 1.
+        laws, exact_hits = [], 0
+        for table in run_tables(strategy_from_name(name, beta2)).values():
+            stack = [table.tree]
+            while stack:
+                node = stack.pop()
+                if type(node) is Branch:
+                    laws.append(node.cum)
+                    stack += [child for child in node.children if child is not None]
+                else:
+                    laws.append(node.bell_cum)
+        for cum in laws:
+            total, sums, _ = cum
+            us = [0.0, 1.0 - 2.0**-53]
+            for acc in sums:
+                down, up = np.nextafter(acc / total, 0.0), np.nextafter(acc / total, 1.0)
+                near = [acc / total, down, up, np.nextafter(down, 0.0), np.nextafter(up, 1.0)]
+                on_sum = [float(u) for u in near if u * total == acc]
+                exact_hits += bool(on_sum)
+                for u in on_sum or near[:1]:
+                    us += [u, float(np.nextafter(u, 0.0)), float(np.nextafter(u, 1.0))]
+            for u in us:
+                if 0.0 <= u < 1.0:
+                    assert cut(cum, u) == scan_cut(cum, u), (cum, u)
+        assert laws and exact_hits
 
     @pytest.mark.parametrize("probs", [(0.0, 0.0), (PROB_FLOOR / 2, 1e-15, 0.0)])
     def test_all_zero_law_raises(self, probs):

@@ -6,6 +6,7 @@ import json
 import os
 import pickle
 import weakref
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from multiprocessing import get_context
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import qdialogue.harness as harness
 import qdialogue.quantum as quantum
-from qdialogue import attacks
+from qdialogue import attacks, protocol
 from qdialogue.analysis import Tally, TrialReport
 from qdialogue.attacks import STRATEGY_NAMES, AttackStrategy
 from qdialogue.cli import load_config_file, main
@@ -255,10 +256,11 @@ class TestOnePoolPerCommand:
         pools = []
 
         class CountingPool:
-            """Stands in for ``ProcessPoolExecutor``: notes its size and each map's jobs."""
+            """Stands in for ``ProcessPoolExecutor``: notes its size, the tables built when it starts
+            and each map's jobs."""
 
             def __init__(self, max_workers):
-                self.size, self.maps = max_workers, []
+                self.size, self.tables, self.maps = max_workers, list(protocol._TABLES), []
                 pools.append(self)
 
             def __enter__(self):
@@ -288,6 +290,14 @@ class TestOnePoolPerCommand:
             assert all(config.beta2 == value for config, _ in point_jobs)
             assert [i for _, chunk in point_jobs for i in chunk] == [0, 1]
         assert doc == self._sweep(monkeypatch, workers=1)[0]
+
+    def test_the_parent_builds_every_point_table_before_the_pool_starts(self, monkeypatch):
+        # Forked workers inherit them, and the parent's oracle reuses them.
+        monkeypatch.setattr(protocol, "_TABLES", OrderedDict())
+        _, [pool] = self._sweep(monkeypatch, workers=3)
+        values = [attacks.strategy_from_name("entangle-measure", value) for value in self.VALUES]
+        assert pool.tables == [protocol._strategy_key(value) for value in values]
+        assert list(protocol._TABLES) == pool.tables
 
     def test_one_worker_starts_no_pool(self, monkeypatch):
         _, pools = self._sweep(monkeypatch, workers=1)

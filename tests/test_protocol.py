@@ -4,9 +4,11 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from collections import OrderedDict
+from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from qdialogue import attacks, harness, protocol
-from qdialogue.analysis import TrialReport, per_cm_detection_oracle
+from qdialogue.analysis import Tally, TrialReport, per_cm_detection_oracle
 from qdialogue.attacks import (
     STRATEGY_NAMES,
     AttackStrategy,
@@ -47,7 +49,16 @@ from qdialogue.quantum import (
     bell_state,
     cumulative,
 )
-from reference import STRATEGY_VALUES, decoded_pairs, encode, reference_dialogue, same_state
+from reference import (
+    STRATEGY_VALUES,
+    decoded_pairs,
+    encode,
+    pairs,
+    reference_dialogue,
+    reference_report,
+    same_state,
+    trial_rng,
+)
 
 
 class TestDecodeAndCheck:
@@ -159,7 +170,7 @@ class TestAttackFreeDialogue:
     def test_exact_exchange(self, c, seed):
         alice, bob, result = run_clean(n_pairs=12, c=c, seed=seed, attack=NoAttack())
         assert result.transcript.final_status == COMPLETED
-        assert decoded_pairs(result.transcript) == (bob, alice)
+        assert decoded_pairs(result.transcript) == (pairs(bob), pairs(alice))
 
     def test_capacity(self):
         alice, bob, result = run_clean(n_pairs=16, seed=3)
@@ -217,11 +228,11 @@ class TestAttackFreeDialogue:
             if run.mode != MM:
                 continue
             (_, x, y) = run.announcements[1]
-            bob_view.append(BitPair(x, y) ^ bob[mm_i])
-            alice_view.append(BitPair(x, y) ^ alice[mm_i])
+            bob_view.append(BitPair(x, y) ^ pairs(bob)[mm_i])
+            alice_view.append(BitPair(x, y) ^ pairs(alice)[mm_i])
             mm_i += 1
         # The package decodes in the trial reduction.
-        report = TrialReport.from_dialogue(0, result, alice, bob, NoAttack())
+        report = TrialReport.from_dialogue(0, result, alice, bob, NoAttack(), decode=True)
         assert tuple(chain.from_iterable(bob_view)) == report.bob_decoded_bits
         assert tuple(chain.from_iterable(alice_view)) == report.alice_decoded_bits
 
@@ -531,7 +542,8 @@ def counting(monkeypatch):
 
 class TestRecordsOnRead:
     # A dialogue keeps one row of integers per run; its ``RunRecord``s and
-    # Eve's ``EveRunLog``s are built only when read.
+    # Eve's ``EveRunLog``s are built only when read, and its report's
+    # decoded bits only for a verbose document.
 
     @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
     def test_folding_a_chunk_builds_no_per_run_objects(self, monkeypatch, name, beta2):
@@ -539,9 +551,39 @@ class TestRecordsOnRead:
                                           detection_policy=REINITIALIZE, max_restarts=2)
         run_tables(config.strategy())  # a table builds each leaf's log once per process
         made = counting(monkeypatch)
-        tally, _ = harness._fold_trials(config, range(40), ())
-        assert tally.runs > 0
+        reports, raw = [], harness.run_trial
+
+        def kept_report(*args, **chunk):
+            reports.append(raw(*args, **chunk))
+            return reports[-1]
+
+        monkeypatch.setattr(harness, "run_trial", kept_report)
+        tally, kept = harness._fold_trials(config, range(40), ())
+        assert tally.runs > 0 and kept == [] and len(reports) == 40
         assert made == {}
+        # No decoded-bit tuple, and no reference to a row's leaf.
+        assert all(r.alice_decoded_bits is None and r.bob_decoded_bits is None for r in reports)
+        assert b"Leaf" not in pickle.dumps(reports)
+
+    @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
+    def test_verbose_chunk_reports_equal_the_reference_report(self, name, beta2):
+        # Field by field, decoded bits included, against the BitPair fold
+        # of the per-run replay of the same trial streams.
+        for policy in DETECTION_POLICIES:
+            config = harness.ExperimentConfig(attack=name, beta2=beta2, c=0.5, n_pairs=4, master_seed=5,
+                                              detection_policy=policy, max_restarts=2, verbose=True)
+            tally, reports = harness._fold_trials(config, range(30), ())
+            expected = []
+            for t in range(30):
+                rng = trial_rng(5, t)
+                (eve_rng,) = rng.spawn(1)
+                messages = random_message(8, rng)
+                result = reference_dialogue(config.protocol_config(), messages[:4], messages[4:],
+                                            config.strategy(), rng, eve_rng)
+                expected.append(reference_report(t, result, messages[:4], messages[4:], config.strategy()))
+            assert [asdict(r) for r in reports] == [asdict(r) for r in expected], policy
+            assert all(r.alice_decoded_bits is not None for r in reports)
+            assert tally == Tally.fold(expected)
 
     @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
     def test_reading_builds_the_records_of_the_replay(self, monkeypatch, name, beta2):
