@@ -5,7 +5,7 @@ Three layers:
 * exact formulas: the cumulative detection curves, their stopped-process
   resummation, and the probe-entropy bound;
 * an exhaustive oracle that sums a strategy's run tables
-  (``protocol.run_table``: its own taps' alternatives expanded over
+  (``protocol.value_tables``: its own taps' alternatives expanded over
   every measurement/choice branch with exact Born or coin weights, no
   sampling) over all 16 code pairs, giving the per-control-run
   detection rate and Eve's exact guess accuracies;
@@ -25,7 +25,7 @@ from operator import add
 from typing import NamedTuple
 
 from .attacks import AttackStrategy, check_beta2
-from .protocol import COMPLETED, DETECTED, DialogueResult, Message, run_table, value_tables
+from .protocol import COMPLETED, DETECTED, DialogueResult, Message, value_tables
 from .quantum import ALL_CODES
 
 PURE_GUESS_ACCURACY = 0.25
@@ -131,20 +131,19 @@ def guess_accuracy_oracle(strategy: AttackStrategy) -> tuple[float, float]:
 def _run_law(strategy: AttackStrategy) -> tuple[float, float, float]:
     """(per-control-run detection, Alice accuracy, Bob accuracy)."""
     failed = mass = alice_hits = bob_hits = 0.0
-    for bob_code in ALL_CODES:
-        for alice_code in ALL_CODES:
-            expected = ALL_CODES.index(alice_code ^ bob_code)
-            for leaf in run_table(strategy, bob_code, alice_code).leaves:
-                failed += leaf.weight * (1.0 - leaf.bell_probs[expected])
-                for prob, guesses in zip(leaf.bell_probs, leaf.readouts):
-                    if guesses is None:
-                        alice_hit = bob_hit = PURE_GUESS_ACCURACY
-                    else:
-                        alice_hit = guesses[0] == alice_code
-                        bob_hit = guesses[1] == bob_code
-                    mass += leaf.weight * prob
-                    alice_hits += leaf.weight * prob * alice_hit
-                    bob_hits += leaf.weight * prob * bob_hit
+    for (bob_code, alice_code), table in value_tables(strategy).by_pair.items():  # Bob's code outer
+        expected = ALL_CODES.index(alice_code ^ bob_code)
+        for leaf in table.leaves:
+            failed += leaf.weight * (1.0 - leaf.bell_probs[expected])
+            for prob, guesses in zip(leaf.bell_probs, leaf.readouts):
+                if guesses is None:
+                    alice_hit = bob_hit = PURE_GUESS_ACCURACY
+                else:
+                    alice_hit = guesses[0] == alice_code
+                    bob_hit = guesses[1] == bob_code
+                mass += leaf.weight * prob
+                alice_hits += leaf.weight * prob * alice_hit
+                bob_hits += leaf.weight * prob * bob_hit
     rate = failed / 16.0
     # Dividing by the summed mass rather than 16 keeps a sure readout
     # at exactly 1 and a pure guess at exactly 1/4.

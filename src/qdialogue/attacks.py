@@ -35,7 +35,7 @@ that sum to 1. One alternative is no pick; a measurement returns one
 alternative per outcome from ``quantum.z_branches`` or
 ``bell_branches``, impossible ones included, and a coin one per face.
 The log fields of a run's path become its ``EveRunLog``. The run table
-(``protocol.run_table``) expands both taps over every alternative with
+(``protocol.value_tables``) expands both taps over every alternative with
 exact weights, once per process and strategy value, and both the
 sampler and the oracle read it.
 """

@@ -4,12 +4,14 @@ Runs batches of independent dialogues under a named attack, folds
 each dialogue's report field by field into an additive ``Tally`` as it
 finishes, in the process that ran it, and emits a results document that
 pairs every empirical rate with its analytic or oracle counterpart and
-a tolerance verdict. A ``run`` or ``sweep`` starts at most one pool,
-after the parent has built the run tables of every point, which forked
-workers inherit; a worker folds a contiguous chunk of trials and sends
-back one ``Tally`` per chunk. Per-trial reports are kept, with their
-decoded bits, only for ``verbose`` documents, so memory does not grow
-with the trial count otherwise.
+a tolerance verdict. A ``run`` or ``sweep`` starts ``min(workers,
+trials) - 1`` children, after the parent has built the run tables of
+every point, which forked children inherit. Every process, the parent
+too, folds the next untaken chunk of trials, and a child sends back one
+``Tally`` per chunk, all in one message at the end.
+Per-trial reports are kept, with their decoded bits, only for
+``verbose`` documents, so memory does not grow with the trial count
+otherwise.
 
 Every comparison row is built by ``_row`` with the keys ``name`` and
 ``ROW_KEYS``, in that order. The binomial rows come from one table of
@@ -39,10 +41,9 @@ import io
 import json
 import os
 import typing
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 from itertools import chain, islice
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -59,7 +60,7 @@ from .analysis import (
     per_cm_detection_oracle,
 )
 from .attacks import STRATEGIES, AttackStrategy, strategy_from_name
-from .protocol import TABLE_STRATEGIES, TERMINAL, ProtocolConfig, random_message, run_dialogue, run_tables
+from .protocol import TABLE_STRATEGIES, TERMINAL, ProtocolConfig, random_message, run_dialogue, value_tables
 from .quantum import (
     ALL_CODES,
     PAULI_MATRICES,
@@ -227,8 +228,8 @@ def _fold_trials(config: ExperimentConfig, trials: range, point_key: tuple[int, 
     """Run ``trials`` in order, folding each report into one ``Tally`` as it finishes (``Tally.fold``).
 
     The strategy, protocol config and streams are built once per chunk.
-    A pool worker folds one contiguous chunk, so one ``Tally`` per chunk
-    crosses back, not one report per trial.
+    A child folds contiguous chunks, so one ``Tally`` per chunk crosses
+    back, not one report per trial.
     """
     strategy, protocol = config.strategy(), config.protocol_config()
     reports = (run_trial(config, trial_index, point_key, strategy=strategy, protocol=protocol, streams=streams)
@@ -239,33 +240,93 @@ def _fold_trials(config: ExperimentConfig, trials: range, point_key: tuple[int, 
     return Tally.fold(reports), []
 
 
+def _take(counter, jobs: list) -> list[tuple[int, FoldedTrials]]:
+    """(job index, folded) of each job taken off the shared ``counter``, until none is left."""
+    done = []
+    while True:
+        with counter.get_lock():
+            index, counter.value = counter.value, counter.value + 1
+        if index >= len(jobs):
+            return done
+        done.append((index, _fold_trials(*jobs[index])))
+
+
+def _child(counter, jobs: list, pipe) -> None:
+    """A child's work: its ``_take`` pairs sent in one message, or the error a job raised."""
+    try:
+        reply = _take(counter, jobs)
+    except Exception as exc:  # an interrupt ends the child unsent, which the parent reports
+        reply = exc
+    pipe.send(reply)
+
+
+def _reply(child, reader):
+    """A child's one message, read before the child is joined; an error if it sent none."""
+    with reader:
+        try:
+            reply = reader.recv()
+        except EOFError:
+            reply = RuntimeError(f"a trial process exited with code {child.exitcode} and sent no results")
+    child.join()
+    return reply
+
+
+def _fold_jobs(jobs: list, processes: int) -> list[FoldedTrials]:
+    """Every ``_fold_trials`` job folded, in job order, by this process and ``processes - 1`` children.
+
+    Each process takes the next untaken job off one shared counter until
+    none is left. Every child is joined before this returns or raises;
+    if a job or a child's start fails here, the counter first moves past
+    the last job.
+    """
+    context = get_context()
+    counter, children = context.Value("q", 0), []
+    try:
+        for _ in range(processes - 1):
+            reader, writer = context.Pipe(duplex=False)
+            child = context.Process(target=_child, args=(counter, jobs, writer))
+            child.start()
+            writer.close()  # so a child that dies unheard reads as EOF
+            children.append((child, reader))
+        done = _take(counter, jobs)
+    except BaseException:
+        counter.value = len(jobs)  # the children take no more
+        raise
+    finally:
+        replies = [_reply(child, reader) for child, reader in children]
+    for reply in replies:
+        if isinstance(reply, BaseException):
+            raise reply
+        done += reply
+    return [folded for _, folded in sorted(done, key=lambda pair: pair[0])]
+
+
 def _run_trials(points: list[tuple[ExperimentConfig, tuple[int, ...]]]) -> typing.Iterator[FoldedTrials]:
     """Each point's trials folded as ``_fold_trials`` does, yielded in point order.
 
-    Every chunk of every point goes into one ``map`` on one pool of
-    ``min(workers, trials)`` workers (a pool starts them all at once; no
-    pool for one), so the workers run on into the next point's chunks
-    while the caller reduces this one. Each point is cut into chunks of
-    ``total // (workers * 8)`` trials, ``total`` the command's. Integer
-    sums do not depend on order. Before a pool starts, the parent builds
-    the run tables of the first ``TABLE_STRATEGIES`` points, so forked
-    workers inherit them and the parent's oracle reuses them; a spawned
-    worker builds its own.
+    Each point is cut into chunks of ``total // (workers * 8)`` trials,
+    ``total`` the command's, and every chunk of every point is one job
+    of one ``_fold_jobs`` call on ``min(workers, trials)`` processes, the
+    parent one of them. One worker folds each point whole, in this
+    process, with no child. Integer sums do not depend on order. Before
+    a child starts, the parent builds the run tables of the first
+    ``TABLE_STRATEGIES`` points, so forked children inherit them and the
+    parent's oracle reuses them; a spawned child builds its own.
     """
     total = sum(config.trials for config, _ in points)
-    pool_size = max(min(config.workers, config.trials) for config, _ in points)
-    step = total if pool_size == 1 else max(1, total // (pool_size * 8))
+    processes = max(min(config.workers, config.trials) for config, _ in points)
+    step = total if processes == 1 else max(1, total // (processes * 8))
     # Per point, one (config, chunk, point_key) job per chunk.
     chunked = [[(config, range(i, min(i + step, config.trials)), point_key) for i in range(0, config.trials, step)]
                for config, point_key in points]
-    if pool_size > 1:
+    jobs = list(chain.from_iterable(chunked))
+    if processes > 1:
         for config, _ in points[:TABLE_STRATEGIES]:
-            run_tables(config.strategy())
-    with ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else nullcontext() as pool:
-        results = (pool.map if pool else map)(_fold_trials, *zip(*chain.from_iterable(chunked)))
-        for jobs in chunked:
-            parts = list(islice(results, len(jobs)))
-            yield sum((tally for tally, _ in parts), Tally()), [r for _, kept in parts for r in kept]
+            value_tables(config.strategy())
+    results = iter(_fold_jobs(jobs, processes)) if processes > 1 else map(_fold_trials, *zip(*jobs))
+    for point_jobs in chunked:
+        parts = list(islice(results, len(point_jobs)))
+        yield sum((tally for tally, _ in parts), Tally()), [r for _, kept in parts for r in kept]
 
 
 def _row(name, empirical, stderr, n_samples, reference, source, tolerance, within) -> dict:
@@ -358,7 +419,7 @@ def run_experiment(config: ExperimentConfig, point_key: tuple[int, ...] = (),
 
 
 def sweep(config: ExperimentConfig, vary: str, values: list) -> dict:
-    """One experiment per value of one parameter, all on one pool, plus a curve table.
+    """One experiment per value of one parameter, all in one ``_run_trials``, plus a curve table.
 
     Each value must already be one the parameter's type holds: a value
     the cast would change (2.7 for ``n_pairs``, a string) is rejected,

@@ -34,7 +34,7 @@ integer rows.
 
 A run's quantum leg is fixed once the strategy, both codes and Eve's
 picks are. So it is played out once per choice path, not once per run:
-``run_table`` expands the taps' alternatives (``attacks``) over every
+``_build_table`` expands the taps' alternatives (``attacks``) over every
 path of one code pair, computing each prefix state once, and keeps the
 choice tree and its leaves. Each pick and each leaf's Bell law also
 keeps its ``quantum.cumulative`` thresholds, and each leaf Eve's
@@ -273,28 +273,12 @@ def value_tables(strategy: "AttackStrategy") -> ValueTables:
     return entry
 
 
-def run_tables(strategy: "AttackStrategy") -> dict[tuple[BitPair, BitPair], RunTable]:
-    """The strategy's run table of every (Bob code, Alice code) pair, built on first use."""
-    return value_tables(strategy).by_pair
-
-
-def run_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitPair) -> RunTable:
-    """One code pair's run table under ``strategy``."""
-    return run_tables(strategy)[bob_code, alice_code]
-
-
-def _cm_check(bob_code: BitPair, alice_code: BitPair, outcome: BitPair) -> bool:
-    """Bob's control check: his outcome is Alice's revealed pair XOR his own code."""
-    return outcome == alice_code ^ bob_code
-
-
 class RunRecord(NamedTuple):
     """One protocol run as it appears in the transcript.
 
-    Everything a third party can see is in ``announcements``, the mode
-    included. The announcements and Bob's control check are derived from
-    the run's mode, both codes and Bob's outcome. The ``index`` field
-    hides ``tuple.index``.
+    A third party sees the mode and, after Bob's measurement, Alice's
+    revealed pair (CM) or Bob's broadcast outcome (MM). The ``index``
+    field hides ``tuple.index``.
     """
 
     index: int
@@ -303,32 +287,6 @@ class RunRecord(NamedTuple):
     bob_code: BitPair
     alice_code: BitPair
     outcome: BitPair
-
-    @property
-    def cm_pass(self) -> bool | None:
-        """Bob's control check (``_cm_check``); None on a message run."""
-        if self.mode == CM:
-            return _cm_check(self.bob_code, self.alice_code, self.outcome)
-        return None
-
-    @property
-    def announcements(self) -> tuple[tuple, ...]:
-        """The mode, then Alice's revealed pair (CM) or Bob's broadcast outcome (MM)."""
-        if self.mode == CM:
-            return ("mode", CM), ("cm_reveal", *self.alice_code)
-        return ("mode", MM), ("bell_broadcast", *self.outcome)
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "pass_index": self.pass_index,
-            "mode": self.mode,
-            "bob_code": list(self.bob_code),
-            "alice_code": list(self.alice_code),
-            "outcome": list(self.outcome),
-            "cm_pass": self.cm_pass,
-            "announcements": [list(a) for a in self.announcements],
-        }
 
 
 @dataclass
@@ -339,9 +297,9 @@ class Transcript:
     Bob's code, Alice's code, outcome), codes as ``ALL_CODES`` indices,
     then whatever else its engine keeps (``run_dialogue``: the run's
     leaf and Eve's guess cell). ``runs`` builds their ``RunRecord``s on
-    first read. Every counter is derived from the runs: a restart starts
-    a new pass, so the restart count is the last run's ``pass_index``,
-    and the final pass is the suffix of runs carrying that index.
+    first read. A restart starts a new pass, so the restart count is the
+    last run's ``pass_index``, and the final pass is the suffix of runs
+    carrying that index.
     """
 
     rows: list[tuple]
@@ -353,37 +311,6 @@ class Transcript:
             RunRecord(index, pass_index, CM if is_cm else MM, ALL_CODES[bob], ALL_CODES[alice], ALL_CODES[k])
             for index, pass_index, is_cm, bob, alice, k, *_ in self.rows
         ]
-
-    @property
-    def restart_count(self) -> int:
-        return self.runs[-1].pass_index
-
-    @property
-    def final_pass(self) -> list[RunRecord]:
-        last = self.restart_count
-        return [run for run in self.runs if run.pass_index == last]
-
-    @property
-    def n_total(self) -> int:
-        return len(self.final_pass)
-
-    @property
-    def n_mm(self) -> int:
-        return sum(run.mode == MM for run in self.final_pass)
-
-    @property
-    def n_cm(self) -> int:
-        return self.n_total - self.n_mm
-
-    def to_dict(self) -> dict:
-        return {
-            "runs": [r.to_dict() for r in self.runs],
-            "n_total": self.n_total,
-            "n_mm": self.n_mm,
-            "n_cm": self.n_cm,
-            "restart_count": self.restart_count,
-            "final_status": self.final_status,
-        }
 
 
 @dataclass
@@ -492,7 +419,7 @@ def run_dialogue(
 
         # Each party decodes a message run as the outcome XOR its own
         # code, read off the rows afterwards. A control run whose outcome
-        # is not the XOR of both codes fails Bob's check (``_cm_check``)
+        # is not the XOR of both codes fails Bob's check
         # and stops or restarts the dialogue.
         if is_cm:
             rows.append((cursor, pass_index, True, bob, alice, k, node, None))

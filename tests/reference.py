@@ -3,7 +3,9 @@
 No ``qdialogue`` command needs these: partial traces and entropies of
 simulated states, equality up to a global phase, the forced-outcome Bell
 and up/down projections, the cumulative detection curve as an explicit
-sum, each side's decode read straight off a transcript, messages as
+sum, each side's decode read straight off a transcript, the
+transcript's read-side views (Bob's control check, the announcements,
+the final-pass counters and the JSON-ready dicts), messages as
 ``BitPair``s, the scalar cuts of a pair and of a pure guess from one
 uniform, the per-draw ``choose`` loop the stored thresholds replaced and
 the linear scan ``quantum.cut`` replaced, numpy's own per-trial stream
@@ -124,6 +126,73 @@ def decoded_pairs(transcript) -> tuple[tuple[BitPair, ...], tuple[BitPair, ...]]
     final = [run for run in transcript.runs if run.pass_index == last and run.mode == "MM"]
     alice_view = tuple(run.outcome ^ run.alice_code for run in final)
     return alice_view, tuple(run.outcome ^ run.bob_code for run in final)
+
+
+def cm_check(bob_code: BitPair, alice_code: BitPair, outcome: BitPair) -> bool:
+    """Bob's control check: his outcome is Alice's revealed pair XOR his own code."""
+    return outcome == alice_code ^ bob_code
+
+
+def cm_pass(run) -> bool | None:
+    """A ``RunRecord``'s control check (``cm_check``); None on a message run."""
+    return cm_check(run.bob_code, run.alice_code, run.outcome) if run.mode == CM else None
+
+
+def announcements(run) -> tuple[tuple, ...]:
+    """A ``RunRecord``'s public announcements: the mode, then Alice's revealed pair (CM) or
+    Bob's broadcast outcome (MM)."""
+    if run.mode == CM:
+        return ("mode", CM), ("cm_reveal", *run.alice_code)
+    return ("mode", MM), ("bell_broadcast", *run.outcome)
+
+
+def run_dict(run) -> dict:
+    """A ``RunRecord`` as a JSON-ready dict, its check and announcements included."""
+    return {
+        "index": run.index,
+        "pass_index": run.pass_index,
+        "mode": run.mode,
+        "bob_code": list(run.bob_code),
+        "alice_code": list(run.alice_code),
+        "outcome": list(run.outcome),
+        "cm_pass": cm_pass(run),
+        "announcements": [list(a) for a in announcements(run)],
+    }
+
+
+def restart_count(transcript) -> int:
+    """A transcript's restarts: the last run's pass index."""
+    return transcript.runs[-1].pass_index
+
+
+def final_pass(transcript) -> list:
+    """The runs of a transcript's last pass."""
+    last = restart_count(transcript)
+    return [run for run in transcript.runs if run.pass_index == last]
+
+
+def n_total(transcript) -> int:
+    return len(final_pass(transcript))
+
+
+def n_mm(transcript) -> int:
+    return sum(run.mode == MM for run in final_pass(transcript))
+
+
+def n_cm(transcript) -> int:
+    return n_total(transcript) - n_mm(transcript)
+
+
+def transcript_dict(transcript) -> dict:
+    """A transcript as a JSON-ready dict: every run, the final-pass counters and the ending."""
+    return {
+        "runs": [run_dict(r) for r in transcript.runs],
+        "n_total": n_total(transcript),
+        "n_mm": n_mm(transcript),
+        "n_cm": n_cm(transcript),
+        "restart_count": restart_count(transcript),
+        "final_status": transcript.final_status,
+    }
 
 
 def project_bell(

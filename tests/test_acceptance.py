@@ -38,6 +38,7 @@ from qdialogue.quantum import (
     pauli_compose,
 )
 from reference import (
+    cm_pass,
     decoded_pairs,
     detection_after_runs_partial_sum,
     pairs,
@@ -122,7 +123,7 @@ def test_criterion_03_attack_free_dialogues():
         bob = random_message(n_pairs, rng)
         result = run_dialogue(config, alice, bob, strategy, rng, *rng.spawn(1))
         incomplete += result.transcript.final_status != "completed"
-        failures += sum(run.cm_pass is False for run in result.transcript.runs)
+        failures += sum(cm_pass(run) is False for run in result.transcript.runs)
         alice_view, bob_view = decoded_pairs(result.transcript)
         errors += sum(a != b for p, q in zip(alice_view, pairs(bob)) for a, b in zip(p, q))
         errors += sum(a != b for p, q in zip(bob_view, pairs(alice)) for a, b in zip(p, q))

@@ -34,15 +34,19 @@ from qdialogue.protocol import (
     ProtocolConfig,
     random_message,
     run_dialogue,
-    run_table,
+    value_tables,
 )
 from qdialogue.quantum import ALL_CODES
 from reference import (
     STRATEGY_VALUES,
     decoded_pairs,
     detection_after_runs_partial_sum,
+    n_cm,
+    n_mm,
+    n_total,
     reference_dialogue,
     reference_report,
+    restart_count,
 )
 
 C_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
@@ -316,7 +320,7 @@ class TestMutualInformation:
         joint = [[0.0] * 4, [0.0] * 4]
         for bob_code in ALL_CODES:
             for k, alice_code in enumerate(ALL_CODES):
-                for leaf in run_table(EntangleMeasure(beta2), bob_code, alice_code).leaves:
+                for leaf in value_tables(EntangleMeasure(beta2)).by_pair[bob_code, alice_code].leaves:
                     joint[leaf.log.ancilla_outcome][k] += leaf.weight / 16.0
         p_ancilla = [sum(row) for row in joint]
         p_alice = [sum(column) for column in zip(*joint)]
@@ -357,13 +361,13 @@ class TestTrialReport:
         report = TrialReport.from_dialogue(0, result, alice, bob, NoAttack())
         t = result.transcript
         assert report.status == t.final_status
-        assert report.n_mm == t.n_mm
-        assert report.cm_runs == t.n_cm
+        assert report.n_mm == n_mm(t)
+        assert report.cm_runs == n_cm(t)
         assert report.runs_all_passes == len(t.runs)
         assert report.alice_bit_errors == 0
         assert report.bob_bit_errors == 0
         assert report.message_bits == 10
-        assert report.eve_guesses == t.n_mm
+        assert report.eve_guesses == n_mm(t)
 
     def test_final_pass_fields_after_restarts(self):
         # The one-pass reduction against the transcript's own derived
@@ -378,12 +382,12 @@ class TestTrialReport:
             result = run_dialogue(config, alice, bob, attack, rng, *rng.spawn(1))
             report = TrialReport.from_dialogue(seed, result, alice, bob, attack, decode=True)
             t = result.transcript
-            assert (report.n_total, report.n_mm, report.n_cm) == (t.n_total, t.n_mm, t.n_cm)
-            assert report.restart_count == t.restart_count
+            assert (report.n_total, report.n_mm, report.n_cm) == (n_total(t), n_mm(t), n_cm(t))
+            assert report.restart_count == restart_count(t)
             alice_view, bob_view = decoded_pairs(t)
             assert report.alice_decoded_bits == tuple(b for pair in alice_view for b in pair)
             assert report.bob_decoded_bits == tuple(b for pair in bob_view for b in pair)
-            restarted_then_completed += t.restart_count > 0 and t.final_status == COMPLETED
+            restarted_then_completed += restart_count(t) > 0 and t.final_status == COMPLETED
         assert restarted_then_completed > 0
 
     @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)

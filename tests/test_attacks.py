@@ -29,7 +29,7 @@ from qdialogue.protocol import (
     ProtocolConfig,
     random_message,
     run_dialogue,
-    run_table,
+    value_tables,
 )
 from qdialogue.quantum import (
     ALL_CODES,
@@ -38,7 +38,7 @@ from qdialogue.quantum import (
     bell_outcome_probs,
     bell_state,
 )
-from reference import encode, project_z, reduced_density, reference_run_law
+from reference import encode, project_z, reduced_density, reference_run_law, transcript_dict
 
 # Hand-derived per-control-run detection rates. Measuring the travel
 # qubit of a coded pair flips both outcome bits half the time; the
@@ -198,7 +198,7 @@ class TestOracle:
     def test_branch_weights_sum_to_one(self, strategy):
         for bob in ALL_CODES:
             for alice in ALL_CODES:
-                total = sum(leaf.weight for leaf in run_table(strategy, bob, alice).leaves)
+                total = sum(leaf.weight for leaf in value_tables(strategy).by_pair[bob, alice].leaves)
                 assert total == pytest.approx(1.0, abs=1e-12), (bob, alice)
 
     @pytest.mark.parametrize("strategy", registered_strategies(), ids=STRATEGY_NAMES)
@@ -405,7 +405,7 @@ class TestStrategyIsolation:
             alice = random_message(16, rng)
             bob = random_message(16, rng)
             result = run_dialogue(config, alice, bob, attack, rng, *rng.spawn(1))
-            outs.append(json.dumps(result.transcript.to_dict(), sort_keys=True))
+            outs.append(json.dumps(transcript_dict(result.transcript), sort_keys=True))
         assert len(result.eve.logs) == len(result.transcript.runs)
         assert all(log.learned_alice is not None for log in result.eve.logs)
         assert outs[0] == outs[1]

@@ -27,7 +27,7 @@ from qdialogue.protocol import (
     ProtocolConfig,
     random_message,
     run_dialogue,
-    run_tables,
+    value_tables,
 )
 from qdialogue.quantum import (
     ALL_CODES,
@@ -43,12 +43,14 @@ from qdialogue.quantum import (
 )
 from reference import (
     STRATEGY_VALUES,
+    cm_pass,
     guess,
     pairs,
     per_draw_choose,
     random_pair,
     reference_dialogue,
     scan_cut,
+    transcript_dict,
     z_probs,
 )
 
@@ -156,7 +158,7 @@ def assert_equals_replay(config, name, beta2, seed):
     for engine in (run_dialogue, reference_dialogue):
         result, rng, eve_rng = sample(config, name, beta2, seed, engine)
         seen.append((
-            result.transcript.to_dict(),
+            transcript_dict(result.transcript),
             result.eve.logs,
             rng.bit_generator.state,
             eve_rng.bit_generator.state,
@@ -320,7 +322,7 @@ class TestStreamEdges:
         detecting = per_cm_detection_oracle(strategy_from_name(name, beta2)) > 0.0
         for seed in range(200):
             result, _, _ = sample(config, name, beta2, seed)
-            if any(run.cm_pass is False for run in result.transcript.runs):
+            if any(cm_pass(run) is False for run in result.transcript.runs):
                 assert_equals_replay(config, name, beta2, seed)
                 break
         else:
@@ -375,7 +377,7 @@ class TestThresholdDraws:
         # (where one exists), one ulp either side of it, 0 and the largest
         # double below 1.
         laws, exact_hits = [], 0
-        for table in run_tables(strategy_from_name(name, beta2)).values():
+        for table in value_tables(strategy_from_name(name, beta2)).by_pair.values():
             stack = [table.tree]
             while stack:
                 node = stack.pop()

@@ -25,7 +25,7 @@ from qdialogue.protocol import (
     ProtocolConfig,
     random_message,
     run_dialogue,
-    run_tables,
+    value_tables,
 )
 from qdialogue.quantum import (
     ALL_CODES,
@@ -40,7 +40,7 @@ from qdialogue.quantum import (
     tensor_product,
     z_branches,
 )
-from reference import encode, reference_dialogue, reference_run_law, run_paths
+from reference import encode, reference_dialogue, reference_run_law, run_paths, transcript_dict
 
 
 def intercept(channel):
@@ -179,7 +179,7 @@ def play(engine, config, strategy, seed):
     msgs = [random_message(config.n_pairs, rng) for _ in range(2)]
     result = engine(config, *msgs, strategy, rng, eve_rng)
     return (
-        result.transcript.to_dict(),
+        transcript_dict(result.transcript),
         result.eve.logs,
         rng.bit_generator.state,
         eve_rng.bit_generator.state,
@@ -192,9 +192,9 @@ def play(engine, config, strategy, seed):
 @example(((("intercept",), ("probe", 2 * PROB_FLOOR), ("z", None)), (("bell", True),)))
 def test_generated_strategy_keeps_the_tap_contract(steps):
     strategy = Composed(*steps)
-    tables = run_tables(strategy)
-    assert run_tables(Composed(*steps)) is tables
-    for (bob_code, alice_code), table in tables.items():
+    tables = value_tables(strategy)
+    assert value_tables(Composed(*steps)) is tables
+    for (bob_code, alice_code), table in tables.by_pair.items():
         dropped = sub_floor_mass(strategy, bob_code, alice_code)
         assert sum(leaf.weight for leaf in table.leaves) == pytest.approx(1.0 - dropped, abs=1e-14)
         paths = run_paths(strategy, bob_code, alice_code)

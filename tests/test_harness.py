@@ -3,11 +3,12 @@
 import functools
 import hashlib
 import json
+import multiprocessing
 import os
 import pickle
+import time
 import weakref
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from multiprocessing import get_context
 
@@ -160,63 +161,134 @@ class TestDeterminism:
         assert a == b
 
 
+class InProcessContext:
+    """Stands in for the default ``multiprocessing`` context, in this process.
+
+    A child runs its target when started, so the first child takes every
+    job. A ``late`` child runs it only when the parent reads its pipe,
+    after the parent has taken every job or failed, so it takes none. A
+    message crosses its pipe pickled. The context notes each child's
+    jobs, the run tables built when it starts, each message sent and
+    how many children were joined.
+    """
+
+    def __init__(self, late=False):
+        self.late, self.jobs, self.tables, self.sent, self.joined = late, [], [], [], 0
+
+    def Value(self, typecode, value):
+        return get_context().Value(typecode, value)
+
+    def Pipe(self, duplex):
+        box = Mailbox(self.sent)
+        return box, box
+
+    def Process(self, target, args):
+        return InProcessChild(self, target, args)
+
+
+class Mailbox(list):
+    """Both ends of a one-way stand-in pipe: messages pickled in ``send``, unpickled in ``recv``."""
+
+    def __init__(self, sent):
+        super().__init__()
+        self.sent, self.pending = sent, None
+
+    def send(self, obj):
+        self.sent.append(obj)
+        self.append(pickle.dumps(obj))
+
+    def recv(self):
+        if self.pending:
+            self.pending, run = None, self.pending
+            run()
+        if not self:
+            raise EOFError
+        return pickle.loads(self.pop(0))
+
+    def close(self):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+class InProcessChild:
+    """A stand-in child: runs ``target`` on ``start``, or if late when its pipe is read."""
+
+    def __init__(self, context, target, args):
+        self.context, self.target, self.args, self.exitcode = context, target, args, None
+
+    def start(self):
+        _, jobs, pipe = self.args
+        self.context.jobs.append(jobs)
+        self.context.tables.append(list(protocol._TABLES))
+        if self.context.late:
+            pipe.pending = functools.partial(self.target, *self.args)
+        else:
+            self.target(*self.args)
+        self.exitcode = 0
+
+    def join(self):
+        self.context.joined += 1
+
+
+def contexts_made(monkeypatch, make=InProcessContext) -> list:
+    """Route ``harness.get_context`` to a new ``make()`` per call; returns the contexts made."""
+    contexts = []
+    monkeypatch.setattr(harness, "get_context", lambda: contexts.append(make()) or contexts[-1])
+    return contexts
+
+
+class CountingContext:
+    """The default context, noting every process it makes."""
+
+    def __init__(self):
+        self.real, self.children = get_context(), []
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+    def Process(self, **kwargs):
+        self.children.append(self.real.Process(**kwargs))
+        return self.children[-1]
+
+
 class TestWorkerCount:
     BASE = dict(attack="intercept-resend-blind", c=0.5, n_pairs=4, master_seed=8)
 
-    @pytest.mark.parametrize("trials, sizes", [(3, [3]), (1, [])])
-    def test_no_more_workers_than_trials(self, monkeypatch, trials, sizes):
-        started = []
-
-        class SerialPool:
-            """Stands in for ``ProcessPoolExecutor``: notes its size, maps in-process."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    @pytest.mark.parametrize("trials, children", [(3, 2), (1, 0)])
+    def test_no_more_workers_than_trials(self, monkeypatch, trials, children):
+        contexts = contexts_made(monkeypatch)
         pooled = to_json(run_experiment(ExperimentConfig(**self.BASE, trials=trials, workers=8)))
         serial = to_json(run_experiment(ExperimentConfig(**self.BASE, trials=trials, workers=1)))
-        assert started == sizes
+        assert sum(len(context.jobs) for context in contexts) == children
         assert pooled == serial
+
+    @pytest.mark.parametrize("workers, trials", [(3, 50), (8, 3), (2, 50), (1, 50), (4, 1)])
+    def test_the_parent_and_one_process_fewer_than_workers_fold(self, monkeypatch, workers, trials):
+        contexts = contexts_made(monkeypatch, CountingContext)
+        config = ExperimentConfig(**self.BASE, trials=trials, workers=workers)
+        doc = to_json(run_experiment(config))
+        assert sum(len(context.children) for context in contexts) == min(workers, trials) - 1
+        assert all(child.exitcode == 0 for context in contexts for child in context.children)
+        assert multiprocessing.active_children() == []
+        assert doc == to_json(run_experiment(replace(config, workers=1)))
 
 
 class TestPoolTraffic:
-    """What the pool's mapped function hands back, seen through an in-process stand-in."""
+    """What a child sends back, seen through an in-process stand-in."""
 
     BASE = dict(attack="entangle-measure", beta2=0.25, c=0.5, n_pairs=4, master_seed=9)
 
     def _pooled(self, monkeypatch, config):
-        calls = []
-
-        class RecordingPool:
-            """Stands in for ``ProcessPoolExecutor``: maps in-process, records each call."""
-
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                for args in zip(*iterables):
-                    result = fn(*args)
-                    calls.append((args, result))
-                    yield result
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-        return run_experiment(config), calls
+        contexts = contexts_made(monkeypatch)
+        doc = run_experiment(config)
+        [context] = contexts
+        calls = [(context.jobs[0][index], folded) for message in context.sent for index, folded in message]
+        return doc, calls
 
     @pytest.mark.parametrize("trials, workers", [(50, 3), (7, 2), (2, 2)])
     def test_chunks_cover_every_trial_once_in_order(self, monkeypatch, trials, workers):
@@ -245,44 +317,84 @@ class TestPoolTraffic:
             assert tally.trials == len(chunk)
         assert to_json(doc) == to_json(run_experiment(replace(config, workers=1)))
 
+    def test_the_parent_folds_every_job_its_children_leave(self, monkeypatch):
+        config = ExperimentConfig(**self.BASE, trials=50, workers=3)
+        contexts = contexts_made(monkeypatch, functools.partial(InProcessContext, late=True))
+        folded, raw = [], harness._fold_trials
+        monkeypatch.setattr(harness, "_fold_trials", lambda *job: folded.append(job) or raw(*job))
+        doc = to_json(run_experiment(config))
+        [context] = contexts
+        assert len(context.jobs) == context.joined == 2 and context.sent == [[], []]
+        assert folded == context.jobs[0] and [i for _, chunk, _ in folded for i in chunk] == list(range(50))
+        assert doc == to_json(run_experiment(replace(config, workers=1)))
+
+
+class TestFailedJobs:
+    """A job that raises, here or in a child, raises here, and no child outlives the command."""
+
+    CONFIG = ExperimentConfig(attack="intercept-resend-blind", c=0.5, n_pairs=4, trials=50, master_seed=8, workers=3)
+
+    def _fail_on(self, monkeypatch, failing):
+        raw = harness._fold_trials
+
+        def fold(config, chunk, point_key):
+            if failing(chunk):
+                raise ValueError(f"chunk {chunk} failed")
+            return raw(config, chunk, point_key)
+
+        monkeypatch.setattr(harness, "_fold_trials", fold)
+
+    @pytest.mark.parametrize("first", [0, 48])
+    def test_a_failing_chunk_raises_and_every_child_is_joined(self, monkeypatch, first):
+        self._fail_on(monkeypatch, lambda chunk: chunk.start == first)
+        with pytest.raises(ValueError, match=f"chunk range\\({first}, "):
+            run_experiment(self.CONFIG)
+        assert multiprocessing.active_children() == []
+
+    def test_a_childs_error_is_raised_here(self, monkeypatch):
+        parent, raw = os.getpid(), harness._fold_trials
+
+        def fold(*job):
+            if os.getpid() != parent:
+                raise ValueError("failed in a child")
+            time.sleep(0.01)  # leaves jobs for the children
+            return raw(*job)
+
+        monkeypatch.setattr(harness, "_fold_trials", fold)
+        with pytest.raises(ValueError, match="failed in a child"):
+            run_experiment(self.CONFIG)
+        assert multiprocessing.active_children() == []
+
+    def test_the_parents_error_stops_the_children_taking_jobs(self, monkeypatch):
+        self._fail_on(monkeypatch, lambda chunk: chunk.start == 0)
+        contexts = contexts_made(monkeypatch, functools.partial(InProcessContext, late=True))
+        with pytest.raises(ValueError, match=r"chunk range\(0, "):
+            run_experiment(self.CONFIG)
+        [context] = contexts
+        assert context.sent == [[], []] and context.joined == 2
+
+    def test_a_child_that_sends_nothing_is_named_by_its_exit_code(self, monkeypatch):
+        monkeypatch.setattr(harness, "_child", lambda counter, jobs, pipe: os._exit(3))
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            run_experiment(self.CONFIG)
+        assert multiprocessing.active_children() == []
+
 
 class TestOnePoolPerCommand:
-    """A sweep maps every point's chunks on one pool, in one ``map``."""
+    """A sweep folds every point's chunks as the jobs of one set of processes."""
 
     BASE = dict(attack="entangle-measure", c=0.5, n_pairs=4, trials=2, master_seed=10)
     VALUES = [0.1, 0.25, 0.5]
 
     def _sweep(self, monkeypatch, workers):
-        pools = []
-
-        class CountingPool:
-            """Stands in for ``ProcessPoolExecutor``: notes its size, the tables built when it starts
-            and each map's jobs."""
-
-            def __init__(self, max_workers):
-                self.size, self.tables, self.maps = max_workers, list(protocol._TABLES), []
-                pools.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                jobs = list(zip(*iterables))
-                self.maps.append(jobs)
-                return (fn(*job) for job in jobs)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        pools = contexts_made(monkeypatch)
         config = ExperimentConfig(**self.BASE, workers=workers)
         return to_json(sweep(config, "beta2", self.VALUES)), pools
 
     def test_a_sweep_maps_every_point_on_one_pool(self, monkeypatch):
         doc, pools = self._sweep(monkeypatch, workers=3)
         [pool] = pools
-        assert pool.size == 2
-        [jobs] = pool.maps
+        [jobs] = pool.jobs  # two processes: the parent and one child
         keys = [point_key for _, _, point_key in jobs]
         assert keys == sorted(keys) and set(keys) == {(0,), (1,), (2,)}
         for idx, value in enumerate(self.VALUES):
@@ -292,12 +404,12 @@ class TestOnePoolPerCommand:
         assert doc == self._sweep(monkeypatch, workers=1)[0]
 
     def test_the_parent_builds_every_point_table_before_the_pool_starts(self, monkeypatch):
-        # Forked workers inherit them, and the parent's oracle reuses them.
+        # Forked children inherit them, and the parent's oracle reuses them.
         monkeypatch.setattr(protocol, "_TABLES", OrderedDict())
         _, [pool] = self._sweep(monkeypatch, workers=3)
         values = [attacks.strategy_from_name("entangle-measure", value) for value in self.VALUES]
-        assert pool.tables == [protocol._strategy_key(value) for value in values]
-        assert list(protocol._TABLES) == pool.tables
+        assert pool.tables == [[protocol._strategy_key(value) for value in values]]
+        assert list(protocol._TABLES) == pool.tables[0]
 
     def test_one_worker_starts_no_pool(self, monkeypatch):
         _, pools = self._sweep(monkeypatch, workers=1)
@@ -318,14 +430,13 @@ class TestOnePoolPerCommand:
 
 
 class TestSpawnedWorkers:
-    """Workers started by ``spawn`` inherit no table or stream state from the parent."""
+    """Children started by ``spawn`` inherit no table or stream state from the parent."""
 
     def test_spawned_pool_writes_the_one_worker_bytes(self, monkeypatch):
         config = ExperimentConfig(attack="entangle-measure", beta2=0.25, c=0.5, n_pairs=4, trials=40,
                                   master_seed=12, detection_policy="reinitialize", max_restarts=2)
         serial = [to_json(run_experiment(config)), to_json(sweep(config, "beta2", [0.1, 0.5]))]
-        spawning = functools.partial(ProcessPoolExecutor, mp_context=get_context("spawn"))
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", spawning)
+        monkeypatch.setattr(harness, "get_context", functools.partial(get_context, "spawn"))
         config = replace(config, workers=2)
         assert [to_json(run_experiment(config)), to_json(sweep(config, "beta2", [0.1, 0.5]))] == serial
 

@@ -20,7 +20,7 @@ import pytest
 
 from qdialogue import attacks, protocol, quantum
 from qdialogue.attacks import strategy_from_name
-from qdialogue.protocol import run_tables
+from qdialogue.protocol import value_tables
 from qdialogue.quantum import (
     ALL_CODES,
     MAX_REGISTERS,
@@ -395,7 +395,7 @@ def test_a_cold_build_calls_no_kernel_twice_on_one_input(name, beta2, monkeypatc
 
     monkeypatch.setattr(protocol, "_build_table", counted_build)
     monkeypatch.setattr(protocol, "_TABLES", OrderedDict())
-    run_tables(strategy_from_name(name, beta2))
+    value_tables(strategy_from_name(name, beta2))
     assert len(per_pair) == 16
     for pair_calls in per_pair:
         assert pair_calls and len(set(pair_calls)) == len(pair_calls)

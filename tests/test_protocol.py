@@ -37,8 +37,7 @@ from qdialogue.protocol import (
     RunRecord,
     random_message,
     run_dialogue,
-    run_table,
-    run_tables,
+    value_tables,
 )
 from qdialogue.quantum import (
     ALL_CODES,
@@ -51,12 +50,20 @@ from qdialogue.quantum import (
 )
 from reference import (
     STRATEGY_VALUES,
+    announcements,
+    cm_pass,
     decoded_pairs,
     encode,
+    n_cm,
+    n_mm,
+    n_total,
     pairs,
     reference_dialogue,
     reference_report,
+    restart_count,
+    run_dict,
     same_state,
+    transcript_dict,
     trial_rng,
 )
 
@@ -175,20 +182,20 @@ class TestAttackFreeDialogue:
     def test_capacity(self):
         alice, bob, result = run_clean(n_pairs=16, seed=3)
         t = result.transcript
-        assert t.n_mm == 16
+        assert n_mm(t) == 16
         alice_view, bob_view = decoded_pairs(t)
         assert len(alice_view) == len(bob_view) == 16  # 32 bits a side
 
     def test_counters_consistent(self):
         _, _, result = run_clean(n_pairs=10, seed=4)
         t = result.transcript
-        assert t.n_total == t.n_mm + t.n_cm == len(t.runs)
-        assert t.restart_count == 0
+        assert n_total(t) == n_mm(t) + n_cm(t) == len(t.runs)
+        assert restart_count(t) == 0
 
     def test_no_cm_failures(self):
         for seed in range(20):
             _, _, result = run_clean(n_pairs=8, seed=seed)
-            assert not any(run.cm_pass is False for run in result.transcript.runs)
+            assert not any(cm_pass(run) is False for run in result.transcript.runs)
 
     def test_message_cursor_advances_only_on_mm(self):
         _, _, result = run_clean(n_pairs=8, c=0.6, seed=5)
@@ -202,22 +209,22 @@ class TestAttackFreeDialogue:
         _, _, result = run_clean(n_pairs=pairs_for_a_control_run(0.5), c=0.5, seed=6)
         modes = set()
         for run in result.transcript.runs:
-            assert run.announcements[0] == ("mode", run.mode)
+            assert announcements(run)[0] == ("mode", run.mode)
             modes.add(run.mode)
         assert modes == {MM, CM}  # completed, and a control run came first w.p. 1 - 2**-40
 
     def test_mm_announces_outcome_cm_reveals_code(self):
         _, _, result = run_clean(n_pairs=8, c=0.5, seed=7)
         for run in result.transcript.runs:
-            kinds = [a[0] for a in run.announcements]
+            kinds = [a[0] for a in announcements(run)]
             if run.mode == MM:
                 assert kinds == ["mode", "bell_broadcast"]
-                assert run.announcements[1][1:] == tuple(run.outcome)
-                assert run.cm_pass is None
+                assert announcements(run)[1][1:] == tuple(run.outcome)
+                assert cm_pass(run) is None
             else:
                 assert kinds == ["mode", "cm_reveal"]
-                assert run.announcements[1][1:] == tuple(run.alice_code)
-                assert run.cm_pass is True
+                assert announcements(run)[1][1:] == tuple(run.alice_code)
+                assert cm_pass(run) is True
 
     def test_decodes_follow_from_public_data_and_own_codes(self):
         alice, bob, result = run_clean(n_pairs=10, seed=8)
@@ -227,7 +234,7 @@ class TestAttackFreeDialogue:
         for run in result.transcript.runs:
             if run.mode != MM:
                 continue
-            (_, x, y) = run.announcements[1]
+            (_, x, y) = announcements(run)[1]
             bob_view.append(BitPair(x, y) ^ pairs(bob)[mm_i])
             alice_view.append(BitPair(x, y) ^ pairs(alice)[mm_i])
             mm_i += 1
@@ -241,15 +248,15 @@ class TestAttackFreeDialogue:
         total = cm = 0
         for seed in range(300):
             _, _, result = run_clean(n_pairs=8, c=c, seed=seed)
-            total += result.transcript.n_total
-            cm += result.transcript.n_cm
+            total += n_total(result.transcript)
+            cm += n_cm(result.transcript)
         stderr = math.sqrt(c * (1 - c) / total)
         assert cm / total == pytest.approx(c, abs=3 * stderr)
 
     def test_same_seed_reproduces_transcript(self):
         _, _, r1 = run_clean(n_pairs=8, seed=9, attack=NoAttack())
         _, _, r2 = run_clean(n_pairs=8, seed=9, attack=NoAttack())
-        assert json.dumps(r1.transcript.to_dict()) == json.dumps(r2.transcript.to_dict())
+        assert json.dumps(transcript_dict(r1.transcript)) == json.dumps(transcript_dict(r2.transcript))
 
     def test_unequal_messages_rejected(self):
         rng = np.random.default_rng(0)
@@ -284,9 +291,9 @@ class TestDetectionPolicies:
         )
         t = result.transcript
         assert t.final_status == DETECTED
-        assert t.runs[-1].mode == CM and t.runs[-1].cm_pass is False
+        assert t.runs[-1].mode == CM and cm_pass(t.runs[-1]) is False
         # nothing after the failing run
-        assert all(r.cm_pass is not False for r in t.runs[:-1])
+        assert all(cm_pass(r) is not False for r in t.runs[:-1])
 
     def test_reinitialize_restarts_then_aborts(self):
         _, _, result = run_clean(
@@ -299,8 +306,8 @@ class TestDetectionPolicies:
         )
         t = result.transcript
         assert t.final_status == ABORTED
-        assert t.restart_count == 3
-        failures = sum(1 for r in t.runs if r.cm_pass is False)
+        assert restart_count(t) == 3
+        failures = sum(1 for r in t.runs if cm_pass(r) is False)
         assert failures == 4  # three restarts plus the aborting failure
 
     def test_reinitialize_resets_final_pass_counters(self):
@@ -315,8 +322,8 @@ class TestDetectionPolicies:
         t = result.transcript
         final_pass = max(r.pass_index for r in t.runs)
         final_runs = [r for r in t.runs if r.pass_index == final_pass]
-        assert t.n_total == len(final_runs)
-        assert t.n_mm == sum(1 for r in final_runs if r.mode == MM)
+        assert n_total(t) == len(final_runs)
+        assert n_mm(t) == sum(1 for r in final_runs if r.mode == MM)
 
     def test_reinitialize_can_still_complete(self):
         # a persistent but weak attacker: restarts happen, completion too
@@ -336,18 +343,18 @@ class TestDetectionPolicies:
             t = result.transcript
             if t.final_status == COMPLETED:
                 completed += 1
-                assert t.n_mm == 6
-                restarts += t.restart_count
+                assert n_mm(t) == 6
+                restarts += restart_count(t)
         assert completed > 0
         assert restarts > 0
 
     def test_completed_final_pass_has_exactly_n_mm_runs(self):
         _, _, result = run_clean(n_pairs=8, seed=14)
         assert result.transcript.final_status == COMPLETED
-        assert result.transcript.n_mm == 8
+        assert n_mm(result.transcript) == 8
 
 
-# sha256 of ``json.dumps(Transcript.to_dict())`` for one dialogue per
+# sha256 of ``json.dumps(transcript_dict(transcript))`` for one dialogue per
 # strategy under reinitialize with max_restarts=2 (c=0.5, N=8, beta2=0.25
 # for entangle-measure). At seed 0 every detectable strategy restarts
 # twice and aborts; at seed 2 several restart and then complete, so the
@@ -383,12 +390,12 @@ class TestRunRecord:
             setattr(self.CM_PASS, field, 0)
 
     def test_cm_pass_per_mode_and_check(self):
-        assert self.MM_RUN.cm_pass is None
-        assert self.CM_PASS.cm_pass is True
-        assert self.CM_FAIL.cm_pass is False
+        assert cm_pass(self.MM_RUN) is None
+        assert cm_pass(self.CM_PASS) is True
+        assert cm_pass(self.CM_FAIL) is False
 
     def test_to_dict_and_announcements(self):
-        assert self.CM_FAIL.to_dict() == {
+        assert run_dict(self.CM_FAIL) == {
             "index": 2,
             "pass_index": 1,
             "mode": CM,
@@ -398,7 +405,7 @@ class TestRunRecord:
             "cm_pass": False,
             "announcements": [["mode", CM], ["cm_reveal", 1, 1]],
         }
-        assert self.MM_RUN.announcements == (("mode", MM), ("bell_broadcast", 1, 0))
+        assert announcements(self.MM_RUN) == (("mode", MM), ("bell_broadcast", 1, 0))
 
     def test_each_failed_cm_pass_restarts_or_aborts(self):
         # Holds at any seed: FlipOnPong fails every control run and each
@@ -410,7 +417,7 @@ class TestRunRecord:
         )
         t = result.transcript
         assert t.final_status == ABORTED
-        failed = [i for i, r in enumerate(t.runs) if r.cm_pass is False]
+        failed = [i for i, r in enumerate(t.runs) if cm_pass(r) is False]
         restarts = [i for i in range(1, len(t.runs)) if t.runs[i].pass_index != t.runs[i - 1].pass_index]
         assert failed[-1] == len(t.runs) - 1
         assert [i + 1 for i in failed[:-1]] == restarts and len(restarts) == 2
@@ -427,7 +434,7 @@ class TestTranscriptSerialization:
             n_pairs=8, c=0.5, seed=seed, attack=attack,
             detection_policy="reinitialize", max_restarts=2,
         )
-        text = json.dumps(result.transcript.to_dict())
+        text = json.dumps(transcript_dict(result.transcript))
         assert hashlib.sha256(text.encode()).hexdigest() == TRANSCRIPT_DIGESTS[seed, name]
 
     def test_digests_cover_every_strategy_and_restarts(self):
@@ -437,8 +444,8 @@ class TestTranscriptSerialization:
             detection_policy="reinitialize", max_restarts=2,
         )
         t = result.transcript
-        assert t.final_status == COMPLETED and t.restart_count == 2
-        assert t.n_total < len(t.runs)
+        assert t.final_status == COMPLETED and restart_count(t) == 2
+        assert n_total(t) < len(t.runs)
 
 
 class SpawnRecorder(np.random.Generator):
@@ -465,7 +472,7 @@ class TestRunTables:
                 result = engine(config, *msgs, strategy_from_name(name, beta2), rng, *rng.spawn(1))
                 (eve_rng,) = rng.children
                 seen.append((
-                    result.transcript.to_dict(),
+                    transcript_dict(result.transcript),
                     result.eve.logs,
                     rng.bit_generator.state,
                     eve_rng.bit_generator.state,
@@ -474,18 +481,18 @@ class TestRunTables:
 
     def test_equal_strategies_share_one_table(self):
         a, b = EntangleMeasure(0.25), EntangleMeasure(0.25)
-        assert run_tables(a) is run_tables(b)
-        assert run_table(a, BitPair(0, 1), BitPair(1, 1)) is run_table(b, BitPair(0, 1), BitPair(1, 1))
+        assert value_tables(a) is value_tables(b)
+        assert value_tables(a).by_pair[BitPair(0, 1), BitPair(1, 1)] is value_tables(b).by_pair[BitPair(0, 1), BitPair(1, 1)]
 
     def test_signed_zeros_do_not_share(self):
-        assert run_tables(EntangleMeasure(0.0)) is not run_tables(EntangleMeasure(-0.0))
+        assert value_tables(EntangleMeasure(0.0)) is not value_tables(EntangleMeasure(-0.0))
 
     def test_cache_stays_within_its_bound(self, monkeypatch):
         monkeypatch.setattr(protocol, "_TABLES", OrderedDict())
         values = [0.5 * k / (protocol.TABLE_STRATEGIES + 3) for k in range(protocol.TABLE_STRATEGIES + 4)]
         for beta2 in values:
-            run_tables(EntangleMeasure(values[1]))  # kept in use, so never the oldest
-            run_tables(EntangleMeasure(beta2))
+            value_tables(EntangleMeasure(values[1]))  # kept in use, so never the oldest
+            value_tables(EntangleMeasure(beta2))
             assert len(protocol._TABLES) <= protocol.TABLE_STRATEGIES
         assert protocol._strategy_key(EntangleMeasure(values[1])) in protocol._TABLES
         assert protocol._strategy_key(EntangleMeasure(values[0])) not in protocol._TABLES
@@ -507,7 +514,7 @@ class TestRunTables:
     @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
     def test_stored_readouts_are_the_strategy_readouts(self, name, beta2):
         strategy = strategy_from_name(name, beta2)
-        for table in run_tables(strategy).values():
+        for table in value_tables(strategy).by_pair.values():
             for leaf in table.leaves:
                 assert leaf.readouts == tuple(strategy.readout(leaf.log, o) for o in ALL_CODES)
                 cells = [None if r is None else 4 * ALL_CODES.index(r[0]) + ALL_CODES.index(r[1])
@@ -518,7 +525,7 @@ class TestRunTables:
                 assert leaf.ancilla == leaf.log.ancilla_outcome
 
     def test_tree_and_leaves_hold_the_probe_readout(self):
-        table = run_table(EntangleMeasure(0.25), BitPair(1, 0), BitPair(0, 1))
+        table = value_tables(EntangleMeasure(0.25)).by_pair[BitPair(1, 0), BitPair(0, 1)]
         assert table.tree.children == table.leaves
         assert [leaf.weight for leaf in table.leaves] == pytest.approx([0.75, 0.25], abs=1e-12)
         assert table.tree.cum == cumulative([leaf.weight for leaf in table.leaves])
@@ -549,7 +556,7 @@ class TestRecordsOnRead:
     def test_folding_a_chunk_builds_no_per_run_objects(self, monkeypatch, name, beta2):
         config = harness.ExperimentConfig(attack=name, beta2=beta2, c=0.5, n_pairs=8,
                                           detection_policy=REINITIALIZE, max_restarts=2)
-        run_tables(config.strategy())  # a table builds each leaf's log once per process
+        value_tables(config.strategy())  # a table builds each leaf's log once per process
         made = counting(monkeypatch)
         reports, raw = [], harness.run_trial
 
