@@ -160,10 +160,6 @@ _BITS = (0, 1, 1, 2)
 NO_ANCILLA = ((0, 0, 0, 0), (0, 0, 0, 0))
 
 
-def _add_tables(a, b):
-    return tuple(map(add, a[0], b[0])), tuple(map(add, a[1], b[1]))
-
-
 @dataclass
 class TrialReport:
     """Per-dialogue outcome reduced to aggregatable tallies.
@@ -173,7 +169,9 @@ class TrialReport:
     is the 2x4 contingency of probe readout against Alice's true pair
     over message runs, ``NO_ANCILLA`` for strategies without an ancilla.
     The decoded bits are built only on request (``from_dialogue``'s
-    ``decode``, which a verbose document sets), else None.
+    ``decode``, which a verbose document sets), else None. Both decodes miss by the bits
+    of outcome XOR both codes on the same final-pass message runs, so ``alice_bit_errors``
+    always equals ``bob_bit_errors``; ``Tally`` adds both, counting each wrong bit twice.
     """
 
     trial_index: int
@@ -213,7 +211,8 @@ class TrialReport:
         short of its end: at the last run of every pass but the final
         one, and of the final one unless the dialogue completed. The rows
         are walked only for the errors of a value that is not ``exact``, a
-        restart, an ``ancilla`` (``protocol.value_tables``) or ``decode``.
+        restart, an ``ancilla`` (the run tables the dialogue carries) or
+        ``decode``.
         """
         transcript, eve = result.transcript, result.eve
         rows = transcript.rows
@@ -227,7 +226,7 @@ class TrialReport:
             start, first_detection = passes.index(restarts), passes.index(1)
             final = rows[start:]
         n_mm = cursor + (not last_cm)
-        value, errors, table = value_tables(strategy), 0, NO_ANCILLA
+        value, errors, table = result.tables, 0, NO_ANCILLA
         if not value.exact:
             errors = sum([_BITS[k ^ alice ^ bob] for _, _, is_cm, bob, alice, k, _, _ in final if not is_cm])
         if value.ancilla:
@@ -269,8 +268,9 @@ class Tally(NamedTuple):
 
     Adding two tallies pools their batches. Integer sums do not depend
     on order, so the totals are the same at any worker count. Message
-    bits and bit errors count completed dialogues only; the ancilla
-    table sums the trials' 2x4 readout-against-Alice's-pair tables.
+    bits and bit errors count completed dialogues only; ``bit_errors`` adds both parties'
+    decodes, so each wrong bit counts twice (the message fidelity divides by ``2 * message_bits``).
+    The ancilla table sums the trials' 2x4 readout-against-Alice's-pair tables.
     """
 
     trials: int = 0
@@ -289,10 +289,10 @@ class Tally(NamedTuple):
 
     @classmethod
     def fold(cls, reports: Iterable[TrialReport]) -> "Tally":
-        """The totals of ``reports``, added field by field as each arrives; none is kept."""
+        """``reports``' totals, added field by field as each arrives (the ancilla table in place); none is kept."""
         trials = detected = completed = runs = cm_runs = cm_failures = restarts = 0
         message_bits = bit_errors = eve_guesses = eve_alice_hits = eve_bob_hits = 0
-        table = NO_ANCILLA
+        cells = [[0, 0, 0, 0], [0, 0, 0, 0]]
         for report in reports:
             trials += 1
             detected += report.status == DETECTED
@@ -308,14 +308,16 @@ class Tally(NamedTuple):
             eve_alice_hits += report.eve_alice_hits
             eve_bob_hits += report.eve_bob_hits
             if report.ancilla_table is not NO_ANCILLA:
-                table = _add_tables(table, report.ancilla_table)
-        return cls(trials, detected, completed, runs, cm_runs, cm_failures, restarts, message_bits,
-                   bit_errors, eve_guesses, eve_alice_hits, eve_bob_hits, table)
+                for row, more in zip(cells, report.ancilla_table):
+                    row[0] += more[0]; row[1] += more[1]; row[2] += more[2]; row[3] += more[3]  # noqa: E702
+        return cls(trials, detected, completed, runs, cm_runs, cm_failures, restarts, message_bits, bit_errors,
+                   eve_guesses, eve_alice_hits, eve_bob_hits, (tuple(cells[0]), tuple(cells[1])))
 
     def __add__(self, other: "Tally") -> "Tally":
         if not isinstance(other, Tally):
             return NotImplemented
-        return Tally(*map(add, self[:-1], other[:-1]), _add_tables(self[-1], other[-1]))
+        table = tuple(tuple(map(add, *rows)) for rows in zip(self[-1], other[-1]))
+        return Tally(*map(add, self[:-1], other[:-1]), table)
 
 
 @dataclass(frozen=True)

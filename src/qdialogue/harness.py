@@ -30,8 +30,9 @@ from the whole command's trial count. The trial stream gives both
 messages (Alice's half of one ``random(2 * n_pairs)`` first), then the
 protocol's draws in run order. Pairs and pure guesses are cut from
 uniforms scaled by 4 or 16, which is exact, so every cell is equally
-likely. A dialogue draws each stream's uniforms in blocks and rewinds
-the unused tail, so both end where one draw per uniform leaves them.
+likely. A dialogue draws each stream's uniforms in blocks, the first
+sized from the config, and reads them in the order one draw per uniform
+gives; nothing reads a trial's streams after its dialogue.
 """
 
 from __future__ import annotations

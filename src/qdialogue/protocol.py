@@ -129,6 +129,12 @@ class ProtocolConfig:
                 f"got {self.detection_policy!r}"
             )
 
+    @functools.cached_property
+    def control_bound(self) -> int:
+        """The next integer above a completing pass's mean control runs, ``n c/(1-c)``, plus two
+        standard deviations (variance ``n c/(1-c)**2``): what first blocks are sized for."""
+        return int((self.n_pairs * self.c + 2.0 * (self.n_pairs * self.c) ** 0.5) / (1.0 - self.c)) + 1
+
 
 class Leaf(NamedTuple):
     """The end of one choice path of a run.
@@ -222,12 +228,16 @@ def _build_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitP
 class ValueTables(NamedTuple):
     """A strategy value's 16 run tables, by code pair and as trees indexed ``4 * bob + alice``
     (``_CODE_INDEX``), the sampler's view. ``ancilla``: some leaf carries an ancilla outcome.
-    ``exact``: every leaf is sure of its codes' XOR, so every message run decodes exactly."""
+    ``exact``: every leaf is sure of its codes' XOR, so every message run decodes exactly.
+    ``picks`` and ``guessing``, read off the first path, size Eve's first block of uniforms:
+    the picks on a path, and whether its leaf leaves a message run's guess to a uniform."""
 
     by_pair: dict[tuple[BitPair, BitPair], RunTable]
     roots: list
     ancilla: bool
     exact: bool
+    picks: int
+    guessing: bool
 
 
 # Strategy values whose tables are kept, least recently used first out.
@@ -262,9 +272,12 @@ def value_tables(strategy: "AttackStrategy") -> ValueTables:
     if entry is None:
         tables = {(b, a): _build_table(strategy, b, a) for b in ALL_CODES for a in ALL_CODES}
         leaves = [(_CODE_INDEX[b ^ a], leaf) for (b, a), table in tables.items() for leaf in table.leaves]
+        node, picks = tables[ALL_CODES[0], ALL_CODES[0]].tree, 0
+        while type(node) is Branch:
+            node, picks = next(filter(None, node.children)), picks + 1
         entry = ValueTables(tables, [table.tree for table in tables.values()],
                             any(leaf.ancilla is not None for _, leaf in leaves),
-                            all(leaf.sure == k for k, leaf in leaves))
+                            all(leaf.sure == k for k, leaf in leaves), picks, None in node.cells)
         if len(_TABLES) >= TABLE_STRATEGIES:
             _TABLES.popitem(last=False)
         _TABLES[key] = entry
@@ -315,15 +328,18 @@ class Transcript:
 
 @dataclass
 class DialogueResult:
-    """Outcome of one dialogue: the public transcript and Eve's session."""
+    """Outcome of one dialogue: the public transcript, Eve's session, the uniforms read from
+    the protocol's stream and from Eve's, and the strategy value's run tables."""
 
     transcript: Transcript
     eve: "EveSession"
+    draws: tuple[int, int]
+    tables: ValueTables
 
 
 def _refill(block: list[float], used: int, stream: np.random.Generator) -> list[float]:
-    """``block``'s unused uniforms, then twice as many fresh ones from ``stream`` as it held."""
-    return block[used:] + stream.random(2 * len(block)).tolist()
+    """``block``'s unused uniforms, then twice as many fresh ones from ``stream`` as it held (at least one)."""
+    return block[used:] + stream.random(max(2 * len(block), 1)).tolist()
 
 
 def run_dialogue(
@@ -353,15 +369,15 @@ def run_dialogue(
     readout pins nothing. Each run appends one plain
     tuple to the rows the transcript and Eve's session share; both
     build their records from them only when read. Each stream's
-    uniforms come in blocks of ``random(n).tolist()``, read by index:
-    the first holds ``n_pairs + 12``, and a refill keeps the unused tail
-    and draws twice as many as the block held. At the end each stream
-    is rewound past the uniforms it did not use
-    (``bit_generator.advance``), so both end where one ``random()`` per
-    uniform would leave them, bar a 32-bit half an earlier 32-bit draw
-    left buffered, which ``advance`` drops. That needs PCG64-family bit
-    generators, as ``harness.trial_streams`` gives; any other raises
-    ``TypeError`` before anything is drawn.
+    uniforms come in blocks of ``random(n).tolist()``, read by index in
+    the order one ``random()`` per uniform gives, from any numpy
+    Generator. A run reads ``2 + is_cm`` of the protocol's, and
+    ``picks`` plus, on a message run whose leaf stores no guess cell,
+    one of Eve's (``ValueTables``), so each first block holds what a
+    completing pass with ``config.control_bound`` control runs reads; a
+    refill keeps the unused tail and draws twice as many as the block
+    held. Nothing reads either stream after the dialogue, so the unused
+    tail is not given back; ``draws`` counts the uniforms read from each.
     """
     if len(alice_msg) != len(bob_msg):
         raise ValueError(
@@ -371,13 +387,11 @@ def run_dialogue(
         raise ValueError(
             f"config.n_pairs = {config.n_pairs} but messages have {len(alice_msg)} pairs"
         )
-    if not all(isinstance(s.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)) for s in (rng, eve_rng)):
-        raise TypeError("run_dialogue needs PCG64-family streams, which it can rewind")
-    roots = value_tables(attack).roots
-    c, n_pairs = config.c, config.n_pairs
-    pu = rng.random(n_pairs + 12).tolist()  # the protocol's uniforms
-    eu = eve_rng.random(n_pairs + 12).tolist()  # Eve's uniforms
-    i = j = 0  # the next unused uniform of each
+    tables, cm = value_tables(attack), config.control_bound
+    roots, c, n_pairs = tables.roots, config.c, config.n_pairs
+    pu = rng.random(2 * n_pairs + 3 * cm).tolist()  # the protocol's uniforms
+    eu = eve_rng.random(tables.picks * (n_pairs + cm) + tables.guessing * n_pairs).tolist()  # Eve's
+    i = j = pu_read = eu_read = 0  # the next unused uniform of each, and those read from earlier blocks
     pu_end, eu_end = len(pu), len(eu)
 
     session = attack.new_session()
@@ -387,7 +401,7 @@ def run_dialogue(
 
     while status is None:
         if i > pu_end - 2:  # the mode and Bob's outcome
-            pu, i = _refill(pu, i, rng), 0
+            pu, pu_read, i = _refill(pu, i, rng), pu_read + i, 0
             pu_end = len(pu)
 
         # Alice decides the mode before she encodes but announces it only
@@ -398,7 +412,7 @@ def run_dialogue(
         is_cm = pu[i] < c
         if is_cm:
             if i > pu_end - 3:  # and the pair
-                pu, i = _refill(pu, i, rng), 0
+                pu, pu_read, i = _refill(pu, i, rng), pu_read + i, 0
                 pu_end = len(pu)
             alice = int(pu[i + 1] * 4.0)  # as ``random_message``
             i += 2
@@ -408,7 +422,7 @@ def run_dialogue(
         node = roots[4 * bob + alice]
         while type(node) is Branch:
             if j == eu_end:
-                eu, j = _refill(eu, j, eve_rng), 0
+                eu, eu_read, j = _refill(eu, j, eve_rng), eu_read + j, 0
                 eu_end = len(eu)
             node = node.children[cut(node.cum, eu[j])]
             j += 1
@@ -435,7 +449,7 @@ def run_dialogue(
             cell = node.cells[k]
             if cell is None:  # a pure guess: 16 cells, equally likely
                 if j == eu_end:
-                    eu, j = _refill(eu, j, eve_rng), 0
+                    eu, eu_read, j = _refill(eu, j, eve_rng), eu_read + j, 0
                     eu_end = len(eu)
                 cell = int(eu[j] * 16.0)
                 j += 1
@@ -447,8 +461,6 @@ def run_dialogue(
             if cursor == n_pairs:
                 status = COMPLETED
 
-    rng.bit_generator.advance(i - pu_end)
-    eve_rng.bit_generator.advance(j - eu_end)
     session.rows = rows
     session.alice_hits, session.bob_hits, session.guess_count = alice_hits, bob_hits, guess_count
-    return DialogueResult(Transcript(rows, status), session)
+    return DialogueResult(Transcript(rows, status), session, (pu_read + i, eu_read + j), tables)

@@ -12,7 +12,10 @@ the linear scan ``quantum.cut`` replaced, numpy's own per-trial stream
 derivation that ``harness.trial_streams`` reproduces, and the engines
 the run tables and integer rows replaced: a dialogue that replays the
 quantum leg on every run, sampling each tap's alternatives with one
-uniform (with its Bell draw ``bell_outcome`` and Eve's live ``guess``),
+uniform (with its Bell draw ``bell_outcome`` and Eve's live ``guess``)
+and counting the uniforms it draws, one per call (``ends_after`` reads
+them off a stream's state; ``path_shapes`` gives the pick counts and
+stored guess cells of a value's paths),
 the oracle's own recursion over the alternatives, and the trial report
 folded ``BitPair`` by ``BitPair`` from the records and logs
 (``reference_report``). ``STRATEGY_VALUES`` lists the strategy values
@@ -36,8 +39,10 @@ from qdialogue.protocol import (
     DETECTED,
     MM,
     TERMINAL,
+    Branch,
     DialogueResult,
     Transcript,
+    value_tables,
 )
 from qdialogue.quantum import (
     ALL_CODES,
@@ -60,6 +65,18 @@ STRATEGY_VALUES = [
 def trial_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Trial ``key``'s stream as numpy derives it; Eve's is its ``spawn(1)`` child."""
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key)))
+
+
+def ends_after(stream: np.random.Generator, seed: int, n: int, child: bool = False) -> bool:
+    """True when ``stream`` ends ``n`` uniforms after ``default_rng(seed)`` starts.
+
+    ``child`` reads that stream's ``spawn(1)`` child instead.
+    """
+    fresh = np.random.PCG64(np.random.SeedSequence(seed))
+    if child:
+        (fresh,) = fresh.spawn(1)
+    fresh.advance(n)
+    return stream.bit_generator.state == fresh.state
 
 
 def pairs(message) -> tuple[BitPair, ...]:
@@ -301,6 +318,17 @@ def encode(channel: Channel, code: BitPair) -> Channel:
     return Channel(apply_pauli(channel.state, channel.traveling, code), channel.traveling)
 
 
+class Counted:
+    """A stream that draws one uniform per ``random()`` call and counts them in ``n``."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.n = rng, 0
+
+    def random(self) -> float:
+        self.n += 1
+        return self.rng.random()
+
+
 def reference_dialogue(config, alice_msg, bob_msg, attack, rng, eve_rng) -> DialogueResult:
     """``protocol.run_dialogue`` with the quantum leg replayed on every run.
 
@@ -309,9 +337,12 @@ def reference_dialogue(config, alice_msg, bob_msg, attack, rng, eve_rng) -> Dial
     ``bell_outcome`` on the state it leaves. The state machine and the
     order of every draw are ``run_dialogue``'s. Taps are pure, so each
     distinct tap input (Bob's code, or the ping's pick and both codes)
-    is played once per dialogue and its alternatives reused.
+    is played once per dialogue and its alternatives reused. Every
+    uniform is one ``random()`` call, counted in ``draws``. The result
+    carries the value's run tables only for the report to read.
     """
     alice_msg, bob_msg = pairs(alice_msg), pairs(bob_msg)
+    rng, eve_rng = Counted(rng), Counted(eve_rng)
     session = attack.new_session()
     played = {}
     rows = []
@@ -346,7 +377,7 @@ def reference_dialogue(config, alice_msg, bob_msg, attack, rng, eve_rng) -> Dial
             else:
                 pass_index += 1
                 cursor = 0
-    return DialogueResult(Transcript(rows, status), session)
+    return DialogueResult(Transcript(rows, status), session, (rng.n, eve_rng.n), value_tables(attack))
 
 
 _BITS_APART = {(x, y): (x.a != y.a) + (x.b != y.b) for x in ALL_CODES for y in ALL_CODES}
@@ -408,6 +439,22 @@ def reference_report(trial_index, result, alice_msg, bob_msg, strategy) -> Trial
         alice_decoded_bits=tuple(chain.from_iterable(alice_pairs)),
         bob_decoded_bits=tuple(chain.from_iterable(bob_pairs)),
     )
+
+
+def path_shapes(tables) -> tuple[set[int], set[bool]]:
+    """Over every root-to-leaf path of a value's 16 trees: the numbers of picks
+    it makes, and whether each guess cell of its leaf is stored (True) or left
+    to a pure guess (False)."""
+    picks, stored = set(), set()
+    stack = [(root, 0) for root in tables.roots]
+    while stack:
+        node, depth = stack.pop()
+        if type(node) is Branch:
+            stack += [(child, depth + 1) for child in node.children if child is not None]
+        else:
+            picks.add(depth)
+            stored |= {cell is not None for cell in node.cells}
+    return picks, stored
 
 
 def possible(alternatives, weight: float, fields: dict) -> list:

@@ -26,6 +26,7 @@ from qdialogue.attacks import (
     NoAttack,
     strategy_from_name,
 )
+from qdialogue.harness import ExperimentConfig, _fold_trials
 from qdialogue.protocol import (
     ABORTED,
     COMPLETED,
@@ -415,6 +416,21 @@ class TestTrialReport:
                 restarted += reports[0].restart_count > 0
         if per_cm_detection_oracle(strategy) >= 0.2:
             assert statuses == {COMPLETED, DETECTED, ABORTED} and restarted
+
+    @pytest.mark.parametrize("policy", DETECTION_POLICIES)
+    @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
+    def test_both_parties_miss_the_same_bits(self, name, beta2, policy):
+        # Both decodes run over the final pass's message runs and each
+        # misses the other's pair by the bits of outcome XOR both codes,
+        # so the two counts are one number, and the Tally's bit errors
+        # count each wrong bit twice.
+        config = ExperimentConfig(attack=name, beta2=beta2, c=0.5, n_pairs=8, trials=200, master_seed=3,
+                                  detection_policy=policy, max_restarts=2, verbose=True)
+        tally, reports = _fold_trials(config, range(config.trials), ())
+        assert all(r.alice_bit_errors == r.bob_bit_errors for r in reports)
+        assert tally.bit_errors == 2 * sum(r.alice_bit_errors for r in reports if r.status == COMPLETED)
+        if not value_tables(config.strategy()).exact:
+            assert any(r.alice_bit_errors for r in reports)
 
     def test_ancilla_table_counts_mm_runs(self):
         tally = make_reports(EntangleMeasure(0.25), 40, seed=7)

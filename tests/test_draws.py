@@ -4,8 +4,9 @@ Message pairs, control-run pairs and Eve's pure guesses are cut from
 uniforms scaled by a power of two: pair ``ALL_CODES[int(u * 4.0)]`` (a
 message keeps the index ``int(u * 4.0)`` itself) and guess cell ``k = int(u * 16.0)`` (Alice ``ALL_CODES[k >> 2]``, Bob
 ``ALL_CODES[k & 3]``). A scripted stream pins the cells at their edges
-and the number of draws; final stream states pin how many uniforms
-``run_dialogue`` uses from each of its two streams. Eve's picks and
+and the number of draws; ``run_dialogue`` reports how many uniforms it
+reads from each of its two streams (``draws``), which must be the count
+the per-uniform replay's final stream states pin. Eve's picks and
 Bob's outcome are cut from thresholds a run table keeps
 (``cut(cumulative(p), rng.random())``), which must give ``choose(p, rng)``'s
 index from the same single uniform, and the linear scan's index at and
@@ -16,13 +17,20 @@ import numpy as np
 import pytest
 
 from qdialogue.analysis import per_cm_detection_oracle
-from qdialogue.attacks import STRATEGY_NAMES, EveRunLog, InterceptResendLiteral, NoAttack, strategy_from_name
+from qdialogue.attacks import (
+    STRATEGY_NAMES,
+    AttackStrategy,
+    EveRunLog,
+    InterceptResendLiteral,
+    NoAttack,
+    strategy_from_name,
+)
+from qdialogue.harness import ExperimentConfig, run_trial
 from qdialogue.protocol import (
     CM,
     DETECTION_POLICIES,
     MM,
     REINITIALIZE,
-    TERMINAL,
     Branch,
     ProtocolConfig,
     random_message,
@@ -44,6 +52,7 @@ from qdialogue.quantum import (
 from reference import (
     STRATEGY_VALUES,
     cm_pass,
+    ends_after,
     guess,
     pairs,
     per_draw_choose,
@@ -136,48 +145,71 @@ class BlockRecorder(np.random.Generator):
         return children
 
 
-def recorder(seed):
-    return BlockRecorder(np.random.PCG64(np.random.SeedSequence(seed)))
+def recorder(seed, *key):
+    """A ``BlockRecorder`` on ``reference.trial_rng(seed, *key)``'s stream; its ``spawn(1)`` is Eve's."""
+    return BlockRecorder(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+class UnevenPicks(AttackStrategy):
+    """Picks on the ping of Bob's codes 01 and 10 only (whose Bell states
+    have a ``|00>`` amplitude), and guesses 00 for both parties always."""
+
+    name = "uneven-picks"
+
+    def on_ping(self, channel):
+        if abs(channel.state.amps[0]) < 0.5:
+            return ((1.0, channel, {}),)
+        return ((0.5, channel, {}), (0.5, channel, {}))
+
+    def readout(self, log, outcome):
+        return BitPair(0, 0), BitPair(0, 0)
 
 
 def sample(config, name, beta2, seed, engine=run_dialogue):
-    """One seeded dialogue: its result, and the protocol's and Eve's recorded streams."""
+    """One seeded dialogue: its result, and the protocol's and Eve's recorded streams.
+
+    ``name`` is a registered strategy's, or a strategy itself.
+    """
     rng = recorder(seed)
     msgs = [random_message(config.n_pairs, rng) for _ in range(2)]
-    result = engine(config, *msgs, strategy_from_name(name, beta2), rng, *rng.spawn(1))
+    strategy = name if isinstance(name, AttackStrategy) else strategy_from_name(name, beta2)
+    result = engine(config, *msgs, strategy, rng, *rng.spawn(1))
     (eve_rng,) = rng.children
     return result, rng, eve_rng
 
 
 def assert_equals_replay(config, name, beta2, seed):
-    """The sampler against the per-run replay: transcript, Eve's logs and both final stream states.
+    """The sampler against the per-run replay: transcript, Eve's logs and the uniforms read from each stream.
 
-    Returns the sampler's two recorded streams.
+    The replay draws one uniform per call, so its final stream states
+    pin its ``draws``. Returns the sampler's result and two recorded streams.
     """
-    seen, streams = [], []
+    seen, sampled = [], []
     for engine in (run_dialogue, reference_dialogue):
         result, rng, eve_rng = sample(config, name, beta2, seed, engine)
-        seen.append((
-            transcript_dict(result.transcript),
-            result.eve.logs,
-            rng.bit_generator.state,
-            eve_rng.bit_generator.state,
-        ))
-        streams.append((rng, eve_rng))
+        seen.append((transcript_dict(result.transcript), result.eve.logs, result.draws))
+        sampled.append((result, rng, eve_rng))
     assert seen[0] == seen[1], seed
-    return streams[0]
+    _, rng, eve_rng = sampled[1]
+    draws = seen[1][2]
+    assert ends_after(rng, seed, 2 * config.n_pairs + draws[0]) and ends_after(eve_rng, seed, draws[1], child=True)
+    return sampled[0]
 
 
-def rewound_nothing(stream, seed, child=False):
-    """True when ``stream`` ends right after every uniform it drew.
+def refilled(stream, first: int) -> int:
+    """How many times a dialogue refilled ``stream``, whose first block is its ``first``-th draw."""
+    return len(stream.sizes) - first - 1
 
-    ``child`` reads the stream spawned off the seed's own.
-    """
-    fresh = np.random.PCG64(np.random.SeedSequence(seed))
-    if child:
-        (fresh,) = fresh.spawn(1)
-    fresh.advance(sum(stream.sizes))
-    return stream.bit_generator.state == fresh.state
+
+def refill_share(config: ExperimentConfig, point_key=(), trials=400) -> float:
+    """The share of ``run_trial``'s seeded dialogues that refill either stream."""
+    refills = 0
+    for t in range(trials):
+        rng = recorder(config.master_seed, *point_key, t)
+        (eve_rng,) = rng.spawn(1)
+        run_trial(config, t, point_key, streams=(rng, eve_rng))
+        refills += refilled(rng, 1) > 0 or refilled(eve_rng, 0) > 0
+    return refills / trials
 
 
 class TestScalarCells:
@@ -250,9 +282,8 @@ class TestDialogueStreams:
     def test_one_uniform_per_draw(self):
         # Per run the protocol uses the mode, a control run's pair and
         # Bob's Bell outcome; Eve uses one pure guess per message run.
-        # Uniforms are drawn in blocks and the unused tail rewound, so
-        # each stream must end where a fresh copy advanced by the
-        # uniforms used ends.
+        # Uniforms are drawn in blocks, and the unused tail is not given
+        # back: each stream ends after every uniform it drew.
         rng = recorder(8)
         msgs = [random_message(16, rng) for _ in range(2)]
         result = run_dialogue(ProtocolConfig(c=0.5, n_pairs=16), *msgs, NoAttack(), rng, *rng.spawn(1))
@@ -260,44 +291,40 @@ class TestDialogueStreams:
         n_cm = sum(r.mode == CM for r in runs)
         n_mm = sum(r.mode == MM for r in runs)
         assert n_mm == result.eve.guess_count == 16
-        fresh = np.random.PCG64(np.random.SeedSequence(8))
-        (fresh_eve,) = fresh.spawn(1)
-        fresh.advance(2 * 16 + 2 * len(runs) + n_cm)  # two messages, then the runs
-        fresh_eve.advance(n_mm)
+        assert result.draws == (2 * len(runs) + n_cm, n_mm)
         (eve_rng,) = rng.children
-        assert rng.bit_generator.state == fresh.state
-        assert eve_rng.bit_generator.state == fresh_eve.state
+        assert ends_after(rng, 8, sum(rng.sizes)) and ends_after(eve_rng, 8, sum(eve_rng.sizes), child=True)
 
 
 class TestStreamEdges:
-    # Blocks of uniforms are refilled when used up and their unused tail
-    # is rewound. Each case compares the sampler with the per-run replay,
-    # which draws one uniform per call, under both policies and every
-    # registered strategy.
+    # Each stream's first block is sized from the config and refilled
+    # when used up. Each case compares the sampler with the per-run
+    # replay, which draws one uniform per call, under both policies and
+    # every registered strategy.
 
     @pytest.mark.parametrize("policy", DETECTION_POLICIES)
     @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
     def test_refilled_blocks(self, name, beta2, policy):
-        # Long dialogues: nine control runs in ten, up to 400 restarts.
-        config = ProtocolConfig(c=0.9, n_pairs=64, max_restarts=400, detection_policy=policy)
+        # Long dialogues: six control runs in ten, up to 400 restarts. A
+        # detecting strategy restarts many passes, each shorter than a
+        # first block holds, so both streams refill at least twice.
+        config = ProtocolConfig(c=0.6, n_pairs=64, max_restarts=400, detection_policy=policy)
         detecting = per_cm_detection_oracle(strategy_from_name(name, beta2)) > 0.0
         for seed in range(2):
-            rng, eve_rng = assert_equals_replay(config, name, beta2, seed)
-            # The two messages, then the first block and two refills.
-            if not (detecting and policy == TERMINAL):
-                assert len(rng.sizes) >= 5, seed
+            _, rng, eve_rng = assert_equals_replay(config, name, beta2, seed)
             if detecting and policy == REINITIALIZE:
-                assert len(eve_rng.sizes) >= 3, seed
+                # After the two messages and the first block.
+                assert refilled(rng, 2) >= 2 and refilled(eve_rng, 0) >= 2, seed
 
     @pytest.mark.parametrize("policy", DETECTION_POLICIES)
     @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
     def test_block_used_exactly(self, name, beta2, policy):
-        # A dialogue whose protocol stream ends at its block's last
-        # uniform, so there is nothing to rewind there.
-        config = ProtocolConfig(c=0.5, n_pairs=3, max_restarts=3, detection_policy=policy)
+        # A dialogue that reads its protocol block to the last uniform:
+        # with one control run in ten, a short first block.
+        config = ProtocolConfig(c=0.1, n_pairs=3, max_restarts=3, detection_policy=policy)
         for seed in range(2000):
-            _, rng, _ = sample(config, name, beta2, seed)
-            if rewound_nothing(rng, seed):
+            result, rng, _ = sample(config, name, beta2, seed)
+            if sum(rng.sizes[2:]) == result.draws[0]:
                 break
         else:
             pytest.fail("no dialogue used its protocol block exactly")
@@ -306,12 +333,21 @@ class TestStreamEdges:
     def test_eve_block_used_exactly(self):
         config = ProtocolConfig(c=0.5, n_pairs=2, max_restarts=3, detection_policy=REINITIALIZE)
         for seed in range(400):
-            _, _, eve_rng = sample(config, "disturb-pauli-4", None, seed)
-            if rewound_nothing(eve_rng, seed, child=True):
+            result, _, eve_rng = sample(config, "disturb-pauli-4", None, seed)
+            if sum(eve_rng.sizes) == result.draws[1]:
                 break
         else:
             pytest.fail("no dialogue used Eve's block exactly")
         assert_equals_replay(config, "disturb-pauli-4", None, seed)
+
+    def test_an_empty_first_block_refills(self):
+        # A strategy whose first path makes no pick and whose readout pins
+        # every guess gets an empty first block of Eve's uniforms; its
+        # other paths pick, so the first refill draws from nothing.
+        config = ProtocolConfig(c=0.5, n_pairs=8)
+        for seed in range(5):
+            result, _, eve_rng = assert_equals_replay(config, UnevenPicks(), None, seed)
+            assert eve_rng.sizes[0] == 0 and result.draws[1] > 0
 
     @pytest.mark.parametrize("policy", DETECTION_POLICIES)
     @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
@@ -329,14 +365,48 @@ class TestStreamEdges:
             assert not detecting, "no dialogue failed a control check"
             assert_equals_replay(config, name, beta2, 0)
 
-    def test_generator_without_advance_raises_before_drawing(self):
-        rng = np.random.Generator(np.random.MT19937(3))
-        msgs = [random_message(4, rng) for _ in range(2)]
-        before = rng.bit_generator.state["state"]
-        with pytest.raises(TypeError, match="PCG64"):
-            run_dialogue(ProtocolConfig(c=0.5, n_pairs=4), *msgs, NoAttack(), rng, *rng.spawn(1))
-        after = rng.bit_generator.state["state"]
-        assert np.array_equal(after["key"], before["key"]) and after["pos"] == before["pos"]
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+    def test_any_generator_gives_the_replays_rows_and_draws(self, bit_generator):
+        # Nothing is rewound, so any numpy Generator will do.
+        config = ProtocolConfig(c=0.5, n_pairs=4, max_restarts=3, detection_policy=REINITIALIZE)
+        for seed in range(20):
+            seen = []
+            for engine in (run_dialogue, reference_dialogue):
+                rng = np.random.Generator(bit_generator(seed))
+                msgs = [random_message(4, rng) for _ in range(2)]
+                result = engine(config, *msgs, strategy_from_name("disturb-pauli-4"), rng, *rng.spawn(1))
+                seen.append((transcript_dict(result.transcript), result.eve.logs, result.draws))
+            assert seen[0] == seen[1], seed
+
+
+class TestFirstBlocks:
+    # A first block sized from the config holds what a typical dialogue
+    # reads, so few dialogues refill either stream: at these seeds, 2.25%
+    # of the honest-long config's, 1.5% of intercept-pool's and 6.75% of
+    # the probe sweep's 0.2 point's. A smaller first block fails here, not
+    # only as a slower benchmark (the old ``n_pairs + 12`` refills most).
+    REFILL_SHARE = 0.1
+
+    @pytest.mark.parametrize("config, point_key", [
+        (ExperimentConfig(attack="none", c=0.5, n_pairs=64, master_seed=1), ()),
+        (ExperimentConfig(attack="intercept-resend-literal", c=0.5, n_pairs=32, master_seed=1), ()),
+        (ExperimentConfig(attack="entangle-measure", beta2=0.2, c=0.5, n_pairs=2,
+                          detection_policy=REINITIALIZE, max_restarts=2, master_seed=1), (3,)),
+    ], ids=["honest-long", "intercept-pool", "probe-sweep-short-0.2"])
+    def test_few_dialogues_refill(self, config, point_key):
+        assert refill_share(config, point_key) < self.REFILL_SHARE
+
+    def test_the_console_refill_run_refills_both_streams(self):
+        # The console-script check's long verbose run: a detecting attack
+        # restarts up to 400 times, so every dialogue refills each stream
+        # at least twice.
+        config = ExperimentConfig(attack="disturb-pauli-4", c=0.5, n_pairs=48, trials=20, master_seed=1,
+                                  detection_policy=REINITIALIZE, max_restarts=400, verbose=True)
+        for t in range(config.trials):
+            rng = recorder(config.master_seed, t)
+            (eve_rng,) = rng.spawn(1)
+            run_trial(config, t, streams=(rng, eve_rng))
+            assert refilled(rng, 1) >= 2 and refilled(eve_rng, 0) >= 2, t
 
 
 class TestThresholdDraws:

@@ -40,7 +40,7 @@ from qdialogue.quantum import (
     tensor_product,
     z_branches,
 )
-from reference import encode, reference_dialogue, reference_run_law, run_paths, transcript_dict
+from reference import encode, ends_after, path_shapes, reference_dialogue, reference_run_law, run_paths, transcript_dict
 
 
 def intercept(channel):
@@ -173,17 +173,19 @@ def composed_steps(draw) -> tuple[tuple, tuple]:
 
 
 def play(engine, config, strategy, seed):
-    """One seeded dialogue: its transcript, Eve's logs and both streams' final states."""
+    """One seeded dialogue: its transcript, Eve's logs and the uniforms read from each stream.
+
+    The per-uniform replay's streams must end right after the two
+    messages and the uniforms it reports.
+    """
     rng = np.random.default_rng(seed)
     eve_rng = rng.spawn(1)[0]
     msgs = [random_message(config.n_pairs, rng) for _ in range(2)]
     result = engine(config, *msgs, strategy, rng, eve_rng)
-    return (
-        transcript_dict(result.transcript),
-        result.eve.logs,
-        rng.bit_generator.state,
-        eve_rng.bit_generator.state,
-    )
+    if engine is reference_dialogue:
+        assert ends_after(rng, seed, 2 * config.n_pairs + result.draws[0])
+        assert ends_after(eve_rng, seed, result.draws[1], child=True)
+    return transcript_dict(result.transcript), result.eve.logs, result.draws
 
 
 @settings(max_examples=100, deadline=None)
@@ -206,3 +208,14 @@ def test_generated_strategy_keeps_the_tap_contract(steps):
         config = ProtocolConfig(c=0.5, n_pairs=4, max_restarts=2, detection_policy=policy)
         for seed in range(3):
             assert play(run_dialogue, config, strategy, seed) == play(reference_dialogue, config, strategy, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(composed_steps())
+def test_generated_paths_pick_alike_and_leaves_guess_alike(steps):
+    # As for every registered strategy value (``tests/test_protocol.py``):
+    # one number of picks on every path, and a guess cell stored for
+    # every outcome of every leaf or for none.
+    tables = value_tables(Composed(*steps))
+    picks, stored = path_shapes(tables)
+    assert picks == {tables.picks} and stored == {not tables.guessing}

@@ -54,10 +54,12 @@ from reference import (
     cm_pass,
     decoded_pairs,
     encode,
+    ends_after,
     n_cm,
     n_mm,
     n_total,
     pairs,
+    path_shapes,
     reference_dialogue,
     reference_report,
     restart_count,
@@ -461,8 +463,9 @@ class TestRunTables:
     @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
     def test_sampler_equals_the_per_run_replay(self, name, beta2, policy):
         # The table sampler against the quantum leg replayed on every run:
-        # same transcript, same Eve logs, and both streams left in the
-        # same state, so every draw was the same.
+        # same transcript, same Eve logs, and as many uniforms read from
+        # each stream, so every draw was the same. The replay draws one
+        # uniform per call, so its final stream states pin its count.
         config = ProtocolConfig(c=0.5, n_pairs=4, max_restarts=2, detection_policy=policy)
         for seed in range(50):
             seen = []
@@ -470,14 +473,22 @@ class TestRunTables:
                 rng = SpawnRecorder(np.random.PCG64(np.random.SeedSequence(seed)))
                 msgs = [random_message(config.n_pairs, rng) for _ in range(2)]
                 result = engine(config, *msgs, strategy_from_name(name, beta2), rng, *rng.spawn(1))
-                (eve_rng,) = rng.children
-                seen.append((
-                    transcript_dict(result.transcript),
-                    result.eve.logs,
-                    rng.bit_generator.state,
-                    eve_rng.bit_generator.state,
-                ))
+                seen.append((transcript_dict(result.transcript), result.eve.logs, result.draws))
+            (eve_rng,) = rng.children
+            assert ends_after(rng, seed, 2 * config.n_pairs + result.draws[0])
+            assert ends_after(eve_rng, seed, result.draws[1], child=True)
             assert seen[0] == seen[1], seed
+
+    @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
+    def test_every_path_picks_alike_and_every_leaf_guesses_alike(self, name, beta2):
+        # Every root-to-leaf path of the value's 16 trees makes the same
+        # number of picks, and its leaves store a guess cell for every
+        # outcome or for none, so every run reads the same uniforms of
+        # Eve's stream by mode: ``picks``, plus one on a message run of a
+        # ``guessing`` value.
+        tables = value_tables(strategy_from_name(name, beta2))
+        picks, stored = path_shapes(tables)
+        assert picks == {tables.picks} and stored == {not tables.guessing}
 
     def test_equal_strategies_share_one_table(self):
         a, b = EntangleMeasure(0.25), EntangleMeasure(0.25)
