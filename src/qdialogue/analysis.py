@@ -108,8 +108,8 @@ def per_cm_detection_oracle(strategy: AttackStrategy) -> float:
     Brute force: average over all 16 (Alice code, Bob code) combinations
     and, within each, every alternative the strategy's taps can take,
     with its exact weight. The check fails when Bob's Bell outcome
-    differs from the XOR of the two codes. Reads the run tables the
-    sampler draws from, and draws from no random stream.
+    differs from the XOR of the two codes. Reads the rate the sampler's
+    run tables keep (``ValueTables.detection``); draws from no stream.
     """
     return _run_law(strategy)[0]
 
@@ -130,11 +130,9 @@ def guess_accuracy_oracle(strategy: AttackStrategy) -> tuple[float, float]:
 @functools.lru_cache(maxsize=16)
 def _run_law(strategy: AttackStrategy) -> tuple[float, float, float]:
     """(per-control-run detection, Alice accuracy, Bob accuracy)."""
-    failed = mass = alice_hits = bob_hits = 0.0
-    for (bob_code, alice_code), table in value_tables(strategy).by_pair.items():  # Bob's code outer
-        expected = ALL_CODES.index(alice_code ^ bob_code)
+    tables, mass, alice_hits, bob_hits = value_tables(strategy), 0.0, 0.0, 0.0
+    for (bob_code, alice_code), table in tables.by_pair.items():
         for leaf in table.leaves:
-            failed += leaf.weight * (1.0 - leaf.bell_probs[expected])
             for prob, guesses in zip(leaf.bell_probs, leaf.readouts):
                 if guesses is None:
                     alice_hit = bob_hit = PURE_GUESS_ACCURACY
@@ -144,10 +142,9 @@ def _run_law(strategy: AttackStrategy) -> tuple[float, float, float]:
                 mass += leaf.weight * prob
                 alice_hits += leaf.weight * prob * alice_hit
                 bob_hits += leaf.weight * prob * bob_hit
-    rate = failed / 16.0
     # Dividing by the summed mass rather than 16 keeps a sure readout
     # at exactly 1 and a pure guess at exactly 1/4.
-    return 0.0 if rate < 1e-12 else rate, alice_hits / mass, bob_hits / mass
+    return tables.detection, alice_hits / mass, bob_hits / mass
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +208,7 @@ class TrialReport:
         short of its end: at the last run of every pass but the final
         one, and of the final one unless the dialogue completed. The rows
         are walked only for the errors of a value that is not ``exact``, a
-        restart, an ``ancilla`` (the run tables the dialogue carries) or
-        ``decode``.
+        restart, an ``ancilla`` (``protocol.value_tables``) or ``decode``.
         """
         transcript, eve = result.transcript, result.eve
         rows = transcript.rows
@@ -226,7 +222,7 @@ class TrialReport:
             start, first_detection = passes.index(restarts), passes.index(1)
             final = rows[start:]
         n_mm = cursor + (not last_cm)
-        value, errors, table = result.tables, 0, NO_ANCILLA
+        value, errors, table = value_tables(strategy), 0, NO_ANCILLA
         if not value.exact:
             errors = sum([_BITS[k ^ alice ^ bob] for _, _, is_cm, bob, alice, k, _, _ in final if not is_cm])
         if value.ancilla:
@@ -309,7 +305,10 @@ class Tally(NamedTuple):
             eve_bob_hits += report.eve_bob_hits
             if report.ancilla_table is not NO_ANCILLA:
                 for row, more in zip(cells, report.ancilla_table):
-                    row[0] += more[0]; row[1] += more[1]; row[2] += more[2]; row[3] += more[3]  # noqa: E702
+                    row[0] += more[0]
+                    row[1] += more[1]
+                    row[2] += more[2]
+                    row[3] += more[3]
         return cls(trials, detected, completed, runs, cm_runs, cm_failures, restarts, message_bits, bit_errors,
                    eve_guesses, eve_alice_hits, eve_bob_hits, (tuple(cells[0]), tuple(cells[1])))
 

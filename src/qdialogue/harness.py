@@ -30,9 +30,8 @@ from the whole command's trial count. The trial stream gives both
 messages (Alice's half of one ``random(2 * n_pairs)`` first), then the
 protocol's draws in run order. Pairs and pure guesses are cut from
 uniforms scaled by 4 or 16, which is exact, so every cell is equally
-likely. A dialogue draws each stream's uniforms in blocks, the first
-sized from the config, and reads them in the order one draw per uniform
-gives; nothing reads a trial's streams after its dialogue.
+likely. A dialogue reads each stream in blocks (``protocol._first_blocks``)
+in the order one draw per uniform gives, and gives no unused tail back.
 """
 
 from __future__ import annotations

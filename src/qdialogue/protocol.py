@@ -129,12 +129,6 @@ class ProtocolConfig:
                 f"got {self.detection_policy!r}"
             )
 
-    @functools.cached_property
-    def control_bound(self) -> int:
-        """The next integer above a completing pass's mean control runs, ``n c/(1-c)``, plus two
-        standard deviations (variance ``n c/(1-c)**2``): what first blocks are sized for."""
-        return int((self.n_pairs * self.c + 2.0 * (self.n_pairs * self.c) ** 0.5) / (1.0 - self.c)) + 1
-
 
 class Leaf(NamedTuple):
     """The end of one choice path of a run.
@@ -229,8 +223,8 @@ class ValueTables(NamedTuple):
     """A strategy value's 16 run tables, by code pair and as trees indexed ``4 * bob + alice``
     (``_CODE_INDEX``), the sampler's view. ``ancilla``: some leaf carries an ancilla outcome.
     ``exact``: every leaf is sure of its codes' XOR, so every message run decodes exactly.
-    ``picks`` and ``guessing``, read off the first path, size Eve's first block of uniforms:
-    the picks on a path, and whether its leaf leaves a message run's guess to a uniform."""
+    ``picks`` and ``guessing``: the first path's picks, and whether its leaf leaves a message
+    run's guess to a uniform. ``detection``: the exact oracle's per-control-run rate."""
 
     by_pair: dict[tuple[BitPair, BitPair], RunTable]
     roots: list
@@ -238,6 +232,7 @@ class ValueTables(NamedTuple):
     exact: bool
     picks: int
     guessing: bool
+    detection: float
 
 
 # Strategy values whose tables are kept, least recently used first out.
@@ -275,15 +270,30 @@ def value_tables(strategy: "AttackStrategy") -> ValueTables:
         node, picks = tables[ALL_CODES[0], ALL_CODES[0]].tree, 0
         while type(node) is Branch:
             node, picks = next(filter(None, node.children)), picks + 1
+        failed = 0.0  # summed in ``leaves`` order, Bob's code outer
+        for k, leaf in leaves:
+            failed += leaf.weight * (1.0 - leaf.bell_probs[k])
         entry = ValueTables(tables, [table.tree for table in tables.values()],
                             any(leaf.ancilla is not None for _, leaf in leaves),
-                            all(leaf.sure == k for k, leaf in leaves), picks, None in node.cells)
+                            all(leaf.sure == k for k, leaf in leaves), picks, None in node.cells,
+                            0.0 if failed / 16.0 < 1e-12 else failed / 16.0)
         if len(_TABLES) >= TABLE_STRATEGIES:
             _TABLES.popitem(last=False)
         _TABLES[key] = entry
     else:
         _TABLES.move_to_end(key)
     return entry
+
+
+@functools.lru_cache(maxsize=TABLE_STRATEGIES)
+def _first_blocks(config: ProtocolConfig, picks: int, guessing: bool, detection: float) -> tuple[int, int]:
+    """The sizes of a dialogue's first blocks, the protocol's and Eve's: what a completing pass reads with its
+    control runs at their mean ``n c/(1-c)`` plus two deviations, or, if fewer, what a detected value's passes
+    read until they stop (3 and ``picks + guessing`` a run, runs at their mean ``passes/(c detection)`` plus two)."""
+    n, c, passes = config.n_pairs, config.c, 1 + config.max_restarts * (config.detection_policy != TERMINAL)
+    cm = int((n * c + 2.0 * (n * c) ** 0.5) / (1.0 - c)) + 1
+    runs = int((passes + 2.0 * passes ** 0.5) / (c * detection)) + 1 if detection else n + cm
+    return min(2 * n + 3 * cm, 3 * runs), min(picks * (n + cm) + guessing * n, (picks + guessing) * runs)
 
 
 class RunRecord(NamedTuple):
@@ -328,13 +338,11 @@ class Transcript:
 
 @dataclass
 class DialogueResult:
-    """Outcome of one dialogue: the public transcript, Eve's session, the uniforms read from
-    the protocol's stream and from Eve's, and the strategy value's run tables."""
+    """Outcome of one dialogue: the public transcript, Eve's session and the uniforms read from each stream."""
 
     transcript: Transcript
     eve: "EveSession"
     draws: tuple[int, int]
-    tables: ValueTables
 
 
 def _refill(block: list[float], used: int, stream: np.random.Generator) -> list[float]:
@@ -366,31 +374,27 @@ def run_dialogue(
     by the leaf's Bell law (a law with one outcome still takes its
     uniform) and, on a message run, the leaf's stored guess cell, or the
     cell ``int(u * 16.0)`` of one more of Eve's uniforms where the
-    readout pins nothing. Each run appends one plain
-    tuple to the rows the transcript and Eve's session share; both
-    build their records from them only when read. Each stream's
-    uniforms come in blocks of ``random(n).tolist()``, read by index in
-    the order one ``random()`` per uniform gives, from any numpy
-    Generator. A run reads ``2 + is_cm`` of the protocol's, and
-    ``picks`` plus, on a message run whose leaf stores no guess cell,
-    one of Eve's (``ValueTables``), so each first block holds what a
-    completing pass with ``config.control_bound`` control runs reads; a
-    refill keeps the unused tail and draws twice as many as the block
-    held. Nothing reads either stream after the dialogue, so the unused
-    tail is not given back; ``draws`` counts the uniforms read from each.
+    readout pins nothing. Each run appends one plain tuple to the rows
+    the transcript and Eve's session share; both build their records
+    from them only when read. Each stream's uniforms come in blocks of
+    ``random(n).tolist()`` from any numpy Generator, read in the order
+    one ``random()`` per uniform gives: ``2 + is_cm`` of the protocol's
+    a run, and of Eve's ``picks`` plus one on a message run whose leaf
+    stores no guess cell. A first block holds what a completing pass,
+    or a detected value's passes till they stop, likely read
+    (``_first_blocks``); a refill keeps the unused tail and draws twice
+    as many as the block held. Nothing reads a stream after the
+    dialogue, so no tail is given back; ``draws`` counts the uniforms
+    read from each.
     """
     if len(alice_msg) != len(bob_msg):
-        raise ValueError(
-            f"messages must have equal half-length, got {len(alice_msg)} and {len(bob_msg)}"
-        )
+        raise ValueError(f"messages must have equal half-length, got {len(alice_msg)} and {len(bob_msg)}")
     if len(alice_msg) != config.n_pairs:
-        raise ValueError(
-            f"config.n_pairs = {config.n_pairs} but messages have {len(alice_msg)} pairs"
-        )
-    tables, cm = value_tables(attack), config.control_bound
+        raise ValueError(f"config.n_pairs = {config.n_pairs} but messages have {len(alice_msg)} pairs")
+    tables = value_tables(attack)
     roots, c, n_pairs = tables.roots, config.c, config.n_pairs
-    pu = rng.random(2 * n_pairs + 3 * cm).tolist()  # the protocol's uniforms
-    eu = eve_rng.random(tables.picks * (n_pairs + cm) + tables.guessing * n_pairs).tolist()  # Eve's
+    pu_first, eu_first = _first_blocks(config, tables.picks, tables.guessing, tables.detection)
+    pu, eu = rng.random(pu_first).tolist(), eve_rng.random(eu_first).tolist()  # the protocol's and Eve's uniforms
     i = j = pu_read = eu_read = 0  # the next unused uniform of each, and those read from earlier blocks
     pu_end, eu_end = len(pu), len(eu)
 
@@ -463,4 +467,4 @@ def run_dialogue(
 
     session.rows = rows
     session.alice_hits, session.bob_hits, session.guess_count = alice_hits, bob_hits, guess_count
-    return DialogueResult(Transcript(rows, status), session, (pu_read + i, eu_read + j), tables)
+    return DialogueResult(Transcript(rows, status), session, (pu_read + i, eu_read + j))

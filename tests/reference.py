@@ -42,7 +42,6 @@ from qdialogue.protocol import (
     Branch,
     DialogueResult,
     Transcript,
-    value_tables,
 )
 from qdialogue.quantum import (
     ALL_CODES,
@@ -377,7 +376,7 @@ def reference_dialogue(config, alice_msg, bob_msg, attack, rng, eve_rng) -> Dial
             else:
                 pass_index += 1
                 cursor = 0
-    return DialogueResult(Transcript(rows, status), session, (rng.n, eve_rng.n), value_tables(attack))
+    return DialogueResult(Transcript(rows, status), session, (rng.n, eve_rng.n))
 
 
 _BITS_APART = {(x, y): (x.a != y.a) + (x.b != y.b) for x in ALL_CODES for y in ALL_CODES}

@@ -28,6 +28,7 @@ from qdialogue.attacks import (
 from qdialogue.harness import ExperimentConfig, run_trial
 from qdialogue.protocol import (
     CM,
+    COMPLETED,
     DETECTION_POLICIES,
     MM,
     REINITIALIZE,
@@ -75,6 +76,11 @@ EDGES = [
 # Every non-probe strategy value, and the probe at beta2 0, 0.05, ..., 0.5.
 TABLE_VALUES = [(name, None) for name in STRATEGY_NAMES if name != "entangle-measure"] + [
     ("entangle-measure", k / 20) for k in range(11)
+]
+# The strategy values Bob cannot detect, whose passes never stop.
+UNDETECTED_VALUES = [
+    (name, beta2) for name, beta2 in STRATEGY_VALUES
+    if per_cm_detection_oracle(strategy_from_name(name, beta2)) == 0.0
 ]
 # A probed pair: Born laws whose entries are not round numbers.
 _PROBED = entangling_probe(attach_ancilla(bell_state(BitPair(1, 0)), "e"), "t", "e", 0.6, 0.8)
@@ -330,6 +336,24 @@ class TestStreamEdges:
             pytest.fail("no dialogue used its protocol block exactly")
         assert_equals_replay(config, name, beta2, seed)
 
+    @pytest.mark.parametrize("policy", DETECTION_POLICIES)
+    @pytest.mark.parametrize("name, beta2", UNDETECTED_VALUES)
+    def test_a_long_pass_refills(self, name, beta2, policy):
+        # An undetected value's first blocks hold a completing pass whose
+        # control runs reach their mean plus two deviations. With nine
+        # control runs in ten and one message pair, some seed's pass runs
+        # longer and refills the protocol's block, and Eve's where the
+        # value picks (a value that only guesses reads one of hers a pass).
+        config = ProtocolConfig(c=0.9, n_pairs=1, max_restarts=3, detection_policy=policy)
+        picks = value_tables(strategy_from_name(name, beta2)).picks
+        for seed in range(1000):
+            _, rng, eve_rng = sample(config, name, beta2, seed)
+            if refilled(rng, 2) and (refilled(eve_rng, 0) or not picks):
+                break
+        else:
+            pytest.fail("no pass outran its first block")
+        assert_equals_replay(config, name, beta2, seed)
+
     def test_eve_block_used_exactly(self):
         config = ProtocolConfig(c=0.5, n_pairs=2, max_restarts=3, detection_policy=REINITIALIZE)
         for seed in range(400):
@@ -395,6 +419,21 @@ class TestFirstBlocks:
     ], ids=["honest-long", "intercept-pool", "probe-sweep-short-0.2"])
     def test_few_dialogues_refill(self, config, point_key):
         assert refill_share(config, point_key) < self.REFILL_SHARE
+
+    @pytest.mark.parametrize("config", [
+        ProtocolConfig(c=0.9999999, n_pairs=16),
+        ProtocolConfig(c=0.9999999, n_pairs=16, max_restarts=3, detection_policy=REINITIALIZE),
+        ProtocolConfig(c=0.5, n_pairs=100_000),
+    ], ids=["c-near-1", "c-near-1-reinitialize", "many-pairs"])
+    def test_passes_bob_stops_soon_get_short_first_blocks(self, config):
+        # A completing pass here reads hundreds of thousands of uniforms or
+        # more, but Bob stops each pass of a detected value within a few
+        # runs, so its first blocks hold a few dozen (the bound on its runs
+        # in ``protocol._first_blocks``), and none completes.
+        for seed in range(3):
+            result, rng, eve_rng = assert_equals_replay(config, "intercept-resend-blind", None, seed)
+            assert rng.sizes[2] <= 64 and eve_rng.sizes[0] <= 64, seed
+            assert result.transcript.final_status != COMPLETED
 
     def test_the_console_refill_run_refills_both_streams(self):
         # The console-script check's long verbose run: a detecting attack
