@@ -25,7 +25,7 @@ from operator import add
 from typing import NamedTuple
 
 from .attacks import AttackStrategy, check_beta2
-from .protocol import COMPLETED, DETECTED, DialogueResult, Message, value_tables
+from .protocol import COMPLETED, DETECTED, DialogueResult, Message, ValueTables, value_tables
 from .quantum import ALL_CODES
 
 PURE_GUESS_ACCURACY = 0.25
@@ -195,7 +195,8 @@ class TrialReport:
 
     @classmethod
     def from_dialogue(cls, trial_index: int, result: DialogueResult, alice_msg: Message, bob_msg: Message,
-                      strategy: AttackStrategy, decode: bool = False) -> "TrialReport":
+                      strategy: AttackStrategy, decode: bool = False,
+                      tables: ValueTables | None = None) -> "TrialReport":
         """Read the report off the dialogue's integer rows, keeping no reference to them.
 
         Codes are ``ALL_CODES`` indices, so XOR is ``^``. Control counts
@@ -208,7 +209,8 @@ class TrialReport:
         short of its end: at the last run of every pass but the final
         one, and of the final one unless the dialogue completed. The rows
         are walked only for the errors of a value that is not ``exact``, a
-        restart, an ``ancilla`` (``protocol.value_tables``) or ``decode``.
+        restart, an ``ancilla`` (the strategy's ``protocol.value_tables``,
+        unless the caller passes them as ``tables``) or ``decode``.
         """
         transcript, eve = result.transcript, result.eve
         rows = transcript.rows
@@ -222,7 +224,7 @@ class TrialReport:
             start, first_detection = passes.index(restarts), passes.index(1)
             final = rows[start:]
         n_mm = cursor + (not last_cm)
-        value, errors, table = value_tables(strategy), 0, NO_ANCILLA
+        value, errors, table = tables or value_tables(strategy), 0, NO_ANCILLA
         if not value.exact:
             errors = sum([_BITS[k ^ alice ^ bob] for _, _, is_cm, bob, alice, k, _, _ in final if not is_cm])
         if value.ancilla:

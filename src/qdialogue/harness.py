@@ -25,8 +25,9 @@ Determinism contract: trial ``t``'s stream is ``default_rng(SeedSequence(
 master_seed, spawn_key=(*point_key, t)))`` and the adversary's is its
 ``spawn(1)`` child, so a configuration gives byte-identical documents
 however many workers run its trials, in any order. ``trial_streams``
-derives a chunk's streams in one vectorized pass, and chunks are sized
-from the whole command's trial count. The trial stream gives both
+derives what a (seed, point) gives once, a block's streams, PCG64 seeding
+included, in one vectorized pass, and sets two states a trial; chunks
+are sized from the whole command's trial count. The trial stream gives both
 messages (Alice's half of one ``random(2 * n_pairs)`` first), then the
 protocol's draws in run order. Pairs and pure guesses are cut from
 uniforms scaled by 4 or 16, which is exact, so every cell is equally
@@ -37,13 +38,13 @@ in the order one draw per uniform gives, and gives no unused tail back.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
 import typing
 from dataclasses import asdict, dataclass, replace
 from itertools import chain, islice
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -60,7 +61,8 @@ from .analysis import (
     per_cm_detection_oracle,
 )
 from .attacks import STRATEGIES, AttackStrategy, strategy_from_name
-from .protocol import TABLE_STRATEGIES, TERMINAL, ProtocolConfig, random_message, run_dialogue, value_tables
+from .protocol import (TABLE_STRATEGIES, TERMINAL, ProtocolConfig, ValueTables, random_message, run_dialogue,
+                       value_tables)
 from .quantum import (
     ALL_CODES,
     PAULI_MATRICES,
@@ -159,8 +161,20 @@ STREAM_BLOCK = 1024  # trials whose streams are derived in one vectorized pass
 
 
 def _hash_consts(init: int, mult: int, first: int) -> np.ndarray:
-    """Nine hash constants from the ``first``-th on of one sequence, as a ``uint32`` column."""
-    return np.array([init * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(first, first + 9)], np.uint32)[:, None]
+    """Nine hash constants from the ``first``-th on of one sequence, as ``uint32``s."""
+    return np.array([init * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(first, first + 9)], np.uint32)
+
+
+# ``generate_state``'s hash steps, for the eight words of a stream's pool and then of Eve's.
+_HASH_B = tuple(np.tile(_hash_consts(_INIT_B, _MULT_B, 0)[i:i + 8], 2) for i in (0, 1))
+# PCG64's seeding (O'Neill 2014) as one linear map mod 2**128: seed s and word p give inc = 2 p + 1 and
+# state = (s + inc) M + inc = M s + 2 (M + 1) p + M + 1. It maps the 16-bit halves (low first) of the
+# eight ``uint32`` words ``generate_state`` gives (s, then p, high 64 bits first, low word first) to
+# state's, then inc's, 32-bit columns, low first. Each column is an integer below 2**53, exact in float64.
+_SEED_MAP = np.array([[(s_mult if k < 4 else p_mult) << 32 * ((k + 2) % 4) + half >> 32 * q & 0xFFFFFFFF
+                       for s_mult, p_mult in ((_PCG_MULT, 2 * _PCG_MULT + 2), (0, 2)) for q in range(4)]
+                      for k in range(8) for half in (0, 16)], np.float64)
+_SEED_ADD = np.array([(_PCG_MULT + 1) >> 32 * q & 0xFFFFFFFF for q in range(4)] + [1, 0, 0, 0], np.float64)
 
 
 def _hashmix(value, hc, nxt):
@@ -169,55 +183,66 @@ def _hashmix(value, hc, nxt):
     return value ^ value >> 16
 
 
-def _mix_in(pool, word, hc, nxt):
-    """numpy's ``mix`` of each pool word with ``word`` hashed by the next hash steps."""
-    r = pool * _MIX_L - _hashmix(word, hc, nxt) * _MIX_R
-    return r ^ r >> 16
+@functools.lru_cache(maxsize=TABLE_STRATEGIES)  # one entry per sweep point, as the run tables
+def _point_seed(master_seed: int, point_key: tuple[int, ...]):
+    """What every trial of a (seed, point) shares: its ``SeedSequence``, its pool times ``_MIX_L``, the
+    trial word's hash constants (after four a prefix word, the seed padded to four words) and Eve's spawn
+    word 0 hashed by the next four, times ``_MIX_R``."""
+    n_words = lambda n: (n.bit_length() + 31) // 32 or 1  # noqa: E731
+    seq = np.random.SeedSequence(master_seed, spawn_key=point_key)
+    a = _hash_consts(_INIT_A, _MULT_A, 4 * (max(4, n_words(master_seed)) + sum(map(n_words, point_key))))
+    return seq, seq.pool * _MIX_L, a, _hashmix(0, a[4:8], a[5:9]) * _MIX_R
 
 
 def trial_streams(master_seed: int, point_key: tuple[int, ...], trials: range):
     """Each trial's (stream, Eve's stream): two Generators reset per trial, valid until the next.
 
     They equal ``default_rng(SeedSequence(master_seed, spawn_key=(*point_key, t)))``
-    and its ``spawn(1)``. numpy mixes the (seed, point) prefix once; the
-    trial word, then Eve's spawn word 0, are mixed into its pool, and
-    ``generate_state`` and ``pcg64_set_seed`` applied, over ``uint32``
-    arrays of up to ``STREAM_BLOCK`` trials.
+    and its ``spawn(1)``. Once per (seed, point), ``_point_seed`` derives
+    what the prefix gives. Once per block of up to ``STREAM_BLOCK``
+    trials, over arrays, the trial word and then Eve's spawn word 0 are
+    mixed into the pool, ``generate_state`` is applied and PCG64 seeded
+    (``_SEED_MAP``). Once per trial, each stream's state is set.
     """
     if trials.step != 1 or trials.stop > 1 << 32:
         raise ValueError("trials must be a step-1 range whose indices fit one 32-bit word")
-    n_words = lambda n: (n.bit_length() + 31) // 32 or 1  # noqa: E731
-    # The prefix took four hash steps a word, the seed padded to four words.
-    a = _hash_consts(_INIT_A, _MULT_A, 4 * (max(4, n_words(master_seed)) + sum(map(n_words, point_key))))
-    b = _hash_consts(_INIT_B, _MULT_B, 0)
-    pool = np.random.SeedSequence(master_seed, spawn_key=point_key).pool[:, None]
-    gens = [np.random.Generator(np.random.PCG64(0)) for _ in range(2)]
+    seq, pool, a, eve_word = _point_seed(master_seed, tuple(point_key))
+    rng, eve_rng = (np.random.Generator(np.random.PCG64(seq)) for _ in range(2))  # no SeedSequence hashed
+    pcg, eve_pcg = {}, {}  # each stream's PCG64 state, refilled per trial
+    state, eve_state = ({"bit_generator": "PCG64", "state": p, "has_uint32": 0, "uinteger": 0} for p in (pcg, eve_pcg))
     for lo in range(trials.start, trials.stop, STREAM_BLOCK):
-        t = np.arange(lo, min(lo + STREAM_BLOCK, trials.stop), dtype=np.uint32)
-        trial_pool = _mix_in(pool, t, a[:4], a[1:5])
-        pools = np.stack([trial_pool, _mix_in(trial_pool, 0, a[4:8], a[5:9])])[:, [0, 1, 2, 3, 0, 1, 2, 3]]
-        state = _hashmix(pools, b[:8], b[1:]).astype(np.uint64)
-        halves = (state[:, 0::2] | state[:, 1::2] << 32).tolist()  # seed hi, lo; increment hi, lo
-        for pair in zip(*(zip(*stream) for stream in halves)):
-            for gen, (s_hi, s_lo, i_hi, i_lo) in zip(gens, pair):
-                inc = ((i_hi << 64 | i_lo) << 1 | 1) % (1 << 128)
-                pcg = {"state": (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) % (1 << 128), "inc": inc}
-                gen.bit_generator.state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-            yield gens[0], gens[1]
+        t = np.arange(lo, min(lo + STREAM_BLOCK, trials.stop), dtype=np.uint32)[:, None]
+        # numpy's ``mix`` of each pool word with the trial word hashed, then of those with Eve's word.
+        trial_pool = pool - _hashmix(t, a[:4], a[1:5]) * _MIX_R
+        trial_pool ^= trial_pool >> 16
+        eve_pool = trial_pool * _MIX_L - eve_word
+        eve_pool ^= eve_pool >> 16
+        words = _hashmix(np.concatenate([trial_pool, trial_pool, eve_pool, eve_pool], axis=1), *_HASH_B)
+        cols = np.ascontiguousarray(words, "<u4").view("<u2").reshape(-1, 2, 16) @ _SEED_MAP + _SEED_ADD
+        cols = cols.astype(np.uint64).reshape(-1, 2, 2, 4)  # trial, stream, (state, inc), column
+        for q in (1, 2, 3):
+            cols[..., q] += cols[..., q - 1] >> 32
+        # Each value's (low, high) 64-bit words; what carries past 2**128 drops.
+        halves = cols[..., 1::2] << 32 | cols[..., 0::2] & 0xFFFFFFFF
+        for s_lo, s_hi, i_lo, i_hi, t_lo, t_hi, j_lo, j_hi in halves.reshape(-1, 8).tolist():
+            pcg["state"], pcg["inc"] = s_hi << 64 | s_lo, i_hi << 64 | i_lo
+            eve_pcg["state"], eve_pcg["inc"] = t_hi << 64 | t_lo, j_hi << 64 | j_lo
+            rng.bit_generator.state, eve_rng.bit_generator.state = state, eve_state
+            yield rng, eve_rng
 
 
 def run_trial(config: ExperimentConfig, trial_index: int, point_key: tuple[int, ...] = (), *,
               strategy: AttackStrategy | None = None, protocol: ProtocolConfig | None = None,
-              streams: tuple | None = None) -> TrialReport:
+              streams: tuple | None = None, tables: ValueTables | None = None) -> TrialReport:
     """One seeded dialogue reduced to its report, decoded only if verbose; a chunk passes what it
-    built once as keywords. Both messages stay code indices from the draw to the report."""
+    built or looked up once as keywords. Both messages stay code indices from the draw to the report."""
     strategy, protocol = strategy or config.strategy(), protocol or config.protocol_config()
     rng, eve_rng = streams or next(trial_streams(config.master_seed, point_key, range(trial_index, trial_index + 1)))
     n = config.n_pairs
     messages = random_message(2 * n, rng)
     alice, bob = messages[:n], messages[n:]
     result = run_dialogue(protocol, alice, bob, strategy, rng, eve_rng)
-    return TrialReport.from_dialogue(trial_index, result, alice, bob, strategy, config.verbose)
+    return TrialReport.from_dialogue(trial_index, result, alice, bob, strategy, config.verbose, tables)
 
 
 # A batch of trials folded: its Tally, and its reports in trial order if verbose.
@@ -227,13 +252,14 @@ FoldedTrials = tuple[Tally, list[TrialReport]]
 def _fold_trials(config: ExperimentConfig, trials: range, point_key: tuple[int, ...]) -> FoldedTrials:
     """Run ``trials`` in order, folding each report into one ``Tally`` as it finishes (``Tally.fold``).
 
-    The strategy, protocol config and streams are built once per chunk.
-    A child folds contiguous chunks, so one ``Tally`` per chunk crosses
-    back, not one report per trial.
+    The strategy, protocol config, value tables and streams are built or
+    looked up once per chunk. A child folds contiguous chunks, so one
+    ``Tally`` per chunk crosses back, not one report per trial.
     """
-    strategy, protocol = config.strategy(), config.protocol_config()
-    reports = (run_trial(config, trial_index, point_key, strategy=strategy, protocol=protocol, streams=streams)
-               for trial_index, streams in zip(trials, trial_streams(config.master_seed, point_key, trials)))
+    strategy = config.strategy()
+    protocol, tables = config.protocol_config(), value_tables(strategy)
+    reports = (run_trial(config, t, point_key, strategy=strategy, protocol=protocol, streams=streams, tables=tables)
+               for t, streams in zip(trials, trial_streams(config.master_seed, point_key, trials)))
     if config.verbose:
         kept = list(reports)
         return Tally.fold(kept), kept
@@ -269,6 +295,12 @@ def _reply(child, reader):
             reply = RuntimeError(f"a trial process exited with code {child.exitcode} and sent no results")
     child.join()
     return reply
+
+
+def get_context():
+    """The default ``multiprocessing`` context, imported only when a command starts a child."""
+    import multiprocessing
+    return multiprocessing.get_context()
 
 
 def _fold_jobs(jobs: list, processes: int) -> list[FoldedTrials]:
@@ -554,11 +586,7 @@ def selftest() -> tuple[bool, list[str]]:
             expected_mat = got.phase * PAULI_MATRICES[got.code]
             if not np.array_equal(product, expected_mat):
                 bad_cells.append(f"second={tuple(second)} first={tuple(first)}")
-    check(
-        "pauli composition phase table (16 cells vs matrix product)",
-        not bad_cells,
-        "; ".join(bad_cells) if bad_cells else "",
-    )
+    check("pauli composition phase table (16 cells vs matrix product)", not bad_cells, "; ".join(bad_cells))
 
     # Bell measurement distributions: eigenstate and product-state cases.
     dist_ok = True
@@ -583,10 +611,7 @@ def selftest() -> tuple[bool, list[str]]:
     check("deterministic decode identity (16 code pairs)", decode_ok)
 
     # Entropy endpoints.
-    check(
-        "entropy endpoints",
-        eve_entropy_bits(0.0) == 0.0 and eve_entropy_bits(0.5) == 1.0,
-    )
+    check("entropy endpoints", eve_entropy_bits(0.0) == 0.0 and eve_entropy_bits(0.5) == 1.0)
 
     # Attack-free fidelity, small batch.
     cfg = ExperimentConfig(attack="none", c=0.5, n_pairs=8, trials=200, master_seed=7)

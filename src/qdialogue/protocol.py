@@ -23,14 +23,13 @@ Each run leaves one row, a plain tuple of integers whose codes are
 of the run table and Eve's guess. A trial stays on indices from its
 message draw to its ``analysis.Tally``; ``BitPair``s appear only in the
 records built on read and in the quantum leg. The transcript and Eve's
-session share the rows, a column per field, and build a run's public
-record (``RunRecord``) and Eve's private log (``EveRunLog``) only when
-read, in transcript order. Everything else about a dialogue is derived
-from its runs: the announcements and Bob's control check, each side's
-decode (the outcome XOR its own code on the final pass's message runs),
-the restart count (the last run's pass index) and the final-pass
-counters; ``analysis.TrialReport.from_dialogue`` reads them off the
-integer rows.
+session share the rows, a column per field, and Eve's session builds a
+run's private log (``EveRunLog``) only when read, in transcript order.
+Everything else about a dialogue is derived from its runs: its public
+records, the announcements and Bob's control check, each side's decode
+(the outcome XOR its own code on the final pass's message runs), the
+restart count (the last run's pass index) and the final-pass counters;
+``analysis.TrialReport.from_dialogue`` reads them off the integer rows.
 
 A run's quantum leg is fixed once the strategy, both codes and Eve's
 picks are. So it is played out once per choice path, not once per run:
@@ -67,9 +66,6 @@ from .quantum import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attacks import AttackStrategy, EveSession
-
-MM = "MM"
-CM = "CM"
 
 TERMINAL = "terminal"
 REINITIALIZE = "reinitialize"
@@ -296,22 +292,6 @@ def _first_blocks(config: ProtocolConfig, picks: int, guessing: bool, detection:
     return min(2 * n + 3 * cm, 3 * runs), min(picks * (n + cm) + guessing * n, (picks + guessing) * runs)
 
 
-class RunRecord(NamedTuple):
-    """One protocol run as it appears in the transcript.
-
-    A third party sees the mode and, after Bob's measurement, Alice's
-    revealed pair (CM) or Bob's broadcast outcome (MM). The ``index``
-    field hides ``tuple.index``.
-    """
-
-    index: int
-    pass_index: int
-    mode: str
-    bob_code: BitPair
-    alice_code: BitPair
-    outcome: BitPair
-
-
 @dataclass
 class Transcript:
     """Ordered run log and how the dialogue ended.
@@ -319,21 +299,13 @@ class Transcript:
     ``rows`` holds one plain tuple per run: (index, pass_index, is_cm,
     Bob's code, Alice's code, outcome), codes as ``ALL_CODES`` indices,
     then whatever else its engine keeps (``run_dialogue``: the run's
-    leaf and Eve's guess cell). ``runs`` builds their ``RunRecord``s on
-    first read. A restart starts a new pass, so the restart count is the
-    last run's ``pass_index``, and the final pass is the suffix of runs
-    carrying that index.
+    leaf and Eve's guess cell). A restart starts a new pass, so the
+    restart count is the last run's ``pass_index``, and the final pass
+    is the suffix of runs carrying that index.
     """
 
     rows: list[tuple]
     final_status: str
-
-    @functools.cached_property
-    def runs(self) -> list[RunRecord]:
-        return [
-            RunRecord(index, pass_index, CM if is_cm else MM, ALL_CODES[bob], ALL_CODES[alice], ALL_CODES[k])
-            for index, pass_index, is_cm, bob, alice, k, *_ in self.rows
-        ]
 
 
 @dataclass

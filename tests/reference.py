@@ -4,8 +4,9 @@ No ``qdialogue`` command needs these: partial traces and entropies of
 simulated states, equality up to a global phase, the forced-outcome Bell
 and up/down projections, the cumulative detection curve as an explicit
 sum, each side's decode read straight off a transcript, the
-transcript's read-side views (Bob's control check, the announcements,
-the final-pass counters and the JSON-ready dicts), messages as
+transcript's read-side views (its runs as ``RunRecord``s, Bob's control
+check, the announcements, the final-pass counters and the JSON-ready
+dicts), messages as
 ``BitPair``s, the scalar cuts of a pair and of a pure guess from one
 uniform, the per-draw ``choose`` loop the stored thresholds replaced and
 the linear scan ``quantum.cut`` replaced, numpy's own per-trial stream
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,10 +36,8 @@ from qdialogue.analysis import PURE_GUESS_ACCURACY, TrialReport
 from qdialogue.attacks import STRATEGY_NAMES, Channel, EveRunLog
 from qdialogue.protocol import (
     ABORTED,
-    CM,
     COMPLETED,
     DETECTED,
-    MM,
     TERMINAL,
     Branch,
     DialogueResult,
@@ -132,14 +132,42 @@ def scan_cut(cum, u: float) -> int:
     return indices[-1]
 
 
+MM = "MM"
+CM = "CM"
+
+
+class RunRecord(NamedTuple):
+    """One protocol run as it appears in the transcript.
+
+    A third party sees the mode and, after Bob's measurement, Alice's
+    revealed pair (CM) or Bob's broadcast outcome (MM). The ``index``
+    field hides ``tuple.index``.
+    """
+
+    index: int
+    pass_index: int
+    mode: str
+    bob_code: BitPair
+    alice_code: BitPair
+    outcome: BitPair
+
+
+def run_records(transcript) -> list[RunRecord]:
+    """A transcript's runs as ``RunRecord``s, read off its integer rows."""
+    return [
+        RunRecord(index, pass_index, CM if is_cm else MM, ALL_CODES[bob], ALL_CODES[alice], ALL_CODES[k])
+        for index, pass_index, is_cm, bob, alice, k, *_ in transcript.rows
+    ]
+
+
 def decoded_pairs(transcript) -> tuple[tuple[BitPair, ...], tuple[BitPair, ...]]:
     """(Alice's, Bob's) decoded pairs: outcome XOR own code on the final pass's message runs.
 
     Alice's decode reads Bob's message and Bob's reads Alice's. The final
     pass is every run with the largest pass index.
     """
-    last = max(run.pass_index for run in transcript.runs)
-    final = [run for run in transcript.runs if run.pass_index == last and run.mode == "MM"]
+    last = max(run.pass_index for run in run_records(transcript))
+    final = [run for run in run_records(transcript) if run.pass_index == last and run.mode == MM]
     alice_view = tuple(run.outcome ^ run.alice_code for run in final)
     return alice_view, tuple(run.outcome ^ run.bob_code for run in final)
 
@@ -178,13 +206,13 @@ def run_dict(run) -> dict:
 
 def restart_count(transcript) -> int:
     """A transcript's restarts: the last run's pass index."""
-    return transcript.runs[-1].pass_index
+    return run_records(transcript)[-1].pass_index
 
 
 def final_pass(transcript) -> list:
     """The runs of a transcript's last pass."""
     last = restart_count(transcript)
-    return [run for run in transcript.runs if run.pass_index == last]
+    return [run for run in run_records(transcript) if run.pass_index == last]
 
 
 def n_total(transcript) -> int:
@@ -202,7 +230,7 @@ def n_cm(transcript) -> int:
 def transcript_dict(transcript) -> dict:
     """A transcript as a JSON-ready dict: every run, the final-pass counters and the ending."""
     return {
-        "runs": [run_dict(r) for r in transcript.runs],
+        "runs": [run_dict(r) for r in run_records(transcript)],
         "n_total": n_total(transcript),
         "n_mm": n_mm(transcript),
         "n_cm": n_cm(transcript),
@@ -390,7 +418,7 @@ def _bit_errors(decoded: list[BitPair], sent) -> int:
 def reference_report(trial_index, result, alice_msg, bob_msg, strategy) -> TrialReport:
     """``TrialReport.from_dialogue`` from the ``RunRecord``s and ``EveRunLog``s, ``BitPair`` by ``BitPair``.
 
-    Reads ``result.transcript.runs`` and ``result.eve.logs``, so it
+    Reads ``run_records(result.transcript)`` and ``result.eve.logs``, so it
     folds either engine's result, and decodes each side against the
     messages it was given. It always builds the decoded bits.
     """
@@ -400,7 +428,7 @@ def reference_report(trial_index, result, alice_msg, bob_msg, strategy) -> Trial
     # run of every pass but the final one, and of the final one unless the
     # dialogue completed.
     transcript = result.transcript
-    runs = transcript.runs
+    runs = run_records(transcript)
     _, passes, modes, bob_codes, alice_codes, outcomes = zip(*runs)
     restarts = passes[-1]
     stopped = transcript.final_status != COMPLETED

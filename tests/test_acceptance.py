@@ -43,6 +43,7 @@ from reference import (
     detection_after_runs_partial_sum,
     pairs,
     reduced_density,
+    run_records,
     trial_rng,
     von_neumann_entropy,
 )
@@ -123,7 +124,7 @@ def test_criterion_03_attack_free_dialogues():
         bob = random_message(n_pairs, rng)
         result = run_dialogue(config, alice, bob, strategy, rng, *rng.spawn(1))
         incomplete += result.transcript.final_status != "completed"
-        failures += sum(cm_pass(run) is False for run in result.transcript.runs)
+        failures += sum(cm_pass(run) is False for run in run_records(result.transcript))
         alice_view, bob_view = decoded_pairs(result.transcript)
         errors += sum(a != b for p, q in zip(alice_view, pairs(bob)) for a, b in zip(p, q))
         errors += sum(a != b for p, q in zip(bob_view, pairs(alice)) for a, b in zip(p, q))

@@ -48,6 +48,7 @@ from reference import (
     reference_dialogue,
     reference_report,
     restart_count,
+    run_records,
 )
 
 C_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
@@ -364,7 +365,7 @@ class TestTrialReport:
         assert report.status == t.final_status
         assert report.n_mm == n_mm(t)
         assert report.cm_runs == n_cm(t)
-        assert report.runs_all_passes == len(t.runs)
+        assert report.runs_all_passes == len(run_records(t))
         assert report.alice_bit_errors == 0
         assert report.bob_bit_errors == 0
         assert report.message_bits == 10

@@ -24,7 +24,6 @@ from qdialogue.attacks import (
     strategy_from_name,
 )
 from qdialogue.protocol import (
-    MM,
     Channel,
     ProtocolConfig,
     random_message,
@@ -38,7 +37,7 @@ from qdialogue.quantum import (
     bell_outcome_probs,
     bell_state,
 )
-from reference import encode, project_z, reduced_density, reference_run_law, transcript_dict
+from reference import MM, encode, project_z, reduced_density, reference_run_law, run_records, transcript_dict
 
 # Hand-derived per-control-run detection rates. Measuring the travel
 # qubit of a coded pair flips both outcome bits half the time; the
@@ -384,8 +383,8 @@ class TestGuessing:
         bob = random_message(6, rng)
         result = run_dialogue(config, alice, bob, EntangleMeasure(0.25), rng, *rng.spawn(1))
         record = result.eve
-        assert len(record.logs) == len(result.transcript.runs)
-        for log, run in zip(record.logs, result.transcript.runs):
+        assert len(record.logs) == len(run_records(result.transcript))
+        for log, run in zip(record.logs, run_records(result.transcript)):
             assert log.ancilla_outcome in (0, 1)
             if run.mode == MM:
                 assert log.alice_guess is not None
@@ -406,6 +405,6 @@ class TestStrategyIsolation:
             bob = random_message(16, rng)
             result = run_dialogue(config, alice, bob, attack, rng, *rng.spawn(1))
             outs.append(json.dumps(transcript_dict(result.transcript), sort_keys=True))
-        assert len(result.eve.logs) == len(result.transcript.runs)
+        assert len(result.eve.logs) == len(run_records(result.transcript))
         assert all(log.learned_alice is not None for log in result.eve.logs)
         assert outs[0] == outs[1]

@@ -27,10 +27,8 @@ from qdialogue.attacks import (
 )
 from qdialogue.harness import ExperimentConfig, run_trial
 from qdialogue.protocol import (
-    CM,
     COMPLETED,
     DETECTION_POLICIES,
-    MM,
     REINITIALIZE,
     Branch,
     ProtocolConfig,
@@ -51,6 +49,8 @@ from qdialogue.quantum import (
     entangling_probe,
 )
 from reference import (
+    CM,
+    MM,
     STRATEGY_VALUES,
     cm_pass,
     ends_after,
@@ -59,6 +59,7 @@ from reference import (
     per_draw_choose,
     random_pair,
     reference_dialogue,
+    run_records,
     scan_cut,
     transcript_dict,
     z_probs,
@@ -293,7 +294,7 @@ class TestDialogueStreams:
         rng = recorder(8)
         msgs = [random_message(16, rng) for _ in range(2)]
         result = run_dialogue(ProtocolConfig(c=0.5, n_pairs=16), *msgs, NoAttack(), rng, *rng.spawn(1))
-        runs = result.transcript.runs
+        runs = run_records(result.transcript)
         n_cm = sum(r.mode == CM for r in runs)
         n_mm = sum(r.mode == MM for r in runs)
         assert n_mm == result.eve.guess_count == 16
@@ -382,7 +383,7 @@ class TestStreamEdges:
         detecting = per_cm_detection_oracle(strategy_from_name(name, beta2)) > 0.0
         for seed in range(200):
             result, _, _ = sample(config, name, beta2, seed)
-            if any(cm_pass(run) is False for run in result.transcript.runs):
+            if any(cm_pass(run) is False for run in run_records(result.transcript)):
                 assert_equals_replay(config, name, beta2, seed)
                 break
         else:

@@ -6,11 +6,14 @@ import json
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 import time
 import weakref
 from collections import OrderedDict
 from dataclasses import asdict, replace
 from multiprocessing import get_context
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +140,37 @@ class TestDeterminism:
     def test_trial_streams_reject_a_two_word_index_or_a_stride(self, trials):
         with pytest.raises(ValueError, match="step-1 range"):
             next(trial_streams(0, (), trials))
+
+    def test_a_point_folds_alike_in_1_3_or_7_chunks(self):
+        # Every chunk of a point reads the prefix ``_point_seed`` derived once.
+        harness._point_seed.cache_clear()
+        config = ExperimentConfig(attack="entangle-measure", beta2=0.25, c=0.5, n_pairs=4, trials=50,
+                                  master_seed=2**64 + 3, detection_policy="reinitialize", max_restarts=2)
+
+        def folded(parts):
+            bounds = [k * config.trials // parts for k in range(parts + 1)]
+            return sum((harness._fold_trials(config, range(lo, hi), (1,))[0] for lo, hi in zip(bounds, bounds[1:])),
+                       Tally())
+
+        assert folded(1).trials == 50 and folded(1) == folded(3) == folded(7)
+
+    def test_alternating_points_keep_their_own_streams(self):
+        # The per-point cache is keyed by the exact seed and point key, so no two of these share an entry.
+        harness._point_seed.cache_clear()
+        points = [(seed, key) for seed in (3, 2**64 + 3) for key in ((), (0,), (0, 0))]
+        for t in (0, 1, 2**32 - 1):
+            for seed, key in points + points[::-1]:
+                rng, eve_rng = next(trial_streams(seed, key, range(t, t + 1)))
+                expected = trial_rng(seed, *key, t)
+                assert rng.bit_generator.state == expected.bit_generator.state
+                assert eve_rng.bit_generator.state == expected.spawn(1)[0].bit_generator.state
+        assert harness._point_seed.cache_info().currsize == len(points)
+
+    def test_seed_map_columns_stay_exact(self):
+        # With every input half at its largest, each column is an integer below 2**53, so the
+        # float64 product is exact and no uint64 column wraps before its carry moves on.
+        worst = 0xFFFF * harness._SEED_MAP.sum(axis=0) + harness._SEED_ADD
+        assert worst.max() < 2**53
 
     def test_run_trial_reproducible(self):
         cfg = ExperimentConfig(**self.BASE)
@@ -439,6 +473,26 @@ class TestSpawnedWorkers:
         monkeypatch.setattr(harness, "get_context", functools.partial(get_context, "spawn"))
         config = replace(config, workers=2)
         assert [to_json(run_experiment(config)), to_json(sweep(config, "beta2", [0.1, 0.5]))] == serial
+
+
+class TestImports:
+    def test_validating_a_config_loads_neither_numpy_random_nor_multiprocessing(self):
+        # numpy.random loads with the first trial's streams and multiprocessing with the first
+        # child, so a fresh import and a config check pay for neither, nor does a 1-worker run.
+        code = (
+            "import os, sys\n"
+            "import qdialogue.cli\n"
+            "from qdialogue.harness import ExperimentConfig\n"
+            "ExperimentConfig(attack='entangle-measure', beta2=0.25, workers=2).validate()\n"
+            "print(sorted({'numpy.random', 'multiprocessing'} & set(sys.modules)))\n"
+            "qdialogue.cli.main(['run', '--attack', 'none', '--trials', '3', '--n-pairs', '2', '--out', os.devnull])\n"
+            "print('multiprocessing' in sys.modules)\n"
+        )
+        src = str(Path(harness.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        lines = out.stdout.splitlines()
+        assert lines[0] == "[]" and lines[-1] == "False"
 
 
 class TestResultsDocument:

@@ -27,14 +27,11 @@ from qdialogue.attacks import (
 )
 from qdialogue.protocol import (
     ABORTED,
-    CM,
     COMPLETED,
     DETECTED,
     DETECTION_POLICIES,
-    MM,
     REINITIALIZE,
     ProtocolConfig,
-    RunRecord,
     random_message,
     run_dialogue,
     value_tables,
@@ -49,7 +46,10 @@ from qdialogue.quantum import (
     cumulative,
 )
 from reference import (
+    CM,
+    MM,
     STRATEGY_VALUES,
+    RunRecord,
     announcements,
     cm_pass,
     decoded_pairs,
@@ -64,6 +64,7 @@ from reference import (
     reference_report,
     restart_count,
     run_dict,
+    run_records,
     same_state,
     transcript_dict,
     trial_rng,
@@ -191,18 +192,18 @@ class TestAttackFreeDialogue:
     def test_counters_consistent(self):
         _, _, result = run_clean(n_pairs=10, seed=4)
         t = result.transcript
-        assert n_total(t) == n_mm(t) + n_cm(t) == len(t.runs)
+        assert n_total(t) == n_mm(t) + n_cm(t) == len(run_records(t))
         assert restart_count(t) == 0
 
     def test_no_cm_failures(self):
         for seed in range(20):
             _, _, result = run_clean(n_pairs=8, seed=seed)
-            assert not any(cm_pass(run) is False for run in result.transcript.runs)
+            assert not any(cm_pass(run) is False for run in run_records(result.transcript))
 
     def test_message_cursor_advances_only_on_mm(self):
         _, _, result = run_clean(n_pairs=8, c=0.6, seed=5)
         cursor = 0
-        for run in result.transcript.runs:
+        for run in run_records(result.transcript):
             assert run.index == cursor
             if run.mode == MM:
                 cursor += 1
@@ -210,14 +211,14 @@ class TestAttackFreeDialogue:
     def test_wire_indistinguishability(self):
         _, _, result = run_clean(n_pairs=pairs_for_a_control_run(0.5), c=0.5, seed=6)
         modes = set()
-        for run in result.transcript.runs:
+        for run in run_records(result.transcript):
             assert announcements(run)[0] == ("mode", run.mode)
             modes.add(run.mode)
         assert modes == {MM, CM}  # completed, and a control run came first w.p. 1 - 2**-40
 
     def test_mm_announces_outcome_cm_reveals_code(self):
         _, _, result = run_clean(n_pairs=8, c=0.5, seed=7)
-        for run in result.transcript.runs:
+        for run in run_records(result.transcript):
             kinds = [a[0] for a in announcements(run)]
             if run.mode == MM:
                 assert kinds == ["mode", "bell_broadcast"]
@@ -233,7 +234,7 @@ class TestAttackFreeDialogue:
         bob_view = []
         alice_view = []
         mm_i = 0
-        for run in result.transcript.runs:
+        for run in run_records(result.transcript):
             if run.mode != MM:
                 continue
             (_, x, y) = announcements(run)[1]
@@ -293,9 +294,10 @@ class TestDetectionPolicies:
         )
         t = result.transcript
         assert t.final_status == DETECTED
-        assert t.runs[-1].mode == CM and cm_pass(t.runs[-1]) is False
+        *before, last = run_records(t)
+        assert last.mode == CM and cm_pass(last) is False
         # nothing after the failing run
-        assert all(cm_pass(r) is not False for r in t.runs[:-1])
+        assert all(cm_pass(r) is not False for r in before)
 
     def test_reinitialize_restarts_then_aborts(self):
         _, _, result = run_clean(
@@ -309,7 +311,7 @@ class TestDetectionPolicies:
         t = result.transcript
         assert t.final_status == ABORTED
         assert restart_count(t) == 3
-        failures = sum(1 for r in t.runs if cm_pass(r) is False)
+        failures = sum(1 for r in run_records(t) if cm_pass(r) is False)
         assert failures == 4  # three restarts plus the aborting failure
 
     def test_reinitialize_resets_final_pass_counters(self):
@@ -322,8 +324,8 @@ class TestDetectionPolicies:
             max_restarts=2,
         )
         t = result.transcript
-        final_pass = max(r.pass_index for r in t.runs)
-        final_runs = [r for r in t.runs if r.pass_index == final_pass]
+        final_pass = max(r.pass_index for r in run_records(t))
+        final_runs = [r for r in run_records(t) if r.pass_index == final_pass]
         assert n_total(t) == len(final_runs)
         assert n_mm(t) == sum(1 for r in final_runs if r.mode == MM)
 
@@ -419,9 +421,10 @@ class TestRunRecord:
         )
         t = result.transcript
         assert t.final_status == ABORTED
-        failed = [i for i, r in enumerate(t.runs) if cm_pass(r) is False]
-        restarts = [i for i in range(1, len(t.runs)) if t.runs[i].pass_index != t.runs[i - 1].pass_index]
-        assert failed[-1] == len(t.runs) - 1
+        failed = [i for i, r in enumerate(run_records(t)) if cm_pass(r) is False]
+        passes = [r.pass_index for r in run_records(t)]
+        restarts = [i for i in range(1, len(passes)) if passes[i] != passes[i - 1]]
+        assert failed[-1] == len(passes) - 1
         assert [i + 1 for i in failed[:-1]] == restarts and len(restarts) == 2
 
 
@@ -447,7 +450,7 @@ class TestTranscriptSerialization:
         )
         t = result.transcript
         assert t.final_status == COMPLETED and restart_count(t) == 2
-        assert n_total(t) < len(t.runs)
+        assert n_total(t) < len(run_records(t))
 
 
 class SpawnRecorder(np.random.Generator):
@@ -544,7 +547,7 @@ class TestRunTables:
 
 
 def counting(monkeypatch):
-    """Count every ``RunRecord`` and ``EveRunLog`` the package builds from now on, by class name."""
+    """Count every ``EveRunLog`` the package builds from now on, by class name."""
     made = {}
 
     def wrap(cls):
@@ -553,15 +556,16 @@ def counting(monkeypatch):
             return cls(*args, **kwargs)
         return build
 
-    for module, cls in ((protocol, RunRecord), (protocol, EveRunLog), (attacks, EveRunLog)):
+    for module, cls in ((protocol, EveRunLog), (attacks, EveRunLog)):
         monkeypatch.setattr(module, cls.__name__, wrap(cls))
     return made
 
 
 class TestRecordsOnRead:
-    # A dialogue keeps one row of integers per run; its ``RunRecord``s and
-    # Eve's ``EveRunLog``s are built only when read, and its report's
-    # decoded bits only for a verbose document.
+    # A dialogue keeps one row of integers per run; Eve's ``EveRunLog``s
+    # are built only when read, and its report's decoded bits only for a
+    # verbose document. The public ``RunRecord``s are built only by the
+    # reference (``run_records``).
 
     @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
     def test_folding_a_chunk_builds_no_per_run_objects(self, monkeypatch, name, beta2):
@@ -614,8 +618,8 @@ class TestRecordsOnRead:
             results.append(engine(config, *msgs, strategy, rng, *rng.spawn(1)))
         result, replay = results
         made = counting(monkeypatch)
-        runs, logs = result.transcript.runs, result.eve.logs
-        n_runs = len(result.transcript.rows)
-        assert made == {"RunRecord": n_runs, "EveRunLog": n_runs}
-        assert result.transcript.runs == runs and result.eve.logs == logs
-        assert runs == replay.transcript.runs and logs == replay.eve.logs
+        runs, logs = run_records(result.transcript), result.eve.logs
+        assert made == {"EveRunLog": len(result.transcript.rows)}
+        # A second read builds no more logs.
+        assert result.eve.logs == logs and made == {"EveRunLog": len(result.transcript.rows)}
+        assert runs == run_records(replay.transcript) and logs == replay.eve.logs
