@@ -25,8 +25,8 @@ Determinism contract: trial ``t``'s stream is ``default_rng(SeedSequence(
 master_seed, spawn_key=(*point_key, t)))`` and the adversary's is its
 ``spawn(1)`` child, so a configuration gives byte-identical documents
 however many workers run its trials, in any order. ``trial_streams``
-derives what a (seed, point) gives once, a block's streams, PCG64 seeding
-included, in one vectorized pass, and sets two states a trial; chunks
+derives what a (seed, point) gives once a chunk and a block's seed words in
+one vectorized pass, then seeds PCG64 and sets two states a trial; chunks
 are sized from the whole command's trial count. The trial stream gives both
 messages (Alice's half of one ``random(2 * n_pairs)`` first), then the
 protocol's draws in run order. Pairs and pure guesses are cut from
@@ -38,7 +38,6 @@ in the order one draw per uniform gives, and gives no unused tail back.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import os
@@ -167,14 +166,6 @@ def _hash_consts(init: int, mult: int, first: int) -> np.ndarray:
 
 # ``generate_state``'s hash steps, for the eight words of a stream's pool and then of Eve's.
 _HASH_B = tuple(np.tile(_hash_consts(_INIT_B, _MULT_B, 0)[i:i + 8], 2) for i in (0, 1))
-# PCG64's seeding (O'Neill 2014) as one linear map mod 2**128: seed s and word p give inc = 2 p + 1 and
-# state = (s + inc) M + inc = M s + 2 (M + 1) p + M + 1. It maps the 16-bit halves (low first) of the
-# eight ``uint32`` words ``generate_state`` gives (s, then p, high 64 bits first, low word first) to
-# state's, then inc's, 32-bit columns, low first. Each column is an integer below 2**53, exact in float64.
-_SEED_MAP = np.array([[(s_mult if k < 4 else p_mult) << 32 * ((k + 2) % 4) + half >> 32 * q & 0xFFFFFFFF
-                       for s_mult, p_mult in ((_PCG_MULT, 2 * _PCG_MULT + 2), (0, 2)) for q in range(4)]
-                      for k in range(8) for half in (0, 16)], np.float64)
-_SEED_ADD = np.array([(_PCG_MULT + 1) >> 32 * q & 0xFFFFFFFF for q in range(4)] + [1, 0, 0, 0], np.float64)
 
 
 def _hashmix(value, hc, nxt):
@@ -183,30 +174,24 @@ def _hashmix(value, hc, nxt):
     return value ^ value >> 16
 
 
-@functools.lru_cache(maxsize=TABLE_STRATEGIES)  # one entry per sweep point, as the run tables
-def _point_seed(master_seed: int, point_key: tuple[int, ...]):
-    """What every trial of a (seed, point) shares: its ``SeedSequence``, its pool times ``_MIX_L``, the
-    trial word's hash constants (after four a prefix word, the seed padded to four words) and Eve's spawn
-    word 0 hashed by the next four, times ``_MIX_R``."""
-    n_words = lambda n: (n.bit_length() + 31) // 32 or 1  # noqa: E731
-    seq = np.random.SeedSequence(master_seed, spawn_key=point_key)
-    a = _hash_consts(_INIT_A, _MULT_A, 4 * (max(4, n_words(master_seed)) + sum(map(n_words, point_key))))
-    return seq, seq.pool * _MIX_L, a, _hashmix(0, a[4:8], a[5:9]) * _MIX_R
-
-
 def trial_streams(master_seed: int, point_key: tuple[int, ...], trials: range):
     """Each trial's (stream, Eve's stream): two Generators reset per trial, valid until the next.
 
     They equal ``default_rng(SeedSequence(master_seed, spawn_key=(*point_key, t)))``
-    and its ``spawn(1)``. Once per (seed, point), ``_point_seed`` derives
-    what the prefix gives. Once per block of up to ``STREAM_BLOCK``
-    trials, over arrays, the trial word and then Eve's spawn word 0 are
-    mixed into the pool, ``generate_state`` is applied and PCG64 seeded
-    (``_SEED_MAP``). Once per trial, each stream's state is set.
+    and its ``spawn(1)``. Once per call, numpy mixes the (seed, point)
+    prefix, and the trial word's hash constants (after four a prefix word,
+    the seed padded to four words) and Eve's hashed spawn word 0 follow.
+    Once per block of up to ``STREAM_BLOCK`` trials, over arrays, the trial
+    word and then Eve's word are mixed into the pool and ``generate_state``
+    is applied. Once per trial, ``pcg64_set_seed`` runs on Python ints and
+    each stream's state is set.
     """
     if trials.step != 1 or trials.stop > 1 << 32:
         raise ValueError("trials must be a step-1 range whose indices fit one 32-bit word")
-    seq, pool, a, eve_word = _point_seed(master_seed, tuple(point_key))
+    n_words = lambda n: (n.bit_length() + 31) // 32 or 1  # noqa: E731
+    a = _hash_consts(_INIT_A, _MULT_A, 4 * (max(4, n_words(master_seed)) + sum(map(n_words, point_key))))
+    seq = np.random.SeedSequence(master_seed, spawn_key=point_key)
+    pool, eve_word = seq.pool * _MIX_L, _hashmix(0, a[4:8], a[5:9]) * _MIX_R
     rng, eve_rng = (np.random.Generator(np.random.PCG64(seq)) for _ in range(2))  # no SeedSequence hashed
     pcg, eve_pcg = {}, {}  # each stream's PCG64 state, refilled per trial
     state, eve_state = ({"bit_generator": "PCG64", "state": p, "has_uint32": 0, "uinteger": 0} for p in (pcg, eve_pcg))
@@ -218,15 +203,13 @@ def trial_streams(master_seed: int, point_key: tuple[int, ...], trials: range):
         eve_pool = trial_pool * _MIX_L - eve_word
         eve_pool ^= eve_pool >> 16
         words = _hashmix(np.concatenate([trial_pool, trial_pool, eve_pool, eve_pool], axis=1), *_HASH_B)
-        cols = np.ascontiguousarray(words, "<u4").view("<u2").reshape(-1, 2, 16) @ _SEED_MAP + _SEED_ADD
-        cols = cols.astype(np.uint64).reshape(-1, 2, 2, 4)  # trial, stream, (state, inc), column
-        for q in (1, 2, 3):
-            cols[..., q] += cols[..., q - 1] >> 32
-        # Each value's (low, high) 64-bit words; what carries past 2**128 drops.
-        halves = cols[..., 1::2] << 32 | cols[..., 0::2] & 0xFFFFFFFF
-        for s_lo, s_hi, i_lo, i_hi, t_lo, t_hi, j_lo, j_hi in halves.reshape(-1, 8).tolist():
-            pcg["state"], pcg["inc"] = s_hi << 64 | s_lo, i_hi << 64 | i_lo
-            eve_pcg["state"], eve_pcg["inc"] = t_hi << 64 | t_lo, j_hi << 64 | j_lo
+        halves = (words[:, 0::2].astype(np.uint64) | words[:, 1::2].astype(np.uint64) << 32).tolist()
+        # Each trial's seed (high, low) and word (high, low), then Eve's, seed PCG64 (O'Neill 2014).
+        for s_hi, s_lo, i_hi, i_lo, t_hi, t_lo, j_hi, j_lo in halves:
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) % (1 << 128)
+            pcg["state"], pcg["inc"] = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) % (1 << 128), inc
+            inc = ((j_hi << 64 | j_lo) << 1 | 1) % (1 << 128)
+            eve_pcg["state"], eve_pcg["inc"] = (((t_hi << 64 | t_lo) + inc) * _PCG_MULT + inc) % (1 << 128), inc
             rng.bit_generator.state, eve_rng.bit_generator.state = state, eve_state
             yield rng, eve_rng
 
@@ -586,7 +569,11 @@ def selftest() -> tuple[bool, list[str]]:
             expected_mat = got.phase * PAULI_MATRICES[got.code]
             if not np.array_equal(product, expected_mat):
                 bad_cells.append(f"second={tuple(second)} first={tuple(first)}")
-    check("pauli composition phase table (16 cells vs matrix product)", not bad_cells, "; ".join(bad_cells))
+    check(
+        "pauli composition phase table (16 cells vs matrix product)",
+        not bad_cells,
+        "; ".join(bad_cells) if bad_cells else "",
+    )
 
     # Bell measurement distributions: eigenstate and product-state cases.
     dist_ok = True
@@ -611,7 +598,10 @@ def selftest() -> tuple[bool, list[str]]:
     check("deterministic decode identity (16 code pairs)", decode_ok)
 
     # Entropy endpoints.
-    check("entropy endpoints", eve_entropy_bits(0.0) == 0.0 and eve_entropy_bits(0.5) == 1.0)
+    check(
+        "entropy endpoints",
+        eve_entropy_bits(0.0) == 0.0 and eve_entropy_bits(0.5) == 1.0,
+    )
 
     # Attack-free fidelity, small batch.
     cfg = ExperimentConfig(attack="none", c=0.5, n_pairs=8, trials=200, master_seed=7)
