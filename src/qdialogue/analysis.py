@@ -353,14 +353,13 @@ class EstimateWithCI:
 
 def mutual_information_bits(table) -> float:
     """Plug-in mutual information of a contingency table, in bits."""
-    rows = [list(row) for row in table]
-    total = sum(sum(row) for row in rows)
+    total = sum(sum(row) for row in table)
     if total == 0:
         return 0.0
     mi = 0.0
-    row_sums = [sum(row) for row in rows]
-    col_sums = [sum(row[j] for row in rows) for j in range(len(rows[0]))]
-    for i, row in enumerate(rows):
+    row_sums = [sum(row) for row in table]
+    col_sums = [sum(row[j] for row in table) for j in range(len(table[0]))]
+    for i, row in enumerate(table):
         for j, n in enumerate(row):
             if n == 0:
                 continue

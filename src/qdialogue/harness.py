@@ -26,8 +26,9 @@ master_seed, spawn_key=(*point_key, t)))`` and the adversary's is its
 ``spawn(1)`` child, so a configuration gives byte-identical documents
 however many workers run its trials, in any order. ``trial_streams``
 derives what a (seed, point) gives once a chunk and a block's seed words in
-one vectorized pass, then seeds PCG64 and sets two states a trial; chunks
-are sized from the whole command's trial count. The trial stream gives both
+one vectorized pass, then seeds PCG64 and sets two states a trial, or one
+where the value reads none of Eve's uniforms; chunks are sized from the
+whole command's trial count. The trial stream gives both
 messages (Alice's half of one ``random(2 * n_pairs)`` first), then the
 protocol's draws in run order. Pairs and pure guesses are cut from
 uniforms scaled by 4 or 16, which is exact, so every cell is equally
@@ -85,8 +86,8 @@ FORMATS = ("json", "csv")
 ROW_KEYS = ("empirical", "stderr", "n_samples", "reference", "source", "tolerance", "within")
 
 # Slack added to the entropy bound before flagging the plug-in mutual
-# information: its positive bias is O(df / (2 n ln 2)), far below this
-# at the sample sizes the harness runs.
+# information. Its bias, about df / (2 n ln 2) = 2.2 / n bits, exceeds this
+# below some 2200 guesses, so correct code can fail there (ROADMAP item 6).
 MI_BIAS_ALLOWANCE = 1e-3
 
 
@@ -174,17 +175,17 @@ def _hashmix(value, hc, nxt):
     return value ^ value >> 16
 
 
-def trial_streams(master_seed: int, point_key: tuple[int, ...], trials: range):
+def trial_streams(master_seed: int, point_key: tuple[int, ...], trials: range, eve: bool = True):
     """Each trial's (stream, Eve's stream): two Generators reset per trial, valid until the next.
 
     They equal ``default_rng(SeedSequence(master_seed, spawn_key=(*point_key, t)))``
-    and its ``spawn(1)``. Once per call, numpy mixes the (seed, point)
-    prefix, and the trial word's hash constants (after four a prefix word,
-    the seed padded to four words) and Eve's hashed spawn word 0 follow.
-    Once per block of up to ``STREAM_BLOCK`` trials, over arrays, the trial
-    word and then Eve's word are mixed into the pool and ``generate_state``
-    is applied. Once per trial, ``pcg64_set_seed`` runs on Python ints and
-    each stream's state is set.
+    and its ``spawn(1)``, which is None unless ``eve`` (``ValueTables.reads``).
+    Once per call, numpy mixes the (seed, point) prefix, and the trial word's
+    hash constants (after four a prefix word, the seed padded to four words)
+    and Eve's hashed spawn word 0 follow. Once per block of up to
+    ``STREAM_BLOCK`` trials, over arrays, the trial word and then Eve's word
+    are mixed into the pool and ``generate_state`` is applied. Once per
+    trial, ``pcg64_set_seed`` runs on Python ints and each stream's state is set.
     """
     if trials.step != 1 or trials.stop > 1 << 32:
         raise ValueError("trials must be a step-1 range whose indices fit one 32-bit word")
@@ -192,7 +193,8 @@ def trial_streams(master_seed: int, point_key: tuple[int, ...], trials: range):
     a = _hash_consts(_INIT_A, _MULT_A, 4 * (max(4, n_words(master_seed)) + sum(map(n_words, point_key))))
     seq = np.random.SeedSequence(master_seed, spawn_key=point_key)
     pool, eve_word = seq.pool * _MIX_L, _hashmix(0, a[4:8], a[5:9]) * _MIX_R
-    rng, eve_rng = (np.random.Generator(np.random.PCG64(seq)) for _ in range(2))  # no SeedSequence hashed
+    rng = np.random.Generator(np.random.PCG64(seq))  # no SeedSequence hashed
+    eve_rng = np.random.Generator(np.random.PCG64(seq)) if eve else None
     pcg, eve_pcg = {}, {}  # each stream's PCG64 state, refilled per trial
     state, eve_state = ({"bit_generator": "PCG64", "state": p, "has_uint32": 0, "uinteger": 0} for p in (pcg, eve_pcg))
     for lo in range(trials.start, trials.stop, STREAM_BLOCK):
@@ -208,9 +210,11 @@ def trial_streams(master_seed: int, point_key: tuple[int, ...], trials: range):
         for s_hi, s_lo, i_hi, i_lo, t_hi, t_lo, j_hi, j_lo in halves:
             inc = ((i_hi << 64 | i_lo) << 1 | 1) % (1 << 128)
             pcg["state"], pcg["inc"] = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) % (1 << 128), inc
-            inc = ((j_hi << 64 | j_lo) << 1 | 1) % (1 << 128)
-            eve_pcg["state"], eve_pcg["inc"] = (((t_hi << 64 | t_lo) + inc) * _PCG_MULT + inc) % (1 << 128), inc
-            rng.bit_generator.state, eve_rng.bit_generator.state = state, eve_state
+            rng.bit_generator.state = state
+            if eve:
+                inc = ((j_hi << 64 | j_lo) << 1 | 1) % (1 << 128)
+                eve_pcg["state"], eve_pcg["inc"] = (((t_hi << 64 | t_lo) + inc) * _PCG_MULT + inc) % (1 << 128), inc
+                eve_rng.bit_generator.state = eve_state
             yield rng, eve_rng
 
 
@@ -242,7 +246,7 @@ def _fold_trials(config: ExperimentConfig, trials: range, point_key: tuple[int, 
     strategy = config.strategy()
     protocol, tables = config.protocol_config(), value_tables(strategy)
     reports = (run_trial(config, t, point_key, strategy=strategy, protocol=protocol, streams=streams, tables=tables)
-               for t, streams in zip(trials, trial_streams(config.master_seed, point_key, trials)))
+               for t, streams in zip(trials, trial_streams(config.master_seed, point_key, trials, tables.reads)))
     if config.verbose:
         kept = list(reports)
         return Tally.fold(kept), kept

@@ -92,10 +92,6 @@ def random_message(n_pairs: int, rng: np.random.Generator) -> Message:
     return (rng.random(n_pairs) * 4.0).astype(np.intp).tolist()
 
 
-# Each pair's index ``2a + b`` in ``ALL_CODES``; XOR of two pairs is ``^`` of their indices.
-_CODE_INDEX = {code: k for k, code in enumerate(ALL_CODES)}
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Dialogue parameters.
@@ -129,11 +125,11 @@ class ProtocolConfig:
 class Leaf(NamedTuple):
     """The end of one choice path of a run.
 
-    ``weight`` is the product of the path's pick probabilities, ``log``
-    Eve's run log as the taps left it, ``fields`` the log fields the taps
-    wrote, ``bell_probs`` Bob's Bell outcome law, in code order,
-    ``bell_cum`` its ``cumulative`` thresholds and ``readouts`` the
-    strategy's ``readout(log, outcome)`` for each outcome, in code order.
+    ``weight`` is the product of the path's pick probabilities, ``fields``
+    the fields of Eve's run log (``EveRunLog``) the taps wrote,
+    ``bell_probs`` Bob's Bell outcome law, in code order, ``bell_cum`` its
+    ``cumulative`` thresholds and ``readouts`` the strategy's
+    ``readout(log, outcome)`` of that log for each outcome, in code order.
     The sampler reads the rest: ``sure`` is the one outcome the law
     keeps (None if it keeps more), ``cells`` each readout as Eve's guess
     cell (``attacks.EveSession``; None where it pins nothing) and
@@ -141,7 +137,6 @@ class Leaf(NamedTuple):
     """
 
     weight: float
-    log: "EveRunLog"
     fields: dict
     bell_probs: tuple[float, ...]
     bell_cum: tuple
@@ -152,8 +147,9 @@ class Leaf(NamedTuple):
 
 
 class Branch(NamedTuple):
-    """One of Eve's picks: a child per index (None where impossible) and
-    the ``cumulative`` thresholds of the pick's probabilities."""
+    """One of Eve's picks: a child per index (None where impossible) and the ``cumulative``
+    thresholds of the pick's probabilities. A pick that keeps one index is sure; where a value reads
+    none of Eve's uniforms it is passed with no ``cut``, her cursor moving on (``ValueTables.reads``)."""
 
     children: tuple
     cum: tuple
@@ -206,9 +202,9 @@ def _build_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitP
         bell_probs = _bell_law(channel.state, "h", channel.traveling)[0]
         bell_cum = cumulative(bell_probs)
         readouts = tuple(strategy.readout(log, outcome) for outcome in ALL_CODES)
-        cells = tuple(None if r is None else 4 * _CODE_INDEX[r[0]] + _CODE_INDEX[r[1]] for r in readouts)
+        cells = tuple(None if r is None else 4 * ALL_CODES.index(r[0]) + ALL_CODES.index(r[1]) for r in readouts)
         sure = bell_cum[2][0] if len(bell_cum[1]) == 1 else None
-        leaves.append(Leaf(weight, log, fields, bell_probs, bell_cum, readouts, sure, cells, log.ancilla_outcome))
+        leaves.append(Leaf(weight, fields, bell_probs, bell_cum, readouts, sure, cells, log.ancilla_outcome))
         return leaves[-1]
 
     tree = _expand(strategy.on_ping(Channel(bell_state(bob_code), "t")), 1.0, {}, pong)
@@ -217,10 +213,12 @@ def _build_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitP
 
 class ValueTables(NamedTuple):
     """A strategy value's 16 run tables, by code pair and as trees indexed ``4 * bob + alice``
-    (``_CODE_INDEX``), the sampler's view. ``ancilla``: some leaf carries an ancilla outcome.
+    (``ALL_CODES`` indices), the sampler's view. ``ancilla``: some leaf carries an ancilla outcome.
     ``exact``: every leaf is sure of its codes' XOR, so every message run decodes exactly.
     ``picks`` and ``guessing``: the first path's picks, and whether its leaf leaves a message
-    run's guess to a uniform. ``detection``: the exact oracle's per-control-run rate."""
+    run's guess to a uniform. ``detection``: the exact oracle's per-control-run rate. ``reads``:
+    a run reads one of Eve's uniforms (a pick of two indices or more, or a pure guess), or trees
+    differ in picks. Else each tree is one path of sure picks, whose leaf is the sampler's root."""
 
     by_pair: dict[tuple[BitPair, BitPair], RunTable]
     roots: list
@@ -229,6 +227,7 @@ class ValueTables(NamedTuple):
     picks: int
     guessing: bool
     detection: float
+    reads: bool
 
 
 # Strategy values whose tables are kept, least recently used first out.
@@ -262,17 +261,20 @@ def value_tables(strategy: "AttackStrategy") -> ValueTables:
     entry = _TABLES.get(key)
     if entry is None:
         tables = {(b, a): _build_table(strategy, b, a) for b in ALL_CODES for a in ALL_CODES}
-        leaves = [(_CODE_INDEX[b ^ a], leaf) for (b, a), table in tables.items() for leaf in table.leaves]
-        node, picks = tables[ALL_CODES[0], ALL_CODES[0]].tree, 0
-        while type(node) is Branch:
-            node, picks = next(filter(None, node.children)), picks + 1
+        leaves = [(ALL_CODES.index(b ^ a), leaf) for (b, a), table in tables.items() for leaf in table.leaves]
+        depths = [0] * 16  # the picks on each tree's first path
+        for k, node in enumerate(table.tree for table in tables.values()):
+            while type(node) is Branch:
+                node, depths[k] = next(filter(None, node.children)), depths[k] + 1
+        ones = [table.leaves[0] for table in tables.values()]  # each tree's first leaf, its only one if 16 in all
+        reads = len(leaves) > 16 or len(set(depths)) > 1 or any(None in leaf.cells for leaf in ones)
         failed = 0.0  # summed in ``leaves`` order, Bob's code outer
         for k, leaf in leaves:
             failed += leaf.weight * (1.0 - leaf.bell_probs[k])
-        entry = ValueTables(tables, [table.tree for table in tables.values()],
+        entry = ValueTables(tables, [table.tree for table in tables.values()] if reads else ones,
                             any(leaf.ancilla is not None for _, leaf in leaves),
-                            all(leaf.sure == k for k, leaf in leaves), picks, None in node.cells,
-                            0.0 if failed / 16.0 < 1e-12 else failed / 16.0)
+                            all(leaf.sure == k for k, leaf in leaves), depths[0], None in ones[0].cells,
+                            0.0 if failed / 16.0 < 1e-12 else failed / 16.0, reads)
         if len(_TABLES) >= TABLE_STRATEGIES:
             _TABLES.popitem(last=False)
         _TABLES[key] = entry
@@ -285,7 +287,8 @@ def value_tables(strategy: "AttackStrategy") -> ValueTables:
 def _first_blocks(config: ProtocolConfig, picks: int, guessing: bool, detection: float) -> tuple[int, int]:
     """The sizes of a dialogue's first blocks, the protocol's and Eve's: what a completing pass reads with its
     control runs at their mean ``n c/(1-c)`` plus two deviations, or, if fewer, what a detected value's passes
-    read until they stop (3 and ``picks + guessing`` a run, runs at their mean ``passes/(c detection)`` plus two)."""
+    read until they stop (3 and ``picks + guessing`` a run, runs at their mean ``passes/(c detection)`` plus two);
+    Eve's is drawn only where a run reads it (``ValueTables.reads``)."""
     n, c, passes = config.n_pairs, config.c, 1 + config.max_restarts * (config.detection_policy != TERMINAL)
     cm = int((n * c + 2.0 * (n * c) ** 0.5) / (1.0 - c)) + 1
     runs = int((passes + 2.0 * passes ** 0.5) / (c * detection)) + 1 if detection else n + cm
@@ -328,7 +331,7 @@ def run_dialogue(
     bob_msg: Message,
     attack: "AttackStrategy",
     rng: np.random.Generator,
-    eve_rng: np.random.Generator,
+    eve_rng: np.random.Generator | None,
 ) -> DialogueResult:
     """Execute runs until the dialogue completes, detects Eve, or gives up.
 
@@ -357,7 +360,9 @@ def run_dialogue(
     (``_first_blocks``); a refill keeps the unused tail and draws twice
     as many as the block held. Nothing reads a stream after the
     dialogue, so no tail is given back; ``draws`` counts the uniforms
-    read from each.
+    moved past in each. A value whose runs read none of Eve's (``ValueTables.reads``)
+    takes each run's leaf from its roots with no ``cut`` and draws no block from
+    ``eve_rng``, which may be None, though its runs move her cursor past ``picks``.
     """
     if len(alice_msg) != len(bob_msg):
         raise ValueError(f"messages must have equal half-length, got {len(alice_msg)} and {len(bob_msg)}")
@@ -366,7 +371,7 @@ def run_dialogue(
     tables = value_tables(attack)
     roots, c, n_pairs = tables.roots, config.c, config.n_pairs
     pu_first, eu_first = _first_blocks(config, tables.picks, tables.guessing, tables.detection)
-    pu, eu = rng.random(pu_first).tolist(), eve_rng.random(eu_first).tolist()  # the protocol's and Eve's uniforms
+    pu, eu = rng.random(pu_first).tolist(), eve_rng.random(eu_first).tolist() if tables.reads else []
     i = j = pu_read = eu_read = 0  # the next unused uniform of each, and those read from earlier blocks
     pu_end, eu_end = len(pu), len(eu)
 
@@ -439,4 +444,5 @@ def run_dialogue(
 
     session.rows = rows
     session.alice_hits, session.bob_hits, session.guess_count = alice_hits, bob_hits, guess_count
-    return DialogueResult(Transcript(rows, status), session, (pu_read + i, eu_read + j))
+    moved = eu_read + j if tables.reads else tables.picks * len(rows)
+    return DialogueResult(Transcript(rows, status), session, (pu_read + i, moved))

@@ -473,7 +473,7 @@ def path_shapes(tables) -> tuple[set[int], set[bool]]:
     it makes, and whether each guess cell of its leaf is stored (True) or left
     to a pure guess (False)."""
     picks, stored = set(), set()
-    stack = [(root, 0) for root in tables.roots]
+    stack = [(table.tree, 0) for table in tables.by_pair.values()]
     while stack:
         node, depth = stack.pop()
         if type(node) is Branch:

@@ -323,7 +323,7 @@ class TestMutualInformation:
         for bob_code in ALL_CODES:
             for k, alice_code in enumerate(ALL_CODES):
                 for leaf in value_tables(EntangleMeasure(beta2)).by_pair[bob_code, alice_code].leaves:
-                    joint[leaf.log.ancilla_outcome][k] += leaf.weight / 16.0
+                    joint[leaf.ancilla][k] += leaf.weight / 16.0
         p_ancilla = [sum(row) for row in joint]
         p_alice = [sum(column) for column in zip(*joint)]
         assert sum(p_ancilla) == pytest.approx(1.0, abs=1e-12)

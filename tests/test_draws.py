@@ -172,6 +172,18 @@ class UnevenPicks(AttackStrategy):
         return BitPair(0, 0), BitPair(0, 0)
 
 
+class UnevenSurePicks(UnevenPicks):
+    """``UnevenPicks`` with the second alternative impossible, so every
+    pick is sure, but only two of Bob's four codes make one."""
+
+    name = "uneven-sure-picks"
+
+    def on_ping(self, channel):
+        if abs(channel.state.amps[0]) < 0.5:
+            return ((1.0, channel, {}),)
+        return ((1.0, channel, {}), (0.0, channel, {}))
+
+
 def sample(config, name, beta2, seed, engine=run_dialogue):
     """One seeded dialogue: its result, and the protocol's and Eve's recorded streams.
 
@@ -279,12 +291,15 @@ class TestScalarCells:
 class TestDialogueStreams:
     @pytest.mark.parametrize("attack", [NoAttack(), InterceptResendLiteral()])
     def test_dialogue_spawns_no_stream(self, attack):
-        # Eve's stream is handed in, derived with the trial's.
+        # Eve's stream is handed in, derived with the trial's. The honest
+        # channel guesses from it; intercept-resend reads none of it, so
+        # no block of it is drawn.
         rng, eve_rng = recorder(5), recorder(6)
         msgs = [random_message(6, rng) for _ in range(2)]
         run_dialogue(ProtocolConfig(c=0.5, n_pairs=6), *msgs, attack, rng, eve_rng)
         assert rng.spawns == eve_rng.spawns == []
-        assert rng.sizes[2:] and eve_rng.sizes
+        assert rng.sizes[2:]
+        assert eve_rng.sizes if type(attack) is NoAttack else eve_rng.sizes == []
 
     def test_one_uniform_per_draw(self):
         # Per run the protocol uses the mode, a control run's pair and
@@ -317,11 +332,14 @@ class TestStreamEdges:
         # first block holds, so both streams refill at least twice.
         config = ProtocolConfig(c=0.6, n_pairs=64, max_restarts=400, detection_policy=policy)
         detecting = per_cm_detection_oracle(strategy_from_name(name, beta2)) > 0.0
+        reads = value_tables(strategy_from_name(name, beta2)).reads
         for seed in range(2):
             _, rng, eve_rng = assert_equals_replay(config, name, beta2, seed)
             if detecting and policy == REINITIALIZE:
-                # After the two messages and the first block.
-                assert refilled(rng, 2) >= 2 and refilled(eve_rng, 0) >= 2, seed
+                # After the two messages and the first block; a value that
+                # reads none of Eve's uniforms draws no block of hers.
+                assert refilled(rng, 2) >= 2, seed
+                assert refilled(eve_rng, 0) >= 2 if reads else eve_rng.sizes == [], seed
 
     @pytest.mark.parametrize("policy", DETECTION_POLICIES)
     @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
@@ -373,6 +391,30 @@ class TestStreamEdges:
         for seed in range(5):
             result, _, eve_rng = assert_equals_replay(config, UnevenPicks(), None, seed)
             assert eve_rng.sizes[0] == 0 and result.draws[1] > 0
+
+    def test_sure_picks_made_by_some_codes_only_are_walked(self):
+        # Runs that pass different numbers of sure picks cannot count them
+        # as ``picks`` a run, so such a value is sampled as one that reads.
+        config = ProtocolConfig(c=0.5, n_pairs=8)
+        assert value_tables(UnevenSurePicks()).reads
+        for seed in range(5):
+            result, _, _ = assert_equals_replay(config, UnevenSurePicks(), None, seed)
+            assert 0 < result.draws[1] < len(result.transcript.rows), seed
+
+    @pytest.mark.parametrize("policy", DETECTION_POLICIES)
+    @pytest.mark.parametrize("name", ["intercept-resend-literal", "intercept-resend-blind"])
+    def test_a_value_that_reads_none_of_eves_uniforms_draws_no_block(self, name, policy):
+        # Every pick is sure and every guess stored, so no block of Eve's
+        # stream is drawn, and None will do for it; ``draws`` still counts
+        # the uniform the replay moves past at each run's pick.
+        config = ProtocolConfig(c=0.5, n_pairs=8, max_restarts=3, detection_policy=policy)
+        for seed in range(20):
+            result, _, eve_rng = assert_equals_replay(config, name, None, seed)
+            assert eve_rng.sizes == [] and result.draws[1] == len(result.transcript.rows), seed
+            rng = recorder(seed)
+            msgs = [random_message(config.n_pairs, rng) for _ in range(2)]
+            alone = run_dialogue(config, *msgs, strategy_from_name(name), rng, None)
+            assert alone.transcript == result.transcript and alone.draws == result.draws, seed
 
     @pytest.mark.parametrize("policy", DETECTION_POLICIES)
     @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
@@ -430,9 +472,14 @@ class TestFirstBlocks:
         # A completing pass here reads hundreds of thousands of uniforms or
         # more, but Bob stops each pass of a detected value within a few
         # runs, so its first blocks hold a few dozen (the bound on its runs
-        # in ``protocol._first_blocks``), and none completes.
+        # in ``protocol._first_blocks``), and none completes. Eve's first
+        # block is bounded where her stream is read (disturb-pauli-4) and
+        # not drawn where it is not (intercept-resend-blind).
         for seed in range(3):
             result, rng, eve_rng = assert_equals_replay(config, "intercept-resend-blind", None, seed)
+            assert rng.sizes[2] <= 64 and eve_rng.sizes == [], seed
+            assert result.transcript.final_status != COMPLETED
+            result, rng, eve_rng = assert_equals_replay(config, "disturb-pauli-4", None, seed)
             assert rng.sizes[2] <= 64 and eve_rng.sizes[0] <= 64, seed
             assert result.transcript.final_status != COMPLETED
 

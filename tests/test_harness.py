@@ -136,6 +136,13 @@ class TestDeterminism:
                 assert rng.bit_generator.state == expected.bit_generator.state
                 assert eve_rng.bit_generator.state == expected.spawn(1)[0].bit_generator.state
 
+    def test_trial_streams_leave_eves_unset_where_she_reads_none(self):
+        # For a value that reads none of Eve's uniforms only the trial's
+        # stream is seeded and set.
+        trials = range(3, 3 + harness.STREAM_BLOCK + 2)
+        for t, (rng, eve_rng) in zip(trials, trial_streams(9, (2,), trials, False), strict=True):
+            assert eve_rng is None and rng.bit_generator.state == trial_rng(9, 2, t).bit_generator.state
+
     @pytest.mark.parametrize("trials", [range(2**32, 2**32 + 1), range(0, 4, 2)])
     def test_trial_streams_reject_a_two_word_index_or_a_stride(self, trials):
         with pytest.raises(ValueError, match="step-1 range"):

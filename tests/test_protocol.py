@@ -31,6 +31,7 @@ from qdialogue.protocol import (
     DETECTED,
     DETECTION_POLICIES,
     REINITIALIZE,
+    Branch,
     ProtocolConfig,
     random_message,
     run_dialogue,
@@ -493,6 +494,30 @@ class TestRunTables:
         picks, stored = path_shapes(tables)
         assert picks == {tables.picks} and stored == {not tables.guessing}
 
+    # Intercept-resend's Bell readout of Eve's pair has one outcome per
+    # code pair and pins both guesses, so its runs read none of Eve's
+    # uniforms. The probe at beta2 = 0 leaves its ancilla at 0, a sure
+    # pick too, but its readout pins nothing, so its guesses read.
+    SURE_ONLY = {("intercept-resend-literal", None), ("intercept-resend-blind", None), ("entangle-measure", 0.0)}
+    UNREAD = {("intercept-resend-literal", None), ("intercept-resend-blind", None)}
+
+    @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
+    def test_which_values_pick_only_surely_and_which_read_eves_stream(self, name, beta2):
+        tables = value_tables(strategy_from_name(name, beta2))
+        trees = [table.tree for table in tables.by_pair.values()]
+        stack, kept = trees[:], []  # each pick's count of possible children
+        while stack:
+            node = stack.pop()
+            if type(node) is Branch:
+                kept.append(len(node.cum[1]))
+                assert kept[-1] == sum(child is not None for child in node.children)
+                stack += filter(None, node.children)
+        assert (kept != [] and set(kept) == {1}) == ((name, beta2) in self.SURE_ONLY)
+        assert tables.reads == ((name, beta2) not in self.UNREAD)
+        # The sampler starts a run that reads nothing at its code pair's one leaf.
+        leaves = [table.leaves for table in tables.by_pair.values()]
+        assert tables.roots == (trees if tables.reads else [only for (only,) in leaves])
+
     def test_equal_strategies_share_one_table(self):
         a, b = EntangleMeasure(0.25), EntangleMeasure(0.25)
         assert value_tables(a) is value_tables(b)
@@ -530,13 +555,14 @@ class TestRunTables:
         strategy = strategy_from_name(name, beta2)
         for table in value_tables(strategy).by_pair.values():
             for leaf in table.leaves:
-                assert leaf.readouts == tuple(strategy.readout(leaf.log, o) for o in ALL_CODES)
+                log = EveRunLog(**leaf.fields)
+                assert leaf.readouts == tuple(strategy.readout(log, o) for o in ALL_CODES)
                 cells = [None if r is None else 4 * ALL_CODES.index(r[0]) + ALL_CODES.index(r[1])
                          for r in leaf.readouts]
                 assert list(leaf.cells) == cells
                 kept = [k for k, p in enumerate(leaf.bell_probs) if p >= PROB_FLOOR]
                 assert leaf.sure == (kept[0] if len(kept) == 1 else None)
-                assert leaf.ancilla == leaf.log.ancilla_outcome
+                assert leaf.ancilla == log.ancilla_outcome
 
     def test_tree_and_leaves_hold_the_probe_readout(self):
         table = value_tables(EntangleMeasure(0.25)).by_pair[BitPair(1, 0), BitPair(0, 1)]
