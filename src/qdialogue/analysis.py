@@ -166,9 +166,11 @@ class TrialReport:
     is the 2x4 contingency of probe readout against Alice's true pair
     over message runs, ``NO_ANCILLA`` for strategies without an ancilla.
     The decoded bits are built only on request (``from_dialogue``'s
-    ``decode``, which a verbose document sets), else None. Both decodes miss by the bits
+    ``decode``, which a verbose JSON document sets), else None. Both decodes miss by the bits
     of outcome XOR both codes on the same final-pass message runs, so ``alice_bit_errors``
     always equals ``bob_bit_errors``; ``Tally`` adds both, counting each wrong bit twice.
+    ``from_dialogue`` builds a report by position, in field order; ``VERBOSE_GOLDEN`` and the
+    keyword-built reference report of the tests pin that order.
     """
 
     trial_index: int
@@ -214,7 +216,8 @@ class TrialReport:
         """
         transcript, eve = result.transcript, result.eve
         rows = transcript.rows
-        cursor, restarts, last_cm = rows[-1][:3]
+        last = rows[-1]
+        cursor, restarts, last_cm = last[0], last[1], last[2]
         stopped = transcript.final_status != COMPLETED
         # ``start`` is the final pass's first run. The first detecting run,
         # 1-based, is pass 0's last: the 0-based index of pass 1's first.
@@ -233,27 +236,10 @@ class TrialReport:
                 if not is_cm and leaf.ancilla is not None:
                     cells[leaf.ancilla][alice] += 1
             table = tuple(cells[0]), tuple(cells[1])
-        report = cls(
-            trial_index=trial_index,
-            strategy=strategy.name,
-            beta2=getattr(strategy, "beta2", None),
-            status=transcript.final_status,
-            n_total=len(rows) - start,
-            n_mm=n_mm,
-            n_cm=len(rows) - start - n_mm,
-            runs_all_passes=len(rows),
-            cm_failures=restarts + stopped,
-            cm_runs=len(rows) - eve.guess_count,
-            restart_count=restarts,
-            first_detection_run=first_detection,
-            message_bits=2 * len(alice_msg),
-            alice_bit_errors=errors,
-            bob_bit_errors=errors,
-            eve_alice_hits=eve.alice_hits,
-            eve_bob_hits=eve.bob_hits,
-            eve_guesses=eve.guess_count,
-            ancilla_table=table,
-        )
+        report = cls(trial_index, strategy.name, getattr(strategy, "beta2", None), transcript.final_status,
+                     len(rows) - start, n_mm, len(rows) - start - n_mm, len(rows), restarts + stopped,
+                     len(rows) - eve.guess_count, restarts, first_detection, 2 * len(alice_msg), errors, errors,
+                     eve.alice_hits, eve.bob_hits, eve.guess_count, table)
         if decode:  # Alice's view, then Bob's: outcome XOR own code (row[4], then row[3])
             mm_final = [row for row in final if not row[2]]
             report.alice_decoded_bits, report.bob_decoded_bits = (

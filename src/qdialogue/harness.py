@@ -9,9 +9,9 @@ trials) - 1`` children, after the parent has built the run tables of
 every point, which forked children inherit. Every process, the parent
 too, folds the next untaken chunk of trials, and a child sends back one
 ``Tally`` per chunk, all in one message at the end.
-Per-trial reports are kept, with their decoded bits, only for
-``verbose`` documents, so memory does not grow with the trial count
-otherwise.
+Per-trial reports are kept, with their decoded bits, only for verbose
+JSON documents (``ExperimentConfig.keeps_reports``), so memory does not
+grow with the trial count otherwise.
 
 Every comparison row is built by ``_row`` with the keys ``name`` and
 ``ROW_KEYS``, in that order. The binomial rows come from one table of
@@ -141,6 +141,11 @@ class ExperimentConfig:
             detection_policy=self.detection_policy,
         )
 
+    @property
+    def keeps_reports(self) -> bool:
+        """Whether the document embeds each trial's decoded report: verbose JSON only, as CSV has no place for them."""
+        return self.verbose and self.format == "json"
+
     def echo(self) -> dict:
         # Execution details (output routing, worker count) stay out of
         # the document so identical experiments serialize identically.
@@ -221,18 +226,18 @@ def trial_streams(master_seed: int, point_key: tuple[int, ...], trials: range, e
 def run_trial(config: ExperimentConfig, trial_index: int, point_key: tuple[int, ...] = (), *,
               strategy: AttackStrategy | None = None, protocol: ProtocolConfig | None = None,
               streams: tuple | None = None, tables: ValueTables | None = None) -> TrialReport:
-    """One seeded dialogue reduced to its report, decoded only if verbose; a chunk passes what it
-    built or looked up once as keywords. Both messages stay code indices from the draw to the report."""
+    """One seeded dialogue reduced to its report, decoded only if the document keeps reports; a chunk passes
+    what it built or looked up once as keywords. Both messages stay code indices from the draw to the report."""
     strategy, protocol = strategy or config.strategy(), protocol or config.protocol_config()
     rng, eve_rng = streams or next(trial_streams(config.master_seed, point_key, range(trial_index, trial_index + 1)))
     n = config.n_pairs
     messages = random_message(2 * n, rng)
     alice, bob = messages[:n], messages[n:]
-    result = run_dialogue(protocol, alice, bob, strategy, rng, eve_rng)
-    return TrialReport.from_dialogue(trial_index, result, alice, bob, strategy, config.verbose, tables)
+    result = run_dialogue(protocol, alice, bob, strategy, rng, eve_rng, tables)
+    return TrialReport.from_dialogue(trial_index, result, alice, bob, strategy, config.keeps_reports, tables)
 
 
-# A batch of trials folded: its Tally, and its reports in trial order if verbose.
+# A batch of trials folded: its Tally, and its reports in trial order if the document keeps them.
 FoldedTrials = tuple[Tally, list[TrialReport]]
 
 
@@ -247,7 +252,7 @@ def _fold_trials(config: ExperimentConfig, trials: range, point_key: tuple[int, 
     protocol, tables = config.protocol_config(), value_tables(strategy)
     reports = (run_trial(config, t, point_key, strategy=strategy, protocol=protocol, streams=streams, tables=tables)
                for t, streams in zip(trials, trial_streams(config.master_seed, point_key, trials, tables.reads)))
-    if config.verbose:
+    if config.keeps_reports:
         kept = list(reports)
         return Tally.fold(kept), kept
     return Tally.fold(reports), []
@@ -432,7 +437,7 @@ def run_experiment(config: ExperimentConfig, point_key: tuple[int, ...] = (),
         "mutual_information_bits": mi,
         "all_within_tolerance": bool(all(c["within"] for c in comparisons)),
     }
-    if config.verbose:
+    if config.keeps_reports:
         doc["trial_reports"] = [asdict(r) for r in reports]
     return doc
 

@@ -284,12 +284,11 @@ def value_tables(strategy: "AttackStrategy") -> ValueTables:
 
 
 @functools.lru_cache(maxsize=TABLE_STRATEGIES)
-def _first_blocks(config: ProtocolConfig, picks: int, guessing: bool, detection: float) -> tuple[int, int]:
+def _first_blocks(n: int, c: float, passes: int, picks: int, guessing: bool, detection: float) -> tuple[int, int]:
     """The sizes of a dialogue's first blocks, the protocol's and Eve's: what a completing pass reads with its
     control runs at their mean ``n c/(1-c)`` plus two deviations, or, if fewer, what a detected value's passes
     read until they stop (3 and ``picks + guessing`` a run, runs at their mean ``passes/(c detection)`` plus two);
-    Eve's is drawn only where a run reads it (``ValueTables.reads``)."""
-    n, c, passes = config.n_pairs, config.c, 1 + config.max_restarts * (config.detection_policy != TERMINAL)
+    Eve's is drawn only where a run reads it (``ValueTables.reads``). Keyed on plain numbers, which hash in C."""
     cm = int((n * c + 2.0 * (n * c) ** 0.5) / (1.0 - c)) + 1
     runs = int((passes + 2.0 * passes ** 0.5) / (c * detection)) + 1 if detection else n + cm
     return min(2 * n + 3 * cm, 3 * runs), min(picks * (n + cm) + guessing * n, (picks + guessing) * runs)
@@ -332,6 +331,7 @@ def run_dialogue(
     attack: "AttackStrategy",
     rng: np.random.Generator,
     eve_rng: np.random.Generator | None,
+    tables: ValueTables | None = None,
 ) -> DialogueResult:
     """Execute runs until the dialogue completes, detects Eve, or gives up.
 
@@ -363,14 +363,17 @@ def run_dialogue(
     moved past in each. A value whose runs read none of Eve's (``ValueTables.reads``)
     takes each run's leaf from its roots with no ``cut`` and draws no block from
     ``eve_rng``, which may be None, though its runs move her cursor past ``picks``.
+    ``tables`` is the attack's ``value_tables``, looked up here unless a caller
+    (``harness.run_trial``, once a chunk) passes them.
     """
     if len(alice_msg) != len(bob_msg):
         raise ValueError(f"messages must have equal half-length, got {len(alice_msg)} and {len(bob_msg)}")
     if len(alice_msg) != config.n_pairs:
         raise ValueError(f"config.n_pairs = {config.n_pairs} but messages have {len(alice_msg)} pairs")
-    tables = value_tables(attack)
-    roots, c, n_pairs = tables.roots, config.c, config.n_pairs
-    pu_first, eu_first = _first_blocks(config, tables.picks, tables.guessing, tables.detection)
+    tables = tables or value_tables(attack)
+    roots, c, n_pairs, terminal = tables.roots, config.c, config.n_pairs, config.detection_policy == TERMINAL
+    pu_first, eu_first = _first_blocks(n_pairs, c, 1 + config.max_restarts * (not terminal), tables.picks,
+                                       tables.guessing, tables.detection)
     pu, eu = rng.random(pu_first).tolist(), eve_rng.random(eu_first).tolist() if tables.reads else []
     i = j = pu_read = eu_read = 0  # the next unused uniform of each, and those read from earlier blocks
     pu_end, eu_end = len(pu), len(eu)
@@ -419,7 +422,7 @@ def run_dialogue(
         if is_cm:
             rows.append((cursor, pass_index, True, bob, alice, k, node, None))
             if k != alice ^ bob:
-                if config.detection_policy == TERMINAL:
+                if terminal:
                     status = DETECTED
                 elif pass_index == config.max_restarts:
                     status = ABORTED

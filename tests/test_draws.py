@@ -10,7 +10,8 @@ the per-uniform replay's final stream states pin. Eve's picks and
 Bob's outcome are cut from thresholds a run table keeps
 (``cut(cumulative(p), rng.random())``), which must give ``choose(p, rng)``'s
 index from the same single uniform, and the linear scan's index at and
-beside every threshold a run table stores.
+beside every threshold a run table stores; there ``run_dialogue`` must
+take the child and outcome ``cut`` gives too.
 """
 
 import numpy as np
@@ -105,6 +106,25 @@ GUESS_CELLS = [
     (0.75, 12),
     (1.0 - 2.0**-53, 15),
 ]
+
+
+def threshold_uniforms(cum):
+    """The uniforms at a law's stored thresholds, and how many sums one lands on exactly.
+
+    At each running sum: the uniform whose ``u * total`` lands exactly on
+    it (where one exists), one ulp either side of it, and 0 and the largest
+    double below 1.
+    """
+    total, sums, _ = cum
+    us, exact_hits = [0.0, 1.0 - 2.0**-53], 0
+    for acc in sums:
+        down, up = np.nextafter(acc / total, 0.0), np.nextafter(acc / total, 1.0)
+        near = [acc / total, down, up, np.nextafter(down, 0.0), np.nextafter(up, 1.0)]
+        on_sum = [float(u) for u in near if u * total == acc]
+        exact_hits += bool(on_sum)
+        for u in on_sum or near[:1]:
+            us += [u, float(np.nextafter(u, 0.0)), float(np.nextafter(u, 1.0))]
+    return [float(u) for u in us if 0.0 <= u < 1.0], exact_hits
 
 
 class ScriptedRng:
@@ -530,9 +550,7 @@ class TestThresholdDraws:
     @pytest.mark.parametrize("name, beta2", TABLE_VALUES)
     def test_bisected_cut_equals_the_linear_scan_at_every_stored_threshold(self, name, beta2):
         # At each running sum of every pick and Bell law a run table
-        # stores: the uniform whose ``u * total`` lands exactly on the sum
-        # (where one exists), one ulp either side of it, 0 and the largest
-        # double below 1.
+        # stores (``threshold_uniforms``).
         laws, exact_hits = [], 0
         for table in value_tables(strategy_from_name(name, beta2)).by_pair.values():
             stack = [table.tree]
@@ -544,19 +562,46 @@ class TestThresholdDraws:
                 else:
                     laws.append(node.bell_cum)
         for cum in laws:
-            total, sums, _ = cum
-            us = [0.0, 1.0 - 2.0**-53]
-            for acc in sums:
-                down, up = np.nextafter(acc / total, 0.0), np.nextafter(acc / total, 1.0)
-                near = [acc / total, down, up, np.nextafter(down, 0.0), np.nextafter(up, 1.0)]
-                on_sum = [float(u) for u in near if u * total == acc]
-                exact_hits += bool(on_sum)
-                for u in on_sum or near[:1]:
-                    us += [u, float(np.nextafter(u, 0.0)), float(np.nextafter(u, 1.0))]
+            us, hits = threshold_uniforms(cum)
+            exact_hits += hits
             for u in us:
-                if 0.0 <= u < 1.0:
-                    assert cut(cum, u) == scan_cut(cum, u), (cum, u)
+                assert cut(cum, u) == scan_cut(cum, u), (cum, u)
         assert laws and exact_hits
+
+    @pytest.mark.parametrize("name, beta2", TABLE_VALUES)
+    def test_sampler_takes_cuts_child_and_outcome_at_every_stored_threshold(self, name, beta2):
+        # Each one-run dialogue below reaches one pick or leaf of a tree by
+        # uniforms inside each child's interval in turn, then gives that
+        # law one of its ``threshold_uniforms``, where a random uniform
+        # almost never lands: the leaf the run took and Bob's outcome must
+        # be those ``cut`` gives.
+        strategy = strategy_from_name(name, beta2)
+        config, pad = ProtocolConfig(c=0.5, n_pairs=1), [0.0] * 64
+        tables = value_tables(strategy)
+
+        def take(bob, alice, eve_us, bell_u):
+            result = run_dialogue(config, [alice], [bob], strategy, ScriptedRng([0.75, bell_u] + pad),
+                                  ScriptedRng(eve_us + pad), tables)
+            (row,) = result.transcript.rows
+            node, us = tables.by_pair[ALL_CODES[bob], ALL_CODES[alice]].tree, iter(eve_us + pad)
+            while type(node) is Branch:
+                node = node.children[cut(node.cum, next(us))]
+            assert (row[6], row[5]) == (node, cut(node.bell_cum, bell_u)), (bob, alice, eve_us, bell_u)
+
+        for bob, alice in np.ndindex(4, 4):
+            stack = [(tables.by_pair[ALL_CODES[bob], ALL_CODES[alice]].tree, [])]
+            while stack:
+                node, prefix = stack.pop()
+                if type(node) is Branch:
+                    for u in threshold_uniforms(node.cum)[0]:
+                        take(bob, alice, prefix + [u], 0.5)
+                    total, sums, _ = node.cum
+                    for lo, hi in zip((0.0, *sums), sums):
+                        u = (lo + hi) / 2 / total
+                        stack.append((node.children[cut(node.cum, u)], prefix + [u]))
+                else:
+                    for u in threshold_uniforms(node.bell_cum)[0]:
+                        take(bob, alice, prefix, u)
 
     @pytest.mark.parametrize("probs", [(0.0, 0.0), (PROB_FLOOR / 2, 1e-15, 0.0)])
     def test_all_zero_law_raises(self, probs):

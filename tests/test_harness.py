@@ -588,6 +588,24 @@ class TestBoundedMemory:
         doc = run_experiment(ExperimentConfig(**self.CONFIG, verbose=True, workers=2))
         assert hashlib.sha256(to_json(doc).encode()).hexdigest() == self.VERBOSE_DIGEST
 
+    def test_verbose_csv_keeps_and_decodes_no_report(self, monkeypatch):
+        # A CSV document has no place for reports, so a verbose one keeps
+        # none and decodes none, and writes the bytes a plain one does.
+        config = ExperimentConfig(**self.CONFIG, verbose=True, format="csv")
+        decoded = []
+        raw = TrialReport.from_dialogue
+
+        def tracked(*args, **kwargs):
+            report = raw(*args, **kwargs)
+            decoded.append(report.alice_decoded_bits is not None or report.bob_decoded_bits is not None)
+            return report
+
+        monkeypatch.setattr(TrialReport, "from_dialogue", tracked)
+        doc, alive = self._tracked_run(monkeypatch, config)
+        assert "trial_reports" not in doc and max(alive) <= 2
+        assert len(decoded) == config.trials and not any(decoded)
+        assert to_csv(doc) == to_csv(run_experiment(replace(config, verbose=False)))
+
 
 class TestSweep:
     def test_sweep_over_beta2(self):
