@@ -21,19 +21,15 @@ values, its name and its ``ROW_KEYS`` values. A config field's type is
 read once, from the ``ExperimentConfig`` annotations, into
 ``FIELD_TYPES``.
 
-Determinism contract: trial ``t``'s stream is ``default_rng(SeedSequence(
-master_seed, spawn_key=(*point_key, t)))`` and the adversary's is its
-``spawn(1)`` child, so a configuration gives byte-identical documents
-however many workers run its trials, in any order. ``trial_streams``
-derives what a (seed, point) gives once a chunk and a block's seed words in
-one vectorized pass, then seeds PCG64 and sets two states a trial, or one
-where the value reads none of Eve's uniforms; chunks are sized from the
-whole command's trial count. The trial stream gives both
-messages (Alice's half of one ``random(2 * n_pairs)`` first), then the
-protocol's draws in run order. Pairs and pure guesses are cut from
-uniforms scaled by 4 or 16, which is exact, so every cell is equally
-likely. A dialogue reads each stream in blocks (``protocol._first_blocks``)
-in the order one draw per uniform gives, and gives no unused tail back.
+Determinism contract: with the Philox4x64-10 key ``SeedSequence(master_seed,
+spawn_key=point_key).generate_state(2, uint64)``, stream ``s`` of trial ``t``
+(0: both messages, Alice's first, then the protocol's draws in run order;
+1: Eve's) is its region of ``R_s`` uniforms (``chunk_streams``) in the
+blocks at counters ``[t K_s + 1 ... t K_s + K_s, 0, 0, s]``, ``K_s = ceil(R_s
+/ 4)``, then its overflow, the blocks ``[1, 2, ..., t + 1, 0, s]``. So any
+worker count gives the same bytes, and a chunk's regions lie end to end for
+``TrialStream`` to draw in one call. Pairs and pure guesses are cut from
+uniforms scaled by 4 or 16, which is exact, so every cell is equally likely.
 """
 
 from __future__ import annotations
@@ -61,8 +57,8 @@ from .analysis import (
     per_cm_detection_oracle,
 )
 from .attacks import STRATEGIES, AttackStrategy, strategy_from_name
-from .protocol import (TABLE_STRATEGIES, TERMINAL, ProtocolConfig, ValueTables, random_message, run_dialogue,
-                       value_tables)
+from .protocol import (TABLE_STRATEGIES, TERMINAL, ProtocolConfig, ValueTables, first_blocks, pass_reads,
+                       run_dialogue, value_tables)
 from .quantum import (
     ALL_CODES,
     PAULI_MATRICES,
@@ -117,7 +113,7 @@ class ExperimentConfig:
         if self.attack == "entangle-measure" and self.beta2 is None:
             raise ConfigError("attack entangle-measure requires --beta2")
         if not 1 <= self.trials <= 1 << 32:
-            raise ConfigError("trials must lie in [1, 2**32]: a trial index is one 32-bit word")
+            raise ConfigError("trials must lie in [1, 2**32]")
         if self.master_seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         if self.format not in FORMATS:
@@ -159,81 +155,82 @@ FIELD_TYPES: dict[str, type] = {
 }
 
 
-# numpy's SeedSequence hash constants and PCG64's multiplier, for ``trial_streams``.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
-STREAM_BLOCK = 1024  # trials whose streams are derived in one vectorized pass
+DRAW = 2048  # uniforms of one stream a chunk draws at a time, at most, and so a trial's region at most
 
 
-def _hash_consts(init: int, mult: int, first: int) -> np.ndarray:
-    """Nine hash constants from the ``first``-th on of one sequence, as ``uint32``s."""
-    return np.array([init * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(first, first + 9)], np.uint32)
+def _cells(u, scale: float | None) -> list:
+    """Uniforms as floats, or as the cells ``int(u * scale)``."""
+    return (u if scale is None else (u * scale).astype(np.intp)).tolist()
 
 
-# ``generate_state``'s hash steps, for the eight words of a stream's pool and then of Eve's.
-_HASH_B = tuple(np.tile(_hash_consts(_INIT_B, _MULT_B, 0)[i:i + 8], 2) for i in (0, 1))
+class TrialStream:
+    """Stream ``s`` of a chunk's trials, one trial at a time: its region of ``size`` uniforms, then its overflow.
 
-
-def _hashmix(value, hc, nxt):
-    """numpy's hash step on ``uint32`` arrays: xor one hash constant, times the next, fold."""
-    value = (value ^ hc) * nxt
-    return value ^ value >> 16
-
-
-def trial_streams(master_seed: int, point_key: tuple[int, ...], trials: range, eve: bool = True):
-    """Each trial's (stream, Eve's stream): two Generators reset per trial, valid until the next.
-
-    They equal ``default_rng(SeedSequence(master_seed, spawn_key=(*point_key, t)))``
-    and its ``spawn(1)``, which is None unless ``eve`` (``ValueTables.reads``).
-    Once per call, numpy mixes the (seed, point) prefix, and the trial word's
-    hash constants (after four a prefix word, the seed padded to four words)
-    and Eve's hashed spawn word 0 follow. Once per block of up to
-    ``STREAM_BLOCK`` trials, over arrays, the trial word and then Eve's word
-    are mixed into the pool and ``generate_state`` is applied. Once per
-    trial, ``pcg64_set_seed`` runs on Python ints and each stream's state is set.
+    ``trial`` draws the regions of ``DRAW // (4 K)`` trials in one call when the first of them asks, and cuts
+    each span ``(start, stop, scale)`` of ``heads`` for all of them (``_cells``); ``random`` goes on from there.
     """
-    if trials.step != 1 or trials.stop > 1 << 32:
-        raise ValueError("trials must be a step-1 range whose indices fit one 32-bit word")
-    n_words = lambda n: (n.bit_length() + 31) // 32 or 1  # noqa: E731
-    a = _hash_consts(_INIT_A, _MULT_A, 4 * (max(4, n_words(master_seed)) + sum(map(n_words, point_key))))
-    seq = np.random.SeedSequence(master_seed, spawn_key=point_key)
-    pool, eve_word = seq.pool * _MIX_L, _hashmix(0, a[4:8], a[5:9]) * _MIX_R
-    rng = np.random.Generator(np.random.PCG64(seq))  # no SeedSequence hashed
-    eve_rng = np.random.Generator(np.random.PCG64(seq)) if eve else None
-    pcg, eve_pcg = {}, {}  # each stream's PCG64 state, refilled per trial
-    state, eve_state = ({"bit_generator": "PCG64", "state": p, "has_uint32": 0, "uinteger": 0} for p in (pcg, eve_pcg))
-    for lo in range(trials.start, trials.stop, STREAM_BLOCK):
-        t = np.arange(lo, min(lo + STREAM_BLOCK, trials.stop), dtype=np.uint32)[:, None]
-        # numpy's ``mix`` of each pool word with the trial word hashed, then of those with Eve's word.
-        trial_pool = pool - _hashmix(t, a[:4], a[1:5]) * _MIX_R
-        trial_pool ^= trial_pool >> 16
-        eve_pool = trial_pool * _MIX_L - eve_word
-        eve_pool ^= eve_pool >> 16
-        words = _hashmix(np.concatenate([trial_pool, trial_pool, eve_pool, eve_pool], axis=1), *_HASH_B)
-        halves = (words[:, 0::2].astype(np.uint64) | words[:, 1::2].astype(np.uint64) << 32).tolist()
-        # Each trial's seed (high, low) and word (high, low), then Eve's, seed PCG64 (O'Neill 2014).
-        for s_hi, s_lo, i_hi, i_lo, t_hi, t_lo, j_hi, j_lo in halves:
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) % (1 << 128)
-            pcg["state"], pcg["inc"] = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) % (1 << 128), inc
-            rng.bit_generator.state = state
-            if eve:
-                inc = ((j_hi << 64 | j_lo) << 1 | 1) % (1 << 128)
-                eve_pcg["state"], eve_pcg["inc"] = (((t_hi << 64 | t_lo) + inc) * _PCG_MULT + inc) % (1 << 128), inc
-                eve_rng.bit_generator.state = eve_state
-            yield rng, eve_rng
+
+    def __init__(self, key, s: int, trials: range, size: int, heads: tuple):
+        self.key, self.s, self.trials, self.size, self.heads = key, s, trials, size, heads
+        self.blocks = -(-size // 4)  # K_s
+        self.per_draw, self.first, self.draw = DRAW // max(4 * self.blocks, 1), trials.start, ()
+        self.gen = np.random.Generator(np.random.Philox(key=key))
+
+    def _at(self, c0: int, c1: int):
+        """The stream's Generator, set just before Philox block ``[c0 + 1, c1, 0, s]``."""
+        state = {"counter": [c0, c1, 0, self.s], "key": self.key}
+        self.gen.bit_generator.state = {"bit_generator": "Philox", "state": state, "buffer": [0] * 4,
+                                        "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return self.gen
+
+    def trial(self, t: int) -> list:
+        """Trial ``t``'s heads; ``t`` is the current trial from now on. A head past the region is read by ``random``."""
+        i = t - self.first
+        if not 0 <= i < len(self.draw):
+            self.first = t - (t - self.trials.start) % self.per_draw
+            m, i = min(self.per_draw, self.trials.stop - self.first), t - self.first
+            draw = self._at(self.first * self.blocks, 0).random(4 * self.blocks * m)
+            self.draw = draw.reshape(m, 4 * self.blocks)[:, :self.size]
+            self.rows = [_cells(self.draw[:, start:stop], scale) if stop <= self.size else None
+                         for start, stop, scale in self.heads]
+        self.row, self.t, self.over, heads = self.draw[i], t, False, []
+        for (start, stop, scale), rows in zip(self.heads, self.rows):
+            self.pos = start if rows is None else stop
+            heads.append(_cells(self.random(stop - start), scale) if rows is None else rows[i])
+        return heads
+
+    def random(self, n: int):
+        """The current trial's next ``n`` uniforms: the rest of its region, then its overflow."""
+        have = self.row[self.pos:self.pos + n]
+        self.pos += n
+        if len(have) == n:
+            return have
+        self.over = self.over or self._at(0, self.t + 1)  # positioned once a trial, when first read
+        return np.concatenate((have, self.over.random(n - len(have))))
+
+
+def chunk_streams(config: ExperimentConfig, point_key: tuple[int, ...], trials: range,
+                  tables: ValueTables) -> tuple[TrialStream, TrialStream | None]:
+    """The protocol's stream of the chunk's trials, its regions holding both messages and what a completing pass
+    reads, at most ``DRAW``, and Eve's likewise where the value reads it (``ValueTables.reads``)."""
+    key = np.random.SeedSequence(config.master_seed, spawn_key=point_key).generate_state(2, np.uint64)
+    n, (pu_first, eu_first) = config.n_pairs, first_blocks(config.protocol_config(), tables)
+    pu, eu = pass_reads(n, config.c, tables.picks, tables.guessing)
+    heads = (0, n, 4.0), (n, 2 * n, 4.0), (2 * n, 2 * n + pu_first, None)  # Alice's message, Bob's, the first block
+    rng = TrialStream(key, 0, trials, min(2 * n + pu, DRAW), heads)
+    return rng, TrialStream(key, 1, trials, min(eu, DRAW), ((0, eu_first, None),)) if tables.reads else None
 
 
 def run_trial(config: ExperimentConfig, trial_index: int, point_key: tuple[int, ...] = (), *,
               strategy: AttackStrategy | None = None, protocol: ProtocolConfig | None = None,
               streams: tuple | None = None, tables: ValueTables | None = None) -> TrialReport:
-    """One seeded dialogue reduced to its report, decoded only if the document keeps reports; a chunk passes
-    what it built or looked up once as keywords. Both messages stay code indices from the draw to the report."""
+    """One seeded dialogue reduced to its report, decoded only if the document keeps reports; a chunk passes what
+    it built or looked up once, its ``chunk_streams`` too. Both messages stay code indices from draw to report."""
     strategy, protocol = strategy or config.strategy(), protocol or config.protocol_config()
-    rng, eve_rng = streams or next(trial_streams(config.master_seed, point_key, range(trial_index, trial_index + 1)))
-    n = config.n_pairs
-    messages = random_message(2 * n, rng)
-    alice, bob = messages[:n], messages[n:]
-    result = run_dialogue(protocol, alice, bob, strategy, rng, eve_rng, tables)
+    tables = tables or value_tables(strategy)
+    rng, eve_rng = streams or chunk_streams(config, point_key, range(trial_index, trial_index + 1), tables)
+    (alice, bob, pu), eu = rng.trial(trial_index), eve_rng.trial(trial_index)[0] if eve_rng else []
+    result = run_dialogue(protocol, alice, bob, strategy, rng, eve_rng, tables, (pu, eu))
     return TrialReport.from_dialogue(trial_index, result, alice, bob, strategy, config.keeps_reports, tables)
 
 
@@ -250,8 +247,9 @@ def _fold_trials(config: ExperimentConfig, trials: range, point_key: tuple[int, 
     """
     strategy = config.strategy()
     protocol, tables = config.protocol_config(), value_tables(strategy)
+    streams = chunk_streams(config, point_key, trials, tables)
     reports = (run_trial(config, t, point_key, strategy=strategy, protocol=protocol, streams=streams, tables=tables)
-               for t, streams in zip(trials, trial_streams(config.master_seed, point_key, trials, tables.reads)))
+               for t in trials)
     if config.keeps_reports:
         kept = list(reports)
         return Tally.fold(kept), kept

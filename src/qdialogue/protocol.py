@@ -87,8 +87,6 @@ def random_message(n_pairs: int, rng: np.random.Generator) -> Message:
     power of two is exact, so each pair is exactly uniform on numpy's
     grid of 2**53 doubles.
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
     return (rng.random(n_pairs) * 4.0).astype(np.intp).tolist()
 
 
@@ -283,15 +281,21 @@ def value_tables(strategy: "AttackStrategy") -> ValueTables:
     return entry
 
 
-@functools.lru_cache(maxsize=TABLE_STRATEGIES)
-def _first_blocks(n: int, c: float, passes: int, picks: int, guessing: bool, detection: float) -> tuple[int, int]:
-    """The sizes of a dialogue's first blocks, the protocol's and Eve's: what a completing pass reads with its
-    control runs at their mean ``n c/(1-c)`` plus two deviations, or, if fewer, what a detected value's passes
-    read until they stop (3 and ``picks + guessing`` a run, runs at their mean ``passes/(c detection)`` plus two);
-    Eve's is drawn only where a run reads it (``ValueTables.reads``). Keyed on plain numbers, which hash in C."""
+def pass_reads(n: int, c: float, picks: int, guessing: bool) -> tuple[int, int]:
+    """What a completing pass reads of the protocol's stream (3 a control run, 2 a message run) and of Eve's
+    (``picks`` a run, plus a message run's pure guess), control runs at their mean ``n c/(1-c)`` plus two."""
     cm = int((n * c + 2.0 * (n * c) ** 0.5) / (1.0 - c)) + 1
-    runs = int((passes + 2.0 * passes ** 0.5) / (c * detection)) + 1 if detection else n + cm
-    return min(2 * n + 3 * cm, 3 * runs), min(picks * (n + cm) + guessing * n, (picks + guessing) * runs)
+    return 2 * n + 3 * cm, picks * (n + cm) + guessing * n
+
+
+def first_blocks(config: ProtocolConfig, tables: ValueTables) -> tuple[int, int]:
+    """The sizes of a dialogue's first blocks, the protocol's and Eve's: what a completing pass reads
+    (``pass_reads``) or, if fewer, what a detected value's passes read until they stop (3 and ``picks +
+    guessing`` a run, runs at their mean ``passes/(c detection)`` plus two). Sizing moves no uniform."""
+    passes = 1 if config.detection_policy == TERMINAL else 1 + config.max_restarts
+    pu, eu = pass_reads(config.n_pairs, config.c, tables.picks, tables.guessing)
+    runs = int((passes + 2.0 * passes ** 0.5) / (config.c * tables.detection)) + 1 if tables.detection else pu
+    return min(pu, 3 * runs), min(eu, (tables.picks + tables.guessing) * runs)
 
 
 @dataclass
@@ -319,9 +323,10 @@ class DialogueResult:
     draws: tuple[int, int]
 
 
-def _refill(block: list[float], used: int, stream: np.random.Generator) -> list[float]:
-    """``block``'s unused uniforms, then twice as many fresh ones from ``stream`` as it held (at least one)."""
-    return block[used:] + stream.random(max(2 * len(block), 1)).tolist()
+def _refill(block: list[float], used: int, stream) -> tuple[list[float], int]:
+    """``block``'s unused uniforms and twice as many fresh ones from ``stream`` as it held (at least one), counted."""
+    block = block[used:] + stream.random(max(2 * len(block), 1)).tolist()
+    return block, len(block)
 
 
 def run_dialogue(
@@ -332,39 +337,37 @@ def run_dialogue(
     rng: np.random.Generator,
     eve_rng: np.random.Generator | None,
     tables: ValueTables | None = None,
+    first: tuple[list[float], list[float]] | None = None,
 ) -> DialogueResult:
     """Execute runs until the dialogue completes, detects Eve, or gives up.
 
     Both messages, lists of ``ALL_CODES`` indices as ``random_message``
-    draws them, must have half-length equal to ``config.n_pairs``. The
-    protocol's draws (mode, control-run pair, Bob's Bell outcome) come
-    from ``rng`` in run order; the attack's from ``eve_rng``, a stream of
-    its own (``harness.trial_streams`` derives both). So an attack whose
-    taps leave Bob's Bell law unchanged leaves the transcript
-    byte-identical to the honest channel's (``NoAttack``).
+    draws them, must have half-length ``config.n_pairs``. The protocol's
+    draws (mode, control-run pair, Bob's Bell outcome) come from ``rng``
+    in run order, and the attack's from ``eve_rng``, a stream of its own.
+    So an attack whose taps leave Bob's Bell law unchanged leaves the
+    transcript byte-identical to the honest channel's (``NoAttack``).
 
-    Codes are ``ALL_CODES`` indices throughout, so XOR is ``^``. Each
-    run is drawn from its code pair's run table: one ``cut`` per pick of
-    Eve's choice tree, as ``quantum.choose`` would, one for Bob's outcome
-    by the leaf's Bell law (a law with one outcome still takes its
-    uniform) and, on a message run, the leaf's stored guess cell, or the
-    cell ``int(u * 16.0)`` of one more of Eve's uniforms where the
+    Each run is drawn from its code pair's run table: one ``cut`` per
+    pick of Eve's choice tree, as ``quantum.choose`` would, one for Bob's
+    outcome by the leaf's Bell law (a law with one outcome still takes
+    its uniform) and, on a message run, the leaf's stored guess cell, or
+    the cell ``int(u * 16.0)`` of one more of Eve's uniforms where the
     readout pins nothing. Each run appends one plain tuple to the rows
-    the transcript and Eve's session share; both build their records
-    from them only when read. Each stream's uniforms come in blocks of
-    ``random(n).tolist()`` from any numpy Generator, read in the order
-    one ``random()`` per uniform gives: ``2 + is_cm`` of the protocol's
-    a run, and of Eve's ``picks`` plus one on a message run whose leaf
-    stores no guess cell. A first block holds what a completing pass,
-    or a detected value's passes till they stop, likely read
-    (``_first_blocks``); a refill keeps the unused tail and draws twice
-    as many as the block held. Nothing reads a stream after the
-    dialogue, so no tail is given back; ``draws`` counts the uniforms
-    moved past in each. A value whose runs read none of Eve's (``ValueTables.reads``)
-    takes each run's leaf from its roots with no ``cut`` and draws no block from
-    ``eve_rng``, which may be None, though its runs move her cursor past ``picks``.
-    ``tables`` is the attack's ``value_tables``, looked up here unless a caller
-    (``harness.run_trial``, once a chunk) passes them.
+    the transcript and Eve's session share. Each stream is read in
+    blocks, in the order one ``random()`` per uniform gives: ``2 +
+    is_cm`` of the protocol's a run, and of Eve's ``picks`` plus one on a
+    message run whose leaf stores no guess cell. The first blocks are
+    ``first``, lists a caller may pass (``harness.run_trial`` does), or
+    else ``random(n).tolist()`` of each stream (``first_blocks``). A
+    refill keeps the unused tail and draws twice as many as the block
+    held from the stream, which goes on where the first block ended, so
+    any numpy Generator will do; ``draws`` counts the uniforms moved past
+    in each. A value whose runs read none of Eve's (``ValueTables.reads``)
+    takes each run's leaf from its roots with no ``cut`` and draws no
+    block from ``eve_rng``, which may be None, though its runs move her
+    cursor past ``picks``. ``tables`` is the attack's ``value_tables``,
+    looked up here unless a caller passes them.
     """
     if len(alice_msg) != len(bob_msg):
         raise ValueError(f"messages must have equal half-length, got {len(alice_msg)} and {len(bob_msg)}")
@@ -372,9 +375,10 @@ def run_dialogue(
         raise ValueError(f"config.n_pairs = {config.n_pairs} but messages have {len(alice_msg)} pairs")
     tables = tables or value_tables(attack)
     roots, c, n_pairs, terminal = tables.roots, config.c, config.n_pairs, config.detection_policy == TERMINAL
-    pu_first, eu_first = _first_blocks(n_pairs, c, 1 + config.max_restarts * (not terminal), tables.picks,
-                                       tables.guessing, tables.detection)
-    pu, eu = rng.random(pu_first).tolist(), eve_rng.random(eu_first).tolist() if tables.reads else []
+    if first is None:
+        pu_first, eu_first = first_blocks(config, tables)
+        first = rng.random(pu_first).tolist(), eve_rng.random(eu_first).tolist() if tables.reads else []
+    pu, eu = first
     i = j = pu_read = eu_read = 0  # the next unused uniform of each, and those read from earlier blocks
     pu_end, eu_end = len(pu), len(eu)
 
@@ -385,8 +389,7 @@ def run_dialogue(
 
     while status is None:
         if i > pu_end - 2:  # the mode and Bob's outcome
-            pu, pu_read, i = _refill(pu, i, rng), pu_read + i, 0
-            pu_end = len(pu)
+            (pu, pu_end), pu_read, i = _refill(pu, i, rng), pu_read + i, 0
 
         # Alice decides the mode before she encodes but announces it only
         # after Bob's measurement, so the taps never see it. Control runs
@@ -396,8 +399,7 @@ def run_dialogue(
         is_cm = pu[i] < c
         if is_cm:
             if i > pu_end - 3:  # and the pair
-                pu, pu_read, i = _refill(pu, i, rng), pu_read + i, 0
-                pu_end = len(pu)
+                (pu, pu_end), pu_read, i = _refill(pu, i, rng), pu_read + i, 0
             alice = int(pu[i + 1] * 4.0)  # as ``random_message``
             i += 2
         else:
@@ -406,8 +408,7 @@ def run_dialogue(
         node = roots[4 * bob + alice]
         while type(node) is Branch:
             if j == eu_end:
-                eu, eu_read, j = _refill(eu, j, eve_rng), eu_read + j, 0
-                eu_end = len(eu)
+                (eu, eu_end), eu_read, j = _refill(eu, j, eve_rng), eu_read + j, 0
             node = node.children[cut(node.cum, eu[j])]
             j += 1
         k = node.sure
@@ -433,8 +434,7 @@ def run_dialogue(
             cell = node.cells[k]
             if cell is None:  # a pure guess: 16 cells, equally likely
                 if j == eu_end:
-                    eu, eu_read, j = _refill(eu, j, eve_rng), eu_read + j, 0
-                    eu_end = len(eu)
+                    (eu, eu_end), eu_read, j = _refill(eu, j, eve_rng), eu_read + j, 0
                 cell = int(eu[j] * 16.0)
                 j += 1
             rows.append((cursor, pass_index, False, bob, alice, k, node, cell))

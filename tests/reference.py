@@ -9,8 +9,9 @@ check, the announcements, the final-pass counters and the JSON-ready
 dicts), messages as
 ``BitPair``s, the scalar cuts of a pair and of a pure guess from one
 uniform, the per-draw ``choose`` loop the stored thresholds replaced and
-the linear scan ``quantum.cut`` replaced, numpy's own per-trial stream
-derivation that ``harness.trial_streams`` reproduces, and the engines
+the linear scan ``quantum.cut`` replaced, a trial's stream read block
+by block from numpy's ``Philox`` at the counters the determinism
+contract gives (``philox_stream``), and the engines
 the run tables and integer rows replaced: a dialogue that replays the
 quantum leg on every run, sampling each tap's alternatives with one
 uniform (with its Bell draw ``bell_outcome`` and Eve's live ``guess``)
@@ -42,6 +43,7 @@ from qdialogue.protocol import (
     Branch,
     DialogueResult,
     Transcript,
+    value_tables,
 )
 from qdialogue.quantum import (
     ALL_CODES,
@@ -62,7 +64,7 @@ STRATEGY_VALUES = [
 
 
 def trial_rng(master_seed: int, *key: int) -> np.random.Generator:
-    """Trial ``key``'s stream as numpy derives it; Eve's is its ``spawn(1)`` child."""
+    """A seeded ``default_rng`` stream for the dialogues a test runs itself; Eve's is its ``spawn(1)`` child."""
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key)))
 
 
@@ -76,6 +78,59 @@ def ends_after(stream: np.random.Generator, seed: int, n: int, child: bool = Fal
         (fresh,) = fresh.spawn(1)
     fresh.advance(n)
     return stream.bit_generator.state == fresh.state
+
+
+def point_key_words(master_seed: int, *point_key: int) -> np.ndarray:
+    """The Philox key of a (seed, point): two words of the point's ``SeedSequence``."""
+    return np.random.SeedSequence(master_seed, spawn_key=point_key).generate_state(2, np.uint64)
+
+
+def region_sizes(n_pairs: int, c: float, picks: int, guessing: bool) -> tuple[int, int]:
+    """Each trial's region sizes, the protocol's and Eve's, at most 2048 each: both messages and what a
+    completing pass reads with its control runs at their mean ``n c/(1-c)`` plus two deviations, 3 uniforms
+    a control run and 2 a message run; and ``picks`` of Eve's a run plus, where she guesses, one a message run."""
+    cm = int((n_pairs * c + 2.0 * (n_pairs * c) ** 0.5) / (1.0 - c)) + 1
+    return min(2 * n_pairs + 2 * n_pairs + 3 * cm, 2048), min(picks * (n_pairs + cm) + guessing * n_pairs, 2048)
+
+
+def philox_stream(key, t: int, s: int, size: int, n: int) -> list[float]:
+    """The first ``n`` uniforms of stream ``s`` of trial ``t``, read from numpy's ``Philox`` at its counters.
+
+    The trial's region is the first ``size`` uniforms of the ``K =
+    ceil(size / 4)`` blocks at counters ``[t K + 1 ... t K + K, 0, 0, s]``;
+    its overflow is the blocks ``[1, 2, ..., t + 1, 0, s]``. numpy steps
+    the counter before each block, so a ``Philox`` at ``[t K, 0, 0, s]``
+    gives the region's words, and each word ``x`` is the uniform ``(x >>
+    11) * 2**-53``.
+    """
+    def uniforms(c0: int, c1: int, count: int) -> list[float]:
+        words = np.random.Philox(key=key, counter=[c0, c1, 0, s]).random_raw(count)
+        return ((words >> 11) * 2.0**-53).tolist()
+
+    k = -(-size // 4)
+    return (uniforms(t * k, 0, 4 * k)[:size] + uniforms(0, t + 1, max(n - size, 0)))[:n]
+
+
+class Uniforms:
+    """A stream that answers ``random()`` and ``random(n)`` from a list of uniforms, in order."""
+
+    def __init__(self, values: list[float]):
+        self.values, self.n = values, 0
+
+    def random(self, size=None):
+        if size is None:
+            self.n += 1
+            return self.values[self.n - 1]
+        self.n += size
+        return np.array(self.values[self.n - size:self.n])
+
+
+def trial_uniforms(config, t: int, point_key: tuple[int, ...] = (), more: int = 4096) -> tuple[Uniforms, Uniforms]:
+    """Trial ``t``'s two streams under an ``ExperimentConfig``, each its region and ``more`` overflow uniforms."""
+    tables = value_tables(config.strategy())
+    key = point_key_words(config.master_seed, *point_key)
+    sizes = region_sizes(config.n_pairs, config.c, tables.picks, tables.guessing)
+    return tuple(Uniforms(philox_stream(key, t, s, size, size + more)) for s, size in enumerate(sizes))
 
 
 def pairs(message) -> tuple[BitPair, ...]:

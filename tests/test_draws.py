@@ -26,7 +26,8 @@ from qdialogue.attacks import (
     NoAttack,
     strategy_from_name,
 )
-from qdialogue.harness import ExperimentConfig, run_trial
+from qdialogue import harness
+from qdialogue.harness import ExperimentConfig
 from qdialogue.protocol import (
     COMPLETED,
     DETECTION_POLICIES,
@@ -240,15 +241,30 @@ def refilled(stream, first: int) -> int:
     return len(stream.sizes) - first - 1
 
 
-def refill_share(config: ExperimentConfig, point_key=(), trials=400) -> float:
-    """The share of ``run_trial``'s seeded dialogues that refill either stream."""
-    refills = 0
-    for t in range(trials):
-        rng = recorder(config.master_seed, *point_key, t)
-        (eve_rng,) = rng.spawn(1)
-        run_trial(config, t, point_key, streams=(rng, eve_rng))
-        refills += refilled(rng, 1) > 0 or refilled(eve_rng, 0) > 0
-    return refills / trials
+class Refills:
+    """A stream that counts the blocks a dialogue draws from it: its refills, as its first block is handed in."""
+
+    def __init__(self, stream):
+        self.stream, self.n = stream, 0
+
+    def random(self, size):
+        self.n += 1
+        return self.stream.random(size)
+
+
+def chunk_refills(monkeypatch, config: ExperimentConfig, point_key=(), trials=400) -> list[tuple[int, int]]:
+    """Per trial of one ``_fold_trials`` chunk, how many times its dialogue refilled each stream."""
+    seen, raw = [], harness.run_dialogue
+
+    def counted(config, alice, bob, attack, rng, eve_rng, tables, first):
+        rng, eve_rng = Refills(rng), eve_rng and Refills(eve_rng)
+        result = raw(config, alice, bob, attack, rng, eve_rng, tables, first)
+        seen.append((rng.n, eve_rng.n if eve_rng else 0))
+        return result
+
+    monkeypatch.setattr(harness, "run_dialogue", counted)
+    harness._fold_trials(config, range(trials), point_key)
+    return seen
 
 
 class TestScalarCells:
@@ -468,8 +484,8 @@ class TestStreamEdges:
 
 class TestFirstBlocks:
     # A first block sized from the config holds what a typical dialogue
-    # reads, so few dialogues refill either stream: at these seeds, 2.25%
-    # of the honest-long config's, 1.5% of intercept-pool's and 6.75% of
+    # reads, so few dialogues refill either stream: at these seeds, 2.5%
+    # of the honest-long config's, 2.5% of intercept-pool's and 5.75% of
     # the probe sweep's 0.2 point's. A smaller first block fails here, not
     # only as a slower benchmark (the old ``n_pairs + 12`` refills most).
     REFILL_SHARE = 0.1
@@ -480,8 +496,9 @@ class TestFirstBlocks:
         (ExperimentConfig(attack="entangle-measure", beta2=0.2, c=0.5, n_pairs=2,
                           detection_policy=REINITIALIZE, max_restarts=2, master_seed=1), (3,)),
     ], ids=["honest-long", "intercept-pool", "probe-sweep-short-0.2"])
-    def test_few_dialogues_refill(self, config, point_key):
-        assert refill_share(config, point_key) < self.REFILL_SHARE
+    def test_few_dialogues_refill(self, monkeypatch, config, point_key):
+        refills = chunk_refills(monkeypatch, config, point_key)
+        assert len(refills) == 400 and sum(map(any, refills)) / 400 < self.REFILL_SHARE
 
     @pytest.mark.parametrize("config", [
         ProtocolConfig(c=0.9999999, n_pairs=16),
@@ -503,17 +520,14 @@ class TestFirstBlocks:
             assert rng.sizes[2] <= 64 and eve_rng.sizes[0] <= 64, seed
             assert result.transcript.final_status != COMPLETED
 
-    def test_the_console_refill_run_refills_both_streams(self):
+    def test_the_console_refill_run_refills_both_streams(self, monkeypatch):
         # The console-script check's long verbose run: a detecting attack
         # restarts up to 400 times, so every dialogue refills each stream
         # at least twice.
         config = ExperimentConfig(attack="disturb-pauli-4", c=0.5, n_pairs=48, trials=20, master_seed=1,
                                   detection_policy=REINITIALIZE, max_restarts=400, verbose=True)
-        for t in range(config.trials):
-            rng = recorder(config.master_seed, t)
-            (eve_rng,) = rng.spawn(1)
-            run_trial(config, t, streams=(rng, eve_rng))
-            assert refilled(rng, 1) >= 2 and refilled(eve_rng, 0) >= 2, t
+        refills = chunk_refills(monkeypatch, config, trials=config.trials)
+        assert len(refills) == 20 and all(min(counts) >= 2 for counts in refills), refills
 
 
 class TestThresholdDraws:

@@ -26,43 +26,43 @@ from qdialogue.harness import ExperimentConfig, run_experiment, sweep, to_csv, t
 from qdialogue.protocol import DETECTION_POLICIES
 
 GOLDEN = {
-    ("none", "terminal"): "da8e7d208c26ea15c8ff5ec23cabebeeee47ecad2e9d95dae6f57c8885b28bcf",
-    ("disturb-measure", "terminal"): "040b8b3b4b9168861c3cade12a0d5693e38a8a8e8f7090ddb0e144eaab41aa5d",
-    ("disturb-pauli-z", "terminal"): "071c1bd6a46493c5d52262ad8eeef755ff1e94793382b4a378f99d340367806d",
-    ("disturb-pauli-4", "terminal"): "9631dcb4be8620c150adcc113f7e48936266e7cc0c66953d1818815fd58a0b21",
-    ("intercept-resend-literal", "terminal"): "7f3f76d2932b0067a3d10bb3f1a73b2975e94dd5156a53f58cc133eec03c977a",
-    ("intercept-resend-blind", "terminal"): "65d9ecd1d4b2757595fb396757d7b71c5b1a9be59db217fe2f7e60397aa68569",
-    ("entangle-measure", "terminal"): "591ec64e499a68578b95f9a6fe9b426ae86594f1fbbbaeb5b12f7986f57642ed",
-    ("none", "reinitialize"): "75b3665ae6133d4f34fdbd875d4a8bde399089badc4b5f5443ad107e20e5921d",
-    ("disturb-measure", "reinitialize"): "eb39dfc2718f93047146ba4d80f7d31bca56e77596d51933d8418d37917a4470",
-    ("disturb-pauli-z", "reinitialize"): "4ebc9543c949f17f7a5e068428e0f5914500c5fd16431600af507a3c0ed165c3",
-    ("disturb-pauli-4", "reinitialize"): "e2c4efd5da2106874cce02c7b9f1567e0f623fe30e00c712d8c07eaf20522a85",
-    ("intercept-resend-literal", "reinitialize"): "9e55d883e70181e88177cd60497501212efcb6dd6a2192e911676221203caf76",
-    ("intercept-resend-blind", "reinitialize"): "792e6b89ea9ef2f1dc486f97a7199fc5888e7da68c134b10d06acc02c032d78f",
-    ("entangle-measure", "reinitialize"): "1464193e062121cfe6b66f6512366eef5c1938877be5c67fa5c4874b8a02f11d",
+    ("none", "terminal"): "ca6aaafeb024ec50b056ff3877a5b203924f89a62438ccaa8bad6c008bdf59f6",
+    ("disturb-measure", "terminal"): "730562639c988cf661916d61feb08bfd4474aa45b95a606d3ae387950eac750a",
+    ("disturb-pauli-z", "terminal"): "6b687d1fe5c7f4dc3f6257d972f41296d66f1569a889fb8ce37286fbbd8e1b86",
+    ("disturb-pauli-4", "terminal"): "35c0712b4fcd1011c94c1a7c9eb1a630bb91bd083d420a00d4e8bfaf8a128497",
+    ("intercept-resend-literal", "terminal"): "59eedb2403f0f87a95ca834a4b1884376509fb43b5e28a2f04930e1cc708c84a",
+    ("intercept-resend-blind", "terminal"): "18a06fa73a647a54c2ddb3454165d9443eb9b8f4fa5320505593024bb7685df6",
+    ("entangle-measure", "terminal"): "6cba9b756e0ea07f3a6990ef0ad24554f8753914fe4de79f52417f8cc2c16a69",
+    ("none", "reinitialize"): "0fef999a9fe50e5911edadcf2945549c2454feb334c252c525f2cb390522a1a6",
+    ("disturb-measure", "reinitialize"): "ee91bebc2bbccc667ed7470cb3a7df57eaa50fa0cf9beab1fb42bb9bad1ba5f5",
+    ("disturb-pauli-z", "reinitialize"): "658667f8c0ed5326a911b177a1b2ddc99012739a9f3819923b5e8a217abfabe1",
+    ("disturb-pauli-4", "reinitialize"): "24661be51e1a26daa2cb59c5b40c6868c0c77fb5023f58ccf1bb9e452e28e4bf",
+    ("intercept-resend-literal", "reinitialize"): "829002e3b57e40e8ba95baf9e0549b7df77a9bc0268c48b54e63211c80048e61",
+    ("intercept-resend-blind", "reinitialize"): "2c5da7e65799d3731520e3eff9e54608ae7dd41e158c4d176201a7d67d5dff38",
+    ("entangle-measure", "reinitialize"): "31f23f01aafe6a88bbaf32ac56564151cca1ea8f1dbf0d353731c56338264e8f",
 }
 
 VERBOSE_GOLDEN = {
-    ("none", "terminal"): "f549ed72e7c9ba3ae06f5df0cbc464ce6bb2bb58d44547b9cc3157fece6c5f26",
-    ("disturb-measure", "terminal"): "87407d2d3f9e94d125a4e66f2ca175cca2bdeabb4be564cc7a9522af694d34b7",
-    ("disturb-pauli-z", "terminal"): "16097865cbeb1d7275e4a22f736f2e6195acfe02bc672b3b8a8fdd48d5683d52",
-    ("disturb-pauli-4", "terminal"): "f685525638b586cbcd2acaea91e79f4979c892da2e0e91d3edb982199d24710d",
-    ("intercept-resend-literal", "terminal"): "8b2197b31a349dfa7e1a397f62422f03184927c16a0e2da142c9c746b3ffd69d",
-    ("intercept-resend-blind", "terminal"): "0dbfeb2d61d594472fdd29b267bc083b5eb637b8d2145666e1e45784acf09719",
-    ("entangle-measure", "terminal"): "bff96ed5f9ab0c9bb0525a37fbf0a893e466d23cc46f1bab31a7526e817ee887",
-    ("none", "reinitialize"): "f3783021a55143686d79eb64d836972bba40862a2e158756b9f3b2002278e32d",
-    ("disturb-measure", "reinitialize"): "12f46f8b6821f55e4becd9892e25ef3ae097645eee2863ddccaac271745f9b27",
-    ("disturb-pauli-z", "reinitialize"): "98b15406f91f319a6f89d01e81f51bfed477f249493946d9d4ca9627c4d2b99d",
-    ("disturb-pauli-4", "reinitialize"): "8bf2adfabd70b4104f311f805f0cdff2b6ae48a1bdbd4c700143d017ebb504ec",
-    ("intercept-resend-literal", "reinitialize"): "e617c8c1182800b5f6cf9ab3e172f35a67d748b453d5196ed831cf5ff6fc2fbe",
-    ("intercept-resend-blind", "reinitialize"): "afb419c78bffd4ac3d8baddc010c98d34ade53fa375bf9e8f9de34e83167882c",
-    ("entangle-measure", "reinitialize"): "08e32fe0bbcddc7ee804bd9a670668c931a717886a2baf7586a2f27c7903dc8d",
+    ("none", "terminal"): "63d0162859224e0c3127a3a09238212e8e0c700593d4fa0f7b55897fad630b00",
+    ("disturb-measure", "terminal"): "b45820dfd7146889872c22e29e69e92e0c16241b8a150956063f19458964940b",
+    ("disturb-pauli-z", "terminal"): "6ed9320f934ced0fbf3b70776245bd9839116636aee74de9597fefe4df2f79b8",
+    ("disturb-pauli-4", "terminal"): "de20ff47043158a0aa1c13a73dfda06d7019dc359edbc444b9734f2ace6f638b",
+    ("intercept-resend-literal", "terminal"): "0ac31477e35beaa9dc918af30d26ac0e22b4c0dc0eba619f59f7444c0596d5a1",
+    ("intercept-resend-blind", "terminal"): "b5da664301cfb9ccfd45f50e0aa84b060abb419f338695f4e48e24718a40a1da",
+    ("entangle-measure", "terminal"): "0ba6f4c80772046f5bfbc18e76064b78f64b08a49247c7e76e773231c81d2b63",
+    ("none", "reinitialize"): "e84aba6c9a46bbc35c99d8fc6db502692cd37af91fc2ea14e72e5dc73d48ff16",
+    ("disturb-measure", "reinitialize"): "dd45101c0776b8e8f3561480fbf753d8b836f435087e3bda35e4f78d65173745",
+    ("disturb-pauli-z", "reinitialize"): "1af95cb7972e4da9d17ee6241b9190be2f4646378389c791af931610177c8a94",
+    ("disturb-pauli-4", "reinitialize"): "b22112d0a0c30a90507de6112747f3bb97c165877201146b58e5500e4258932b",
+    ("intercept-resend-literal", "reinitialize"): "af69b1ad3cca506061967ce06b0e3932d0d48aca2149de811601721add377516",
+    ("intercept-resend-blind", "reinitialize"): "77fd302c5b691211ddb49828eae35abc84ddb007800455cb5452a2b84a559bcc",
+    ("entangle-measure", "reinitialize"): "aefbd7d1c595b5b7b65a588409b5033ad2eb6b2a2abe5e2c1c70809202f7efd9",
 }
 
 SERIALIZED_GOLDEN = {
-    "run-csv": "37e7571d21cb64fdb7f3fa6b6c545f51c1d554eeda16781b13f73f306a4ad65b",
-    "sweep-json": "68592a93e1b20ceeea571ec569fde135ca77351c1183417a2c516f36f6b361aa",
-    "sweep-csv": "e19fa34353f9dd5e08bc4f9599262a714461fd827447b2196e191009943c6a19",
+    "run-csv": "574d620c3e9b22a24bef1c0468e8b1f39ede651336af95612f57d865920eb146",
+    "sweep-json": "89652a3e390938a2760dce131d11de9b3c67e9ae810ca94d5d62cc3c3ff94f58",
+    "sweep-csv": "918e54e6bf1e4e874b590af4a02fb7280bfa5004f37fbbc61a0105f6ea582a66",
 }
 
 

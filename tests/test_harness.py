@@ -39,10 +39,11 @@ from qdialogue.harness import (
     sweep,
     to_csv,
     to_json,
-    trial_streams,
+    TrialStream,
 )
+from qdialogue.protocol import random_message
 from qdialogue.quantum import BitPair
-from reference import trial_rng
+from reference import philox_stream, point_key_words, region_sizes, trial_uniforms
 
 
 def counted_trials(monkeypatch) -> list:
@@ -84,7 +85,7 @@ class TestConfigValidation:
             ExperimentConfig(trials=0).validate()
 
     def test_trial_index_fits_one_word(self):
-        # Above 2**32 trials an index takes two words of the seed sequence.
+        # A command runs at most 2**32 trials a point.
         ExperimentConfig(trials=2**32).validate()
         with pytest.raises(ConfigError, match="trials"):
             ExperimentConfig(trials=2**32 + 1).validate()
@@ -105,48 +106,87 @@ class TestConfigValidation:
 class TestDeterminism:
     BASE = dict(attack="entangle-measure", beta2=0.25, c=0.5, n_pairs=8, trials=120, master_seed=31)
 
-    def test_trial_stream_derivation_is_stable(self):
-        a = trial_rng(7, 3).integers(0, 1 << 30, size=4)
-        b = trial_rng(7, 3).integers(0, 1 << 30, size=4)
-        c = trial_rng(7, 4).integers(0, 1 << 30, size=4)
-        np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
-        st.integers(0, 2**200),
-        st.lists(st.integers(0, 2**32 - 1), max_size=2).map(tuple),
-        st.integers(0, 2**32 - 1),
-        st.integers(1, 40),
+        st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2),
+        st.sampled_from([0, 1, 2**32 - 1]),
+        st.sampled_from([0, 1]),
+        st.integers(0, 40),
+        st.integers(0, 90),
+        st.lists(st.integers(1, 30), max_size=4),
     )
-    def test_trial_streams_are_the_trial_rng_and_its_child(self, seed, point_key, start, count):
-        trials = range(start, min(start + count, 2**32))
-        for t, (rng, eve_rng) in zip(trials, trial_streams(seed, point_key, trials), strict=True):
-            expected = trial_rng(seed, *point_key, t)
-            assert rng.bit_generator.state == expected.bit_generator.state
-            assert eve_rng.bit_generator.state == expected.spawn(1)[0].bit_generator.state
+    def test_a_trial_stream_is_its_region_then_its_overflow(self, key, t, s, size, head, reads):
+        # A head and then reads that end inside the region, at its end or past it.
+        key = np.array(key, np.uint64)
+        stream = TrialStream(key, s, range(t, t + 1), size, ((0, head, None),))
+        got = stream.trial(t)[0]
+        for n in reads:
+            got += stream.random(n).tolist()
+        assert got == philox_stream(key, t, s, size, head + sum(reads))
 
-    def test_trial_streams_across_blocks(self):
-        trials = range(5, 5 + 2 * harness.STREAM_BLOCK + 3)
-        edges = {trials[0], *(trials[0] + k * harness.STREAM_BLOCK + d for k in (1, 2) for d in (-1, 0)),
-                 trials[-1]}
-        for t, (rng, eve_rng) in zip(trials, trial_streams(2**64 + 3, (1,), trials), strict=True):
-            if t in edges:
-                expected = trial_rng(2**64 + 3, 1, t)
-                assert rng.bit_generator.state == expected.bit_generator.state
-                assert eve_rng.bit_generator.state == expected.spawn(1)[0].bit_generator.state
+    @pytest.mark.parametrize("lo", [0, 7, 2**32 - 23])
+    @pytest.mark.parametrize("size", [1, 13, 500, 2048])
+    def test_a_chunk_reads_every_trial_alike_across_its_draws(self, lo, size):
+        # Draws of 512, 128, 4 and 1 trials; each trial's messages and first
+        # block, then a read across its region's end.
+        key = point_key_words(2**64 + 3, 1)
+        trials = range(lo, lo + 23)
+        stream = TrialStream(key, 1, trials, size, ((0, 4, 4.0), (4, max(size, 4), None)))
+        for t in trials:
+            messages, first = stream.trial(t)
+            expected = philox_stream(key, t, 1, size, size + 9)
+            assert messages == [int(u * 4.0) for u in expected[:4]], t
+            assert first + stream.random(size + 1 - len(first)).tolist() == expected[4:size + 5], t
+            assert stream.random(4).tolist() == expected[size + 5:], t
 
-    def test_trial_streams_leave_eves_unset_where_she_reads_none(self):
-        # For a value that reads none of Eve's uniforms only the trial's
-        # stream is seeded and set.
-        trials = range(3, 3 + harness.STREAM_BLOCK + 2)
-        for t, (rng, eve_rng) in zip(trials, trial_streams(9, (2,), trials, False), strict=True):
-            assert eve_rng is None and rng.bit_generator.state == trial_rng(9, 2, t).bit_generator.state
+    def test_the_last_trials_fold_as_lone_replays(self):
+        config = ExperimentConfig(attack="entangle-measure", beta2=0.25, c=0.5, n_pairs=4, master_seed=9,
+                                  detection_policy="reinitialize", max_restarts=2, verbose=True)
+        trials = range(2**32 - 3, 2**32)
+        assert harness._fold_trials(config, trials, ())[1] == [run_trial(config, t) for t in trials]
 
-    @pytest.mark.parametrize("trials", [range(2**32, 2**32 + 1), range(0, 4, 2)])
-    def test_trial_streams_reject_a_two_word_index_or_a_stride(self, trials):
-        with pytest.raises(ValueError, match="step-1 range"):
-            next(trial_streams(0, (), trials))
+    @pytest.mark.parametrize("attack", ["disturb-pauli-4", "entangle-measure"])
+    def test_first_blocks_of_one_uniform_or_four_regions_move_no_uniform(self, monkeypatch, attack):
+        # Dialogues that restart up to 40 times refill both streams past
+        # their regions, however long their first blocks.
+        config = ExperimentConfig(attack=attack, beta2=0.25 if attack == "entangle-measure" else None, c=0.5,
+                                  n_pairs=6, trials=40, master_seed=3, detection_policy="reinitialize",
+                                  max_restarts=40, verbose=True)
+        plain = to_json(run_experiment(config))
+        tables = protocol.value_tables(config.strategy())
+        sizes = region_sizes(config.n_pairs, config.c, tables.picks, tables.guessing)
+        for first in ((1, 1), (4 * sizes[0], 4 * sizes[1])):
+            monkeypatch.setattr(harness, "first_blocks", lambda config, tables, first=first: first)
+            assert to_json(run_experiment(config)) == plain, first
+
+    @pytest.mark.parametrize("seed, point_key", [(3, ()), (2**64 + 3, (0,)), (3, (0, 0)), (2**64 + 3, (5, 2))])
+    def test_each_trial_reads_its_own_two_streams(self, monkeypatch, seed, point_key):
+        # Both messages and the first blocks run_dialogue gets, Eve's too,
+        # against the reference streams of each trial alone, in a chunk
+        # whose draws end inside it.
+        config = ExperimentConfig(attack="entangle-measure", beta2=0.25, c=0.3, n_pairs=40, master_seed=seed)
+        calls, raw = [], harness.run_dialogue
+        monkeypatch.setattr(harness, "run_dialogue", lambda *args: calls.append(args) or raw(*args))
+        trials = range(2**32 - 12, 2**32)
+        harness._fold_trials(config, trials, point_key)
+        for t, (_, alice, bob, _, _, _, _, (pu, eu)) in zip(trials, calls, strict=True):
+            rng, eve_rng = trial_uniforms(config, t, point_key, more=0)
+            assert alice + bob == random_message(80, rng), t
+            assert pu == rng.random(len(pu)).tolist() and eu == eve_rng.random(len(eu)).tolist(), t
+            assert len(pu) > 80 and len(eu) > 40
+
+    def test_messages_past_the_region_come_from_the_overflow(self):
+        # 2200 message uniforms are more than any region holds.
+        config = ExperimentConfig(c=0.5, n_pairs=1100, master_seed=4)
+        rng, _ = harness.chunk_streams(config, (), range(6, 7), protocol.value_tables(config.strategy()))
+        alice, bob, first = rng.trial(6)
+        expected = philox_stream(point_key_words(4), 6, 0, harness.DRAW, 2200 + len(first))
+        assert alice + bob == [int(u * 4.0) for u in expected[:2200]] and first == expected[2200:]
+
+    def test_eve_has_no_stream_where_she_reads_none(self):
+        config = ExperimentConfig(attack="intercept-resend-blind", c=0.5, n_pairs=4)
+        tables = protocol.value_tables(config.strategy())
+        assert not tables.reads and harness.chunk_streams(config, (), range(3), tables)[1] is None
 
     def test_a_point_folds_alike_in_1_3_or_7_chunks(self):
         # Each chunk derives the point's prefix itself and seeds its own block.
@@ -159,16 +199,6 @@ class TestDeterminism:
                        Tally())
 
         assert folded(1).trials == 50 and folded(1) == folded(3) == folded(7)
-
-    def test_alternating_points_keep_their_own_streams(self):
-        # Seeds of one and of three words, point keys of zero to two words, each trial alone.
-        points = [(seed, key) for seed in (3, 2**64 + 3) for key in ((), (0,), (0, 0))]
-        for t in (0, 1, 2**32 - 1):
-            for seed, key in points + points[::-1]:
-                rng, eve_rng = next(trial_streams(seed, key, range(t, t + 1)))
-                expected = trial_rng(seed, *key, t)
-                assert rng.bit_generator.state == expected.bit_generator.state
-                assert eve_rng.bit_generator.state == expected.spawn(1)[0].bit_generator.state
 
     def test_run_trial_reproducible(self):
         cfg = ExperimentConfig(**self.BASE)
@@ -554,7 +584,7 @@ class TestBoundedMemory:
     )
     # sha256 of the verbose document of CONFIG, as serialized before
     # reports were folded one at a time.
-    VERBOSE_DIGEST = "08e32fe0bbcddc7ee804bd9a670668c931a717886a2baf7586a2f27c7903dc8d"
+    VERBOSE_DIGEST = "aefbd7d1c595b5b7b65a588409b5033ad2eb6b2a2abe5e2c1c70809202f7efd9"
 
     def _tracked_run(self, monkeypatch, config):
         """Run ``config``; for each report made, how many made so far are alive."""

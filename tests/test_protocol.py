@@ -69,6 +69,7 @@ from reference import (
     same_state,
     transcript_dict,
     trial_rng,
+    trial_uniforms,
 )
 
 
@@ -623,8 +624,7 @@ class TestRecordsOnRead:
             tally, reports = harness._fold_trials(config, range(30), ())
             expected = []
             for t in range(30):
-                rng = trial_rng(5, t)
-                (eve_rng,) = rng.spawn(1)
+                rng, eve_rng = trial_uniforms(config, t)
                 messages = random_message(8, rng)
                 result = reference_dialogue(config.protocol_config(), messages[:4], messages[4:],
                                             config.strategy(), rng, eve_rng)
