@@ -25,7 +25,7 @@ from operator import add
 from typing import NamedTuple
 
 from .attacks import AttackStrategy, check_beta2
-from .protocol import COMPLETED, DETECTED, DialogueResult, Message, ValueTables, value_tables
+from .protocol import COMPLETED, DETECTED, DialogueResult, Message, ProtocolConfig, ValueTables, value_tables
 from .quantum import ALL_CODES
 
 PURE_GUESS_ACCURACY = 0.25
@@ -89,13 +89,10 @@ def eve_entropy_bits(beta2: float) -> float:
 
 
 def _check_ranges(c: float, d: float, n_half: int | None = None) -> None:
-    """The closed forms' shared range checks; n_half is checked unless None."""
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"c must lie strictly between 0 and 1, got {c}")
+    """The closed forms' shared range checks: c and n_half (unless None) as ``ProtocolConfig`` checks them."""
+    ProtocolConfig(c, 1 if n_half is None else n_half)
     if not 0.0 <= d <= 1.0:
         raise ValueError(f"per-control-run rate d must lie in [0, 1], got {d}")
-    if n_half is not None and n_half < 1:
-        raise ValueError("n_half must be >= 1")
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             values[key] = flag_value
-    # run_experiment validates each config it runs, a sweep's points included.
+    # run_experiment validates the config it runs, and sweep each of its points.
     return ExperimentConfig(**values)
 
 

@@ -359,11 +359,11 @@ def _row(name, empirical, stderr, n_samples, reference, source, tolerance, withi
 
 def run_experiment(config: ExperimentConfig, point_key: tuple[int, ...] = (),
                    folded: FoldedTrials | None = None) -> dict:
-    """Assemble the results document of the configured trials, run here unless ``folded``."""
-    config.validate()
-    strategy = config.strategy()
+    """Assemble the results document of the configured trials, validated and run here unless ``folded``."""
     if folded is None:
+        config.validate()
         (folded,) = _run_trials([(config, point_key)])
+    strategy = config.strategy()
     tally, reports = folded
 
     d_oracle = per_cm_detection_oracle(strategy)

@@ -22,14 +22,16 @@ returns a new ``StateVector`` or, when nothing changes, its input.
 Normalization is asserted on every state built (tolerance 1e-9), never
 silently repaired.
 
-Kernels take the forms the engine passes: ``BitPair`` codes, tuple
-register names and positional arguments, and are written the plain
-reshape/transpose way. The two measurements come in branch form:
-``bell_branches`` and ``z_branches`` return every outcome, in code
-order, with its cleaned probability and its post-measurement state, so
-a tap hands ``protocol._build_table`` all its alternatives at once and
-each law is computed once per call. ``bell_measure`` and ``measure_z``
-sample those branches with one ``choose`` uniform.
+Every kernel reaches the amplitudes by one route (``_route``): the
+registers it names become the middle axis of an (A, 2**k, B) array, and
+its result goes back to register order. Operators are applied as their
+matrices: a Pauli as its ``PAULI_MATRICES`` entry, the probe as its 4x4
+matrix on (target, ancilla). Both measurements are one routine over a
+basis, the Bell vectors in code order or up then down: ``bell_branches``
+and ``z_branches`` return every outcome with its cleaned probability and
+post-measurement state, so a tap hands ``protocol._build_table`` all its
+alternatives at once; ``bell_measure`` and ``measure_z`` sample them
+with one ``choose`` uniform.
 """
 
 from __future__ import annotations
@@ -58,22 +60,24 @@ class BitPair(NamedTuple):
     b: int
 
     def __xor__(self, other: "BitPair") -> "BitPair":
-        try:
-            return _XOR[self, other]
-        except (KeyError, TypeError):
-            return BitPair(self.a ^ other[0], self.b ^ other[1])
+        return BitPair(self.a ^ other[0], self.b ^ other[1])
 
 
 IDENTITY = BitPair(0, 0)
 ALL_CODES = (BitPair(0, 0), BitPair(0, 1), BitPair(1, 0), BitPair(1, 1))
-# Componentwise XOR of every two codes, read by ``BitPair.__xor__``.
-_XOR = {(x, y): BitPair(x.a ^ y.a, x.b ^ y.b) for x in ALL_CODES for y in ALL_CODES}
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """Make an array read-only: every later holder shares it."""
+    array.setflags(write=False)
+    return array
+
 
 PAULI_MATRICES = {
-    BitPair(0, 0): np.eye(2, dtype=complex),
-    BitPair(0, 1): np.array([[0, 1], [1, 0]], dtype=complex),
-    BitPair(1, 0): np.array([[0, -1j], [1j, 0]], dtype=complex),
-    BitPair(1, 1): np.array([[1, 0], [0, -1]], dtype=complex),
+    BitPair(0, 0): _frozen(np.eye(2, dtype=complex)),
+    BitPair(0, 1): _frozen(np.array([[0, 1], [1, 0]], dtype=complex)),
+    BitPair(1, 0): _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex)),
+    BitPair(1, 1): _frozen(np.array([[1, 0], [0, -1]], dtype=complex)),
 }
 
 
@@ -121,10 +125,11 @@ def pauli_compose(second: BitPair, first: BitPair) -> PauliProduct:
 _COMPLEX = np.dtype(complex)
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """Make an array read-only: every later holder shares it."""
-    array.setflags(write=False)
-    return array
+def _axis(registers: tuple[str, ...], reg: str) -> int:
+    try:
+        return registers.index(reg)
+    except ValueError:
+        raise ValueError(f"register {reg!r} not in state over {registers}") from None
 
 
 @dataclass(frozen=True)
@@ -167,23 +172,17 @@ class StateVector:
             raise ValueError(f"state not normalized (or not finite): |psi|^2 = {norm_sq!r}")
 
     def axis(self, reg: str) -> int:
-        try:
-            return self.registers.index(reg)
-        except ValueError:
-            raise ValueError(f"register {reg!r} not in state over {self.registers}") from None
+        return _axis(self.registers, reg)
 
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis of length 2 per register."""
         return self.amps.reshape((2,) * len(self.registers))
 
 
-def _bell_amplitudes() -> dict[BitPair, np.ndarray]:
-    base = np.zeros(4, dtype=complex)
-    base[0b01] = base[0b10] = 1.0 / math.sqrt(2.0)
-    return {code: _frozen(np.kron(np.eye(2), PAULI_MATRICES[code]) @ base) for code in ALL_CODES}
-
-
-_BELL_AMPS = _bell_amplitudes()
+# The Bell basis, a row per code in code order: (1 x C_code) on the base pair.
+_BELL_BASIS = _frozen(np.stack([np.kron(np.eye(2), PAULI_MATRICES[code]) @ (np.array([0, 1, 1, 0]) / math.sqrt(2.0))
+                                for code in ALL_CODES]))
+_BELL_AMPS = dict(zip(ALL_CODES, _BELL_BASIS))
 
 
 @functools.lru_cache(maxsize=256)
@@ -197,30 +196,53 @@ def bell_state(code: BitPair, regs: tuple[str, str] = ("h", "t")) -> StateVector
     return StateVector(regs, _BELL_AMPS[code])
 
 
-def apply_pauli(state: StateVector, reg: str, code: BitPair) -> StateVector:
-    """Apply the coded single-qubit Pauli to one register.
+@functools.lru_cache(maxsize=256)
+def _layout(registers: tuple[str, ...], regs: tuple[str, ...]) -> tuple:
+    """Where ``_route`` finds ``regs`` in a state over ``registers``: the shape of its view, then
+    the transpose that brings them to the front and its inverse (both None for one register)."""
+    axes = tuple(_axis(registers, reg) for reg in regs)
+    if len(axes) == 1:
+        return (1 << axes[0], 2, -1), None, None
+    if len(set(axes)) < len(axes):
+        raise ValueError(f"registers {regs} must be distinct")
+    perm = axes + tuple(i for i in range(len(registers)) if i not in axes)
+    return (1, 1 << len(axes), -1), perm, tuple(sorted(range(len(perm)), key=perm.__getitem__))
 
-    The four codes are unrolled (each Pauli has one entry per row); the
-    matrices in PAULI_MATRICES are the definition this must agree with.
+
+def _route(state: StateVector, regs: tuple[str, ...]):
+    """The amplitudes as an (A, 2**k, B) array whose middle axis indexes the k named
+    registers, in the order given, and the map that puts an array of that shape back in
+    register order as a new state. One register is split where it lies, a view with no
+    copy (A and B index the registers before and after it); more are moved to the front.
+    """
+    shape, perm, inverse = _layout(state.registers, regs)
+    view = (state.amps if perm is None else state.tensor().transpose(perm)).reshape(shape)
+
+    def back(out: np.ndarray) -> StateVector:
+        if inverse is not None:
+            out = out.reshape((2,) * len(inverse)).transpose(inverse)
+        return StateVector(state.registers, _frozen(out.reshape(-1)))
+
+    return view, back
+
+
+def apply_pauli(state: StateVector, reg: str, code: BitPair) -> StateVector:
+    """Apply the coded single-qubit Pauli, its ``PAULI_MATRICES`` entry, to one register.
+
     The identity returns the input state itself.
     """
-    ax = state.axis(reg)
+    view, back = _route(state, (reg,))
     if code not in PAULI_MATRICES:
         raise ValueError(f"unknown Pauli code {code!r}")
     if code == IDENTITY:
         return state
-    amps = state.amps.reshape(1 << ax, 2, -1)
-    out = np.empty_like(amps)
-    if code[0] == 0:  # bit flip
-        out[:, 0] = amps[:, 1]
-        out[:, 1] = amps[:, 0]
-    elif code[1] == 1:  # phase flip
-        out[:, 0] = amps[:, 0]
-        np.negative(amps[:, 1], out=out[:, 1])
-    else:  # bit-and-phase flip
-        np.multiply(amps[:, 1], -1j, out=out[:, 0])
-        np.multiply(amps[:, 0], 1j, out=out[:, 1])
-    return StateVector(state.registers, _frozen(out.reshape(-1)))
+    return back(PAULI_MATRICES[code] @ view)
+
+
+# The measurement bases: rows in outcome order, their conjugates and the outcome
+# labels. Bell vectors are in (regA, regB) order; up and down are the identity's rows.
+_BELL = (_BELL_BASIS, _frozen(_BELL_BASIS.conj()), ALL_CODES)
+_Z = (PAULI_MATRICES[IDENTITY], PAULI_MATRICES[IDENTITY], (0, 1))
 
 
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:
@@ -231,26 +253,15 @@ def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.registers + b.registers, _frozen((a.amps[:, None] * b.amps).ravel()))
 
 
-_KET0 = _frozen(np.array([1.0, 0.0], dtype=complex))
-
-
 def attach_ancilla(state: StateVector, reg: str) -> StateVector:
-    """Tensor-extend with a fresh register in its fiducial (index-0) state."""
+    """Tensor-extend with a fresh register in its fiducial (index-0, up) state."""
     if reg in state.registers:
         raise ValueError(f"register {reg!r} already present")
-    return StateVector(state.registers + (reg,), _frozen((state.amps[:, None] * _KET0).ravel()))
-
-
-# Bell basis vectors in (regA, regB) order, stacked as rows in code order.
-_BELL_BASIS = _frozen(np.stack([_BELL_AMPS[code] for code in ALL_CODES]))
-_BELL_BASIS_CONJ = _frozen(_BELL_BASIS.conj())
+    return StateVector(state.registers + (reg,), _frozen((state.amps[:, None] * _Z[0][0]).ravel()))
 
 
 def _clean(probs) -> tuple[list[float], float]:
-    """``probs`` with each entry below ``PROB_FLOOR`` set to zero, and its sum.
-
-    An all-zero law raises.
-    """
+    """``probs`` with each entry below ``PROB_FLOOR`` set to zero, and its sum; an all-zero law raises."""
     cleaned = [p if p >= PROB_FLOOR else 0.0 for p in probs]
     total = sum(cleaned)
     if total <= 0.0:
@@ -290,23 +301,38 @@ def choose(probs, rng: np.random.Generator) -> int:
     return cut(cumulative(probs), rng.random())
 
 
-def _front_perm(n: int, front: tuple[int, ...]) -> tuple[int, ...]:
-    return front + tuple(i for i in range(n) if i not in front)
-
-
-def _bell_law(state: StateVector, reg_a: str, reg_b: str) -> tuple[tuple[float, ...], np.ndarray]:
-    """Outcome probabilities of a Bell measurement on (reg_a, reg_b), in code order.
-
-    Also returns the overlaps <Psi_xy| applied to the pair, a (4, rest)
-    coefficient array.
+def _law(state: StateVector, regs: tuple[str, ...], basis):
+    """Outcome probabilities of measuring ``regs`` in ``basis``, in outcome order, then the
+    overlaps of each basis row with the registers, an (A, outcomes, B) array, and the route back.
     """
-    ax_a, ax_b = state.axis(reg_a), state.axis(reg_b)
-    if ax_a == ax_b:
-        raise ValueError("Bell measurement needs two distinct registers")
-    front = _front_perm(len(state.registers), (ax_a, ax_b))
-    overlaps = _BELL_BASIS_CONJ @ state.tensor().transpose(front).reshape(4, -1)
+    view, back = _route(state, regs)
+    overlaps = basis[1] @ view
     # Squared overlaps summed over the rest of the system, per outcome.
-    return tuple((overlaps.real**2 + overlaps.imag**2).sum(axis=1).tolist()), overlaps
+    return tuple((overlaps.real**2 + overlaps.imag**2).sum(axis=(0, 2)).tolist()), overlaps, back
+
+
+def _branches(state: StateVector, regs: tuple[str, ...], basis) -> tuple:
+    """Every outcome of measuring ``regs`` in ``basis`` with its post-measurement joint state.
+
+    One (``_clean``ed probability, label, state) per outcome, in outcome
+    order; the state is None where the probability is zero. Outcome k's
+    state is basis row k on the registers times its overlap,
+    renormalized by the law's probability, back in register order;
+    correlations with any remaining registers survive the collapse.
+    """
+    probs, overlaps, back = _law(state, regs, basis)
+    branches = []
+    for k, p in enumerate(_clean(probs)[0]):
+        collapsed = None
+        if p > 0.0:
+            collapsed = back(basis[0][k, :, None] * (overlaps[:, k : k + 1] / math.sqrt(probs[k])))
+        branches.append((p, basis[2][k], collapsed))
+    return tuple(branches)
+
+
+def _bell_law(state: StateVector, reg_a: str, reg_b: str):
+    """``_law`` of a Bell measurement on (reg_a, reg_b): its probabilities first, in code order."""
+    return _law(state, (reg_a, reg_b), _BELL)
 
 
 def bell_outcome_probs(state: StateVector, reg_a: str, reg_b: str) -> dict[BitPair, float]:
@@ -314,71 +340,29 @@ def bell_outcome_probs(state: StateVector, reg_a: str, reg_b: str) -> dict[BitPa
     return dict(zip(ALL_CODES, _bell_law(state, reg_a, reg_b)[0]))
 
 
-def bell_branches(
-    state: StateVector, reg_a: str, reg_b: str
-) -> tuple[tuple[float, BitPair, StateVector | None], ...]:
-    """Every Bell outcome on (reg_a, reg_b) with its post-measurement joint state.
-
-    One (``_clean``ed probability, code, state) per outcome, in code
-    order; the state is None where the probability is zero. Outcome k's
-    state is Bell vector k on the pair times its overlap,
-    renormalized by the law's probability, back in register order;
-    correlations with any remaining registers survive the collapse.
-    """
-    probs, overlaps = _bell_law(state, reg_a, reg_b)
-    n = len(state.registers)
-    back = np.argsort(_front_perm(n, (state.axis(reg_a), state.axis(reg_b))))
-    branches = []
-    for k, p in enumerate(_clean(probs)[0]):
-        collapsed = None
-        if p > 0.0:
-            rest = overlaps[k] / math.sqrt(probs[k])
-            amps = np.outer(_BELL_BASIS[k], rest).reshape((2,) * n).transpose(back).ravel()
-            collapsed = StateVector(state.registers, _frozen(amps))
-        branches.append((p, ALL_CODES[k], collapsed))
-    return tuple(branches)
+def bell_branches(state: StateVector, reg_a: str, reg_b: str) -> tuple[tuple[float, BitPair, StateVector | None], ...]:
+    """Every Bell outcome on (reg_a, reg_b), in code order, as ``_branches`` gives it."""
+    return _branches(state, (reg_a, reg_b), _BELL)
 
 
-def bell_measure(
-    state: StateVector, reg_a: str, reg_b: str, rng: np.random.Generator
-) -> tuple[BitPair, StateVector]:
+def bell_measure(state: StateVector, reg_a: str, reg_b: str, rng: np.random.Generator) -> tuple[BitPair, StateVector]:
     """Born-rule Bell measurement: one ``choose`` over ``bell_branches``."""
     branches = bell_branches(state, reg_a, reg_b)
-    _, code, collapsed = branches[choose([p for p, _, _ in branches], rng)]
-    return code, collapsed
+    return branches[choose([p for p, _, _ in branches], rng)][1:]
 
 
 def z_branches(state: StateVector, reg: str) -> tuple[tuple[float, int, StateVector | None], ...]:
-    """Both up/down outcomes on ``reg``, as ``bell_branches`` gives them: bit 0, then bit 1.
-
-    Each state keeps the outcome's half of the amplitudes, renormalized
-    by its probability.
-    """
-    t = state.amps.reshape(1 << state.axis(reg), 2, -1)
-    probs = (t.real**2 + t.imag**2).sum(axis=(0, 2)).tolist()
-    branches = []
-    for bit, p in enumerate(_clean(probs)[0]):
-        collapsed = None
-        if p > 0.0:
-            out = np.zeros_like(t)
-            np.divide(t[:, bit], math.sqrt(probs[bit]), out=out[:, bit])
-            collapsed = StateVector(state.registers, _frozen(out.reshape(-1)))
-        branches.append((p, bit, collapsed))
-    return tuple(branches)
+    """Both up/down outcomes on ``reg``, bit 0 then bit 1, as ``_branches`` gives them."""
+    return _branches(state, (reg,), _Z)
 
 
-def measure_z(
-    state: StateVector, reg: str, rng: np.random.Generator
-) -> tuple[int, StateVector]:
+def measure_z(state: StateVector, reg: str, rng: np.random.Generator) -> tuple[int, StateVector]:
     """Born-rule up/down measurement of one register: one ``choose`` over ``z_branches``."""
     branches = z_branches(state, reg)
-    _, bit, collapsed = branches[choose([p for p, _, _ in branches], rng)]
-    return bit, collapsed
+    return branches[choose([p for p, _, _ in branches], rng)][1:]
 
 
-def entangling_probe(
-    state: StateVector, target: str, ancilla: str, alpha: float, beta: float
-) -> StateVector:
+def entangling_probe(state: StateVector, target: str, ancilla: str, alpha: float, beta: float) -> StateVector:
     """Couple a fiducial ancilla to a target qubit with amplitude beta.
 
     Maps |down,chi> to alpha|down,chi0> + beta|up,chi1> and |up,chi> to
@@ -389,22 +373,10 @@ def entangling_probe(
     """
     if abs(alpha * alpha + beta * beta - 1.0) > 1e-12:
         raise ValueError(f"probe amplitudes violate alpha^2+beta^2=1: {alpha}, {beta}")
-    ax_t, ax_e = state.axis(target), state.axis(ancilla)
-    if ax_t == ax_e:
-        raise ValueError("target and ancilla must be distinct registers")
-    # The amplitudes split at both axes, as ``apply_pauli`` splits at
-    # one; ``order`` views them as blocks indexed (target, ancilla).
-    lo, hi = sorted((ax_t, ax_e))
-    amps = state.amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
-    order = (1, 3, 0, 2, 4) if ax_t < ax_e else (3, 1, 0, 2, 4)
-    t = amps.transpose(order)
-    if float(np.vdot(t[:, 1], t[:, 1]).real) > NORM_TOL:
+    view, back = _route(state, (target, ancilla))
+    # Rows 0b01 and 0b11 of the (target, ancilla) axis hold an excited ancilla.
+    if float(np.vdot(view[:, 1::2], view[:, 1::2]).real) > NORM_TOL:
         raise ValueError("ancilla not in its fiducial state; probe undefined")
-    # Only ancilla-0 inputs carry weight.
-    out = np.empty_like(amps)
-    blocks = out.transpose(order)
-    blocks[0, 0] = alpha * t[0, 0]
-    blocks[1, 1] = beta * t[0, 0]
-    blocks[1, 0] = alpha * t[1, 0]
-    blocks[0, 1] = beta * t[1, 0]
-    return StateVector(state.registers, _frozen(out.reshape(-1)))
+    # Columns of an excited ancilla are never reached and stay zero.
+    probe = np.array([[alpha, 0, 0, 0], [0, 0, beta, 0], [0, 0, alpha, 0], [beta, 0, 0, 0]], dtype=complex)
+    return back(probe @ view)
