@@ -10,13 +10,12 @@ Three layers:
   sampling) over all 16 code pairs, giving the per-control-run
   detection rate and Eve's exact guess accuracies;
 * the reduction: each dialogue's ``TrialReport``, read off its integer
-  rows, folds field by field into one additive ``Tally`` of integer
+  rows or counts, folds field by field into one additive ``Tally`` of integer
   totals, which every estimate reads, with binomial standard errors.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -27,8 +26,6 @@ from typing import NamedTuple
 from .attacks import AttackStrategy, check_beta2
 from .protocol import COMPLETED, DETECTED, DialogueResult, Message, ProtocolConfig, ValueTables, value_tables
 from .quantum import ALL_CODES
-
-PURE_GUESS_ACCURACY = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +105,7 @@ def per_cm_detection_oracle(strategy: AttackStrategy) -> float:
     differs from the XOR of the two codes. Reads the rate the sampler's
     run tables keep (``ValueTables.detection``); draws from no stream.
     """
-    return _run_law(strategy)[0]
+    return value_tables(strategy).detection
 
 
 def guess_accuracy_oracle(strategy: AttackStrategy) -> tuple[float, float]:
@@ -116,32 +113,9 @@ def guess_accuracy_oracle(strategy: AttackStrategy) -> tuple[float, float]:
 
     Every branch and Bell outcome is scored with the stored ``readout``;
     where that pins nothing, the pure guess scores 1/4.
+    Reads the accuracies the run tables keep (``ValueTables.accuracy``).
     """
-    return _run_law(strategy)[1:]
-
-
-# One fold per strategy object (strategies hash by identity): an
-# experiment asks for detection and accuracies of the object it built,
-# and every experiment or sweep point builds its own. The run tables
-# underneath are shared by strategy value.
-@functools.lru_cache(maxsize=16)
-def _run_law(strategy: AttackStrategy) -> tuple[float, float, float]:
-    """(per-control-run detection, Alice accuracy, Bob accuracy)."""
-    tables, mass, alice_hits, bob_hits = value_tables(strategy), 0.0, 0.0, 0.0
-    for (bob_code, alice_code), table in tables.by_pair.items():
-        for leaf in table.leaves:
-            for prob, guesses in zip(leaf.bell_probs, leaf.readouts):
-                if guesses is None:
-                    alice_hit = bob_hit = PURE_GUESS_ACCURACY
-                else:
-                    alice_hit = guesses[0] == alice_code
-                    bob_hit = guesses[1] == bob_code
-                mass += leaf.weight * prob
-                alice_hits += leaf.weight * prob * alice_hit
-                bob_hits += leaf.weight * prob * bob_hit
-    # Dividing by the summed mass rather than 16 keeps a sure readout
-    # at exactly 1 and a pure guess at exactly 1/4.
-    return tables.detection, alice_hits / mass, bob_hits / mass
+    return value_tables(strategy).accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -209,33 +183,39 @@ class TrialReport:
         one, and of the final one unless the dialogue completed. The rows
         are walked only for the errors of a value that is not ``exact``, a
         restart, an ``ancilla`` (the strategy's ``protocol.value_tables``,
-        unless the caller passes them as ``tables``) or ``decode``.
+        unless the caller passes them as ``tables``) or ``decode``. A
+        dialogue read as one completing pass has no rows (so no decode):
+        its run count and ancilla cells are its ``counts``.
         """
         transcript, eve = result.transcript, result.eve
-        rows = transcript.rows
-        last = rows[-1]
-        cursor, restarts, last_cm = last[0], last[1], last[2]
-        stopped = transcript.final_status != COMPLETED
-        # ``start`` is the final pass's first run. The first detecting run,
-        # 1-based, is pass 0's last: the 0-based index of pass 1's first.
-        start, first_detection, final = 0, len(rows) if stopped else None, rows
-        if restarts:
-            passes = [row[1] for row in rows]
-            start, first_detection = passes.index(restarts), passes.index(1)
-            final = rows[start:]
-        n_mm = cursor + (not last_cm)
         value, errors, table = tables or value_tables(strategy), 0, NO_ANCILLA
-        if not value.exact:
-            errors = sum([_BITS[k ^ alice ^ bob] for _, _, is_cm, bob, alice, k, _, _ in final if not is_cm])
-        if value.ancilla:
-            cells = [[0, 0, 0, 0], [0, 0, 0, 0]]
-            for _, _, is_cm, _, alice, _, leaf, _ in rows:
+        rows = final = transcript.rows
+        if result.counts:  # one completing pass of an ``exact`` value, read without rows
+            (runs, cells), n_mm, first_detection = result.counts, len(alice_msg), None
+            start = restarts = stopped = 0
+        else:
+            last, runs = rows[-1], len(rows)
+            cursor, restarts, last_cm = last[0], last[1], last[2]
+            stopped = transcript.final_status != COMPLETED
+            # ``start`` is the final pass's first run. The first detecting run,
+            # 1-based, is pass 0's last: the 0-based index of pass 1's first.
+            start, first_detection = 0, runs if stopped else None
+            if restarts:
+                passes = [row[1] for row in rows]
+                start, first_detection = passes.index(restarts), passes.index(1)
+                final = rows[start:]
+            n_mm = cursor + (not last_cm)
+            if not value.exact:
+                errors = sum([_BITS[k ^ alice ^ bob] for _, _, is_cm, bob, alice, k, _, _ in final if not is_cm])
+            cells = [[0, 0, 0, 0], [0, 0, 0, 0]] if value.ancilla else None
+            for _, _, is_cm, _, alice, _, leaf, _ in rows if cells else ():
                 if not is_cm and leaf.ancilla is not None:
                     cells[leaf.ancilla][alice] += 1
+        if cells:
             table = tuple(cells[0]), tuple(cells[1])
         report = cls(trial_index, strategy.name, getattr(strategy, "beta2", None), transcript.final_status,
-                     len(rows) - start, n_mm, len(rows) - start - n_mm, len(rows), restarts + stopped,
-                     len(rows) - eve.guess_count, restarts, first_detection, 2 * len(alice_msg), errors, errors,
+                     runs - start, n_mm, runs - start - n_mm, runs, restarts + stopped, runs - eve.guess_count,
+                     restarts, first_detection, 2 * len(alice_msg), errors, errors,
                      eve.alice_hits, eve.bob_hits, eve.guess_count, table)
         if decode:  # Alice's view, then Bob's: outcome XOR own code (row[4], then row[3])
             mm_final = [row for row in final if not row[2]]

@@ -30,6 +30,13 @@ records, the announcements and Bob's control check, each side's decode
 (the outcome XOR its own code on the final pass's message runs), the
 restart count (the last run's pass index) and the final-pass counters;
 ``analysis.TrialReport.from_dialogue`` reads them off the integer rows.
+Where no control run can fail (``ValueTables.exact``: the honest channel,
+the literal intercept-resend, the probe at beta2 = 0) and the caller reads
+no rows (``harness.run_trial`` unless the document keeps reports), a
+dialogue is one completing pass: its runs are counted off the mode
+uniforms, refilled where the per-run loop refills, and Eve's guesses and
+hits read per message pair, at the indices the per-run loop reads, so
+both read the same uniforms and give the same report.
 
 A run's quantum leg is fixed once the strategy, both codes and Eve's
 picks are. So it is played out once per choice path, not once per run:
@@ -178,7 +185,7 @@ def _expand(alternatives, weight: float, fields: dict, then) -> Branch | Leaf:
     for i in kept[:1] + kept[:0:-1]:
         _, channel, more = alternatives[i]
         children[i] = then(weight * cleaned[i], channel, {**fields, **more})
-    return Branch(tuple(children), cumulative(cleaned))
+    return Branch(tuple(children), cumulative(cleaned, total))
 
 
 def _build_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitPair) -> RunTable:
@@ -210,21 +217,23 @@ def _build_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitP
 
 
 class ValueTables(NamedTuple):
-    """A strategy value's 16 run tables, by code pair and as trees indexed ``4 * bob + alice``
-    (``ALL_CODES`` indices), the sampler's view. ``ancilla``: some leaf carries an ancilla outcome.
-    ``exact``: every leaf is sure of its codes' XOR, so every message run decodes exactly.
-    ``picks`` and ``guessing``: the first path's picks, and whether its leaf leaves a message
-    run's guess to a uniform. ``detection``: the exact oracle's per-control-run rate. ``reads``:
-    a run reads one of Eve's uniforms (a pick of two indices or more, or a pure guess), or trees
-    differ in picks. Else each tree is one path of sure picks, whose leaf is the sampler's root."""
+    """A strategy value's 16 run tables, by code pair and as trees indexed ``4 * bob + alice`` (``ALL_CODES``
+    indices), the sampler's view. ``ancilla``: some leaf carries an ancilla outcome. ``exact``: the 16 leaves,
+    indexed alike, where each tree is one sure path of ``picks`` picks to a leaf sure of its codes' XOR that
+    stores its guess cell or not as ``guessing`` says (else empty): no control run fails. ``picks`` and
+    ``guessing``: the first path's picks, and whether its leaf leaves a message run's guess to a uniform.
+    ``detection`` and ``accuracy``: the exact oracles' per-control-run rate and Eve's (Alice, Bob) guess
+    accuracies. ``reads``: a run reads one of Eve's uniforms (a pick of two indices or more, or a pure
+    guess), or trees differ in picks. Else each tree is one path of sure picks, whose leaf is the root."""
 
     by_pair: dict[tuple[BitPair, BitPair], RunTable]
     roots: list
     ancilla: bool
-    exact: bool
+    exact: tuple
     picks: int
     guessing: bool
     detection: float
+    accuracy: tuple[float, float]
     reads: bool
 
 
@@ -232,9 +241,11 @@ class ValueTables(NamedTuple):
 # A sweep builds one value per point.
 TABLE_STRATEGIES = 32
 _TABLES: OrderedDict[tuple, ValueTables] = OrderedDict()
+# What a pure guess of one pair scores: one of four codes, equally likely.
+PURE_GUESS_ACCURACY = 0.25
 
 
-@functools.lru_cache(maxsize=TABLE_STRATEGIES)  # by identity, as ``analysis._run_law``
+@functools.lru_cache(maxsize=TABLE_STRATEGIES)  # by identity
 def _strategy_key(strategy: "AttackStrategy") -> tuple:
     """A strategy's value: its class, then its instance attributes, floats by bit pattern."""
     return type(strategy), tuple(sorted((k, _arg_key(v)) for k, v in vars(strategy).items()))
@@ -259,20 +270,30 @@ def value_tables(strategy: "AttackStrategy") -> ValueTables:
     entry = _TABLES.get(key)
     if entry is None:
         tables = {(b, a): _build_table(strategy, b, a) for b in ALL_CODES for a in ALL_CODES}
-        leaves = [(ALL_CODES.index(b ^ a), leaf) for (b, a), table in tables.items() for leaf in table.leaves]
+        leaves = [(b, a, leaf) for (b, a), table in tables.items() for leaf in table.leaves]
         depths = [0] * 16  # the picks on each tree's first path
         for k, node in enumerate(table.tree for table in tables.values()):
             while type(node) is Branch:
                 node, depths[k] = next(filter(None, node.children)), depths[k] + 1
         ones = [table.leaves[0] for table in tables.values()]  # each tree's first leaf, its only one if 16 in all
         reads = len(leaves) > 16 or len(set(depths)) > 1 or any(None in leaf.cells for leaf in ones)
-        failed = 0.0  # summed in ``leaves`` order, Bob's code outer
-        for k, leaf in leaves:
+        guessing, exact = None in ones[0].cells, len(leaves) == 16 and len(set(depths)) == 1
+        failed = mass = alice = bob = 0.0  # summed in ``leaves`` order, Bob's code outer
+        for b, a, leaf in leaves:
+            k = ALL_CODES.index(b ^ a)
             failed += leaf.weight * (1.0 - leaf.bell_probs[k])
+            exact = exact and leaf.sure == k and (leaf.cells[k] is None) == guessing
+            for prob, guesses in zip(leaf.bell_probs, leaf.readouts):
+                hits = (PURE_GUESS_ACCURACY,) * 2 if guesses is None else (guesses[0] == a, guesses[1] == b)
+                mass += leaf.weight * prob
+                alice += leaf.weight * prob * hits[0]
+                bob += leaf.weight * prob * hits[1]
+        # Dividing by the summed mass rather than 16 keeps a sure readout
+        # at exactly 1 and a pure guess at exactly 1/4.
         entry = ValueTables(tables, [table.tree for table in tables.values()] if reads else ones,
-                            any(leaf.ancilla is not None for _, leaf in leaves),
-                            all(leaf.sure == k for k, leaf in leaves), depths[0], None in ones[0].cells,
-                            0.0 if failed / 16.0 < 1e-12 else failed / 16.0, reads)
+                            any(leaf.ancilla is not None for *_, leaf in leaves), tuple(ones) if exact else (),
+                            depths[0], guessing, 0.0 if failed / 16.0 < 1e-12 else failed / 16.0,
+                            (alice / mass, bob / mass), reads)
         if len(_TABLES) >= TABLE_STRATEGIES:
             _TABLES.popitem(last=False)
         _TABLES[key] = entry
@@ -316,11 +337,14 @@ class Transcript:
 
 @dataclass
 class DialogueResult:
-    """Outcome of one dialogue: the public transcript, Eve's session and the uniforms read from each stream."""
+    """Outcome of one dialogue: the public transcript, Eve's session and the uniforms read from each stream.
+    A dialogue read as one completing pass keeps no rows; ``counts`` holds its run count and its ancilla
+    cells (2x4, by readout and Alice's code, as ``TrialReport.ancilla_table``; None without an ancilla)."""
 
     transcript: Transcript
     eve: "EveSession"
     draws: tuple[int, int]
+    counts: tuple[int, list | None] | None = None
 
 
 def _refill(block: list[float], used: int, stream) -> tuple[list[float], int]:
@@ -338,6 +362,7 @@ def run_dialogue(
     eve_rng: np.random.Generator | None,
     tables: ValueTables | None = None,
     first: tuple[list[float], list[float]] | None = None,
+    keep_rows: bool = True,
 ) -> DialogueResult:
     """Execute runs until the dialogue completes, detects Eve, or gives up.
 
@@ -367,7 +392,9 @@ def run_dialogue(
     takes each run's leaf from its roots with no ``cut`` and draws no
     block from ``eve_rng``, which may be None, though its runs move her
     cursor past ``picks``. ``tables`` is the attack's ``value_tables``,
-    looked up here unless a caller passes them.
+    looked up here unless a caller passes them. Unless ``keep_rows``, an
+    ``exact`` value's dialogue is read as one completing pass (see the
+    module docstring), which keeps no rows: its ``counts`` hold the rest.
     """
     if len(alice_msg) != len(bob_msg):
         raise ValueError(f"messages must have equal half-length, got {len(alice_msg)} and {len(bob_msg)}")
@@ -386,6 +413,36 @@ def run_dialogue(
     rows: list[tuple] = []
     cursor = pass_index = alice_hits = bob_hits = guess_count = 0
     status: str | None = None
+
+    if tables.exact and not keep_rows:  # one completing pass: its runs counted off the mode uniforms
+        picks, cm, ahead = tables.picks, 0, []  # ``ahead``: the control runs before each message run
+        for _ in range(n_pairs):
+            while True:  # control runs, refilled where the per-run loop refills
+                if i > pu_end - 2:
+                    (pu, pu_end), pu_read, i = _refill(pu, i, rng), pu_read + i, 0
+                if pu[i] >= c:
+                    break
+                if i > pu_end - 3:
+                    (pu, pu_end), pu_read, i = _refill(pu, i, rng), pu_read + i, 0
+                cm, i = cm + 1, i + 3
+            ahead.append(cm)
+            i += 2
+        eve, need = eu, picks * (n_pairs + cm) + tables.guessing * n_pairs
+        while tables.reads and len(eve) < need:  # each refill once the block before it is used up
+            eu = _refill(eu, len(eu), eve_rng)[0]
+            eve = eve + eu
+        # A pure guess comes after the picks of its run and those before it, and a guess per message run before.
+        guesses = ([int(eve[picks * (m + k + 1) + m] * 16.0) for m, k in enumerate(ahead)] if tables.guessing
+                   else [tables.exact[4 * b + a].cells[b ^ a] for b, a in zip(bob_msg, alice_msg)])
+        for cell, bob, alice in zip(guesses, bob_msg, alice_msg):
+            alice_hits += cell >> 2 == alice
+            bob_hits += cell & 3 == bob
+        cells = [[0] * 4, [0] * 4] if tables.ancilla else None
+        for bob, alice in zip(bob_msg, alice_msg) if cells else ():
+            if (ancilla := tables.exact[4 * bob + alice].ancilla) is not None:
+                cells[ancilla][alice] += 1
+        session.alice_hits, session.bob_hits, session.guess_count = alice_hits, bob_hits, n_pairs
+        return DialogueResult(Transcript([], COMPLETED), session, (pu_read + i, need), (n_pairs + cm, cells))
 
     while status is None:
         if i > pu_end - 2:  # the mode and Bob's outcome

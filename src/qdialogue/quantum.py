@@ -269,16 +269,18 @@ def _clean(probs) -> tuple[list[float], float]:
     return cleaned, total
 
 
-def cumulative(probs) -> tuple[float, tuple[float, ...], tuple[int, ...]]:
+def cumulative(probs, total: float | None = None) -> tuple[float, tuple[float, ...], tuple[int, ...]]:
     """The thresholds ``cut`` reads: ``(total, running_sums, indices)``.
 
     ``total`` is the sum of the ``_clean`` law, each running sum adds its
     kept probabilities left to right, and ``indices`` holds each sum's
-    outcome, then the last kept one again.
+    outcome, then the last kept one again. ``probs`` is cleaned here
+    unless a caller that cleaned it already passes its sum as ``total``.
     """
-    cleaned, total = _clean(probs)
-    kept = [i for i, p in enumerate(cleaned) if p > 0.0]
-    return total, tuple(accumulate(cleaned[i] for i in kept)), (*kept, kept[-1])
+    if total is None:
+        probs, total = _clean(probs)
+    kept = [i for i, p in enumerate(probs) if p > 0.0]
+    return total, tuple(accumulate(probs[i] for i in kept)), (*kept, kept[-1])
 
 
 def cut(cum, u: float) -> int:

@@ -33,12 +33,13 @@ from typing import NamedTuple
 import numpy as np
 
 from qdialogue import quantum
-from qdialogue.analysis import PURE_GUESS_ACCURACY, TrialReport
+from qdialogue.analysis import TrialReport
 from qdialogue.attacks import STRATEGY_NAMES, Channel, EveRunLog
 from qdialogue.protocol import (
     ABORTED,
     COMPLETED,
     DETECTED,
+    PURE_GUESS_ACCURACY,
     TERMINAL,
     Branch,
     DialogueResult,

@@ -256,9 +256,9 @@ def chunk_refills(monkeypatch, config: ExperimentConfig, point_key=(), trials=40
     """Per trial of one ``_fold_trials`` chunk, how many times its dialogue refilled each stream."""
     seen, raw = [], harness.run_dialogue
 
-    def counted(config, alice, bob, attack, rng, eve_rng, tables, first):
+    def counted(config, alice, bob, attack, rng, eve_rng, tables, first, keep_rows):
         rng, eve_rng = Refills(rng), eve_rng and Refills(eve_rng)
-        result = raw(config, alice, bob, attack, rng, eve_rng, tables, first)
+        result = raw(config, alice, bob, attack, rng, eve_rng, tables, first, keep_rows)
         seen.append((rng.n, eve_rng.n if eve_rng else 0))
         return result
 

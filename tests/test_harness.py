@@ -169,7 +169,7 @@ class TestDeterminism:
         monkeypatch.setattr(harness, "run_dialogue", lambda *args: calls.append(args) or raw(*args))
         trials = range(2**32 - 12, 2**32)
         harness._fold_trials(config, trials, point_key)
-        for t, (_, alice, bob, _, _, _, _, (pu, eu)) in zip(trials, calls, strict=True):
+        for t, (_, alice, bob, _, _, _, _, (pu, eu), _) in zip(trials, calls, strict=True):
             rng, eve_rng = trial_uniforms(config, t, point_key, more=0)
             assert alice + bob == random_message(80, rng), t
             assert pu == rng.random(len(pu)).tolist() and eu == eve_rng.random(len(eu)).tolist(), t
