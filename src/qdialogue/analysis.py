@@ -9,9 +9,10 @@ Three layers:
   every measurement/choice branch with exact Born or coin weights, no
   sampling) over all 16 code pairs, giving the per-control-run
   detection rate and Eve's exact guess accuracies;
-* the reduction: each dialogue's ``TrialReport``, read off its integer
-  rows or counts, folds field by field into one additive ``Tally`` of integer
-  totals, which every estimate reads, with binomial standard errors.
+* the reduction: each dialogue's ``TrialReport``, built from the counts
+  its dialogue loop kept (``DialogueResult.counts``), folds field by field
+  into one additive ``Tally`` of integer totals, which every estimate
+  reads, with binomial standard errors.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from operator import add
 from typing import NamedTuple
 
 from .attacks import AttackStrategy, check_beta2
-from .protocol import COMPLETED, DETECTED, DialogueResult, Message, ProtocolConfig, ValueTables, value_tables
+from .protocol import COMPLETED, DETECTED, DialogueResult, Message, ProtocolConfig, value_tables
 from .quantum import ALL_CODES
 
 
@@ -122,8 +123,6 @@ def guess_accuracy_oracle(strategy: AttackStrategy) -> tuple[float, float]:
 # Trial reduction and estimators
 
 
-# Bits set in each code index: two pairs differ in the bits of their indices' XOR.
-_BITS = (0, 1, 1, 2)
 # The ancilla table of a strategy whose leaves carry no ancilla.
 NO_ANCILLA = ((0, 0, 0, 0), (0, 0, 0, 0))
 
@@ -168,59 +167,32 @@ class TrialReport:
 
     @classmethod
     def from_dialogue(cls, trial_index: int, result: DialogueResult, alice_msg: Message, bob_msg: Message,
-                      strategy: AttackStrategy, decode: bool = False,
-                      tables: ValueTables | None = None) -> "TrialReport":
-        """Read the report off the dialogue's integer rows, keeping no reference to them.
+                      strategy: AttackStrategy, decode: bool = False) -> "TrialReport":
+        """Build the report from the dialogue's ``counts`` and Eve's hit counters, keeping no reference to its rows.
 
-        Codes are ``ALL_CODES`` indices, so XOR is ``^``. Control counts
-        and the ancilla table span every pass; run counts and both
-        decodes (outcome XOR own code) cover the final pass. Its message
-        runs carry both messages' pairs in order, so either decode misses
-        the other's pair by the bits of outcome XOR both codes, and there
-        is one per message pair its cursor passed. Eve guesses once per
-        message run. A control check fails exactly where a pass stops
-        short of its end: at the last run of every pass but the final
-        one, and of the final one unless the dialogue completed. The rows
-        are walked only for the errors of a value that is not ``exact``, a
-        restart, an ``ancilla`` (the strategy's ``protocol.value_tables``,
-        unless the caller passes them as ``tables``) or ``decode``. A
-        dialogue read as one completing pass has no rows (so no decode):
-        its run count and ancilla cells are its ``counts``.
+        Control counts and the ancilla table span every pass; run counts
+        and bit errors cover the final pass. Eve guesses once per message
+        run, so the rest are control runs. A control check fails exactly
+        where a pass stops short of its end: at the last run of every pass
+        but the final one, and of the final one unless the dialogue
+        completed. Only ``decode`` reads the rows: each side's decode is
+        the outcome XOR its own code over the final pass's message runs. A
+        dialogue read as one completing pass has no rows, and there every
+        outcome is the XOR of both codes, so each side decodes the other's
+        message.
         """
         transcript, eve = result.transcript, result.eve
-        value, errors, table = tables or value_tables(strategy), 0, NO_ANCILLA
-        rows = final = transcript.rows
-        if result.counts:  # one completing pass of an ``exact`` value, read without rows
-            (runs, cells), n_mm, first_detection = result.counts, len(alice_msg), None
-            start = restarts = stopped = 0
-        else:
-            last, runs = rows[-1], len(rows)
-            cursor, restarts, last_cm = last[0], last[1], last[2]
-            stopped = transcript.final_status != COMPLETED
-            # ``start`` is the final pass's first run. The first detecting run,
-            # 1-based, is pass 0's last: the 0-based index of pass 1's first.
-            start, first_detection = 0, runs if stopped else None
-            if restarts:
-                passes = [row[1] for row in rows]
-                start, first_detection = passes.index(restarts), passes.index(1)
-                final = rows[start:]
-            n_mm = cursor + (not last_cm)
-            if not value.exact:
-                errors = sum([_BITS[k ^ alice ^ bob] for _, _, is_cm, bob, alice, k, _, _ in final if not is_cm])
-            cells = [[0, 0, 0, 0], [0, 0, 0, 0]] if value.ancilla else None
-            for _, _, is_cm, _, alice, _, leaf, _ in rows if cells else ():
-                if not is_cm and leaf.ancilla is not None:
-                    cells[leaf.ancilla][alice] += 1
-        if cells:
-            table = tuple(cells[0]), tuple(cells[1])
+        runs, restarts, start, first_detection, n_mm, errors, cells = result.counts
         report = cls(trial_index, strategy.name, getattr(strategy, "beta2", None), transcript.final_status,
-                     runs - start, n_mm, runs - start - n_mm, runs, restarts + stopped, runs - eve.guess_count,
-                     restarts, first_detection, 2 * len(alice_msg), errors, errors,
-                     eve.alice_hits, eve.bob_hits, eve.guess_count, table)
+                     runs - start, n_mm, runs - start - n_mm, runs,
+                     restarts + (transcript.final_status != COMPLETED), runs - eve.guess_count, restarts,
+                     first_detection, 2 * len(alice_msg), errors, errors, eve.alice_hits, eve.bob_hits,
+                     eve.guess_count, NO_ANCILLA if cells is None else (tuple(cells[0]), tuple(cells[1])))
         if decode:  # Alice's view, then Bob's: outcome XOR own code (row[4], then row[3])
-            mm_final = [row for row in final if not row[2]]
+            mm = [row for row in transcript.rows[start:] if not row[2]]
+            views = ([r[5] ^ r[own] for r in mm] for own in (4, 3)) if transcript.rows else (bob_msg, alice_msg)
             report.alice_decoded_bits, report.bob_decoded_bits = (
-                tuple(chain.from_iterable(ALL_CODES[row[5] ^ row[own]] for row in mm_final)) for own in (4, 3))
+                tuple(chain.from_iterable(ALL_CODES[k] for k in view)) for view in views)
         return report
 
 

@@ -224,15 +224,15 @@ def chunk_streams(config: ExperimentConfig, point_key: tuple[int, ...], trials: 
 def run_trial(config: ExperimentConfig, trial_index: int, point_key: tuple[int, ...] = (), *,
               strategy: AttackStrategy | None = None, protocol: ProtocolConfig | None = None,
               streams: tuple | None = None, tables: ValueTables | None = None) -> TrialReport:
-    """One seeded dialogue reduced to its report, decoded and read off its rows only if the document keeps reports;
-    a chunk passes what it built or looked up once, its ``chunk_streams`` too. Both messages stay code indices from
-    draw to report."""
+    """One seeded dialogue reduced to its report, decoded only if the document keeps reports; the value alone
+    (``ValueTables.exact``) decides whether it is read as one pass. A chunk passes what it built or looked up once,
+    its ``chunk_streams`` too. Both messages stay code indices from draw to report."""
     strategy, protocol = strategy or config.strategy(), protocol or config.protocol_config()
     tables = tables or value_tables(strategy)
     rng, eve_rng = streams or chunk_streams(config, point_key, range(trial_index, trial_index + 1), tables)
     (alice, bob, pu), eu = rng.trial(trial_index), eve_rng.trial(trial_index)[0] if eve_rng else []
-    result = run_dialogue(protocol, alice, bob, strategy, rng, eve_rng, tables, (pu, eu), config.keeps_reports)
-    return TrialReport.from_dialogue(trial_index, result, alice, bob, strategy, config.keeps_reports, tables)
+    result = run_dialogue(protocol, alice, bob, strategy, rng, eve_rng, tables, (pu, eu), False)
+    return TrialReport.from_dialogue(trial_index, result, alice, bob, strategy, config.keeps_reports)
 
 
 # A batch of trials folded: its Tally, and its reports in trial order if the document keeps them.
@@ -458,7 +458,7 @@ def sweep(config: ExperimentConfig, vary: str, values: list) -> dict:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {vary} value in {values!r}") from exc
     for value, cast_value in zip(values, cast_values):
-        if cast_value != value:
+        if cast_value != value and value == value:  # NaN is a float, which the range checks reject
             raise ConfigError(f"{vary} takes {cast.__name__} values, got {value!r}")
 
     point_cfgs = [replace(config, **{vary: value}) for value in cast_values]

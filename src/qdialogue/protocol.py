@@ -25,18 +25,17 @@ message draw to its ``analysis.Tally``; ``BitPair``s appear only in the
 records built on read and in the quantum leg. The transcript and Eve's
 session share the rows, a column per field, and Eve's session builds a
 run's private log (``EveRunLog``) only when read, in transcript order.
-Everything else about a dialogue is derived from its runs: its public
-records, the announcements and Bob's control check, each side's decode
-(the outcome XOR its own code on the final pass's message runs), the
-restart count (the last run's pass index) and the final-pass counters;
-``analysis.TrialReport.from_dialogue`` reads them off the integer rows.
-Where no control run can fail (``ValueTables.exact``: the honest channel,
-the literal intercept-resend, the probe at beta2 = 0) and the caller reads
-no rows (``harness.run_trial`` unless the document keeps reports), a
-dialogue is one completing pass: its runs are counted off the mode
-uniforms, refilled where the per-run loop refills, and Eve's guesses and
-hits read per message pair, at the indices the per-run loop reads, so
-both read the same uniforms and give the same report.
+The loop that runs a dialogue also counts what its report reads
+(``DialogueResult.counts``): runs and restarts, the final pass's first
+run, message runs and bit errors, the first detecting run and the
+ancilla cells. ``analysis.TrialReport.from_dialogue`` reads the rows
+only to decode. Where no control run can fail (``ValueTables.exact``:
+the honest channel, the literal intercept-resend, the probe at beta2 =
+0) and the caller reads no rows (``harness.run_trial``), a dialogue is
+one completing pass: its runs are counted off the mode uniforms,
+refilled where the per-run loop refills, and Eve's guesses and hits read
+per message pair, at the indices the per-run loop reads, so both read
+the same uniforms and give the same counts.
 
 A run's quantum leg is fixed once the strategy, both codes and Eve's
 picks are. So it is played out once per choice path, not once per run:
@@ -85,6 +84,8 @@ ABORTED = "aborted_max_restarts"
 
 # A message: one ``ALL_CODES`` index per pair, in order.
 Message = list[int]
+# Bits set in each code index: two pairs differ in the bits of their indices' XOR.
+_BITS = (0, 1, 1, 2)
 
 
 def random_message(n_pairs: int, rng: np.random.Generator) -> Message:
@@ -337,14 +338,16 @@ class Transcript:
 
 @dataclass
 class DialogueResult:
-    """Outcome of one dialogue: the public transcript, Eve's session and the uniforms read from each stream.
-    A dialogue read as one completing pass keeps no rows; ``counts`` holds its run count and its ancilla
-    cells (2x4, by readout and Alice's code, as ``TrialReport.ancilla_table``; None without an ancilla)."""
+    """Outcome of one dialogue: the public transcript, Eve's session, the uniforms read from each stream and what
+    the report reads, counted as the dialogue ran. ``counts``: runs over all passes, restarts, the final pass's
+    first run, the first detecting run (1-based, None if no check failed), the final pass's message runs and bit
+    errors, and the ancilla cells (2x4, by readout and Alice's code, as ``TrialReport.ancilla_table``; None
+    without an ancilla). A dialogue read as one completing pass keeps no rows."""
 
     transcript: Transcript
     eve: "EveSession"
     draws: tuple[int, int]
-    counts: tuple[int, list | None] | None = None
+    counts: tuple[int, int, int, int | None, int, int, list | None] | None
 
 
 def _refill(block: list[float], used: int, stream) -> tuple[list[float], int]:
@@ -392,9 +395,11 @@ def run_dialogue(
     takes each run's leaf from its roots with no ``cut`` and draws no
     block from ``eve_rng``, which may be None, though its runs move her
     cursor past ``picks``. ``tables`` is the attack's ``value_tables``,
-    looked up here unless a caller passes them. Unless ``keep_rows``, an
-    ``exact`` value's dialogue is read as one completing pass (see the
-    module docstring), which keeps no rows: its ``counts`` hold the rest.
+    looked up here unless a caller passes them. The loop counts the
+    report's ``counts`` as it goes: a restart sets the final pass's first
+    run and clears its bit errors. Unless ``keep_rows``, an ``exact``
+    value's dialogue is read as one completing pass (see the module
+    docstring), which keeps no rows.
     """
     if len(alice_msg) != len(bob_msg):
         raise ValueError(f"messages must have equal half-length, got {len(alice_msg)} and {len(bob_msg)}")
@@ -411,8 +416,8 @@ def run_dialogue(
 
     session = attack.new_session()
     rows: list[tuple] = []
-    cursor = pass_index = alice_hits = bob_hits = guess_count = 0
-    status: str | None = None
+    cursor = pass_index = alice_hits = bob_hits = guess_count = start = errors = 0
+    status, first_detection, cells = None, None, [[0] * 4, [0] * 4] if tables.ancilla else None
 
     if tables.exact and not keep_rows:  # one completing pass: its runs counted off the mode uniforms
         picks, cm, ahead = tables.picks, 0, []  # ``ahead``: the control runs before each message run
@@ -437,12 +442,12 @@ def run_dialogue(
         for cell, bob, alice in zip(guesses, bob_msg, alice_msg):
             alice_hits += cell >> 2 == alice
             bob_hits += cell & 3 == bob
-        cells = [[0] * 4, [0] * 4] if tables.ancilla else None
         for bob, alice in zip(bob_msg, alice_msg) if cells else ():
             if (ancilla := tables.exact[4 * bob + alice].ancilla) is not None:
                 cells[ancilla][alice] += 1
         session.alice_hits, session.bob_hits, session.guess_count = alice_hits, bob_hits, n_pairs
-        return DialogueResult(Transcript([], COMPLETED), session, (pu_read + i, need), (n_pairs + cm, cells))
+        counts = n_pairs + cm, 0, 0, None, n_pairs, 0, cells
+        return DialogueResult(Transcript([], COMPLETED), session, (pu_read + i, need), counts)
 
     while status is None:
         if i > pu_end - 2:  # the mode and Bob's outcome
@@ -474,19 +479,20 @@ def run_dialogue(
         i += 1
 
         # Each party decodes a message run as the outcome XOR its own
-        # code, read off the rows afterwards. A control run whose outcome
-        # is not the XOR of both codes fails Bob's check
-        # and stops or restarts the dialogue.
+        # code, so either decode misses the other's pair by the bits of
+        # outcome XOR both codes. A control run whose outcome is not the
+        # XOR of both codes fails Bob's check and stops or restarts the
+        # dialogue; a restart starts the final pass's counts afresh.
         if is_cm:
             rows.append((cursor, pass_index, True, bob, alice, k, node, None))
             if k != alice ^ bob:
+                first_detection = first_detection or len(rows)
                 if terminal:
                     status = DETECTED
                 elif pass_index == config.max_restarts:
                     status = ABORTED
                 else:
-                    pass_index += 1
-                    cursor = 0
+                    pass_index, cursor, start, errors = pass_index + 1, 0, len(rows), 0
         else:
             cell = node.cells[k]
             if cell is None:  # a pure guess: 16 cells, equally likely
@@ -498,6 +504,9 @@ def run_dialogue(
             alice_hits += cell >> 2 == alice
             bob_hits += cell & 3 == bob
             guess_count += 1
+            errors += _BITS[k ^ alice ^ bob]
+            if node.ancilla is not None:
+                cells[node.ancilla][alice] += 1
             cursor += 1
             if cursor == n_pairs:
                 status = COMPLETED
@@ -505,4 +514,5 @@ def run_dialogue(
     session.rows = rows
     session.alice_hits, session.bob_hits, session.guess_count = alice_hits, bob_hits, guess_count
     moved = eu_read + j if tables.reads else tables.picks * len(rows)
-    return DialogueResult(Transcript(rows, status), session, (pu_read + i, moved))
+    counts = len(rows), pass_index, start, first_detection, cursor, errors, cells
+    return DialogueResult(Transcript(rows, status), session, (pu_read + i, moved), counts)

@@ -460,7 +460,7 @@ def reference_dialogue(config, alice_msg, bob_msg, attack, rng, eve_rng) -> Dial
             else:
                 pass_index += 1
                 cursor = 0
-    return DialogueResult(Transcript(rows, status), session, (rng.n, eve_rng.n))
+    return DialogueResult(Transcript(rows, status), session, (rng.n, eve_rng.n), None)
 
 
 _BITS_APART = {(x, y): (x.a != y.a) + (x.b != y.b) for x in ALL_CODES for y in ALL_CODES}

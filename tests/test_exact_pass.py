@@ -1,10 +1,10 @@
 """Dialogues no control run can fail, read as one completing pass.
 
 Where a strategy value is ``ValueTables.exact`` and the caller keeps no
-rows (``run_dialogue``'s ``keep_rows``, which ``harness.run_trial`` sets
-only for a verbose JSON document), the dialogue's runs are counted off
-the mode uniforms and Eve's guesses read per message pair. On the same
-streams that must give the per-run loop's report, ``draws`` and session
+rows (``run_dialogue``'s ``keep_rows``, which ``harness.run_trial``
+always clears), the dialogue's runs are counted off the mode uniforms and
+Eve's guesses read per message pair. On the same streams that must give
+the per-run loop's ``counts``, decoded report, ``draws`` and session
 counters, with the same refills of both streams, and no other value may
 take that path.
 """
@@ -84,7 +84,8 @@ class Blocks:
 
 def both_paths(config, strategy, seed, first=None):
     """One dialogue read by the per-run loop and with no rows kept, on the same streams: for each, its
-    report, ``draws``, Eve's counters, each stream's block sizes and end state, and its ``counts``."""
+    ``counts``, decoded report, ``draws``, Eve's counters and each stream's block sizes and end state, and
+    whether it was read as one pass (it kept no rows)."""
     seen = []
     for keep_rows in (True, False):
         rng, eve_rng = Blocks(seed), Blocks(seed + 1)
@@ -92,9 +93,9 @@ def both_paths(config, strategy, seed, first=None):
         blocks = None if first is None else (rng.random(first[0]).tolist(), eve_rng.random(first[1]).tolist())
         result = run_dialogue(config, alice, bob, strategy, rng, eve_rng, None, blocks, keep_rows)
         eve = result.eve
-        seen.append(((TrialReport.from_dialogue(0, result, alice, bob, strategy), result.draws,
-                      (eve.alice_hits, eve.bob_hits, eve.guess_count), rng.sizes, eve_rng.sizes,
-                      rng.gen.bit_generator.state, eve_rng.gen.bit_generator.state), result.counts))
+        seen.append(((result.counts, TrialReport.from_dialogue(0, result, alice, bob, strategy, decode=True),
+                      result.draws, (eve.alice_hits, eve.bob_hits, eve.guess_count), rng.sizes, eve_rng.sizes,
+                      rng.gen.bit_generator.state, eve_rng.gen.bit_generator.state), not result.transcript.rows))
     return seen
 
 
@@ -110,8 +111,8 @@ def test_sure_values_that_pick_or_guess_unevenly_are_not_exact(strategy):
     # picks or the stored guess cells differ between code pairs.
     tables = value_tables(strategy)
     assert tables.detection == 0.0 and not tables.exact and not no_control_run_fails(strategy)
-    (loop, counts), (no_rows, also) = both_paths(ProtocolConfig(0.5, 16), strategy, 3)
-    assert counts is None and also is None and loop == no_rows
+    (loop, one_pass), (no_rows, also) = both_paths(ProtocolConfig(0.5, 16), strategy, 3)
+    assert not one_pass and not also and loop == no_rows
 
 
 @pytest.mark.parametrize("policy", DETECTION_POLICIES)
@@ -120,8 +121,8 @@ def test_sure_values_that_pick_or_guess_unevenly_are_not_exact(strategy):
 def test_one_pass_equals_the_per_run_loop(name, beta2, n_pairs, policy):
     strategy, config = strategy_from_name(name, beta2), ProtocolConfig(0.5, n_pairs, 2, policy)
     for seed in range(6):
-        (loop, counts), (one_pass, read) = both_paths(config, strategy, seed)
-        assert counts is None and read is not None and one_pass == loop, seed
+        (loop, looped_once), (one_pass, read) = both_paths(config, strategy, seed)
+        assert not looped_once and read and one_pass == loop, seed
 
 
 @pytest.mark.parametrize("first", [(0, 0), (1, 0), (2, 1), (3, 5)])
@@ -133,8 +134,8 @@ def test_small_first_blocks_refill_where_the_per_run_loop_does(name, beta2, c, f
     strategy = strategy_from_name(name, beta2)
     for seed in range(8):
         (loop, _), (one_pass, read) = both_paths(ProtocolConfig(c, 24), strategy, seed, first)
-        assert read is not None and one_pass == loop, seed
-        assert len(loop[3]) > 2, loop[3]
+        assert read and one_pass == loop, seed
+        assert len(loop[4]) > 2, loop[4]
 
 
 @pytest.mark.parametrize("name, beta2", [value for value in STRATEGY_VALUES if value not in EXACT])
@@ -142,17 +143,17 @@ def test_no_other_value_takes_the_one_pass(name, beta2):
     strategy = strategy_from_name(name, beta2)
     for policy in DETECTION_POLICIES:
         for seed in range(4):
-            (loop, counts), (no_rows, also) = both_paths(ProtocolConfig(0.5, 8, 2, policy), strategy, seed)
-            assert counts is None and also is None and loop == no_rows
+            (loop, one_pass), (no_rows, also) = both_paths(ProtocolConfig(0.5, 8, 2, policy), strategy, seed)
+            assert not one_pass and not also and loop == no_rows
 
 
 @pytest.mark.parametrize("policy", DETECTION_POLICIES)
 @pytest.mark.parametrize("n_pairs", N_PAIRS)
 @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
 def test_a_chunk_folds_alike_with_and_without_reports(name, beta2, n_pairs, policy):
-    # ``keeps_reports`` chooses the engine: the per-run loop for a verbose
-    # JSON document, one pass otherwise. Each trial's report, less its
-    # decoded bits, and the chunk's Tally must not depend on it.
+    # ``keeps_reports`` chooses only whether reports are kept and decoded,
+    # not the engine. Each trial's report, less its decoded bits, and the
+    # chunk's Tally must not depend on it.
     plain = ExperimentConfig(attack=name, beta2=beta2, c=0.5, n_pairs=n_pairs, master_seed=5,
                              detection_policy=policy, max_restarts=2)
     verbose, trials = replace(plain, verbose=True), range(3, 3 + (12 if n_pairs > 64 else 40))
@@ -192,5 +193,5 @@ def test_a_generated_value_reads_one_pass_only_if_no_control_run_can_fail(steps)
     assert exact == no_control_run_fails(strategy)
     for policy in DETECTION_POLICIES:
         for n_pairs, seed in ((1, 0), (6, 1), (64, 2)):
-            (loop, counts), (no_rows, read) = both_paths(ProtocolConfig(0.5, n_pairs, 2, policy), strategy, seed)
-            assert counts is None and (read is not None) == exact and no_rows == loop
+            (loop, one_pass), (no_rows, read) = both_paths(ProtocolConfig(0.5, n_pairs, 2, policy), strategy, seed)
+            assert not one_pass and read == exact and no_rows == loop

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -674,13 +675,17 @@ class TestSweep:
         doc = sweep(ExperimentConfig(trials=5, n_pairs=2, master_seed=1), "c", [0.25])
         assert doc["points"][0]["config"]["c"] == 0.25
 
-    @pytest.mark.parametrize("vary, values", [("beta2", [0.1, 0.2, 0.7]), ("c", [0.5, 1.5])])
+    @pytest.mark.parametrize(
+        "vary, values",
+        [("beta2", [0.1, 0.2, 0.7]), ("c", [0.5, 1.5]), ("beta2", [0.1, math.nan]), ("c", [math.nan, 0.5])],
+    )
     def test_every_point_checked_before_any_runs(self, monkeypatch, vary, values):
+        # NaN is a float, so it reaches the range check rather than the type check.
         calls = counted_trials(monkeypatch)
         cfg = ExperimentConfig(
             attack="entangle-measure", beta2=0.1, c=0.5, n_pairs=2, trials=20, master_seed=1
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=f"^{vary} must lie"):
             sweep(cfg, vary, values)
         assert calls == []
 
