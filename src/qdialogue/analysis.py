@@ -9,10 +9,11 @@ Three layers:
   every measurement/choice branch with exact Born or coin weights, no
   sampling) over all 16 code pairs, giving the per-control-run
   detection rate and Eve's exact guess accuracies;
-* the reduction: each dialogue's ``TrialReport``, built from the counts
-  its dialogue loop kept (``DialogueResult.counts``), folds field by field
-  into one additive ``Tally`` of integer totals, which every estimate
-  reads, with binomial standard errors.
+* the reduction: each dialogue's ``TrialReport``, built from the one
+  tuple its dialogue loop counted (``DialogueResult.counts``: outcomes to
+  decode and Eve's hits too), folds field by field into one additive
+  ``Tally`` of integer totals, which every estimate reads with binomial
+  standard errors.
 """
 
 from __future__ import annotations
@@ -168,29 +169,29 @@ class TrialReport:
     @classmethod
     def from_dialogue(cls, trial_index: int, result: DialogueResult, alice_msg: Message, bob_msg: Message,
                       strategy: AttackStrategy, decode: bool = False) -> "TrialReport":
-        """Build the report from the dialogue's ``counts`` and Eve's hit counters, keeping no reference to its rows.
+        """Build the report from the dialogue's ``counts``, keeping no reference to its rows or Eve's session.
 
-        Control counts and the ancilla table span every pass; run counts
-        and bit errors cover the final pass. Eve guesses once per message
-        run, so the rest are control runs. A control check fails exactly
-        where a pass stops short of its end: at the last run of every pass
-        but the final one, and of the final one unless the dialogue
-        completed. Only ``decode`` reads the rows: each side's decode is
-        the outcome XOR its own code over the final pass's message runs. A
-        dialogue read as one completing pass has no rows, and there every
-        outcome is the XOR of both codes, so each side decodes the other's
-        message.
+        Control counts, Eve's guesses and hits and the ancilla table span
+        every pass; run counts, bit errors and both decodes cover the final
+        pass. Eve guesses once per message run, so the rest are control
+        runs. A control check fails exactly where a pass stops short of its
+        end: at the last run of every pass but the final one, and of the
+        final one unless the dialogue completed. Only ``decode`` reads the
+        final pass's message-run outcomes: each side's decode is the outcome
+        XOR its own code. A dialogue read as one completing pass keeps no
+        outcomes (None), as each is the XOR of both codes, so each side
+        decodes the other's message.
         """
-        transcript, eve = result.transcript, result.eve
-        runs, restarts, start, first_detection, n_mm, errors, cells = result.counts
-        report = cls(trial_index, strategy.name, getattr(strategy, "beta2", None), transcript.final_status,
-                     runs - start, n_mm, runs - start - n_mm, runs,
-                     restarts + (transcript.final_status != COMPLETED), runs - eve.guess_count, restarts,
-                     first_detection, 2 * len(alice_msg), errors, errors, eve.alice_hits, eve.bob_hits,
-                     eve.guess_count, NO_ANCILLA if cells is None else (tuple(cells[0]), tuple(cells[1])))
-        if decode:  # Alice's view, then Bob's: outcome XOR own code (row[4], then row[3])
-            mm = [row for row in transcript.rows[start:] if not row[2]]
-            views = ([r[5] ^ r[own] for r in mm] for own in (4, 3)) if transcript.rows else (bob_msg, alice_msg)
+        status = result.transcript.final_status
+        runs, restarts, start, first_detection, n_mm, errors, guesses, alice_hits, bob_hits, cells, outcomes = (
+            result.counts)
+        report = cls(trial_index, strategy.name, getattr(strategy, "beta2", None), status, runs - start, n_mm,
+                     runs - start - n_mm, runs, restarts + (status != COMPLETED), runs - guesses, restarts,
+                     first_detection, 2 * len(alice_msg), errors, errors, alice_hits, bob_hits, guesses,
+                     NO_ANCILLA if cells is None else (tuple(cells[0]), tuple(cells[1])))
+        if decode:  # Alice's view, then Bob's
+            views = ((bob_msg, alice_msg) if outcomes is None
+                     else ([k ^ own for k, own in zip(outcomes, msg)] for msg in (alice_msg, bob_msg)))
             report.alice_decoded_bits, report.bob_decoded_bits = (
                 tuple(chain.from_iterable(ALL_CODES[k] for k in view)) for view in views)
         return report

@@ -4,10 +4,11 @@ Every strategy sees the two legs of the travel qubit's round trip
 (ping: Bob to Alice, pong: Alice to Bob) and, after a message run,
 Bob's broadcast Bell outcome. A strategy may measure, transform, or
 substitute what is in flight. What Eve learns in a run is recorded in
-that run's ``EveRunLog``, one per run in her per-dialogue
-``EveSession``. Each class carries ``claim``, the per-control-run
-detection rate the published analysis gives it (None where that
-analysis does not treat it).
+that run's ``EveRunLog``, one per kept row in her per-dialogue
+``EveSession``; the dialogue loop counts her guesses and hits
+(``protocol.DialogueResult.counts``). Each class carries ``claim``, the
+per-control-run detection rate the published analysis gives it (None
+where that analysis does not treat it).
 
 Implemented strategies:
 
@@ -84,19 +85,16 @@ class EveRunLog:
 
 @dataclass
 class EveSession:
-    """Eve's per-dialogue record: one log per run, in run order, and her hit counts.
+    """Eve's per-dialogue record: one log per run, in run order.
 
-    A dialogue's session holds its rows (``protocol.Transcript``), each
-    ending in the run's leaf and Eve's guess cell ``k`` (None on a
+    A dialogue's session holds its rows if kept (``protocol.Transcript``),
+    each ending in the run's leaf and Eve's guess cell ``k`` (None on a
     control run): Alice's ``ALL_CODES[k >> 2]`` and Bob's
     ``ALL_CODES[k & 3]``. It builds ``logs`` from them on first read. A
     session made empty keeps the logs appended to it.
     """
 
     rows: list = field(default_factory=list, repr=False)
-    alice_hits: int = 0
-    bob_hits: int = 0
-    guess_count: int = 0
 
     @functools.cached_property
     def logs(self) -> list[EveRunLog]:
@@ -112,12 +110,10 @@ class EveSession:
         """The log of the run in progress."""
         return self.logs[-1]
 
-    def score(self, alice_truth: BitPair, bob_truth: BitPair) -> None:
-        """Tally the current run's guesses against the true message pairs."""
+    def score(self, alice_truth: BitPair, bob_truth: BitPair) -> tuple[bool, bool]:
+        """The current run's hits: whether each guess is the true message pair, (Alice's, Bob's)."""
         log = self.current
-        self.guess_count += 1
-        self.alice_hits += log.alice_guess == alice_truth
-        self.bob_hits += log.bob_guess == bob_truth
+        return log.alice_guess == alice_truth, log.bob_guess == bob_truth
 
 
 class AttackStrategy:

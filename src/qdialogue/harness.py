@@ -224,9 +224,9 @@ def chunk_streams(config: ExperimentConfig, point_key: tuple[int, ...], trials: 
 def run_trial(config: ExperimentConfig, trial_index: int, point_key: tuple[int, ...] = (), *,
               strategy: AttackStrategy | None = None, protocol: ProtocolConfig | None = None,
               streams: tuple | None = None, tables: ValueTables | None = None) -> TrialReport:
-    """One seeded dialogue reduced to its report, decoded only if the document keeps reports; the value alone
-    (``ValueTables.exact``) decides whether it is read as one pass. A chunk passes what it built or looked up once,
-    its ``chunk_streams`` too. Both messages stay code indices from draw to report."""
+    """One seeded dialogue reduced to its report, decoded only if the document keeps reports. It keeps no rows,
+    so the value alone (``ValueTables.exact``) decides whether it is read as one pass. A chunk passes what it
+    built or looked up once, its ``chunk_streams`` too. Both messages stay code indices from draw to report."""
     strategy, protocol = strategy or config.strategy(), protocol or config.protocol_config()
     tables = tables or value_tables(strategy)
     rng, eve_rng = streams or chunk_streams(config, point_key, range(trial_index, trial_index + 1), tables)

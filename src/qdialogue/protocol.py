@@ -18,24 +18,23 @@ tap points: between Bob's send and Alice's receipt (ping) and between
 Alice's send and Bob's receipt (pong). The honest channel is the
 ``NoAttack`` strategy, whose taps do nothing.
 
-Each run leaves one row, a plain tuple of integers whose codes are
-``ALL_CODES`` indices (so ``BitPair`` XOR is ``int ^``), plus its leaf
-of the run table and Eve's guess. A trial stays on indices from its
-message draw to its ``analysis.Tally``; ``BitPair``s appear only in the
-records built on read and in the quantum leg. The transcript and Eve's
-session share the rows, a column per field, and Eve's session builds a
-run's private log (``EveRunLog``) only when read, in transcript order.
-The loop that runs a dialogue also counts what its report reads
-(``DialogueResult.counts``): runs and restarts, the final pass's first
-run, message runs and bit errors, the first detecting run and the
-ancilla cells. ``analysis.TrialReport.from_dialogue`` reads the rows
-only to decode. Where no control run can fail (``ValueTables.exact``:
-the honest channel, the literal intercept-resend, the probe at beta2 =
-0) and the caller reads no rows (``harness.run_trial``), a dialogue is
-one completing pass: its runs are counted off the mode uniforms,
-refilled where the per-run loop refills, and Eve's guesses and hits read
-per message pair, at the indices the per-run loop reads, so both read
-the same uniforms and give the same counts.
+The loop that runs a dialogue counts all its report reads besides its
+ending and the two messages (``DialogueResult.counts``): runs and
+restarts, the final pass's first run, message runs, bit errors and
+message-run outcomes, the first detecting run, Eve's guesses and hits
+and the ancilla cells. Only where a caller keeps them (``keep_rows``, by
+default; ``harness.run_trial`` clears it) does each run also leave one
+row, a plain tuple of integers whose codes are ``ALL_CODES`` indices (so
+``BitPair`` XOR is ``int ^``), plus its leaf of the run table and Eve's
+guess. The transcript and Eve's session share the rows, and Eve's
+session builds a run's private log (``EveRunLog``) only when read.
+Where no control run can fail (``ValueTables.exact``: the honest
+channel, the literal intercept-resend, the probe at beta2 = 0) and no
+rows are kept, a dialogue is one completing pass: its runs are counted
+off the mode uniforms, refilled where the per-run loop refills, and
+Eve's guesses and hits read per message pair, at the indices the
+per-run loop reads, so both read the same uniforms and give the same
+counts; its outcomes, each the XOR of both codes, are None.
 
 A run's quantum leg is fixed once the strategy, both codes and Eve's
 picks are. So it is played out once per choice path, not once per run:
@@ -50,7 +49,6 @@ oracle sums the same leaves, so both read one table.
 
 from __future__ import annotations
 
-import functools
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -246,7 +244,6 @@ _TABLES: OrderedDict[tuple, ValueTables] = OrderedDict()
 PURE_GUESS_ACCURACY = 0.25
 
 
-@functools.lru_cache(maxsize=TABLE_STRATEGIES)  # by identity
 def _strategy_key(strategy: "AttackStrategy") -> tuple:
     """A strategy's value: its class, then its instance attributes, floats by bit pattern."""
     return type(strategy), tuple(sorted((k, _arg_key(v)) for k, v in vars(strategy).items()))
@@ -324,12 +321,12 @@ def first_blocks(config: ProtocolConfig, tables: ValueTables) -> tuple[int, int]
 class Transcript:
     """Ordered run log and how the dialogue ended.
 
-    ``rows`` holds one plain tuple per run: (index, pass_index, is_cm,
-    Bob's code, Alice's code, outcome), codes as ``ALL_CODES`` indices,
-    then whatever else its engine keeps (``run_dialogue``: the run's
-    leaf and Eve's guess cell). A restart starts a new pass, so the
-    restart count is the last run's ``pass_index``, and the final pass
-    is the suffix of runs carrying that index.
+    ``rows``, if kept (``run_dialogue``'s ``keep_rows``), holds a plain tuple
+    per run: (index, pass_index, is_cm, Bob's code, Alice's code, outcome),
+    codes as ``ALL_CODES`` indices, then what else its engine keeps
+    (``run_dialogue``: the run's leaf and Eve's guess cell). A restart starts
+    a new pass, so the restart count is the last run's ``pass_index``, and
+    the final pass is the suffix of runs carrying that index.
     """
 
     rows: list[tuple]
@@ -341,13 +338,14 @@ class DialogueResult:
     """Outcome of one dialogue: the public transcript, Eve's session, the uniforms read from each stream and what
     the report reads, counted as the dialogue ran. ``counts``: runs over all passes, restarts, the final pass's
     first run, the first detecting run (1-based, None if no check failed), the final pass's message runs and bit
-    errors, and the ancilla cells (2x4, by readout and Alice's code, as ``TrialReport.ancilla_table``; None
-    without an ancilla). A dialogue read as one completing pass keeps no rows."""
+    errors, Eve's guesses and her Alice and Bob hits over all passes, the ancilla cells (2x4, by readout and
+    Alice's code, as ``TrialReport.ancilla_table``; None without an ancilla) and the final pass's message-run
+    outcomes (None where the dialogue was read as one completing pass)."""
 
     transcript: Transcript
     eve: "EveSession"
     draws: tuple[int, int]
-    counts: tuple[int, int, int, int | None, int, int, list | None] | None
+    counts: tuple[int, int, int, int | None, int, int, int, int, int, list | None, list | None] | None
 
 
 def _refill(block: list[float], used: int, stream) -> tuple[list[float], int]:
@@ -381,7 +379,7 @@ def run_dialogue(
     outcome by the leaf's Bell law (a law with one outcome still takes
     its uniform) and, on a message run, the leaf's stored guess cell, or
     the cell ``int(u * 16.0)`` of one more of Eve's uniforms where the
-    readout pins nothing. Each run appends one plain tuple to the rows
+    readout pins nothing. Under ``keep_rows`` each run appends a row that
     the transcript and Eve's session share. Each stream is read in
     blocks, in the order one ``random()`` per uniform gives: ``2 +
     is_cm`` of the protocol's a run, and of Eve's ``picks`` plus one on a
@@ -397,9 +395,9 @@ def run_dialogue(
     cursor past ``picks``. ``tables`` is the attack's ``value_tables``,
     looked up here unless a caller passes them. The loop counts the
     report's ``counts`` as it goes: a restart sets the final pass's first
-    run and clears its bit errors. Unless ``keep_rows``, an ``exact``
-    value's dialogue is read as one completing pass (see the module
-    docstring), which keeps no rows.
+    run and clears its bit errors and outcomes. Unless ``keep_rows``, an
+    ``exact`` value's dialogue is read as one completing pass (see the
+    module docstring).
     """
     if len(alice_msg) != len(bob_msg):
         raise ValueError(f"messages must have equal half-length, got {len(alice_msg)} and {len(bob_msg)}")
@@ -416,7 +414,8 @@ def run_dialogue(
 
     session = attack.new_session()
     rows: list[tuple] = []
-    cursor = pass_index = alice_hits = bob_hits = guess_count = start = errors = 0
+    outcomes: list[int] = []  # the final pass's message-run outcomes
+    cursor = pass_index = runs = start = errors = guesses = alice_hits = bob_hits = 0
     status, first_detection, cells = None, None, [[0] * 4, [0] * 4] if tables.ancilla else None
 
     if tables.exact and not keep_rows:  # one completing pass: its runs counted off the mode uniforms
@@ -437,16 +436,15 @@ def run_dialogue(
             eu = _refill(eu, len(eu), eve_rng)[0]
             eve = eve + eu
         # A pure guess comes after the picks of its run and those before it, and a guess per message run before.
-        guesses = ([int(eve[picks * (m + k + 1) + m] * 16.0) for m, k in enumerate(ahead)] if tables.guessing
+        guessed = ([int(eve[picks * (m + k + 1) + m] * 16.0) for m, k in enumerate(ahead)] if tables.guessing
                    else [tables.exact[4 * b + a].cells[b ^ a] for b, a in zip(bob_msg, alice_msg)])
-        for cell, bob, alice in zip(guesses, bob_msg, alice_msg):
+        for cell, bob, alice in zip(guessed, bob_msg, alice_msg):
             alice_hits += cell >> 2 == alice
             bob_hits += cell & 3 == bob
         for bob, alice in zip(bob_msg, alice_msg) if cells else ():
             if (ancilla := tables.exact[4 * bob + alice].ancilla) is not None:
                 cells[ancilla][alice] += 1
-        session.alice_hits, session.bob_hits, session.guess_count = alice_hits, bob_hits, n_pairs
-        counts = n_pairs + cm, 0, 0, None, n_pairs, 0, cells
+        counts = n_pairs + cm, 0, 0, None, n_pairs, 0, n_pairs, alice_hits, bob_hits, cells, None
         return DialogueResult(Transcript([], COMPLETED), session, (pu_read + i, need), counts)
 
     while status is None:
@@ -477,6 +475,7 @@ def run_dialogue(
         if k is None:
             k = cut(node.bell_cum, pu[i])
         i += 1
+        runs += 1
 
         # Each party decodes a message run as the outcome XOR its own
         # code, so either decode misses the other's pair by the bits of
@@ -484,15 +483,17 @@ def run_dialogue(
         # XOR of both codes fails Bob's check and stops or restarts the
         # dialogue; a restart starts the final pass's counts afresh.
         if is_cm:
-            rows.append((cursor, pass_index, True, bob, alice, k, node, None))
+            if keep_rows:
+                rows.append((cursor, pass_index, True, bob, alice, k, node, None))
             if k != alice ^ bob:
-                first_detection = first_detection or len(rows)
+                first_detection = first_detection or runs
                 if terminal:
                     status = DETECTED
                 elif pass_index == config.max_restarts:
                     status = ABORTED
                 else:
-                    pass_index, cursor, start, errors = pass_index + 1, 0, len(rows), 0
+                    pass_index, cursor, start, errors = pass_index + 1, 0, runs, 0
+                    outcomes.clear()
         else:
             cell = node.cells[k]
             if cell is None:  # a pure guess: 16 cells, equally likely
@@ -500,10 +501,12 @@ def run_dialogue(
                     (eu, eu_end), eu_read, j = _refill(eu, j, eve_rng), eu_read + j, 0
                 cell = int(eu[j] * 16.0)
                 j += 1
-            rows.append((cursor, pass_index, False, bob, alice, k, node, cell))
+            if keep_rows:
+                rows.append((cursor, pass_index, False, bob, alice, k, node, cell))
+            outcomes.append(k)
             alice_hits += cell >> 2 == alice
             bob_hits += cell & 3 == bob
-            guess_count += 1
+            guesses += 1
             errors += _BITS[k ^ alice ^ bob]
             if node.ancilla is not None:
                 cells[node.ancilla][alice] += 1
@@ -512,7 +515,6 @@ def run_dialogue(
                 status = COMPLETED
 
     session.rows = rows
-    session.alice_hits, session.bob_hits, session.guess_count = alice_hits, bob_hits, guess_count
-    moved = eu_read + j if tables.reads else tables.picks * len(rows)
-    counts = len(rows), pass_index, start, first_detection, cursor, errors, cells
+    moved = eu_read + j if tables.reads else tables.picks * runs
+    counts = runs, pass_index, start, first_detection, cursor, errors, guesses, alice_hits, bob_hits, cells, outcomes
     return DialogueResult(Transcript(rows, status), session, (pu_read + i, moved), counts)

@@ -448,7 +448,6 @@ def reference_dialogue(config, alice_msg, bob_msg, attack, rng, eve_rng) -> Dial
         rows.append((cursor, pass_index, is_cm, *map(ALL_CODES.index, (bob_code, alice_code, outcome))))
         if not is_cm:
             guess(attack, session, outcome, eve_rng)
-            session.score(alice_truth=alice_code, bob_truth=bob_code)
             cursor += 1
             if cursor == config.n_pairs:
                 status = COMPLETED
@@ -474,9 +473,11 @@ def _bit_errors(decoded: list[BitPair], sent) -> int:
 def reference_report(trial_index, result, alice_msg, bob_msg, strategy) -> TrialReport:
     """``TrialReport.from_dialogue`` from the ``RunRecord``s and ``EveRunLog``s, ``BitPair`` by ``BitPair``.
 
-    Reads ``run_records(result.transcript)`` and ``result.eve.logs``, so it
-    folds either engine's result, and decodes each side against the
-    messages it was given. It always builds the decoded bits.
+    Reads ``run_records(result.transcript)`` and ``result.eve.logs``, never
+    ``result.counts``, so it folds either engine's result (``run_dialogue``'s
+    with its rows kept), counts Eve's guesses and hits from her logs, and
+    decodes each side against the messages it was given. It always builds
+    the decoded bits.
     """
     # Control counts and the ancilla table span every pass; run counts and
     # both decodes (outcome XOR own code) cover the final pass. A control
@@ -491,10 +492,14 @@ def reference_report(trial_index, result, alice_msg, bob_msg, strategy) -> Trial
     start = passes.index(restarts)  # the final pass's first run
     # Pass 0's last run, 1-based, is the 0-based index of pass 1's first.
     first_detection = passes.index(1) if restarts else len(runs) if stopped else None
-    table = [[0, 0, 0, 0], [0, 0, 0, 0]]
-    for mode, code, log in zip(modes, alice_codes, result.eve.logs):
-        if log.ancilla_outcome is not None and mode == MM:
-            table[log.ancilla_outcome][2 * code.a + code.b] += 1
+    # Eve's guesses, hits and ancilla readouts span every pass's message runs.
+    table, alice_hits, bob_hits = [[0, 0, 0, 0], [0, 0, 0, 0]], 0, 0
+    for mode, bob_code, alice_code, log in zip(modes, bob_codes, alice_codes, result.eve.logs):
+        if mode == MM:
+            alice_hits += log.alice_guess == alice_code
+            bob_hits += log.bob_guess == bob_code
+            if log.ancilla_outcome is not None:
+                table[log.ancilla_outcome][2 * alice_code.a + alice_code.b] += 1
     final_mm = [k for k in range(start, len(runs)) if modes[k] == MM]
     alice_pairs = [outcomes[k] ^ alice_codes[k] for k in final_mm]
     bob_pairs = [outcomes[k] ^ bob_codes[k] for k in final_mm]
@@ -515,9 +520,9 @@ def reference_report(trial_index, result, alice_msg, bob_msg, strategy) -> Trial
         message_bits=2 * len(alice_msg),
         alice_bit_errors=_bit_errors(alice_pairs, pairs(bob_msg)),
         bob_bit_errors=_bit_errors(bob_pairs, pairs(alice_msg)),
-        eve_alice_hits=result.eve.alice_hits,
-        eve_bob_hits=result.eve.bob_hits,
-        eve_guesses=result.eve.guess_count,
+        eve_alice_hits=alice_hits,
+        eve_bob_hits=bob_hits,
+        eve_guesses=modes.count(MM),
         ancilla_table=(tuple(table[0]), tuple(table[1])),
         alice_decoded_bits=tuple(chain.from_iterable(alice_pairs)),
         bob_decoded_bits=tuple(chain.from_iterable(bob_pairs)),

@@ -322,6 +322,7 @@ class TestScalarCells:
         rng = ScriptedRng([])
         assert guess(strategy, session, BitPair(1, 1), rng) == (BitPair(1, 0), BitPair(0, 1))
         assert rng.calls == []
+        assert session.score(BitPair(1, 0), BitPair(1, 1)) == (True, False)
 
 
 class TestDialogueStreams:
@@ -348,7 +349,8 @@ class TestDialogueStreams:
         runs = run_records(result.transcript)
         n_cm = sum(r.mode == CM for r in runs)
         n_mm = sum(r.mode == MM for r in runs)
-        assert n_mm == result.eve.guess_count == 16
+        guesses = result.counts[6]
+        assert n_mm == guesses == 16
         assert result.draws == (2 * len(runs) + n_cm, n_mm)
         (eve_rng,) = rng.children
         assert ends_after(rng, 8, sum(rng.sizes)) and ends_after(eve_rng, 8, sum(eve_rng.sizes), child=True)

@@ -4,9 +4,11 @@ Where a strategy value is ``ValueTables.exact`` and the caller keeps no
 rows (``run_dialogue``'s ``keep_rows``, which ``harness.run_trial``
 always clears), the dialogue's runs are counted off the mode uniforms and
 Eve's guesses read per message pair. On the same streams that must give
-the per-run loop's ``counts``, decoded report, ``draws`` and session
-counters, with the same refills of both streams, and no other value may
-take that path.
+the per-run loop's ``counts`` (all but the message-run outcomes, which
+the one pass leaves None), decoded report and ``draws``, with the same
+refills of both streams, and no other value may take that path. Every
+other value runs the per-run loop whether rows are kept or not, and
+gives the same either way.
 """
 
 from dataclasses import replace
@@ -82,20 +84,21 @@ class Blocks:
         return self.gen.random(size)
 
 
-def both_paths(config, strategy, seed, first=None):
-    """One dialogue read by the per-run loop and with no rows kept, on the same streams: for each, its
-    ``counts``, decoded report, ``draws``, Eve's counters and each stream's block sizes and end state, and
-    whether it was read as one pass (it kept no rows)."""
+def both_paths(config, strategy, seed, first=None, results=None):
+    """One dialogue read with rows kept and with none kept, on the same streams: for each, its ``counts``
+    less the message-run outcomes, decoded report (which reads them), ``draws`` and each stream's block sizes
+    and end state, and whether it was read as one pass (its outcomes are None). ``results`` collects both."""
     seen = []
     for keep_rows in (True, False):
         rng, eve_rng = Blocks(seed), Blocks(seed + 1)
         alice, bob = random_message(config.n_pairs, rng.gen), random_message(config.n_pairs, rng.gen)
         blocks = None if first is None else (rng.random(first[0]).tolist(), eve_rng.random(first[1]).tolist())
         result = run_dialogue(config, alice, bob, strategy, rng, eve_rng, None, blocks, keep_rows)
-        eve = result.eve
-        seen.append(((result.counts, TrialReport.from_dialogue(0, result, alice, bob, strategy, decode=True),
-                      result.draws, (eve.alice_hits, eve.bob_hits, eve.guess_count), rng.sizes, eve_rng.sizes,
-                      rng.gen.bit_generator.state, eve_rng.gen.bit_generator.state), not result.transcript.rows))
+        if results is not None:
+            results.append(result)
+        seen.append(((result.counts[:-1], TrialReport.from_dialogue(0, result, alice, bob, strategy, decode=True),
+                      result.draws, rng.sizes, eve_rng.sizes, rng.gen.bit_generator.state,
+                      eve_rng.gen.bit_generator.state), result.counts[-1] is None))
     return seen
 
 
@@ -135,16 +138,26 @@ def test_small_first_blocks_refill_where_the_per_run_loop_does(name, beta2, c, f
     for seed in range(8):
         (loop, _), (one_pass, read) = both_paths(ProtocolConfig(c, 24), strategy, seed, first)
         assert read and one_pass == loop, seed
-        assert len(loop[4]) > 2, loop[4]
+        assert len(loop[3]) > 2, loop[3]
 
 
-@pytest.mark.parametrize("name, beta2", [value for value in STRATEGY_VALUES if value not in EXACT])
-def test_no_other_value_takes_the_one_pass(name, beta2):
+@pytest.mark.parametrize("policy", DETECTION_POLICIES)
+@pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
+def test_rows_are_kept_only_where_asked(name, beta2, policy):
+    # Keeping rows changes no count, decoded bit or uniform read, and only
+    # an exact value without them takes the one pass. Without rows neither
+    # the transcript nor Eve's session holds one, and her session builds
+    # no log.
     strategy = strategy_from_name(name, beta2)
-    for policy in DETECTION_POLICIES:
-        for seed in range(4):
-            (loop, one_pass), (no_rows, also) = both_paths(ProtocolConfig(0.5, 8, 2, policy), strategy, seed)
-            assert not one_pass and not also and loop == no_rows
+    for seed in range(4):
+        results = []
+        (kept, one_pass), (unkept, read) = both_paths(ProtocolConfig(0.5, 8, 2, policy), strategy, seed,
+                                                      results=results)
+        assert kept == unkept and not one_pass and read == ((name, beta2) in EXACT), seed
+        kept_rows, none = results
+        assert len(kept_rows.transcript.rows) == kept_rows.counts[0], seed
+        assert kept_rows.eve.rows is kept_rows.transcript.rows, seed
+        assert none.transcript.rows == none.eve.rows == none.eve.logs == [], seed
 
 
 @pytest.mark.parametrize("policy", DETECTION_POLICIES)
