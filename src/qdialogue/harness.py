@@ -28,8 +28,10 @@ spawn_key=point_key).generate_state(2, uint64)``, stream ``s`` of trial ``t``
 blocks at counters ``[t K_s + 1 ... t K_s + K_s, 0, 0, s]``, ``K_s = ceil(R_s
 / 4)``, then its overflow, the blocks ``[1, 2, ..., t + 1, 0, s]``. So any
 worker count gives the same bytes, and a chunk's regions lie end to end for
-``TrialStream`` to draw in one call. Pairs and pure guesses are cut from
-uniforms scaled by 4 or 16, which is exact, so every cell is equally likely.
+``TrialStream`` to draw in one call and cut in the form the trials' engine
+reads (``protocol.block_cuts``), for an exact value's one pass no float.
+Pairs and pure guesses are cut from uniforms scaled by 4 or 16, which is
+exact, so every cell is equally likely.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ from .analysis import (
     per_cm_detection_oracle,
 )
 from .attacks import STRATEGIES, AttackStrategy, strategy_from_name
-from .protocol import (TABLE_STRATEGIES, TERMINAL, ProtocolConfig, ValueTables, first_blocks, pass_reads,
-                       run_dialogue, value_tables)
+from .protocol import (TABLE_STRATEGIES, TERMINAL, ProtocolConfig, ValueTables, block_cuts, first_blocks,
+                       pass_reads, run_dialogue, value_tables)
 from .quantum import (
     ALL_CODES,
     PAULI_MATRICES,
@@ -158,23 +160,20 @@ FIELD_TYPES: dict[str, type] = {
 DRAW = 2048  # uniforms of one stream a chunk draws at a time, at most, and so a trial's region at most
 
 
-def _cells(u, scale: float | None) -> list:
-    """Uniforms as floats, or as the cells ``int(u * scale)``."""
-    return (u if scale is None else (u * scale).astype(np.intp)).tolist()
-
-
 class TrialStream:
     """Stream ``s`` of a chunk's trials, one trial at a time: its region of ``size`` uniforms, then its overflow.
 
     ``trial`` draws the regions of ``DRAW // (4 K)`` trials in one call when the first of them asks, and cuts
-    each span ``(start, stop, scale)`` of ``heads`` for all of them (``_cells``); ``random`` goes on from there.
+    each span ``(start, stop, cut)`` of ``heads`` for all of them in one ``cut``; ``random`` goes on from there.
     """
+
+    gens: dict = {}  # one Generator per stream index per process, read one trial at a time; ``_at`` sets it whole
 
     def __init__(self, key, s: int, trials: range, size: int, heads: tuple):
         self.key, self.s, self.trials, self.size, self.heads = key, s, trials, size, heads
         self.blocks = -(-size // 4)  # K_s
         self.per_draw, self.first, self.draw = DRAW // max(4 * self.blocks, 1), trials.start, ()
-        self.gen = np.random.Generator(np.random.Philox(key=key))
+        self.gen = self.gens.get(s) or self.gens.setdefault(s, np.random.Generator(np.random.Philox(key=key)))
 
     def _at(self, c0: int, c1: int):
         """The stream's Generator, set just before Philox block ``[c0 + 1, c1, 0, s]``."""
@@ -191,12 +190,12 @@ class TrialStream:
             m, i = min(self.per_draw, self.trials.stop - self.first), t - self.first
             draw = self._at(self.first * self.blocks, 0).random(4 * self.blocks * m)
             self.draw = draw.reshape(m, 4 * self.blocks)[:, :self.size]
-            self.rows = [_cells(self.draw[:, start:stop], scale) if stop <= self.size else None
-                         for start, stop, scale in self.heads]
+            self.rows = [cut(self.draw[:, start:stop]) if stop <= self.size else None
+                         for start, stop, cut in self.heads]
         self.row, self.t, self.over, heads = self.draw[i], t, False, []
-        for (start, stop, scale), rows in zip(self.heads, self.rows):
+        for (start, stop, cut), rows in zip(self.heads, self.rows):
             self.pos = start if rows is None else stop
-            heads.append(_cells(self.random(stop - start), scale) if rows is None else rows[i])
+            heads.append(cut(self.random(stop - start)) if rows is None else rows[i])
         return heads
 
     def random(self, n: int):
@@ -212,13 +211,15 @@ class TrialStream:
 def chunk_streams(config: ExperimentConfig, point_key: tuple[int, ...], trials: range,
                   tables: ValueTables) -> tuple[TrialStream, TrialStream | None]:
     """The protocol's stream of the chunk's trials, its regions holding both messages and what a completing pass
-    reads, at most ``DRAW``, and Eve's likewise where the value reads it (``ValueTables.reads``)."""
+    reads, at most ``DRAW``, and Eve's likewise where the value reads it (``ValueTables.reads``). Each head is cut
+    in the form its trials' engine reads (``block_cuts``): an exact value's one pass reads no float."""
     key = np.random.SeedSequence(config.master_seed, spawn_key=point_key).generate_state(2, np.uint64)
     n, (pu_first, eu_first) = config.n_pairs, first_blocks(config.protocol_config(), tables)
     pu, eu = pass_reads(n, config.c, tables.picks, tables.guessing)
-    heads = (0, n, 4.0), (n, 2 * n, 4.0), (2 * n, 2 * n + pu_first, None)  # Alice's message, Bob's, the first block
+    codes, pu_cut, eu_cut = block_cuts(config.c, bool(tables.exact))
+    heads = (0, n, codes), (n, 2 * n, codes), (2 * n, 2 * n + pu_first, pu_cut)  # Alice's message, Bob's, the block
     rng = TrialStream(key, 0, trials, min(2 * n + pu, DRAW), heads)
-    return rng, TrialStream(key, 1, trials, min(eu, DRAW), ((0, eu_first, None),)) if tables.reads else None
+    return rng, TrialStream(key, 1, trials, min(eu, DRAW), ((0, eu_first, eu_cut),)) if tables.reads else None
 
 
 def run_trial(config: ExperimentConfig, trial_index: int, point_key: tuple[int, ...] = (), *,

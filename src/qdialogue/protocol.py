@@ -30,11 +30,12 @@ guess. The transcript and Eve's session share the rows, and Eve's
 session builds a run's private log (``EveRunLog``) only when read.
 Where no control run can fail (``ValueTables.exact``: the honest
 channel, the literal intercept-resend, the probe at beta2 = 0) and no
-rows are kept, a dialogue is one completing pass: its runs are counted
-off the mode uniforms, refilled where the per-run loop refills, and
-Eve's guesses and hits read per message pair, at the indices the
-per-run loop reads, so both read the same uniforms and give the same
-counts; its outcomes, each the XOR of both codes, are None.
+rows are kept, a dialogue is one completing pass that reads no float
+(``block_cuts``): its runs are counted off the mode cells ``u < c``,
+refilled where the per-run loop refills, and Eve's guesses scored with
+array ops, her cells ``int(16 u)`` taken at the indices the per-run loop
+reads or the leaves' stored ones, so both read the same uniforms and
+give the same counts; its outcomes, each the XOR of both codes, are None.
 
 A run's quantum leg is fixed once the strategy, both codes and Eve's
 picks are. So it is played out once per choice path, not once per run:
@@ -52,6 +53,7 @@ from __future__ import annotations
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import methodcaller
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -131,8 +133,8 @@ class Leaf(NamedTuple):
 
     ``weight`` is the product of the path's pick probabilities, ``fields``
     the fields of Eve's run log (``EveRunLog``) the taps wrote,
-    ``bell_probs`` Bob's Bell outcome law, in code order, ``bell_cum`` its
-    ``cumulative`` thresholds and ``readouts`` the strategy's
+    ``bell_probs`` Bob's ``_clean``ed Bell outcome law, in code order, ``bell_cum``
+    its ``cumulative`` thresholds and ``readouts`` the strategy's
     ``readout(log, outcome)`` of that log for each outcome, in code order.
     The sampler reads the rest: ``sure`` is the one outcome the law
     keeps (None if it keeps more), ``cells`` each readout as Eve's guess
@@ -203,12 +205,12 @@ def _build_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitP
 
     def leaf(weight: float, channel: Channel, fields: dict) -> Leaf:
         log = EveRunLog(**fields)
-        bell_probs = _bell_law(channel.state, "h", channel.traveling)[0]
-        bell_cum = cumulative(bell_probs)
+        bell_probs, total = _clean(_bell_law(channel.state, "h", channel.traveling)[0])
+        bell_cum = cumulative(bell_probs, total)
         readouts = tuple(strategy.readout(log, outcome) for outcome in ALL_CODES)
         cells = tuple(None if r is None else 4 * ALL_CODES.index(r[0]) + ALL_CODES.index(r[1]) for r in readouts)
         sure = bell_cum[2][0] if len(bell_cum[1]) == 1 else None
-        leaves.append(Leaf(weight, fields, bell_probs, bell_cum, readouts, sure, cells, log.ancilla_outcome))
+        leaves.append(Leaf(weight, fields, tuple(bell_probs), bell_cum, readouts, sure, cells, log.ancilla_outcome))
         return leaves[-1]
 
     tree = _expand(strategy.on_ping(Channel(bell_state(bob_code), "t")), 1.0, {}, pong)
@@ -217,9 +219,10 @@ def _build_table(strategy: "AttackStrategy", bob_code: BitPair, alice_code: BitP
 
 class ValueTables(NamedTuple):
     """A strategy value's 16 run tables, by code pair and as trees indexed ``4 * bob + alice`` (``ALL_CODES``
-    indices), the sampler's view. ``ancilla``: some leaf carries an ancilla outcome. ``exact``: the 16 leaves,
-    indexed alike, where each tree is one sure path of ``picks`` picks to a leaf sure of its codes' XOR that
-    stores its guess cell or not as ``guessing`` says (else empty): no control run fails. ``picks`` and
+    indices), the sampler's view. ``ancilla``: some leaf carries an ancilla outcome. ``exact``: where each tree
+    is one sure path of ``picks`` picks to a leaf sure of its codes' XOR that stores its guess cell or not as
+    ``guessing`` says, so no control run fails, two intp arrays indexed alike: each leaf's stored guess cell (0
+    where it guesses) and ancilla slot (``4 * ancilla + alice``, 8 for none); else empty. ``picks`` and
     ``guessing``: the first path's picks, and whether its leaf leaves a message run's guess to a uniform.
     ``detection`` and ``accuracy``: the exact oracles' per-control-run rate and Eve's (Alice, Bob) guess
     accuracies. ``reads``: a run reads one of Eve's uniforms (a pick of two indices or more, or a pure
@@ -288,8 +291,11 @@ def value_tables(strategy: "AttackStrategy") -> ValueTables:
                 bob += leaf.weight * prob * hits[1]
         # Dividing by the summed mass rather than 16 keeps a sure readout
         # at exactly 1 and a pure guess at exactly 1/4.
+        exact = exact and (  # each leaf's stored guess cell and ancilla slot, as ``exact`` holds them
+            np.array([0 if guessing else leaf.cells[k // 4 ^ k % 4] for k, leaf in enumerate(ones)]),
+            np.array([8 if leaf.ancilla is None else 4 * leaf.ancilla + k % 4 for k, leaf in enumerate(ones)]))
         entry = ValueTables(tables, [table.tree for table in tables.values()] if reads else ones,
-                            any(leaf.ancilla is not None for *_, leaf in leaves), tuple(ones) if exact else (),
+                            any(leaf.ancilla is not None for *_, leaf in leaves), exact or (),
                             depths[0], guessing, 0.0 if failed / 16.0 < 1e-12 else failed / 16.0,
                             (alice / mass, bob / mass), reads)
         if len(_TABLES) >= TABLE_STRATEGIES:
@@ -348,9 +354,20 @@ class DialogueResult:
     counts: tuple[int, int, int, int | None, int, int, int, int, int, list | None, list | None] | None
 
 
-def _refill(block: list[float], used: int, stream) -> tuple[list[float], int]:
-    """``block``'s unused uniforms and twice as many fresh ones from ``stream`` as it held (at least one), counted."""
-    block = block[used:] + stream.random(max(2 * len(block), 1)).tolist()
+def block_cuts(c: float, one_pass: bool) -> tuple:
+    """How a trial's uniforms are cut into the form its engine reads: its messages into code indices ``int(u *
+    4.0)``, then its blocks, the protocol's and Eve's. For an exact value's one pass (``ValueTables.exact``) the
+    codes are an intp array and the blocks the cells it reads: the protocol's mode cells ``u < c`` (True on a
+    control run), a bool list, and Eve's guess cells ``int(u * 16.0)``, an intp array. Else each is a list, the
+    blocks of floats. A chunk cuts its trials' heads so, and ``run_dialogue`` its own first blocks and refills."""
+    if one_pass:
+        return lambda u: (u * 4.0).astype(np.intp), lambda u: (u < c).tolist(), lambda u: (u * 16.0).astype(np.intp)
+    return lambda u: (u * 4.0).astype(np.intp).tolist(), methodcaller("tolist"), methodcaller("tolist")
+
+
+def _refill(block: list, used: int, stream, cut) -> tuple[list, int]:
+    """``block``'s unused entries and twice as many uniforms as it held (at least one) from ``stream``, cut, counted."""
+    block = block[used:] + cut(stream.random(max(2 * len(block), 1)))
     return block, len(block)
 
 
@@ -362,17 +379,18 @@ def run_dialogue(
     rng: np.random.Generator,
     eve_rng: np.random.Generator | None,
     tables: ValueTables | None = None,
-    first: tuple[list[float], list[float]] | None = None,
+    first: tuple | None = None,
     keep_rows: bool = True,
 ) -> DialogueResult:
     """Execute runs until the dialogue completes, detects Eve, or gives up.
 
     Both messages, lists of ``ALL_CODES`` indices as ``random_message``
-    draws them, must have half-length ``config.n_pairs``. The protocol's
-    draws (mode, control-run pair, Bob's Bell outcome) come from ``rng``
-    in run order, and the attack's from ``eve_rng``, a stream of its own.
-    So an attack whose taps leave Bob's Bell law unchanged leaves the
-    transcript byte-identical to the honest channel's (``NoAttack``).
+    draws them (or intp arrays, for the one pass), must have half-length
+    ``config.n_pairs``. The protocol's draws (mode, control-run pair,
+    Bob's Bell outcome) come from ``rng`` in run order, and the attack's
+    from ``eve_rng``, a stream of its own. So an attack whose taps leave
+    Bob's Bell law unchanged leaves the transcript byte-identical to the
+    honest channel's (``NoAttack``).
 
     Each run is drawn from its code pair's run table: one ``cut`` per
     pick of Eve's choice tree, as ``quantum.choose`` would, one for Bob's
@@ -384,10 +402,11 @@ def run_dialogue(
     blocks, in the order one ``random()`` per uniform gives: ``2 +
     is_cm`` of the protocol's a run, and of Eve's ``picks`` plus one on a
     message run whose leaf stores no guess cell. The first blocks are
-    ``first``, lists a caller may pass (``harness.run_trial`` does), or
-    else ``random(n).tolist()`` of each stream (``first_blocks``). A
-    refill keeps the unused tail and draws twice as many as the block
-    held from the stream, which goes on where the first block ended, so
+    ``first``, the blocks in the form its engine reads (``block_cuts``),
+    which a caller may pass (``harness.run_trial`` does), or else each
+    stream's ``random(n)`` cut so (``first_blocks``). A refill keeps the
+    unused tail and cuts twice as many uniforms as the block held from
+    the stream, which goes on where the first block ended, so
     any numpy Generator will do; ``draws`` counts the uniforms moved past
     in each. A value whose runs read none of Eve's (``ValueTables.reads``)
     takes each run's leaf from its roots with no ``cut`` and draws no
@@ -405,9 +424,11 @@ def run_dialogue(
         raise ValueError(f"config.n_pairs = {config.n_pairs} but messages have {len(alice_msg)} pairs")
     tables = tables or value_tables(attack)
     roots, c, n_pairs, terminal = tables.roots, config.c, config.n_pairs, config.detection_policy == TERMINAL
+    one_pass = bool(tables.exact) and not keep_rows
+    _, pu_cut, eu_cut = block_cuts(c, one_pass)
     if first is None:
         pu_first, eu_first = first_blocks(config, tables)
-        first = rng.random(pu_first).tolist(), eve_rng.random(eu_first).tolist() if tables.reads else []
+        first = pu_cut(rng.random(pu_first)), eu_cut(eve_rng.random(eu_first)) if tables.reads else []
     pu, eu = first
     i = j = pu_read = eu_read = 0  # the next unused uniform of each, and those read from earlier blocks
     pu_end, eu_end = len(pu), len(eu)
@@ -418,38 +439,36 @@ def run_dialogue(
     cursor = pass_index = runs = start = errors = guesses = alice_hits = bob_hits = 0
     status, first_detection, cells = None, None, [[0] * 4, [0] * 4] if tables.ancilla else None
 
-    if tables.exact and not keep_rows:  # one completing pass: its runs counted off the mode uniforms
-        picks, cm, ahead = tables.picks, 0, []  # ``ahead``: the control runs before each message run
-        for _ in range(n_pairs):
-            while True:  # control runs, refilled where the per-run loop refills
+    if one_pass:  # its runs counted off the mode cells
+        picks, m, starts = tables.picks, 0, []  # ``starts``: where Eve picks, each message run's first uniform
+        while m < n_pairs:
+            if i > pu_end - 3:  # near the block's end, refilled where the per-run loop refills
                 if i > pu_end - 2:
-                    (pu, pu_end), pu_read, i = _refill(pu, i, rng), pu_read + i, 0
-                if pu[i] >= c:
-                    break
-                if i > pu_end - 3:
-                    (pu, pu_end), pu_read, i = _refill(pu, i, rng), pu_read + i, 0
-                cm, i = cm + 1, i + 3
-            ahead.append(cm)
-            i += 2
+                    (pu, pu_end), pu_read, i = _refill(pu, i, rng, pu_cut), pu_read + i, 0
+                if pu[i] and i > pu_end - 3:
+                    (pu, pu_end), pu_read, i = _refill(pu, i, rng, pu_cut), pu_read + i, 0
+            if pu[i]:
+                i += 3
+            else:
+                if picks:
+                    starts.append(pu_read + i)
+                i, m = i + 2, m + 1
+        cm = (pu_read + i - 2 * n_pairs) // 3  # 3 uniforms a control run, 2 a message run
         eve, need = eu, picks * (n_pairs + cm) + tables.guessing * n_pairs
         while tables.reads and len(eve) < need:  # each refill once the block before it is used up
-            eu = _refill(eu, len(eu), eve_rng)[0]
-            eve = eve + eu
-        # A pure guess comes after the picks of its run and those before it, and a guess per message run before.
-        guessed = ([int(eve[picks * (m + k + 1) + m] * 16.0) for m, k in enumerate(ahead)] if tables.guessing
-                   else [tables.exact[4 * b + a].cells[b ^ a] for b, a in zip(bob_msg, alice_msg)])
-        for cell, bob, alice in zip(guessed, bob_msg, alice_msg):
-            alice_hits += cell >> 2 == alice
-            bob_hits += cell & 3 == bob
-        for bob, alice in zip(bob_msg, alice_msg) if cells else ():
-            if (ancilla := tables.exact[4 * bob + alice].ancilla) is not None:
-                cells[ancilla][alice] += 1
-        counts = n_pairs + cm, 0, 0, None, n_pairs, 0, n_pairs, alice_hits, bob_hits, cells, None
+            eu = eu_cut(eve_rng.random(max(2 * len(eu), 1)))
+            eve = np.concatenate((eve, eu))
+        # Message run m, run r = (start + m) / 3, guesses after the picks of runs 0 to r and m guesses before.
+        (stored, slots), m, pairs = tables.exact, np.arange(n_pairs), 4 * np.asarray(bob_msg) + alice_msg
+        guessed = eve[picks * ((starts + m) // 3 + 1) + m if picks else m] if tables.guessing else stored[pairs]
+        hits = int(np.count_nonzero(guessed >> 2 == pairs & 3)), int(np.count_nonzero(guessed & 3 == pairs >> 2))
+        cells = cells and np.bincount(slots[pairs], minlength=9)[:8].reshape(2, 4).tolist()
+        counts = n_pairs + cm, 0, 0, None, n_pairs, 0, n_pairs, *hits, cells, None
         return DialogueResult(Transcript([], COMPLETED), session, (pu_read + i, need), counts)
 
     while status is None:
         if i > pu_end - 2:  # the mode and Bob's outcome
-            (pu, pu_end), pu_read, i = _refill(pu, i, rng), pu_read + i, 0
+            (pu, pu_end), pu_read, i = _refill(pu, i, rng, pu_cut), pu_read + i, 0
 
         # Alice decides the mode before she encodes but announces it only
         # after Bob's measurement, so the taps never see it. Control runs
@@ -459,7 +478,7 @@ def run_dialogue(
         is_cm = pu[i] < c
         if is_cm:
             if i > pu_end - 3:  # and the pair
-                (pu, pu_end), pu_read, i = _refill(pu, i, rng), pu_read + i, 0
+                (pu, pu_end), pu_read, i = _refill(pu, i, rng, pu_cut), pu_read + i, 0
             alice = int(pu[i + 1] * 4.0)  # as ``random_message``
             i += 2
         else:
@@ -468,7 +487,7 @@ def run_dialogue(
         node = roots[4 * bob + alice]
         while type(node) is Branch:
             if j == eu_end:
-                (eu, eu_end), eu_read, j = _refill(eu, j, eve_rng), eu_read + j, 0
+                (eu, eu_end), eu_read, j = _refill(eu, j, eve_rng, eu_cut), eu_read + j, 0
             node = node.children[cut(node.cum, eu[j])]
             j += 1
         k = node.sure
@@ -498,7 +517,7 @@ def run_dialogue(
             cell = node.cells[k]
             if cell is None:  # a pure guess: 16 cells, equally likely
                 if j == eu_end:
-                    (eu, eu_end), eu_read, j = _refill(eu, j, eve_rng), eu_read + j, 0
+                    (eu, eu_end), eu_read, j = _refill(eu, j, eve_rng, eu_cut), eu_read + j, 0
                 cell = int(eu[j] * 16.0)
                 j += 1
             if keep_rows:

@@ -2,13 +2,14 @@
 
 Where a strategy value is ``ValueTables.exact`` and the caller keeps no
 rows (``run_dialogue``'s ``keep_rows``, which ``harness.run_trial``
-always clears), the dialogue's runs are counted off the mode uniforms and
-Eve's guesses read per message pair. On the same streams that must give
-the per-run loop's ``counts`` (all but the message-run outcomes, which
-the one pass leaves None), decoded report and ``draws``, with the same
-refills of both streams, and no other value may take that path. Every
-other value runs the per-run loop whether rows are kept or not, and
-gives the same either way.
+always clears), the dialogue's runs are counted off the mode cells and
+Eve's guesses scored with array ops, its blocks cut into cells
+(``block_cuts``). On the same streams that must give the per-run loop's
+``counts`` (all but the message-run outcomes, which the one pass leaves
+None), decoded report and ``draws``, with the same refills of both
+streams, and no other value may take that path. Every other value runs
+the per-run loop whether rows are kept or not, and gives the same either
+way.
 """
 
 from dataclasses import replace
@@ -22,9 +23,10 @@ from qdialogue import harness
 from qdialogue.analysis import TrialReport
 from qdialogue.attacks import AttackStrategy, EveRunLog, strategy_from_name
 from qdialogue.harness import ExperimentConfig
-from qdialogue.protocol import DETECTION_POLICIES, ProtocolConfig, random_message, run_dialogue, value_tables
+from qdialogue.protocol import (DETECTION_POLICIES, ProtocolConfig, block_cuts, first_blocks, random_message,
+                                run_dialogue, value_tables)
 from qdialogue.quantum import ALL_CODES, PROB_FLOOR, BitPair, bell_outcome_probs
-from reference import STRATEGY_VALUES, path_shapes, run_paths
+from reference import STRATEGY_VALUES, path_shapes, run_paths, trial_uniforms
 from test_generated_strategies import Composed, composed_steps
 
 # Message half-lengths: one pair, a few, the benchmark's 64, and 700, whose
@@ -87,12 +89,17 @@ class Blocks:
 def both_paths(config, strategy, seed, first=None, results=None):
     """One dialogue read with rows kept and with none kept, on the same streams: for each, its ``counts``
     less the message-run outcomes, decoded report (which reads them), ``draws`` and each stream's block sizes
-    and end state, and whether it was read as one pass (its outcomes are None). ``results`` collects both."""
+    and end state, and whether it was read as one pass (its outcomes are None). ``results`` collects both.
+
+    Given the sizes of ``first`` blocks, the caller draws them and cuts them and both messages as each engine
+    reads them (``block_cuts``), as a chunk does; else ``run_dialogue`` draws them itself."""
     seen = []
     for keep_rows in (True, False):
         rng, eve_rng = Blocks(seed), Blocks(seed + 1)
-        alice, bob = random_message(config.n_pairs, rng.gen), random_message(config.n_pairs, rng.gen)
-        blocks = None if first is None else (rng.random(first[0]).tolist(), eve_rng.random(first[1]).tolist())
+        one_pass = bool(value_tables(strategy).exact) and not keep_rows and first is not None
+        codes, pu_cut, eu_cut = block_cuts(config.c, one_pass)
+        alice, bob = codes(rng.gen.random(config.n_pairs)), codes(rng.gen.random(config.n_pairs))
+        blocks = None if first is None else (pu_cut(rng.random(first[0])), eu_cut(eve_rng.random(first[1])))
         result = run_dialogue(config, alice, bob, strategy, rng, eve_rng, None, blocks, keep_rows)
         if results is not None:
             results.append(result)
@@ -122,13 +129,35 @@ def test_sure_values_that_pick_or_guess_unevenly_are_not_exact(strategy):
 @pytest.mark.parametrize("n_pairs", N_PAIRS)
 @pytest.mark.parametrize("name, beta2", sorted(EXACT, key=str))
 def test_one_pass_equals_the_per_run_loop(name, beta2, n_pairs, policy):
+    # Blocks drawn by the dialogue, and cut heads handed in at a chunk's sizes.
     strategy, config = strategy_from_name(name, beta2), ProtocolConfig(0.5, n_pairs, 2, policy)
     for seed in range(6):
-        (loop, looped_once), (one_pass, read) = both_paths(config, strategy, seed)
-        assert not looped_once and read and one_pass == loop, seed
+        for first in (None, first_blocks(config, value_tables(strategy))):
+            (loop, looped_once), (one_pass, read) = both_paths(config, strategy, seed, first)
+            assert not looped_once and read and one_pass == loop, (seed, first)
 
 
-@pytest.mark.parametrize("first", [(0, 0), (1, 0), (2, 1), (3, 5)])
+@pytest.mark.parametrize("n_pairs", N_PAIRS)
+@pytest.mark.parametrize("name, beta2", sorted(EXACT, key=str))
+def test_a_chunks_one_passes_equal_the_per_run_loop_on_its_trial_streams(monkeypatch, name, beta2, n_pairs):
+    # Each trial's one pass reads the heads its chunk cut (at 700 pairs
+    # past the region, into its overflow); the per-run loop reads the same
+    # trial's reference streams as floats, with rows kept.
+    config = ExperimentConfig(attack=name, beta2=beta2, c=0.5, n_pairs=n_pairs, master_seed=5, verbose=True)
+    results, raw = [], harness.run_dialogue
+    monkeypatch.setattr(harness, "run_dialogue", lambda *args: results.append(raw(*args)) or results[-1])
+    trials, strategy = range(3, 15), config.strategy()
+    _, reports = harness._fold_trials(config, trials, (1,))
+    for t, report, result in zip(trials, reports, results, strict=True):
+        rng, eve_rng = trial_uniforms(config, t, (1,))
+        alice, bob = random_message(n_pairs, rng), random_message(n_pairs, rng)
+        loop = run_dialogue(config.protocol_config(), alice, bob, strategy, rng, eve_rng)
+        assert result.counts[-1] is None and loop.counts[-1] is not None, t
+        assert report == TrialReport.from_dialogue(t, loop, alice, bob, strategy, decode=True), t
+        assert result.draws == loop.draws, t
+
+
+@pytest.mark.parametrize("first", [(0, 0), (1, 0), (1, 1), (2, 1), (3, 5)])
 @pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("name, beta2", sorted(EXACT, key=str))
 def test_small_first_blocks_refill_where_the_per_run_loop_does(name, beta2, c, first):

@@ -119,7 +119,7 @@ class TestDeterminism:
     def test_a_trial_stream_is_its_region_then_its_overflow(self, key, t, s, size, head, reads):
         # A head and then reads that end inside the region, at its end or past it.
         key = np.array(key, np.uint64)
-        stream = TrialStream(key, s, range(t, t + 1), size, ((0, head, None),))
+        stream = TrialStream(key, s, range(t, t + 1), size, ((0, head, np.ndarray.tolist),))
         got = stream.trial(t)[0]
         for n in reads:
             got += stream.random(n).tolist()
@@ -132,7 +132,8 @@ class TestDeterminism:
         # block, then a read across its region's end.
         key = point_key_words(2**64 + 3, 1)
         trials = range(lo, lo + 23)
-        stream = TrialStream(key, 1, trials, size, ((0, 4, 4.0), (4, max(size, 4), None)))
+        codes, _, floats = protocol.block_cuts(0.5, False)
+        stream = TrialStream(key, 1, trials, size, ((0, 4, codes), (4, max(size, 4), floats)))
         for t in trials:
             messages, first = stream.trial(t)
             expected = philox_stream(key, t, 1, size, size + 9)
@@ -164,7 +165,8 @@ class TestDeterminism:
     def test_each_trial_reads_its_own_two_streams(self, monkeypatch, seed, point_key):
         # Both messages and the first blocks run_dialogue gets, Eve's too,
         # against the reference streams of each trial alone, in a chunk
-        # whose draws end inside it.
+        # whose draws end inside it. A value Bob can detect runs the
+        # per-run loop, so its heads stay code lists and floats.
         config = ExperimentConfig(attack="entangle-measure", beta2=0.25, c=0.3, n_pairs=40, master_seed=seed)
         calls, raw = [], harness.run_dialogue
         monkeypatch.setattr(harness, "run_dialogue", lambda *args: calls.append(args) or raw(*args))
@@ -175,6 +177,32 @@ class TestDeterminism:
             assert alice + bob == random_message(80, rng), t
             assert pu == rng.random(len(pu)).tolist() and eu == eve_rng.random(len(eu)).tolist(), t
             assert len(pu) > 80 and len(eu) > 40
+            assert {type(k) for k in alice + bob} == {int} and {type(u) for u in pu + eu} == {float}, t
+
+    @pytest.mark.parametrize("n_pairs", [4, 64, 700])
+    @pytest.mark.parametrize("name, beta2", [("none", None), ("intercept-resend-literal", None),
+                                             ("entangle-measure", 0.0)])
+    def test_an_exact_values_heads_are_the_cells_its_one_pass_reads(self, monkeypatch, name, beta2, n_pairs):
+        # Both messages as intp arrays, the protocol's first block as mode
+        # cells u < c and Eve's as guess cells int(16 u), each cut from the
+        # trial's reference streams; at 700 pairs the heads run past the
+        # region into its overflow.
+        config = ExperimentConfig(attack=name, beta2=beta2, c=0.3, n_pairs=n_pairs, master_seed=2**64 + 3)
+        calls, raw = [], harness.run_dialogue
+        monkeypatch.setattr(harness, "run_dialogue", lambda *args: calls.append(args) or raw(*args))
+        trials = range(2**32 - 12, 2**32)
+        harness._fold_trials(config, trials, (5, 2))
+        reads = protocol.value_tables(config.strategy()).reads
+        for t, (_, alice, bob, _, _, _, _, (pu, eu), _) in zip(trials, calls, strict=True):
+            rng, eve_rng = trial_uniforms(config, t, (5, 2))
+            assert alice.dtype == bob.dtype == np.intp and {type(k) for k in pu} == {bool}, t
+            assert alice.tolist() + bob.tolist() == random_message(2 * n_pairs, rng), t
+            assert pu == [u < 0.3 for u in rng.random(len(pu)).tolist()] and len(pu) > 2 * n_pairs, t
+            if reads:
+                assert eu.dtype == np.intp and len(eu) >= n_pairs, t
+                assert eu.tolist() == [int(u * 16.0) for u in eve_rng.random(len(eu)).tolist()], t
+            else:
+                assert eu == [], t
 
     def test_messages_past_the_region_come_from_the_overflow(self):
         # 2200 message uniforms are more than any region holds.
@@ -182,7 +210,8 @@ class TestDeterminism:
         rng, _ = harness.chunk_streams(config, (), range(6, 7), protocol.value_tables(config.strategy()))
         alice, bob, first = rng.trial(6)
         expected = philox_stream(point_key_words(4), 6, 0, harness.DRAW, 2200 + len(first))
-        assert alice + bob == [int(u * 4.0) for u in expected[:2200]] and first == expected[2200:]
+        assert alice.tolist() + bob.tolist() == [int(u * 4.0) for u in expected[:2200]]
+        assert first == [u < 0.5 for u in expected[2200:]]
 
     def test_eve_has_no_stream_where_she_reads_none(self):
         config = ExperimentConfig(attack="intercept-resend-blind", c=0.5, n_pairs=4)
