@@ -31,11 +31,12 @@ session builds a run's private log (``EveRunLog``) only when read.
 Where no control run can fail (``ValueTables.exact``: the honest
 channel, the literal intercept-resend, the probe at beta2 = 0) and no
 rows are kept, a dialogue is one completing pass that reads no float
-(``block_cuts``): its runs are counted off the mode cells ``u < c``,
-refilled where the per-run loop refills, and Eve's guesses scored with
-array ops, her cells ``int(16 u)`` taken at the indices the per-run loop
-reads or the leaves' stored ones, so both read the same uniforms and
-give the same counts; its outcomes, each the XOR of both codes, are None.
+(``block_cuts``). It walks the mode cells ``u < c`` as bytes, a control
+run 3 and a message run 2, checked for a refill only near a block's end,
+so it refills where the per-run loop does, and scores Eve's guess cells
+(``int(16 u)`` at the indices the per-run loop reads, or the leaves'
+stored ones) with one ``bincount``. Both give the same uniforms read and
+the same counts; the pass's outcomes, each the XOR of both codes, are None.
 
 A run's quantum leg is fixed once the strategy, both codes and Eve's
 picks are. So it is played out once per choice path, not once per run:
@@ -53,6 +54,7 @@ from __future__ import annotations
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import methodcaller
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -354,18 +356,22 @@ class DialogueResult:
     counts: tuple[int, int, int, int | None, int, int, int, int, int, list | None, list | None] | None
 
 
+@lru_cache
 def block_cuts(c: float, one_pass: bool) -> tuple:
-    """How a trial's uniforms are cut into the form its engine reads: its messages into code indices ``int(u *
-    4.0)``, then its blocks, the protocol's and Eve's. For an exact value's one pass (``ValueTables.exact``) the
-    codes are an intp array and the blocks the cells it reads: the protocol's mode cells ``u < c`` (True on a
-    control run), a bool list, and Eve's guess cells ``int(u * 16.0)``, an intp array. Else each is a list, the
-    blocks of floats. A chunk cuts its trials' heads so, and ``run_dialogue`` its own first blocks and refills."""
+    """How a trial's uniforms are cut for its engine, built once per ``(c, one_pass)``: its messages into code indices
+    ``int(u * 4.0)``, then the protocol's and Eve's blocks. For an exact value's one pass (``ValueTables.exact``) the
+    codes are an intp array and the blocks the cells it reads: mode cells ``u < c`` as ``bytes`` (1 on a control run;
+    one per trial of a chunk's draw) and Eve's guess cells ``int(u * 16.0)``, an intp array. Else each is a list, the
+    blocks of floats. A chunk cuts its trials' heads so, and ``run_dialogue`` its first blocks and refills."""
     if one_pass:
-        return lambda u: (u * 4.0).astype(np.intp), lambda u: (u < c).tolist(), lambda u: (u * 16.0).astype(np.intp)
+        def modes(u):
+            cells, width = (u < c).tobytes(), u.shape[-1]
+            return cells if u.ndim == 1 else [cells[k * width:k * width + width] for k in range(len(u))]
+        return lambda u: (u * 4.0).astype(np.intp), modes, lambda u: (u * 16.0).astype(np.intp)
     return lambda u: (u * 4.0).astype(np.intp).tolist(), methodcaller("tolist"), methodcaller("tolist")
 
 
-def _refill(block: list, used: int, stream, cut) -> tuple[list, int]:
+def _refill(block, used: int, stream, cut) -> tuple:
     """``block``'s unused entries and twice as many uniforms as it held (at least one) from ``stream``, cut, counted."""
     block = block[used:] + cut(stream.random(max(2 * len(block), 1)))
     return block, len(block)
@@ -384,39 +390,26 @@ def run_dialogue(
 ) -> DialogueResult:
     """Execute runs until the dialogue completes, detects Eve, or gives up.
 
-    Both messages, lists of ``ALL_CODES`` indices as ``random_message``
-    draws them (or intp arrays, for the one pass), must have half-length
-    ``config.n_pairs``. The protocol's draws (mode, control-run pair,
-    Bob's Bell outcome) come from ``rng`` in run order, and the attack's
-    from ``eve_rng``, a stream of its own. So an attack whose taps leave
-    Bob's Bell law unchanged leaves the transcript byte-identical to the
-    honest channel's (``NoAttack``).
+    Both messages, lists of ``ALL_CODES`` indices as ``random_message`` draws them (or intp arrays, for the one
+    pass), must have half-length ``config.n_pairs``. The protocol's draws (mode, control-run pair, Bob's Bell
+    outcome) come from ``rng`` in run order, and the attack's from ``eve_rng``, a stream of its own. So an attack
+    whose taps leave Bob's Bell law unchanged leaves the transcript byte-identical to the honest channel's.
 
-    Each run is drawn from its code pair's run table: one ``cut`` per
-    pick of Eve's choice tree, as ``quantum.choose`` would, one for Bob's
-    outcome by the leaf's Bell law (a law with one outcome still takes
-    its uniform) and, on a message run, the leaf's stored guess cell, or
-    the cell ``int(u * 16.0)`` of one more of Eve's uniforms where the
-    readout pins nothing. Under ``keep_rows`` each run appends a row that
-    the transcript and Eve's session share. Each stream is read in
-    blocks, in the order one ``random()`` per uniform gives: ``2 +
-    is_cm`` of the protocol's a run, and of Eve's ``picks`` plus one on a
-    message run whose leaf stores no guess cell. The first blocks are
-    ``first``, the blocks in the form its engine reads (``block_cuts``),
-    which a caller may pass (``harness.run_trial`` does), or else each
-    stream's ``random(n)`` cut so (``first_blocks``). A refill keeps the
-    unused tail and cuts twice as many uniforms as the block held from
-    the stream, which goes on where the first block ended, so
-    any numpy Generator will do; ``draws`` counts the uniforms moved past
-    in each. A value whose runs read none of Eve's (``ValueTables.reads``)
-    takes each run's leaf from its roots with no ``cut`` and draws no
-    block from ``eve_rng``, which may be None, though its runs move her
-    cursor past ``picks``. ``tables`` is the attack's ``value_tables``,
-    looked up here unless a caller passes them. The loop counts the
-    report's ``counts`` as it goes: a restart sets the final pass's first
-    run and clears its bit errors and outcomes. Unless ``keep_rows``, an
-    ``exact`` value's dialogue is read as one completing pass (see the
-    module docstring).
+    Each run is drawn from its code pair's run table: one ``cut`` per pick of Eve's choice tree, as
+    ``quantum.choose`` would, one for Bob's outcome by the leaf's Bell law (a law with one outcome still takes its
+    uniform) and, on a message run, the leaf's stored guess cell, or the cell ``int(u * 16.0)`` of one more of
+    Eve's uniforms where the readout pins nothing. Under ``keep_rows`` each run appends a row that the transcript
+    and Eve's session share. Each stream is read in blocks, in the order one ``random()`` per uniform gives: ``2 +
+    is_cm`` of the protocol's a run, and of Eve's ``picks`` plus one on a message run whose leaf stores no guess
+    cell. The first blocks are ``first``, cut as its engine reads them (``block_cuts``), which a caller may pass
+    (``harness.run_trial`` does), or else each stream's ``random(n)`` cut so (``first_blocks``). A refill keeps the
+    unused tail and cuts twice as many uniforms as the block held from the stream, which goes on where the first
+    block ended, so any numpy Generator will do; ``draws`` counts the uniforms moved past in each. A value whose
+    runs read none of Eve's (``ValueTables.reads``) takes each run's leaf from its roots with no ``cut`` and draws
+    no block from ``eve_rng``, which may be None, though its runs move her cursor past ``picks``. ``tables`` is
+    the attack's ``value_tables``, looked up here unless passed. The loop counts ``counts`` as it goes: a restart
+    sets the final pass's first run and clears its bit errors and outcomes. Unless ``keep_rows``, an ``exact``
+    value's dialogue is one completing pass (see the module docstring).
     """
     if len(alice_msg) != len(bob_msg):
         raise ValueError(f"messages must have equal half-length, got {len(alice_msg)} and {len(bob_msg)}")
@@ -439,31 +432,38 @@ def run_dialogue(
     cursor = pass_index = runs = start = errors = guesses = alice_hits = bob_hits = 0
     status, first_detection, cells = None, None, [[0] * 4, [0] * 4] if tables.ancilla else None
 
-    if one_pass:  # its runs counted off the mode cells
-        picks, m, starts = tables.picks, 0, []  # ``starts``: where Eve picks, each message run's first uniform
+    if one_pass:  # its runs counted off the mode cells (see the module docstring)
+        picks, m, starts = tables.picks, 0, []  # ``starts``: each message run's first uniform, if Eve's guesses read it
+        record = picks and tables.guessing
         while m < n_pairs:
-            if i > pu_end - 3:  # near the block's end, refilled where the per-run loop refills
+            if i > pu_end - 3:  # near the block's end, the per-run loop's two checks
                 if i > pu_end - 2:
                     (pu, pu_end), pu_read, i = _refill(pu, i, rng, pu_cut), pu_read + i, 0
                 if pu[i] and i > pu_end - 3:
                     (pu, pu_end), pu_read, i = _refill(pu, i, rng, pu_cut), pu_read + i, 0
-            if pu[i]:
-                i += 3
-            else:
-                if picks:
-                    starts.append(pu_read + i)
-                i, m = i + 2, m + 1
+            limit = max(i, pu_end - 3)  # this run is checked, and no run up to here can reach the block's end
+            while m < n_pairs and i <= limit:
+                if pu[i]:
+                    i += 3
+                else:
+                    if record:
+                        starts.append(pu_read + i)
+                    i += 2
+                    m += 1
         cm = (pu_read + i - 2 * n_pairs) // 3  # 3 uniforms a control run, 2 a message run
         eve, need = eu, picks * (n_pairs + cm) + tables.guessing * n_pairs
         while tables.reads and len(eve) < need:  # each refill once the block before it is used up
             eu = eu_cut(eve_rng.random(max(2 * len(eu), 1)))
             eve = np.concatenate((eve, eu))
         # Message run m, run r = (start + m) / 3, guesses after the picks of runs 0 to r and m guesses before.
-        (stored, slots), m, pairs = tables.exact, np.arange(n_pairs), 4 * np.asarray(bob_msg) + alice_msg
-        guessed = eve[picks * ((starts + m) // 3 + 1) + m if picks else m] if tables.guessing else stored[pairs]
-        hits = int(np.count_nonzero(guessed >> 2 == pairs & 3)), int(np.count_nonzero(guessed & 3 == pairs >> 2))
+        (stored, slots), m = tables.exact, record and np.arange(n_pairs)
+        pairs = 4 * np.asarray(bob_msg) + alice_msg if cells or not tables.guessing else None  # only where read
+        guessed = (eve[picks * ((starts + m) // 3 + 1) + m] if record
+                   else eve[:n_pairs] if tables.guessing else stored[pairs])
+        # Counted by 4 (her Alice guess ^ alice) + (her Bob guess ^ bob): Alice's hits are 0-3, Bob's every fourth.
+        hits = np.bincount(guessed ^ (4 * np.asarray(alice_msg) + bob_msg), minlength=16).tolist()
         cells = cells and np.bincount(slots[pairs], minlength=9)[:8].reshape(2, 4).tolist()
-        counts = n_pairs + cm, 0, 0, None, n_pairs, 0, n_pairs, *hits, cells, None
+        counts = n_pairs + cm, 0, 0, None, n_pairs, 0, n_pairs, sum(hits[:4]), sum(hits[::4]), cells, None
         return DialogueResult(Transcript([], COMPLETED), session, (pu_read + i, need), counts)
 
     while status is None:

@@ -12,6 +12,7 @@ the per-run loop whether rows are kept or not, and gives the same either
 way.
 """
 
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -168,6 +169,37 @@ def test_small_first_blocks_refill_where_the_per_run_loop_does(name, beta2, c, f
         (loop, _), (one_pass, read) = both_paths(ProtocolConfig(c, 24), strategy, seed, first)
         assert read and one_pass == loop, seed
         assert len(loop[3]) > 2, loop[3]
+
+
+@pytest.fixture
+def deadline():
+    """A walk that stops moving on loops for ever, so the test fails after 30 seconds instead of hanging."""
+
+    def stop(signum, frame):
+        raise TimeoutError("the one pass stopped moving")
+
+    handler = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 30.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+@pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n_pairs", [1, 2, 3, 24])
+@pytest.mark.parametrize("name, beta2", sorted(EXACT, key=str))
+def test_the_walk_hands_off_at_every_block_end(deadline, name, beta2, n_pairs, c):
+    # First blocks of every size up to past what a short pass reads put a
+    # block's end under each mode cell, control-run pair and outcome of the
+    # first runs, so the walk meets each near-end check, and its refills
+    # then meet them again further on.
+    strategy = strategy_from_name(name, beta2)
+    for size in range(2 * n_pairs + 9):
+        for seed in range(3):
+            (loop, _), (one_pass, read) = both_paths(ProtocolConfig(c, n_pairs), strategy, seed, (size, size))
+            assert read and one_pass == loop, (size, seed)
 
 
 @pytest.mark.parametrize("policy", DETECTION_POLICIES)

@@ -5,6 +5,9 @@ Each (strategy, policy) is pinned twice: the default document, and the
 detecting run, ancilla table), so a rewrite of the per-dialogue report
 is checked for every strategy. ``SERIALIZED_GOLDEN`` pins the other
 serializations: a CSV run, and a sweep as JSON and as CSV.
+``BENCHMARK_DIGESTS`` pins the documents of the benchmark's three
+workload commands at seed 1 on one worker, whose 32- and 64-pair
+dialogues walk far past a block's first runs.
 
 The state-vector kernels must reproduce the documents byte for byte: a
 rewrite that shifts a single Bell outcome or one oracle bit changes a
@@ -65,6 +68,12 @@ SERIALIZED_GOLDEN = {
     "sweep-csv": "918e54e6bf1e4e874b590af4a02fb7280bfa5004f37fbbc61a0105f6ea582a66",
 }
 
+BENCHMARK_DIGESTS = {
+    "honest-long": "5ef853ce1751c378eede27d5c3ca31f666d5c30a91dff0468e761d8e4d180fe5",
+    "intercept-pool": "44ed7f71eb1d4147e5205a337ee23c6ba205564ea88aae63a9e01456df9108b7",
+    "probe-sweep-short": "84f4341e4915028d5429850a86e592b62ea86bbf9719a8bad50be0f7b1fd4b43",
+}
+
 
 def document_digest(attack: str, policy: str, verbose: bool = False) -> str:
     config = ExperimentConfig(
@@ -103,6 +112,20 @@ def serialized_digests() -> dict[str, str]:
     return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
 
 
+def benchmark_digests() -> dict[str, str]:
+    """Digests of the benchmark workloads' documents (``benchmarks/run.py``) at seed 1 on one worker."""
+    honest = ExperimentConfig(attack="none", c=0.5, n_pairs=64, trials=150, master_seed=1)
+    pool = ExperimentConfig(attack="intercept-resend-literal", c=0.5, n_pairs=32, trials=400, master_seed=1)
+    probe = ExperimentConfig(attack="entangle-measure", beta2=0.25, c=0.5, n_pairs=2, trials=200, master_seed=1,
+                             detection_policy="reinitialize", max_restarts=2)
+    texts = {
+        "honest-long": to_json(run_experiment(honest)),
+        "intercept-pool": to_json(run_experiment(pool)),
+        "probe-sweep-short": to_json(sweep(probe, "beta2", [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5])),
+    }
+    return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+
+
 def test_every_strategy_is_pinned():
     assert {name for name, _ in GOLDEN} == set(STRATEGY_NAMES)
     assert set(VERBOSE_GOLDEN) == set(GOLDEN)
@@ -120,6 +143,10 @@ def test_verbose_document_digest(attack, policy):
 
 def test_serialized_digests():
     assert serialized_digests() == SERIALIZED_GOLDEN
+
+
+def test_benchmark_documents():
+    assert benchmark_digests() == BENCHMARK_DIGESTS
 
 
 def digest_changes(fresh: dict, pinned: dict = GOLDEN) -> list[str]:
@@ -159,5 +186,9 @@ if __name__ == "__main__":
             print(f"# {line}")
     print("SERIALIZED_GOLDEN = {")
     for name, digest in serialized_digests().items():
+        print(f'    "{name}": "{digest}",')
+    print("}")
+    print("BENCHMARK_DIGESTS = {")
+    for name, digest in benchmark_digests().items():
         print(f'    "{name}": "{digest}",')
     print("}")

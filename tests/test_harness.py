@@ -184,9 +184,9 @@ class TestDeterminism:
                                              ("entangle-measure", 0.0)])
     def test_an_exact_values_heads_are_the_cells_its_one_pass_reads(self, monkeypatch, name, beta2, n_pairs):
         # Both messages as intp arrays, the protocol's first block as mode
-        # cells u < c and Eve's as guess cells int(16 u), each cut from the
-        # trial's reference streams; at 700 pairs the heads run past the
-        # region into its overflow.
+        # cells u < c in bytes and Eve's as guess cells int(16 u), each cut
+        # from the trial's reference streams; at 700 pairs the heads run
+        # past the region into its overflow.
         config = ExperimentConfig(attack=name, beta2=beta2, c=0.3, n_pairs=n_pairs, master_seed=2**64 + 3)
         calls, raw = [], harness.run_dialogue
         monkeypatch.setattr(harness, "run_dialogue", lambda *args: calls.append(args) or raw(*args))
@@ -195,9 +195,9 @@ class TestDeterminism:
         reads = protocol.value_tables(config.strategy()).reads
         for t, (_, alice, bob, _, _, _, _, (pu, eu), _) in zip(trials, calls, strict=True):
             rng, eve_rng = trial_uniforms(config, t, (5, 2))
-            assert alice.dtype == bob.dtype == np.intp and {type(k) for k in pu} == {bool}, t
+            assert alice.dtype == bob.dtype == np.intp and type(pu) is bytes, t
             assert alice.tolist() + bob.tolist() == random_message(2 * n_pairs, rng), t
-            assert pu == [u < 0.3 for u in rng.random(len(pu)).tolist()] and len(pu) > 2 * n_pairs, t
+            assert pu == bytes(u < 0.3 for u in rng.random(len(pu)).tolist()) and len(pu) > 2 * n_pairs, t
             if reads:
                 assert eu.dtype == np.intp and len(eu) >= n_pairs, t
                 assert eu.tolist() == [int(u * 16.0) for u in eve_rng.random(len(eu)).tolist()], t
@@ -211,7 +211,7 @@ class TestDeterminism:
         alice, bob, first = rng.trial(6)
         expected = philox_stream(point_key_words(4), 6, 0, harness.DRAW, 2200 + len(first))
         assert alice.tolist() + bob.tolist() == [int(u * 4.0) for u in expected[:2200]]
-        assert first == [u < 0.5 for u in expected[2200:]]
+        assert first == bytes(u < 0.5 for u in expected[2200:])
 
     def test_eve_has_no_stream_where_she_reads_none(self):
         config = ExperimentConfig(attack="intercept-resend-blind", c=0.5, n_pairs=4)
