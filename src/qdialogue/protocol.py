@@ -28,15 +28,16 @@ row, a plain tuple of integers whose codes are ``ALL_CODES`` indices (so
 ``BitPair`` XOR is ``int ^``), plus its leaf of the run table and Eve's
 guess. The transcript and Eve's session share the rows, and Eve's
 session builds a run's private log (``EveRunLog``) only when read.
-Where no control run can fail (``ValueTables.exact``: the honest
-channel, the literal intercept-resend, the probe at beta2 = 0) and no
-rows are kept, a dialogue is one completing pass that reads no float
-(``block_cuts``). It walks the mode cells ``u < c`` as bytes, a control
-run 3 and a message run 2, checked for a refill only near a block's end,
-so it refills where the per-run loop does, and scores Eve's guess cells
-(``int(16 u)`` at the indices the per-run loop reads, or the leaves'
-stored ones) with one ``bincount``. Both give the same uniforms read and
-the same counts; the pass's outcomes, each the XOR of both codes, are None.
+Where no control run can fail (``ValueTables.exact``: the honest channel
+and the literal intercept-resend) and no rows are kept, a dialogue is one
+completing pass that reads no float (``block_cuts``). ``match`` calls of
+one regular expression over the mode cells ``u < c`` as bytes, a control
+run 3 cells and a message run 2, count its runs, at most ``WALK`` message
+runs a call; a block that ends first is extended and the call made again.
+Eve's guess cells (her first N cells ``int(16 u)``, or the leaves' stored
+ones) are scored with one ``bincount``. It reads the same uniforms and
+gives the same counts as the per-run loop; the pass's outcomes, each the
+XOR of both codes, are None.
 
 A run's quantum leg is fixed once the strategy, both codes and Eve's
 picks are. So it is played out once per choice path, not once per run:
@@ -51,6 +52,7 @@ oracle sums the same leaves, so both read one table.
 
 from __future__ import annotations
 
+import re
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -223,8 +225,9 @@ class ValueTables(NamedTuple):
     """A strategy value's 16 run tables, by code pair and as trees indexed ``4 * bob + alice`` (``ALL_CODES``
     indices), the sampler's view. ``ancilla``: some leaf carries an ancilla outcome. ``exact``: where each tree
     is one sure path of ``picks`` picks to a leaf sure of its codes' XOR that stores its guess cell or not as
-    ``guessing`` says, so no control run fails, two intp arrays indexed alike: each leaf's stored guess cell (0
-    where it guesses) and ancilla slot (``4 * ancilla + alice``, 8 for none); else empty. ``picks`` and
+    ``guessing`` says, so no control run fails, and ``picks`` 0 if it guesses (her guesses are then her first
+    cells), two intp arrays indexed alike: each leaf's stored guess cell (0 where it guesses) and ancilla slot (``4
+    * ancilla + alice``, 8 for none); else empty. ``picks`` and
     ``guessing``: the first path's picks, and whether its leaf leaves a message run's guess to a uniform.
     ``detection`` and ``accuracy``: the exact oracles' per-control-run rate and Eve's (Alice, Bob) guess
     accuracies. ``reads``: a run reads one of Eve's uniforms (a pick of two indices or more, or a pure
@@ -280,7 +283,8 @@ def value_tables(strategy: "AttackStrategy") -> ValueTables:
                 node, depths[k] = next(filter(None, node.children)), depths[k] + 1
         ones = [table.leaves[0] for table in tables.values()]  # each tree's first leaf, its only one if 16 in all
         reads = len(leaves) > 16 or len(set(depths)) > 1 or any(None in leaf.cells for leaf in ones)
-        guessing, exact = None in ones[0].cells, len(leaves) == 16 and len(set(depths)) == 1
+        guessing = None in ones[0].cells
+        exact = len(leaves) == 16 and len(set(depths)) == 1 and not (guessing and depths[0])
         failed = mass = alice = bob = 0.0  # summed in ``leaves`` order, Bob's code outer
         for b, a, leaf in leaves:
             k = ALL_CODES.index(b ^ a)
@@ -371,9 +375,18 @@ def block_cuts(c: float, one_pass: bool) -> tuple:
     return lambda u: (u * 4.0).astype(np.intp).tolist(), methodcaller("tolist"), methodcaller("tolist")
 
 
+WALK = 256  # the most message runs one ``match`` of the walk spans, bounding ``re``'s backtracking state (80 KB)
+
+
+@lru_cache
+def _walk(k: int) -> re.Pattern:
+    """``k`` message runs and the control runs before each, over mode cells: 1 and 2 more cells, or 0 and 1 more."""
+    return re.compile(rb"(?:(?:\x01..)*\x00.){%d}" % k, re.S)
+
+
 def _refill(block, used: int, stream, cut) -> tuple:
-    """``block``'s unused entries and twice as many uniforms as it held (at least one) from ``stream``, cut, counted."""
-    block = block[used:] + cut(stream.random(max(2 * len(block), 1)))
+    """``block``'s unused entries and twice as many uniforms as it held (at least 3) from ``stream``, cut, counted."""
+    block = block[used:] + cut(stream.random(max(2 * len(block), 3)))
     return block, len(block)
 
 
@@ -402,14 +415,16 @@ def run_dialogue(
     and Eve's session share. Each stream is read in blocks, in the order one ``random()`` per uniform gives: ``2 +
     is_cm`` of the protocol's a run, and of Eve's ``picks`` plus one on a message run whose leaf stores no guess
     cell. The first blocks are ``first``, cut as its engine reads them (``block_cuts``), which a caller may pass
-    (``harness.run_trial`` does), or else each stream's ``random(n)`` cut so (``first_blocks``). A refill keeps the
-    unused tail and cuts twice as many uniforms as the block held from the stream, which goes on where the first
-    block ended, so any numpy Generator will do; ``draws`` counts the uniforms moved past in each. A value whose
+    (``harness.run_trial`` does), or else each stream's ``random(n)`` cut so (``first_blocks``). Before each run the
+    loop refills the protocol's block if it holds fewer than 3, and Eve's when used up: a refill keeps the unused
+    tail and cuts twice as many uniforms as the block held (at least 3) from the stream, which goes on where the
+    first block ended, so any numpy Generator will do; ``draws`` counts the uniforms moved past in each. A value whose
     runs read none of Eve's (``ValueTables.reads``) takes each run's leaf from its roots with no ``cut`` and draws
     no block from ``eve_rng``, which may be None, though its runs move her cursor past ``picks``. ``tables`` is
     the attack's ``value_tables``, looked up here unless passed. The loop counts ``counts`` as it goes: a restart
     sets the final pass's first run and clears its bit errors and outcomes. Unless ``keep_rows``, an ``exact``
-    value's dialogue is one completing pass (see the module docstring).
+    value's dialogue is one completing pass (see the module docstring), whose refills keep the whole block, and
+    Eve's block is topped up once to the N guess cells she reads.
     """
     if len(alice_msg) != len(bob_msg):
         raise ValueError(f"messages must have equal half-length, got {len(alice_msg)} and {len(bob_msg)}")
@@ -433,41 +448,25 @@ def run_dialogue(
     status, first_detection, cells = None, None, [[0] * 4, [0] * 4] if tables.ancilla else None
 
     if one_pass:  # its runs counted off the mode cells (see the module docstring)
-        picks, m, starts = tables.picks, 0, []  # ``starts``: each message run's first uniform, if Eve's guesses read it
-        record = picks and tables.guessing
-        while m < n_pairs:
-            if i > pu_end - 3:  # near the block's end, the per-run loop's two checks
-                if i > pu_end - 2:
-                    (pu, pu_end), pu_read, i = _refill(pu, i, rng, pu_cut), pu_read + i, 0
-                if pu[i] and i > pu_end - 3:
-                    (pu, pu_end), pu_read, i = _refill(pu, i, rng, pu_cut), pu_read + i, 0
-            limit = max(i, pu_end - 3)  # this run is checked, and no run up to here can reach the block's end
-            while m < n_pairs and i <= limit:
-                if pu[i]:
-                    i += 3
-                else:
-                    if record:
-                        starts.append(pu_read + i)
-                    i += 2
-                    m += 1
-        cm = (pu_read + i - 2 * n_pairs) // 3  # 3 uniforms a control run, 2 a message run
-        eve, need = eu, picks * (n_pairs + cm) + tables.guessing * n_pairs
-        while tables.reads and len(eve) < need:  # each refill once the block before it is used up
-            eu = eu_cut(eve_rng.random(max(2 * len(eu), 1)))
-            eve = np.concatenate((eve, eu))
-        # Message run m, run r = (start + m) / 3, guesses after the picks of runs 0 to r and m guesses before.
-        (stored, slots), m = tables.exact, record and np.arange(n_pairs)
+        for m in range(0, n_pairs, WALK):
+            while not (walked := _walk(min(WALK, n_pairs - m)).match(pu, i)):  # the block ends first: extend it,
+                pu, _ = _refill(pu, 0, rng, pu_cut)  # whole, so ``i`` counts the uniforms read, and match again
+            i = walked.end()
+        runs = (i + n_pairs) // 3  # 3 uniforms a control run and 2 a message run: i = 3 runs - N
+        if tables.guessing and len(eu) < n_pairs:  # Eve's guess cells, her first N uniforms
+            eu = np.concatenate((eu, eu_cut(eve_rng.random(n_pairs - len(eu)))))
+        stored, slots = tables.exact
         pairs = 4 * np.asarray(bob_msg) + alice_msg if cells or not tables.guessing else None  # only where read
-        guessed = (eve[picks * ((starts + m) // 3 + 1) + m] if record
-                   else eve[:n_pairs] if tables.guessing else stored[pairs])
+        guessed = eu[:n_pairs] if tables.guessing else stored[pairs]
         # Counted by 4 (her Alice guess ^ alice) + (her Bob guess ^ bob): Alice's hits are 0-3, Bob's every fourth.
         hits = np.bincount(guessed ^ (4 * np.asarray(alice_msg) + bob_msg), minlength=16).tolist()
         cells = cells and np.bincount(slots[pairs], minlength=9)[:8].reshape(2, 4).tolist()
-        counts = n_pairs + cm, 0, 0, None, n_pairs, 0, n_pairs, sum(hits[:4]), sum(hits[::4]), cells, None
-        return DialogueResult(Transcript([], COMPLETED), session, (pu_read + i, need), counts)
+        counts = runs, 0, 0, None, n_pairs, 0, n_pairs, sum(hits[:4]), sum(hits[::4]), cells, None
+        draws = i, tables.picks * runs + tables.guessing * n_pairs
+        return DialogueResult(Transcript([], COMPLETED), session, draws, counts)
 
     while status is None:
-        if i > pu_end - 2:  # the mode and Bob's outcome
+        if i > pu_end - 3:  # the mode, a control run's pair and Bob's outcome
             (pu, pu_end), pu_read, i = _refill(pu, i, rng, pu_cut), pu_read + i, 0
 
         # Alice decides the mode before she encodes but announces it only
@@ -477,8 +476,6 @@ def run_dialogue(
         bob = bob_msg[cursor]
         is_cm = pu[i] < c
         if is_cm:
-            if i > pu_end - 3:  # and the pair
-                (pu, pu_end), pu_read, i = _refill(pu, i, rng, pu_cut), pu_read + i, 0
             alice = int(pu[i + 1] * 4.0)  # as ``random_message``
             i += 2
         else:

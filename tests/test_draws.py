@@ -34,6 +34,7 @@ from qdialogue.protocol import (
     REINITIALIZE,
     Branch,
     ProtocolConfig,
+    first_blocks,
     random_message,
     run_dialogue,
     value_tables,
@@ -218,14 +219,25 @@ def sample(config, name, beta2, seed, engine=run_dialogue):
     return result, rng, eve_rng
 
 
-def assert_equals_replay(config, name, beta2, seed):
+def small_first(size: int):
+    """``run_dialogue`` given a first protocol block of ``size`` uniforms, drawn after both messages."""
+
+    def engine(config, alice, bob, strategy, rng, eve_rng):
+        tables = value_tables(strategy)
+        eve = eve_rng.random(first_blocks(config, tables)[1]).tolist() if tables.reads else []
+        return run_dialogue(config, alice, bob, strategy, rng, eve_rng, tables, (rng.random(size).tolist(), eve))
+
+    return engine
+
+
+def assert_equals_replay(config, name, beta2, seed, sampler=run_dialogue):
     """The sampler against the per-run replay: transcript, Eve's logs and the uniforms read from each stream.
 
     The replay draws one uniform per call, so its final stream states
     pin its ``draws``. Returns the sampler's result and two recorded streams.
     """
     seen, sampled = [], []
-    for engine in (run_dialogue, reference_dialogue):
+    for engine in (sampler, reference_dialogue):
         result, rng, eve_rng = sample(config, name, beta2, seed, engine)
         seen.append((transcript_dict(result.transcript), result.eve.logs, result.draws))
         sampled.append((result, rng, eve_rng))
@@ -382,16 +394,22 @@ class TestStreamEdges:
     @pytest.mark.parametrize("policy", DETECTION_POLICIES)
     @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
     def test_block_used_exactly(self, name, beta2, policy):
-        # A dialogue that reads its protocol block to the last uniform:
-        # with one control run in ten, a short first block.
-        config = ProtocolConfig(c=0.1, n_pairs=3, max_restarts=3, detection_policy=policy)
+        # A dialogue that reads a protocol block to the last uniform: a
+        # control run that starts with 3 left, which refills nothing, so
+        # the next run refills from an empty tail. The blocks a dialogue
+        # sizes itself hold a multiple of 3 past both messages' runs, so
+        # only a pass with more control runs than they allow for meets
+        # this; a first block of 5 uniforms meets it after a message run.
+        config, engine = ProtocolConfig(c=0.1, n_pairs=3, max_restarts=3, detection_policy=policy), small_first(5)
         for seed in range(2000):
-            result, rng, _ = sample(config, name, beta2, seed)
-            if sum(rng.sizes[2:]) == result.draws[0]:
+            result, rng, _ = sample(config, name, beta2, seed, engine)
+            rows, ends = result.transcript.rows, set(np.cumsum(rng.sizes[2:]).tolist())
+            starts = np.cumsum([0] + [2 + row[2] for row in rows[:-1]]).tolist()  # each run's first uniform
+            if any(row[2] and start + 3 in ends for row, start in zip(rows, starts)):
                 break
         else:
             pytest.fail("no dialogue used its protocol block exactly")
-        assert_equals_replay(config, name, beta2, seed)
+        assert_equals_replay(config, name, beta2, seed, engine)
 
     @pytest.mark.parametrize("policy", DETECTION_POLICIES)
     @pytest.mark.parametrize("name, beta2", UNDETECTED_VALUES)
@@ -429,6 +447,22 @@ class TestStreamEdges:
         for seed in range(5):
             result, _, eve_rng = assert_equals_replay(config, UnevenPicks(), None, seed)
             assert eve_rng.sizes[0] == 0 and result.draws[1] > 0
+
+    @pytest.mark.parametrize("policy", DETECTION_POLICIES)
+    @pytest.mark.parametrize("name, beta2", STRATEGY_VALUES)
+    def test_an_empty_first_protocol_block_moves_no_uniform(self, name, beta2, policy):
+        # The first refill draws 3 uniforms, all a run can read, so an
+        # empty first block gives the rows, counts and draws of a sized one.
+        config = ProtocolConfig(c=0.5, n_pairs=2, max_restarts=2, detection_policy=policy)
+        strategy = strategy_from_name(name, beta2)
+        for seed in range(200):
+            seen = []
+            for first in (([], []), None):
+                rng, eve_rng = np.random.default_rng(seed), np.random.default_rng(seed + 1000)
+                msgs = [random_message(config.n_pairs, rng) for _ in range(2)]
+                result = run_dialogue(config, *msgs, strategy, rng, eve_rng, first=first)
+                seen.append((result.transcript.rows, result.counts, result.draws))
+            assert seen[0] == seen[1], seed
 
     def test_sure_picks_made_by_some_codes_only_are_walked(self):
         # Runs that pass different numbers of sure picks cannot count them

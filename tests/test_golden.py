@@ -7,7 +7,11 @@ is checked for every strategy. ``SERIALIZED_GOLDEN`` pins the other
 serializations: a CSV run, and a sweep as JSON and as CSV.
 ``BENCHMARK_DIGESTS`` pins the documents of the benchmark's three
 workload commands at seed 1 on one worker, whose 32- and 64-pair
-dialogues walk far past a block's first runs.
+dialogues walk far past a block's first runs. ``ENGINE_DIGESTS`` pins
+three more ``run`` documents: the probe at beta2 = 0, plain and
+``--verbose``, which guesses between its sure picks and so runs the
+per-run loop, and an honest 700-pair run, whose one passes span three
+matches of the walk and read past a trial's region into its overflow.
 
 The state-vector kernels must reproduce the documents byte for byte: a
 rewrite that shifts a single Bell outcome or one oracle bit changes a
@@ -21,6 +25,7 @@ the lines after each name every digest that differs from the pinned one
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -72,6 +77,12 @@ BENCHMARK_DIGESTS = {
     "honest-long": "5ef853ce1751c378eede27d5c3ca31f666d5c30a91dff0468e761d8e4d180fe5",
     "intercept-pool": "44ed7f71eb1d4147e5205a337ee23c6ba205564ea88aae63a9e01456df9108b7",
     "probe-sweep-short": "84f4341e4915028d5429850a86e592b62ea86bbf9719a8bad50be0f7b1fd4b43",
+}
+
+ENGINE_DIGESTS = {
+    "probe-zero": "5bfa00dc0730a9744113b2d57e0d83b5f954bf884ddc281f5f319b80b05a536f",
+    "probe-zero-verbose": "07e4e6d70ce9aef06520eea348482bada7267f561b1b9a627f035abbbe2e2cde",
+    "honest-700": "c5415241d197352ad069a727ba543241c4fa81b43081bb4bf825d84e02d3f25c",
 }
 
 
@@ -126,6 +137,19 @@ def benchmark_digests() -> dict[str, str]:
     return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
 
 
+def engine_digests() -> dict[str, str]:
+    """Digests of ``run --attack entangle-measure --beta2 0 --c 0.5 --n-pairs 64 --trials 150 --seed 1``, plain
+    and ``--verbose``, and of ``run --attack none --n-pairs 700 --trials 12 --seed 1``."""
+    probe = ExperimentConfig(attack="entangle-measure", beta2=0.0, c=0.5, n_pairs=64, trials=150, master_seed=1)
+    honest = ExperimentConfig(attack="none", n_pairs=700, trials=12, master_seed=1)
+    texts = {
+        "probe-zero": to_json(run_experiment(probe)),
+        "probe-zero-verbose": to_json(run_experiment(replace(probe, verbose=True))),
+        "honest-700": to_json(run_experiment(honest)),
+    }
+    return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+
+
 def test_every_strategy_is_pinned():
     assert {name for name, _ in GOLDEN} == set(STRATEGY_NAMES)
     assert set(VERBOSE_GOLDEN) == set(GOLDEN)
@@ -147,6 +171,10 @@ def test_serialized_digests():
 
 def test_benchmark_documents():
     assert benchmark_digests() == BENCHMARK_DIGESTS
+
+
+def test_engine_documents():
+    assert engine_digests() == ENGINE_DIGESTS
 
 
 def digest_changes(fresh: dict, pinned: dict = GOLDEN) -> list[str]:
@@ -190,5 +218,9 @@ if __name__ == "__main__":
     print("}")
     print("BENCHMARK_DIGESTS = {")
     for name, digest in benchmark_digests().items():
+        print(f'    "{name}": "{digest}",')
+    print("}")
+    print("ENGINE_DIGESTS = {")
+    for name, digest in engine_digests().items():
         print(f'    "{name}": "{digest}",')
     print("}")

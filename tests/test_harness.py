@@ -186,15 +186,22 @@ class TestDeterminism:
         # Both messages as intp arrays, the protocol's first block as mode
         # cells u < c in bytes and Eve's as guess cells int(16 u), each cut
         # from the trial's reference streams; at 700 pairs the heads run
-        # past the region into its overflow.
+        # past the region into its overflow. The probe at beta2 = 0 guesses
+        # between its sure picks, so it is not exact, and its chunk cuts
+        # the per-run loop's code lists and floats.
         config = ExperimentConfig(attack=name, beta2=beta2, c=0.3, n_pairs=n_pairs, master_seed=2**64 + 3)
         calls, raw = [], harness.run_dialogue
         monkeypatch.setattr(harness, "run_dialogue", lambda *args: calls.append(args) or raw(*args))
         trials = range(2**32 - 12, 2**32)
         harness._fold_trials(config, trials, (5, 2))
-        reads = protocol.value_tables(config.strategy()).reads
+        tables = protocol.value_tables(config.strategy())
+        reads = tables.reads
         for t, (_, alice, bob, _, _, _, _, (pu, eu), _) in zip(trials, calls, strict=True):
             rng, eve_rng = trial_uniforms(config, t, (5, 2))
+            if not tables.exact:
+                assert alice + bob == random_message(2 * n_pairs, rng), t
+                assert pu == rng.random(len(pu)).tolist() and eu == eve_rng.random(len(eu)).tolist(), t
+                continue
             assert alice.dtype == bob.dtype == np.intp and type(pu) is bytes, t
             assert alice.tolist() + bob.tolist() == random_message(2 * n_pairs, rng), t
             assert pu == bytes(u < 0.3 for u in rng.random(len(pu)).tolist()) and len(pu) > 2 * n_pairs, t
