@@ -28,10 +28,9 @@ spawn_key=point_key).generate_state(2, uint64)``, stream ``s`` of trial ``t``
 blocks at counters ``[t K_s + 1 ... t K_s + K_s, 0, 0, s]``, ``K_s = ceil(R_s
 / 4)``, then its overflow, the blocks ``[1, 2, ..., t + 1, 0, s]``. So any
 worker count gives the same bytes, and a chunk's regions lie end to end for
-``TrialStream`` to draw in one call and cut in the form the trials' engine
-reads (``protocol.block_cuts``), for an exact value's one pass no float.
-Pairs and pure guesses are cut from uniforms scaled by 4 or 16, which is
-exact, so every cell is equally likely.
+``TrialStream`` to draw ``BATCH`` uniforms at a time and cut in the form the
+trials' engine reads (``protocol.block_cuts``): pairs and pure guesses from
+uniforms scaled by 4 or 16, which is exact, so every cell is equally likely.
 """
 
 from __future__ import annotations
@@ -157,22 +156,25 @@ FIELD_TYPES: dict[str, type] = {
 }
 
 
-DRAW = 2048  # uniforms of one stream a chunk draws at a time, at most, and so a trial's region at most
+REGION = 2048  # uniforms of a stream a trial's region holds at most (the replay contract)
+BATCH = 1 << 14  # uniforms of a stream a chunk draws in one Philox call: whole regions, at least one
 
 
 class TrialStream:
     """Stream ``s`` of a chunk's trials, one trial at a time: its region of ``size`` uniforms, then its overflow.
 
-    ``trial`` draws the regions of ``DRAW // (4 K)`` trials in one call when the first of them asks, and cuts
-    each span ``(start, stop, cut)`` of ``heads`` for all of them in one ``cut``; ``random`` goes on from there.
+    ``heads`` are spans ``(start, stop, cut)`` end to end from 0. ``trial`` draws the regions of ``max(1, BATCH //
+    (4 K))`` trials in one call when the first of them asks, and cuts each head in the region for all of them in
+    one ``cut``, into one tuple a trial; ``random`` goes on from there, and reads each head past the region.
     """
 
     gens: dict = {}  # one Generator per stream index per process, read one trial at a time; ``_at`` sets it whole
 
     def __init__(self, key, s: int, trials: range, size: int, heads: tuple):
-        self.key, self.s, self.trials, self.size, self.heads = key, s, trials, size, heads
-        self.blocks = -(-size // 4)  # K_s
-        self.per_draw, self.first, self.draw = DRAW // max(4 * self.blocks, 1), trials.start, ()
+        self.key, self.s, self.trials, self.size, self.blocks = key, s, trials, size, -(-size // 4)  # K_s
+        k = sum(stop <= size for _, stop, _ in heads)  # the heads in the region, then those past it from ``end``
+        self.inside, self.past, self.end = heads[:k], heads[k:], heads[k - 1][1] if k else 0
+        self.per_batch, self.first, self.draw = max(1, BATCH // max(4 * self.blocks, 1)), trials.start, ()
         self.gen = self.gens.get(s) or self.gens.setdefault(s, np.random.Generator(np.random.Philox(key=key)))
 
     def _at(self, c0: int, c1: int):
@@ -182,25 +184,23 @@ class TrialStream:
                                         "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         return self.gen
 
-    def trial(self, t: int) -> list:
-        """Trial ``t``'s heads; ``t`` is the current trial from now on. A head past the region is read by ``random``."""
+    def trial(self, t: int) -> tuple:
+        """Trial ``t``'s heads; ``t`` is the current trial from now on."""
         i = t - self.first
         if not 0 <= i < len(self.draw):
-            self.first = t - (t - self.trials.start) % self.per_draw
-            m, i = min(self.per_draw, self.trials.stop - self.first), t - self.first
+            self.first = t - (t - self.trials.start) % self.per_batch
+            m, i = min(self.per_batch, self.trials.stop - self.first), t - self.first
             draw = self._at(self.first * self.blocks, 0).random(4 * self.blocks * m)
             self.draw = draw.reshape(m, 4 * self.blocks)[:, :self.size]
-            self.rows = [cut(self.draw[:, start:stop]) if stop <= self.size else None
-                         for start, stop, cut in self.heads]
-        self.row, self.t, self.over, heads = self.draw[i], t, False, []
-        for (start, stop, cut), rows in zip(self.heads, self.rows):
-            self.pos = start if rows is None else stop
-            heads.append(cut(self.random(stop - start)) if rows is None else rows[i])
-        return heads
+            self.rows = list(zip(*(cut(self.draw[:, start:stop]) for start, stop, cut in self.inside))) or [()] * m
+        self.i, self.t, self.over, self.pos = i, t, False, self.end
+        if not self.past:
+            return self.rows[i]
+        return self.rows[i] + tuple(cut(self.random(stop - start)) for start, stop, cut in self.past)
 
     def random(self, n: int):
         """The current trial's next ``n`` uniforms: the rest of its region, then its overflow."""
-        have = self.row[self.pos:self.pos + n]
+        have = self.draw[self.i, self.pos:self.pos + n]
         self.pos += n
         if len(have) == n:
             return have
@@ -211,15 +211,15 @@ class TrialStream:
 def chunk_streams(config: ExperimentConfig, point_key: tuple[int, ...], trials: range,
                   tables: ValueTables) -> tuple[TrialStream, TrialStream | None]:
     """The protocol's stream of the chunk's trials, its regions holding both messages and what a completing pass
-    reads, at most ``DRAW``, and Eve's likewise where the value reads it (``ValueTables.reads``). Each head is cut
-    in the form its trials' engine reads (``block_cuts``): an exact value's one pass reads no float."""
+    reads, at most ``REGION``, and Eve's likewise where the value reads it (``ValueTables.reads``). Each head is cut
+    in the form its trials' engine reads (``block_cuts``), a batch of trials at a time where it lies in the region."""
     key = np.random.SeedSequence(config.master_seed, spawn_key=point_key).generate_state(2, np.uint64)
     n, (pu_first, eu_first) = config.n_pairs, first_blocks(config.protocol_config(), tables)
     pu, eu = pass_reads(n, config.c, tables.picks, tables.guessing)
     codes, pu_cut, eu_cut = block_cuts(config.c, bool(tables.exact))
     heads = (0, n, codes), (n, 2 * n, codes), (2 * n, 2 * n + pu_first, pu_cut)  # Alice's message, Bob's, the block
-    rng = TrialStream(key, 0, trials, min(2 * n + pu, DRAW), heads)
-    return rng, TrialStream(key, 1, trials, min(eu, DRAW), ((0, eu_first, eu_cut),)) if tables.reads else None
+    rng = TrialStream(key, 0, trials, min(2 * n + pu, REGION), heads)
+    return rng, TrialStream(key, 1, trials, min(eu, REGION), ((0, eu_first, eu_cut),)) if tables.reads else None
 
 
 def run_trial(config: ExperimentConfig, trial_index: int, point_key: tuple[int, ...] = (), *,

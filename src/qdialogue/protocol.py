@@ -365,7 +365,7 @@ def block_cuts(c: float, one_pass: bool) -> tuple:
     """How a trial's uniforms are cut for its engine, built once per ``(c, one_pass)``: its messages into code indices
     ``int(u * 4.0)``, then the protocol's and Eve's blocks. For an exact value's one pass (``ValueTables.exact``) the
     codes are an intp array and the blocks the cells it reads: mode cells ``u < c`` as ``bytes`` (1 on a control run;
-    one per trial of a chunk's draw) and Eve's guess cells ``int(u * 16.0)``, an intp array. Else each is a list, the
+    one per trial of a chunk's batch) and Eve's guess cells ``int(u * 16.0)``, an intp array. Else each is a list, the
     blocks of floats. A chunk cuts its trials' heads so, and ``run_dialogue`` its first blocks and refills."""
     if one_pass:
         def modes(u):

@@ -10,6 +10,7 @@ import pickle
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from collections import OrderedDict
 from dataclasses import asdict, replace
@@ -125,16 +126,22 @@ class TestDeterminism:
             got += stream.random(n).tolist()
         assert got == philox_stream(key, t, s, size, head + sum(reads))
 
-    @pytest.mark.parametrize("lo", [0, 7, 2**32 - 23])
+    @pytest.mark.parametrize("lo", [0, 7, None])
     @pytest.mark.parametrize("size", [1, 13, 500, 2048])
     def test_a_chunk_reads_every_trial_alike_across_its_draws(self, lo, size):
-        # Draws of 512, 128, 4 and 1 trials; each trial's messages and first
-        # block, then a read across its region's end.
+        # Batches of 4096, 1024, 32 and 8 trials, read from the middle of
+        # the chunk's first batch across two batch boundaries into a short
+        # last batch; a chunk at None ends at a point's last trial. Each
+        # trial's messages and first block, then a read across its region's end.
         key = point_key_words(2**64 + 3, 1)
-        trials = range(lo, lo + 23)
+        per_batch = max(1, harness.BATCH // (4 * -(-size // 4)))
+        count = 2 * per_batch + per_batch // 2 + 2
+        lo = 2**32 - count if lo is None else lo
+        trials = range(lo, lo + count)
         codes, _, floats = protocol.block_cuts(0.5, False)
         stream = TrialStream(key, 1, trials, size, ((0, 4, codes), (4, max(size, 4), floats)))
-        for t in trials:
+        assert stream.per_batch == per_batch
+        for t in trials[per_batch // 2 + 1:]:
             messages, first = stream.trial(t)
             expected = philox_stream(key, t, 1, size, size + 9)
             assert messages == [int(u * 4.0) for u in expected[:4]], t
@@ -165,9 +172,11 @@ class TestDeterminism:
     def test_each_trial_reads_its_own_two_streams(self, monkeypatch, seed, point_key):
         # Both messages and the first blocks run_dialogue gets, Eve's too,
         # against the reference streams of each trial alone, in a chunk
-        # whose draws end inside it. A value Bob can detect runs the
-        # per-run loop, so its heads stay code lists and floats.
+        # whose batches end inside it: 2048 uniforms hold 8 protocol
+        # regions of 244. A value Bob can detect runs the per-run loop, so
+        # its heads stay code lists and floats.
         config = ExperimentConfig(attack="entangle-measure", beta2=0.25, c=0.3, n_pairs=40, master_seed=seed)
+        monkeypatch.setattr(harness, "BATCH", 2048)
         calls, raw = [], harness.run_dialogue
         monkeypatch.setattr(harness, "run_dialogue", lambda *args: calls.append(args) or raw(*args))
         trials = range(2**32 - 12, 2**32)
@@ -216,9 +225,27 @@ class TestDeterminism:
         config = ExperimentConfig(c=0.5, n_pairs=1100, master_seed=4)
         rng, _ = harness.chunk_streams(config, (), range(6, 7), protocol.value_tables(config.strategy()))
         alice, bob, first = rng.trial(6)
-        expected = philox_stream(point_key_words(4), 6, 0, harness.DRAW, 2200 + len(first))
+        expected = philox_stream(point_key_words(4), 6, 0, harness.REGION, 2200 + len(first))
         assert alice.tolist() + bob.tolist() == [int(u * 4.0) for u in expected[:2200]]
         assert first == bytes(u < 0.5 for u in expected[2200:])
+
+    @pytest.mark.parametrize("name, beta2, n_pairs, restarts", [("none", None, 64, 0), ("entangle-measure", 0.25, 4, 2),
+                                                                 ("none", None, 700, 0)])
+    def test_the_batch_size_moves_no_byte(self, monkeypatch, name, beta2, n_pairs, restarts):
+        # Batches of one trial, of three of the protocol stream's, or of the
+        # whole chunk: an exact value's one pass (bytes heads), the per-run
+        # loop restarting on both streams, and regions at their cap.
+        config = ExperimentConfig(attack=name, beta2=beta2, c=0.5, n_pairs=n_pairs, master_seed=2**64 + 3,
+                                  detection_policy="reinitialize" if restarts else "terminal",
+                                  max_restarts=restarts, verbose=True)
+        tables, trials = protocol.value_tables(config.strategy()), range(2**32 - 40, 2**32)
+        blocks, folds = harness.chunk_streams(config, (1,), trials, tables)[0].blocks, []
+        assert (blocks == harness.REGION // 4) == (n_pairs == 700)
+        for batch, per_batch in ((1, 1), (4 * blocks * 3, 3), (4 * blocks * len(trials), len(trials))):
+            monkeypatch.setattr(harness, "BATCH", batch)
+            assert harness.chunk_streams(config, (1,), trials, tables)[0].per_batch == per_batch
+            folds.append(harness._fold_trials(config, trials, (1,)))
+        assert folds[0][0].trials == 40 and folds[0] == folds[1] == folds[2]
 
     def test_eve_has_no_stream_where_she_reads_none(self):
         config = ExperimentConfig(attack="intercept-resend-blind", c=0.5, n_pairs=4)
@@ -654,6 +681,22 @@ class TestBoundedMemory:
     def test_verbose_document_at_two_workers(self):
         doc = run_experiment(ExperimentConfig(**self.CONFIG, verbose=True, workers=2))
         assert hashlib.sha256(to_json(doc).encode()).hexdigest() == self.VERBOSE_DIGEST
+
+    def test_a_chunks_memory_does_not_grow_with_its_trials(self):
+        # A chunk holds one batch of each stream's regions, cut, and one
+        # trial's dialogue at a time: 6000 more honest 64-pair trials may
+        # add at most 64 KiB, about 11 bytes a trial, to its peak.
+        config = ExperimentConfig(attack="none", c=0.5, n_pairs=64)
+        harness._fold_trials(config, range(100), ())  # tables, cuts and patterns built
+        peaks = []
+        for trials in (2000, 8000):
+            tracemalloc.start()
+            try:
+                assert harness._fold_trials(config, range(trials), ())[0].completed == trials
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2**16, peaks
 
     def test_verbose_csv_keeps_and_decodes_no_report(self, monkeypatch):
         # A CSV document has no place for reports, so a verbose one keeps
